@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Every subcommand builds a :class:`RunReport` (parameters, a list of named
-checks with expected/actual/residual, and wall time) and exits 0 only when
-every check passed.  Failing check names go to stderr.  Randomized checks
-take ``--seed`` (falling back to the SPINDEQ_SEED environment variable) and
-are deterministic for a fixed seed.
+Every subcommand turns its flags into suite checks (some also write a CSV
+table).  :func:`main` times the run, builds one :class:`RunReport`
+(parameters, a list of named checks with expected/actual/residual, and wall
+time), writes it where ``--out``/``--report`` asks for JSON, prints it, and
+exits 0 only when every check passed.  Failing check names go to stderr.
+Randomized checks take ``--seed``, falling back to the SPINDEQ_SEED
+environment variable and then to 0, and are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import __version__, cpi, orbit, quantum, suite, superfield
 from .errors import SpindeqError
@@ -25,29 +27,32 @@ from .symbols import format_poly
 
 SCHEMA_VERSION = "spindeq.report/1"
 
+# Namespace entries that are not run parameters.
+_NOT_PARAMETERS = ("subcommand", "handler", "report_path")
+
 
 @dataclass
 class RunReport:
     subcommand: str
     parameters: dict
-    checks: list[dict]
+    checks: list[CheckResult]
     timing_seconds: float
     extras: dict = field(default_factory=dict)
     schema: str = SCHEMA_VERSION
 
     @property
     def all_passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
+        return all(c.passed for c in self.checks)
 
     def failures(self) -> list[str]:
-        return [c["name"] for c in self.checks if not c["passed"]]
+        return [c.name for c in self.checks if not c.passed]
 
     def to_dict(self) -> dict:
         return {
             "schema": self.schema,
             "subcommand": self.subcommand,
             "parameters": self.parameters,
-            "checks": self.checks,
+            "checks": [c.to_dict() for c in self.checks],
             "timing_seconds": self.timing_seconds,
             "extras": self.extras,
             "all_passed": self.all_passed,
@@ -62,7 +67,7 @@ class RunReport:
         return cls(
             subcommand=data["subcommand"],
             parameters=data["parameters"],
-            checks=data["checks"],
+            checks=[CheckResult(**c) for c in data["checks"]],
             timing_seconds=data["timing_seconds"],
             extras=data.get("extras", {}),
             schema=data["schema"],
@@ -79,29 +84,33 @@ def _json_default(value):
     return str(value)
 
 
-def _check_dicts(results: list[CheckResult]) -> list[dict]:
-    return [r.to_dict() for r in results]
+def _prepare_inputs(args) -> None:
+    """Reject non-finite numbers and an empty sample set; resolve the seed."""
+    for dest, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"--{dest.replace('_', '-')} must be a finite number, got {value}")
+    if getattr(args, "samples", 1) < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if "seed" in vars(args) and args.seed is None:
+        args.seed = int(os.environ.get("SPINDEQ_SEED") or 0)
 
 
-def _seed_from(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("SPINDEQ_SEED")
-    return int(env) if env else 0
+def _write_csv(path: str, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-# -- subcommands --------------------------------------------------------------------
+# -- subcommands: each returns (checks, extras) ------------------------------------
 
 
-def _cmd_verify_dequantization(args) -> RunReport:
-    start = time.perf_counter()
+def _cmd_verify_dequantization(args):
     case = superfield.get_case(args.case)
     ctx = case.context
-    results: list[CheckResult] = []
-    extras: dict = {}
+    hamiltonian = None
     if args.lagrangian:
         lagrangian = ctx.parse(args.lagrangian)
-        hamiltonian = None
     else:
         if args.hamiltonian:
             hamiltonian = ctx.parse(args.hamiltonian)
@@ -110,96 +119,37 @@ def _cmd_verify_dequantization(args) -> RunReport:
             hamiltonian = superfield.builtin_hamiltonian(case, builtin)
         lagrangian = superfield.quantum_lagrangian(case, hamiltonian, gamma=args.gamma)
     cpi_l, surface = superfield.dequantize(lagrangian, case)
-    raw = cpi_l + surface
-    extras["raw_expansion"] = format_poly(raw)
-    extras["cpi_lagrangian"] = format_poly(cpi_l)
-    extras["surface_term"] = format_poly(surface)
-    decomposition = raw - cpi_l - surface
-    results.append(
-        CheckResult(
-            "decomposition-exact",
-            "0",
-            format_poly(decomposition),
-            0 if decomposition.is_zero() else format_poly(decomposition),
-            decomposition.is_zero(),
-        )
-    )
-    if hamiltonian is not None:
-        expected = cpi.cpi_lagrangian(case, hamiltonian)
-        diff = cpi_l - expected
-        results.append(
-            CheckResult(
-                "matches-cpi-lagrangian",
-                format_poly(expected),
-                format_poly(cpi_l),
-                0 if diff.is_zero() else format_poly(diff),
-                diff.is_zero(),
-            )
-        )
-        extras["residual"] = "0" if diff.is_zero() else format_poly(diff)
-    return RunReport(
-        "verify-dequantization",
-        {
-            "case": case.name,
-            "hamiltonian": args.hamiltonian,
-            "builtin": args.builtin,
-            "lagrangian": args.lagrangian,
-            "gamma": args.gamma,
-        },
-        _check_dicts(results),
-        time.perf_counter() - start,
-        extras,
-    )
+    checks = suite.check_dequantization(case, lagrangian, cpi_l, surface, hamiltonian)
+    extras = {
+        # decomposition-exact's expected side: the independently recomputed expansion
+        "raw_expansion": checks[0].expected,
+        "cpi_lagrangian": format_poly(cpi_l),
+        "surface_term": format_poly(surface),
+    }
+    return checks, extras
 
 
-def _cmd_propagate_quantum(args) -> RunReport:
-    start = time.perf_counter()
-    b = quantum.MagneticField.from_text(args.b, mu_b=args.mu_b)
+def _cmd_propagate_quantum(args):
+    try:
+        b = quantum.MagneticField.from_text(args.b, mu_b=args.mu_b)
+    except ValueError as exc:
+        raise ValueError(f"--b {args.b!r}: {exc}") from None
     slices = [int(x) for x in args.slices.split(",") if x.strip()]
     if not slices:
         raise ValueError("need at least one slice count")
-    oracle = quantum.magnetic_evolution(b, args.t)
     rows = []
     for n in slices:
         t0 = time.perf_counter()
-        approx = quantum.sliced_propagator(b, args.t, n)
-        wall = time.perf_counter() - t0
-        err = float(abs(approx - oracle).max())
-        rows.append((n, err, wall))
+        [(_, err)] = quantum.slicing_errors(b, args.t, [n])
+        rows.append((n, err, time.perf_counter() - t0))
     if args.out:
-        with open(args.out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["n", "max_error_vs_oracle", "wall_time"])
-            writer.writerows(rows)
-    results = []
-    ordered = sorted(rows)
-    for n, err, _ in ordered:
-        results.append(
-            CheckResult(f"slice-error-n={n}", 0.0, err, err, err < 1.0, tolerance=1.0)
-        )
-    decreasing = all(a[1] >= b_[1] for a, b_ in zip(ordered, ordered[1:]))
-    results.append(
-        CheckResult(
-            "error-decreases-with-slices",
-            "monotone",
-            [e for _, e, _ in ordered],
-            0 if decreasing else 1,
-            decreasing,
-        )
-    )
-    return RunReport(
-        "propagate-quantum",
-        {"b": args.b, "mu_b": args.mu_b, "t": args.t, "slices": slices, "out": args.out},
-        _check_dicts(results),
-        time.perf_counter() - start,
-        {"rows": rows},
-    )
+        _write_csv(args.out, ["n", "max_error_vs_oracle", "wall_time"], rows)
+    return suite.check_slice_errors([(n, err) for n, err, _ in rows]), {"rows": rows}
 
 
-def _cmd_propagate_classical(args) -> RunReport:
-    start = time.perf_counter()
+def _cmd_propagate_classical(args):
     case = superfield.get_case(args.case)
-    supplied = {"muB": args.mu_b, "w": args.omega, "alpha": 1}
+    supplied = {"muB": args.muB, "w": args.omega, "alpha": 1}
     coefficients = {
         name: value for name, value in supplied.items() if case.context.declared(name)
     }
@@ -212,105 +162,36 @@ def _cmd_propagate_classical(args) -> RunReport:
         coefficients=coefficients,
         truncation=args.truncation,
     )
-    report = cpi.characteristics_check(spec, t=args.t, seed=_seed_from(args))
+    checks = suite.check_transport(spec, args.t, args.seed)
     extras = {}
     if case.name != "coadjoint":
         operator = cpi.build_cpi_hamiltonian(spec)
         extras["operator"] = operator.description
         extras["spectrum_real"] = operator.spectrum_is_real()
-    results = [
-        CheckResult(
-            c["name"], c["expected"], c["actual"], c["residual"], c["passed"], 1e-9
-        )
-        for c in report["checks"]
-    ]
-    out = RunReport(
-        "propagate-classical",
-        {
-            "case": case.name,
-            "omega": args.omega,
-            "muB": args.mu_b,
-            "t": args.t,
-            "truncation": args.truncation,
-            "hamiltonian": args.hamiltonian,
-        },
-        _check_dicts(results),
-        time.perf_counter() - start,
-        extras,
-    )
-    if args.out:
-        out.write(args.out)
-    return out
+    return checks, extras
 
 
-def _cmd_precession(args) -> RunReport:
-    start = time.perf_counter()
+def _cmd_precession(args):
     state = orbit.OrbitState.on_constraint(args.theta0, args.phi0, args.lam)
-    h_fun = orbit.total_hamiltonian(args.mu_b, args.b)
-    rows = []
     steps = max(args.steps, 1)
-    for k in range(steps + 1):
-        t = args.t * k / steps
-        s = orbit.classical_trajectory(state, args.mu_b, args.b, t)
-        rows.append((t, s.theta, s.phi, s.height, h_fun(s)))
+    times = [args.t * k / steps for k in range(steps + 1)]
     if args.out:
-        with open(args.out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["t", "theta", "phi", "eta", "H"])
-            writer.writerows(rows)
-    r1, r2 = orbit.equation_residuals(state, args.mu_b, args.b)
-    height_drift = max(abs(r[3] - rows[0][3]) for r in rows)
-    energy_drift = max(abs(r[4] - rows[0][4]) for r in rows)
-    results = [
-        CheckResult("height-equation", 0.0, r1, abs(r1), abs(r1) == 0.0, 0.0),
-        CheckResult("angle-equation", 0.0, r2, abs(r2), abs(r2) == 0.0, 0.0),
-        CheckResult("height-conserved", 0.0, height_drift, height_drift, height_drift == 0.0, 0.0),
-        CheckResult("energy-conserved", 0.0, energy_drift, energy_drift, energy_drift == 0.0, 0.0),
-    ]
-    return RunReport(
-        "precession",
-        {
-            "theta0": args.theta0,
-            "phi0": args.phi0,
-            "muB": args.mu_b,
-            "b": args.b,
-            "t": args.t,
-            "lam": args.lam,
-            "steps": args.steps,
-            "out": args.out,
-        },
-        _check_dicts(results),
-        time.perf_counter() - start,
-    )
+        h_fun = orbit.total_hamiltonian(args.muB, args.b)
+        rows = []
+        for t in times:
+            s = orbit.classical_trajectory(state, args.muB, args.b, t)
+            rows.append((t, s.theta, s.phi, s.height, h_fun(s)))
+        _write_csv(args.out, ["t", "theta", "phi", "eta", "H"], rows)
+    return suite.check_precession_flow(state, args.muB, args.b, times), {}
 
 
-def _cmd_check_dirac(args) -> RunReport:
-    start = time.perf_counter()
-    results = suite.check_dirac_brackets(samples=args.samples, seed=_seed_from(args))
-    report = RunReport(
-        "check-dirac",
-        {"samples": args.samples, "seed": _seed_from(args)},
-        _check_dicts(results),
-        time.perf_counter() - start,
-    )
-    if args.out:
-        report.write(args.out)
-    return report
+def _cmd_check_dirac(args):
+    return suite.check_dirac_brackets(samples=args.samples, seed=args.seed), {}
 
 
-def _cmd_all(args) -> RunReport:
-    start = time.perf_counter()
-    results, timings = suite.run_all(seed=_seed_from(args))
-    report = RunReport(
-        "all",
-        {"seed": _seed_from(args)},
-        _check_dicts(results),
-        time.perf_counter() - start,
-        {"group_timings": timings},
-    )
-    if args.out:
-        report.write(args.out)
-    return report
+def _cmd_all(args):
+    results, timings = suite.run_all(seed=args.seed)
+    return results, {"group_timings": timings}
 
 
 # -- parser -------------------------------------------------------------------------
@@ -347,18 +228,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("propagate-classical", help="CPI transport against classical flow")
     p.add_argument("--case", required=True, choices=superfield.CASES)
     p.add_argument("--omega", type=float, default=1.0, help="precession rate (odd case)")
-    p.add_argument("--muB", type=float, default=1.0, dest="mu_b")
+    p.add_argument("--muB", type=float, default=1.0)
     p.add_argument("--t", type=float, default=0.7)
     p.add_argument("--truncation", type=int, default=4)
     p.add_argument("--hamiltonian", help="expression over the base fields (even case)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="write the JSON report here")
+    p.add_argument("--out", dest="report_path", help="write the JSON report here")
     p.set_defaults(handler=_cmd_propagate_classical)
 
     p = sub.add_parser("precession", help="closed-form precession table and conservation checks")
     p.add_argument("--theta0", type=float, required=True)
     p.add_argument("--phi0", type=float, required=True)
-    p.add_argument("--muB", type=float, required=True, dest="mu_b")
+    p.add_argument("--muB", type=float, required=True)
     p.add_argument("--b", type=float, default=1.0, help="field magnitude")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--lam", type=float, default=1.0, help="sphere radius")
@@ -369,12 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-dirac", help="bracket identities at random states")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="write the JSON report here")
+    p.add_argument("--out", dest="report_path", help="write the JSON report here")
     p.set_defaults(handler=_cmd_check_dirac)
 
     p = sub.add_parser("all", help="run the complete check suite")
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="write the JSON report here")
+    p.add_argument("--out", dest="report_path", help="write the JSON report here")
     p.set_defaults(handler=_cmd_all)
 
     return parser
@@ -383,21 +264,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    start = time.perf_counter()
     try:
-        report = args.handler(args)
-    except SpindeqError as exc:
+        _prepare_inputs(args)
+        checks, extras = args.handler(args)
+        parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+        report = RunReport(
+            args.subcommand, parameters, checks, time.perf_counter() - start, extras
+        )
+        report_path = getattr(args, "report_path", None)
+        if report_path:
+            report.write(report_path)
+    except (SpindeqError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    report_path = getattr(args, "report_path", None)
-    if report_path:
-        report.write(report_path)
     for check in report.checks:
-        status = "ok" if check["passed"] else "FAIL"
-        residual = check["residual"]
-        print(f"{status:4s} {check['name']} (residual {residual})")
+        status = "ok" if check.passed else "FAIL"
+        print(f"{status:4s} {check.name} (residual {check.residual})")
     print(
         f"{report.subcommand}: {len(report.checks)} checks, "
         f"{len(report.failures())} failures, {report.timing_seconds:.2f}s"

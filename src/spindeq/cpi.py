@@ -154,19 +154,11 @@ class CpiSpec:
 
     case: str
     hamiltonian: GradedPolynomial | None = None
-    omega_matrix: tuple = OMEGA_CANONICAL
     coefficients: Mapping | None = None
     truncation: int = DEFAULT_EVEN_TRUNCATION
 
     def __post_init__(self):
         case = get_case(self.case)
-        w = self.omega_matrix
-        if len(w) != 2 or any(len(row) != 2 for row in w):
-            raise ValueError("omega_matrix must be 2x2")
-        if any(w[a][b] != -w[b][a] for a in range(2) for b in range(2)):
-            raise ValueError("omega_matrix must be antisymmetric")
-        if case.name == "coadjoint" and tuple(map(tuple, w)) != OMEGA_CANONICAL:
-            raise ValueError("coadjoint case fixes omega_matrix to ((0,1),(-1,0))")
         if self.truncation < 1:
             raise ValueError("truncation must be at least 1")
         if self.hamiltonian is not None:

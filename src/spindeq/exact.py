@@ -9,6 +9,7 @@ Python ``complex`` degrades gracefully to ``complex`` arithmetic; mixing with
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 _EXACT_TYPES = (int, Fraction)
@@ -135,11 +136,13 @@ class CRational:
         return NotImplemented
 
     def __hash__(self):
-        # Matches the hash of int/Fraction when purely real, so exact values
-        # behave as dict keys across numeric types.
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # The formula of ``complex``, so values equal to an int, Fraction,
+        # float or complex hash like it (purely real ones like ``hash(re)``).
+        modulus = 1 << sys.hash_info.width
+        h = (hash(self.re) + sys.hash_info.imag * hash(self.im)) % modulus
+        if h >= modulus // 2:
+            h -= modulus
+        return -2 if h == -1 else h
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)

@@ -62,6 +62,10 @@ class MagneticField:
     bz: object
     mu_b: object = 1
 
+    def __post_init__(self):
+        if not all(cmath.isfinite(complex(v)) for v in (self.bx, self.by, self.bz, self.mu_b)):
+            raise ValueError("field components and mu_b must be finite numbers")
+
     @classmethod
     def from_text(cls, text: str, mu_b=1.0) -> "MagneticField":
         """Parse "BX,BY,BZ"; fractions and integers stay exact, decimals float."""

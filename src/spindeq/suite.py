@@ -1,9 +1,11 @@
 """End-to-end identity and oracle checks, shared by the CLI and the tests.
 
-Each ``check_*`` function returns a list of :class:`CheckResult`.  Exact
-symbolic identities report residual 0 (the integer) only when the two
-sides are equal in the exact arithmetic; numeric comparisons report a
-float residual against a stated tolerance.
+Each ``check_*`` function returns a list of :class:`CheckResult`, the one
+result shape from here up to the CLI's JSON report.  Exact symbolic
+identities report residual 0 (the integer) only when the two sides are equal
+in the exact arithmetic; numeric comparisons report a float residual against
+a stated tolerance.  Every group in :data:`ALL_CHECKS` takes ``seed``; the
+deterministic groups ignore it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 from . import cpi, orbit, quantum, superfield
 from .exact import CRational
-from .symbols import format_poly
+from .symbols import format_poly, formal_time_derivative, substitute
 
 
 @dataclass
@@ -64,15 +66,34 @@ def _surface_poly(case_name: str):
     case = superfield.get_case(case_name)
     ctx = case.context
     second = case.families[1]
-    from .symbols import formal_time_derivative
-
     bilinear = ctx.sym(second.aux) * ctx.sym(second.base) + ctx.imaginary() * ctx.sym(
         second.antighost
     ) * ctx.sym(second.ghost)
     return -formal_time_derivative(bilinear)
 
 
-def check_bosonic_dequantization() -> list[CheckResult]:
+def check_dequantization(
+    case, lagrangian, cpi_l, surface, hamiltonian=None
+) -> list[CheckResult]:
+    """Check the split ``(cpi_l, surface)`` of ``lagrangian``.
+
+    The superfield expansion is recomputed here, apart from ``dequantize``,
+    and must equal ``cpi_l + surface`` exactly.  Given the Hamiltonian,
+    ``cpi_l`` must also equal its CPI Lagrangian.
+    """
+    case = superfield.get_case(case)
+    raw = superfield.supertime_integral(
+        substitute(lagrangian, superfield.superfield_bindings(case)), case.theta, case.thetabar
+    )
+    out = [_exact_check("decomposition-exact", raw, cpi_l + surface)]
+    if hamiltonian is not None:
+        out.append(
+            _exact_check("matches-cpi-lagrangian", cpi.cpi_lagrangian(case, hamiltonian), cpi_l)
+        )
+    return out
+
+
+def check_bosonic_dequantization(seed: int = 0) -> list[CheckResult]:
     out = []
     case = superfield.get_case("bosonic")
     for name in ("free", "harmonic", "quartic", "bilinear"):
@@ -86,7 +107,7 @@ def check_bosonic_dequantization() -> list[CheckResult]:
     return out
 
 
-def check_grassmann_dequantization() -> list[CheckResult]:
+def check_grassmann_dequantization(seed: int = 0) -> list[CheckResult]:
     case = superfield.get_case("grassmann")
     h = superfield.builtin_hamiltonian(case, "spin")
     l = superfield.quantum_lagrangian(case, h)
@@ -97,7 +118,7 @@ def check_grassmann_dequantization() -> list[CheckResult]:
     ]
 
 
-def check_coadjoint_dequantization() -> list[CheckResult]:
+def check_coadjoint_dequantization(seed: int = 0) -> list[CheckResult]:
     case = superfield.get_case("coadjoint")
     ctx = case.context
     h = superfield.builtin_hamiltonian(case, "spin")
@@ -110,14 +131,12 @@ def check_coadjoint_dequantization() -> list[CheckResult]:
     with_gamma = superfield.quantum_lagrangian(case, h, gamma=True)
     cpi_g, surface_g = superfield.dequantize(with_gamma, case)
     out.append(_exact_check("coadjoint-gamma-cpi", cpi.cpi_lagrangian(case, h), cpi_g))
-    from .symbols import formal_time_derivative
-
     extra = -formal_time_derivative(ctx.parse("gamma*Lam_eta"))
     out.append(_exact_check("coadjoint-gamma-extra", extra, surface_g - surface))
     return out
 
 
-def check_observable_map() -> list[CheckResult]:
+def check_observable_map(seed: int = 0) -> list[CheckResult]:
     """i∫dχdχ̄ H(superfields) reproduces the CPI Hamiltonian for H = −μB·η."""
     case = superfield.get_case("coadjoint")
     ctx = case.context
@@ -211,7 +230,7 @@ def check_isomorphism(seed: int = 0, samples: int = 50) -> list[CheckResult]:
     return out
 
 
-def check_slicing() -> list[CheckResult]:
+def check_slicing(seed: int = 0) -> list[CheckResult]:
     out = []
     cases = (
         ("axis-field", quantum.MagneticField(1.0, 0.0, 0.0), 1.0),
@@ -220,7 +239,7 @@ def check_slicing() -> list[CheckResult]:
     for label, b, t in cases:
         if t is None:
             t = 1.0 / b.norm()  # unit Larmor phase
-        errors = dict(quantum.slicing_errors(b, t, (125, 250, 500, 1000)))
+        errors = dict(quantum.slicing_errors(b, t, (10, 100, 125, 250, 500, 1000)))
         out.append(
             _numeric_check(
                 f"slicing-{label}-error-at-1000", 0.0, errors[1000], errors[1000], 1e-2
@@ -238,13 +257,34 @@ def check_slicing() -> list[CheckResult]:
                     tolerance=0.3,
                 )
             )
-        mono = [e for _, e in quantum.slicing_errors(b, t, (10, 100, 1000))]
+        mono = [errors[n] for n in (10, 100, 1000)]
         ok = mono[0] > mono[1] > mono[2]
         out.append(
             CheckResult(
                 f"slicing-{label}-monotone", "decreasing", mono, 0 if ok else 1, ok
             )
         )
+    return out
+
+
+def check_slice_errors(errors) -> list[CheckResult]:
+    """Each ``(n, error)`` of the sliced propagator below 1, and the errors
+    not growing with n."""
+    ordered = sorted(errors)
+    out = [
+        CheckResult(f"slice-error-n={n}", 0.0, err, err, err < 1.0, tolerance=1.0)
+        for n, err in ordered
+    ]
+    decreasing = all(a >= b for (_, a), (_, b) in zip(ordered, ordered[1:]))
+    out.append(
+        CheckResult(
+            "error-decreases-with-slices",
+            "monotone",
+            [err for _, err in ordered],
+            0 if decreasing else 1,
+            decreasing,
+        )
+    )
     return out
 
 
@@ -283,32 +323,38 @@ def check_dirac_brackets(samples: int = 100, seed: int = 0) -> list[CheckResult]
     return out
 
 
-def check_precession() -> list[CheckResult]:
-    mu_b, b = 0.9, 1.3
-    state = orbit.OrbitState.on_constraint(1.1, 0.3, 1.7)
+def check_precession_flow(state, mu_b, b, times) -> list[CheckResult]:
+    """Both equations of motion at ``state``, and height and energy exactly
+    conserved along the closed-form flow at every one of ``times``."""
     r1, r2 = orbit.equation_residuals(state, mu_b, b)
-    out = [
+    h_fun = orbit.total_hamiltonian(mu_b, b)
+    along = [orbit.classical_trajectory(state, mu_b, b, t) for t in times]
+    height = max((s.height for s in along), key=lambda v: abs(v - state.height))
+    energy = max((h_fun(s) for s in along), key=lambda v: abs(v - h_fun(state)))
+    return [
         _numeric_check("precession-height-equation", 0.0, r1, abs(r1), 0.0),
         _numeric_check("precession-angle-equation", 0.0, r2, abs(r2), 0.0),
+        _numeric_check(
+            "precession-height-conserved", state.height, height,
+            abs(height - state.height), 0.0,
+        ),
+        _numeric_check(
+            "precession-energy-conserved", h_fun(state), energy,
+            abs(energy - h_fun(state)), 0.0,
+        ),
     ]
+
+
+def check_precession(seed: int = 0) -> list[CheckResult]:
+    mu_b, b = 0.9, 1.3
+    state = orbit.OrbitState.on_constraint(1.1, 0.3, 1.7)
     period = orbit.precession_period(mu_b, b)
+    flow = check_precession_flow(state, mu_b, b, [0.37 * period])
+    out = flow[:2]  # the equations of motion; conservation follows the period
     moved = orbit.classical_trajectory(state, mu_b, b, period)
     angle_gap = abs((moved.phi - state.phi + math.pi) % (2 * math.pi) - math.pi)
     out.append(_numeric_check("precession-period-identity", state.phi, moved.phi, angle_gap, 1e-12))
-    mid = orbit.classical_trajectory(state, mu_b, b, 0.37 * period)
-    h_fun = orbit.total_hamiltonian(mu_b, b)
-    out.append(
-        _numeric_check(
-            "precession-height-conserved", state.height, mid.height,
-            abs(mid.height - state.height), 0.0,
-        )
-    )
-    out.append(
-        _numeric_check(
-            "precession-energy-conserved", h_fun(state), h_fun(mid),
-            abs(h_fun(mid) - h_fun(state)), 0.0,
-        )
-    )
+    out += flow[2:]
     composed = orbit.classical_trajectory(
         orbit.classical_trajectory(state, mu_b, b, 0.4), mu_b, b, 0.6
     )
@@ -318,8 +364,22 @@ def check_precession() -> list[CheckResult]:
     return out
 
 
+def check_transport(spec: cpi.CpiSpec, t: float, seed: int) -> list[CheckResult]:
+    """CPI transport of ``spec`` over time ``t`` against the classical flow."""
+    return [
+        CheckResult(
+            f"cpi-{spec.case}-{item['name']}",
+            item["expected"],
+            item["actual"],
+            item["residual"],
+            item["passed"],
+            tolerance=1e-9,
+        )
+        for item in cpi.characteristics_check(spec, t=t, seed=seed)["checks"]
+    ]
+
+
 def check_cpi_transport(seed: int = 0) -> list[CheckResult]:
-    out = []
     specs = (
         cpi.CpiSpec("coadjoint", coefficients={"muB": 0.8}),
         cpi.CpiSpec("grassmann", coefficients={"w": 1.3}),
@@ -328,20 +388,7 @@ def check_cpi_transport(seed: int = 0) -> list[CheckResult]:
             hamiltonian=superfield.builtin_hamiltonian("bosonic", "harmonic"),
         ),
     )
-    for spec in specs:
-        report = cpi.characteristics_check(spec, t=0.7, seed=seed)
-        for item in report["checks"]:
-            out.append(
-                CheckResult(
-                    f"cpi-{spec.case}-{item['name']}",
-                    item["expected"],
-                    item["actual"],
-                    item["residual"],
-                    item["passed"],
-                    tolerance=1e-9,
-                )
-            )
-    return out
+    return [check for spec in specs for check in check_transport(spec, 0.7, seed)]
 
 
 # -- aggregation --------------------------------------------------------------------
@@ -365,10 +412,7 @@ def run_all(seed: int = 0) -> tuple[list[CheckResult], dict[str, float]]:
     timings: dict[str, float] = {}
     for name, fn in ALL_CHECKS:
         start = time.perf_counter()
-        if fn in (check_isomorphism, check_dirac_brackets, check_cpi_transport):
-            group = fn(seed=seed)
-        else:
-            group = fn()
+        group = fn(seed=seed)
         timings[name] = time.perf_counter() - start
         results.extend(group)
     return results, timings

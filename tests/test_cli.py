@@ -10,6 +10,7 @@ import json
 import subprocess
 import sys
 
+from spindeq import superfield
 from spindeq.cli import RunReport, SCHEMA_VERSION, main
 
 
@@ -34,10 +35,35 @@ def test_usage_errors_exit_two():
     assert run_cli("verify-dequantization").returncode == 2  # --case is required
 
 
-def test_domain_errors_exit_one():
+def test_domain_errors_exit_one(capsys):
     proc = run_cli("verify-dequantization", "--case", "bosonic", "--hamiltonian", "nope")
     assert proc.returncode == 1
     assert "error" in proc.stderr.lower()
+    rejected = (
+        (["precession", "--theta0", "1", "--phi0", "0", "--muB", "1", "--t", "nan"], "--t"),
+        (["propagate-quantum", "--b", "nan,0,1", "--t", "1", "--slices", "4"], "--b"),
+        (["propagate-quantum", "--b", "0,0,1", "--t", "inf", "--slices", "4"], "--t"),
+        (["propagate-classical", "--case", "bosonic", "--t", "nan"], "--t"),
+        (["check-dirac", "--samples", "0"], "--samples"),
+    )
+    for argv, flag in rejected:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + flag), captured.err
+
+
+def test_wrong_dequantization_split_fails_decomposition(monkeypatch, capsys):
+    dequantize = superfield.dequantize
+
+    def wrong_split(lagrangian, case):
+        cpi_l, surface = dequantize(lagrangian, case)
+        return cpi_l, surface + superfield.get_case(case).context.parse("q")
+
+    monkeypatch.setattr(superfield, "dequantize", wrong_split)
+    code = main(["verify-dequantization", "--case", "bosonic", "--builtin", "harmonic"])
+    assert code == 1
+    assert capsys.readouterr().err.strip() == "failed checks: decomposition-exact"
 
 
 def test_verify_dequantization_passes(tmp_path):
@@ -95,6 +121,12 @@ def test_precession_writes_csv(tmp_path, capsys):
     assert float(rows[0]["t"]) == 0.0 and float(rows[-1]["t"]) == 2.0
 
 
+def test_precession_at_zero_field_passes(capsys):
+    argv = ["precession", "--theta0", "1.1", "--phi0", "0.3", "--muB", "0", "--t", "2.0"]
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
 def test_propagate_classical_all_cases(tmp_path, capsys):
     for case in ("bosonic", "grassmann", "coadjoint"):
         out = tmp_path / f"{case}.json"
@@ -136,6 +168,28 @@ def test_flag_overrides_environment(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["parameters"]["seed"] == 4
+
+
+def test_propagate_classical_records_its_seed(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "report.json"
+    argv = ["propagate-classical", "--case", "grassmann", "--out", str(out)]
+    monkeypatch.delenv("SPINDEQ_SEED", raising=False)
+    for extra, env, seed in (([], None, 0), ([], "7", 7), (["--seed", "5"], "7", 5)):
+        if env is not None:
+            monkeypatch.setenv("SPINDEQ_SEED", env)
+        assert main(argv + extra) == 0
+        assert json.loads(out.read_text())["parameters"]["seed"] == seed
+    capsys.readouterr()
+
+
+def test_all_reports_83_unique_checks_and_its_seed(tmp_path, capsys):
+    out = tmp_path / "all.json"
+    assert main(["all", "--seed", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    names = [c["name"] for c in report["checks"]]
+    assert len(names) == len(set(names)) == 83
+    assert report["parameters"] == {"seed": 4}
 
 
 def test_report_round_trip(tmp_path, capsys):

@@ -71,10 +71,6 @@ def test_lagrangian_is_kinetic_minus_hamiltonian():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        CpiSpec("bosonic", omega_matrix=((0, 1), (1, 0)))
-    with pytest.raises(ValueError):
-        CpiSpec("coadjoint", omega_matrix=((0, 2), (-2, 0)))
-    with pytest.raises(ValueError):
         CpiSpec("bosonic", truncation=0)
     ctx = get_case("bosonic").context
     with pytest.raises(ValueError):

@@ -36,6 +36,13 @@ fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 coeff_st = st.builds(CRational, fractions_st, fractions_st)
 
 
+# Values exact in binary floating point, so each CRational has an equal complex.
+dyadic_st = st.one_of(
+    st.integers(-(10**12), 10**12),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(0, 40).map(lambda k: 2**k)),
+)
+
+
 @st.composite
 def multivectors(draw, exps=MIXED_EXPS, max_terms=4):
     chosen = draw(st.lists(st.sampled_from(exps), min_size=0, max_size=max_terms, unique=True))
@@ -202,3 +209,12 @@ def test_berezin_translation_invariance(a):
 @given(a=multivectors())
 def test_double_derivative_vanishes(a):
     assert left_derivative(left_derivative(a, "u"), "u").is_zero()
+
+
+@given(re=dyadic_st, im=dyadic_st)
+def test_crational_hash_matches_equal_numbers(re, im):
+    z = CRational(re, im)
+    w = complex(float(re), float(im))
+    assert z == w and hash(z) == hash(w)
+    if im == 0:
+        assert hash(z) == hash(Fraction(re))
