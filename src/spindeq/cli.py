@@ -84,13 +84,23 @@ def _json_default(value):
     return str(value)
 
 
+# Integer flags that count something and so must be at least 1.
+_COUNT_FLAGS = ("samples", "steps", "truncation")
+
+
 def _prepare_inputs(args) -> None:
-    """Reject non-finite numbers and an empty sample set; resolve the seed."""
+    """Reject non-finite numbers, counts below 1 and orbit states off the
+    sphere; resolve the seed."""
     for dest, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"--{dest.replace('_', '-')} must be a finite number, got {value}")
-    if getattr(args, "samples", 1) < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    for flag in _COUNT_FLAGS:
+        if getattr(args, flag, 1) < 1:
+            raise ValueError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+    if getattr(args, "lam", 1.0) <= 0:
+        raise ValueError(f"--lam must be positive, got {args.lam}")
+    if not 0 < getattr(args, "theta0", 1.0) < math.pi:
+        raise ValueError(f"--theta0 must lie strictly between 0 and pi, got {args.theta0}")
     if "seed" in vars(args) and args.seed is None:
         args.seed = int(os.environ.get("SPINDEQ_SEED") or 0)
 
@@ -134,9 +144,14 @@ def _cmd_propagate_quantum(args):
         b = quantum.MagneticField.from_text(args.b, mu_b=args.mu_b)
     except ValueError as exc:
         raise ValueError(f"--b {args.b!r}: {exc}") from None
-    slices = [int(x) for x in args.slices.split(",") if x.strip()]
-    if not slices:
-        raise ValueError("need at least one slice count")
+    try:
+        slices = [int(x) for x in args.slices.split(",") if x.strip()]
+    except ValueError:
+        slices = []
+    if not slices or min(slices) < 1:
+        raise ValueError(
+            f"--slices must be a comma-separated list of positive integers, got {args.slices!r}"
+        )
     rows = []
     for n in slices:
         t0 = time.perf_counter()
@@ -173,8 +188,7 @@ def _cmd_propagate_classical(args):
 
 def _cmd_precession(args):
     state = orbit.OrbitState.on_constraint(args.theta0, args.phi0, args.lam)
-    steps = max(args.steps, 1)
-    times = [args.t * k / steps for k in range(steps + 1)]
+    times = [args.t * k / args.steps for k in range(args.steps + 1)]
     if args.out:
         h_fun = orbit.total_hamiltonian(args.muB, args.b)
         rows = []

@@ -75,7 +75,7 @@ def test_criterion_05_representation_isomorphism(capsys):
 def test_criterion_06_sliced_propagator_convergence(capsys):
     # Max-element error <= 1e-2 at n=1000 and halving the step scales the
     # error by [1.7, 2.3] across n in {125, 250, 500}.
-    _run(capsys, "sliced propagator convergence", check_slicing, 10.0)
+    _run(capsys, "sliced propagator convergence", check_slicing, 1.0)
 
 
 def test_criterion_07_dirac_brackets(capsys):

@@ -45,6 +45,14 @@ def test_domain_errors_exit_one(capsys):
         (["propagate-quantum", "--b", "0,0,1", "--t", "inf", "--slices", "4"], "--t"),
         (["propagate-classical", "--case", "bosonic", "--t", "nan"], "--t"),
         (["check-dirac", "--samples", "0"], "--samples"),
+        (["precession", "--theta0", "1", "--phi0", "0", "--muB", "1", "--t", "1",
+          "--steps", "0"], "--steps"),
+        (["precession", "--theta0", "1", "--phi0", "0", "--muB", "1", "--t", "1",
+          "--lam", "0"], "--lam"),
+        (["precession", "--theta0", "0", "--phi0", "0", "--muB", "1", "--t", "1"], "--theta0"),
+        (["propagate-quantum", "--b", "0,0,1", "--t", "1", "--slices", "0"], "--slices"),
+        (["propagate-quantum", "--b", "0,0,1", "--t", "1", "--slices", "x"], "--slices"),
+        (["propagate-classical", "--case", "bosonic", "--truncation", "0"], "--truncation"),
     )
     for argv, flag in rejected:
         assert main(argv) == 1, argv

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from spindeq import (
     CRational,
     MagneticField,
+    Multivector,
     SpinState,
     apply_kernel,
     compose_symbols,
@@ -36,6 +37,8 @@ from spindeq import (
     spin_operators,
     symbol_to_matrix,
 )
+from spindeq.cli import main
+from spindeq.quantum import SYMBOL_TABLE, symbol_structure_constants
 
 fractions_st = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 entry_st = st.builds(CRational, fractions_st, fractions_st)
@@ -242,6 +245,69 @@ def test_sliced_symbol_single_slice():
         h
     ) * complex(0, -t)
     assert sym == expected
+
+
+def test_structure_constants_of_symbol_composition():
+    # Basis 1, ξ, ξ̄, ξξ̄.  ξ̄∘ξ = 1 − ξξ̄ is the one anticommutator-like entry.
+    assert symbol_structure_constants() == (
+        (0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (0, 3, 3, 1),
+        (1, 0, 1, 1), (1, 2, 3, 1),
+        (2, 0, 2, 1), (2, 1, 0, 1), (2, 1, 3, -1), (2, 3, 2, 1),
+        (3, 0, 3, 1), (3, 1, 1, 1), (3, 3, 3, 1),
+    )
+
+
+_BASIS_EXPS = ((0, 0), (1, 0), (0, 1), (1, 1))  # (xi, xibar) exponents of 1, ξ, ξ̄, ξξ̄
+
+
+@given(m1=matrix_st, m2=matrix_st)
+def test_structure_constants_reproduce_composition(m1, m2):
+    s1 = ordered_symbol(operator_from_matrix(m1))
+    s2 = ordered_symbol(operator_from_matrix(m2))
+    out = [CRational(0)] * 4
+    for i, j, k, c in symbol_structure_constants():
+        out[k] += c * s1.terms.get(_BASIS_EXPS[i], 0) * s2.terms.get(_BASIS_EXPS[j], 0)
+    assert Multivector(SYMBOL_TABLE, dict(zip(_BASIS_EXPS, out))) == compose_symbols(s1, s2)
+
+
+@pytest.mark.parametrize("n", [*range(1, 18), 64, 100])
+def test_sliced_symbol_matches_left_fold_of_compositions(n):
+    b, t = MagneticField(0.3, -0.4, 0.8), 1.3
+    one_slice = SYMBOL_TABLE.scalar(1) + ordered_symbol(hamiltonian(b)) * complex(0, -t / n)
+    fold = one_slice
+    for _ in range(n - 1):
+        fold = compose_symbols(fold, one_slice)
+    got = sliced_symbol(b, t, n)
+    assert max(
+        abs(complex(got.terms.get(e, 0)) - complex(fold.terms.get(e, 0))) for e in _BASIS_EXPS
+    ) < 1e-13
+
+
+def test_sliced_propagator_is_the_exact_power_of_one_slice_to_rounding():
+    # Oracle: (I − i·ε·H)^n in exact rationals from the same float entries.
+    def matmul(m1, m2):
+        return [[sum(m1[i][k] * m2[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+
+    n = 1000
+    for b, t in ((MagneticField(1.0, 0.0, 0.0), 1.0), (MagneticField(0.3, -0.4, 0.8), 1.0)):
+        h = hamiltonian(b).matrix_array()
+        step = np.eye(2) + h * complex(0, -t / n)
+        power = [[CRational(1), CRational(0)], [CRational(0), CRational(1)]]
+        square = [[CRational(Fraction(v.real), Fraction(v.imag)) for v in row] for row in step]
+        k = n
+        while k:
+            if k & 1:
+                power = matmul(power, square)
+            square = matmul(square, square)
+            k >>= 1
+        exact = np.array([[complex(v) for v in row] for row in power])
+        assert np.abs(sliced_propagator(b, t, n) - exact).max() < 1e-15
+
+
+def test_propagate_quantum_takes_a_million_slices(capsys):
+    argv = ["propagate-quantum", "--b", "0.3,-0.4,0.8", "--t", "1", "--slices", "1000,1000000"]
+    assert main(argv) == 0
+    capsys.readouterr()
 
 
 def test_sliced_propagator_rejects_bad_counts():
