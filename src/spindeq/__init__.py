@@ -3,7 +3,8 @@
 Layers, bottom up:
 
 * :mod:`spindeq.exact`: exact rational-complex coefficients;
-* :mod:`spindeq.grassmann`: finite graded algebras with Berezin calculus;
+* :mod:`spindeq.grassmann`: graded algebras with exact products and Berezin
+  calculus;
 * :mod:`spindeq.symbols`: graded polynomials in named symbols with formal
   time derivatives, parsing, and printing;
 * :mod:`spindeq.superfield`: superfield expansions and the dequantization
@@ -32,7 +33,6 @@ from .errors import (
 )
 from .exact import CRational, I, crational
 from .grassmann import (
-    DEFAULT_EVEN_TRUNCATION,
     EVEN,
     ODD,
     Generator,
@@ -94,9 +94,9 @@ from .quantum import (
     symbol_to_matrix,
 )
 from .cpi import (
+    DEFAULT_EVEN_TRUNCATION,
     OMEGA_CANONICAL,
     CpiSpec,
-    EnlargedWavefunction,
     FourierWavefunction,
     LiouvilleOperator,
     build_cpi_hamiltonian,
@@ -110,7 +110,6 @@ from .cpi import (
     operator_table,
 )
 from .orbit import (
-    BUILTIN_FUNCTIONS,
     CARTESIAN,
     CONSTRAINT_1,
     CONSTRAINT_2,
@@ -127,12 +126,9 @@ from .orbit import (
     classical_trajectory,
     dirac_bracket,
     equation_residuals,
-    one_form_exterior_residual,
     poisson_bracket,
     precession_period,
     random_states,
-    strip_gradient,
-    symplectic_data,
     total_hamiltonian,
     trajectory_derivatives,
     wrap_angle,

@@ -87,16 +87,21 @@ def _json_default(value):
 # Integer flags that count something and so must be at least 1.
 _COUNT_FLAGS = ("samples", "steps", "truncation")
 
+# Largest --truncation; its grassmann spectrum basis has 4·17² = 1,156 monomials.
+MAX_TRUNCATION = 16
+
 
 def _prepare_inputs(args) -> None:
-    """Reject non-finite numbers, counts below 1 and orbit states off the
-    sphere; resolve the seed."""
+    """Reject non-finite numbers, counts below 1, a truncation above its cap
+    and orbit states off the sphere; resolve the seed."""
     for dest, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"--{dest.replace('_', '-')} must be a finite number, got {value}")
     for flag in _COUNT_FLAGS:
         if getattr(args, flag, 1) < 1:
             raise ValueError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+    if getattr(args, "truncation", 1) > MAX_TRUNCATION:
+        raise ValueError(f"--truncation must be at most {MAX_TRUNCATION}, got {args.truncation}")
     if getattr(args, "lam", 1.0) <= 0:
         raise ValueError(f"--lam must be positive, got {args.lam}")
     if not 0 < getattr(args, "theta0", 1.0) < math.pi:
@@ -244,7 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, default=1.0, help="precession rate (odd case)")
     p.add_argument("--muB", type=float, default=1.0)
     p.add_argument("--t", type=float, default=0.7)
-    p.add_argument("--truncation", type=int, default=4)
+    p.add_argument(
+        "--truncation",
+        type=int,
+        default=cpi.DEFAULT_EVEN_TRUNCATION,
+        help=f"total base-field degree of the spectrum basis, 1 to {MAX_TRUNCATION}",
+    )
     p.add_argument("--hamiltonian", help="expression over the base fields (even case)")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", dest="report_path", help="write the JSON report here")

@@ -15,6 +15,11 @@ and every monomial is ordered "multiply first, then differentiate", i.e. a
 classical monomial read left to right in canonical order is the operator
 composition read the same way.  Evolution solves i dψ/dt = H̃ψ.
 
+Operator application is exact (the graded algebra drops no term).  The one
+finite set is the spectrum basis of :meth:`LiouvilleOperator.full_basis`:
+monomials of total base-field degree at most ``CpiSpec.truncation``, which
+the supported Hamiltonians (base-field degree at most 2) map into itself.
+
 The compact-angle case (coadjoint) uses Fourier modes e^{ikφ} instead of a
 polynomial basis; its CPI Hamiltonian is first order, so each mode just
 picks up the phase exp(i·k·μB·t), which is transport along the classical
@@ -37,7 +42,6 @@ from scipy.linalg import expm
 from .errors import UnsupportedCaseError
 from .exact import CRational, crational
 from .grassmann import (
-    DEFAULT_EVEN_TRUNCATION,
     EVEN,
     ODD,
     GeneratorTable,
@@ -48,6 +52,8 @@ from .superfield import get_case
 from .symbols import GradedPolynomial, bind_constants, partial_derivative
 
 OMEGA_CANONICAL = ((0, 1), (-1, 0))
+
+DEFAULT_EVEN_TRUNCATION = 4
 
 
 # -- symbolic builders -------------------------------------------------------------
@@ -149,7 +155,8 @@ class CpiSpec:
     ``hamiltonian`` is a polynomial over the case's base fields, possibly
     with constant symbols; ``coefficients`` binds those to numbers.  For the
     coadjoint case the Hamiltonian is fixed to H = −μB·η with
-    μB = coefficients["muB"].
+    μB = coefficients["muB"].  ``truncation`` is the total base-field degree
+    of the spectrum basis and bounds the degree of the Hamiltonian.
     """
 
     case: str
@@ -191,16 +198,14 @@ class CpiSpec:
         return float(value)
 
 
-def operator_table(case, truncation=DEFAULT_EVEN_TRUNCATION) -> GeneratorTable:
+def operator_table(case) -> GeneratorTable:
     """Generator table for wavefunctions over fields and ghosts."""
     case = get_case(case)
-    entries = []
     ghost_parity = ODD if case.base_parity == EVEN else EVEN
-    for f in case.families:
-        entries.append((f.base, case.base_parity, truncation))
-    for f in case.families:
-        entries.append((f.ghost, ghost_parity, truncation))
-    return GeneratorTable(entries)
+    return GeneratorTable(
+        [(f.base, case.base_parity) for f in case.families]
+        + [(f.ghost, ghost_parity) for f in case.families]
+    )
 
 
 @dataclass(frozen=True)
@@ -255,15 +260,17 @@ class LiouvilleOperator:
         return basis, matrix
 
     def full_basis(self):
-        """All monomials with total base-field degree within the truncation.
+        """The spectrum basis: every monomial whose even exponents are at most
+        the truncation T and whose total base-field degree is at most T.
 
-        The supported Hamiltonians never raise that degree, so the operator
-        is closed on this set.
+        The supported Hamiltonians (base-field degree ≤ 2) never change a
+        monomial's degree in any family, so the operator is closed on this
+        set.
         """
         case = get_case(self.case)
         D = self.truncation
         names = self.table.names
-        ranges = [range(self.table.truncation(i) + 1) for i in range(len(names))]
+        ranges = [range(2 if g.parity == ODD else D + 1) for g in self.table]
         base_slots = [i for i, n in enumerate(names) if n in case.base_names]
         out = []
         for exps in itertools.product(*ranges):
@@ -283,7 +290,9 @@ def build_cpi_hamiltonian(spec: CpiSpec) -> LiouvilleOperator:
     """Realize the CPI Hamiltonian of ``spec`` as an operator.
 
     Coadjoint evolution uses Fourier modes, not this operator; asking for it
-    raises an unsupported-case error.
+    raises an unsupported-case error.  So does a Hamiltonian of base-field
+    degree above 2: its operator raises the degree of every monomial, so no
+    finite basis closes under it.
     """
     case = get_case(spec.case)
     if case.name == "coadjoint":
@@ -291,8 +300,12 @@ def build_cpi_hamiltonian(spec: CpiSpec) -> LiouvilleOperator:
             "coadjoint wavefunctions are Fourier series; use evolve directly"
         )
     h = spec.bound_hamiltonian()
+    if h.degree_in(case.base_names) > 2:
+        raise UnsupportedCaseError(
+            "CPI operator has no finite closed basis for base-field degree > 2"
+        )
     h_tilde = cpi_hamiltonian(case, h)
-    table = operator_table(case, spec.truncation)
+    table = operator_table(case)
     ghost_of = {f.antighost: f.ghost for f in case.families}
     base_of = {f.aux: f.base for f in case.families}
     aux_factor = CRational(0, 1) if case.base_parity == ODD else CRational(0, -1)
@@ -407,26 +420,6 @@ class FourierWavefunction:
         return f"FourierWavefunction({len(self.terms)} modes)"
 
 
-@dataclass(frozen=True)
-class EnlargedWavefunction:
-    """Wavefunction over fields and ghosts for one case.
-
-    ``expansion`` is a Multivector for the polynomial cases and a
-    FourierWavefunction for the coadjoint case.
-    """
-
-    case: str
-    expansion: object
-
-    def __post_init__(self):
-        case = get_case(self.case)
-        if case.name == "coadjoint":
-            if not isinstance(self.expansion, FourierWavefunction):
-                raise UnsupportedCaseError("coadjoint expansion must be a Fourier series")
-        elif not isinstance(self.expansion, Multivector):
-            raise UnsupportedCaseError("polynomial expansion must be a Multivector")
-
-
 # -- evolution ---------------------------------------------------------------------
 
 
@@ -437,8 +430,6 @@ def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = No
     Polynomial cases: matrix exponential on the closure of ψ's monomials,
     with exact per-monomial phases when the closure is diagonal.
     """
-    if isinstance(psi, EnlargedWavefunction):
-        return EnlargedWavefunction(psi.case, evolve(psi.expansion, spec, t, operator))
     case = get_case(spec.case)
     if case.name == "coadjoint":
         if not isinstance(psi, FourierWavefunction):
@@ -449,11 +440,6 @@ def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = No
         )
     if not isinstance(psi, Multivector):
         raise UnsupportedCaseError("polynomial evolve expects a Multivector")
-    h = spec.bound_hamiltonian()
-    if h.degree_in(case.base_names) > 2:
-        raise UnsupportedCaseError(
-            "evolution generator is not block diagonal for base-field degree > 2"
-        )
     if operator is None:
         operator = build_cpi_hamiltonian(spec)
     if psi.table != operator.table:
@@ -477,32 +463,35 @@ def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = No
     return Multivector(operator.table, terms)
 
 
-def jacobi_fields(spec: CpiSpec, c0, t: float) -> tuple:
-    """Closed-form ghost transport along the classical flow.
-
-    coadjoint: ghosts are constant.  grassmann: (e^{iωt}c₀, e^{−iωt}c₁) with
-    ω the bilinear coefficient.  bosonic: exp(t·Ω·Hess H) applied to c₀.
-    """
-    case = get_case(spec.case)
-    c0 = tuple(complex(v) for v in c0)
-    if len(c0) != 2:
-        raise ValueError("expected one ghost component per phase-space direction")
-    if case.name == "coadjoint":
-        return c0
-    if case.name == "grassmann":
-        w = spec.constant("w")
-        return (c0[0] * cmath.exp(1j * w * t), c0[1] * cmath.exp(-1j * w * t))
-    h = spec.bound_hamiltonian()
+def _linear_flow(case, h: GradedPolynomial, t: float) -> np.ndarray:
+    """exp(t·Ω·Hess h) on (first, second) base fields, for h at most
+    quadratic in them."""
     hess = np.zeros((2, 2))
     for a, fa in enumerate(case.families):
         for b, fb in enumerate(case.families):
             dd = partial_derivative(partial_derivative(h, fb.base), fa.base)
             if not dd.is_constant():
-                raise UnsupportedCaseError("ghost transport needs a quadratic Hamiltonian")
+                raise UnsupportedCaseError("linear flow needs a quadratic Hamiltonian")
             hess[a, b] = float(complex(dd.constant_part()).real)
-    flow = expm(t * np.array(OMEGA_CANONICAL, dtype=float) @ hess)
-    moved = flow @ np.array(c0)
-    return (moved[0], moved[1])
+    return expm(t * np.array(OMEGA_CANONICAL, dtype=float) @ hess)
+
+
+def jacobi_fields(spec: CpiSpec, c0, t: float) -> tuple:
+    """Closed-form ghost transport along the classical flow.
+
+    grassmann: (e^{iωt}c₀, e^{−iωt}c₁) with ω the bilinear coefficient.
+    bosonic and coadjoint: exp(t·Ω·Hess H) applied to c₀; for the coadjoint
+    H = −μB·η the Hessian is 0, so the ghosts stay constant.
+    """
+    case = get_case(spec.case)
+    c0 = tuple(complex(v) for v in c0)
+    if len(c0) != 2:
+        raise ValueError("expected one ghost component per phase-space direction")
+    if case.name == "grassmann":
+        w = spec.constant("w")
+        return (c0[0] * cmath.exp(1j * w * t), c0[1] * cmath.exp(-1j * w * t))
+    moved = _linear_flow(case, spec.bound_hamiltonian(), t) @ np.array(c0)
+    return (complex(moved[0]), complex(moved[1]))
 
 
 def flow_matrix(spec: CpiSpec, t: float) -> np.ndarray:
@@ -515,17 +504,10 @@ def flow_matrix(spec: CpiSpec, t: float) -> np.ndarray:
     if case.name != "bosonic":
         raise UnsupportedCaseError("linear flow matrix is for the bosonic case")
     h = spec.bound_hamiltonian()
-    hess = np.zeros((2, 2))
-    for a, fa in enumerate(case.families):
-        da = partial_derivative(h, fa.base)
-        if da.constant_part():
+    for f in case.families:
+        if partial_derivative(h, f.base).constant_part():
             raise UnsupportedCaseError("linear flow needs a homogeneous quadratic Hamiltonian")
-        for b, fb in enumerate(case.families):
-            dd = partial_derivative(da, fb.base)
-            if not dd.is_constant():
-                raise UnsupportedCaseError("linear flow needs a quadratic Hamiltonian")
-            hess[a, b] = float(complex(dd.constant_part()).real)
-    return expm(t * np.array(OMEGA_CANONICAL, dtype=float) @ hess)
+    return _linear_flow(case, h, t)
 
 
 def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0, samples: int = 5) -> dict:
@@ -624,8 +606,8 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0, samples:
     for n in range(samples):
         terms = {}
         for _ in range(4):
-            a = rng.randrange(0, spec.truncation - 1)
-            b = rng.randrange(0, spec.truncation - 1)
+            a = rng.randrange(max(spec.truncation - 1, 1))
+            b = rng.randrange(max(spec.truncation - 1, 1))
             g = rng.randrange(0, 2)
             h_ = rng.randrange(0, 2)
             terms[(a, b, g, h_)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))

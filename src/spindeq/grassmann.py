@@ -1,10 +1,11 @@
-"""Finite graded algebra with Berezin calculus.
+"""Graded algebra with exact products and Berezin calculus.
 
 A :class:`GeneratorTable` fixes an ordered list of generators, each either
-odd (anticommuting, square zero) or even (commuting, truncated at a finite
-power).  A :class:`Multivector` is a finite sum of monomials in those
-generators with numeric coefficients; monomials are stored as exponent
-vectors in table order, which is the canonical normal form.
+odd (anticommuting, square zero) or even (commuting, any power).  A
+:class:`Multivector` is a finite sum of monomials in those generators with
+numeric coefficients; monomials are stored as exponent vectors in table
+order, which is the canonical normal form.  Products, powers and
+substitutions are exact: no power of an even generator is ever dropped.
 
 Sign conventions, fixed once here and relied on everywhere above:
 
@@ -37,21 +38,17 @@ from .exact import CRational
 ODD = "odd"
 EVEN = "even"
 
-DEFAULT_EVEN_TRUNCATION = 4
-
 
 @dataclass(frozen=True)
 class Generator:
     name: str
     parity: str
-    truncation: int
 
 
 class GeneratorTable:
     """Ordered set of generators defining one graded algebra.
 
-    Entries are ``(name, parity)`` or ``(name, parity, truncation)`` tuples.
-    Odd generators always truncate at power 1 regardless of what is passed.
+    Entries are ``(name, parity)`` pairs.
     """
 
     __slots__ = ("_gens", "_index", "_odd")
@@ -60,19 +57,13 @@ class GeneratorTable:
         gens = []
         index = {}
         for entry in entries:
-            name, parity, *rest = entry
+            name, parity = entry
             if parity not in (ODD, EVEN):
                 raise ParityError(f"parity must be 'odd' or 'even', got {parity!r}")
             if name in index:
                 raise ValueError(f"duplicate generator name {name!r}")
-            if parity == ODD:
-                trunc = 1
-            else:
-                trunc = rest[0] if rest else DEFAULT_EVEN_TRUNCATION
-                if not isinstance(trunc, int) or trunc < 1:
-                    raise ValueError(f"truncation must be a positive int, got {trunc!r}")
             index[name] = len(gens)
-            gens.append(Generator(name, parity, trunc))
+            gens.append(Generator(name, parity))
         self._gens = tuple(gens)
         self._index = index
         self._odd = tuple(i for i, g in enumerate(gens) if g.parity == ODD)
@@ -119,9 +110,6 @@ class GeneratorTable:
     def parity(self, i: int) -> str:
         return self._gens[i].parity
 
-    def truncation(self, i: int) -> int:
-        return self._gens[i].truncation
-
     # -- multivector constructors -------------------------------------------
 
     def zero(self) -> "Multivector":
@@ -155,7 +143,8 @@ class Multivector:
     """Element of the graded algebra over a :class:`GeneratorTable`.
 
     Immutable by convention: all operations return fresh instances and the
-    term map is normalized (no zero coefficients, exponents within bounds).
+    term map is normalized (no zero coefficients, no negative exponent, no
+    odd exponent above 1).
     """
 
     __slots__ = ("table", "terms")
@@ -168,7 +157,7 @@ class Multivector:
             if len(exps) != n:
                 raise ValueError(f"exponent vector {exps} has wrong length for table")
             for i, e in enumerate(exps):
-                if e < 0 or e > table.truncation(i):
+                if e < 0 or (e > 1 and table.parity(i) == ODD):
                     raise ValueError(
                         f"exponent {e} out of range for generator {table[i].name!r}"
                     )
@@ -337,7 +326,7 @@ def _merge_sign(odd_indices, ea, eb) -> int:
 
 
 def product(a: Multivector, b: Multivector) -> Multivector:
-    """Graded product.  Even powers beyond a generator's truncation drop."""
+    """Graded product; exact, since even generators have no truncation."""
     a._check_table(b)
     table = a.table
     odd = table.odd_indices
@@ -346,18 +335,8 @@ def product(a: Multivector, b: Multivector) -> Multivector:
         for eb, cb in b.terms.items():
             if any(ea[i] and eb[i] for i in odd):
                 continue
-            exps = []
-            keep = True
-            for i, (x, y) in enumerate(zip(ea, eb)):
-                s = x + y
-                if s > table.truncation(i):
-                    keep = False
-                    break
-                exps.append(s)
-            if not keep:
-                continue
             c = ca * cb * _merge_sign(odd, ea, eb)
-            key = tuple(exps)
+            key = tuple([x + y for x, y in zip(ea, eb)])
             if key in terms:
                 terms[key] = terms[key] + c
             else:
@@ -419,6 +398,9 @@ def graded_exp(a: Multivector) -> Multivector:
 
     Splits off the scalar part s and sums the finite nilpotent series for
     exp(a - s); the prefactor exp(s) stays exact when s is exactly zero.
+    Every term of a nilpotent even n holds at least two odd generators, so
+    n^k vanishes once 2k exceeds their count; an n whose power does not
+    vanish by then (a pure power of an even generator, say) is rejected.
     """
     p = a.parity()
     if p == 1 or p is None and not a.is_zero():
@@ -428,13 +410,14 @@ def graded_exp(a: Multivector) -> Multivector:
     n = a - table.scalar(s)
     out = table.scalar(1)
     power = table.scalar(1)
-    max_steps = sum(table.truncation(i) for i in range(len(table))) + 1
-    for k in range(1, max_steps + 1):
+    for k in range(1, len(table.odd_indices) // 2 + 2):
         power = product(power, n)
         if power.is_zero():
             break
         inv_fact = Fraction(1, math.factorial(k))
         out = out + power * inv_fact
+    else:
+        raise ParityError("graded_exp requires a nilpotent non-scalar part")
     if s != 0:
         import cmath
 

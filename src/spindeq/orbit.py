@@ -16,17 +16,12 @@ from __future__ import annotations
 
 import math
 import random
-from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Callable
 
 from .errors import PoleError
 
 TWO_PI = 2.0 * math.pi
-
-_COORDS = ("theta", "phi", "p_theta", "p_phi")
-
-_Shifted = namedtuple("_Shifted", "theta phi p_theta p_phi lambda_radius")
 
 
 @dataclass(frozen=True)
@@ -70,67 +65,33 @@ class OrbitState:
         """η = λ·cosθ, the Darboux partner of φ."""
         return self.lambda_radius * math.cos(self.theta)
 
-    def shifted(self, coord: str, delta: float) -> _Shifted:
-        """Duck-typed copy for finite differences (skips range validation)."""
-        values = {
-            "theta": self.theta,
-            "phi": self.phi,
-            "p_theta": self.p_theta,
-            "p_phi": self.p_phi,
-            "lambda_radius": self.lambda_radius,
-        }
-        values[coord] += delta
-        return _Shifted(**values)
-
 
 @dataclass(frozen=True)
 class PhaseFunction:
-    """Scalar function of a state, optionally with its analytic gradient.
+    """Scalar function of a state with its analytic gradient.
 
-    Gradients are tuples (∂θ, ∂φ, ∂p_θ, ∂p_φ).  Without an analytic
-    gradient, brackets fall back to Richardson-extrapolated central
-    differences.
+    Gradients are tuples (∂θ, ∂φ, ∂p_θ, ∂p_φ).
     """
 
     name: str
     fn: Callable
-    grad: Callable | None = None
+    grad: Callable
 
     def __call__(self, state) -> float:
         return self.fn(state)
 
-    def gradient(self, state, step: float = 1e-6) -> tuple[float, float, float, float]:
-        if self.grad is not None:
-            return self.grad(state)
-        out = []
-        for coord in _COORDS:
-            full = self._central(state, coord, step)
-            half = self._central(state, coord, step / 2.0)
-            out.append((4.0 * half - full) / 3.0)
-        return tuple(out)
-
-    def _central(self, state, coord, h) -> float:
-        if isinstance(state, OrbitState):
-            shift = state.shifted
-        else:
-            shift = lambda c, d: state._replace(**{c: getattr(state, c) + d})
-        return (self.fn(shift(coord, +h)) - self.fn(shift(coord, -h))) / (2.0 * h)
+    def gradient(self, state) -> tuple[float, float, float, float]:
+        return self.grad(state)
 
 
-def poisson_bracket(f: PhaseFunction, g: PhaseFunction, at, step: float = 1e-6) -> float:
+def poisson_bracket(f: PhaseFunction, g: PhaseFunction, at) -> float:
     """{f, g} = f_θ g_{p_θ} − f_{p_θ} g_θ + f_φ g_{p_φ} − f_{p_φ} g_φ."""
-    fθ, fφ, fpθ, fpφ = f.gradient(at, step)
-    gθ, gφ, gpθ, gpφ = g.gradient(at, step)
+    fθ, fφ, fpθ, fpφ = f.gradient(at)
+    gθ, gφ, gpθ, gpφ = g.gradient(at)
     return fθ * gpθ - fpθ * gθ + fφ * gpφ - fpφ * gφ
 
 
-def dirac_bracket(
-    f: PhaseFunction,
-    g: PhaseFunction,
-    at,
-    step: float = 1e-6,
-    pole_guard: float = 1e-6,
-) -> float:
+def dirac_bracket(f: PhaseFunction, g: PhaseFunction, at, pole_guard: float = 1e-6) -> float:
     """Bracket on the constrained sphere.
 
     {f, g}_D = {f, g} − {f, Φ1}·(1/(λ sinθ))·{Φ2, g}
@@ -145,11 +106,11 @@ def dirac_bracket(
             f"Dirac bracket singular at sin(theta) = {s:.3e}; too close to a pole"
         )
     inv = 1.0 / (at.lambda_radius * s)
-    plain = poisson_bracket(f, g, at, step)
-    f1 = poisson_bracket(f, CONSTRAINT_1, at, step)
-    f2 = poisson_bracket(f, CONSTRAINT_2, at, step)
-    g1 = poisson_bracket(CONSTRAINT_1, g, at, step)
-    g2 = poisson_bracket(CONSTRAINT_2, g, at, step)
+    plain = poisson_bracket(f, g, at)
+    f1 = poisson_bracket(f, CONSTRAINT_1, at)
+    f2 = poisson_bracket(f, CONSTRAINT_2, at)
+    g1 = poisson_bracket(CONSTRAINT_1, g, at)
+    g2 = poisson_bracket(CONSTRAINT_2, g, at)
     return plain - f1 * inv * g2 + f2 * inv * g1
 
 
@@ -197,11 +158,6 @@ X3 = PhaseFunction("x3", HEIGHT.fn, HEIGHT.grad)
 
 CARTESIAN = (X1, X2, X3)
 
-BUILTIN_FUNCTIONS = {
-    f.name: f
-    for f in (THETA, PHI, P_THETA, P_PHI, CONSTRAINT_1, CONSTRAINT_2, HEIGHT, X1, X2, X3)
-}
-
 
 def total_hamiltonian(mu_b: float, b: float) -> PhaseFunction:
     """H = −λ·μB·B·cosθ on the constraint surface."""
@@ -213,11 +169,6 @@ def total_hamiltonian(mu_b: float, b: float) -> PhaseFunction:
         return (s.lambda_radius * mu_b * b * math.sin(s.theta), 0.0, 0.0, 0.0)
 
     return PhaseFunction("total_hamiltonian", fn, grad)
-
-
-def strip_gradient(f: PhaseFunction) -> PhaseFunction:
-    """Same function without its analytic gradient (forces the FD path)."""
-    return PhaseFunction(f.name, f.fn, None)
 
 
 # -- closed-form dynamics ----------------------------------------------------------
@@ -249,28 +200,6 @@ def equation_residuals(state: OrbitState, mu_b: float, b: float) -> tuple[float,
     theta_dot, phi_dot = trajectory_derivatives(state, mu_b, b)
     height_rate = -state.lambda_radius * math.sin(state.theta) * theta_dot
     return (height_rate, (phi_dot + mu_b * b) * math.sin(state.theta))
-
-
-def symplectic_data(at: OrbitState, gamma: float = 0.0) -> tuple[float, float]:
-    """(orbit radius, one-form coefficient γ + λ·cosθ) at a state."""
-    return (at.lambda_radius, gamma + at.lambda_radius * math.cos(at.theta))
-
-
-def one_form_exterior_residual(at: OrbitState, gamma: float = 0.0, step: float = 1e-5) -> float:
-    """|∂_θ(γ + λcosθ) − (−λ·sinθ)| with Richardson central differences.
-
-    The θ-derivative of the one-form coefficient is the symplectic density;
-    γ is constant, so it must drop out.
-    """
-
-    def coeff(theta):
-        return gamma + at.lambda_radius * math.cos(theta)
-
-    def central(h):
-        return (coeff(at.theta + h) - coeff(at.theta - h)) / (2.0 * h)
-
-    fd = (4.0 * central(step / 2.0) - central(step)) / 3.0
-    return abs(fd - (-at.lambda_radius * math.sin(at.theta)))
 
 
 def random_states(

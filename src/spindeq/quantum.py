@@ -97,9 +97,7 @@ class MagneticField:
         return all(_is_exact(v) for v in (self.bx, self.by, self.bz, self.mu_b))
 
     def norm(self) -> float:
-        return math.sqrt(
-            float(self.bx) ** 2 + float(self.by) ** 2 + float(self.bz) ** 2
-        )
+        return math.hypot(float(self.bx), float(self.by), float(self.bz))
 
     def unit(self) -> tuple[float, float, float]:
         n = self.norm()

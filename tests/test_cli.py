@@ -53,6 +53,7 @@ def test_domain_errors_exit_one(capsys):
         (["propagate-quantum", "--b", "0,0,1", "--t", "1", "--slices", "0"], "--slices"),
         (["propagate-quantum", "--b", "0,0,1", "--t", "1", "--slices", "x"], "--slices"),
         (["propagate-classical", "--case", "bosonic", "--truncation", "0"], "--truncation"),
+        (["propagate-classical", "--case", "bosonic", "--truncation", "17"], "--truncation"),
     )
     for argv, flag in rejected:
         assert main(argv) == 1, argv
@@ -147,6 +148,24 @@ def test_propagate_classical_all_cases(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_propagate_classical_serves_every_accepted_truncation(capsys):
+    # Products are exact, so transport agrees with the classical flow at any
+    # truncation, with a cross term, and with c_xi^2 at grassmann T = 1.
+    runs = [
+        ["--case", "bosonic", "--truncation", str(t), "--seed", str(s)]
+        for t in (1, 5, 6, 8)
+        for s in (0, 1, 2)
+    ]
+    runs += [
+        ["--case", "bosonic", "--hamiltonian", "p^2/2+q^2/2+q*p/3", "--seed", str(s)]
+        for s in (1, 2, 3)
+    ]
+    runs += [["--case", "grassmann", "--truncation", str(t)] for t in (1, 2)]
+    for argv in runs:
+        assert main(["propagate-classical", *argv]) == 0, argv
+    capsys.readouterr()
+
+
 def test_check_dirac_deterministic_for_fixed_seed(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
@@ -212,10 +231,11 @@ def test_report_round_trip(tmp_path, capsys):
 
 
 def test_failing_checks_exit_one_and_name_the_check(capsys):
-    # An evolution window this coarse cannot meet the propagation bound.
-    code = main(["propagate-quantum", "--b", "0,0,9999", "--t", "1.0",
-                 "--slices", "1"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "FAIL" in captured.out
-    assert captured.err.strip()
+    # An evolution window this coarse cannot meet the propagation bound; a
+    # field of 1e300 must fail its check too, not overflow the field norm.
+    for b, slices in (("0,0,9999", "1"), ("1e300,0,0", "2")):
+        code = main(["propagate-quantum", "--b", b, "--t", "1.0", "--slices", slices])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "FAIL" in captured.out
+        assert captured.err.startswith(f"failed checks: slice-error-n={slices}")

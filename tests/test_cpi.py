@@ -14,7 +14,6 @@ import pytest
 
 from spindeq import (
     CpiSpec,
-    EnlargedWavefunction,
     FourierWavefunction,
     UnsupportedCaseError,
     build_cpi_hamiltonian,
@@ -133,6 +132,16 @@ def test_grassmann_eigenvalues_count_occupation():
         assert value == pytest.approx(w * factor)
 
 
+def test_grassmann_eigenvalues_on_ghost_squares_at_low_truncation():
+    w = 0.9
+    for truncation in (1, 2):
+        spec = CpiSpec("grassmann", coefficients={"w": w}, truncation=truncation)
+        op = build_cpi_hamiltonian(spec)
+        for exps in ((0, 0, 2, 0), (1, 0, 2, 1), (0, 1, 2, 0)):
+            a, b, j, k = exps
+            assert op.eigenvalue_on(exps) == pytest.approx(w * (a - b + j - k))
+
+
 def test_bosonic_monomials_mix_under_rotation():
     op = build_cpi_hamiltonian(CpiSpec("bosonic"))
     assert op.eigenvalue_on((1, 0, 0, 0)) is None
@@ -209,10 +218,13 @@ def test_polynomial_evolution_is_additive():
 
 
 def test_quartic_evolution_is_rejected():
+    # No finite basis closes under a quartic CPI operator.
     ctx = get_case("bosonic").context
     spec = CpiSpec("bosonic", hamiltonian=ctx.parse("p^2/2 + q^4/4"))
     with pytest.raises(UnsupportedCaseError):
         evolve(operator_table("bosonic").gen("q"), spec, 1.0)
+    with pytest.raises(UnsupportedCaseError):
+        build_cpi_hamiltonian(spec).spectrum()
 
 
 def test_evolve_type_and_table_guards():
@@ -221,18 +233,7 @@ def test_evolve_type_and_table_guards():
         evolve(operator_table("bosonic").gen("q"), spec, 1.0)
     bos = CpiSpec("bosonic")
     with pytest.raises(UnsupportedCaseError):
-        evolve(operator_table("bosonic", truncation=2).gen("q"), bos, 1.0)
-
-
-def test_enlarged_wavefunction_wrapping():
-    with pytest.raises(UnsupportedCaseError):
-        EnlargedWavefunction("coadjoint", operator_table("bosonic").gen("q"))
-    with pytest.raises(UnsupportedCaseError):
-        EnlargedWavefunction("bosonic", FourierWavefunction({}))
-    wrapped = EnlargedWavefunction("bosonic", operator_table("bosonic").gen("q"))
-    out = evolve(wrapped, CpiSpec("bosonic"), 0.3)
-    assert isinstance(out, EnlargedWavefunction)
-    assert out.case == "bosonic"
+        evolve(operator_table("grassmann").gen("xi"), bos, 1.0)
 
 
 def test_jacobi_fields_all_cases():

@@ -29,7 +29,7 @@ from spindeq import (
 )
 
 PAIR = GeneratorTable.odd("xi", "xibar")
-MIXED = GeneratorTable([("x", EVEN, 3), ("u", ODD), ("v", ODD)])
+MIXED = GeneratorTable([("x", EVEN), ("u", ODD), ("v", ODD)])
 MIXED_EXPS = [(i, j, k) for i in range(4) for j in range(2) for k in range(2)]
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=8)
@@ -105,11 +105,20 @@ def test_reproducing_kernel_identity():
         assert out == expected
 
 
-def test_even_truncation_drops_high_powers():
+def test_even_powers_are_kept():
     x = MIXED.gen("x")
     cube = x * x * x
     assert cube.coefficient(x=3) == 1
-    assert (cube * x).is_zero()
+    assert cube * x == MIXED.term(1, x=4)
+    assert (x + MIXED.gen("u")) ** 5 == MIXED.term(1, x=5) + MIXED.term(5, x=4, u=1)
+
+
+def test_exponent_range_is_checked():
+    with pytest.raises(ValueError):
+        Multivector(MIXED, {(-1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        Multivector(MIXED, {(0, 2, 0): 1})
+    assert Multivector(MIXED, {(9, 1, 0): 1}).coefficient(x=9, u=1) == 1
 
 
 def test_substitute_is_parity_checked():
@@ -134,6 +143,15 @@ def test_unknown_generator_rejected():
 def test_graded_exp_requires_even_argument():
     with pytest.raises(ParityError):
         graded_exp(PAIR.gen("xi"))
+
+
+def test_graded_exp_rejects_non_nilpotent_argument():
+    for a in (MIXED.gen("x"), MIXED.scalar(2) + MIXED.gen("x") * MIXED.gen("x")):
+        with pytest.raises(ParityError):
+            graded_exp(a)
+    # An even generator times an odd pair is nilpotent and so allowed.
+    uv = MIXED.term(1, x=1, u=1, v=1)
+    assert graded_exp(uv) == MIXED.scalar(1) + uv
 
 
 def test_graded_exp_nilpotent_series():

@@ -1,11 +1,12 @@
-"""Constrained sphere: brackets, the induced symplectic data, precession.
+"""Constrained sphere: brackets and precession.
 
-Numerical brackets use Richardson-extrapolated central differences, so the
-agreement thresholds here sit well above the step-size error floor but far
-below any sign or factor mistake.
+Brackets use analytic gradients, which are checked once against
+Richardson-extrapolated central differences; that threshold sits well above
+the step-size error floor but far below any sign or factor mistake.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -19,23 +20,35 @@ from spindeq import (
     P_THETA,
     THETA,
     OrbitState,
-    PhaseFunction,
     PoleError,
     classical_trajectory,
     dirac_bracket,
     equation_residuals,
-    one_form_exterior_residual,
     poisson_bracket,
     precession_period,
     random_states,
-    strip_gradient,
-    symplectic_data,
     total_hamiltonian,
     trajectory_derivatives,
     wrap_angle,
 )
 
 STATES = random_states(12, seed=7)
+
+COORDS = ("theta", "phi", "p_theta", "p_phi")
+
+
+def richardson_gradient(f, state, step=1e-6):
+    """Central differences of f.fn, Richardson-extrapolated over step and step/2."""
+
+    def central(coord, h):
+        value = getattr(state, coord)
+        up = f.fn(replace(state, **{coord: value + h}))
+        down = f.fn(replace(state, **{coord: value - h}))
+        return (up - down) / (2.0 * h)
+
+    return tuple(
+        (4.0 * central(c, step / 2.0) - central(c, step)) / 3.0 for c in COORDS
+    )
 
 
 def test_state_validation():
@@ -68,10 +81,9 @@ def test_cartesian_embedding_radius():
 def test_analytic_gradients_match_finite_differences():
     functions = [THETA, PHI, P_THETA, P_PHI, HEIGHT, CONSTRAINT_1, CONSTRAINT_2, *CARTESIAN]
     for f in functions:
-        stripped = strip_gradient(f)
         for state in STATES[:6]:
             exact = f.gradient(state)
-            numeric = stripped.gradient(state)
+            numeric = richardson_gradient(f, state)
             for a, b in zip(exact, numeric):
                 assert a == pytest.approx(b, abs=1e-8)
 
@@ -137,25 +149,6 @@ def test_dirac_bracket_pole_guard():
         dirac_bracket(PHI, HEIGHT, OrbitState(math.pi - 1e-9, 0.0))
 
 
-def test_one_form_exterior_derivative():
-    for state in STATES[:6]:
-        assert one_form_exterior_residual(state) == pytest.approx(0.0, abs=1e-8)
-        assert one_form_exterior_residual(state, gamma=0.4) == pytest.approx(
-            0.0, abs=1e-8
-        )
-
-
-def test_symplectic_data():
-    state = OrbitState.on_constraint(1.1, 0.3, lambda_radius=1.7)
-    area, momentum = symplectic_data(state)
-    assert area == pytest.approx(1.7)
-    assert momentum == pytest.approx(1.7 * math.cos(1.1))
-    _, shifted = symplectic_data(state, gamma=0.25)
-    assert shifted == pytest.approx(momentum + 0.25)
-    equator = OrbitState.on_constraint(math.pi / 2, 0.0)
-    assert symplectic_data(equator)[1] == pytest.approx(0.0, abs=1e-15)
-
-
 def test_trajectory_solves_equations_of_motion():
     mu_b, b = 0.9, 1.3
     for state in STATES[:6]:
@@ -212,10 +205,3 @@ def test_random_states_are_reproducible_and_valid():
         assert 0.5 <= state.lambda_radius <= 2.0
         assert abs(state.p_theta) == 0.0
 
-
-def test_phase_function_gradient_fallback():
-    f = PhaseFunction("x3_by_hand", lambda s: s.lambda_radius * math.cos(s.theta))
-    state = OrbitState.on_constraint(1.0, 0.5, lambda_radius=1.5)
-    grad = f.gradient(state)
-    assert grad[0] == pytest.approx(-1.5 * math.sin(1.0), abs=1e-8)
-    assert grad[1] == pytest.approx(0.0, abs=1e-10)
