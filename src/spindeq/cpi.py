@@ -153,10 +153,12 @@ class CpiSpec:
     """What to evolve: a case, its Hamiltonian, and numeric constants.
 
     ``hamiltonian`` is a polynomial over the case's base fields, possibly
-    with constant symbols; ``coefficients`` binds those to numbers.  For the
-    coadjoint case the Hamiltonian is fixed to H = −μB·η with
-    μB = coefficients["muB"].  ``truncation`` is the total base-field degree
-    of the spectrum basis and bounds the degree of the Hamiltonian.
+    with constant symbols; ``coefficients`` binds those to numbers, and the
+    bound Hamiltonian is the one source of every rate that transport uses.
+    Without ``hamiltonian`` a case takes its stock one: the harmonic
+    oscillator, −(w/2)(1 − 2ξξ̄), or −μB·η.  ``truncation`` is the total
+    base-field degree of the spectrum basis and bounds the degree of the
+    Hamiltonian.
     """
 
     case: str
@@ -185,7 +187,7 @@ class CpiSpec:
         values = {k: _exactify(v) for k, v in (self.coefficients or {}).items()}
         h = bind_constants(h, values)
         leftover = [
-            name for (name, _dot) in h.symbols_used() if case.context.is_constant(name)
+            name for (name, _dot) in h.symbols_used() if case.context.decl(name).constant
         ]
         if leftover:
             raise UnsupportedCaseError(
@@ -193,9 +195,26 @@ class CpiSpec:
             )
         return h
 
-    def constant(self, name, default=1.0) -> float:
-        value = (self.coefficients or {}).get(name, default)
-        return float(value)
+
+def _rate(spec: CpiSpec) -> float:
+    """The rate of transport, read off the bound Hamiltonian.
+
+    grassmann: ω, the coefficient of ξξ̄.  coadjoint: μB, minus the
+    coefficient of η; any other non-constant term is unsupported.
+    """
+    case = get_case(spec.case)
+    h = spec.bound_hamiltonian()
+    first, second = case.families
+    if case.name == "grassmann":
+        rate = h.coefficient({first.base: 1, second.base: 1})
+    else:
+        rate = -h.coefficient({second.base: 1})
+        if not (h + rate * case.context.sym(second.base)).is_constant():
+            raise UnsupportedCaseError("coadjoint transport needs H = -muB*eta + constant")
+    rate = complex(rate)
+    if rate.imag:
+        raise UnsupportedCaseError(f"transport needs a real rate, got {rate}")
+    return rate.real
 
 
 def operator_table(case) -> GeneratorTable:
@@ -222,16 +241,13 @@ class LiouvilleOperator:
         return self.operator.apply(psi)
 
     def eigenvalue_on(self, exps) -> complex | None:
-        """Eigenvalue on a single monomial, or None if it is not an eigenvector."""
-        mono = Multivector(self.table, {tuple(exps): 1})
-        image = self.apply(mono)
-        if image.is_zero():
-            return 0j
-        terms = dict(image.terms)
-        value = terms.pop(tuple(exps), None)
-        if value is None or terms:
+        """Eigenvalue on the monomial with exponents ``exps`` in table order,
+        or None if it is not an eigenvector."""
+        mono = self.table.monomial(exps)
+        image = self.apply(Multivector(self.table, {mono: 1})).terms
+        if image.keys() - {mono}:
             return None
-        return complex(value)
+        return complex(image.get(mono, 0))
 
     def closure_matrix(self, seeds):
         """Basis closure of the seed monomials and the matrix of the operator.
@@ -239,12 +255,11 @@ class LiouvilleOperator:
         Column j holds the expansion of the operator applied to basis
         monomial j.
         """
-        basis = list(dict.fromkeys(tuple(m) for m in seeds))
+        basis = list(dict.fromkeys(seeds))
         index = {m: i for i, m in enumerate(basis)}
         columns = []
-        pos = 0
-        while pos < len(basis):
-            image = self.apply(Multivector(self.table, {basis[pos]: 1}))
+        for seed in basis:  # the basis grows while it is walked, up to closure
+            image = self.apply(Multivector(self.table, {seed: 1}))
             col = {}
             for mono, coeff in image.terms.items():
                 if mono not in index:
@@ -252,7 +267,6 @@ class LiouvilleOperator:
                     basis.append(mono)
                 col[mono] = complex(coeff)
             columns.append(col)
-            pos += 1
         matrix = np.zeros((len(basis), len(basis)), dtype=complex)
         for j, col in enumerate(columns):
             for mono, value in col.items():
@@ -275,7 +289,7 @@ class LiouvilleOperator:
         out = []
         for exps in itertools.product(*ranges):
             if sum(exps[i] for i in base_slots) <= D:
-                out.append(exps)
+                out.append(self.table.monomial(exps))
         return out
 
     def spectrum(self) -> np.ndarray:
@@ -312,12 +326,11 @@ def build_cpi_hamiltonian(spec: CpiSpec) -> LiouvilleOperator:
     antighost_factor = CRational(-1) if case.base_parity == ODD else CRational(1)
     terms = []
     pieces = []
-    for mono in sorted(
-        h_tilde.terms, key=lambda m: tuple((case.context.sort_key(k), e) for k, e in m)
-    ):
+    for mono in sorted(h_tilde.terms):
         coeff = h_tilde.terms[mono]
         word = []
-        for (name, dot), exp in mono:
+        for slot, exp in mono:
+            name, dot = case.context.key(slot)
             if dot:
                 raise UnsupportedCaseError("CPI Hamiltonian with dotted symbols")
             if name in base_of:
@@ -434,7 +447,7 @@ def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = No
     if case.name == "coadjoint":
         if not isinstance(psi, FourierWavefunction):
             raise UnsupportedCaseError("coadjoint evolve expects a FourierWavefunction")
-        mu_b = spec.constant("muB")
+        mu_b = _rate(spec)
         return FourierWavefunction(
             {key: c * cmath.exp(1j * key[0] * mu_b * t) for key, c in psi.terms.items()}
         )
@@ -488,7 +501,7 @@ def jacobi_fields(spec: CpiSpec, c0, t: float) -> tuple:
     if len(c0) != 2:
         raise ValueError("expected one ghost component per phase-space direction")
     if case.name == "grassmann":
-        w = spec.constant("w")
+        w = _rate(spec)
         return (c0[0] * cmath.exp(1j * w * t), c0[1] * cmath.exp(-1j * w * t))
     moved = _linear_flow(case, spec.bound_hamiltonian(), t) @ np.array(c0)
     return (complex(moved[0]), complex(moved[1]))
@@ -532,7 +545,9 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0, samples:
         )
 
     if case.name == "coadjoint":
-        mu_b = spec.constant("muB")
+        mu_b = _rate(spec)
+        if not mu_b:
+            raise UnsupportedCaseError("coadjoint transport needs muB != 0 for its period check")
         for n in range(samples):
             center = rng.uniform(0, 2 * np.pi)
             packet = FourierWavefunction.wrapped_gaussian(center)
@@ -568,7 +583,7 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0, samples:
 
     operator = build_cpi_hamiltonian(spec)
     if case.name == "grassmann":
-        w = spec.constant("w")
+        w = _rate(spec)
         for a in (0, 1):
             for b in (0, 1):
                 for j in (0, 1, 2):
@@ -581,10 +596,10 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0, samples:
                             continue
                         residual = abs(value - expected)
                         add(f"eigen-{exps}", expected, value.real, residual)
-        mono = Multivector(operator.table, {(1, 0, 1, 0): 1.0})
+        mono = operator.table.term(1.0, xi=1, c_xi=1)
         moved = evolve(mono, spec, t, operator)
         expected_phase = cmath.exp(-1j * w * 2 * t)
-        actual = complex(moved.terms.get((1, 0, 1, 0), 0j))
+        actual = complex(moved.coefficient(xi=1, c_xi=1))
         add("phase-xi-cxi", expected_phase, actual, abs(actual - expected_phase))
         one = operator.table.scalar(1.0)
         add(
@@ -610,20 +625,9 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0, samples:
             b = rng.randrange(max(spec.truncation - 1, 1))
             g = rng.randrange(0, 2)
             h_ = rng.randrange(0, 2)
-            terms[(a, b, g, h_)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            terms[table.monomial((a, b, g, h_))] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         psi = Multivector(table, terms)
-        via_operator = evolve(psi, spec, t, operator)
-        via_flow = psi.substitute(bindings)
-        keys = set(via_operator.terms) | set(via_flow.terms)
-        residual = max(
-            (
-                abs(
-                    complex(via_operator.terms.get(kk, 0j))
-                    - complex(via_flow.terms.get(kk, 0j))
-                )
-                for kk in keys
-            ),
-            default=0.0,
-        )
+        gap = evolve(psi, spec, t, operator) - psi.substitute(bindings)
+        residual = max((abs(complex(c)) for c in gap.terms.values()), default=0.0)
         add(f"transport-{n}", 0.0, residual, residual)
     return {"checks": checks, "passed": all(c["passed"] for c in checks)}

@@ -1,20 +1,16 @@
-"""Graded algebra with exact products and Berezin calculus.
+"""Graded algebra over a generator table, with Berezin calculus.
 
 A :class:`GeneratorTable` fixes an ordered list of generators, each either
 odd (anticommuting, square zero) or even (commuting, any power).  A
 :class:`Multivector` is a finite sum of monomials in those generators with
-numeric coefficients; monomials are stored as exponent vectors in table
-order, which is the canonical normal form.  Products, powers and
-substitutions are exact: no power of an even generator is ever dropped.
-
-Sign conventions, fixed once here and relied on everywhere above:
-
-* reordering a product into table order contributes ``(-1)`` per
-  transposition of two odd generators;
-* derivatives are left derivatives: the generator is commuted to the front
-  of the monomial and then struck;
-* ``berezin_integral(a, [g1, g2])`` integrates the *rightmost* measure
-  first, i.e. it equals the iterated left derivative ``d_g1 d_g2 a``.
+numeric coefficients.  Monomials take the one form of the graded-algebra
+kernel :mod:`spindeq._graded`, ``((index, exponent), ...)`` sorted by
+generator index, and products, derivatives and substitutions are the
+kernel's, with its sign conventions.  They are exact: no power of an even
+generator is ever dropped.  This module adds the table, Berezin integration
+(``berezin_integral(a, [g1, g2])`` integrates the *rightmost* measure
+first, i.e. it equals the iterated left derivative ``d_g1 d_g2 a``), the
+graded exponential and operators written as words.
 
 Coefficients may be exact (:class:`~spindeq.exact.CRational`, ``int``,
 ``Fraction``) or floating (``float``, ``complex``); they may be mixed, in
@@ -23,11 +19,13 @@ which case arithmetic degrades to ``complex``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from . import _graded
 from .errors import (
     ParityError,
     TableMismatchError,
@@ -45,13 +43,20 @@ class Generator:
     parity: str
 
 
+def _lift_coeff(c):
+    # Fraction lacks arithmetic against complex; CRational interoperates.
+    if isinstance(c, Fraction):
+        return CRational(c)
+    return c
+
+
 class GeneratorTable:
     """Ordered set of generators defining one graded algebra.
 
     Entries are ``(name, parity)`` pairs.
     """
 
-    __slots__ = ("_gens", "_index", "_odd")
+    __slots__ = ("_gens", "_index", "is_odd")
 
     def __init__(self, entries: Iterable[Sequence]):
         gens = []
@@ -66,7 +71,7 @@ class GeneratorTable:
             gens.append(Generator(name, parity))
         self._gens = tuple(gens)
         self._index = index
-        self._odd = tuple(i for i, g in enumerate(gens) if g.parity == ODD)
+        self.is_odd = tuple(g.parity == ODD for g in gens)  # the kernel's odd lookup
 
     @classmethod
     def odd(cls, *names: str) -> "GeneratorTable":
@@ -97,180 +102,78 @@ class GeneratorTable:
     def names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self._gens)
 
-    @property
-    def odd_indices(self) -> tuple[int, ...]:
-        return self._odd
-
     def index(self, name: str) -> int:
         try:
             return self._index[name]
         except KeyError:
             raise UnknownGeneratorError(f"unknown generator {name!r}") from None
 
-    def parity(self, i: int) -> str:
-        return self._gens[i].parity
+    lift = staticmethod(_lift_coeff)
 
-    # -- multivector constructors -------------------------------------------
+    def has_slot(self, slot) -> bool:
+        return isinstance(slot, int) and 0 <= slot < len(self._gens)
+
+    # -- monomials and multivectors -------------------------------------------
+
+    def monomial(self, exps: Sequence[int]) -> tuple:
+        """The monomial with exponent ``exps[i]`` on generator i."""
+        return tuple((i, e) for i, e in enumerate(exps) if e)
+
+    def named(self, powers: Mapping[str, int]) -> tuple:
+        """The monomial with the given exponent on each named generator."""
+        return tuple(sorted((self.index(name), e) for name, e in powers.items() if e))
 
     def zero(self) -> "Multivector":
-        return Multivector(self, {})
+        return Multivector._wrap(self, {})
 
     def scalar(self, value) -> "Multivector":
-        return Multivector(self, {(0,) * len(self._gens): value})
+        return Multivector(self, {(): value})
 
     def gen(self, name: str) -> "Multivector":
-        i = self.index(name)
-        exps = [0] * len(self._gens)
-        exps[i] = 1
-        return Multivector(self, {tuple(exps): 1})
+        return Multivector._wrap(self, {((self.index(name), 1),): 1})
 
     def term(self, coeff, **powers: int) -> "Multivector":
         """One monomial, e.g. ``table.term(2, xi=1, xibar=1)``."""
-        exps = [0] * len(self._gens)
-        for name, e in powers.items():
-            exps[self.index(name)] = e
-        return Multivector(self, {tuple(exps): coeff})
+        return Multivector(self, {self.named(powers): coeff})
 
 
-def _lift_coeff(c):
-    # Fraction lacks arithmetic against complex; CRational interoperates.
-    if isinstance(c, Fraction):
-        return CRational(c)
-    return c
-
-
-class Multivector:
+class Multivector(_graded.GradedElement):
     """Element of the graded algebra over a :class:`GeneratorTable`.
 
-    Immutable by convention: all operations return fresh instances and the
-    term map is normalized (no zero coefficients, no negative exponent, no
-    odd exponent above 1).
+    ``terms`` maps monomials in the kernel's form, ``((index, exponent),
+    ...)`` sorted by generator index, to coefficients.  The constructor
+    checks that form; results of algebra operations skip the check.
+    Immutable by convention: all operations return fresh instances.
     """
 
-    __slots__ = ("table", "terms")
+    __slots__ = ()
+    SCALARS = (int, float, complex, Fraction, CRational)
+    MISMATCH = TableMismatchError
 
     def __init__(self, table: GeneratorTable, terms: Mapping[tuple, object]):
-        clean = {}
-        n = len(table)
-        for exps, coeff in terms.items():
-            exps = tuple(exps)
-            if len(exps) != n:
-                raise ValueError(f"exponent vector {exps} has wrong length for table")
-            for i, e in enumerate(exps):
-                if e < 0 or (e > 1 and table.parity(i) == ODD):
-                    raise ValueError(
-                        f"exponent {e} out of range for generator {table[i].name!r}"
-                    )
-            coeff = _lift_coeff(coeff)
-            if coeff == 0:
-                continue
-            if exps in clean:
-                coeff = clean[exps] + coeff
-                if coeff == 0:
-                    del clean[exps]
-                    continue
-            clean[exps] = coeff
-        self.table = table
-        self.terms = clean
+        super().__init__(table, terms)
 
-    # -- inspection ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def scalar_part(self):
-        return self.terms.get((0,) * len(self.table), 0)
+    @property
+    def table(self) -> GeneratorTable:
+        return self.algebra
 
     def coefficient(self, **powers: int):
-        exps = [0] * len(self.table)
-        for name, e in powers.items():
-            exps[self.table.index(name)] = e
-        return self.terms.get(tuple(exps), 0)
-
-    def parity(self) -> int | None:
-        """0 for even, 1 for odd, None for mixed or zero."""
-        seen = set()
-        odd = self.table.odd_indices
-        for exps in self.terms:
-            seen.add(sum(exps[i] for i in odd) % 2)
-        if len(seen) == 1:
-            return seen.pop()
-        return None
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Multivector):
-            return self.table == other.table and self.terms == other.terms
-        if isinstance(other, (int, float, complex, Fraction, CRational)):
-            return self == self.table.scalar(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.table, frozenset(self.terms.items())))
+        return self.terms.get(self.table.named(powers), 0)
 
     def __repr__(self):
         if not self.terms:
             return "<mv 0>"
         names = self.table.names
         bits = []
-        for exps in sorted(self.terms):
-            mono = "*".join(
-                n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e
-            )
-            c = self.terms[exps]
-            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
+        for mono in sorted(self.terms):
+            word = "*".join(names[i] if e == 1 else f"{names[i]}^{e}" for i, e in mono)
+            bits.append(f"{self.terms[mono]}" + (f"*{word}" if word else ""))
         return "<mv " + " + ".join(bits) + ">"
 
-    # -- ring operations ----------------------------------------------------
-
-    def _check_table(self, other: "Multivector"):
-        if self.table != other.table:
-            raise TableMismatchError("multivectors built over different tables")
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex, Fraction, CRational)):
-            other = self.table.scalar(other)
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        self._check_table(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + c
-        return Multivector(self.table, terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rsub__(self, other):
-        return other + (-1) * self
-
-    def __neg__(self):
-        return (-1) * self
-
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex, Fraction, CRational)):
-            return Multivector(
-                self.table, {e: c * _lift_coeff(other) for e, c in self.terms.items()}
-            )
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        return product(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex, Fraction, CRational)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("powers must be non-negative integers")
-        out = self.table.scalar(1)
-        for _ in range(n):
-            out = product(out, self)
-        return out
-
-    # -- substitution --------------------------------------------------------
+        if isinstance(other, Multivector):
+            return product(self, other)
+        return super().__mul__(other)
 
     def substitute(
         self,
@@ -282,99 +185,23 @@ class Multivector:
         Every binding must be parity-homogeneous and match the parity of the
         generator it replaces.  ``table`` selects the target table (default:
         this one); unbound generators must exist in the target under the same
-        name and parity.
+        name.
         """
         target = table if table is not None else self.table
-        bound = {}
-        for name, mv in bindings.items():
-            i = self.table.index(name)
-            if mv.table != target:
-                raise TableMismatchError("binding built over a different table")
-            p = mv.parity()
-            if not mv.is_zero() and p != (1 if self.table.parity(i) == ODD else 0):
-                raise ParityError(f"binding for {name!r} has wrong parity")
-            bound[i] = mv
-        out = target.zero()
-        for exps, coeff in self.terms.items():
-            term = target.scalar(coeff)
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                if i in bound:
-                    factor = bound[i] ** e
-                else:
-                    factor = target.gen(self.table[i].name) ** e
-                term = product(term, factor)
-            out = out + term
-        return out
-
-
-def _merge_sign(odd_indices, ea, eb) -> int:
-    """Sign from merging canonical words a and b into canonical order.
-
-    Counts pairs of odd generators (i in a, j in b) with i > j; each such
-    pair is one transposition.
-    """
-    swaps = 0
-    for pos, j in enumerate(odd_indices):
-        if not eb[j]:
-            continue
-        for i in odd_indices[pos + 1 :]:
-            if ea[i]:
-                swaps += 1
-    return -1 if swaps % 2 else 1
+        bound = [(name, self.table.index(name), mv) for name, mv in bindings.items()]
+        return self._substitute(bound, target, lambda i: target.index(self.table[i].name))
 
 
 def product(a: Multivector, b: Multivector) -> Multivector:
     """Graded product; exact, since even generators have no truncation."""
-    a._check_table(b)
-    table = a.table
-    odd = table.odd_indices
-    terms: dict[tuple, object] = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            if any(ea[i] and eb[i] for i in odd):
-                continue
-            c = ca * cb * _merge_sign(odd, ea, eb)
-            key = tuple([x + y for x, y in zip(ea, eb)])
-            if key in terms:
-                terms[key] = terms[key] + c
-            else:
-                terms[key] = c
-    return Multivector(table, terms)
+    a._check(b)
+    return a._new(_graded.mul(a.terms, b.terms, a.table.is_odd))
 
 
 def left_derivative(a: Multivector, gen: str) -> Multivector:
-    """Left derivative with respect to one generator.
-
-    For an odd generator the monomial picks up ``(-1)`` for every odd
-    generator standing before it in canonical order; for an even generator
-    this is the ordinary partial derivative.
-    """
+    """Left derivative with respect to one generator (see :mod:`spindeq._graded`)."""
     table = a.table
-    g = table.index(gen)
-    odd = table.odd_indices
-    terms: dict[tuple, object] = {}
-    if table.parity(g) == ODD:
-        for exps, c in a.terms.items():
-            if not exps[g]:
-                continue
-            before = sum(1 for i in odd if i < g and exps[i])
-            if before % 2:
-                c = c * -1
-            new = list(exps)
-            new[g] = 0
-            key = tuple(new)
-            terms[key] = terms.get(key, 0) + c
-    else:
-        for exps, c in a.terms.items():
-            if not exps[g]:
-                continue
-            new = list(exps)
-            new[g] -= 1
-            key = tuple(new)
-            terms[key] = terms.get(key, 0) + c * exps[g]
-    return Multivector(table, terms)
+    return a._new(_graded.left_derivative(a.terms, table.index(gen), table.is_odd))
 
 
 def berezin_integral(a: Multivector, gens: Sequence[str]) -> Multivector:
@@ -385,7 +212,7 @@ def berezin_integral(a: Multivector, gens: Sequence[str]) -> Multivector:
     """
     table = a.table
     for g in gens:
-        if table.parity(table.index(g)) != ODD:
+        if not table.is_odd[table.index(g)]:
             raise ParityError(f"Berezin integration requires odd generators, got {g!r}")
     out = a
     for g in reversed(list(gens)):
@@ -406,11 +233,11 @@ def graded_exp(a: Multivector) -> Multivector:
     if p == 1 or p is None and not a.is_zero():
         raise ParityError("graded_exp requires an even-parity argument")
     table = a.table
-    s = a.scalar_part()
+    s = a.constant_part()
     n = a - table.scalar(s)
     out = table.scalar(1)
     power = table.scalar(1)
-    for k in range(1, len(table.odd_indices) // 2 + 2):
+    for k in range(1, sum(table.is_odd) // 2 + 2):
         power = product(power, n)
         if power.is_zero():
             break
@@ -419,8 +246,6 @@ def graded_exp(a: Multivector) -> Multivector:
     else:
         raise ParityError("graded_exp requires a nilpotent non-scalar part")
     if s != 0:
-        import cmath
-
         out = out * cmath.exp(complex(s))
     return out
 

@@ -50,6 +50,10 @@ KERNEL_TABLE = GeneratorTable.odd("xi", "xip")
 _SYMBOL_KERNEL_TABLE = GeneratorTable.odd("xi", "xibar", "xip")
 _COMPOSE_TABLE = GeneratorTable.odd("xi", "xibar", "xip", "xibarp")
 
+# Monomials 1, g0, g1, g0·g1 over the first two generators of a table: 1, ξ,
+# ξ̄, ξξ̄ of a symbol, 1, ξ, ξ′, ξξ′ of a kernel, and 1, ξ of a wavefunction.
+_BASIS = tuple(SYMBOL_TABLE.monomial(e) for e in ((0, 0), (1, 0), (0, 1), (1, 1)))
+
 
 def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction, CRational))
@@ -117,13 +121,13 @@ class SpinState:
     c1: object
 
     def as_multivector(self) -> Multivector:
-        return Multivector(WAVE_TABLE, {(0,): self.c0, (1,): self.c1})
+        return Multivector(WAVE_TABLE, dict(zip(_BASIS, (self.c0, self.c1))))
 
     @classmethod
     def from_multivector(cls, mv: Multivector) -> "SpinState":
         if mv.table != WAVE_TABLE:
             raise ValueError("state multivectors live on the single-ξ table")
-        return cls(mv.terms.get((0,), 0), mv.terms.get((1,), 0))
+        return cls(mv.coefficient(), mv.coefficient(xi=1))
 
     def as_vector(self) -> np.ndarray:
         return np.array([complex(self.c0), complex(self.c1)])
@@ -255,38 +259,26 @@ def hamiltonian(b: MagneticField) -> SpinOperator:
 def ordered_symbol(op: SpinOperator) -> Multivector:
     """Normal-ordered symbol A(ξ, ξ̄) = α + βξ + γξ̄ + δξξ̄."""
     (a00, a01), (a10, a11) = op.matrix
-    return Multivector(
-        SYMBOL_TABLE,
-        {(0, 0): a00, (1, 0): a10, (0, 1): a01, (1, 1): a11 - a00},
-    )
+    return Multivector(SYMBOL_TABLE, dict(zip(_BASIS, (a00, a10, a01, a11 - a00))))
 
 
 def symbol_to_matrix(sym: Multivector) -> tuple:
     if sym.table != SYMBOL_TABLE:
         raise ValueError("symbols live on the (xi, xibar) table")
-    alpha = sym.terms.get((0, 0), 0)
-    beta = sym.terms.get((1, 0), 0)
-    gamma = sym.terms.get((0, 1), 0)
-    delta = sym.terms.get((1, 1), 0)
+    alpha, beta, gamma, delta = (sym.terms.get(m, 0) for m in _BASIS)
     return ((alpha, gamma), (beta, alpha + delta))
 
 
 def integral_kernel(op: SpinOperator) -> Multivector:
     """Kernel Ã(ξ, ξ′) with Ĥψ(ξ) = ∫dξ′ Ã(ξ, ξ′) ψ(ξ′)."""
     (a00, a01), (a10, a11) = op.matrix
-    return Multivector(
-        KERNEL_TABLE,
-        {(0, 0): a01, (1, 0): -a11, (0, 1): a00, (1, 1): -a10},
-    )
+    return Multivector(KERNEL_TABLE, dict(zip(_BASIS, (a01, -a11, a00, -a10))))
 
 
 def kernel_to_matrix(kern: Multivector) -> tuple:
     if kern.table != KERNEL_TABLE:
         raise ValueError("kernels live on the (xi, xip) table")
-    k0 = kern.terms.get((0, 0), 0)
-    k1 = kern.terms.get((1, 0), 0)
-    k2 = kern.terms.get((0, 1), 0)
-    k3 = kern.terms.get((1, 1), 0)
+    k0, k1, k2, k3 = (kern.terms.get(m, 0) for m in _BASIS)
     return ((k2, k0), (-k3, -k1))
 
 
@@ -338,30 +330,26 @@ def compose_symbols(late: Multivector, early: Multivector) -> Multivector:
 # -- propagators -------------------------------------------------------------------
 
 
-# Basis monomials 1, ξ, ξ̄, ξξ̄ of a symbol, as (xi, xibar) exponents.
-_SYMBOL_BASIS = ((0, 0), (1, 0), (0, 1), (1, 1))
-
-
 @functools.cache
 def symbol_structure_constants() -> tuple[tuple[int, int, int, object], ...]:
-    """Nonzero (i, j, k, c) with e_i ∘ e_j = Σ_k c·e_k on ``_SYMBOL_BASIS``.
+    """Nonzero (i, j, k, c) with e_i ∘ e_j = Σ_k c·e_k on ``_BASIS``.
 
     Derived by running ``compose_symbols`` on every pair of basis symbols,
     so the entries are exact and the convolution stays their only source.
     """
-    basis = [Multivector(SYMBOL_TABLE, {e: 1}) for e in _SYMBOL_BASIS]
+    basis = [Multivector(SYMBOL_TABLE, {e: 1}) for e in _BASIS]
     out = []
     for i, late in enumerate(basis):
         for j, early in enumerate(basis):
             terms = compose_symbols(late, early).terms
-            for k, e in enumerate(_SYMBOL_BASIS):
+            for k, e in enumerate(_BASIS):
                 if e in terms:
                     out.append((i, j, k, terms[e]))
     return tuple(out)
 
 
 def _compose_near_identity(late: list, early: list) -> list:
-    """(1 + late) ∘ (1 + early) − 1 on coefficient vectors over ``_SYMBOL_BASIS``.
+    """(1 + late) ∘ (1 + early) − 1 on coefficient vectors over ``_BASIS``.
 
     Carrying the offset from the identity symbol, not the symbol, keeps the
     O(ε) part of a short-time factor at full relative precision.
@@ -388,7 +376,7 @@ def sliced_symbol(b: MagneticField, t: float, n: int) -> Multivector:
     h_bar = ordered_symbol(hamiltonian(b))
     eps = t / n
     step = h_bar * complex(0, -eps)
-    square = [step.terms.get(e, 0) for e in _SYMBOL_BASIS]
+    square = [step.terms.get(e, 0) for e in _BASIS]
     power = [0, 0, 0, 0]  # offsets from the identity symbol 1
     while n:
         if n & 1:
@@ -396,7 +384,7 @@ def sliced_symbol(b: MagneticField, t: float, n: int) -> Multivector:
         square = _compose_near_identity(square, square)
         n >>= 1
     power[0] += 1
-    return Multivector(SYMBOL_TABLE, dict(zip(_SYMBOL_BASIS, power)))
+    return Multivector(SYMBOL_TABLE, dict(zip(_BASIS, power)))
 
 
 def sliced_propagator(b: MagneticField, t: float, n: int) -> np.ndarray:

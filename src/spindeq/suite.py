@@ -268,23 +268,24 @@ def check_slicing(seed: int = 0) -> list[CheckResult]:
 
 
 def check_slice_errors(errors) -> list[CheckResult]:
-    """Each ``(n, error)`` of the sliced propagator below 1, and the errors
-    not growing with n."""
+    """Each ``(n, error)`` of the sliced propagator below 1, and, given two
+    or more slice counts, the errors not growing with n."""
     ordered = sorted(errors)
     out = [
         CheckResult(f"slice-error-n={n}", 0.0, err, err, err < 1.0, tolerance=1.0)
         for n, err in ordered
     ]
-    decreasing = all(a >= b for (_, a), (_, b) in zip(ordered, ordered[1:]))
-    out.append(
-        CheckResult(
-            "error-decreases-with-slices",
-            "monotone",
-            [err for _, err in ordered],
-            0 if decreasing else 1,
-            decreasing,
+    if len(ordered) > 1:
+        decreasing = all(a >= b for (_, a), (_, b) in zip(ordered, ordered[1:]))
+        out.append(
+            CheckResult(
+                "error-decreases-with-slices",
+                "monotone",
+                [err for _, err in ordered],
+                0 if decreasing else 1,
+                decreasing,
+            )
         )
-    )
     return out
 
 

@@ -9,8 +9,8 @@ Lagrangian up to total time derivatives; ``dequantize`` performs the map and
 splits off the total-derivative part exactly.
 
 Supertime measure convention: ``supertime_integral(thetabar*theta * X) =
-= i*X`` (the rightmost measure acts first, as in grassmann_core).  This is
-the sign under which the free-particle identity check passes.
+i*X`` (the rightmost measure acts first, as in :mod:`spindeq.grassmann`).
+This is the sign under which the free-particle identity check passes.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
+from . import _graded
 from .errors import IdentityViolationError, UnsupportedCaseError
 from .exact import CRational
 from .symbols import (
@@ -25,7 +26,6 @@ from .symbols import (
     ODD,
     GradedPolynomial,
     SymbolContext,
-    _normalize_word,
     format_poly,
     formal_time_derivative,
     partial_derivative,
@@ -158,7 +158,7 @@ def _superfield(case, base, th_comp, thb_comp, top_comp) -> Superfield:
     th = ctx.sym(case.theta)
     thb = ctx.sym(case.thetabar)
     body = ctx.sym(base)
-    base_parity = ctx.parity_of((base, 0))
+    base_parity = int(ctx.is_odd[ctx.slot(base)])
     for comp, flip in ((body, 0), (th_comp, 1), (thb_comp, 1), (top_comp, 0)):
         p = comp.parity()
         if p is not None and p != (base_parity + flip) % 2:
@@ -319,31 +319,29 @@ def dequantize(l: GradedPolynomial, case) -> DequantizationResult:
 
 def _recognize_surface(raw: GradedPolynomial, case: DequantizationCase) -> GradedPolynomial:
     ctx = case.context
-    absorbable = {f.aux for f in case.families} | {f.antighost for f in case.families}
+    absorbable = {ctx.slot(n)[0] for f in case.families for n in (f.aux, f.antighost)}
 
     def first_forbidden(mono):
-        for idx, ((name, dot), _exp) in enumerate(mono):
-            if dot >= 1 and name in absorbable:
+        for idx, ((base, dot), _exp) in enumerate(mono):
+            if dot >= 1 and base in absorbable:
                 return idx
         return None
 
     betas: dict = {}
-    order = sorted(raw.terms, key=lambda m: tuple((ctx.sort_key(k), e) for k, e in m))
-    for mono in order:
+    for mono in sorted(raw.terms):
         idx = first_forbidden(mono)
         if idx is None:
             continue
         coeff = raw.terms[mono]
-        (name, dot), exp = mono[idx]
-        stripped = mono[:idx] + (((name, dot - 1), exp),) + mono[idx + 1 :]
-        norm = _normalize_word(ctx, list(stripped))
-        if norm is None:
+        (base, dot), exp = mono[idx]
+        # Undotting keeps the factor in place, so the merge adds no sign.
+        undotted = (((base, dot - 1), exp),) + mono[idx + 1 :]
+        sign, key = _graded.merge(mono[:idx], undotted, ctx.is_odd)
+        if not sign:
             continue  # strip collides with an odd factor; leave for the residual check
-        _sign, key = norm
         bilinear = GradedPolynomial(ctx, {key: 1})
-        d_bilinear = formal_time_derivative(bilinear)
-        in_derivative = d_bilinear.terms.get(mono)
-        if in_derivative is None or not in_derivative:
+        in_derivative = formal_time_derivative(bilinear).terms.get(mono)
+        if not in_derivative:
             continue
         beta = coeff / in_derivative
         if key in betas:

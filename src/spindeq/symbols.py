@@ -6,10 +6,13 @@ This layer carries the symbolic identities.  Symbols are declared in a
 derivatives such as ``dot(q)`` -- need no declaration: they inherit the
 parity of their base symbol and sort immediately after it.
 
-Monomials are kept in canonical order (declaration order, then dot order);
-reordering odd symbols contributes the usual transposition signs.
-Coefficients are exact Gaussian rationals so that identities that hold,
-hold with residual exactly zero.
+Monomials take the one form of the graded-algebra kernel
+:mod:`spindeq._graded`, ``((slot, exponent), ...)`` sorted by slot, where
+the slot of a symbol is its (declaration index, dot order) pair; products,
+left derivatives and substitutions are the kernel's, with its transposition
+signs.  This module adds names with dots, the formal time derivative, the
+printer and the parser.  Coefficients are exact Gaussian rationals so that
+identities that hold, hold with residual exactly zero.
 """
 
 from __future__ import annotations
@@ -19,16 +22,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from . import _graded
 from .errors import OddPowerError, ParityError, ParseError, UnknownSymbolError
-from .exact import CRational, I, crational
+from .exact import CRational, I
 
 ODD = "odd"
 EVEN = "even"
 
-# A symbol key is (base name, dot order); a monomial is a tuple of
-# (key, exponent) pairs sorted by context order with positive exponents.
+# A symbol key is (base name, dot order); its slot is (declaration index, dot order).
 SymKey = tuple[str, int]
-Mono = tuple[tuple[SymKey, int], ...]
 
 
 @dataclass(frozen=True)
@@ -36,115 +38,6 @@ class SymbolDecl:
     name: str
     parity: str
     constant: bool = False
-    dot_order: int = 0
-
-
-class SymbolContext:
-    """Registry fixing the symbols of one problem and their canonical order."""
-
-    __slots__ = ("_decls", "_order")
-
-    def __init__(self, decls: Iterable[tuple] = ()):
-        self._decls: dict[str, SymbolDecl] = {}
-        self._order: dict[str, int] = {}
-        for entry in decls:
-            self.declare(*entry)
-
-    def declare(self, name: str, parity: str, constant: bool = False) -> None:
-        if parity not in (ODD, EVEN):
-            raise ParityError(f"parity must be 'odd' or 'even', got {parity!r}")
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name in ("i", "dot"):
-            raise ValueError(f"invalid symbol name {name!r}")
-        decl = SymbolDecl(name, parity, constant)
-        if name in self._decls:
-            if self._decls[name] != decl:
-                raise ValueError(f"conflicting redeclaration of {name!r}")
-            return
-        self._order[name] = len(self._order)
-        self._decls[name] = decl
-
-    def declared(self, name: str) -> bool:
-        return name in self._decls
-
-    def decl(self, name: str) -> SymbolDecl:
-        try:
-            return self._decls[name]
-        except KeyError:
-            raise UnknownSymbolError(f"undeclared symbol {name!r}") from None
-
-    def decl_of(self, key: SymKey) -> SymbolDecl:
-        """Declaration of a possibly dotted symbol; dots inherit parity."""
-        name, dot = key
-        base = self.decl(name)
-        if dot == 0:
-            return base
-        return SymbolDecl(base.name, base.parity, base.constant, dot)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._order)
-
-    def sort_key(self, key: SymKey) -> tuple[int, int]:
-        name, dot = key
-        return (self._order[name], dot)
-
-    def parity_of(self, key: SymKey) -> int:
-        return 1 if self.decl(key[0]).parity == ODD else 0
-
-    def is_constant(self, name: str) -> bool:
-        return self.decl(name).constant
-
-    # -- polynomial constructors ---------------------------------------------
-
-    def zero(self) -> "GradedPolynomial":
-        return GradedPolynomial(self, {})
-
-    def const(self, value) -> "GradedPolynomial":
-        return GradedPolynomial(self, {(): value})
-
-    def imaginary(self) -> "GradedPolynomial":
-        return self.const(I)
-
-    def sym(self, name: str, dot: int = 0) -> "GradedPolynomial":
-        self.decl(name)
-        if dot < 0:
-            raise ValueError("dot order must be non-negative")
-        return GradedPolynomial(self, {(((name, dot), 1),): 1})
-
-    def parse(self, text: str) -> "GradedPolynomial":
-        return _Parser(self, text).parse()
-
-
-def _normalize_word(ctx: SymbolContext, factors) -> tuple[int, Mono] | None:
-    """Sort a factor word into canonical order.
-
-    Returns ``(sign, monomial)`` or ``None`` when the word vanishes because
-    an odd symbol repeats.  Insertion sort; each crossing of two odd factors
-    flips the sign.
-    """
-    sign = 1
-    out: list[list] = []  # [key, exp, is_odd]
-    for key, exp in factors:
-        if exp == 0:
-            continue
-        odd = ctx.parity_of(key) == 1
-        if odd and exp > 1:
-            return None
-        kk = ctx.sort_key(key)
-        pos = len(out)
-        crossed_odd = 0
-        while pos > 0 and ctx.sort_key(out[pos - 1][0]) > kk:
-            if out[pos - 1][2]:
-                crossed_odd += 1
-            pos -= 1
-        if odd and crossed_odd % 2:
-            sign = -sign
-        if pos > 0 and out[pos - 1][0] == key:
-            if odd:
-                return None
-            out[pos - 1][1] += exp
-        else:
-            out.insert(pos, [key, exp, odd])
-    return sign, tuple((k, e) for k, e, _ in out)
 
 
 def _lift(value) -> CRational:
@@ -155,88 +48,137 @@ def _lift(value) -> CRational:
     raise TypeError(f"polynomial coefficients must be exact, got {type(value).__name__}")
 
 
-class GradedPolynomial:
-    """Finite sum of canonical monomials with CRational coefficients."""
+class _OddSlots(dict):
+    """The kernel's odd lookup over slots, filled on first use: a dotted
+    symbol has the parity of its base."""
 
-    __slots__ = ("context", "terms")
+    __slots__ = ("decls",)
 
-    def __init__(self, context: SymbolContext, terms: Mapping[Mono, object]):
-        clean: dict[Mono, CRational] = {}
-        for mono, coeff in terms.items():
-            coeff = _lift(coeff)
-            if not coeff:
-                continue
-            if mono in clean:
-                c = clean[mono] + coeff
-                if c:
-                    clean[mono] = c
-                else:
-                    del clean[mono]
-            else:
-                clean[mono] = coeff
-        self.context = context
-        self.terms = clean
+    def __init__(self, decls: list):
+        super().__init__()
+        self.decls = decls
 
-    # -- inspection -----------------------------------------------------------
+    def __missing__(self, slot) -> bool:
+        odd = self[slot] = self.decls[slot[0]].parity == ODD
+        return odd
 
-    def is_zero(self) -> bool:
-        return not self.terms
 
-    def constant_part(self) -> CRational:
-        return self.terms.get((), CRational(0))
+class SymbolContext:
+    """Registry fixing the symbols of one problem and their order."""
 
-    def is_constant(self) -> bool:
-        return all(m == () for m in self.terms)
+    __slots__ = ("_decls", "_index", "is_odd")
+
+    def __init__(self, decls: Iterable[tuple] = ()):
+        self._decls: list[SymbolDecl] = []
+        self._index: dict[str, int] = {}
+        self.is_odd = _OddSlots(self._decls)
+        for entry in decls:
+            self.declare(*entry)
+
+    def declare(self, name: str, parity: str, constant: bool = False) -> None:
+        if parity not in (ODD, EVEN):
+            raise ParityError(f"parity must be 'odd' or 'even', got {parity!r}")
+        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name in ("i", "dot"):
+            raise ValueError(f"invalid symbol name {name!r}")
+        decl = SymbolDecl(name, parity, constant)
+        if name in self._index:
+            if self.decl(name) != decl:
+                raise ValueError(f"conflicting redeclaration of {name!r}")
+            return
+        self._index[name] = len(self._decls)
+        self._decls.append(decl)
+
+    def declared(self, name: str) -> bool:
+        return name in self._index
+
+    def decl(self, name: str) -> SymbolDecl:
+        try:
+            return self._decls[self._index[name]]
+        except KeyError:
+            raise UnknownSymbolError(f"undeclared symbol {name!r}") from None
+
+    def slot(self, key) -> tuple[int, int]:
+        """Slot of a symbol name or ``(name, dot)`` key."""
+        name, dot = (key, 0) if isinstance(key, str) else key
+        self.decl(name)  # rejects an undeclared name
+        return (self._index[name], dot)
+
+    def key(self, slot: tuple[int, int]) -> SymKey:
+        return (self._decls[slot[0]].name, slot[1])
+
+    def has_slot(self, slot) -> bool:
+        return (
+            isinstance(slot, tuple)
+            and len(slot) == 2
+            and 0 <= slot[0] < len(self._decls)
+            and isinstance(slot[1], int)
+            and slot[1] >= 0
+        )
+
+    lift = staticmethod(_lift)
+
+    # -- polynomial constructors ---------------------------------------------
+
+    def zero(self) -> "GradedPolynomial":
+        return GradedPolynomial._wrap(self, {})
+
+    def const(self, value) -> "GradedPolynomial":
+        return GradedPolynomial(self, {(): value})
+
+    def imaginary(self) -> "GradedPolynomial":
+        return self.const(I)
+
+    def sym(self, name: str, dot: int = 0) -> "GradedPolynomial":
+        if dot < 0:
+            raise ValueError("dot order must be non-negative")
+        return GradedPolynomial(self, {((self.slot((name, dot)), 1),): 1})
+
+    def parse(self, text: str) -> "GradedPolynomial":
+        return _Parser(self, text).parse()
+
+
+class GradedPolynomial(_graded.GradedElement):
+    """Finite sum of monomials with CRational coefficients.
+
+    ``terms`` maps monomials in the kernel's form, ``((slot, exponent),
+    ...)`` sorted by slot, to coefficients.  The constructor
+    ``GradedPolynomial(context, terms)`` checks that form; results of
+    algebra operations skip the check.
+    """
+
+    __slots__ = ()
+    # Bound in this class itself, where per-layer tracing (bench/layers.py) wraps it.
+    __mul__ = _graded.GradedElement.__mul__
+
+    @property
+    def context(self) -> SymbolContext:
+        return self.algebra
 
     def coefficient(self, factors) -> CRational:
-        """Coefficient of one canonical monomial.
+        """Coefficient of one monomial, with the sign of reordering into it.
 
         ``factors`` maps symbol names (or ``(name, dot)`` keys) to exponents.
         """
-        word = []
+        ctx = self.context
+        probe = ctx.const(1)  # the product of the factors: a sign times the monomial
         for key, exp in dict(factors).items():
-            if isinstance(key, str):
-                key = (key, 0)
-            word.append((key, exp))
-        norm = _normalize_word(self.context, word)
-        if norm is None:
+            probe = probe * ctx.sym(*((key, 0) if isinstance(key, str) else key)) ** exp
+        if probe.is_zero():
             raise ValueError("requested monomial vanishes identically")
-        sign, mono = norm
+        [(mono, sign)] = probe.terms.items()
         return self.terms.get(mono, CRational(0)) * sign
-
-    def parity(self) -> int | None:
-        seen = set()
-        for mono in self.terms:
-            odd = sum(e for key, e in mono if self.context.parity_of(key)) % 2
-            seen.add(odd)
-        if len(seen) == 1:
-            return seen.pop()
-        return None
 
     def degree_in(self, names: Iterable[str]) -> int:
         """Largest total exponent of the given base symbols (any dot order)."""
         targets = set(names)
-        best = 0
-        for mono in self.terms:
-            d = sum(e for (name, _), e in mono if name in targets)
-            best = max(best, d)
-        return best
+        key = self.context.key
+        return max(
+            (sum(e for slot, e in mono if key(slot)[0] in targets) for mono in self.terms),
+            default=0,
+        )
 
     def symbols_used(self) -> set[SymKey]:
-        out = set()
-        for mono in self.terms:
-            out.update(key for key, _ in mono)
-        return out
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, GradedPolynomial):
-            return self.context is other.context and self.terms == other.terms
-        if isinstance(other, (int, Fraction, CRational)):
-            return self.terms == GradedPolynomial(self.context, {(): other}).terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return {self.context.key(slot) for mono in self.terms for slot, _ in mono}
 
     def __repr__(self):
         return f"<poly {format_poly(self)}>"
@@ -244,139 +186,27 @@ class GradedPolynomial:
     def __str__(self):
         return format_poly(self)
 
-    # -- arithmetic -------------------------------------------------------------
-
-    def _check_context(self, other: "GradedPolynomial"):
-        if self.context is not other.context:
-            raise ValueError("polynomials belong to different symbol contexts")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, CRational)):
-            other = self.context.const(other)
-        if not isinstance(other, GradedPolynomial):
-            return NotImplemented
-        self._check_context(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, CRational(0)) + c
-        return GradedPolynomial(self.context, terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rsub__(self, other):
-        return other + (-1) * self
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CRational)):
-            return GradedPolynomial(
-                self.context, {m: c * other for m, c in self.terms.items()}
-            )
-        if not isinstance(other, GradedPolynomial):
-            return NotImplemented
-        self._check_context(other)
-        ctx = self.context
-        out: dict[Mono, CRational] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                norm = _normalize_word(ctx, list(ma) + list(mb))
-                if norm is None:
-                    continue
-                sign, mono = norm
-                c = ca * cb
-                if sign < 0:
-                    c = -c
-                if mono in out:
-                    out[mono] = out[mono] + c
-                else:
-                    out[mono] = c
-        return GradedPolynomial(ctx, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, CRational)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, CRational)):
-            other = crational(other)
-            if not other:
-                raise ZeroDivisionError("division by zero")
-            return self * (CRational(1) / other)
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("powers must be non-negative integers")
-        out = self.context.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
 
 def formal_time_derivative(p: GradedPolynomial) -> GradedPolynomial:
-    """Formal d/dt: an even derivation raising dot orders by one.
+    """Formal d/dt, the even derivation Σ_s dot(s)·∂_s over the symbols s
+    of ``p``, with ∂_s the left derivative; it raises dot orders by one.
 
-    Acts factor by factor without Koszul signs (time is an even parameter);
-    symbols declared ``constant`` are annihilated.
+    Time is an even parameter, so d/dt takes no Koszul sign: ``dot(s)`` has
+    the parity of s and stands where s stood.  Symbols declared ``constant``
+    are annihilated.
     """
     ctx = p.context
-    out: dict[Mono, CRational] = {}
-    for mono, coeff in p.terms.items():
-        for idx, (key, exp) in enumerate(mono):
-            name, dot = key
-            if ctx.is_constant(name):
-                continue
-            replacement = []
-            if exp > 1:
-                replacement.append((key, exp - 1))
-            replacement.append(((name, dot + 1), 1))
-            word = list(mono[:idx]) + replacement + list(mono[idx + 1 :])
-            norm = _normalize_word(ctx, word)
-            if norm is None:
-                continue
-            sign, new_mono = norm
-            c = coeff * (exp * sign)
-            if new_mono in out:
-                out[new_mono] = out[new_mono] + c
-            else:
-                out[new_mono] = c
-    return GradedPolynomial(ctx, out)
+    out = ctx.zero()
+    for name, dot in sorted(p.symbols_used()):
+        if not ctx.decl(name).constant:
+            out = out + ctx.sym(name, dot + 1) * partial_derivative(p, name, dot)
+    return out
 
 
 def partial_derivative(p: GradedPolynomial, name: str, dot: int = 0) -> GradedPolynomial:
-    """Left derivative with respect to one symbol."""
+    """Left derivative with respect to one symbol (see :mod:`spindeq._graded`)."""
     ctx = p.context
-    key = (name, dot)
-    odd = ctx.parity_of(key) == 1
-    out: dict[Mono, CRational] = {}
-    for mono, coeff in p.terms.items():
-        for idx, (k, e) in enumerate(mono):
-            if k != key:
-                continue
-            if odd:
-                before = sum(
-                    e2 for (k2, e2) in mono[:idx] if ctx.parity_of(k2) == 1
-                )
-                c = -coeff if before % 2 else coeff
-                new_mono = mono[:idx] + mono[idx + 1 :]
-            else:
-                c = coeff * e
-                if e > 1:
-                    new_mono = mono[:idx] + ((key, e - 1),) + mono[idx + 1 :]
-                else:
-                    new_mono = mono[:idx] + mono[idx + 1 :]
-            if new_mono in out:
-                out[new_mono] = out[new_mono] + c
-            else:
-                out[new_mono] = c
-            break
-    return GradedPolynomial(ctx, out)
+    return p._new(_graded.left_derivative(p.terms, ctx.slot((name, dot)), ctx.is_odd))
 
 
 def substitute(p: GradedPolynomial, bindings: Mapping) -> GradedPolynomial:
@@ -387,27 +217,8 @@ def substitute(p: GradedPolynomial, bindings: Mapping) -> GradedPolynomial:
     commutes with products by construction.
     """
     ctx = p.context
-    bound: dict[SymKey, GradedPolynomial] = {}
-    for key, poly in bindings.items():
-        if isinstance(key, str):
-            key = (key, 0)
-        if poly.context is not ctx:
-            raise ValueError("binding belongs to a different symbol context")
-        want = ctx.parity_of(key)
-        got = poly.parity()
-        if not poly.is_zero() and got != want:
-            raise ParityError(f"binding for {key} must have parity {want}")
-        bound[key] = poly
-    out = ctx.zero()
-    for mono, coeff in p.terms.items():
-        term = ctx.const(coeff)
-        for key, exp in mono:
-            factor = bound.get(key)
-            if factor is None:
-                factor = GradedPolynomial(ctx, {((key, 1),): 1})
-            term = term * factor**exp
-        out = out + term
-    return out
+    bound = [(key, ctx.slot(key), poly) for key, poly in bindings.items()]
+    return p._substitute(bound, ctx, lambda slot: slot)
 
 
 def bind_constants(p: GradedPolynomial, values: Mapping[str, object]) -> GradedPolynomial:
@@ -460,14 +271,11 @@ def format_poly(p: GradedPolynomial) -> str:
         return "0"
     ctx = p.context
 
-    def mono_key(mono: Mono):
-        return (sum(e for _, e in mono), tuple((ctx.sort_key(k), e) for k, e in mono))
-
     pieces = []
-    for mono in sorted(p.terms, key=mono_key):
+    for mono in sorted(p.terms, key=lambda m: (sum(e for _, e in m), m)):
         coeff = p.terms[mono]
         sign, body = _coeff_parts(coeff, has_mono=bool(mono))
-        factors = "*".join(_factor_str(k, e) for k, e in mono)
+        factors = "*".join(_factor_str(ctx.key(slot), e) for slot, e in mono)
         if body and factors:
             text = f"{body}*{factors}"
         else:

@@ -239,3 +239,32 @@ def test_failing_checks_exit_one_and_name_the_check(capsys):
         assert code == 1
         assert "FAIL" in captured.out
         assert captured.err.startswith(f"failed checks: slice-error-n={slices}")
+
+
+def test_propagate_classical_reads_its_rates_off_the_hamiltonian(tmp_path, capsys):
+    # The stock grassmann H at w = 3, given as text, transports at rate 3
+    # whatever --omega says.
+    argv = ["propagate-classical", "--case", "grassmann", "--hamiltonian=-(3/2)*(1-2*xi*xibar)"]
+    assert main(argv) == 0
+    # H = -2*eta is the stock coadjoint H at muB = 2, so --muB 1 must not matter.
+    rows = []
+    for extra in (["--hamiltonian=-2*eta", "--muB", "1"], ["--muB", "2"]):
+        out = tmp_path / "coadjoint.json"
+        assert main(["propagate-classical", "--case", "coadjoint", "--out", str(out), *extra]) == 0
+        rows.append(json.loads(out.read_text())["checks"])
+    assert rows[0] == rows[1]
+    capsys.readouterr()
+    # A coadjoint H that is not -muB*eta plus a constant, or one with muB = 0,
+    # has no rate to check against.
+    for extra in (["--hamiltonian=eta^2"], ["--muB", "0"]):
+        assert main(["propagate-classical", "--case", "coadjoint", *extra]) == 1, extra
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: coadjoint transport"), captured.err
+
+
+def test_one_slice_count_reports_only_its_error(capsys):
+    assert main(["propagate-quantum", "--b", "1,0,0", "--t", "1", "--slices", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "propagate-quantum: 1 checks, 0 failures" in out
+    assert "error-decreases-with-slices" not in out

@@ -30,7 +30,7 @@ from spindeq import (
 
 PAIR = GeneratorTable.odd("xi", "xibar")
 MIXED = GeneratorTable([("x", EVEN), ("u", ODD), ("v", ODD)])
-MIXED_EXPS = [(i, j, k) for i in range(4) for j in range(2) for k in range(2)]
+MIXED_EXPS = [MIXED.monomial((i, j, k)) for i in range(4) for j in range(2) for k in range(2)]
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 coeff_st = st.builds(CRational, fractions_st, fractions_st)
@@ -115,10 +115,12 @@ def test_even_powers_are_kept():
 
 def test_exponent_range_is_checked():
     with pytest.raises(ValueError):
-        Multivector(MIXED, {(-1, 0, 0): 1})
+        Multivector(MIXED, {((0, -1),): 1})
     with pytest.raises(ValueError):
-        Multivector(MIXED, {(0, 2, 0): 1})
-    assert Multivector(MIXED, {(9, 1, 0): 1}).coefficient(x=9, u=1) == 1
+        Multivector(MIXED, {((1, 2),): 1})
+    with pytest.raises(ValueError):
+        Multivector(MIXED, {((1, 1), (0, 1)): 1})  # not sorted by slot
+    assert Multivector(MIXED, {((0, 9), (1, 1)): 1}).coefficient(x=9, u=1) == 1
 
 
 def test_substitute_is_parity_checked():
@@ -198,7 +200,7 @@ def test_graded_commutativity_on_homogeneous_terms(a, b):
 
 @given(a=multivectors())
 def test_odd_part_squares_to_zero(a):
-    odd_terms = {e: c for e, c in a.terms.items() if sum(e[1:]) % 2 == 1}
+    odd_terms = {e: c for e, c in a.terms.items() if sum(x for i, x in e if i > 0) % 2 == 1}
     odd = Multivector(MIXED, odd_terms)
     assert (odd * odd).is_zero()
 
@@ -219,7 +221,7 @@ def test_berezin_equals_left_derivative(a):
 @given(a=multivectors())
 def test_berezin_translation_invariance(a):
     # Restrict to integrands free of v, then shift u by v.
-    free = Multivector(MIXED, {e: c for e, c in a.terms.items() if e[2] == 0})
+    free = Multivector(MIXED, {e: c for e, c in a.terms.items() if all(i != 2 for i, _ in e)})
     shifted = free.substitute({"u": MIXED.gen("u") + MIXED.gen("v")})
     assert berezin_integral(shifted, ["u"]) == berezin_integral(free, ["u"])
 

@@ -257,7 +257,8 @@ def test_structure_constants_of_symbol_composition():
     )
 
 
-_BASIS_EXPS = ((0, 0), (1, 0), (0, 1), (1, 1))  # (xi, xibar) exponents of 1, ξ, ξ̄, ξξ̄
+# The monomials 1, ξ, ξ̄, ξξ̄, from their (xi, xibar) exponents.
+_BASIS_EXPS = tuple(SYMBOL_TABLE.monomial(e) for e in ((0, 0), (1, 0), (0, 1), (1, 1)))
 
 
 @given(m1=matrix_st, m2=matrix_st)

@@ -39,17 +39,25 @@ def make_context() -> SymbolContext:
 
 CTX = make_context()
 
-ATOMS = ["q", "p", "dot(q)", "dot(p)", "u", "ubar", "w", "i", "2/3", "-1"]
+ATOMS = [
+    "q", "p", "dot(q)", "dot(p)", "u", "ubar", "dot(u)", "dot(ubar)", "w", "i", "2/3", "-1",
+]
+
+
+@st.composite
+def terms(draw):
+    """A coefficient times a product of atoms: one monomial, or zero."""
+    term = CTX.const(draw(st.fractions(min_value=-3, max_value=3, max_denominator=4)))
+    for atom in draw(st.lists(st.sampled_from(ATOMS), min_size=0, max_size=3)):
+        term = term * CTX.parse(atom)
+    return term
 
 
 @st.composite
 def polynomials(draw):
     total = CTX.zero()
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        term = CTX.const(draw(st.fractions(min_value=-3, max_value=3, max_denominator=4)))
-        for atom in draw(st.lists(st.sampled_from(ATOMS), min_size=0, max_size=3)):
-            term = term * CTX.parse(atom)
-        total = total + term
+        total = total + draw(terms())
     return total
 
 
@@ -199,3 +207,22 @@ def test_double_odd_derivative_vanishes(a):
 @given(a=polynomials())
 def test_round_trip_through_text(a):
     assert CTX.parse(format_poly(a)) == a
+
+
+@given(a=polynomials(), b=polynomials(), c=polynomials())
+def test_product_is_associative(a, b, c):
+    assert (a * b) * c == a * (b * c)
+
+
+@given(a=terms(), b=terms())
+def test_graded_commutativity_on_homogeneous_terms(a, b):
+    sign = -1 if (a.parity() == 1 and b.parity() == 1) else 1
+    assert a * b == (b * a) * sign
+
+
+@given(a=terms(), b=polynomials(), key=st.sampled_from([("u", 0), ("u", 1), ("q", 0), ("q", 1)]))
+def test_partial_derivative_leibniz(a, b, key):
+    sign = -1 if a.parity() == 1 and CTX.decl(key[0]).parity == "odd" else 1
+    lhs = partial_derivative(a * b, *key)
+    rhs = partial_derivative(a, *key) * b + (a * partial_derivative(b, *key)) * sign
+    assert lhs == rhs
