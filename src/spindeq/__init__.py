@@ -60,6 +60,7 @@ from .superfield import (
     DequantizationCase,
     DequantizationResult,
     FieldFamily,
+    OMEGA_CANONICAL,
     Superfield,
     builtin_hamiltonian,
     builtin_hamiltonians,
@@ -95,7 +96,6 @@ from .quantum import (
 )
 from .cpi import (
     DEFAULT_EVEN_TRUNCATION,
-    OMEGA_CANONICAL,
     CpiSpec,
     FourierWavefunction,
     LiouvilleOperator,

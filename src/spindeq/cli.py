@@ -122,6 +122,8 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 def _cmd_verify_dequantization(args):
     case = superfield.get_case(args.case)
+    if args.gamma and case.shift is None:
+        raise ValueError(f"--gamma: case {case.name!r} has no one-form shift")
     ctx = case.context
     hamiltonian = None
     if args.lagrangian:

@@ -1,8 +1,15 @@
 """Classical-path-integral (CPI) engine for the three cases.
 
 Symbolic side: builders for the CPI kinetic term, the CPI Hamiltonian
-generated by a phase-space Hamiltonian, and their difference (the CPI
-Lagrangian).  These are what ``superfield.dequantize`` must reproduce.
+generated by a phase-space Hamiltonian H, and their difference (the CPI
+Lagrangian).  These are what ``superfield.dequantize`` must reproduce.  The
+CPI Hamiltonian of every case is one formula over the case's symplectic
+form ω,
+
+    H̃ = λ_a ω^{ab} ∂_b H + i c̄_a ω^{ad} (∂_b ∂_d H) c^b,
+
+with left derivatives, ∂_d taken first; for odd base fields that order
+carries the graded sign.
 
 Numeric side: the CPI Hamiltonian realized as an operator on wavefunctions
 over the enlarged space (fields and ghosts).  Auxiliary and antighost
@@ -48,10 +55,8 @@ from .grassmann import (
     GrassmannOperator,
     Multivector,
 )
-from .superfield import get_case
-from .symbols import GradedPolynomial, bind_constants, partial_derivative
-
-OMEGA_CANONICAL = ((0, 1), (-1, 0))
+from .superfield import builtin_hamiltonian, get_case
+from .symbols import GradedPolynomial, bind_constants, format_poly, partial_derivative
 
 DEFAULT_EVEN_TRUNCATION = 4
 
@@ -73,62 +78,38 @@ def cpi_kinetic(case) -> GradedPolynomial:
 
 
 def cpi_hamiltonian(case, hamiltonian: GradedPolynomial) -> GradedPolynomial:
-    """CPI Hamiltonian generated by a phase-space Hamiltonian.
+    """CPI Hamiltonian generated by a phase-space Hamiltonian H, with ω the
+    case's symplectic form:
 
-    Even base fields (bosonic, coadjoint), with ω the canonical symplectic
-    matrix on (first, second):
+        H̃ = Σ_ab aux_a ω^{ab} ∂_b H + i Σ_abd antighost_a ω^{ad} (∂_b ∂_d H) ghost_b
 
-        H̃ = Σ_ab aux_a ω^{ab} ∂_b H + i Σ_abd antighost_a ω^{ad} (∂_d ∂_b H) ghost_b
-
-    Odd base fields (grassmann): supported for the bilinear family
-    H = α + β·ξξ̄, whose equations of motion are ξ̇ = iβξ, ξ̄̇ = −iβξ̄:
-
-        H̃ = iβ(aux_ξ·ξ − aux_ξ̄·ξ̄ + i·antighost_ξ·ghost_ξ − i·antighost_ξ̄·ghost_ξ̄)
+    Derivatives are left derivatives and ∂_b ∂_d H differentiates by d
+    first; that order carries the graded sign for odd base fields.  H must
+    be even and use only base fields and even constants, undotted; anything
+    else raises :class:`UnsupportedCaseError`.
     """
     case = get_case(case)
     ctx = case.context
-    if case.base_parity == EVEN:
-        fams = case.families
-        out = ctx.zero()
-        i = ctx.imaginary()
-        for a in range(2):
-            for b in range(2):
-                w = OMEGA_CANONICAL[a][b]
-                if not w:
-                    continue
-                db = partial_derivative(hamiltonian, fams[b].base)
-                out = out + CRational(w) * (ctx.sym(fams[a].aux) * db)
-        for a in range(2):
-            for d in range(2):
-                w = OMEGA_CANONICAL[a][d]
-                if not w:
-                    continue
-                for b in range(2):
-                    hdb = partial_derivative(
-                        partial_derivative(hamiltonian, fams[b].base), fams[d].base
-                    )
-                    if hdb.is_zero():
-                        continue
-                    out = out + CRational(w) * (
-                        i * ctx.sym(fams[a].antighost) * hdb * ctx.sym(fams[b].ghost)
-                    )
-        return out
-    xi, xibar = case.families
-    beta = partial_derivative(partial_derivative(hamiltonian, xi.base), xibar.base)
-    rest = hamiltonian - beta * (ctx.sym(xi.base) * ctx.sym(xibar.base))
-    odd_names = (xi.base, xibar.base)
-    if rest.degree_in(odd_names) > 0 or beta.degree_in(odd_names) > 0:
+    allowed = {(name, 0) for name in case.base_names + case.constants}
+    odd_part = hamiltonian.parity() != 0 and not hamiltonian.is_zero()
+    if odd_part or hamiltonian.symbols_used() - allowed:
         raise UnsupportedCaseError(
-            "odd-field CPI Hamiltonian supported only for H = const + beta*xi*xibar"
+            f"the CPI Hamiltonian needs an even H in {list(case.base_names)} and the "
+            f"constants; got {format_poly(hamiltonian)}"
         )
+    fams = case.families
     i = ctx.imaginary()
-    core = (
-        ctx.sym(xi.aux) * ctx.sym(xi.base)
-        - ctx.sym(xibar.aux) * ctx.sym(xibar.base)
-        + i * ctx.sym(xi.antighost) * ctx.sym(xi.ghost)
-        - i * ctx.sym(xibar.antighost) * ctx.sym(xibar.ghost)
-    )
-    return i * beta * core
+    out = ctx.zero()
+    for fa, row in zip(fams, case.omega):
+        for w, fd in zip(row, fams):
+            if not w:
+                continue
+            grad = partial_derivative(hamiltonian, fd.base)
+            out = out + w * (ctx.sym(fa.aux) * grad)
+            for fb in fams:
+                hess = partial_derivative(grad, fb.base)
+                out = out + w * (i * ctx.sym(fa.antighost) * hess * ctx.sym(fb.ghost))
+    return out
 
 
 def cpi_lagrangian(case, hamiltonian: GradedPolynomial) -> GradedPolynomial:
@@ -157,8 +138,7 @@ class CpiSpec:
     bound Hamiltonian is the one source of every rate that transport uses.
     Without ``hamiltonian`` a case takes its stock one: the harmonic
     oscillator, −(w/2)(1 − 2ξξ̄), or −μB·η.  ``truncation`` is the total
-    base-field degree of the spectrum basis and bounds the degree of the
-    Hamiltonian.
+    base-field degree of the spectrum basis.
     """
 
     case: str
@@ -167,22 +147,14 @@ class CpiSpec:
     truncation: int = DEFAULT_EVEN_TRUNCATION
 
     def __post_init__(self):
-        case = get_case(self.case)
+        get_case(self.case)
         if self.truncation < 1:
             raise ValueError("truncation must be at least 1")
-        if self.hamiltonian is not None:
-            degree = self.hamiltonian.degree_in(case.base_names)
-            if degree > self.truncation:
-                raise ValueError(
-                    f"Hamiltonian degree {degree} exceeds truncation {self.truncation}"
-                )
 
     def bound_hamiltonian(self) -> GradedPolynomial:
         case = get_case(self.case)
         h = self.hamiltonian
         if h is None:
-            from .superfield import builtin_hamiltonian
-
             h = builtin_hamiltonian(case, "spin" if case.name != "bosonic" else "harmonic")
         values = {k: _exactify(v) for k, v in (self.coefficients or {}).items()}
         h = bind_constants(h, values)
@@ -477,7 +449,7 @@ def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = No
 
 
 def _linear_flow(case, h: GradedPolynomial, t: float) -> np.ndarray:
-    """exp(t·Ω·Hess h) on (first, second) base fields, for h at most
+    """exp(t·ω·Hess h) on (first, second) base fields, for h at most
     quadratic in them."""
     hess = np.zeros((2, 2))
     for a, fa in enumerate(case.families):
@@ -486,7 +458,7 @@ def _linear_flow(case, h: GradedPolynomial, t: float) -> np.ndarray:
             if not dd.is_constant():
                 raise UnsupportedCaseError("linear flow needs a quadratic Hamiltonian")
             hess[a, b] = float(complex(dd.constant_part()).real)
-    return expm(t * np.array(OMEGA_CANONICAL, dtype=float) @ hess)
+    return expm(t * np.array(case.omega, dtype=float) @ hess)
 
 
 def jacobi_fields(spec: CpiSpec, c0, t: float) -> tuple:

@@ -185,11 +185,19 @@ class Multivector(_graded.GradedElement):
         Every binding must be parity-homogeneous and match the parity of the
         generator it replaces.  ``table`` selects the target table (default:
         this one); unbound generators must exist in the target under the same
-        name.
+        name and parity.
         """
-        target = table if table is not None else self.table
-        bound = [(name, self.table.index(name), mv) for name, mv in bindings.items()]
-        return self._substitute(bound, target, lambda i: target.index(self.table[i].name))
+        source = self.table
+        target = table if table is not None else source
+        bound = [(name, source.index(name), mv) for name, mv in bindings.items()]
+
+        def rename(i):
+            j = target.index(source[i].name)
+            if target.is_odd[j] != source.is_odd[i]:
+                raise ParityError(f"generator {source[i].name!r} has another parity in the target")
+            return j
+
+        return self._substitute(bound, target, rename)
 
 
 def product(a: Multivector, b: Multivector) -> Multivector:

@@ -145,7 +145,7 @@ def check_observable_map(seed: int = 0) -> list[CheckResult]:
         f.base: sf for f, sf in zip(case.families, superfield.standard_superfields(case))
     }
     lifted = superfield.compose_observable(h, bindings)
-    via_integral = superfield.supertime_integral(lifted)
+    via_integral = superfield.supertime_integral(lifted, case.theta, case.thetabar)
     expected = ctx.parse("-muB*Lam_phi")
     out = [_exact_check("observable-map-liouville", expected, via_integral)]
     taylor = superfield.compose_observable_taylor(h, bindings)

@@ -3,10 +3,18 @@
 Each of the three cases (bosonic, grassmann, coadjoint) packages a phase
 space direction into a multiplet: the base field, its ghost, and the
 auxiliary/antighost pair of the conjugate direction, expanded in the two odd
-partners of time.  Replacing fields by superfields and integrating over the
-odd time partners maps a quantum Lagrangian to the classical-path-integral
-Lagrangian up to total time derivatives; ``dequantize`` performs the map and
-splits off the total-derivative part exactly.
+partners of time.  The cases differ only by their entry in one table of
+:class:`DequantizationCase`: symbols, odd time pair, symplectic form ω,
+kinetic term and stock Hamiltonians.  The superfield of a base field φ^a is
+one graded formula,
+
+    Φ^a = φ^a + θ c^a + θ̄ ω^{ab} c̄_b + (−1)^{|φ|} i θ̄θ ω^{ab} λ_b,
+
+with |φ| = 1 for odd base fields.  Replacing fields by superfields and
+integrating over the odd time partners maps a quantum Lagrangian to the
+classical-path-integral Lagrangian up to total time derivatives;
+``dequantize`` performs the map and splits off the total-derivative part
+exactly.
 
 Supertime measure convention: ``supertime_integral(thetabar*theta * X) =
 i*X`` (the rightmost measure acts first, as in :mod:`spindeq.grassmann`).
@@ -16,11 +24,12 @@ This is the sign under which the free-particle identity check passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from . import _graded
 from .errors import IdentityViolationError, UnsupportedCaseError
-from .exact import CRational
+from .exact import CRational, I
 from .symbols import (
     EVEN,
     ODD,
@@ -32,7 +41,7 @@ from .symbols import (
     substitute,
 )
 
-CASES = ("bosonic", "grassmann", "coadjoint")
+OMEGA_CANONICAL = ((0, 1), (-1, 0))
 
 
 @dataclass(frozen=True)
@@ -46,103 +55,11 @@ class FieldFamily:
 
 
 @dataclass(frozen=True)
-class DequantizationCase:
-    name: str
-    context: SymbolContext
-    families: tuple[FieldFamily, ...]
-    theta: str
-    thetabar: str
-    base_parity: str
-    constants: tuple[str, ...]
-
-    @property
-    def base_names(self) -> tuple[str, ...]:
-        return tuple(f.base for f in self.families)
-
-
-_REGISTRY: dict[str, DequantizationCase] = {}
-
-
-def _declare_case(name, families, theta, thetabar, base_parity, constants):
-    ctx = SymbolContext()
-    ghost_parity = EVEN if base_parity == ODD else ODD
-    aux_parity = base_parity
-    antighost_parity = ghost_parity
-    # Declaration order fixes the canonical monomial order: supertime pair,
-    # constants, then auxiliaries and antighosts (operator-like symbols)
-    # before the fields and ghosts they act on.
-    ctx.declare(theta, ODD, constant=True)
-    ctx.declare(thetabar, ODD, constant=True)
-    for c in constants:
-        ctx.declare(c, EVEN, constant=True)
-    for f in families:
-        ctx.declare(f.aux, aux_parity)
-    for f in families:
-        ctx.declare(f.antighost, antighost_parity)
-    for f in families:
-        ctx.declare(f.base, base_parity)
-    for f in families:
-        ctx.declare(f.ghost, ghost_parity)
-    case = DequantizationCase(
-        name, ctx, tuple(families), theta, thetabar, base_parity, tuple(constants)
-    )
-    _REGISTRY[name] = case
-    return case
-
-
-def get_case(case) -> DequantizationCase:
-    """Resolve a case name (or pass a DequantizationCase through)."""
-    if isinstance(case, DequantizationCase):
-        return case
-    if not _REGISTRY:
-        _declare_case(
-            "bosonic",
-            (
-                FieldFamily("q", "c_q", "lam_q", "cbar_q"),
-                FieldFamily("p", "c_p", "lam_p", "cbar_p"),
-            ),
-            "theta",
-            "thetabar",
-            EVEN,
-            ("alpha", "hbar"),
-        )
-        _declare_case(
-            "grassmann",
-            (
-                FieldFamily("xi", "c_xi", "lam_xi", "cbar_xi"),
-                FieldFamily("xibar", "c_xibar", "lam_xibar", "cbar_xibar"),
-            ),
-            "theta",
-            "thetabar",
-            ODD,
-            ("w", "hbar"),
-        )
-        _declare_case(
-            "coadjoint",
-            (
-                FieldFamily("phi", "c_phi", "Lam_phi", "cbar_phi"),
-                FieldFamily("eta", "c_eta", "Lam_eta", "cbar_eta"),
-            ),
-            "chi",
-            "chibar",
-            EVEN,
-            ("muB", "gamma", "hbar"),
-        )
-    try:
-        return _REGISTRY[case]
-    except KeyError:
-        raise UnsupportedCaseError(
-            f"unknown case {case!r}; expected one of {CASES}"
-        ) from None
-
-
-@dataclass(frozen=True)
 class Superfield:
     """Expansion of one field in the odd partners of time.
 
     ``polynomial = body + θ·theta_component + θ̄·thetabar_component
-    + θ̄θ·top_component``; the case-specific signs and factors of i live in
-    the components.
+    + θ̄θ·top_component``; ω and the graded sign live in the components.
     """
 
     base: str
@@ -153,75 +70,117 @@ class Superfield:
     polynomial: GradedPolynomial
 
 
-def _superfield(case, base, th_comp, thb_comp, top_comp) -> Superfield:
-    ctx = case.context
-    th = ctx.sym(case.theta)
-    thb = ctx.sym(case.thetabar)
-    body = ctx.sym(base)
-    base_parity = int(ctx.is_odd[ctx.slot(base)])
-    for comp, flip in ((body, 0), (th_comp, 1), (thb_comp, 1), (top_comp, 0)):
-        p = comp.parity()
-        if p is not None and p != (base_parity + flip) % 2:
-            raise ValueError(f"superfield component of {base!r} has wrong parity")
-    poly = body + th * th_comp + thb * thb_comp + (thb * th) * top_comp
-    return Superfield(base, body, th_comp, thb_comp, top_comp, poly)
+@dataclass(frozen=True)
+class DequantizationCase:
+    """Everything that differs between cases, one entry of the case table.
+
+    ``families`` names the symbols of each phase-space direction,
+    ``(theta, thetabar)`` is the odd time pair, and ``omega`` the symplectic
+    form ω^{ab} on the base fields.  ``kinetic`` is the first-order kinetic
+    term of the quantum Lagrangian and ``shift`` the optional one-form shift
+    added to it; ``hamiltonians`` lists the stock Hamiltonians as
+    ``(name, text)`` pairs.  The context and the superfields are derived
+    from these once.
+    """
+
+    name: str
+    families: tuple[FieldFamily, ...]
+    theta: str
+    thetabar: str
+    base_parity: str
+    constants: tuple[str, ...]
+    omega: tuple
+    kinetic: str
+    hamiltonians: tuple[tuple[str, str], ...]
+    shift: str | None = None
+
+    @property
+    def base_names(self) -> tuple[str, ...]:
+        return tuple(f.base for f in self.families)
+
+    @cached_property
+    def context(self) -> SymbolContext:
+        """The case's symbols.  Declaration order fixes the canonical
+        monomial order: supertime pair, constants, then auxiliaries and
+        antighosts (operator-like symbols) before the fields and ghosts they
+        act on."""
+        fams = self.families
+        ghost = EVEN if self.base_parity == ODD else ODD
+        return SymbolContext(
+            [(self.theta, ODD, True), (self.thetabar, ODD, True)]
+            + [(c, EVEN, True) for c in self.constants]
+            + [(f.aux, self.base_parity) for f in fams]
+            + [(f.antighost, ghost) for f in fams]
+            + [(f.base, self.base_parity) for f in fams]
+            + [(f.ghost, ghost) for f in fams]
+        )
+
+    @cached_property
+    def superfields(self) -> tuple[Superfield, ...]:
+        """One multiplet per base field, built once:
+
+            Φ^a = φ^a + θ c^a + θ̄ ω^{ab} c̄_b + (−1)^{|φ|} i θ̄θ ω^{ab} λ_b.
+
+        Bosonic: Q = q + θc^q + θ̄c̄_p + iθ̄θλ_p.  Grassmann, with
+        ω = ((0, −i), (−i, 0)): Ξ = ξ + θc^ξ − iθ̄c̄_ξ̄ − θ̄θλ_ξ̄.
+        """
+        ctx, fams = self.context, self.families
+        th, thb = ctx.sym(self.theta), ctx.sym(self.thetabar)
+        top = ctx.imaginary() * (-1 if self.base_parity == ODD else 1)
+        out = []
+        for fa, row in zip(fams, self.omega):
+            body, ghost = ctx.sym(fa.base), ctx.sym(fa.ghost)
+            antighost = sum((w * ctx.sym(fb.antighost) for w, fb in zip(row, fams)), ctx.zero())
+            aux = top * sum((w * ctx.sym(fb.aux) for w, fb in zip(row, fams)), ctx.zero())
+            poly = body + th * ghost + thb * antighost + (thb * th) * aux
+            out.append(Superfield(fa.base, body, ghost, antighost, aux, poly))
+        return tuple(out)
 
 
-_SUPERFIELDS: dict[str, list[Superfield]] = {}
+def _families(bases, aux="lam"):
+    return tuple(FieldFamily(b, f"c_{b}", f"{aux}_{b}", f"cbar_{b}") for b in bases)
+
+
+_TABLE = {
+    case.name: case
+    for case in (
+        DequantizationCase(
+            "bosonic", _families(("q", "p")), "theta", "thetabar", EVEN, ("alpha", "hbar"),
+            OMEGA_CANONICAL, "p*dot(q)",
+            (("free", "p^2/2"), ("harmonic", "p^2/2 + q^2/2"), ("quartic", "p^2/2 + q^4/4"),
+             ("bilinear", "alpha*q*p")),
+        ),
+        DequantizationCase(
+            "grassmann", _families(("xi", "xibar")), "theta", "thetabar", ODD, ("w", "hbar"),
+            ((0, -I), (-I, 0)), "i*xibar*dot(xi)", (("spin", "-(w/2)*(1 - 2*xi*xibar)"),),
+        ),
+        DequantizationCase(
+            "coadjoint", _families(("phi", "eta"), aux="Lam"), "chi", "chibar", EVEN,
+            ("muB", "gamma", "hbar"), OMEGA_CANONICAL, "eta*dot(phi)", (("spin", "-muB*eta"),),
+            shift="gamma*dot(phi)",
+        ),
+    )
+}
+
+CASES = tuple(_TABLE)
+
+
+def get_case(case) -> DequantizationCase:
+    """Resolve a case name (or pass a DequantizationCase through)."""
+    if isinstance(case, DequantizationCase):
+        return case
+    try:
+        return _TABLE[case]
+    except KeyError:
+        raise UnsupportedCaseError(
+            f"unknown case {case!r}; expected one of {CASES}"
+        ) from None
 
 
 def standard_superfields(case) -> list[Superfield]:
-    """The case's superfield multiplets, one per phase-space direction.
-
-    Bosonic/coadjoint pattern (even base fields):
-        Q  = q  + θ c^q  + θ̄ c̄_p − ... with the conjugate direction's
-        auxiliary and antighost entering with the symplectic sign.
-    Grassmann pattern (odd base fields):
-        Ξ  = ξ  + θ c^ξ  − i θ̄ c̄_ξ̄ − θ̄θ λ_ξ̄, and likewise for Ξ̄.
-    """
-    case = get_case(case)
-    cached = _SUPERFIELDS.get(case.name)
-    if cached is not None:
-        return cached
-    ctx = case.context
-    i = ctx.imaginary()
-    first, second = case.families
-    if case.base_parity == EVEN:
-        fields = [
-            _superfield(
-                case,
-                first.base,
-                ctx.sym(first.ghost),
-                ctx.sym(second.antighost),
-                i * ctx.sym(second.aux),
-            ),
-            _superfield(
-                case,
-                second.base,
-                ctx.sym(second.ghost),
-                -ctx.sym(first.antighost),
-                -i * ctx.sym(first.aux),
-            ),
-        ]
-    else:
-        fields = [
-            _superfield(
-                case,
-                first.base,
-                ctx.sym(first.ghost),
-                -i * ctx.sym(second.antighost),
-                -ctx.sym(second.aux),
-            ),
-            _superfield(
-                case,
-                second.base,
-                ctx.sym(second.ghost),
-                -i * ctx.sym(first.antighost),
-                -ctx.sym(first.aux),
-            ),
-        ]
-    _SUPERFIELDS[case.name] = fields
-    return fields
+    """The case's superfield multiplets, one per phase-space direction (see
+    :attr:`DequantizationCase.superfields`)."""
+    return list(get_case(case).superfields)
 
 
 def superfield_bindings(case) -> dict:
@@ -270,27 +229,13 @@ def compose_observable_taylor(h: GradedPolynomial, bindings: Mapping) -> GradedP
     return out
 
 
-def supertime_integral(
-    g: GradedPolynomial,
-    theta: str | None = None,
-    thetabar: str | None = None,
-    hbar: bool = False,
-) -> GradedPolynomial:
-    """i·∫dθdθ̄ g, the supertime part of the dequantization rule.
+def supertime_integral(g: GradedPolynomial, theta: str, thetabar: str) -> GradedPolynomial:
+    """i·∫dθdθ̄ g over the odd time pair ``(theta, thetabar)``, the supertime
+    part of the dequantization rule.
 
-    The rightmost measure integrates first, so this is i·∂_θ ∂_θ̄ g.  With
-    ``hbar=True`` the result carries the even constant symbol ``hbar``.
+    The rightmost measure integrates first, so this is i·∂_θ ∂_θ̄ g.
     """
-    ctx = g.context
-    if theta is None or thetabar is None:
-        if ctx.declared("chi"):
-            theta, thetabar = "chi", "chibar"
-        else:
-            theta, thetabar = "theta", "thetabar"
-    out = ctx.imaginary() * partial_derivative(partial_derivative(g, thetabar), theta)
-    if hbar:
-        out = ctx.sym("hbar") * out
-    return out
+    return g.context.imaginary() * partial_derivative(partial_derivative(g, thetabar), theta)
 
 
 class DequantizationResult(NamedTuple):
@@ -371,17 +316,7 @@ def _recognize_surface(raw: GradedPolynomial, case: DequantizationCase) -> Grade
 
 def builtin_hamiltonians(case) -> dict[str, str]:
     """Expression text for the stock Hamiltonians of each case."""
-    case = get_case(case)
-    if case.name == "bosonic":
-        return {
-            "free": "p^2/2",
-            "harmonic": "p^2/2 + q^2/2",
-            "quartic": "p^2/2 + q^4/4",
-            "bilinear": "alpha*q*p",
-        }
-    if case.name == "grassmann":
-        return {"spin": "-(w/2)*(1 - 2*xi*xibar)"}
-    return {"spin": "-muB*eta"}
+    return dict(get_case(case).hamiltonians)
 
 
 def builtin_hamiltonian(case, name: str) -> GradedPolynomial:
@@ -395,18 +330,20 @@ def builtin_hamiltonian(case, name: str) -> GradedPolynomial:
 
 
 def quantum_lagrangian(case, hamiltonian: GradedPolynomial, gamma: bool = False) -> GradedPolynomial:
-    """The first-order quantum Lagrangian whose dequantization we test.
+    """The first-order quantum Lagrangian whose dequantization we test: the
+    case's kinetic term minus H, plus its one-form shift when ``gamma`` is
+    set.
 
     bosonic:   L = p·q̇ − H
     grassmann: L = i ξ̄ ξ̇ − H
-    coadjoint: L = (γ+η)·φ̇ + μB·η  (γ term included when ``gamma`` is set;
-               the stock Hamiltonian is H = −μB·η)
+    coadjoint: L = (γ+η)·φ̇ − H  (γ term with ``gamma``; the stock
+               Hamiltonian is H = −μB·η)
     """
     case = get_case(case)
     ctx = case.context
-    if case.name == "bosonic":
-        return ctx.parse("p*dot(q)") - hamiltonian
-    if case.name == "grassmann":
-        return ctx.parse("i*xibar*dot(xi)") - hamiltonian
-    kinetic = ctx.parse("(gamma + eta)*dot(phi)" if gamma else "eta*dot(phi)")
+    kinetic = ctx.parse(case.kinetic)
+    if gamma:
+        if case.shift is None:
+            raise UnsupportedCaseError(f"case {case.name!r} has no one-form shift")
+        kinetic = kinetic + ctx.parse(case.shift)
     return kinetic - hamiltonian

@@ -54,6 +54,8 @@ def test_domain_errors_exit_one(capsys):
         (["propagate-quantum", "--b", "0,0,1", "--t", "1", "--slices", "x"], "--slices"),
         (["propagate-classical", "--case", "bosonic", "--truncation", "0"], "--truncation"),
         (["propagate-classical", "--case", "bosonic", "--truncation", "17"], "--truncation"),
+        (["verify-dequantization", "--case", "bosonic", "--gamma"], "--gamma"),
+        (["verify-dequantization", "--case", "grassmann", "--gamma"], "--gamma"),
     )
     for argv, flag in rejected:
         assert main(argv) == 1, argv
@@ -217,6 +219,58 @@ def test_all_reports_83_unique_checks_and_its_seed(tmp_path, capsys):
     names = [c["name"] for c in report["checks"]]
     assert len(names) == len(set(names)) == 83
     assert report["parameters"] == {"seed": 4}
+
+
+ALL_ROW_NAMES = (
+    [f"bosonic-{h}-{part}" for h in ("free", "harmonic", "quartic", "bilinear")
+     for part in ("cpi", "surface")]
+    + ["grassmann-spin-cpi", "grassmann-spin-surface", "coadjoint-cpi", "coadjoint-surface",
+       "coadjoint-gamma-cpi", "coadjoint-gamma-extra", "observable-map-liouville",
+       "observable-map-taylor-route", "isomorphism-Sx", "isomorphism-Sy", "isomorphism-Sz",
+       "isomorphism-N", "su2-commutator-xy", "su2-commutator-yz", "su2-commutator-zx",
+       "isomorphism-hamiltonian-50-fields"]
+    + [f"slicing-{field}-{row}" for field in ("axis-field", "generic-field")
+       for row in ("error-at-1000", "ratio-125", "ratio-250", "ratio-500", "monotone")]
+    + ["dirac-canonical-pair", "dirac-constraints-vanish", "dirac-so3-relations",
+       "precession-height-equation", "precession-angle-equation", "precession-period-identity",
+       "precession-height-conserved", "precession-energy-conserved",
+       "precession-flow-composition"]
+    + [f"cpi-coadjoint-packet-center-{n}" for n in range(5)]
+    + ["cpi-coadjoint-eta-marginal-invariant", "cpi-coadjoint-period-identity",
+       "cpi-coadjoint-ghosts-constant", "cpi-coadjoint-norm-preserved"]
+    + [f"cpi-grassmann-eigen-({a}, {b}, {j}, {k})" for a in (0, 1) for b in (0, 1)
+       for j in (0, 1, 2) for k in (0, 1)]
+    + ["cpi-grassmann-phase-xi-cxi", "cpi-grassmann-constant-annihilated"]
+    + [f"cpi-bosonic-transport-{n}" for n in range(5)]
+)
+
+
+def test_all_rows_keep_their_names_and_order(tmp_path, capsys):
+    out = tmp_path / "all.json"
+    assert main(["all", "--seed", "0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert [c["name"] for c in json.loads(out.read_text())["checks"]] == ALL_ROW_NAMES
+    assert len(ALL_ROW_NAMES) == 83
+
+
+def test_explicit_hamiltonian_at_truncation_one_gives_the_stock_rows(tmp_path, capsys):
+    # The stock harmonic oscillator, spelled out, must not be held to the
+    # spectrum basis degree: T bounds the basis, not the Hamiltonian.
+    base = ["propagate-classical", "--case", "bosonic", "--truncation", "1", "--seed", "3"]
+    stock, explicit = tmp_path / "stock.json", tmp_path / "explicit.json"
+    assert main(base + ["--out", str(stock)]) == 0
+    assert main(base + ["--hamiltonian", "p^2/2+q^2/2", "--out", str(explicit)]) == 0
+    capsys.readouterr()
+    rows = [json.loads(path.read_text())["checks"] for path in (stock, explicit)]
+    assert rows[0] == rows[1] and len(rows[0]) == 5
+
+
+def test_off_phase_space_hamiltonians_are_rejected(capsys):
+    for case, text in (("bosonic", "c_q*q"), ("coadjoint", "c_phi*eta^2")):
+        assert main(["verify-dequantization", "--case", case, "--hamiltonian", text]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the CPI Hamiltonian needs an even H")
 
 
 def test_report_round_trip(tmp_path, capsys):

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spindeq import (
     CpiSpec,
@@ -61,6 +63,37 @@ def test_grassmann_hamiltonian_requires_bilinear_form():
         cpi_hamiltonian(case, case.context.parse("w*xi"))
 
 
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@given(alpha=rationals, beta=rationals)
+def test_grassmann_hamiltonian_matches_its_closed_form(alpha, beta):
+    # The most general even H in two odd generators, against the closed form
+    # read off its equations of motion ξ̇ = iβξ, ξ̄̇ = −iβξ̄.
+    case = get_case("grassmann")
+    ctx = case.context
+    sym = ctx.sym
+    h = ctx.const(alpha) + beta * (sym("xi") * sym("xibar"))
+    i = ctx.imaginary()
+    closed = (i * beta) * (
+        sym("lam_xi") * sym("xi")
+        - sym("lam_xibar") * sym("xibar")
+        + i * sym("cbar_xi") * sym("c_xi")
+        - i * sym("cbar_xibar") * sym("c_xibar")
+    )
+    assert cpi_hamiltonian(case, h) == closed
+
+
+@pytest.mark.parametrize(
+    "case_name, text",
+    [("bosonic", "c_q*q"), ("coadjoint", "c_phi*eta^2"), ("bosonic", "dot(q)*p")],
+)
+def test_cpi_hamiltonian_rejects_symbols_off_phase_space(case_name, text):
+    case = get_case(case_name)
+    with pytest.raises(UnsupportedCaseError):
+        cpi_hamiltonian(case, case.context.parse(text))
+
+
 def test_lagrangian_is_kinetic_minus_hamiltonian():
     for name, key in [("bosonic", "harmonic"), ("grassmann", "spin"), ("coadjoint", "spin")]:
         case = get_case(name)
@@ -72,8 +105,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         CpiSpec("bosonic", truncation=0)
     ctx = get_case("bosonic").context
-    with pytest.raises(ValueError):
-        CpiSpec("bosonic", hamiltonian=ctx.parse("q^5"), truncation=4)
+    with pytest.raises(UnsupportedCaseError):
+        build_cpi_hamiltonian(CpiSpec("bosonic", hamiltonian=ctx.parse("q^5"), truncation=4))
 
 
 def test_spec_binds_constants_exactly():

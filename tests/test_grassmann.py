@@ -128,6 +128,14 @@ def test_substitute_is_parity_checked():
         MIXED.gen("u").substitute({"u": MIXED.gen("x")})
 
 
+def test_substitute_into_another_table_keeps_unbound_parities():
+    # An odd generator renamed onto an even one would square to a^2, not 0.
+    with pytest.raises(ParityError):
+        GeneratorTable.odd("a").gen("a").substitute({}, table=GeneratorTable([("a", EVEN)]))
+    moved = MIXED.gen("u").substitute({}, table=GeneratorTable([("u", ODD)]))
+    assert (moved * moved).is_zero()
+
+
 def test_table_mismatch_rejected():
     with pytest.raises(TableMismatchError):
         PAIR.gen("xi") + MIXED.gen("u")

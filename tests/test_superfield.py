@@ -102,17 +102,10 @@ def test_bindings_include_time_derivatives():
 
 def test_supertime_integral_picks_top_component():
     ctx = get_case("bosonic").context
-    assert supertime_integral(ctx.parse("thetabar*theta*q")) == ctx.parse("i*q")
-    assert supertime_integral(ctx.parse("theta*thetabar*q")) == ctx.parse("-i*q")
-    assert supertime_integral(ctx.parse("q*p + theta*c_q")).is_zero()
-    assert supertime_integral(ctx.parse("thetabar*theta*q"), hbar=True) == ctx.parse(
-        "i*hbar*q"
-    )
-
-
-def test_supertime_integral_autodetects_odd_pair():
-    ctx = get_case("coadjoint").context
-    assert supertime_integral(ctx.parse("chibar*chi*eta")) == ctx.parse("i*eta")
+    pair = ("theta", "thetabar")
+    assert supertime_integral(ctx.parse("thetabar*theta*q"), *pair) == ctx.parse("i*q")
+    assert supertime_integral(ctx.parse("theta*thetabar*q"), *pair) == ctx.parse("-i*q")
+    assert supertime_integral(ctx.parse("q*p + theta*c_q"), *pair).is_zero()
 
 
 def test_grassmann_substitution_term_count():
@@ -167,7 +160,9 @@ def test_dequantize_splits_exactly():
         case = get_case(name)
         h = builtin_hamiltonian(name, "spin" if name != "bosonic" else "harmonic")
         l = quantum_lagrangian(case, h)
-        raw = supertime_integral(substitute(l, superfield_bindings(case)))
+        raw = supertime_integral(
+            substitute(l, superfield_bindings(case)), case.theta, case.thetabar
+        )
         result = dequantize(l, case)
         assert result.cpi_lagrangian + result.surface_term == raw
         assert result.cpi_lagrangian == cpi_lagrangian(case, h)
@@ -187,3 +182,10 @@ def test_dequantize_rejects_non_lagrangian_input():
     with pytest.raises(IdentityViolationError) as err:
         dequantize(case.context.parse("dot(lam_p)*dot(q)"), case)
     assert "residual" in err.value.payload
+
+
+def test_quantum_lagrangian_rejects_a_shift_the_case_lacks():
+    for name in ("bosonic", "grassmann"):
+        h = builtin_hamiltonian(name, next(iter(builtin_hamiltonians(name))))
+        with pytest.raises(UnsupportedCaseError):
+            quantum_lagrangian(name, h, gamma=True)
