@@ -61,15 +61,12 @@ from .superfield import (
     DequantizationResult,
     FieldFamily,
     OMEGA_CANONICAL,
-    Superfield,
     builtin_hamiltonian,
     builtin_hamiltonians,
-    compose_observable,
     compose_observable_taylor,
     dequantize,
     get_case,
     quantum_lagrangian,
-    standard_superfields,
     superfield_bindings,
     supertime_integral,
 )

@@ -122,18 +122,25 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 def _cmd_verify_dequantization(args):
     case = superfield.get_case(args.case)
+    given = [
+        f"--{name}" for name in ("hamiltonian", "builtin", "gamma")
+        if getattr(args, name) not in (None, False)
+    ]
+    if args.lagrangian is not None and given:
+        raise ValueError(f"--lagrangian cannot be combined with {', '.join(given)}")
+    if args.hamiltonian is not None and args.builtin is not None:
+        raise ValueError("--hamiltonian cannot be combined with --builtin")
     if args.gamma and case.shift is None:
         raise ValueError(f"--gamma: case {case.name!r} has no one-form shift")
     ctx = case.context
     hamiltonian = None
-    if args.lagrangian:
+    if args.lagrangian is not None:
         lagrangian = ctx.parse(args.lagrangian)
     else:
-        if args.hamiltonian:
+        if args.hamiltonian is not None:
             hamiltonian = ctx.parse(args.hamiltonian)
         else:
-            builtin = args.builtin or next(iter(superfield.builtin_hamiltonians(case)))
-            hamiltonian = superfield.builtin_hamiltonian(case, builtin)
+            hamiltonian = superfield.builtin_hamiltonian(case, args.builtin)
         lagrangian = superfield.quantum_lagrangian(case, hamiltonian, gamma=args.gamma)
     cpi_l, surface = superfield.dequantize(lagrangian, case)
     checks = suite.check_dequantization(case, lagrangian, cpi_l, surface, hamiltonian)
@@ -171,13 +178,23 @@ def _cmd_propagate_quantum(args):
 
 def _cmd_propagate_classical(args):
     case = superfield.get_case(args.case)
+    if args.hamiltonian is not None:
+        hamiltonian = case.context.parse(args.hamiltonian)
+    else:
+        hamiltonian = superfield.builtin_hamiltonian(case)
+    in_use = {name for name, _dot in hamiltonian.symbols_used()}
+    for flag, dest, constant in (("--omega", "omega", "w"), ("--muB", "muB", "muB")):
+        if not case.context.declared(constant):
+            if getattr(args, dest) is not None:
+                raise ValueError(f"{flag}: case {case.name!r} has no constant {constant!r}")
+        elif getattr(args, dest) is None and constant in in_use:
+            setattr(args, dest, 1.0)  # the default, recorded only where H uses it
     supplied = {"muB": args.muB, "w": args.omega, "alpha": 1}
     coefficients = {
-        name: value for name, value in supplied.items() if case.context.declared(name)
+        name: value
+        for name, value in supplied.items()
+        if value is not None and case.context.declared(name)
     }
-    hamiltonian = None
-    if args.hamiltonian:
-        hamiltonian = case.context.parse(args.hamiltonian)
     spec = cpi.CpiSpec(
         case.name,
         hamiltonian=hamiltonian,
@@ -233,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", required=True, choices=superfield.CASES)
     p.add_argument("--hamiltonian", help="expression over the case's base fields")
     p.add_argument("--builtin", help="name of a stock Hamiltonian")
-    p.add_argument("--lagrangian", help="full Lagrangian expression (overrides the rest)")
+    p.add_argument("--lagrangian", help="full Lagrangian expression (takes no other input flag)")
     p.add_argument("--gamma", action="store_true", help="include the symbolic one-form shift")
     p.add_argument("--report", dest="report_path", help="write the JSON report here")
     p.set_defaults(handler=_cmd_verify_dequantization)
@@ -248,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("propagate-classical", help="CPI transport against classical flow")
     p.add_argument("--case", required=True, choices=superfield.CASES)
-    p.add_argument("--omega", type=float, default=1.0, help="precession rate (odd case)")
-    p.add_argument("--muB", type=float, default=1.0)
+    p.add_argument("--omega", type=float, help="precession rate w (grassmann only; default 1)")
+    p.add_argument("--muB", type=float, help="coupling muB (coadjoint only; default 1)")
     p.add_argument("--t", type=float, default=0.7)
     p.add_argument(
         "--truncation",

@@ -136,7 +136,7 @@ class CpiSpec:
     ``hamiltonian`` is a polynomial over the case's base fields, possibly
     with constant symbols; ``coefficients`` binds those to numbers, and the
     bound Hamiltonian is the one source of every rate that transport uses.
-    Without ``hamiltonian`` a case takes its stock one: the harmonic
+    Without ``hamiltonian`` a case takes its default stock one: the harmonic
     oscillator, −(w/2)(1 − 2ξξ̄), or −μB·η.  ``truncation`` is the total
     base-field degree of the spectrum basis.
     """
@@ -153,9 +153,7 @@ class CpiSpec:
 
     def bound_hamiltonian(self) -> GradedPolynomial:
         case = get_case(self.case)
-        h = self.hamiltonian
-        if h is None:
-            h = builtin_hamiltonian(case, "spin" if case.name != "bosonic" else "harmonic")
+        h = self.hamiltonian if self.hamiltonian is not None else builtin_hamiltonian(case)
         values = {k: _exactify(v) for k, v in (self.coefficients or {}).items()}
         h = bind_constants(h, values)
         leftover = [
@@ -449,45 +447,47 @@ def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = No
 
 
 def _linear_flow(case, h: GradedPolynomial, t: float) -> np.ndarray:
-    """exp(t·ω·Hess h) on (first, second) base fields, for h at most
-    quadratic in them."""
-    hess = np.zeros((2, 2))
-    for a, fa in enumerate(case.families):
-        for b, fb in enumerate(case.families):
-            dd = partial_derivative(partial_derivative(h, fb.base), fa.base)
+    """exp(t·M) on the (first, second) base fields, with the graded Hessian
+
+        M^a_d = ω^{ab} ∂_d ∂_b H,
+
+    ∂_b taken first, for h at most quadratic in them.  For even fields M is
+    ω times the symmetric Hessian; for odd ones the order carries the sign.
+    """
+    fams = case.families
+    hess = np.zeros((2, 2), dtype=complex)
+    for b, fb in enumerate(fams):
+        grad = partial_derivative(h, fb.base)
+        for d, fd in enumerate(fams):
+            dd = partial_derivative(grad, fd.base)
             if not dd.is_constant():
                 raise UnsupportedCaseError("linear flow needs a quadratic Hamiltonian")
-            hess[a, b] = float(complex(dd.constant_part()).real)
-    return expm(t * np.array(case.omega, dtype=float) @ hess)
+            hess[b, d] = complex(dd.constant_part())
+    return expm(t * np.array(case.omega, dtype=complex) @ hess)
 
 
 def jacobi_fields(spec: CpiSpec, c0, t: float) -> tuple:
-    """Closed-form ghost transport along the classical flow.
+    """Ghost transport along the classical flow, exp(t·M)·c₀ with the
+    graded Hessian M^a_d = ω^{ab} ∂_d ∂_b H of every case.
 
-    grassmann: (e^{iωt}c₀, e^{−iωt}c₁) with ω the bilinear coefficient.
-    bosonic and coadjoint: exp(t·Ω·Hess H) applied to c₀; for the coadjoint
-    H = −μB·η the Hessian is 0, so the ghosts stay constant.
+    grassmann: (e^{iωt}c₀, e^{−iωt}c₁) with ω the bilinear coefficient; for
+    the coadjoint H = −μB·η the Hessian is 0, so the ghosts stay constant.
     """
     case = get_case(spec.case)
     c0 = tuple(complex(v) for v in c0)
     if len(c0) != 2:
         raise ValueError("expected one ghost component per phase-space direction")
-    if case.name == "grassmann":
-        w = _rate(spec)
-        return (c0[0] * cmath.exp(1j * w * t), c0[1] * cmath.exp(-1j * w * t))
     moved = _linear_flow(case, spec.bound_hamiltonian(), t) @ np.array(c0)
     return (complex(moved[0]), complex(moved[1]))
 
 
 def flow_matrix(spec: CpiSpec, t: float) -> np.ndarray:
-    """Linear classical flow on (first, second) base fields; bosonic only.
+    """Linear classical flow on (first, second) base fields.
 
     Requires a homogeneous quadratic Hamiltonian so that fields and ghosts
     share one linear flow.
     """
     case = get_case(spec.case)
-    if case.name != "bosonic":
-        raise UnsupportedCaseError("linear flow matrix is for the bosonic case")
     h = spec.bound_hamiltonian()
     for f in case.families:
         if partial_derivative(h, f.base).constant_part():

@@ -33,8 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParityError
-from .exact import CRational, crational
+from .exact import CRational, I
 from .grassmann import (
     GeneratorTable,
     GrassmannOperator,
@@ -53,16 +52,6 @@ _COMPOSE_TABLE = GeneratorTable.odd("xi", "xibar", "xip", "xibarp")
 # Monomials 1, g0, g1, g0·g1 over the first two generators of a table: 1, ξ,
 # ξ̄, ξξ̄ of a symbol, 1, ξ, ξ′, ξξ′ of a kernel, and 1, ξ of a wavefunction.
 _BASIS = tuple(SYMBOL_TABLE.monomial(e) for e in ((0, 0), (1, 0), (0, 1), (1, 1)))
-
-
-def _is_exact(value) -> bool:
-    return isinstance(value, (int, Fraction, CRational))
-
-
-def _lift(value, exact: bool):
-    if exact:
-        return crational(value)
-    return complex(value)
 
 
 @dataclass(frozen=True)
@@ -96,9 +85,6 @@ class MagneticField:
                 return float(p)
 
         return cls(*(component(p) for p in parts), mu_b=mu_b)
-
-    def is_exact(self) -> bool:
-        return all(_is_exact(v) for v in (self.bx, self.by, self.bz, self.mu_b))
 
     def norm(self) -> float:
         return math.hypot(float(self.bx), float(self.by), float(self.bz))
@@ -157,6 +143,14 @@ class SpinOperator:
         return np.array([[complex(v) for v in row] for row in self.matrix])
 
 
+def _words(alpha, beta, gamma, delta) -> GrassmannOperator:
+    """The normal-ordered word operator α + β·ξ̂ + γ·ξ̄̂ + δ·ξ̂ξ̄̂; zero
+    coefficients are left out."""
+    words = ((), (("mul", "xi"),), (("diff", "xi"),), (("mul", "xi"), ("diff", "xi")))
+    coeffs = (alpha, beta, gamma, delta)
+    return GrassmannOperator(WAVE_TABLE, [(c, w) for c, w in zip(coeffs, words) if c != 0])
+
+
 def operator_from_matrix(matrix) -> SpinOperator:
     """Normal-ordered word operator with the given matrix.
 
@@ -164,23 +158,7 @@ def operator_from_matrix(matrix) -> SpinOperator:
     the basis states 1 and ξ.
     """
     (a00, a01), (a10, a11) = matrix
-    alpha, beta, gamma, delta = a00, a10, a01, a11 - a00
-    terms = []
-    if not _zero(alpha):
-        terms.append((alpha, ()))
-    if not _zero(beta):
-        terms.append((beta, (("mul", "xi"),)))
-    if not _zero(gamma):
-        terms.append((gamma, (("diff", "xi"),)))
-    if not _zero(delta):
-        terms.append((delta, (("mul", "xi"), ("diff", "xi"))))
-    return SpinOperator(
-        ((a00, a01), (a10, a11)), GrassmannOperator(WAVE_TABLE, terms)
-    )
-
-
-def _zero(value) -> bool:
-    return value == 0
+    return SpinOperator(((a00, a01), (a10, a11)), _words(a00, a10, a01, a11 - a00))
 
 
 def spin_operators(hbar=1):
@@ -188,43 +166,24 @@ def spin_operators(hbar=1):
 
     Sx = (ħ/2)(ξ̄̂+ξ̂), Sy = (iħ/2)(ξ̂−ξ̄̂), Sz = ħN̂,
     N̂ = (ξ̄̂ξ̂ − ξ̂ξ̄̂)/2.  ħ defaults to 1 and may be any exact or float
-    scale.
+    scale; exact scales give exact entries.
     """
-    exact = _is_exact(hbar)
-    if exact:
-        h2 = crational(hbar) * CRational(Fraction(1, 2))
-        half = CRational(Fraction(1, 2))
-        i = CRational(0, 1)
-    else:
-        h2 = 0.5 * hbar
-        half = 0.5
-        i = 1j
-    mul = (("mul", "xi"),)
-    diff = (("diff", "xi"),)
-    raise_then_lower = (("diff", "xi"), ("mul", "xi"))  # ξ̄̂ξ̂: multiply first
-    lower_then_raise = (("mul", "xi"), ("diff", "xi"))  # ξ̂ξ̄̂: differentiate first
+    half = CRational(Fraction(1, 2))
+    h2, ih2 = half * hbar, I * (half * hbar)
     zero = h2 - h2
-    sx = SpinOperator(
-        ((zero, h2), (h2, zero)),
-        GrassmannOperator(WAVE_TABLE, [(h2, diff), (h2, mul)]),
+
+    def number(scale) -> GrassmannOperator:
+        """scale·(ξ̄̂ξ̂ − ξ̂ξ̄̂); ξ̄̂ξ̂ multiplies first, ξ̂ξ̄̂ differentiates first."""
+        raise_then_lower = (("diff", "xi"), ("mul", "xi"))
+        lower_then_raise = (("mul", "xi"), ("diff", "xi"))
+        return GrassmannOperator(WAVE_TABLE, [(scale, raise_then_lower), (-scale, lower_then_raise)])
+
+    return (
+        SpinOperator(((zero, h2), (h2, zero)), _words(0, h2, h2, 0)),
+        SpinOperator(((zero, -ih2), (ih2, zero)), _words(0, ih2, -ih2, 0)),
+        SpinOperator(((h2, zero), (zero, -h2)), number(h2)),
+        SpinOperator(((half, zero), (zero, -half)), number(half)),
     )
-    sy = SpinOperator(
-        ((zero, -(i * h2)), (i * h2, zero)),
-        GrassmannOperator(WAVE_TABLE, [(i * h2, mul), (-(i * h2), diff)]),
-    )
-    sz = SpinOperator(
-        ((h2, zero), (zero, -h2)),
-        GrassmannOperator(
-            WAVE_TABLE, [(h2, raise_then_lower), (-h2, lower_then_raise)]
-        ),
-    )
-    n = SpinOperator(
-        ((half, zero), (zero, -half)),
-        GrassmannOperator(
-            WAVE_TABLE, [(half, raise_then_lower), (-half, lower_then_raise)]
-        ),
-    )
-    return sx, sy, sz, n
 
 
 def hamiltonian(b: MagneticField) -> SpinOperator:
@@ -232,25 +191,14 @@ def hamiltonian(b: MagneticField) -> SpinOperator:
 
     Matrix: −μ_B [[Bz, Bx−iBy], [Bx+iBy, −Bz]].
     Words:  −μ_B [Bz + (Bx+iBy)·ξ̂ + (Bx−iBy)·ξ̄̂ − 2Bz·ξ̂ξ̄̂].
-    The two are built independently from the components.
+    The two are built independently from the components; exact components
+    give exact entries.
     """
-    exact = b.is_exact()
-    bx, by, bz, mu = (_lift(v, exact) for v in (b.bx, b.by, b.bz, b.mu_b))
-    i = CRational(0, 1) if exact else 1j
-    matrix = (
-        (-(mu * bz), -(mu * (bx - i * by))),
-        ((-(mu * (bx + i * by))), mu * bz),
-    )
-    terms = []
-    if not _zero(mu * bz):
-        terms.append((-(mu * bz), ()))
-    if not _zero(mu * (bx + i * by)):
-        terms.append((-(mu * (bx + i * by)), (("mul", "xi"),)))
-    if not _zero(mu * (bx - i * by)):
-        terms.append((-(mu * (bx - i * by)), (("diff", "xi"),)))
-    if not _zero(mu * bz):
-        terms.append((2 * (mu * bz), (("mul", "xi"), ("diff", "xi"))))
-    return SpinOperator(matrix, GrassmannOperator(WAVE_TABLE, terms))
+    z = b.mu_b * b.bz
+    plus = b.mu_b * (b.bx + I * b.by)
+    minus = b.mu_b * (b.bx - I * b.by)
+    matrix = ((-z, -minus), (-plus, z))
+    return SpinOperator(matrix, _words(-z, -plus, -minus, 2 * z))
 
 
 # -- symbol and kernel forms -------------------------------------------------------

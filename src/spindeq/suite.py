@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cpi, orbit, quantum, superfield
-from .exact import CRational
+from .exact import I
 from .symbols import format_poly, formal_time_derivative, substitute
 
 
@@ -141,10 +141,8 @@ def check_observable_map(seed: int = 0) -> list[CheckResult]:
     case = superfield.get_case("coadjoint")
     ctx = case.context
     h = ctx.parse("-muB*eta")
-    bindings = {
-        f.base: sf for f, sf in zip(case.families, superfield.standard_superfields(case))
-    }
-    lifted = superfield.compose_observable(h, bindings)
+    bindings = {f.base: sf for f, sf in zip(case.families, case.superfields)}
+    lifted = substitute(h, bindings)
     via_integral = superfield.supertime_integral(lifted, case.theta, case.thetabar)
     expected = ctx.parse("-muB*Lam_phi")
     out = [_exact_check("observable-map-liouville", expected, via_integral)]
@@ -173,6 +171,11 @@ def _forms_agree(op: quantum.SpinOperator) -> bool:
     return True
 
 
+def _matmul(a, b) -> tuple:
+    """Exact product of two 2×2 matrices given as nested tuples."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
 def check_isomorphism(seed: int = 0, samples: int = 50) -> list[CheckResult]:
     out = []
     sx, sy, sz, n = quantum.spin_operators()
@@ -189,21 +192,10 @@ def check_isomorphism(seed: int = 0, samples: int = 50) -> list[CheckResult]:
         )
     # su(2): [S_a, S_b] = i·S_c cyclically, checked in both forms.
     pairs = ((sx, sy, sz, "xy"), (sy, sz, sx, "yz"), (sz, sx, sy, "zx"))
-    i = CRational(0, 1)
     for a, b, c, label in pairs:
-        (m00, m01), (m10, m11) = a.matrix
-        (n00, n01), (n10, n11) = b.matrix
-        comm = (
-            (
-                m00 * n00 + m01 * n10 - (n00 * m00 + n01 * m10),
-                m00 * n01 + m01 * n11 - (n00 * m01 + n01 * m11),
-            ),
-            (
-                m10 * n00 + m11 * n10 - (n10 * m00 + n11 * m10),
-                m10 * n01 + m11 * n11 - (n10 * m01 + n11 * m11),
-            ),
-        )
-        expected = tuple(tuple(i * v for v in row) for row in c.matrix)
+        ab, ba = _matmul(a.matrix, b.matrix), _matmul(b.matrix, a.matrix)
+        comm = tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(ab, ba))
+        expected = tuple(tuple(I * v for v in row) for row in c.matrix)
         matrix_ok = comm == expected
         word_ok = True
         for state in (quantum.SpinState(1, 0), quantum.SpinState(0, 1)):

@@ -55,22 +55,6 @@ class FieldFamily:
 
 
 @dataclass(frozen=True)
-class Superfield:
-    """Expansion of one field in the odd partners of time.
-
-    ``polynomial = body + θ·theta_component + θ̄·thetabar_component
-    + θ̄θ·top_component``; ω and the graded sign live in the components.
-    """
-
-    base: str
-    body: GradedPolynomial
-    theta_component: GradedPolynomial
-    thetabar_component: GradedPolynomial
-    top_component: GradedPolynomial
-    polynomial: GradedPolynomial
-
-
-@dataclass(frozen=True)
 class DequantizationCase:
     """Everything that differs between cases, one entry of the case table.
 
@@ -79,8 +63,8 @@ class DequantizationCase:
     form ω^{ab} on the base fields.  ``kinetic`` is the first-order kinetic
     term of the quantum Lagrangian and ``shift`` the optional one-form shift
     added to it; ``hamiltonians`` lists the stock Hamiltonians as
-    ``(name, text)`` pairs.  The context and the superfields are derived
-    from these once.
+    ``(name, text)`` pairs, the case's default first.  The context and the
+    superfields are derived from these once.
     """
 
     name: str
@@ -116,8 +100,8 @@ class DequantizationCase:
         )
 
     @cached_property
-    def superfields(self) -> tuple[Superfield, ...]:
-        """One multiplet per base field, built once:
+    def superfields(self) -> tuple[GradedPolynomial, ...]:
+        """One superfield polynomial per base field, built once:
 
             Φ^a = φ^a + θ c^a + θ̄ ω^{ab} c̄_b + (−1)^{|φ|} i θ̄θ ω^{ab} λ_b.
 
@@ -132,8 +116,7 @@ class DequantizationCase:
             body, ghost = ctx.sym(fa.base), ctx.sym(fa.ghost)
             antighost = sum((w * ctx.sym(fb.antighost) for w, fb in zip(row, fams)), ctx.zero())
             aux = top * sum((w * ctx.sym(fb.aux) for w, fb in zip(row, fams)), ctx.zero())
-            poly = body + th * ghost + thb * antighost + (thb * th) * aux
-            out.append(Superfield(fa.base, body, ghost, antighost, aux, poly))
+            out.append(body + th * ghost + thb * antighost + (thb * th) * aux)
         return tuple(out)
 
 
@@ -147,7 +130,7 @@ _TABLE = {
         DequantizationCase(
             "bosonic", _families(("q", "p")), "theta", "thetabar", EVEN, ("alpha", "hbar"),
             OMEGA_CANONICAL, "p*dot(q)",
-            (("free", "p^2/2"), ("harmonic", "p^2/2 + q^2/2"), ("quartic", "p^2/2 + q^4/4"),
+            (("harmonic", "p^2/2 + q^2/2"), ("free", "p^2/2"), ("quartic", "p^2/2 + q^4/4"),
              ("bilinear", "alpha*q*p")),
         ),
         DequantizationCase(
@@ -177,35 +160,19 @@ def get_case(case) -> DequantizationCase:
         ) from None
 
 
-def standard_superfields(case) -> list[Superfield]:
-    """The case's superfield multiplets, one per phase-space direction (see
-    :attr:`DequantizationCase.superfields`)."""
-    return list(get_case(case).superfields)
-
-
 def superfield_bindings(case) -> dict:
     """Substitution map sending each base field (and its dot) into superspace."""
     case = get_case(case)
     out = {}
-    for family, sf in zip(case.families, standard_superfields(case)):
-        out[(family.base, 0)] = sf.polynomial
-        out[(family.base, 1)] = formal_time_derivative(sf.polynomial)
+    for family, sf in zip(case.families, case.superfields):
+        out[(family.base, 0)] = sf
+        out[(family.base, 1)] = formal_time_derivative(sf)
     return out
 
 
-def compose_observable(h: GradedPolynomial, bindings: Mapping) -> GradedPolynomial:
-    """Replace fields by superfields in an observable (substitution route).
-
-    ``bindings`` maps symbol names to Superfields or polynomials.
-    """
-    flat = {}
-    for key, value in bindings.items():
-        flat[key] = value.polynomial if isinstance(value, Superfield) else value
-    return substitute(h, flat)
-
-
 def compose_observable_taylor(h: GradedPolynomial, bindings: Mapping) -> GradedPolynomial:
-    """Same map through the second-order Taylor expansion.
+    """Replace fields by superfields in an observable through the
+    second-order Taylor expansion, the reference for ``substitute``.
 
     H(φ+Δ) = H + Δ^a ∂_a H + ½ Δ^b Δ^a ∂_a ∂_b H with left derivatives; the
     series stops there because every Δ carries θ or θ̄ and θ²=θ̄²=0 makes
@@ -216,8 +183,7 @@ def compose_observable_taylor(h: GradedPolynomial, bindings: Mapping) -> GradedP
     deltas = {}
     for key, value in bindings.items():
         name, dot = (key, 0) if isinstance(key, str) else key
-        poly = value.polynomial if isinstance(value, Superfield) else value
-        deltas[(name, dot)] = poly - ctx.sym(name, dot)
+        deltas[(name, dot)] = value - ctx.sym(name, dot)
     out = h
     for (a, da_dot), da in deltas.items():
         out = out + da * partial_derivative(h, a, da_dot)
@@ -319,9 +285,13 @@ def builtin_hamiltonians(case) -> dict[str, str]:
     return dict(get_case(case).hamiltonians)
 
 
-def builtin_hamiltonian(case, name: str) -> GradedPolynomial:
+def builtin_hamiltonian(case, name: str | None = None) -> GradedPolynomial:
+    """A stock Hamiltonian by name; without a name, the case's default (the
+    first entry of its table)."""
     case = get_case(case)
     table = builtin_hamiltonians(case)
+    if name is None:
+        name = case.hamiltonians[0][0]
     if name not in table:
         raise UnsupportedCaseError(
             f"no builtin Hamiltonian {name!r} for case {case.name!r}"

@@ -322,3 +322,62 @@ def test_one_slice_count_reports_only_its_error(capsys):
     out = capsys.readouterr().out
     assert "propagate-quantum: 1 checks, 0 failures" in out
     assert "error-decreases-with-slices" not in out
+
+
+def test_input_flags_that_would_be_ignored_are_rejected(capsys):
+    lagrangian = ["verify-dequantization", "--case", "coadjoint", "--lagrangian", "eta*dot(phi)"]
+    verify = ["verify-dequantization", "--case", "bosonic"]
+    rejected = (
+        (lagrangian + ["--hamiltonian", "eta"], "--lagrangian", "--hamiltonian"),
+        (lagrangian + ["--builtin", "spin"], "--lagrangian", "--builtin"),
+        (lagrangian + ["--builtin", "nope"], "--lagrangian", "--builtin"),
+        (lagrangian + ["--gamma"], "--lagrangian", "--gamma"),
+        (verify + ["--hamiltonian", "q^2", "--builtin", "harmonic"], "--hamiltonian", "--builtin"),
+        (["propagate-classical", "--case", "bosonic", "--omega", "5"], "--omega", "'w'"),
+        (["propagate-classical", "--case", "bosonic", "--muB", "3"], "--muB", "'muB'"),
+        (["propagate-classical", "--case", "grassmann", "--muB", "2"], "--muB", "'muB'"),
+        (["propagate-classical", "--case", "coadjoint", "--omega", "2"], "--omega", "'w'"),
+    )
+    for argv, flag, named in rejected:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + flag), captured.err
+        assert named in captured.err, captured.err
+    # An empty value is an input too, not a flag left out.
+    for argv in (verify + ["--builtin="], verify + ["--hamiltonian="], verify + ["--lagrangian="],
+                 ["propagate-classical", "--case", "bosonic", "--hamiltonian="]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), captured.err
+
+
+def test_propagate_classical_records_only_the_constants_it_used(tmp_path, capsys):
+    # A flag left out records its default 1 only where the Hamiltonian has the constant.
+    used = (
+        (["--case", "bosonic"], {}),
+        (["--case", "grassmann"], {"omega": 1.0}),
+        (["--case", "grassmann", "--hamiltonian=-(3/2)*(1-2*xi*xibar)"], {}),
+        (["--case", "coadjoint"], {"muB": 1.0}),
+        (["--case", "coadjoint", "--muB", "2"], {"muB": 2.0}),
+    )
+    for argv, constants in used:
+        out = tmp_path / "report.json"
+        assert main(["propagate-classical", *argv, "--out", str(out)]) == 0
+        parameters = json.loads(out.read_text())["parameters"]
+        assert {k: parameters[k] for k in ("omega", "muB") if parameters[k] is not None} == constants
+    capsys.readouterr()
+
+
+def test_bare_verify_dequantization_checks_the_default_stock_hamiltonian(tmp_path, capsys):
+    for case in superfield.CASES:
+        bare, named = tmp_path / "bare.json", tmp_path / "named.json"
+        default = superfield.get_case(case).hamiltonians[0][0]
+        assert main(["verify-dequantization", "--case", case, "--report", str(bare)]) == 0
+        assert main(["verify-dequantization", "--case", case, "--builtin", default,
+                     "--report", str(named)]) == 0
+        reports = [json.loads(path.read_text()) for path in (bare, named)]
+        assert reports[0]["checks"] == reports[1]["checks"]
+        assert reports[0]["extras"] == reports[1]["extras"]
+    assert superfield.get_case("bosonic").hamiltonians[0][0] == "harmonic"
+    capsys.readouterr()

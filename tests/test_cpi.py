@@ -18,6 +18,7 @@ from spindeq import (
     CpiSpec,
     FourierWavefunction,
     UnsupportedCaseError,
+    bind_constants,
     build_cpi_hamiltonian,
     builtin_hamiltonian,
     characteristics_check,
@@ -293,6 +294,27 @@ def test_flow_matrix_forms():
     assert np.allclose(flow_matrix(bilinear, 2.0), np.diag([math.e, 1.0 / math.e]))
     with pytest.raises(UnsupportedCaseError):
         flow_matrix(CpiSpec("bosonic", hamiltonian=ctx.parse("q^4/4")), 1.0)
+
+
+@given(
+    w=st.floats(-4, 4, allow_nan=False, allow_infinity=False),
+    t=st.floats(-4, 4, allow_nan=False, allow_infinity=False),
+)
+def test_grassmann_flow_is_the_closed_form_phase(w, t):
+    # Reference: the grassmann ghosts pick up opposite phases, diag(e^{iwt}, e^{-iwt}).
+    spec = CpiSpec("grassmann", coefficients={"w": w})
+    expected = np.diag([cmath.exp(1j * w * t), cmath.exp(-1j * w * t)])
+    assert np.allclose(flow_matrix(spec, t), expected, rtol=0, atol=1e-12)
+    c0 = np.array([0.3 + 0.1j, -0.2j])
+    assert np.allclose(jacobi_fields(spec, c0, t), expected @ c0, rtol=0, atol=1e-12)
+
+
+def test_every_case_defaults_to_its_first_stock_hamiltonian():
+    for name, coefficients in (("bosonic", {}), ("grassmann", {"w": 2}), ("coadjoint", {"muB": 3})):
+        first = builtin_hamiltonian(name, get_case(name).hamiltonians[0][0])
+        assert builtin_hamiltonian(name) == first
+        spec = CpiSpec(name, coefficients=coefficients)
+        assert spec.bound_hamiltonian() == bind_constants(first, coefficients)
 
 
 def test_characteristics_check_smoke():

@@ -120,6 +120,31 @@ def test_matrix_and_word_forms_agree_on_basis():
             assert via_matrix.c1 == via_words.c1
 
 
+component_st = st.one_of(
+    st.integers(-5, 5),
+    fractions_st,
+    st.floats(-3, 3, allow_nan=False, allow_infinity=False),
+)
+
+
+@given(bx=component_st, by=component_st, bz=component_st, mu_b=component_st)
+def test_hamiltonian_forms_agree_for_any_component_types(bx, by, bz, mu_b):
+    b = MagneticField(bx, by, bz, mu_b=mu_b)
+    op = hamiltonian(b)
+    exact = not any(isinstance(v, float) for v in (bx, by, bz, mu_b))
+    entries = [v for row in op.matrix for v in row]
+    if exact:
+        assert all(isinstance(v, (int, Fraction, CRational)) for v in entries)
+    for state in BASIS:
+        via_matrix = op.apply_matrix(state)
+        via_words = op.apply_state_via_words(state)
+        for m, w in ((via_matrix.c0, via_words.c0), (via_matrix.c1, via_words.c1)):
+            if exact:
+                assert m == w
+            else:
+                assert abs(complex(m) - complex(w)) <= 1e-12
+
+
 def test_su2_commutators_in_matrix_form():
     sx, sy, sz, _ = spin_operators()
     i = CRational(0, 1)
@@ -190,7 +215,7 @@ def test_identity_symbol_is_neutral():
 def test_magnetic_field_parsing():
     b = MagneticField.from_text("1/2, 0, -3", mu_b=Fraction(2))
     assert b.bx == Fraction(1, 2) and b.bz == -3
-    assert b.is_exact()
+    assert all(isinstance(v, (int, Fraction)) for v in (b.bx, b.by, b.bz, b.mu_b))
     assert b.norm() == pytest.approx(np.sqrt(0.25 + 9.0))
     assert b.larmor_phase(2.0) == pytest.approx(4.0 * b.norm())
     with pytest.raises(ValueError):

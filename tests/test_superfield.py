@@ -15,14 +15,13 @@ from spindeq import (
     UnsupportedCaseError,
     builtin_hamiltonian,
     builtin_hamiltonians,
-    compose_observable,
     compose_observable_taylor,
     cpi_lagrangian,
     dequantize,
     formal_time_derivative,
     get_case,
+    partial_derivative,
     quantum_lagrangian,
-    standard_superfields,
     substitute,
     superfield_bindings,
     supertime_integral,
@@ -42,44 +41,36 @@ def test_case_registry():
 def test_superfield_component_shapes():
     for name in CASES:
         case = get_case(name)
-        theta = case.context.sym(case.theta)
-        thetabar = case.context.sym(case.thetabar)
-        for sf in standard_superfields(case):
-            base = case.context.sym(sf.base)
-            rebuilt = (
-                sf.body
-                + theta * sf.theta_component
-                + thetabar * sf.thetabar_component
-                + thetabar * theta * sf.top_component
-            )
-            assert rebuilt == sf.polynomial
-            assert sf.body == base
+        ctx = case.context
+        zero = ctx.zero()
+        for family, sf in zip(case.families, case.superfields):
+            base = ctx.sym(family.base)
+            assert sf.parity() == base.parity()
+            assert substitute(sf, {case.theta: zero, case.thetabar: zero}) == base
             # Odd partners flip parity; the top component restores it.
-            assert sf.theta_component.parity() == 1 - base.parity()
-            assert sf.thetabar_component.parity() == 1 - base.parity()
-            assert sf.top_component.parity() == base.parity()
+            theta_part = partial_derivative(substitute(sf, {case.thetabar: zero}), case.theta)
+            thetabar_part = partial_derivative(substitute(sf, {case.theta: zero}), case.thetabar)
+            top = supertime_integral(sf, case.theta, case.thetabar)
+            assert theta_part.parity() == thetabar_part.parity() == 1 - base.parity()
+            assert top.parity() == base.parity()
 
 
 def test_bosonic_components_pin_signs():
     case = get_case("bosonic")
     ctx = case.context
-    first, second = standard_superfields(case)
-    assert first.theta_component == ctx.parse("c_q")
-    assert first.thetabar_component == ctx.parse("cbar_p")
-    assert first.top_component == ctx.parse("i*lam_p")
-    assert second.theta_component == ctx.parse("c_p")
-    assert second.thetabar_component == ctx.parse("-cbar_q")
-    assert second.top_component == ctx.parse("-i*lam_q")
+    first, second = case.superfields
+    assert first == ctx.parse("q + theta*c_q + thetabar*cbar_p + i*thetabar*theta*lam_p")
+    assert second == ctx.parse("p + theta*c_p - thetabar*cbar_q - i*thetabar*theta*lam_q")
 
 
 def test_grassmann_components_pin_signs():
     case = get_case("grassmann")
     ctx = case.context
-    first, second = standard_superfields(case)
-    assert first.polynomial == ctx.parse(
+    first, second = case.superfields
+    assert first == ctx.parse(
         "xi + theta*c_xi - i*thetabar*cbar_xibar - thetabar*theta*lam_xibar"
     )
-    assert second.polynomial == ctx.parse(
+    assert second == ctx.parse(
         "xibar + theta*c_xibar - i*thetabar*cbar_xi - thetabar*theta*lam_xi"
     )
 
@@ -87,8 +78,10 @@ def test_grassmann_components_pin_signs():
 def test_coadjoint_eta_superfield():
     case = get_case("coadjoint")
     ctx = case.context
-    bindings = superfield_bindings(case)
-    composed = compose_observable(ctx.parse("eta"), bindings)
+    first, second = case.superfields
+    assert first == ctx.parse("phi + chi*c_phi + chibar*cbar_eta + i*chibar*chi*Lam_eta")
+    composed = substitute(ctx.parse("eta"), superfield_bindings(case))
+    assert composed == second
     assert composed == ctx.parse("eta + chi*c_eta - chibar*cbar_phi - i*chibar*chi*Lam_phi")
 
 
@@ -96,8 +89,8 @@ def test_bindings_include_time_derivatives():
     for name in CASES:
         case = get_case(name)
         bindings = superfield_bindings(case)
-        for sf in standard_superfields(case):
-            assert bindings[(sf.base, 1)] == formal_time_derivative(bindings[(sf.base, 0)])
+        for family in case.families:
+            assert bindings[(family.base, 1)] == formal_time_derivative(bindings[(family.base, 0)])
 
 
 def test_supertime_integral_picks_top_component():
@@ -124,7 +117,7 @@ def test_taylor_route_matches_substitution():
         case = get_case(name)
         h = case.context.parse(text)
         bindings = superfield_bindings(case)
-        assert compose_observable_taylor(h, bindings) == compose_observable(h, bindings)
+        assert compose_observable_taylor(h, bindings) == substitute(h, bindings)
 
 
 def test_builtin_tables():
