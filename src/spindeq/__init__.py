@@ -9,8 +9,8 @@ Layers, bottom up:
   time derivatives, parsing, and printing;
 * :mod:`spindeq.superfield`: superfield expansions and the dequantization
   map from quantum to classical-path-integral Lagrangians;
-* :mod:`spindeq.quantum`: spin-1/2 states and operators over one odd
-  generator, symbol composition, and time-sliced propagators;
+* :mod:`spindeq.quantum`: spin-1/2 states and operators in one Grassmann
+  algebra, symbol composition, and time-sliced propagators;
 * :mod:`spindeq.cpi`: the classical-path-integral Hamiltonian as an
   operator, with transport checks against classical characteristics;
 * :mod:`spindeq.orbit`: the constrained sphere: Poisson/Dirac brackets and
@@ -35,7 +35,6 @@ from .exact import CRational, I, crational
 from .grassmann import (
     EVEN,
     ODD,
-    Generator,
     GeneratorTable,
     GrassmannOperator,
     Multivector,
@@ -122,12 +121,11 @@ from .orbit import (
     PhaseFunction,
     classical_trajectory,
     dirac_bracket,
-    equation_residuals,
     poisson_bracket,
     precession_period,
+    precession_rate,
     random_states,
     total_hamiltonian,
-    trajectory_derivatives,
     wrap_angle,
 )
 from .suite import (

@@ -232,24 +232,24 @@ class GradedElement:
             raise ValueError("powers must be non-negative integers")
         return self._new(power(self.terms, n, self.algebra.is_odd) if n else self._constant(1))
 
-    def _substitute(self, bound, target, rename):
-        """Image in the algebra ``target`` under the graded homomorphism that
-        sends each slot of ``bound``, ``(key, slot, element)`` triples, to its
-        element, and any other slot s to the generator at slot ``rename(s)``."""
+    def _substitute(self, bound):
+        """Image under the graded endomorphism that sends each slot of
+        ``bound``, ``(key, slot, element)`` triples, to its element and
+        every other slot to itself."""
         images = {}
         for key, slot, element in bound:
-            if element.algebra != target:
+            if element.algebra != self.algebra:
                 raise self.MISMATCH("binding belongs to a different algebra")
             if not element.is_zero() and element.parity() != self.algebra.is_odd[slot]:
                 raise ParityError(f"binding for {key!r} has wrong parity")
             images[slot] = element.terms
-        odd = target.is_odd
+        odd = self.algebra.is_odd
         out: dict = {}
         for mono, c in self.terms.items():
             term = {(): c}
             for slot, exp in mono:
-                image = images[slot] if slot in images else {((rename(slot), 1),): 1}
+                image = images[slot] if slot in images else {((slot, 1),): 1}
                 term = mul(term, power(image, exp, odd), odd)
             for m, v in term.items():
                 out[m] = out[m] + v if m in out else v
-        return self._wrap(target, {mono: c for mono, c in out.items() if c})
+        return self._new({mono: c for mono, c in out.items() if c})

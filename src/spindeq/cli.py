@@ -182,19 +182,18 @@ def _cmd_propagate_classical(args):
         hamiltonian = case.context.parse(args.hamiltonian)
     else:
         hamiltonian = superfield.builtin_hamiltonian(case)
+    # A flag binds a constant that H uses, by default to 1, and is recorded;
+    # a flag for a constant that H lacks is rejected.  Any other constant
+    # stays unbound, and the spec rejects it.
     in_use = {name for name, _dot in hamiltonian.symbols_used()}
+    coefficients = {}
     for flag, dest, constant in (("--omega", "omega", "w"), ("--muB", "muB", "muB")):
-        if not case.context.declared(constant):
-            if getattr(args, dest) is not None:
-                raise ValueError(f"{flag}: case {case.name!r} has no constant {constant!r}")
-        elif getattr(args, dest) is None and constant in in_use:
-            setattr(args, dest, 1.0)  # the default, recorded only where H uses it
-    supplied = {"muB": args.muB, "w": args.omega, "alpha": 1}
-    coefficients = {
-        name: value
-        for name, value in supplied.items()
-        if value is not None and case.context.declared(name)
-    }
+        value = getattr(args, dest)
+        if constant in in_use:
+            coefficients[constant] = 1.0 if value is None else value
+            setattr(args, dest, coefficients[constant])
+        elif value is not None:
+            raise ValueError(f"{flag}: the Hamiltonian has no constant {constant!r}")
     spec = cpi.CpiSpec(
         case.name,
         hamiltonian=hamiltonian,
@@ -265,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("propagate-classical", help="CPI transport against classical flow")
     p.add_argument("--case", required=True, choices=superfield.CASES)
-    p.add_argument("--omega", type=float, help="precession rate w (grassmann only; default 1)")
-    p.add_argument("--muB", type=float, help="coupling muB (coadjoint only; default 1)")
+    p.add_argument("--omega", type=float, help="value of the constant w in H (default 1)")
+    p.add_argument("--muB", type=float, help="value of the constant muB in H (default 1)")
     p.add_argument("--t", type=float, default=0.7)
     p.add_argument(
         "--truncation",

@@ -39,7 +39,6 @@ import cmath
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import index as _as_int_index
 from typing import Mapping
 
@@ -119,16 +118,6 @@ def cpi_lagrangian(case, hamiltonian: GradedPolynomial) -> GradedPolynomial:
 # -- numeric engine ----------------------------------------------------------------
 
 
-def _exactify(value):
-    """Lift a coefficient to exact rational-complex form; floats go through
-    their exact binary value."""
-    if isinstance(value, float):
-        return CRational(Fraction(value))
-    if isinstance(value, complex):
-        return CRational(Fraction(value.real), Fraction(value.imag))
-    return crational(value)
-
-
 @dataclass(frozen=True)
 class CpiSpec:
     """What to evolve: a case, its Hamiltonian, and numeric constants.
@@ -154,7 +143,7 @@ class CpiSpec:
     def bound_hamiltonian(self) -> GradedPolynomial:
         case = get_case(self.case)
         h = self.hamiltonian if self.hamiltonian is not None else builtin_hamiltonian(case)
-        values = {k: _exactify(v) for k, v in (self.coefficients or {}).items()}
+        values = {k: crational(v) for k, v in (self.coefficients or {}).items()}
         h = bind_constants(h, values)
         leftover = [
             name for (name, _dot) in h.symbols_used() if case.context.decl(name).constant
@@ -254,7 +243,7 @@ class LiouvilleOperator:
         case = get_case(self.case)
         D = self.truncation
         names = self.table.names
-        ranges = [range(2 if g.parity == ODD else D + 1) for g in self.table]
+        ranges = [range(2 if odd else D + 1) for odd in self.table.is_odd]
         base_slots = [i for i, n in enumerate(names) if n in case.base_names]
         out = []
         for exps in itertools.product(*ranges):
@@ -410,8 +399,7 @@ def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = No
     """Solve i dψ/dt = H̃ψ for time t.
 
     Coadjoint: each Fourier mode k gains the exact phase e^{i·k·μB·t}.
-    Polynomial cases: matrix exponential on the closure of ψ's monomials,
-    with exact per-monomial phases when the closure is diagonal.
+    Polynomial cases: matrix exponential on the closure of ψ's monomials.
     """
     case = get_case(spec.case)
     if case.name == "coadjoint":
@@ -435,13 +423,7 @@ def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = No
         c = psi.terms.get(mono)
         if c is not None:
             vec[i] = complex(c)
-    off_diagonal = matrix - np.diag(np.diag(matrix))
-    if not off_diagonal.any():
-        out = vec * np.array(
-            [cmath.exp(-1j * t * matrix[i, i]) for i in range(len(basis))]
-        )
-    else:
-        out = expm(-1j * t * matrix) @ vec
+    out = expm(-1j * t * matrix) @ vec
     terms = {mono: out[i] for i, mono in enumerate(basis) if out[i]}
     return Multivector(operator.table, terms)
 

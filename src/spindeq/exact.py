@@ -163,8 +163,13 @@ I = CRational(0, 1)
 
 
 def crational(value) -> CRational:
-    """Coerce an exact numeric value to :class:`CRational`."""
+    """Coerce a number to :class:`CRational`; a float or complex goes
+    through its exact binary value."""
+    if isinstance(value, float):
+        return CRational(Fraction(value))
+    if isinstance(value, complex):
+        return CRational(Fraction(value.real), Fraction(value.imag))
     out = CRational._lift(value)
     if out is None:
-        raise TypeError(f"not an exact numeric value: {value!r}")
+        raise TypeError(f"not a number: {value!r}")
     return out

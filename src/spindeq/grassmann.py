@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -37,12 +36,6 @@ ODD = "odd"
 EVEN = "even"
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    parity: str
-
-
 def _lift_coeff(c):
     # Fraction lacks arithmetic against complex; CRational interoperates.
     if isinstance(c, Fraction):
@@ -53,54 +46,41 @@ def _lift_coeff(c):
 class GeneratorTable:
     """Ordered set of generators defining one graded algebra.
 
-    Entries are ``(name, parity)`` pairs.
+    Entries are ``(name, parity)`` pairs.  ``names`` holds the names in
+    table order and ``is_odd`` the matching parities, the kernel's odd
+    lookup.
     """
 
-    __slots__ = ("_gens", "_index", "is_odd")
+    __slots__ = ("names", "is_odd", "_index")
 
     def __init__(self, entries: Iterable[Sequence]):
-        gens = []
-        index = {}
-        for entry in entries:
-            name, parity = entry
+        names, is_odd = [], []
+        for name, parity in entries:
             if parity not in (ODD, EVEN):
                 raise ParityError(f"parity must be 'odd' or 'even', got {parity!r}")
-            if name in index:
+            if name in names:
                 raise ValueError(f"duplicate generator name {name!r}")
-            index[name] = len(gens)
-            gens.append(Generator(name, parity))
-        self._gens = tuple(gens)
-        self._index = index
-        self.is_odd = tuple(g.parity == ODD for g in gens)  # the kernel's odd lookup
+            names.append(name)
+            is_odd.append(parity == ODD)
+        self.names = tuple(names)
+        self.is_odd = tuple(is_odd)
+        self._index = {name: i for i, name in enumerate(names)}
 
     @classmethod
     def odd(cls, *names: str) -> "GeneratorTable":
         return cls((n, ODD) for n in names)
 
-    def __len__(self) -> int:
-        return len(self._gens)
-
-    def __iter__(self):
-        return iter(self._gens)
-
-    def __getitem__(self, i: int) -> Generator:
-        return self._gens[i]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GeneratorTable):
             return NotImplemented
-        return self._gens == other._gens
+        return self.names == other.names and self.is_odd == other.is_odd
 
     def __hash__(self):
-        return hash(self._gens)
+        return hash((self.names, self.is_odd))
 
     def __repr__(self):
-        body = ", ".join(f"{g.name}:{g.parity}" for g in self._gens)
+        body = ", ".join(f"{n}:{ODD if o else EVEN}" for n, o in zip(self.names, self.is_odd))
         return f"GeneratorTable({body})"
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(g.name for g in self._gens)
 
     def index(self, name: str) -> int:
         try:
@@ -111,7 +91,7 @@ class GeneratorTable:
     lift = staticmethod(_lift_coeff)
 
     def has_slot(self, slot) -> bool:
-        return isinstance(slot, int) and 0 <= slot < len(self._gens)
+        return isinstance(slot, int) and 0 <= slot < len(self.names)
 
     # -- monomials and multivectors -------------------------------------------
 
@@ -175,29 +155,14 @@ class Multivector(_graded.GradedElement):
             return product(self, other)
         return super().__mul__(other)
 
-    def substitute(
-        self,
-        bindings: Mapping[str, "Multivector"],
-        table: GeneratorTable | None = None,
-    ) -> "Multivector":
-        """Replace generators by multivectors.
+    def substitute(self, bindings: Mapping[str, "Multivector"]) -> "Multivector":
+        """Replace generators by multivectors over the same table.
 
         Every binding must be parity-homogeneous and match the parity of the
-        generator it replaces.  ``table`` selects the target table (default:
-        this one); unbound generators must exist in the target under the same
-        name and parity.
+        generator it replaces; unbound generators stay as they are.
         """
-        source = self.table
-        target = table if table is not None else source
-        bound = [(name, source.index(name), mv) for name, mv in bindings.items()]
-
-        def rename(i):
-            j = target.index(source[i].name)
-            if target.is_odd[j] != source.is_odd[i]:
-                raise ParityError(f"generator {source[i].name!r} has another parity in the target")
-            return j
-
-        return self._substitute(bound, target, rename)
+        index = self.table.index
+        return self._substitute([(name, index(name), mv) for name, mv in bindings.items()])
 
 
 def product(a: Multivector, b: Multivector) -> Multivector:

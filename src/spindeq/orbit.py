@@ -7,9 +7,10 @@ The sphere arises by imposing the two second-class constraints
 
 whose Poisson bracket {Φ1, Φ2} = −λ·sinθ degenerates at the poles, so all
 Dirac brackets carry a pole guard.  On the constraint surface the dynamics
-of H = −λ·μB·cosθ is uniform precession of φ at rate μB with everything
-else frozen; the closed-form trajectory and the conserved quantities are
-exported for use as oracles.
+of H = −λ·μB·B·cosθ is uniform precession of φ at the rate
+{φ, H}_D = −μB·B of ``precession_rate``, with everything else frozen; the
+closed-form trajectory and the conserved quantities are exported for use as
+oracles.
 """
 
 from __future__ import annotations
@@ -178,28 +179,21 @@ def wrap_angle(x: float) -> float:
     return x % TWO_PI
 
 
+def precession_rate(mu_b: float, b: float) -> float:
+    """dφ/dt = {φ, H}_D = −μB·B, the one rate of the precession flow."""
+    return -mu_b * b
+
+
 def precession_period(mu_b: float, b: float) -> float:
-    rate = mu_b * b
+    rate = precession_rate(mu_b, b)
     if rate == 0.0:
         raise ValueError("no precession at zero field")
     return TWO_PI / abs(rate)
 
 
-def trajectory_derivatives(state: OrbitState, mu_b: float, b: float) -> tuple[float, float]:
-    """(dθ/dt, dφ/dt) of the closed-form flow: θ frozen, φ̇ = −μB·B."""
-    return (0.0, -mu_b * b)
-
-
 def classical_trajectory(state: OrbitState, mu_b: float, b: float, t: float) -> OrbitState:
-    """Precession flow: φ(t) = φ0 − μB·B·t (wrapped), all else frozen."""
-    return replace(state, phi=wrap_angle(state.phi - mu_b * b * t))
-
-
-def equation_residuals(state: OrbitState, mu_b: float, b: float) -> tuple[float, float]:
-    """Residuals of d(λcosθ)/dt = 0 and (φ̇ + μB·B)·sinθ = 0 along the flow."""
-    theta_dot, phi_dot = trajectory_derivatives(state, mu_b, b)
-    height_rate = -state.lambda_radius * math.sin(state.theta) * theta_dot
-    return (height_rate, (phi_dot + mu_b * b) * math.sin(state.theta))
+    """Precession flow: φ(t) = φ0 + rate·t (wrapped), all else frozen."""
+    return replace(state, phi=wrap_angle(state.phi + precession_rate(mu_b, b) * t))
 
 
 def random_states(

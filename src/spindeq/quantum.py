@@ -1,4 +1,4 @@
-"""Spin-1/2 quantum mechanics over one odd generator.
+"""Spin-1/2 quantum mechanics in one Grassmann algebra.
 
 A state is ψ(ξ) = ψ0 + ψ1·ξ, identified with the column (ψ0, ψ1).  An
 operator appears in four interchangeable forms:
@@ -8,6 +8,11 @@ operator appears in four interchangeable forms:
   ξ̄̂ = d/dξ, acting on wavefunctions;
 * normal-ordered symbol A(ξ, ξ̄) = α + βξ + γξ̄ + δξξ̄;
 * integral kernel Ã(ξ, ξ′), applied by Berezin integration against ψ(ξ′).
+
+All Grassmann work happens in one algebra, ``TABLE``, over ξ, ξ̄ and
+their primed copies ξ′, ξ̄′: a wavefunction uses ξ, a symbol ξ and ξ̄, a
+kernel ξ and ξ′, and the primed variables are the ones that the Berezin
+integrals of kernel application and composition remove.
 
 The maps between the forms are exact.  Symbols of successive evolution
 factors compose by a two-variable Berezin convolution
@@ -43,15 +48,22 @@ from .grassmann import (
     product,
 )
 
-WAVE_TABLE = GeneratorTable.odd("xi")
-SYMBOL_TABLE = GeneratorTable.odd("xi", "xibar")
-KERNEL_TABLE = GeneratorTable.odd("xi", "xip")
-_SYMBOL_KERNEL_TABLE = GeneratorTable.odd("xi", "xibar", "xip")
-_COMPOSE_TABLE = GeneratorTable.odd("xi", "xibar", "xip", "xibarp")
+TABLE = GeneratorTable.odd("xi", "xibar", "xip", "xibarp")
+_XI, _XIBAR, _XIP, _XIBARP = (TABLE.gen(name) for name in TABLE.names)
 
-# Monomials 1, g0, g1, g0·g1 over the first two generators of a table: 1, ξ,
-# ξ̄, ξξ̄ of a symbol, 1, ξ, ξ′, ξξ′ of a kernel, and 1, ξ of a wavefunction.
-_BASIS = tuple(SYMBOL_TABLE.monomial(e) for e in ((0, 0), (1, 0), (0, 1), (1, 1)))
+# Monomials 1, ξ, ξ̄, ξξ̄ of a symbol, whose first two are the 1, ξ of a
+# wavefunction, and 1, ξ, ξ′, ξξ′ of a kernel.
+_BASIS = tuple(TABLE.monomial(e) for e in ((0, 0), (1, 0), (0, 1), (1, 1)))
+_KERNEL_BASIS = tuple(TABLE.monomial(e) for e in ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1)))
+
+
+def _coefficients(mv: Multivector, basis: tuple, what: str) -> tuple:
+    """The coefficients of ``mv`` on ``basis``.  A multivector off ``TABLE``
+    or with a term outside the basis raises ``ValueError``, so no input is
+    silently truncated."""
+    if mv.table != TABLE or not mv.terms.keys() <= set(basis):
+        raise ValueError(f"not {what} on the quantum table: {mv!r}")
+    return tuple(mv.terms.get(m, 0) for m in basis)
 
 
 @dataclass(frozen=True)
@@ -107,13 +119,11 @@ class SpinState:
     c1: object
 
     def as_multivector(self) -> Multivector:
-        return Multivector(WAVE_TABLE, dict(zip(_BASIS, (self.c0, self.c1))))
+        return Multivector(TABLE, dict(zip(_BASIS, (self.c0, self.c1))))
 
     @classmethod
     def from_multivector(cls, mv: Multivector) -> "SpinState":
-        if mv.table != WAVE_TABLE:
-            raise ValueError("state multivectors live on the single-ξ table")
-        return cls(mv.coefficient(), mv.coefficient(xi=1))
+        return cls(*_coefficients(mv, _BASIS[:2], "a wavefunction of xi"))
 
     def as_vector(self) -> np.ndarray:
         return np.array([complex(self.c0), complex(self.c1)])
@@ -148,7 +158,7 @@ def _words(alpha, beta, gamma, delta) -> GrassmannOperator:
     coefficients are left out."""
     words = ((), (("mul", "xi"),), (("diff", "xi"),), (("mul", "xi"), ("diff", "xi")))
     coeffs = (alpha, beta, gamma, delta)
-    return GrassmannOperator(WAVE_TABLE, [(c, w) for c, w in zip(coeffs, words) if c != 0])
+    return GrassmannOperator(TABLE, [(c, w) for c, w in zip(coeffs, words) if c != 0])
 
 
 def operator_from_matrix(matrix) -> SpinOperator:
@@ -176,7 +186,7 @@ def spin_operators(hbar=1):
         """scale·(ξ̄̂ξ̂ − ξ̂ξ̄̂); ξ̄̂ξ̂ multiplies first, ξ̂ξ̄̂ differentiates first."""
         raise_then_lower = (("diff", "xi"), ("mul", "xi"))
         lower_then_raise = (("mul", "xi"), ("diff", "xi"))
-        return GrassmannOperator(WAVE_TABLE, [(scale, raise_then_lower), (-scale, lower_then_raise)])
+        return GrassmannOperator(TABLE, [(scale, raise_then_lower), (-scale, lower_then_raise)])
 
     return (
         SpinOperator(((zero, h2), (h2, zero)), _words(0, h2, h2, 0)),
@@ -207,55 +217,42 @@ def hamiltonian(b: MagneticField) -> SpinOperator:
 def ordered_symbol(op: SpinOperator) -> Multivector:
     """Normal-ordered symbol A(ξ, ξ̄) = α + βξ + γξ̄ + δξξ̄."""
     (a00, a01), (a10, a11) = op.matrix
-    return Multivector(SYMBOL_TABLE, dict(zip(_BASIS, (a00, a10, a01, a11 - a00))))
+    return Multivector(TABLE, dict(zip(_BASIS, (a00, a10, a01, a11 - a00))))
 
 
 def symbol_to_matrix(sym: Multivector) -> tuple:
-    if sym.table != SYMBOL_TABLE:
-        raise ValueError("symbols live on the (xi, xibar) table")
-    alpha, beta, gamma, delta = (sym.terms.get(m, 0) for m in _BASIS)
+    alpha, beta, gamma, delta = _coefficients(sym, _BASIS, "a symbol in xi, xibar")
     return ((alpha, gamma), (beta, alpha + delta))
 
 
 def integral_kernel(op: SpinOperator) -> Multivector:
     """Kernel Ã(ξ, ξ′) with Ĥψ(ξ) = ∫dξ′ Ã(ξ, ξ′) ψ(ξ′)."""
     (a00, a01), (a10, a11) = op.matrix
-    return Multivector(KERNEL_TABLE, dict(zip(_BASIS, (a01, -a11, a00, -a10))))
+    return Multivector(TABLE, dict(zip(_KERNEL_BASIS, (a01, -a11, a00, -a10))))
 
 
 def kernel_to_matrix(kern: Multivector) -> tuple:
-    if kern.table != KERNEL_TABLE:
-        raise ValueError("kernels live on the (xi, xip) table")
-    k0, k1, k2, k3 = (kern.terms.get(m, 0) for m in _BASIS)
+    k0, k1, k2, k3 = _coefficients(kern, _KERNEL_BASIS, "a kernel in xi, xip")
     return ((k2, k0), (-k3, -k1))
+
+
+_KERNEL_WEIGHT = graded_exp(product(_XIBAR, _XIP - _XI))
 
 
 def kernel_from_symbol(sym: Multivector) -> Multivector:
     """Ã(ξ, ξ′) = ∫dξ̄ A(ξ, ξ̄) e^{ξ̄(ξ′−ξ)}."""
-    if sym.table != SYMBOL_TABLE:
-        raise ValueError("symbols live on the (xi, xibar) table")
-    t3 = _SYMBOL_KERNEL_TABLE
-    lifted = sym.substitute({}, table=t3)
-    weight = graded_exp(product(t3.gen("xibar"), t3.gen("xip") - t3.gen("xi")))
-    integrated = berezin_integral(product(lifted, weight), ["xibar"])
-    return integrated.substitute({}, table=KERNEL_TABLE)
+    _coefficients(sym, _BASIS, "a symbol in xi, xibar")
+    return berezin_integral(product(sym, _KERNEL_WEIGHT), ["xibar"])
 
 
 def apply_kernel(kern: Multivector, psi: Multivector) -> Multivector:
     """∫dξ′ Ã(ξ, ξ′) ψ(ξ′) as a wavefunction of ξ."""
-    if psi.table != WAVE_TABLE:
-        raise ValueError("wavefunctions live on the single-ξ table")
-    shifted = psi.substitute({"xi": KERNEL_TABLE.gen("xip")}, table=KERNEL_TABLE)
-    integrated = berezin_integral(product(kern, shifted), ["xip"])
-    return integrated.substitute({}, table=WAVE_TABLE)
+    _coefficients(kern, _KERNEL_BASIS, "a kernel in xi, xip")
+    _coefficients(psi, _BASIS[:2], "a wavefunction of xi")
+    return berezin_integral(product(kern, psi.substitute({"xi": _XIP})), ["xip"])
 
 
-_COMPOSE_WEIGHT = graded_exp(
-    product(
-        _COMPOSE_TABLE.gen("xibarp") - _COMPOSE_TABLE.gen("xibar"),
-        _COMPOSE_TABLE.gen("xip") - _COMPOSE_TABLE.gen("xi"),
-    )
-)
+_COMPOSE_WEIGHT = graded_exp(product(_XIBARP - _XIBAR, _XIP - _XI))
 
 
 def compose_symbols(late: Multivector, early: Multivector) -> Multivector:
@@ -265,14 +262,11 @@ def compose_symbols(late: Multivector, early: Multivector) -> Multivector:
     the rightmost measure acting first.
     """
     for s in (late, early):
-        if s.table != SYMBOL_TABLE:
-            raise ValueError("symbols live on the (xi, xibar) table")
-    ct = _COMPOSE_TABLE
-    u1 = late.substitute({"xibar": ct.gen("xibarp")}, table=ct)
-    u2 = early.substitute({"xi": ct.gen("xip")}, table=ct)
+        _coefficients(s, _BASIS, "a symbol in xi, xibar")
+    u1 = late.substitute({"xibar": _XIBARP})
+    u2 = early.substitute({"xi": _XIP})
     integrand = product(product(_COMPOSE_WEIGHT, u1), u2)
-    out = berezin_integral(integrand, ["xip", "xibarp"])
-    return out.substitute({}, table=SYMBOL_TABLE)
+    return berezin_integral(integrand, ["xip", "xibarp"])
 
 
 # -- propagators -------------------------------------------------------------------
@@ -285,7 +279,7 @@ def symbol_structure_constants() -> tuple[tuple[int, int, int, object], ...]:
     Derived by running ``compose_symbols`` on every pair of basis symbols,
     so the entries are exact and the convolution stays their only source.
     """
-    basis = [Multivector(SYMBOL_TABLE, {e: 1}) for e in _BASIS]
+    basis = [Multivector(TABLE, {e: 1}) for e in _BASIS]
     out = []
     for i, late in enumerate(basis):
         for j, early in enumerate(basis):
@@ -332,7 +326,7 @@ def sliced_symbol(b: MagneticField, t: float, n: int) -> Multivector:
         square = _compose_near_identity(square, square)
         n >>= 1
     power[0] += 1
-    return Multivector(SYMBOL_TABLE, dict(zip(_BASIS, power)))
+    return Multivector(TABLE, dict(zip(_BASIS, power)))
 
 
 def sliced_propagator(b: MagneticField, t: float, n: int) -> np.ndarray:

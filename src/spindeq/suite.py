@@ -317,16 +317,21 @@ def check_dirac_brackets(samples: int = 100, seed: int = 0) -> list[CheckResult]
 
 
 def check_precession_flow(state, mu_b, b, times) -> list[CheckResult]:
-    """Both equations of motion at ``state``, and height and energy exactly
-    conserved along the closed-form flow at every one of ``times``."""
-    r1, r2 = orbit.equation_residuals(state, mu_b, b)
+    """Both equations of motion at ``state``, the Dirac brackets {η, H}_D
+    and {φ, H}_D against the closed-form flow's rates 0 and
+    ``precession_rate``, and height and energy exactly conserved along the
+    flow at every one of ``times``."""
     h_fun = orbit.total_hamiltonian(mu_b, b)
+    height_rate = orbit.dirac_bracket(orbit.HEIGHT, h_fun, state)
+    angle_rate = orbit.dirac_bracket(orbit.PHI, h_fun, state)
+    rate = orbit.precession_rate(mu_b, b)
+    angle_gap = abs(angle_rate - rate) / max(abs(rate), 1.0)
     along = [orbit.classical_trajectory(state, mu_b, b, t) for t in times]
     height = max((s.height for s in along), key=lambda v: abs(v - state.height))
     energy = max((h_fun(s) for s in along), key=lambda v: abs(v - h_fun(state)))
     return [
-        _numeric_check("precession-height-equation", 0.0, r1, abs(r1), 0.0),
-        _numeric_check("precession-angle-equation", 0.0, r2, abs(r2), 0.0),
+        _numeric_check("precession-height-equation", 0.0, height_rate, abs(height_rate), 0.0),
+        _numeric_check("precession-angle-equation", rate, angle_rate, angle_gap, 1e-12),
         _numeric_check(
             "precession-height-conserved", state.height, height,
             abs(height - state.height), 0.0,

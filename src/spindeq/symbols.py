@@ -218,7 +218,7 @@ def substitute(p: GradedPolynomial, bindings: Mapping) -> GradedPolynomial:
     """
     ctx = p.context
     bound = [(key, ctx.slot(key), poly) for key, poly in bindings.items()]
-    return p._substitute(bound, ctx, lambda slot: slot)
+    return p._substitute(bound)
 
 
 def bind_constants(p: GradedPolynomial, values: Mapping[str, object]) -> GradedPolynomial:

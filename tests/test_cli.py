@@ -300,9 +300,9 @@ def test_propagate_classical_reads_its_rates_off_the_hamiltonian(tmp_path, capsy
     # whatever --omega says.
     argv = ["propagate-classical", "--case", "grassmann", "--hamiltonian=-(3/2)*(1-2*xi*xibar)"]
     assert main(argv) == 0
-    # H = -2*eta is the stock coadjoint H at muB = 2, so --muB 1 must not matter.
+    # H = -2*eta is the stock coadjoint H at muB = 2.
     rows = []
-    for extra in (["--hamiltonian=-2*eta", "--muB", "1"], ["--muB", "2"]):
+    for extra in (["--hamiltonian=-2*eta"], ["--muB", "2"]):
         out = tmp_path / "coadjoint.json"
         assert main(["propagate-classical", "--case", "coadjoint", "--out", str(out), *extra]) == 0
         rows.append(json.loads(out.read_text())["checks"])
@@ -337,6 +337,10 @@ def test_input_flags_that_would_be_ignored_are_rejected(capsys):
         (["propagate-classical", "--case", "bosonic", "--muB", "3"], "--muB", "'muB'"),
         (["propagate-classical", "--case", "grassmann", "--muB", "2"], "--muB", "'muB'"),
         (["propagate-classical", "--case", "coadjoint", "--omega", "2"], "--omega", "'w'"),
+        (["propagate-classical", "--case", "coadjoint", "--hamiltonian=-2*eta", "--muB", "1"],
+         "--muB", "'muB'"),
+        (["propagate-classical", "--case", "grassmann", "--hamiltonian=xi*xibar", "--omega", "2"],
+         "--omega", "'w'"),
     )
     for argv, flag, named in rejected:
         assert main(argv) == 1, argv
@@ -367,6 +371,18 @@ def test_propagate_classical_records_only_the_constants_it_used(tmp_path, capsys
         parameters = json.loads(out.read_text())["parameters"]
         assert {k: parameters[k] for k in ("omega", "muB") if parameters[k] is not None} == constants
     capsys.readouterr()
+
+
+def test_propagate_classical_rejects_a_constant_without_a_flag(tmp_path, capsys):
+    # alpha has no flag, so nothing binds it; a run must not pick a value.
+    out = tmp_path / "report.json"
+    argv = ["propagate-classical", "--case", "bosonic", "--hamiltonian", "alpha*q*p", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unbound constants"), captured.err
+    assert "'alpha'" in captured.err
+    assert not out.exists()
 
 
 def test_bare_verify_dequantization_checks_the_default_stock_hamiltonian(tmp_path, capsys):

@@ -20,17 +20,19 @@ from spindeq import (
     P_THETA,
     THETA,
     OrbitState,
+    PhaseFunction,
     PoleError,
     classical_trajectory,
     dirac_bracket,
-    equation_residuals,
     poisson_bracket,
     precession_period,
+    precession_rate,
     random_states,
     total_hamiltonian,
-    trajectory_derivatives,
     wrap_angle,
 )
+from spindeq import orbit
+from spindeq.suite import check_precession
 
 STATES = random_states(12, seed=7)
 
@@ -150,12 +152,32 @@ def test_dirac_bracket_pole_guard():
 
 
 def test_trajectory_solves_equations_of_motion():
-    mu_b, b = 0.9, 1.3
+    # The flow freezes η and turns φ at precession_rate, the Dirac brackets
+    # {η, H}_D and {φ, H}_D.
+    mu_b, b, t = 0.9, 1.3, 0.25
+    h = total_hamiltonian(mu_b, b)
+    rate = precession_rate(mu_b, b)
+    assert rate == -mu_b * b
     for state in STATES[:6]:
-        assert equation_residuals(state, mu_b, b) == (0.0, 0.0)
-        d_theta, d_phi = trajectory_derivatives(state, mu_b, b)
-        assert d_theta == 0.0
-        assert d_phi == -mu_b * b
+        assert dirac_bracket(HEIGHT, h, state) == 0.0
+        assert dirac_bracket(PHI, h, state) == pytest.approx(rate, rel=1e-12)
+        moved = classical_trajectory(state, mu_b, b, t)
+        assert moved.height == state.height
+        turned = (moved.phi - state.phi + math.pi) % (2 * math.pi) - math.pi
+        assert turned / t == pytest.approx(dirac_bracket(PHI, h, state), rel=1e-12)
+
+
+def test_precession_angle_row_fails_for_the_opposite_hamiltonian(monkeypatch):
+    stock = orbit.total_hamiltonian
+
+    def negated(mu_b, b):
+        h = stock(mu_b, b)
+        return PhaseFunction("negated", lambda s: -h(s), lambda s: tuple(-g for g in h.gradient(s)))
+
+    monkeypatch.setattr(orbit, "total_hamiltonian", negated)
+    rows = {row.name: row for row in check_precession()}
+    assert not rows["precession-angle-equation"].passed
+    assert rows["precession-height-equation"].passed
 
 
 def test_trajectory_composition_and_period():

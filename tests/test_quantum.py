@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from spindeq import (
     CRational,
+    GeneratorTable,
     MagneticField,
     Multivector,
     SpinState,
@@ -38,7 +39,7 @@ from spindeq import (
     symbol_to_matrix,
 )
 from spindeq.cli import main
-from spindeq.quantum import SYMBOL_TABLE, symbol_structure_constants
+from spindeq.quantum import TABLE, symbol_structure_constants
 
 fractions_st = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 entry_st = st.builds(CRational, fractions_st, fractions_st)
@@ -190,6 +191,37 @@ def test_kernel_application_matches_matrix():
         assert via_kernel.c1 == via_matrix.c1
 
 
+_FIELD = MagneticField(1, 2, 3)
+_SYMBOL = ordered_symbol(hamiltonian(_FIELD))
+_KERNEL = integral_kernel(hamiltonian(_FIELD))
+_PSI = SpinState(1, 2).as_multivector()
+# Each input slot: the call, a valid input and a generator outside its support.
+_SUPPORTS = {
+    "symbol_to_matrix": (symbol_to_matrix, _SYMBOL, "xip"),
+    "kernel_to_matrix": (kernel_to_matrix, _KERNEL, "xibar"),
+    "SpinState.from_multivector": (SpinState.from_multivector, _PSI, "xibar"),
+    "kernel_from_symbol": (kernel_from_symbol, _SYMBOL, "xip"),
+    "compose_symbols-late": (lambda s: compose_symbols(s, _SYMBOL), _SYMBOL, "xibarp"),
+    "compose_symbols-early": (lambda s: compose_symbols(_SYMBOL, s), _SYMBOL, "xip"),
+    "apply_kernel-kernel": (lambda k: apply_kernel(k, _PSI), _KERNEL, "xibarp"),
+    "apply_kernel-wavefunction": (lambda p: apply_kernel(_KERNEL, p), _PSI, "xip"),
+}
+
+
+@pytest.mark.parametrize("slot", sorted(_SUPPORTS))
+def test_inputs_outside_their_support_are_rejected(slot):
+    call, valid, stray = _SUPPORTS[slot]
+    call(valid)
+    other_table = GeneratorTable.odd(*TABLE.names, "eta")
+    for bad in (
+        valid + TABLE.gen(stray),
+        valid * TABLE.gen(stray),
+        Multivector(other_table, valid.terms),
+    ):
+        with pytest.raises(ValueError):
+            call(bad)
+
+
 @given(m1=matrix_st, m2=matrix_st)
 def test_symbol_composition_is_matrix_multiplication(m1, m2):
     s1 = ordered_symbol(operator_from_matrix(m1))
@@ -283,7 +315,7 @@ def test_structure_constants_of_symbol_composition():
 
 
 # The monomials 1, ξ, ξ̄, ξξ̄, from their (xi, xibar) exponents.
-_BASIS_EXPS = tuple(SYMBOL_TABLE.monomial(e) for e in ((0, 0), (1, 0), (0, 1), (1, 1)))
+_BASIS_EXPS = tuple(TABLE.monomial(e) for e in ((0, 0), (1, 0), (0, 1), (1, 1)))
 
 
 @given(m1=matrix_st, m2=matrix_st)
@@ -293,13 +325,13 @@ def test_structure_constants_reproduce_composition(m1, m2):
     out = [CRational(0)] * 4
     for i, j, k, c in symbol_structure_constants():
         out[k] += c * s1.terms.get(_BASIS_EXPS[i], 0) * s2.terms.get(_BASIS_EXPS[j], 0)
-    assert Multivector(SYMBOL_TABLE, dict(zip(_BASIS_EXPS, out))) == compose_symbols(s1, s2)
+    assert Multivector(TABLE, dict(zip(_BASIS_EXPS, out))) == compose_symbols(s1, s2)
 
 
 @pytest.mark.parametrize("n", [*range(1, 18), 64, 100])
 def test_sliced_symbol_matches_left_fold_of_compositions(n):
     b, t = MagneticField(0.3, -0.4, 0.8), 1.3
-    one_slice = SYMBOL_TABLE.scalar(1) + ordered_symbol(hamiltonian(b)) * complex(0, -t / n)
+    one_slice = TABLE.scalar(1) + ordered_symbol(hamiltonian(b)) * complex(0, -t / n)
     fold = one_slice
     for _ in range(n - 1):
         fold = compose_symbols(fold, one_slice)

@@ -1,9 +1,10 @@
-"""Source hygiene of the package: no module imports a name it never uses.
-
-``__init__`` is left out, because its imports are the public API.
+"""Source hygiene of the package: no module imports a name it never uses
+(``__init__`` is left out, because its imports are the public API), and
+every Python example in the README runs.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import spindeq
@@ -29,3 +30,11 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_every_readme_python_block_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert len(blocks) >= 3
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
