@@ -39,7 +39,6 @@ from .grassmann import (
     GrassmannOperator,
     Multivector,
     berezin_integral,
-    graded_exp,
     left_derivative,
     product,
 )

@@ -210,6 +210,8 @@ def _cmd_propagate_classical(args):
 
 
 def _cmd_precession(args):
+    if not math.isfinite(args.muB * args.b):
+        raise ValueError(f"--muB and --b: the rate muB*b must be finite, got {args.muB}*{args.b}")
     state = orbit.OrbitState.on_constraint(args.theta0, args.phi0, args.lam)
     times = [args.t * k / args.steps for k in range(args.steps + 1)]
     if args.out:
@@ -265,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("propagate-classical", help="CPI transport against classical flow")
     p.add_argument("--case", required=True, choices=superfield.CASES)
     p.add_argument("--omega", type=float, help="value of the constant w in H (default 1)")
-    p.add_argument("--muB", type=float, help="value of the constant muB in H (default 1)")
-    p.add_argument("--t", type=float, default=0.7)
+    p.add_argument("--muB", type=float, help="value of the constant muB in H (default 1), "
+                   f"with |muB*t| <= {cpi.MAX_PHASE:g}")
+    p.add_argument("--t", type=float, default=0.7, help="transport time")
     p.add_argument(
         "--truncation",
         type=int,

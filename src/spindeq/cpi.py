@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from operator import index as _as_int_index
@@ -47,17 +48,15 @@ from scipy.linalg import expm
 
 from .errors import UnsupportedCaseError
 from .exact import CRational, crational
-from .grassmann import (
-    EVEN,
-    ODD,
-    GeneratorTable,
-    GrassmannOperator,
-    Multivector,
-)
+from .grassmann import ODD, GeneratorTable, GrassmannOperator, Multivector
 from .superfield import builtin_hamiltonian, get_case
 from .symbols import GradedPolynomial, bind_constants, format_poly, partial_derivative
 
 DEFAULT_EVEN_TRUNCATION = 4
+TOLERANCE = 1e-9  # every transport residual and the spectrum's imaginary parts
+MAX_PHASE = 1e6  # beyond this μB·t (rad), doubles cannot resolve a packet center to TOLERANCE
+PACKET_MODES = 48  # the coadjoint test packet has the modes |k| <= PACKET_MODES
+_SAMPLES = 5  # random packet centers (coadjoint) or wavefunctions (bosonic) per check
 
 
 # -- symbolic builders -------------------------------------------------------------
@@ -107,7 +106,8 @@ def cpi_hamiltonian(case, hamiltonian: GradedPolynomial) -> GradedPolynomial:
             out = out + w * (ctx.sym(fa.aux) * grad)
             for fb in fams:
                 hess = partial_derivative(grad, fb.base)
-                out = out + w * (i * ctx.sym(fa.antighost) * hess * ctx.sym(fb.ghost))
+                if not hess.is_zero():
+                    out = out + w * (i * ctx.sym(fa.antighost) * hess * ctx.sym(fb.ghost))
     return out
 
 
@@ -155,35 +155,57 @@ class CpiSpec:
         return h
 
 
-def _rate(spec: CpiSpec) -> float:
-    """The rate of transport, read off the bound Hamiltonian.
+def _vector_field(spec: CpiSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The classical vector field v(φ) = v₀ + M·φ of the bound Hamiltonian
+    on the (first, second) base fields:
 
-    grassmann: ω, the coefficient of ξξ̄.  coadjoint: μB, minus the
-    coefficient of η; any other non-constant term is unsupported.
+        v₀^a = ω^{ab} ∂_b H(0),    M^a_d = ω^{ab} ∂_d ∂_b H,
+
+    ∂_b taken first; for odd fields that order carries the graded sign.  H
+    must be at most quadratic in the base fields.
     """
     case = get_case(spec.case)
     h = spec.bound_hamiltonian()
-    first, second = case.families
-    if case.name == "grassmann":
-        rate = h.coefficient({first.base: 1, second.base: 1})
-    else:
-        rate = -h.coefficient({second.base: 1})
-        if not (h + rate * case.context.sym(second.base)).is_constant():
-            raise UnsupportedCaseError("coadjoint transport needs H = -muB*eta + constant")
+    grad = np.zeros(2, dtype=complex)
+    hess = np.zeros((2, 2), dtype=complex)
+    for b, fb in enumerate(case.families):
+        db = partial_derivative(h, fb.base)
+        grad[b] = complex(db.constant_part())
+        for d, fd in enumerate(case.families):
+            dd = partial_derivative(db, fd.base)
+            if not dd.is_constant():
+                raise UnsupportedCaseError(
+                    f"transport needs H at most quadratic in {list(case.base_names)}"
+                )
+            hess[b, d] = complex(dd.constant_part())
+    omega = np.array(case.omega, dtype=complex)
+    return omega @ grad, omega @ hess
+
+
+def _real(rate) -> float:
     rate = complex(rate)
     if rate.imag:
         raise UnsupportedCaseError(f"transport needs a real rate, got {rate}")
     return rate.real
 
 
+def _mode_rate(spec: CpiSpec) -> float:
+    """μB of the coadjoint CPI Hamiltonian H̃ = −μB·Λ_φ, minus its Λ_φ
+    coefficient; any other H̃ is unsupported."""
+    case = get_case(spec.case)
+    aux = case.families[0].aux
+    h_tilde = cpi_hamiltonian(case, spec.bound_hamiltonian())
+    mu_b = -h_tilde.coefficient({aux: 1})
+    if h_tilde != -mu_b * case.context.sym(aux):
+        raise UnsupportedCaseError("coadjoint transport needs H = -muB*eta + constant")
+    return _real(mu_b)
+
+
 def operator_table(case) -> GeneratorTable:
     """Generator table for wavefunctions over fields and ghosts."""
     case = get_case(case)
-    ghost_parity = ODD if case.base_parity == EVEN else EVEN
-    return GeneratorTable(
-        [(f.base, case.base_parity) for f in case.families]
-        + [(f.ghost, ghost_parity) for f in case.families]
-    )
+    names = case.base_names + tuple(f.ghost for f in case.families)
+    return GeneratorTable((name, case.context.decl(name).parity) for name in names)
 
 
 @dataclass(frozen=True)
@@ -255,8 +277,8 @@ class LiouvilleOperator:
         basis, matrix = self.closure_matrix(self.full_basis())
         return np.linalg.eigvals(matrix)
 
-    def spectrum_is_real(self, tol=1e-9) -> bool:
-        return bool(np.max(np.abs(self.spectrum().imag), initial=0.0) <= tol)
+    def spectrum_is_real(self) -> bool:
+        return bool(np.max(np.abs(self.spectrum().imag), initial=0.0) <= TOLERANCE)
 
 
 def build_cpi_hamiltonian(spec: CpiSpec) -> LiouvilleOperator:
@@ -272,12 +294,8 @@ def build_cpi_hamiltonian(spec: CpiSpec) -> LiouvilleOperator:
         raise UnsupportedCaseError(
             "coadjoint wavefunctions are Fourier series; use evolve directly"
         )
-    h = spec.bound_hamiltonian()
-    if h.degree_in(case.base_names) > 2:
-        raise UnsupportedCaseError(
-            "CPI operator has no finite closed basis for base-field degree > 2"
-        )
-    h_tilde = cpi_hamiltonian(case, h)
+    h_tilde = cpi_hamiltonian(case, spec.bound_hamiltonian())
+    _vector_field(spec)  # rejects H above quadratic
     table = operator_table(case)
     ghost_of = {f.antighost: f.ghost for f in case.families}
     base_of = {f.aux: f.base for f in case.families}
@@ -289,9 +307,7 @@ def build_cpi_hamiltonian(spec: CpiSpec) -> LiouvilleOperator:
         coeff = h_tilde.terms[mono]
         word = []
         for slot, exp in mono:
-            name, dot = case.context.key(slot)
-            if dot:
-                raise UnsupportedCaseError("CPI Hamiltonian with dotted symbols")
+            name, _dot = case.context.key(slot)
             if name in base_of:
                 for _ in range(exp):
                     coeff = coeff * aux_factor
@@ -346,10 +362,12 @@ class FourierWavefunction:
         self.terms = clean
 
     @classmethod
-    def wrapped_gaussian(cls, center: float, sigma: float = 0.35, modes: int = 48):
-        """Periodic Gaussian packet: c_k = e^{−σ²k²/2} e^{−ik·center} / 2π."""
+    def wrapped_gaussian(cls, center: float):
+        """Periodic Gaussian packet of width σ = 0.35:
+        c_k = e^{−σ²k²/2} e^{−ik·center} / 2π for |k| ≤ ``PACKET_MODES``."""
+        sigma = 0.35
         terms = {}
-        for k in range(-modes, modes + 1):
+        for k in range(-PACKET_MODES, PACKET_MODES + 1):
             terms[(k, 0, 0, 0)] = (
                 cmath.exp(-0.5 * sigma * sigma * k * k) * cmath.exp(-1j * k * center) / (2 * cmath.pi)
             )
@@ -398,14 +416,15 @@ class FourierWavefunction:
 def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = None):
     """Solve i dψ/dt = H̃ψ for time t.
 
-    Coadjoint: each Fourier mode k gains the exact phase e^{i·k·μB·t}.
-    Polynomial cases: matrix exponential on the closure of ψ's monomials.
+    Coadjoint: each Fourier mode k gains the exact phase e^{i·k·μB·t}, with
+    μB read off H̃ = −μB·Λ_φ.  Polynomial cases: matrix exponential on the
+    closure of ψ's monomials.
     """
     case = get_case(spec.case)
     if case.name == "coadjoint":
         if not isinstance(psi, FourierWavefunction):
             raise UnsupportedCaseError("coadjoint evolve expects a FourierWavefunction")
-        mu_b = _rate(spec)
+        mu_b = _mode_rate(spec)
         return FourierWavefunction(
             {key: c * cmath.exp(1j * key[0] * mu_b * t) for key, c in psi.terms.items()}
         )
@@ -428,26 +447,6 @@ def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = No
     return Multivector(operator.table, terms)
 
 
-def _linear_flow(case, h: GradedPolynomial, t: float) -> np.ndarray:
-    """exp(t·M) on the (first, second) base fields, with the graded Hessian
-
-        M^a_d = ω^{ab} ∂_d ∂_b H,
-
-    ∂_b taken first, for h at most quadratic in them.  For even fields M is
-    ω times the symmetric Hessian; for odd ones the order carries the sign.
-    """
-    fams = case.families
-    hess = np.zeros((2, 2), dtype=complex)
-    for b, fb in enumerate(fams):
-        grad = partial_derivative(h, fb.base)
-        for d, fd in enumerate(fams):
-            dd = partial_derivative(grad, fd.base)
-            if not dd.is_constant():
-                raise UnsupportedCaseError("linear flow needs a quadratic Hamiltonian")
-            hess[b, d] = complex(dd.constant_part())
-    return expm(t * np.array(case.omega, dtype=complex) @ hess)
-
-
 def jacobi_fields(spec: CpiSpec, c0, t: float) -> tuple:
     """Ghost transport along the classical flow, exp(t·M)·c₀ with the
     graded Hessian M^a_d = ω^{ab} ∂_d ∂_b H of every case.
@@ -455,11 +454,10 @@ def jacobi_fields(spec: CpiSpec, c0, t: float) -> tuple:
     grassmann: (e^{iωt}c₀, e^{−iωt}c₁) with ω the bilinear coefficient; for
     the coadjoint H = −μB·η the Hessian is 0, so the ghosts stay constant.
     """
-    case = get_case(spec.case)
     c0 = tuple(complex(v) for v in c0)
     if len(c0) != 2:
         raise ValueError("expected one ghost component per phase-space direction")
-    moved = _linear_flow(case, spec.bound_hamiltonian(), t) @ np.array(c0)
+    moved = expm(t * _vector_field(spec)[1]) @ np.array(c0)
     return (complex(moved[0]), complex(moved[1]))
 
 
@@ -469,40 +467,48 @@ def flow_matrix(spec: CpiSpec, t: float) -> np.ndarray:
     Requires a homogeneous quadratic Hamiltonian so that fields and ghosts
     share one linear flow.
     """
-    case = get_case(spec.case)
-    h = spec.bound_hamiltonian()
-    for f in case.families:
-        if partial_derivative(h, f.base).constant_part():
-            raise UnsupportedCaseError("linear flow needs a homogeneous quadratic Hamiltonian")
-    return _linear_flow(case, h, t)
+    v0, m = _vector_field(spec)
+    if v0.any():
+        raise UnsupportedCaseError("linear flow needs a homogeneous quadratic Hamiltonian")
+    return expm(t * m)
 
 
-def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0, samples: int = 5) -> dict:
+def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
     """Compare operator evolution against transport along classical paths.
 
-    Returns {"checks": [{name, expected, actual, residual, passed}, ...],
-    "passed": bool}.  Residual tolerances: 1e−9.
+    The operator side evolves by H̃; the classical side takes its rates from
+    the vector field v of H.  Returns {"checks": [{name, expected, actual,
+    residual, passed}, ...], "passed": bool}.  Residual tolerance:
+    ``TOLERANCE``.
     """
     rng = random.Random(seed)
     case = get_case(spec.case)
     checks = []
 
-    def add(name, expected, actual, residual, tol=1e-9):
+    def add(name, expected, actual, residual):
         checks.append(
             {
                 "name": name,
                 "expected": expected,
                 "actual": actual,
                 "residual": float(residual),
-                "passed": bool(residual <= tol),
+                "passed": bool(residual <= TOLERANCE),
             }
         )
 
     if case.name == "coadjoint":
-        mu_b = _rate(spec)
+        _mode_rate(spec)  # rejects any H̃ but −μB·Λ_φ, before the μB checks
+        v0, _m = _vector_field(spec)
+        mu_b = -_real(v0[0])  # v₀^φ = ∂_η H = −μB
         if not mu_b:
             raise UnsupportedCaseError("coadjoint transport needs muB != 0 for its period check")
-        for n in range(samples):
+        period = 2 * np.pi / mu_b
+        if not (abs(mu_b * t) <= MAX_PHASE and math.isfinite(period)):
+            raise UnsupportedCaseError(
+                f"coadjoint transport needs |muB*t| <= {MAX_PHASE:g} and a finite period "
+                f"2*pi/muB (flags --muB, --t); got muB = {mu_b:g}, t = {t:g}"
+            )
+        for n in range(_SAMPLES):
             center = rng.uniform(0, 2 * np.pi)
             packet = FourierWavefunction.wrapped_gaussian(center)
             moved = evolve(packet, spec, t)
@@ -518,12 +524,11 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0, samples:
                 moved.coefficient((k, 2, 0, 0))
                 - packet.coefficient((k, 0, 0, 0)) * cmath.exp(1j * k * mu_b * t)
             )
-            for k in range(-48, 49)
+            for k in range(-PACKET_MODES, PACKET_MODES + 1)
         )
         add("eta-marginal-invariant", 0.0, residual, residual)
-        period = 2 * np.pi / mu_b
         back = evolve(packet, spec, period)
-        add("period-identity", 0.0, packet.max_difference(back), packet.max_difference(back), 1e-9)
+        add("period-identity", 0.0, packet.max_difference(back), packet.max_difference(back))
         ghosts = jacobi_fields(spec, (0.3 + 0.1j, -0.2j), t)
         residual = max(abs(ghosts[0] - (0.3 + 0.1j)), abs(ghosts[1] - (-0.2j)))
         add("ghosts-constant", 0.0, residual, residual)
@@ -537,7 +542,8 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0, samples:
 
     operator = build_cpi_hamiltonian(spec)
     if case.name == "grassmann":
-        w = _rate(spec)
+        _v0, m = _vector_field(spec)
+        w = _real(-1j * m[0, 0])  # M^ξ_ξ = iω
         for a in (0, 1):
             for b in (0, 1):
                 for j in (0, 1, 2):
@@ -572,7 +578,7 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0, samples:
     cq_flow = flow_back[0, 0] * table.gen("c_q") + flow_back[0, 1] * table.gen("c_p")
     cp_flow = flow_back[1, 0] * table.gen("c_q") + flow_back[1, 1] * table.gen("c_p")
     bindings = {"q": q_flow, "p": p_flow, "c_q": cq_flow, "c_p": cp_flow}
-    for n in range(samples):
+    for n in range(_SAMPLES):
         terms = {}
         for _ in range(4):
             a = rng.randrange(max(spec.truncation - 1, 1))

@@ -104,27 +104,6 @@ class CRational:
     def __neg__(self):
         return CRational(-self.re, -self.im)
 
-    def __pos__(self):
-        return self
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = CRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def conjugate(self) -> "CRational":
-        return CRational(self.re, -self.im)
-
-    def __abs__(self) -> float:
-        return abs(complex(self))
-
     # -- comparison / hashing -----------------------------------------------
 
     def __eq__(self, other) -> bool:

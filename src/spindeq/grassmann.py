@@ -9,8 +9,8 @@ generator index, and products, derivatives and substitutions are the
 kernel's, with its sign conventions.  They are exact: no power of an even
 generator is ever dropped.  This module adds the table, Berezin integration
 (``berezin_integral(a, [g1, g2])`` integrates the *rightmost* measure
-first, i.e. it equals the iterated left derivative ``d_g1 d_g2 a``), the
-graded exponential and operators written as words.
+first, i.e. it equals the iterated left derivative ``d_g1 d_g2 a``) and
+operators written as words.
 
 Coefficients may be exact (:class:`~spindeq.exact.CRational`, ``int``,
 ``Fraction``) or floating (``float``, ``complex``); they may be mixed, in
@@ -19,8 +19,6 @@ which case arithmetic degrades to ``complex``.
 
 from __future__ import annotations
 
-import cmath
-import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -190,36 +188,6 @@ def berezin_integral(a: Multivector, gens: Sequence[str]) -> Multivector:
     out = a
     for g in reversed(list(gens)):
         out = left_derivative(out, g)
-    return out
-
-
-def graded_exp(a: Multivector) -> Multivector:
-    """Exponential of an even-parity multivector.
-
-    Splits off the scalar part s and sums the finite nilpotent series for
-    exp(a - s); the prefactor exp(s) stays exact when s is exactly zero.
-    Every term of a nilpotent even n holds at least two odd generators, so
-    n^k vanishes once 2k exceeds their count; an n whose power does not
-    vanish by then (a pure power of an even generator, say) is rejected.
-    """
-    p = a.parity()
-    if p == 1 or p is None and not a.is_zero():
-        raise ParityError("graded_exp requires an even-parity argument")
-    table = a.table
-    s = a.constant_part()
-    n = a - table.scalar(s)
-    out = table.scalar(1)
-    power = table.scalar(1)
-    for k in range(1, sum(table.is_odd) // 2 + 2):
-        power = product(power, n)
-        if power.is_zero():
-            break
-        inv_fact = Fraction(1, math.factorial(k))
-        out = out + power * inv_fact
-    else:
-        raise ParityError("graded_exp requires a nilpotent non-scalar part")
-    if s != 0:
-        out = out * cmath.exp(complex(s))
     return out
 
 

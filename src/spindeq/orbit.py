@@ -46,21 +46,6 @@ class OrbitState:
         """State on the constraint surface: p_θ = 0, p_φ = λ·cosθ."""
         return cls(theta, phi, 0.0, lambda_radius * math.cos(theta), lambda_radius)
 
-    def constraint_residuals(self) -> tuple[float, float]:
-        return (
-            self.p_theta,
-            self.p_phi - self.lambda_radius * math.cos(self.theta),
-        )
-
-    @property
-    def cartesian(self) -> tuple[float, float, float]:
-        lam, th, ph = self.lambda_radius, self.theta, self.phi
-        return (
-            lam * math.sin(th) * math.cos(ph),
-            lam * math.sin(th) * math.sin(ph),
-            lam * math.cos(th),
-        )
-
     @property
     def height(self) -> float:
         """η = λ·cosθ, the Darboux partner of φ."""
@@ -92,17 +77,17 @@ def poisson_bracket(f: PhaseFunction, g: PhaseFunction, at) -> float:
     return fθ * gpθ - fpθ * gθ + fφ * gpφ - fpφ * gφ
 
 
-def dirac_bracket(f: PhaseFunction, g: PhaseFunction, at, pole_guard: float = 1e-6) -> float:
+def dirac_bracket(f: PhaseFunction, g: PhaseFunction, at) -> float:
     """Bracket on the constrained sphere.
 
     {f, g}_D = {f, g} − {f, Φ1}·(1/(λ sinθ))·{Φ2, g}
                        + {f, Φ2}·(1/(λ sinθ))·{Φ1, g}
 
     using the inverse of {Φ_a, Φ_b} = ∓λ·sinθ; configurations with
-    |sinθ| ≤ pole_guard raise :class:`PoleError`.
+    |sinθ| ≤ 1e-6 raise :class:`PoleError`.
     """
     s = math.sin(at.theta)
-    if abs(s) <= pole_guard:
+    if abs(s) <= 1e-6:
         raise PoleError(
             f"Dirac bracket singular at sin(theta) = {s:.3e}; too close to a pole"
         )
@@ -196,18 +181,14 @@ def classical_trajectory(state: OrbitState, mu_b: float, b: float, t: float) -> 
     return replace(state, phi=wrap_angle(state.phi + precession_rate(mu_b, b) * t))
 
 
-def random_states(
-    n: int,
-    seed: int,
-    polar_margin: float = 0.15,
-    lambda_range: tuple[float, float] = (0.5, 2.0),
-) -> list[OrbitState]:
-    """Seeded sample of constraint-surface states away from the poles."""
+def random_states(n: int, seed: int) -> list[OrbitState]:
+    """Seeded sample of constraint-surface states away from the poles:
+    θ in [0.15, π − 0.15], φ in [0, 2π) and λ in [0.5, 2]."""
     rng = random.Random(seed)
     out = []
     for _ in range(n):
-        theta = rng.uniform(polar_margin, math.pi - polar_margin)
+        theta = rng.uniform(0.15, math.pi - 0.15)
         phi = rng.uniform(0.0, TWO_PI)
-        lam = rng.uniform(*lambda_range)
+        lam = rng.uniform(0.5, 2.0)
         out.append(OrbitState.on_constraint(theta, phi, lam))
     return out

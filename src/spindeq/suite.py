@@ -176,7 +176,10 @@ def _matmul(a, b) -> tuple:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
-def check_isomorphism(seed: int = 0, samples: int = 50) -> list[CheckResult]:
+_ISOMORPHISM_SAMPLES = 50  # random exact fields whose two operator forms must agree
+
+
+def check_isomorphism(seed: int = 0) -> list[CheckResult]:
     out = []
     sx, sy, sz, n = quantum.spin_operators()
     for label, op in (("Sx", sx), ("Sy", sy), ("Sz", sz), ("N", n)):
@@ -210,13 +213,13 @@ def check_isomorphism(seed: int = 0, samples: int = 50) -> list[CheckResult]:
         )
     rng = random.Random(seed)
     bad = 0
-    for _ in range(samples):
+    for _ in range(_ISOMORPHISM_SAMPLES):
         op = quantum.hamiltonian(_random_exact_field(rng))
         if not _forms_agree(op):
             bad += 1
     out.append(
         CheckResult(
-            f"isomorphism-hamiltonian-{samples}-fields", 0, bad, bad, bad == 0
+            f"isomorphism-hamiltonian-{_ISOMORPHISM_SAMPLES}-fields", 0, bad, bad, bad == 0
         )
     )
     return out
@@ -371,7 +374,7 @@ def check_transport(spec: cpi.CpiSpec, t: float, seed: int) -> list[CheckResult]
             item["actual"],
             item["residual"],
             item["passed"],
-            tolerance=1e-9,
+            tolerance=cpi.TOLERANCE,
         )
         for item in cpi.characteristics_check(spec, t=t, seed=seed)["checks"]
     ]

@@ -168,15 +168,6 @@ class GradedPolynomial(_graded.GradedElement):
         [(mono, sign)] = probe.terms.items()
         return self.terms.get(mono, CRational(0)) * sign
 
-    def degree_in(self, names: Iterable[str]) -> int:
-        """Largest total exponent of the given base symbols (any dot order)."""
-        targets = set(names)
-        key = self.context.key
-        return max(
-            (sum(e for slot, e in mono if key(slot)[0] in targets) for mono in self.terms),
-            default=0,
-        )
-
     def symbols_used(self) -> set[SymKey]:
         return {self.context.key(slot) for mono in self.terms for slot, _ in mono}
 

@@ -67,7 +67,7 @@ def test_criterion_05_representation_isomorphism(capsys):
     _run(
         capsys,
         "spin operator isomorphism",
-        lambda: check_isomorphism(seed=0, samples=50),
+        lambda: check_isomorphism(seed=0),
         10.0,
     )
 

@@ -10,6 +10,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from spindeq import superfield
 from spindeq.cli import RunReport, SCHEMA_VERSION, main
 
@@ -397,3 +399,48 @@ def test_bare_verify_dequantization_checks_the_default_stock_hamiltonian(tmp_pat
         assert reports[0]["extras"] == reports[1]["extras"]
     assert superfield.get_case("bosonic").hamiltonians[0][0] == "harmonic"
     capsys.readouterr()
+
+
+def test_precession_rejects_a_rate_that_is_not_finite(capsys):
+    # muB*b overflows to inf; the run must stop before any check turns nan.
+    argv = ["precession", "--theta0", "1", "--phi0", "0", "--muB", "1e308", "--b", "10",
+            "--t", "1", "--steps", "2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --muB and --b"), captured.err
+
+
+@pytest.mark.parametrize(
+    "extra, accepted",
+    [
+        (["--muB", "3e7"], False),
+        (["--muB", "1e8"], False),
+        (["--t", "1e7"], False),
+        (["--muB", "1e308"], False),
+        (["--muB", "1e-310"], False),  # the period 2*pi/muB overflows
+        (["--muB", "1e6", "--t", "1"], True),
+        (["--muB", "1", "--t", "1e6"], True),
+        (["--muB", "1e-300"], True),
+    ],
+)
+def test_coadjoint_transport_bounds_its_phase(extra, accepted, capsys):
+    # Beyond |muB*t| = 1e6 rad doubles cannot resolve a packet center to 1e-9.
+    code = main(["propagate-classical", "--case", "coadjoint", *extra])
+    captured = capsys.readouterr()
+    if accepted:
+        assert code == 0, captured.err
+        assert "9 checks, 0 failures" in captured.out
+    else:
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: coadjoint transport needs |muB*t| <= 1e+06")
+        assert "--muB" in captured.err and "--t" in captured.err
+
+
+def test_coadjoint_hamiltonian_form_is_checked_before_its_rate(capsys):
+    # eta^2 and eta*phi have muB = 0 as well; their form is what is wrong.
+    for text in ("eta^2", "eta*phi"):
+        assert main(["propagate-classical", "--case", "coadjoint", f"--hamiltonian={text}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: coadjoint transport needs H = -muB*eta + constant\n"

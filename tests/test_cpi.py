@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spindeq import cpi
 from spindeq import (
     CpiSpec,
     FourierWavefunction,
@@ -294,6 +295,9 @@ def test_flow_matrix_forms():
     assert np.allclose(flow_matrix(bilinear, 2.0), np.diag([math.e, 1.0 / math.e]))
     with pytest.raises(UnsupportedCaseError):
         flow_matrix(CpiSpec("bosonic", hamiltonian=ctx.parse("q^4/4")), 1.0)
+    # A linear term shifts the flow off the origin, so it is not linear.
+    with pytest.raises(UnsupportedCaseError):
+        flow_matrix(CpiSpec("bosonic", hamiltonian=ctx.parse("p^2/2+q^2/2+q")), 1.0)
 
 
 @given(
@@ -321,3 +325,15 @@ def test_characteristics_check_smoke():
     report = characteristics_check(CpiSpec("coadjoint", coefficients={"muB": 0.8}), t=0.5)
     assert report["passed"]
     assert all(c["passed"] for c in report["checks"])
+
+
+def test_coadjoint_transport_reads_the_cpi_hamiltonian(monkeypatch):
+    # The operator side evolves by H̃ and the oracle reads H; with H̃ negated
+    # the packets move the wrong way, and the check must see it.
+    spec = CpiSpec("coadjoint", coefficients={"muB": 0.8})
+    original = cpi.cpi_hamiltonian
+    monkeypatch.setattr(cpi, "cpi_hamiltonian", lambda case, h: -original(case, h))
+    checks = characteristics_check(spec, t=0.7)["checks"]
+    centers = [c for c in checks if c["name"].startswith("packet-center-")]
+    assert len(centers) == 5
+    assert not any(c["passed"] for c in centers)

@@ -64,16 +64,13 @@ def test_state_validation():
 
 def test_on_constraint_satisfies_both_constraints():
     for state in STATES:
-        r1, r2 = state.constraint_residuals()
-        assert abs(r1) == 0.0
-        assert abs(r2) < 1e-15
-        assert CONSTRAINT_1(state) == r1
-        assert CONSTRAINT_2(state) == r2
+        assert abs(CONSTRAINT_1(state)) == 0.0
+        assert abs(CONSTRAINT_2(state)) < 1e-15
 
 
 def test_cartesian_embedding_radius():
     for state in STATES:
-        x, y, z = state.cartesian
+        x, y, z = (f(state) for f in CARTESIAN)
         assert x * x + y * y + z * z == pytest.approx(
             state.lambda_radius**2, abs=1e-12
         )

@@ -262,7 +262,7 @@ def test_magnetic_evolution_matches_expm():
         (MagneticField(0.3, -0.4, 0.8, mu_b=1.7), 2.5),
         (MagneticField(0, 0, 0), 1.0),
     ]:
-        h = hamiltonian(b).matrix_array()
+        h = np.array(hamiltonian(b).matrix, dtype=complex)
         expected = scipy.linalg.expm(-1j * t * h)
         assert np.allclose(magnetic_evolution(b, t), expected, atol=1e-12)
 
@@ -277,7 +277,9 @@ def test_pauli_evolution_diagonal_phase_and_unitarity():
         b = MagneticField(*rng.normal(size=3), mu_b=abs(rng.normal()))
         psi = SpinState(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
         evolved = pauli_evolve(psi, b, float(rng.uniform(0.1, 4.0)))
-        assert evolved.norm() == pytest.approx(psi.norm(), abs=1e-12)
+        assert np.linalg.norm(evolved.as_vector()) == pytest.approx(
+            np.linalg.norm(psi.as_vector()), abs=1e-12
+        )
 
 
 def test_zero_field_slicing_is_identity():
@@ -348,7 +350,7 @@ def test_sliced_propagator_is_the_exact_power_of_one_slice_to_rounding():
 
     n = 1000
     for b, t in ((MagneticField(1.0, 0.0, 0.0), 1.0), (MagneticField(0.3, -0.4, 0.8), 1.0)):
-        h = hamiltonian(b).matrix_array()
+        h = np.array(hamiltonian(b).matrix, dtype=complex)
         step = np.eye(2) + h * complex(0, -t / n)
         power = [[CRational(1), CRational(0)], [CRational(0), CRational(1)]]
         square = [[CRational(Fraction(v.real), Fraction(v.imag)) for v in row] for row in step]

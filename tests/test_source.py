@@ -1,6 +1,7 @@
 """Source hygiene of the package: no module imports a name it never uses
-(``__init__`` is left out, because its imports are the public API), and
-every Python example in the README runs.
+(``__init__`` is left out, because its imports are the public API), every
+public function or class has a caller outside the tests, and every Python
+example in the README runs.
 """
 
 import ast
@@ -38,3 +39,37 @@ def test_every_readme_python_block_runs():
     assert len(blocks) >= 3
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+
+# Public names that only tests reach, and why each stays: they are the
+# references that tests/test_quantum.py compares kernel_from_symbol against.
+_ONLY_TESTS_CALL = {"integral_kernel", "kernel_to_matrix"}
+
+
+def test_every_public_function_has_a_caller():
+    # Each public top-level function or class of a module (``__init__`` is
+    # left out) must be named in the package's code, in bench/ or in the
+    # README; its own definition does not count.
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"]
+    named = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    root = Path(__file__).parents[1]
+    outside = [root / "README.md", *sorted((root / "bench").rglob("*.py"))]
+    text = "\n".join(path.read_text() for path in outside)
+    uncalled = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in named | _ONLY_TESTS_CALL
+        and not re.search(rf"\b{node.name}\b", text)
+    ]
+    assert uncalled == []

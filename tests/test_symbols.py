@@ -5,6 +5,7 @@ constant; that is enough to exercise every sign rule and every parser error
 path without dragging in the physics layers.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,17 @@ def test_parser_error_positions():
     with pytest.raises(UnknownSymbolError) as err:
         CTX.parse("zz + 1")
     assert err.value.position == 0
+    for text, position, message in (
+        ("q$", 1, "unexpected character"),
+        ("q)", 1, "unexpected token"),
+        ("q^p", 2, "exponent must be an integer literal"),
+        ("dot q", 4, "expected '(' after dot"),
+        ("dot(q", 5, "expected ')'"),
+        ("(q", 2, "expected ')'"),
+    ):
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            CTX.parse(text)
+        assert err.value.position == position, text
 
 
 def test_unknown_symbol_is_a_parse_error():
@@ -123,7 +135,6 @@ def test_coefficient_and_degree():
     poly = CTX.parse("3*p*dot(q) - q^2")
     assert poly.coefficient({("p", 0): 1, ("q", 1): 1}) == 3
     assert poly.coefficient({("q", 0): 2}) == -1
-    assert poly.degree_in(["q"]) == 2
     assert sorted(poly.symbols_used()) == [("p", 0), ("q", 0), ("q", 1)]
 
 
