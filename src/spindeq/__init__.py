@@ -3,10 +3,11 @@
 Layers, bottom up:
 
 * :mod:`spindeq.exact`: exact rational-complex coefficients;
-* :mod:`spindeq.grassmann`: graded algebras with exact products and Berezin
-  calculus;
 * :mod:`spindeq.symbols`: graded polynomials in named symbols with formal
-  time derivatives, parsing, and printing;
+  time derivatives, parsing, and printing; its ``SymbolContext`` is the one
+  algebra class;
+* :mod:`spindeq.grassmann`: multivectors, the graded polynomials with float
+  or complex coefficients, with exact products and Berezin calculus;
 * :mod:`spindeq.superfield`: superfield expansions and the dequantization
   map from quantum to classical-path-integral Lagrangians;
 * :mod:`spindeq.quantum`: spin-1/2 states and operators in one Grassmann
@@ -27,22 +28,13 @@ from .errors import (
     PoleError,
     SpindeqError,
     TableMismatchError,
-    UnknownGeneratorError,
     UnknownSymbolError,
     UnsupportedCaseError,
 )
 from .exact import CRational, I, crational
-from .grassmann import (
+from .symbols import (
     EVEN,
     ODD,
-    GeneratorTable,
-    GrassmannOperator,
-    Multivector,
-    berezin_integral,
-    left_derivative,
-    product,
-)
-from .symbols import (
     GradedPolynomial,
     SymbolContext,
     SymbolDecl,
@@ -53,6 +45,7 @@ from .symbols import (
     partial_derivative,
     substitute,
 )
+from .grassmann import GrassmannOperator, Multivector, berezin_integral, product
 from .superfield import (
     CASES,
     DequantizationCase,
@@ -102,7 +95,6 @@ from .cpi import (
     evolve,
     flow_matrix,
     jacobi_fields,
-    operator_table,
 )
 from .orbit import (
     CARTESIAN,

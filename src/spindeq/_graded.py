@@ -1,11 +1,10 @@
-"""The graded-algebra kernel under :mod:`spindeq.grassmann` and :mod:`spindeq.symbols`.
+"""The graded-algebra kernel under :mod:`spindeq.symbols` and :mod:`spindeq.grassmann`.
 
-One monomial form serves both front ends: a tuple of ``(slot, exponent)``
+One monomial form serves every element: a tuple of ``(slot, exponent)``
 pairs sorted by slot, every exponent positive, ``()`` for the constant
-monomial.  A slot is any hashable, totally ordered label of a generator: the
-generator index of a ``GeneratorTable``, or the (declaration index, dot
-order) pair of a ``SymbolContext``, so dotted symbols need no declaration of
-their own.  An element is a term map ``{monomial: coefficient}`` without zero
+monomial.  A slot is the (declaration index, dot order) pair of a symbol in
+a ``SymbolContext``, so dotted symbols need no declaration of their own.  An
+element is a term map ``{monomial: coefficient}`` without zero
 coefficients; term maps are never changed once built, so results may share
 them.  The functions here take ``odd``, a lookup with ``odd[slot]`` true for
 an anticommuting slot.
@@ -94,11 +93,16 @@ def mul(x: dict, y: dict, odd) -> dict:
 
 
 def power(x: dict, n: int, odd) -> dict:
-    """x to the power n >= 1, multiplied out from the left."""
-    out = x
-    for _ in range(n - 1):
-        out = mul(out, x, odd)
-    return out
+    """x to the power n >= 1 by repeated squaring, in O(log n) products;
+    x² is the one product x·x, as multiplied out from the left."""
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else mul(out, x, odd)
+        n >>= 1
+        if not n:
+            return out
+        x = mul(x, x, odd)
 
 
 def left_derivative(x: dict, slot, odd) -> dict:
@@ -124,13 +128,14 @@ def left_derivative(x: dict, slot, odd) -> dict:
 
 class GradedElement:
     """An element of a graded algebra: a term map over ``algebra``, with the
-    ring operations that ``Multivector`` and ``GradedPolynomial`` share.
+    ring operations that ``GradedPolynomial`` and ``Multivector`` share.
 
-    The algebra (a ``GeneratorTable`` or a ``SymbolContext``) supplies
-    ``is_odd``, the ``odd`` lookup of this module, ``has_slot`` and
-    ``lift``, which checks one coefficient.  A subclass sets ``SCALARS``,
-    the scalar types it takes, and ``MISMATCH``, the error for operands
-    over different algebras.
+    The algebra, a ``SymbolContext``, supplies ``is_odd``, the ``odd``
+    lookup of this module, and ``has_slot``.  A subclass sets ``SCALARS``,
+    the scalar types it takes, ``lift``, which checks one coefficient, and
+    ``MISMATCH``, the error for operands over different algebras.  Operands
+    of two different element types never combine, so an exact element never
+    holds a float.
     """
 
     __slots__ = ("algebra", "terms")
@@ -139,7 +144,7 @@ class GradedElement:
 
     def __init__(self, algebra, terms):
         self.algebra = algebra
-        self.terms = checked(terms, algebra.is_odd, algebra.has_slot, algebra.lift)
+        self.terms = checked(terms, algebra.is_odd, algebra.has_slot, self.lift)
 
     @classmethod
     def _wrap(cls, algebra, terms: dict):
@@ -153,11 +158,13 @@ class GradedElement:
         return self._wrap(self.algebra, terms)
 
     def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} and {type(other).__name__}")
         if self.algebra != other.algebra:
             raise self.MISMATCH(f"{type(self).__name__} operands over different algebras")
 
     def _constant(self, value) -> dict:
-        value = self.algebra.lift(value)
+        value = self.lift(value)
         return {(): value} if value else {}
 
     def is_zero(self) -> bool:
@@ -176,7 +183,7 @@ class GradedElement:
         return seen.pop() if len(seen) == 1 else None
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, type(self)):
+        if type(other) is type(self):
             return self.algebra == other.algebra and self.terms == other.terms
         if isinstance(other, self.SCALARS):
             return self.terms == self._constant(other)
@@ -188,7 +195,7 @@ class GradedElement:
     def __add__(self, other):
         if isinstance(other, self.SCALARS):
             addend = self._constant(other)
-        elif isinstance(other, type(self)):
+        elif isinstance(other, GradedElement):
             self._check(other)
             addend = other.terms
         else:
@@ -215,9 +222,9 @@ class GradedElement:
 
     def __mul__(self, other):
         if isinstance(other, self.SCALARS):
-            k = self.algebra.lift(other)
+            k = self.lift(other)
             return self._new({mono: v for mono, c in self.terms.items() if (v := c * k)})
-        if not isinstance(other, type(self)):
+        if not isinstance(other, GradedElement):
             return NotImplemented
         self._check(other)
         return self._new(mul(self.terms, other.terms, self.algebra.is_odd))
@@ -238,8 +245,7 @@ class GradedElement:
         every other slot to itself."""
         images = {}
         for key, slot, element in bound:
-            if element.algebra != self.algebra:
-                raise self.MISMATCH("binding belongs to a different algebra")
+            self._check(element)
             if not element.is_zero() and element.parity() != self.algebra.is_odd[slot]:
                 raise ParityError(f"binding for {key!r} has wrong parity")
             images[slot] = element.terms

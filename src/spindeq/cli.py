@@ -212,6 +212,11 @@ def _cmd_propagate_classical(args):
 def _cmd_precession(args):
     if not math.isfinite(args.muB * args.b):
         raise ValueError(f"--muB and --b: the rate muB*b must be finite, got {args.muB}*{args.b}")
+    if not math.isfinite(args.lam * args.muB * args.b):
+        raise ValueError(
+            f"--lam, --muB and --b: the energy lam*muB*b must be finite, "
+            f"got {args.lam}*{args.muB}*{args.b}"
+        )
     state = orbit.OrbitState.on_constraint(args.theta0, args.phi0, args.lam)
     times = [args.t * k / args.steps for k in range(args.steps + 1)]
     if args.out:
@@ -269,7 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, help="value of the constant w in H (default 1)")
     p.add_argument("--muB", type=float, help="value of the constant muB in H (default 1), "
                    f"with |muB*t| <= {cpi.MAX_PHASE:g}")
-    p.add_argument("--t", type=float, default=0.7, help="transport time")
+    p.add_argument(
+        "--t",
+        type=float,
+        default=0.7,
+        help=f"transport time; bosonic needs |t|*max|M| <= {cpi.MAX_PHASE:g} and "
+        f"max|exp(-t*M)| <= {cpi.MAX_STRETCH:g} for M = omega*Hess H",
+    )
     p.add_argument(
         "--truncation",
         type=int,

@@ -12,8 +12,8 @@ with left derivatives, ∂_d taken first; for odd base fields that order
 carries the graded sign.
 
 Numeric side: the CPI Hamiltonian realized as an operator on wavefunctions
-over the enlarged space (fields and ghosts).  Auxiliary and antighost
-symbols become derivatives:
+over the enlarged space (fields and ghosts), multivectors over the case's
+context.  Auxiliary and antighost symbols become derivatives:
 
     even base fields:  aux → −i ∂_field,  antighost → +∂_ghost
     odd base fields:   aux → +i ∂_field,  antighost → −∂_ghost
@@ -48,13 +48,24 @@ from scipy.linalg import expm
 
 from .errors import UnsupportedCaseError
 from .exact import CRational, crational
-from .grassmann import ODD, GeneratorTable, GrassmannOperator, Multivector
+from .grassmann import GrassmannOperator, Multivector
 from .superfield import builtin_hamiltonian, get_case
-from .symbols import GradedPolynomial, bind_constants, format_poly, partial_derivative
+from .symbols import (
+    ODD,
+    GradedPolynomial,
+    SymbolContext,
+    bind_constants,
+    format_poly,
+    partial_derivative,
+)
 
 DEFAULT_EVEN_TRUNCATION = 4
 TOLERANCE = 1e-9  # every transport residual and the spectrum's imaginary parts
 MAX_PHASE = 1e6  # beyond this μB·t (rad), doubles cannot resolve a packet center to TOLERANCE
+# Largest entry of the bosonic back flow exp(−t·M) that transport accepts, and
+# MAX_PHASE bounds |t|·max|M| there too: beyond either, the float exponential
+# of the closure matrix misses TOLERANCE at the default truncation.
+MAX_STRETCH = 30
 PACKET_MODES = 48  # the coadjoint test packet has the modes |k| <= PACKET_MODES
 _SAMPLES = 5  # random packet centers (coadjoint) or wavefunctions (bosonic) per check
 
@@ -201,19 +212,13 @@ def _mode_rate(spec: CpiSpec) -> float:
     return _real(mu_b)
 
 
-def operator_table(case) -> GeneratorTable:
-    """Generator table for wavefunctions over fields and ghosts."""
-    case = get_case(case)
-    names = case.base_names + tuple(f.ghost for f in case.families)
-    return GeneratorTable((name, case.context.decl(name).parity) for name in names)
-
-
 @dataclass(frozen=True)
 class LiouvilleOperator:
-    """CPI Hamiltonian as an operator on enlarged-space wavefunctions."""
+    """CPI Hamiltonian as an operator on enlarged-space wavefunctions, the
+    multivectors over the case's context in its fields and ghosts."""
 
     case: str
-    table: GeneratorTable
+    context: SymbolContext
     operator: GrassmannOperator
     description: str
     truncation: int
@@ -221,11 +226,11 @@ class LiouvilleOperator:
     def apply(self, psi: Multivector) -> Multivector:
         return self.operator.apply(psi)
 
-    def eigenvalue_on(self, exps) -> complex | None:
-        """Eigenvalue on the monomial with exponents ``exps`` in table order,
-        or None if it is not an eigenvector."""
-        mono = self.table.monomial(exps)
-        image = self.apply(Multivector(self.table, {mono: 1})).terms
+    def eigenvalue_on(self, powers) -> complex | None:
+        """Eigenvalue on the monomial with the exponents ``powers`` maps
+        field and ghost names to, or None if it is not an eigenvector."""
+        mono = self.context.monomial(powers)
+        image = self.apply(Multivector(self.context, {mono: 1})).terms
         if image.keys() - {mono}:
             return None
         return complex(image.get(mono, 0))
@@ -240,7 +245,7 @@ class LiouvilleOperator:
         index = {m: i for i, m in enumerate(basis)}
         columns = []
         for seed in basis:  # the basis grows while it is walked, up to closure
-            image = self.apply(Multivector(self.table, {seed: 1}))
+            image = self.apply(Multivector(self.context, {seed: 1}))
             col = {}
             for mono, coeff in image.terms.items():
                 if mono not in index:
@@ -264,13 +269,12 @@ class LiouvilleOperator:
         """
         case = get_case(self.case)
         D = self.truncation
-        names = self.table.names
-        ranges = [range(2 if odd else D + 1) for odd in self.table.is_odd]
-        base_slots = [i for i, n in enumerate(names) if n in case.base_names]
+        names = case.base_names + tuple(f.ghost for f in case.families)
+        ranges = [range(2 if self.context.decl(n).parity == ODD else D + 1) for n in names]
         out = []
         for exps in itertools.product(*ranges):
-            if sum(exps[i] for i in base_slots) <= D:
-                out.append(self.table.monomial(exps))
+            if sum(exps[: len(case.base_names)]) <= D:
+                out.append(self.context.monomial(dict(zip(names, exps))))
         return out
 
     def spectrum(self) -> np.ndarray:
@@ -296,7 +300,6 @@ def build_cpi_hamiltonian(spec: CpiSpec) -> LiouvilleOperator:
         )
     h_tilde = cpi_hamiltonian(case, spec.bound_hamiltonian())
     _vector_field(spec)  # rejects H above quadratic
-    table = operator_table(case)
     ghost_of = {f.antighost: f.ghost for f in case.families}
     base_of = {f.aux: f.base for f in case.families}
     aux_factor = CRational(0, 1) if case.base_parity == ODD else CRational(0, -1)
@@ -324,10 +327,10 @@ def build_cpi_hamiltonian(spec: CpiSpec) -> LiouvilleOperator:
             + " ".join(f"d/d{n}" if kind == "diff" else n for kind, n in word)
             + ")"
         )
-    operator = GrassmannOperator(table, terms)
+    operator = GrassmannOperator(case.context, terms)
     return LiouvilleOperator(
         case.name,
-        table,
+        case.context,
         operator,
         " + ".join(pieces) if pieces else "0",
         spec.truncation,
@@ -432,8 +435,8 @@ def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = No
         raise UnsupportedCaseError("polynomial evolve expects a Multivector")
     if operator is None:
         operator = build_cpi_hamiltonian(spec)
-    if psi.table != operator.table:
-        raise UnsupportedCaseError("wavefunction table does not match the operator table")
+    if psi.context is not operator.context:
+        raise UnsupportedCaseError("wavefunction context does not match the operator's")
     if psi.is_zero():
         return psi
     basis, matrix = operator.closure_matrix(sorted(psi.terms))
@@ -444,7 +447,7 @@ def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = No
             vec[i] = complex(c)
     out = expm(-1j * t * matrix) @ vec
     terms = {mono: out[i] for i, mono in enumerate(basis) if out[i]}
-    return Multivector(operator.table, terms)
+    return Multivector(operator.context, terms)
 
 
 def jacobi_fields(spec: CpiSpec, c0, t: float) -> tuple:
@@ -541,7 +544,9 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
         return {"checks": checks, "passed": all(c["passed"] for c in checks)}
 
     operator = build_cpi_hamiltonian(spec)
+    ctx = case.context
     if case.name == "grassmann":
+        names = ("xi", "xibar", "c_xi", "c_xibar")
         _v0, m = _vector_field(spec)
         w = _real(-1j * m[0, 0])  # M^ξ_ξ = iω
         for a in (0, 1):
@@ -549,19 +554,19 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
                 for j in (0, 1, 2):
                     for k in (0, 1):
                         exps = (a, b, j, k)
-                        value = operator.eigenvalue_on(exps)
+                        value = operator.eigenvalue_on(dict(zip(names, exps)))
                         expected = w * (a - b + j - k)
                         if value is None:
                             add(f"eigen-{exps}", expected, None, float("inf"))
                             continue
                         residual = abs(value - expected)
                         add(f"eigen-{exps}", expected, value.real, residual)
-        mono = operator.table.term(1.0, xi=1, c_xi=1)
-        moved = evolve(mono, spec, t, operator)
+        xi_cxi = {"xi": 1, "c_xi": 1}
+        moved = evolve(Multivector(ctx, {ctx.monomial(xi_cxi): 1.0}), spec, t, operator)
         expected_phase = cmath.exp(-1j * w * 2 * t)
-        actual = complex(moved.coefficient(xi=1, c_xi=1))
+        actual = complex(moved.coefficient(xi_cxi))
         add("phase-xi-cxi", expected_phase, actual, abs(actual - expected_phase))
-        one = operator.table.scalar(1.0)
+        one = Multivector(ctx, {(): 1.0})
         add(
             "constant-annihilated",
             0.0,
@@ -571,12 +576,21 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
         return {"checks": checks, "passed": all(c["passed"] for c in checks)}
 
     # bosonic: operator evolution against substitution along the linear flow
-    flow_back = flow_matrix(spec, -t)
-    table = operator.table
-    q_flow = flow_back[0, 0] * table.gen("q") + flow_back[0, 1] * table.gen("p")
-    p_flow = flow_back[1, 0] * table.gen("q") + flow_back[1, 1] * table.gen("p")
-    cq_flow = flow_back[0, 0] * table.gen("c_q") + flow_back[0, 1] * table.gen("c_p")
-    cp_flow = flow_back[1, 0] * table.gen("c_q") + flow_back[1, 1] * table.gen("c_p")
+    with np.errstate(over="ignore", invalid="ignore"):
+        flow_back = flow_matrix(spec, -t)
+    phase = abs(t) * np.abs(_vector_field(spec)[1]).max()
+    stretch = np.abs(flow_back).max()
+    if not (phase <= MAX_PHASE and stretch <= MAX_STRETCH):
+        raise UnsupportedCaseError(
+            f"bosonic transport needs |t|*max|M| <= {MAX_PHASE:g} and max|exp(-t*M)| <= "
+            f"{MAX_STRETCH:g} for M = omega*Hess H (flag --t); got t = {t:g}, "
+            f"|t|*max|M| = {phase:.3g}, max|exp(-t*M)| = {stretch:.3g}"
+        )
+    q, p, c_q, c_p = (Multivector.gen(ctx, name) for name in ("q", "p", "c_q", "c_p"))
+    q_flow = flow_back[0, 0] * q + flow_back[0, 1] * p
+    p_flow = flow_back[1, 0] * q + flow_back[1, 1] * p
+    cq_flow = flow_back[0, 0] * c_q + flow_back[0, 1] * c_p
+    cp_flow = flow_back[1, 0] * c_q + flow_back[1, 1] * c_p
     bindings = {"q": q_flow, "p": p_flow, "c_q": cq_flow, "c_p": cp_flow}
     for n in range(_SAMPLES):
         terms = {}
@@ -585,8 +599,9 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
             b = rng.randrange(max(spec.truncation - 1, 1))
             g = rng.randrange(0, 2)
             h_ = rng.randrange(0, 2)
-            terms[table.monomial((a, b, g, h_))] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        psi = Multivector(table, terms)
+            mono = ctx.monomial({"q": a, "p": b, "c_q": g, "c_p": h_})
+            terms[mono] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        psi = Multivector(ctx, terms)
         gap = evolve(psi, spec, t, operator) - psi.substitute(bindings)
         residual = max((abs(complex(c)) for c in gap.terms.values()), default=0.0)
         add(f"transport-{n}", 0.0, residual, residual)

@@ -6,11 +6,7 @@ class SpindeqError(Exception):
 
 
 class TableMismatchError(SpindeqError):
-    """Two multivectors built over different generator tables were combined."""
-
-
-class UnknownGeneratorError(SpindeqError):
-    """A generator name is not present in the table."""
+    """Two multivectors built over different contexts were combined."""
 
 
 class ParityError(SpindeqError):

@@ -9,8 +9,8 @@ operator appears in four interchangeable forms:
 * normal-ordered symbol A(ξ, ξ̄) = α + βξ + γξ̄ + δξξ̄;
 * integral kernel Ã(ξ, ξ′), applied by Berezin integration against ψ(ξ′).
 
-All Grassmann work happens in one algebra, ``TABLE``, over ξ, ξ̄ and
-their primed copies ξ′, ξ̄′: a wavefunction uses ξ, a symbol ξ and ξ̄, a
+All Grassmann work happens in one algebra, the context ``TABLE`` of the
+odd symbols ξ, ξ̄ and their primed copies ξ′, ξ̄′: a wavefunction uses ξ, a symbol ξ and ξ̄, a
 kernel ξ and ξ′, and the primed variables are the ones that the Berezin
 integrals of kernel application and composition remove.
 
@@ -39,28 +39,24 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import CRational, I
-from .grassmann import (
-    GeneratorTable,
-    GrassmannOperator,
-    Multivector,
-    berezin_integral,
-    product,
-)
+from .grassmann import GrassmannOperator, Multivector, berezin_integral, product
+from .symbols import ODD, SymbolContext
 
-TABLE = GeneratorTable.odd("xi", "xibar", "xip", "xibarp")
-_XI, _XIBAR, _XIP, _XIBARP = (TABLE.gen(name) for name in TABLE.names)
+_NAMES = ("xi", "xibar", "xip", "xibarp")
+TABLE = SymbolContext((name, ODD) for name in _NAMES)
+_XI, _XIBAR, _XIP, _XIBARP = (Multivector.gen(TABLE, name) for name in _NAMES)
 
 # Monomials 1, ξ, ξ̄, ξξ̄ of a symbol, whose first two are the 1, ξ of a
 # wavefunction, and 1, ξ, ξ′, ξξ′ of a kernel.
-_BASIS = tuple(TABLE.monomial(e) for e in ((0, 0), (1, 0), (0, 1), (1, 1)))
-_KERNEL_BASIS = tuple(TABLE.monomial(e) for e in ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1)))
+_BASIS = tuple(TABLE.monomial(p) for p in ({}, {"xi": 1}, {"xibar": 1}, {"xi": 1, "xibar": 1}))
+_KERNEL_BASIS = tuple(TABLE.monomial(p) for p in ({}, {"xi": 1}, {"xip": 1}, {"xi": 1, "xip": 1}))
 
 
 def _coefficients(mv: Multivector, basis: tuple, what: str) -> tuple:
     """The coefficients of ``mv`` on ``basis``.  A multivector off ``TABLE``
     or with a term outside the basis raises ``ValueError``, so no input is
     silently truncated."""
-    if mv.table != TABLE or not mv.terms.keys() <= set(basis):
+    if mv.context is not TABLE or not mv.terms.keys() <= set(basis):
         raise ValueError(f"not {what} on the quantum table: {mv!r}")
     return tuple(mv.terms.get(m, 0) for m in basis)
 

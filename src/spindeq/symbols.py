@@ -4,7 +4,9 @@ This layer carries the symbolic identities.  Symbols are declared in a
 :class:`SymbolContext` with a parity and an optional ``constant`` flag
 (constants have vanishing time derivative).  Dotted symbols -- formal time
 derivatives such as ``dot(q)`` -- need no declaration: they inherit the
-parity of their base symbol and sort immediately after it.
+parity of their base symbol and sort immediately after it.  A context is
+the one algebra class of the package: the numeric elements of
+:mod:`spindeq.grassmann` live over contexts too.
 
 Monomials take the one form of the graded-algebra kernel
 :mod:`spindeq._graded`, ``((slot, exponent), ...)`` sorted by slot, where
@@ -46,6 +48,11 @@ def _lift(value) -> CRational:
     if isinstance(value, (int, Fraction)):
         return CRational(value)
     raise TypeError(f"polynomial coefficients must be exact, got {type(value).__name__}")
+
+
+# Deepest nesting of parentheses and dot(...) that the parser accepts; each
+# level costs a few Python frames.
+MAX_NESTING = 50
 
 
 class _OddSlots(dict):
@@ -115,7 +122,10 @@ class SymbolContext:
             and slot[1] >= 0
         )
 
-    lift = staticmethod(_lift)
+    def monomial(self, powers: Mapping) -> tuple:
+        """The monomial with the given exponent on each symbol name or
+        ``(name, dot)`` key, in the kernel's form."""
+        return tuple(sorted((self.slot(key), e) for key, e in powers.items() if e))
 
     # -- polynomial constructors ---------------------------------------------
 
@@ -147,6 +157,7 @@ class GradedPolynomial(_graded.GradedElement):
     """
 
     __slots__ = ()
+    lift = staticmethod(_lift)
     # Bound in this class itself, where per-layer tracing (bench/layers.py) wraps it.
     __mul__ = _graded.GradedElement.__mul__
 
@@ -154,19 +165,20 @@ class GradedPolynomial(_graded.GradedElement):
     def context(self) -> SymbolContext:
         return self.algebra
 
-    def coefficient(self, factors) -> CRational:
+    def coefficient(self, factors):
         """Coefficient of one monomial, with the sign of reordering into it.
 
         ``factors`` maps symbol names (or ``(name, dot)`` keys) to exponents.
         """
         ctx = self.context
-        probe = ctx.const(1)  # the product of the factors: a sign times the monomial
+        sign, mono = 1, ()  # the product of the factors: a sign times the monomial
         for key, exp in dict(factors).items():
-            probe = probe * ctx.sym(*((key, 0) if isinstance(key, str) else key)) ** exp
-        if probe.is_zero():
+            for _ in range(exp):
+                step, mono = _graded.merge(mono, ((ctx.slot(key), 1),), ctx.is_odd)
+                sign *= step
+        if not sign:
             raise ValueError("requested monomial vanishes identically")
-        [(mono, sign)] = probe.terms.items()
-        return self.terms.get(mono, CRational(0)) * sign
+        return self.terms.get(mono, self.lift(0)) * sign
 
     def symbols_used(self) -> set[SymKey]:
         return {self.context.key(slot) for mono in self.terms for slot, _ in mono}
@@ -319,7 +331,8 @@ class _Parser:
     atom   := NUMBER | 'i' | IDENT | 'dot' '(' expr ')' | '(' expr ')'
 
     Division is allowed only by nonzero constant subexpressions, which keeps
-    everything inside the polynomial ring.
+    everything inside the polynomial ring.  Signs are read in a loop, and
+    parentheses and ``dot(...)`` may nest at most ``MAX_NESTING`` deep.
     """
 
     def __init__(self, ctx: SymbolContext, text: str):
@@ -327,6 +340,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.k]
@@ -363,14 +377,10 @@ class _Parser:
         return value
 
     def unary(self) -> GradedPolynomial:
-        tok = self.peek()
-        if tok.text == "-":
-            self.advance()
-            return -self.unary()
-        if tok.text == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
+        negate = False
+        while self.peek().text in ("-", "+"):
+            negate ^= self.advance().text == "-"
+        return -self.power() if negate else self.power()
 
     def power(self) -> GradedPolynomial:
         value = self.atom()
@@ -397,21 +407,25 @@ class _Parser:
                 opener = self.advance()
                 if opener.text != "(":
                     raise ParseError("expected '(' after dot", opener.pos)
-                inner = self.expr()
-                closer = self.advance()
-                if closer.text != ")":
-                    raise ParseError("expected ')'", closer.pos)
-                return formal_time_derivative(inner)
+                return formal_time_derivative(self.nested(opener))
             if not self.ctx.declared(tok.text):
                 raise UnknownSymbolError(f"unknown symbol {tok.text!r}", tok.pos)
             return self.ctx.sym(tok.text)
         if tok.text == "(":
-            inner = self.expr()
-            closer = self.advance()
-            if closer.text != ")":
-                raise ParseError("expected ')'", closer.pos)
-            return inner
+            return self.nested(tok)
         raise ParseError(f"expected a value, got {tok.text!r}" if tok.text else "unexpected end of input", tok.pos)
+
+    def nested(self, opener: _Token) -> GradedPolynomial:
+        """The expression after ``opener``, an opening parenthesis, up to its ')'."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"parentheses and dot(...) nested deeper than {MAX_NESTING}", opener.pos)
+        self.depth += 1
+        inner = self.expr()
+        self.depth -= 1
+        closer = self.advance()
+        if closer.text != ")":
+            raise ParseError("expected ')'", closer.pos)
+        return inner
 
     def _checked_mul(self, a, b, pos) -> GradedPolynomial:
         result = a * b

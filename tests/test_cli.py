@@ -411,6 +411,57 @@ def test_precession_rejects_a_rate_that_is_not_finite(capsys):
     assert captured.err.startswith("error: --muB and --b"), captured.err
 
 
+def test_precession_rejects_an_energy_that_is_not_finite(capsys):
+    # muB*b is finite, but lam*muB*b overflows; three rows would turn nan.
+    argv = ["precession", "--theta0", "1", "--phi0", "0", "--muB", "1e308", "--b", "0.5",
+            "--lam", "4", "--t", "1", "--steps", "2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --lam, --muB and --b"), captured.err
+    assert main(argv[:-6] + ["--lam", "1", "--t", "1", "--steps", "2"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "hamiltonian, t, accepted",
+    [
+        ("p^2/2 + q^2/2", "3e6", False),
+        ("p^2/2 + q^2/2", "1e8", False),
+        ("p^2/2", "1000", False),
+        ("q*p", "10", False),
+        ("q*p", "1000", False),  # exp(t*M) overflows
+        ("p^2/2 + q^2/2", "1e6", True),
+        ("p^2/2", "20", True),
+        ("q*p", "3", True),
+    ],
+)
+def test_bosonic_transport_bounds_its_flow(hamiltonian, t, accepted, capsys):
+    # Past |t|*max|M| = 1e6 or a stretch of 30, the float exponential of the
+    # closure matrix misses the 1e-9 tolerance.
+    argv = ["propagate-classical", "--case", "bosonic", f"--hamiltonian={hamiltonian}", "--t", t]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if accepted:
+        assert code == 0, captured.err
+        assert "5 checks, 0 failures" in captured.out
+    else:
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: bosonic transport needs |t|*max|M| <= 1e+06")
+        assert "--t" in captured.err
+
+
+def test_deep_nesting_and_large_powers_end_cleanly():
+    nested = "(" * 2000 + "q" + ")" * 2000
+    done = run_cli("verify-dequantization", "--case", "bosonic", "--hamiltonian", nested)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: parentheses and dot(...) nested deeper than")
+    assert "Traceback" not in done.stderr
+    code = main(["verify-dequantization", "--case", "bosonic", "--hamiltonian", "q^99999999"])
+    assert code == 0
+
+
 @pytest.mark.parametrize(
     "extra, accepted",
     [

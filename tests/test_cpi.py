@@ -18,6 +18,7 @@ from spindeq import cpi
 from spindeq import (
     CpiSpec,
     FourierWavefunction,
+    Multivector,
     UnsupportedCaseError,
     bind_constants,
     build_cpi_hamiltonian,
@@ -30,8 +31,14 @@ from spindeq import (
     flow_matrix,
     get_case,
     jacobi_fields,
-    operator_table,
 )
+
+# The grassmann wavefunction generators, in the order of an exponent tuple.
+GRASSMANN_FIELDS = ("xi", "xibar", "c_xi", "c_xibar")
+
+
+def gen(case, name):
+    return Multivector.gen(get_case(case).context, name)
 
 
 def test_coadjoint_hamiltonian_is_linear_in_aux():
@@ -131,13 +138,13 @@ def test_spec_default_hamiltonians():
 def test_operator_annihilates_constants():
     for spec in (CpiSpec("bosonic"), CpiSpec("grassmann", coefficients={"w": 2.0})):
         op = build_cpi_hamiltonian(spec)
-        assert op.apply(op.table.scalar(3)).is_zero()
+        assert op.apply(Multivector(op.context, {(): 3})).is_zero()
 
 
 def test_zero_hamiltonian_gives_zero_operator():
     ctx = get_case("bosonic").context
     op = build_cpi_hamiltonian(CpiSpec("bosonic", hamiltonian=ctx.zero()))
-    probe = op.table.gen("q") * op.table.gen("c_p") + op.table.scalar(2)
+    probe = gen("bosonic", "q") * gen("bosonic", "c_p") + 2
     assert op.apply(probe).is_zero()
 
 
@@ -145,9 +152,9 @@ def test_zero_time_evolution_is_identity():
     spec = CpiSpec("coadjoint", coefficients={"muB": 0.8})
     wave = FourierWavefunction.wrapped_gaussian(center=0.4)
     assert evolve(wave, spec, 0.0).max_difference(wave) == 0.0
-    psi = operator_table("bosonic").gen("q")
+    psi = gen("bosonic", "q")
     out = evolve(psi, CpiSpec("bosonic"), 0.0)
-    assert complex(out.coefficient(q=1)) == pytest.approx(1.0, abs=1e-15)
+    assert complex(out.coefficient({"q": 1})) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_grassmann_eigenvalues_count_occupation():
@@ -161,7 +168,7 @@ def test_grassmann_eigenvalues_count_occupation():
         ((1, 1, 0, 1), -1),
         ((0, 0, 0, 0), 0),
     ]:
-        value = op.eigenvalue_on(exps)
+        value = op.eigenvalue_on(dict(zip(GRASSMANN_FIELDS, exps)))
         assert value is not None
         assert value == pytest.approx(w * factor)
 
@@ -173,13 +180,14 @@ def test_grassmann_eigenvalues_on_ghost_squares_at_low_truncation():
         op = build_cpi_hamiltonian(spec)
         for exps in ((0, 0, 2, 0), (1, 0, 2, 1), (0, 1, 2, 0)):
             a, b, j, k = exps
-            assert op.eigenvalue_on(exps) == pytest.approx(w * (a - b + j - k))
+            value = op.eigenvalue_on(dict(zip(GRASSMANN_FIELDS, exps)))
+            assert value == pytest.approx(w * (a - b + j - k))
 
 
 def test_bosonic_monomials_mix_under_rotation():
     op = build_cpi_hamiltonian(CpiSpec("bosonic"))
-    assert op.eigenvalue_on((1, 0, 0, 0)) is None
-    q, p = op.table.monomial((1, 0, 0, 0)), op.table.monomial((0, 1, 0, 0))
+    assert op.eigenvalue_on({"q": 1}) is None
+    q, p = op.context.monomial({"q": 1}), op.context.monomial({"p": 1})
     basis, matrix = op.closure_matrix([q])
     assert basis == [q, p]
     assert np.allclose(matrix, np.array([[0, 1j], [-1j, 0]]))
@@ -243,7 +251,7 @@ def test_coadjoint_ghost_factors_only_pick_up_mode_phases():
 
 def test_polynomial_evolution_is_additive():
     spec = CpiSpec("bosonic")
-    psi = operator_table("bosonic").gen("q") + operator_table("bosonic").gen("c_p")
+    psi = gen("bosonic", "q") + gen("bosonic", "c_p")
     once = evolve(psi, spec, 1.7)
     twice = evolve(evolve(psi, spec, 0.9), spec, 0.8)
     for mono in set(once.terms) | set(twice.terms):
@@ -257,7 +265,7 @@ def test_quartic_evolution_is_rejected():
     ctx = get_case("bosonic").context
     spec = CpiSpec("bosonic", hamiltonian=ctx.parse("p^2/2 + q^4/4"))
     with pytest.raises(UnsupportedCaseError):
-        evolve(operator_table("bosonic").gen("q"), spec, 1.0)
+        evolve(gen("bosonic", "q"), spec, 1.0)
     with pytest.raises(UnsupportedCaseError):
         build_cpi_hamiltonian(spec).spectrum()
 
@@ -265,10 +273,10 @@ def test_quartic_evolution_is_rejected():
 def test_evolve_type_and_table_guards():
     spec = CpiSpec("coadjoint", coefficients={"muB": 1.0})
     with pytest.raises(UnsupportedCaseError):
-        evolve(operator_table("bosonic").gen("q"), spec, 1.0)
+        evolve(gen("bosonic", "q"), spec, 1.0)
     bos = CpiSpec("bosonic")
     with pytest.raises(UnsupportedCaseError):
-        evolve(operator_table("grassmann").gen("xi"), bos, 1.0)
+        evolve(gen("grassmann", "xi"), bos, 1.0)
 
 
 def test_jacobi_fields_all_cases():
@@ -337,3 +345,16 @@ def test_coadjoint_transport_reads_the_cpi_hamiltonian(monkeypatch):
     centers = [c for c in checks if c["name"].startswith("packet-center-")]
     assert len(centers) == 5
     assert not any(c["passed"] for c in centers)
+
+
+def test_bosonic_transport_bound_keeps_quadratics_with_entries_up_to_three():
+    # The largest stretch at t = 0.7 over Hessian entries p/q with |p|, q <= 3
+    # is about 17, within MAX_STRETCH, at every truncation.
+    ctx = get_case("bosonic").context
+    for a, b, c in ((3, 3, -3), (-3, 3, 3), (3, -3, -3), (3, 0, -3), (-3, 0, -3)):
+        h = ctx.parse(f"({a})*q^2/2 + ({b})*q*p + ({c})*p^2/2")
+        for truncation in (4, 5, 6):
+            spec = CpiSpec("bosonic", hamiltonian=h, truncation=truncation)
+            assert len(characteristics_check(spec, t=0.7, seed=1)["checks"]) == 5
+    with pytest.raises(UnsupportedCaseError, match="max\\|exp\\(-t\\*M\\)\\| <= 30"):
+        characteristics_check(CpiSpec("bosonic", hamiltonian=ctx.parse("3*q*p")), t=1.2)

@@ -1,4 +1,4 @@
-"""Berezin calculus and graded-product laws on finite generator tables.
+"""Berezin calculus and graded-product laws on multivectors over contexts.
 
 Worked examples pin the sign conventions (left derivatives, rightmost
 measure first); hypothesis properties then hold over random multivectors
@@ -16,20 +16,33 @@ from spindeq import (
     EVEN,
     ODD,
     CRational,
-    GeneratorTable,
+    GradedPolynomial,
     GrassmannOperator,
     Multivector,
     ParityError,
+    SymbolContext,
     TableMismatchError,
-    UnknownGeneratorError,
+    UnknownSymbolError,
     berezin_integral,
-    left_derivative,
+    partial_derivative,
     product,
 )
 
-PAIR = GeneratorTable.odd("xi", "xibar")
-MIXED = GeneratorTable([("x", EVEN), ("u", ODD), ("v", ODD)])
-MIXED_EXPS = [MIXED.monomial((i, j, k)) for i in range(4) for j in range(2) for k in range(2)]
+PAIR = SymbolContext([("xi", ODD), ("xibar", ODD)])
+MIXED = SymbolContext([("x", EVEN), ("u", ODD), ("v", ODD)])
+MIXED_EXPS = [
+    MIXED.monomial({"x": i, "u": j, "v": k}) for i in range(4) for j in range(2) for k in range(2)
+]
+gen = Multivector.gen
+
+
+def term(ctx, coeff, **powers):
+    """One monomial, e.g. ``term(PAIR, 2, xi=1, xibar=1)``."""
+    return Multivector(ctx, {ctx.monomial(powers): coeff})
+
+
+def scalar(ctx, value):
+    return Multivector(ctx, {(): value})
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 coeff_st = st.builds(CRational, fractions_st, fractions_st)
@@ -54,53 +67,53 @@ def monomials(draw, exps=MIXED_EXPS):
 
 
 def test_product_worked_example():
-    a = PAIR.scalar(1) + PAIR.term(2, xi=1)
-    b = PAIR.scalar(3) + PAIR.term(1, xibar=1)
+    a = scalar(PAIR, 1) + term(PAIR, 2, xi=1)
+    b = scalar(PAIR, 3) + term(PAIR, 1, xibar=1)
     out = a * b
-    assert out.coefficient() == 3
-    assert out.coefficient(xi=1) == 6
-    assert out.coefficient(xibar=1) == 1
-    assert out.coefficient(xi=1, xibar=1) == 2
+    assert out.coefficient({}) == 3
+    assert out.coefficient({"xi": 1}) == 6
+    assert out.coefficient({"xibar": 1}) == 1
+    assert out.coefficient({"xi": 1, "xibar": 1}) == 2
 
 
 def test_odd_square_is_zero():
-    xi = PAIR.gen("xi")
+    xi = gen(PAIR, "xi")
     assert (xi * xi).is_zero()
-    assert (PAIR.term(3, xi=1, xibar=1) * PAIR.gen("xibar")).is_zero()
+    assert (term(PAIR, 3, xi=1, xibar=1) * gen(PAIR, "xibar")).is_zero()
 
 
 def test_anticommutation_sign():
-    xi, xibar = PAIR.gen("xi"), PAIR.gen("xibar")
-    assert xibar * xi == PAIR.term(-1, xi=1, xibar=1)
-    assert xi * xibar + xibar * xi == PAIR.zero()
+    xi, xibar = gen(PAIR, "xi"), gen(PAIR, "xibar")
+    assert xibar * xi == term(PAIR, -1, xi=1, xibar=1)
+    assert xi * xibar + xibar * xi == scalar(PAIR, 0)
 
 
 def test_left_derivative_worked_example():
-    a = PAIR.term(1, xi=1, xibar=1)
-    assert left_derivative(a, "xi") == PAIR.gen("xibar")
-    assert left_derivative(a, "xibar") == PAIR.term(-1, xi=1)
+    a = term(PAIR, 1, xi=1, xibar=1)
+    assert partial_derivative(a, "xi") == gen(PAIR, "xibar")
+    assert partial_derivative(a, "xibar") == term(PAIR, -1, xi=1)
 
 
 def test_berezin_rightmost_measure_first():
-    a = PAIR.term(1, xi=1, xibar=1)
+    a = term(PAIR, 1, xi=1, xibar=1)
     # [g1, g2] means d_g1 d_g2, so the xibar measure acts first here.
-    assert berezin_integral(a, ["xi", "xibar"]) == PAIR.scalar(-1)
-    assert berezin_integral(a, ["xibar", "xi"]) == PAIR.scalar(1)
-    assert berezin_integral(PAIR.scalar(5), ["xi"]).is_zero()
-    assert berezin_integral(PAIR.gen("xi"), ["xi"]) == PAIR.scalar(1)
+    assert berezin_integral(a, ["xi", "xibar"]) == scalar(PAIR, -1)
+    assert berezin_integral(a, ["xibar", "xi"]) == scalar(PAIR, 1)
+    assert berezin_integral(scalar(PAIR, 5), ["xi"]).is_zero()
+    assert berezin_integral(gen(PAIR, "xi"), ["xi"]) == scalar(PAIR, 1)
 
 
 def test_reproducing_kernel_identity():
-    table = GeneratorTable.odd("xi", "xip", "xibar")
-    xi, xip, xibar = (table.gen(n) for n in table.names)
+    ctx = SymbolContext([("xi", ODD), ("xip", ODD), ("xibar", ODD)])
+    xi, xip, xibar = (gen(ctx, n) for n in ("xi", "xip", "xibar"))
     # The exponent x = ξ̄(ξ′ − ξ) squares to zero, so the weight e^x is 1 + x.
     x = xibar * (xip - xi)
     assert (x * x).is_zero()
     weight = 1 + x
     for psi in (
-        table.scalar(CRational(Fraction(2, 3))),
-        table.gen("xip"),
-        table.term(CRational(1, 2), xip=1) + table.scalar(CRational(-3)),
+        scalar(ctx, CRational(Fraction(2, 3))),
+        gen(ctx, "xip"),
+        term(ctx, CRational(1, 2), xip=1) + scalar(ctx, CRational(-3)),
     ):
         out = berezin_integral(weight * psi, ["xip", "xibar"])
         expected = psi.substitute({"xip": xi})
@@ -108,49 +121,63 @@ def test_reproducing_kernel_identity():
 
 
 def test_even_powers_are_kept():
-    x = MIXED.gen("x")
+    x = gen(MIXED, "x")
     cube = x * x * x
-    assert cube.coefficient(x=3) == 1
-    assert cube * x == MIXED.term(1, x=4)
-    assert (x + MIXED.gen("u")) ** 5 == MIXED.term(1, x=5) + MIXED.term(5, x=4, u=1)
+    assert cube.coefficient({"x": 3}) == 1
+    assert cube * x == term(MIXED, 1, x=4)
+    assert (x + gen(MIXED, "u")) ** 5 == term(MIXED, 1, x=5) + term(MIXED, 5, x=4, u=1)
 
 
 def test_exponent_range_is_checked():
+    x, u = MIXED.slot("x"), MIXED.slot("u")
     with pytest.raises(ValueError):
-        Multivector(MIXED, {((0, -1),): 1})
+        Multivector(MIXED, {((x, -1),): 1})
     with pytest.raises(ValueError):
-        Multivector(MIXED, {((1, 2),): 1})
+        Multivector(MIXED, {((u, 2),): 1})
     with pytest.raises(ValueError):
-        Multivector(MIXED, {((1, 1), (0, 1)): 1})  # not sorted by slot
-    assert Multivector(MIXED, {((0, 9), (1, 1)): 1}).coefficient(x=9, u=1) == 1
+        Multivector(MIXED, {((u, 1), (x, 1)): 1})  # not sorted by slot
+    with pytest.raises(ValueError):
+        Multivector(MIXED, {((3, 1),): 1})  # not a slot of the context
+    assert Multivector(MIXED, {((x, 9), (u, 1)): 1}).coefficient({"x": 9, "u": 1}) == 1
 
 
 def test_substitute_is_parity_checked():
     with pytest.raises(ParityError):
-        MIXED.gen("u").substitute({"u": MIXED.gen("x")})
+        gen(MIXED, "u").substitute({"u": gen(MIXED, "x")})
 
 
 def test_table_mismatch_rejected():
     with pytest.raises(TableMismatchError):
-        PAIR.gen("xi") + MIXED.gen("u")
+        gen(PAIR, "xi") + gen(MIXED, "u")
     with pytest.raises(TableMismatchError):
-        product(PAIR.gen("xi"), MIXED.gen("u"))
+        product(gen(PAIR, "xi"), gen(MIXED, "u"))
+    # Over one context, an exact polynomial and a multivector never combine.
+    exact = PAIR.sym("xi")
+    assert isinstance(gen(PAIR, "xi"), GradedPolynomial)
+    for mixed in (lambda: exact + gen(PAIR, "xibar"), lambda: gen(PAIR, "xibar") * exact):
+        with pytest.raises(TypeError):
+            mixed()
+    assert exact != gen(PAIR, "xi")
+    with pytest.raises(TypeError):
+        exact * 0.5
 
 
 def test_unknown_generator_rejected():
-    with pytest.raises(UnknownGeneratorError):
-        PAIR.gen("nope")
-    with pytest.raises(UnknownGeneratorError):
-        left_derivative(PAIR.gen("xi"), "nope")
+    with pytest.raises(UnknownSymbolError):
+        gen(PAIR, "nope")
+    with pytest.raises(UnknownSymbolError):
+        partial_derivative(gen(PAIR, "xi"), "nope")
+    with pytest.raises(UnknownSymbolError):
+        berezin_integral(gen(PAIR, "xi"), ["nope"])
 
 
 def test_operator_words_apply_right_to_left():
     # ("diff","xi") then ("mul","xi") as a word acts as first multiply by
     # xi, then differentiate; on 1 that gives d_xi(xi * 1) = 1.
     op = GrassmannOperator(PAIR, [(1, (("diff", "xi"), ("mul", "xi")))])
-    assert op.apply(PAIR.scalar(1)) == PAIR.scalar(1)
+    assert op.apply(scalar(PAIR, 1)) == scalar(PAIR, 1)
     op2 = GrassmannOperator(PAIR, [(1, (("mul", "xi"), ("diff", "xi")))])
-    assert op2.apply(PAIR.scalar(1)).is_zero()
+    assert op2.apply(scalar(PAIR, 1)).is_zero()
 
 
 @given(a=multivectors(), b=multivectors(), c=multivectors())
@@ -171,7 +198,7 @@ def test_graded_commutativity_on_homogeneous_terms(a, b):
 
 @given(a=multivectors())
 def test_odd_part_squares_to_zero(a):
-    odd_terms = {e: c for e, c in a.terms.items() if sum(x for i, x in e if i > 0) % 2 == 1}
+    odd_terms = {e: c for e, c in a.terms.items() if sum(x for s, x in e if s[0] > 0) % 2 == 1}
     odd = Multivector(MIXED, odd_terms)
     assert (odd * odd).is_zero()
 
@@ -179,27 +206,27 @@ def test_odd_part_squares_to_zero(a):
 @given(a=monomials(), b=multivectors())
 def test_left_derivative_leibniz(a, b):
     sign = -1 if a.parity() == 1 else 1
-    lhs = left_derivative(a * b, "u")
-    rhs = left_derivative(a, "u") * b + (a * left_derivative(b, "u")) * sign
+    lhs = partial_derivative(a * b, "u")
+    rhs = partial_derivative(a, "u") * b + (a * partial_derivative(b, "u")) * sign
     assert lhs == rhs
 
 
 @given(a=multivectors())
 def test_berezin_equals_left_derivative(a):
-    assert berezin_integral(a, ["u"]) == left_derivative(a, "u")
+    assert berezin_integral(a, ["u"]) == partial_derivative(a, "u")
 
 
 @given(a=multivectors())
 def test_berezin_translation_invariance(a):
     # Restrict to integrands free of v, then shift u by v.
-    free = Multivector(MIXED, {e: c for e, c in a.terms.items() if all(i != 2 for i, _ in e)})
-    shifted = free.substitute({"u": MIXED.gen("u") + MIXED.gen("v")})
+    free = Multivector(MIXED, {e: c for e, c in a.terms.items() if all(s[0] != 2 for s, _ in e)})
+    shifted = free.substitute({"u": gen(MIXED, "u") + gen(MIXED, "v")})
     assert berezin_integral(shifted, ["u"]) == berezin_integral(free, ["u"])
 
 
 @given(a=multivectors())
 def test_double_derivative_vanishes(a):
-    assert left_derivative(left_derivative(a, "u"), "u").is_zero()
+    assert partial_derivative(partial_derivative(a, "u"), "u").is_zero()
 
 
 @given(re=dyadic_st, im=dyadic_st)

@@ -17,11 +17,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spindeq import (
+    ODD,
     CRational,
-    GeneratorTable,
     MagneticField,
     Multivector,
     SpinState,
+    SymbolContext,
     apply_kernel,
     compose_symbols,
     hamiltonian,
@@ -104,11 +105,11 @@ def test_hamiltonian_matrix_forms():
 def test_diagonal_field_symbol_and_kernel_terms():
     b = MagneticField(0, 0, 1)
     sym = ordered_symbol(hamiltonian(b))
-    assert sym.coefficient() == -1
-    assert sym.coefficient(xi=1, xibar=1) == 2
+    assert sym.coefficient({}) == -1
+    assert sym.coefficient({"xi": 1, "xibar": 1}) == 2
     bx, by, mu = Fraction(2), Fraction(-1), Fraction(1, 2)
     kern = integral_kernel(hamiltonian(MagneticField(bx, by, 0, mu_b=mu)))
-    assert kern.coefficient() == -CRational(mu) * CRational(bx, -by)
+    assert kern.coefficient({}) == -CRational(mu) * CRational(bx, -by)
 
 
 def test_matrix_and_word_forms_agree_on_basis():
@@ -212,11 +213,11 @@ _SUPPORTS = {
 def test_inputs_outside_their_support_are_rejected(slot):
     call, valid, stray = _SUPPORTS[slot]
     call(valid)
-    other_table = GeneratorTable.odd(*TABLE.names, "eta")
+    other = SymbolContext((name, ODD) for name in ("xi", "xibar", "xip", "xibarp", "eta"))
     for bad in (
-        valid + TABLE.gen(stray),
-        valid * TABLE.gen(stray),
-        Multivector(other_table, valid.terms),
+        valid + Multivector.gen(TABLE, stray),
+        valid * Multivector.gen(TABLE, stray),
+        Multivector(other, valid.terms),
     ):
         with pytest.raises(ValueError):
             call(bad)
@@ -317,7 +318,9 @@ def test_structure_constants_of_symbol_composition():
 
 
 # The monomials 1, ξ, ξ̄, ξξ̄, from their (xi, xibar) exponents.
-_BASIS_EXPS = tuple(TABLE.monomial(e) for e in ((0, 0), (1, 0), (0, 1), (1, 1)))
+_BASIS_EXPS = tuple(
+    TABLE.monomial(e) for e in ({}, {"xi": 1}, {"xibar": 1}, {"xi": 1, "xibar": 1})
+)
 
 
 @given(m1=matrix_st, m2=matrix_st)
@@ -333,7 +336,7 @@ def test_structure_constants_reproduce_composition(m1, m2):
 @pytest.mark.parametrize("n", [*range(1, 18), 64, 100])
 def test_sliced_symbol_matches_left_fold_of_compositions(n):
     b, t = MagneticField(0.3, -0.4, 0.8), 1.3
-    one_slice = TABLE.scalar(1) + ordered_symbol(hamiltonian(b)) * complex(0, -t / n)
+    one_slice = 1 + ordered_symbol(hamiltonian(b)) * complex(0, -t / n)
     fold = one_slice
     for _ in range(n - 1):
         fold = compose_symbols(fold, one_slice)

@@ -26,6 +26,7 @@ from spindeq import (
     partial_derivative,
     substitute,
 )
+from spindeq.symbols import MAX_NESTING
 
 
 def make_context() -> SymbolContext:
@@ -124,6 +125,29 @@ def test_parser_error_positions():
         with pytest.raises(ParseError, match=re.escape(message)) as err:
             CTX.parse(text)
         assert err.value.position == position, text
+
+
+def test_parser_nesting_is_bounded_and_signs_are_not():
+    # Parentheses and dot(...) nest at most MAX_NESTING deep; deeper input is
+    # a ParseError that names the nesting, never a RecursionError.
+    assert CTX.parse("(" * MAX_NESTING + "q" + ")" * MAX_NESTING) == CTX.parse("q")
+    for opener, count in (("(", 300), ("(", 2000), ("dot(", 300)):
+        with pytest.raises(ParseError, match="nested deeper than") as err:
+            CTX.parse(opener * count + "q" + ")" * count)
+        assert err.value.position == len(opener) * (MAX_NESTING + 1) - 1  # the deepest "("
+    # Signs and sums are read in loops, at any length.
+    assert CTX.parse("-" * 1200 + "q") == CTX.parse("q")
+    assert CTX.parse("-" * 1201 + "q") == CTX.parse("-q")
+    assert CTX.parse("+".join(["q"] * 20000)) == CTX.parse("20000*q")
+
+
+def test_powers_are_taken_by_squaring():
+    assert CTX.parse("q^99999999") == CTX.sym("q") ** 99999999
+    x = CTX.parse("q + 2*u - i*dot(p)/3")
+    power = CTX.const(1)
+    for n in range(1, 10):
+        power = power * x
+        assert x**n == power, n
 
 
 def test_unknown_symbol_is_a_parse_error():
