@@ -136,4 +136,41 @@ from .suite import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # errors
+    "IdentityViolationError", "OddPowerError", "ParityError", "ParseError", "PoleError",
+    "SpindeqError", "TableMismatchError", "UnknownSymbolError", "UnsupportedCaseError",
+    # exact
+    "CRational", "I", "crational",
+    # symbols
+    "EVEN", "ODD", "GradedPolynomial", "SymbolContext", "SymbolDecl", "bind_constants",
+    "formal_time_derivative", "format_poly", "parse", "partial_derivative",
+    "substitute",
+    # grassmann
+    "GrassmannOperator", "Multivector", "berezin_integral", "product",
+    # superfield
+    "CASES", "DequantizationCase", "DequantizationResult", "FieldFamily",
+    "OMEGA_CANONICAL", "builtin_hamiltonian", "builtin_hamiltonians",
+    "compose_observable_taylor", "dequantize", "get_case", "quantum_lagrangian",
+    "superfield_bindings", "supertime_integral",
+    # quantum
+    "MagneticField", "SpinOperator", "SpinState", "apply_kernel", "compose_symbols",
+    "hamiltonian", "integral_kernel", "kernel_from_symbol", "kernel_propagate",
+    "kernel_to_matrix", "magnetic_evolution", "operator_from_matrix", "ordered_symbol",
+    "pauli_evolve", "sliced_propagator", "sliced_symbol", "slicing_errors",
+    "spin_operators", "symbol_to_matrix",
+    # cpi
+    "DEFAULT_EVEN_TRUNCATION", "CpiSpec", "FourierWavefunction", "LiouvilleOperator",
+    "build_cpi_hamiltonian", "characteristics_check", "cpi_hamiltonian", "cpi_kinetic",
+    "cpi_lagrangian", "evolve", "flow_matrix", "jacobi_fields",
+    # orbit
+    "CARTESIAN", "CONSTRAINT_1", "CONSTRAINT_2", "HEIGHT", "PHI", "P_PHI", "P_THETA",
+    "THETA", "X1", "X2", "X3", "OrbitState", "PhaseFunction", "classical_trajectory",
+    "dirac_bracket", "poisson_bracket", "precession_period", "precession_rate",
+    "random_states", "total_hamiltonian", "wrap_angle",
+    # suite
+    "ALL_CHECKS", "CheckResult", "check_bosonic_dequantization",
+    "check_coadjoint_dequantization", "check_cpi_transport", "check_dirac_brackets",
+    "check_grassmann_dequantization", "check_isomorphism", "check_observable_map",
+    "check_precession", "check_slicing", "run_all",
+]

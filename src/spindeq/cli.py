@@ -2,11 +2,12 @@
 
 Every subcommand turns its flags into suite checks (some also write a CSV
 table).  :func:`main` times the run, builds one :class:`RunReport`
-(parameters, a list of named checks with expected/actual/residual, and wall
-time), writes it where ``--out``/``--report`` asks for JSON, prints it, and
-exits 0 only when every check passed.  Failing check names go to stderr.
-Randomized checks take ``--seed``, falling back to the SPINDEQ_SEED
-environment variable and then to 0, and are deterministic for a fixed seed.
+(parameters, a list of named checks with expected/actual/residual, wall
+time, and the versions of what ran), writes it where ``--out``/``--report``
+asks for JSON, prints it, and exits 0 only when every check passed.  Failing
+check names go to stderr.  Randomized checks take ``--seed``, falling back
+to the SPINDEQ_SEED environment variable and then to 0, and are
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -31,6 +32,20 @@ SCHEMA_VERSION = "spindeq.report/1"
 _NOT_PARAMETERS = ("subcommand", "handler", "report_path")
 
 
+def _runtime_versions() -> dict:
+    """Versions of spindeq and Python, and of numpy and scipy if this
+    process has loaded them; never loads them itself."""
+    versions = {
+        "spindeq": __version__,
+        "python": ".".join(map(str, sys.version_info[:3])),
+    }
+    for name in ("numpy", "scipy"):
+        module = sys.modules.get(name)
+        if module is not None:
+            versions[name] = module.__version__
+    return versions
+
+
 @dataclass
 class RunReport:
     subcommand: str
@@ -38,6 +53,7 @@ class RunReport:
     checks: list[CheckResult]
     timing_seconds: float
     extras: dict = field(default_factory=dict)
+    versions: dict = field(default_factory=_runtime_versions)
     schema: str = SCHEMA_VERSION
 
     @property
@@ -55,6 +71,7 @@ class RunReport:
             "checks": [c.to_dict() for c in self.checks],
             "timing_seconds": self.timing_seconds,
             "extras": self.extras,
+            "versions": self.versions,
             "all_passed": self.all_passed,
         }
 
@@ -70,6 +87,7 @@ class RunReport:
             checks=[CheckResult(**c) for c in data["checks"]],
             timing_seconds=data["timing_seconds"],
             extras=data.get("extras", {}),
+            versions=data.get("versions", {}),
             schema=data["schema"],
         )
 
@@ -92,8 +110,9 @@ MAX_TRUNCATION = 16
 
 
 def _prepare_inputs(args) -> None:
-    """Reject non-finite numbers, counts below 1, a truncation above its cap
-    and orbit states off the sphere; resolve the seed."""
+    """Reject non-finite numbers, counts below 1, a truncation above its cap,
+    a sphere radius below the smallest normal float and orbit states off the
+    sphere; resolve the seed."""
     for dest, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"--{dest.replace('_', '-')} must be a finite number, got {value}")
@@ -102,8 +121,13 @@ def _prepare_inputs(args) -> None:
             raise ValueError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     if getattr(args, "truncation", 1) > MAX_TRUNCATION:
         raise ValueError(f"--truncation must be at most {MAX_TRUNCATION}, got {args.truncation}")
-    if getattr(args, "lam", 1.0) <= 0:
-        raise ValueError(f"--lam must be positive, got {args.lam}")
+    # Below the smallest normal float, 1/(lam*sin(theta)) in the Dirac bracket
+    # overflows.
+    if getattr(args, "lam", 1.0) < sys.float_info.min:
+        raise ValueError(
+            f"--lam must be at least {sys.float_info.min!r}, the smallest normal float; "
+            f"got {args.lam}"
+        )
     if not 0 < getattr(args, "theta0", 1.0) < math.pi:
         raise ValueError(f"--theta0 must lie strictly between 0 and pi, got {args.theta0}")
     if "seed" in vars(args) and args.seed is None:

@@ -31,6 +31,9 @@ The compact-angle case (coadjoint) uses Fourier modes e^{ikφ} instead of a
 polynomial basis; its CPI Hamiltonian is first order, so each mode just
 picks up the phase exp(i·k·μB·t), which is transport along the classical
 precession flow.
+
+numpy and scipy are imported inside the functions that compute with floats,
+on first use, so the symbolic side never loads them.
 """
 
 from __future__ import annotations
@@ -42,9 +45,6 @@ import random
 from dataclasses import dataclass
 from operator import index as _as_int_index
 from typing import Mapping
-
-import numpy as np
-from scipy.linalg import expm
 
 from .errors import UnsupportedCaseError
 from .exact import CRational, crational
@@ -175,6 +175,8 @@ def _vector_field(spec: CpiSpec) -> tuple[np.ndarray, np.ndarray]:
     ∂_b taken first; for odd fields that order carries the graded sign.  H
     must be at most quadratic in the base fields.
     """
+    import numpy as np
+
     case = get_case(spec.case)
     h = spec.bound_hamiltonian()
     grad = np.zeros(2, dtype=complex)
@@ -241,6 +243,8 @@ class LiouvilleOperator:
         Column j holds the expansion of the operator applied to basis
         monomial j.
         """
+        import numpy as np
+
         basis = list(dict.fromkeys(seeds))
         index = {m: i for i, m in enumerate(basis)}
         columns = []
@@ -278,11 +282,13 @@ class LiouvilleOperator:
         return out
 
     def spectrum(self) -> np.ndarray:
+        import numpy as np
+
         basis, matrix = self.closure_matrix(self.full_basis())
         return np.linalg.eigvals(matrix)
 
     def spectrum_is_real(self) -> bool:
-        return bool(np.max(np.abs(self.spectrum().imag), initial=0.0) <= TOLERANCE)
+        return bool(abs(self.spectrum().imag).max(initial=0.0) <= TOLERANCE)
 
 
 def build_cpi_hamiltonian(spec: CpiSpec) -> LiouvilleOperator:
@@ -416,6 +422,13 @@ class FourierWavefunction:
 # -- evolution ---------------------------------------------------------------------
 
 
+def expm(a):
+    """Matrix exponential, scipy's; scipy is imported on the first call."""
+    from scipy import linalg
+
+    return linalg.expm(a)
+
+
 def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = None):
     """Solve i dψ/dt = H̃ψ for time t.
 
@@ -439,6 +452,8 @@ def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = No
         raise UnsupportedCaseError("wavefunction context does not match the operator's")
     if psi.is_zero():
         return psi
+    import numpy as np
+
     basis, matrix = operator.closure_matrix(sorted(psi.terms))
     vec = np.zeros(len(basis), dtype=complex)
     for i, mono in enumerate(basis):
@@ -460,6 +475,8 @@ def jacobi_fields(spec: CpiSpec, c0, t: float) -> tuple:
     c0 = tuple(complex(v) for v in c0)
     if len(c0) != 2:
         raise ValueError("expected one ghost component per phase-space direction")
+    import numpy as np
+
     moved = expm(t * _vector_field(spec)[1]) @ np.array(c0)
     return (complex(moved[0]), complex(moved[1]))
 
@@ -484,6 +501,8 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
     residual, passed}, ...], "passed": bool}.  Residual tolerance:
     ``TOLERANCE``.
     """
+    import numpy as np
+
     rng = random.Random(seed)
     case = get_case(spec.case)
     checks = []
@@ -505,19 +524,19 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
         mu_b = -_real(v0[0])  # v₀^φ = ∂_η H = −μB
         if not mu_b:
             raise UnsupportedCaseError("coadjoint transport needs muB != 0 for its period check")
-        period = 2 * np.pi / mu_b
+        period = 2 * math.pi / mu_b
         if not (abs(mu_b * t) <= MAX_PHASE and math.isfinite(period)):
             raise UnsupportedCaseError(
                 f"coadjoint transport needs |muB*t| <= {MAX_PHASE:g} and a finite period "
                 f"2*pi/muB (flags --muB, --t); got muB = {mu_b:g}, t = {t:g}"
             )
         for n in range(_SAMPLES):
-            center = rng.uniform(0, 2 * np.pi)
+            center = rng.uniform(0, 2 * math.pi)
             packet = FourierWavefunction.wrapped_gaussian(center)
             moved = evolve(packet, spec, t)
-            expected = (center - mu_b * t) % (2 * np.pi)
-            actual = moved.circular_center() % (2 * np.pi)
-            residual = abs((actual - expected + np.pi) % (2 * np.pi) - np.pi)
+            expected = (center - mu_b * t) % (2 * math.pi)
+            actual = moved.circular_center() % (2 * math.pi)
+            residual = abs((actual - expected + math.pi) % (2 * math.pi) - math.pi)
             add(f"packet-center-{n}", expected, actual, residual)
         packet = FourierWavefunction.wrapped_gaussian(1.0)
         with_eta = packet.tensor_factor(eta_exp=2)

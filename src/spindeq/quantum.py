@@ -26,6 +26,9 @@ read off ``compose_symbols`` itself on the 16 basis pairs, once, on first
 use; the convolution stays the only definition of composition.  Because it
 is associative, the n-th power can be taken by repeated squaring, in
 O(log n) four-term products, with no change to the result beyond rounding.
+
+The float oracles (``as_vector``, ``sliced_propagator``,
+``magnetic_evolution``) import numpy on first use.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .exact import CRational, I
 from .grassmann import GrassmannOperator, Multivector, berezin_integral, product
@@ -121,6 +122,8 @@ class SpinState:
         return cls(*_coefficients(mv, _BASIS[:2], "a wavefunction of xi"))
 
     def as_vector(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([complex(self.c0), complex(self.c1)])
 
 
@@ -320,6 +323,8 @@ def sliced_symbol(b: MagneticField, t: float, n: int) -> Multivector:
 
 
 def sliced_propagator(b: MagneticField, t: float, n: int) -> np.ndarray:
+    import numpy as np
+
     matrix = symbol_to_matrix(sliced_symbol(b, t, n))
     return np.array([[complex(v) for v in row] for row in matrix])
 
@@ -330,6 +335,8 @@ def magnetic_evolution(b: MagneticField, t: float) -> np.ndarray:
     With φ = μ_B|B|t and n̂ the field direction this is
     cos(φ)·I + i·sin(φ)·(n̂·σ); the +i sign reflects the −μ_B coupling.
     """
+    import numpy as np
+
     if b.norm() == 0:
         return np.eye(2, dtype=complex)
     phi = b.larmor_phase(t)
@@ -355,5 +362,5 @@ def slicing_errors(b: MagneticField, t: float, slice_counts) -> list[tuple[int, 
     out = []
     for n in slice_counts:
         approx = sliced_propagator(b, t, n)
-        out.append((n, float(np.max(np.abs(approx - oracle)))))
+        out.append((n, float(abs(approx - oracle).max())))
     return out

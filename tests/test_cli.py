@@ -7,6 +7,7 @@ installed entry point; in-process calls to main() keep the rest fast.
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -286,6 +287,32 @@ def test_report_round_trip(tmp_path, capsys):
     assert json.loads(report.to_json()) == json.loads(path.read_text())
 
 
+def test_report_names_only_the_numeric_libraries_that_ran(tmp_path, capsys):
+    # An exact run in a fresh interpreter never loads numpy or scipy, so its
+    # report names neither; a transport run names both.
+    exact = tmp_path / "exact.json"
+    proc = run_cli("verify-dequantization", "--case", "bosonic", "--report", str(exact))
+    assert proc.returncode == 0, proc.stderr
+    versions = json.loads(exact.read_text())["versions"]
+    assert set(versions) == {"spindeq", "python"}
+    assert versions["python"] == ".".join(map(str, sys.version_info[:3]))
+    transport = tmp_path / "transport.json"
+    assert main(["propagate-classical", "--case", "bosonic", "--out", str(transport)]) == 0
+    capsys.readouterr()
+    assert set(json.loads(transport.read_text())["versions"]) == {
+        "spindeq", "python", "numpy", "scipy"
+    }
+
+
+def test_report_without_versions_still_loads(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert main(["check-dirac", "--samples", "5", "--out", str(path)]) == 0
+    capsys.readouterr()
+    data = json.loads(path.read_text())
+    del data["versions"]
+    assert RunReport.from_json(json.dumps(data)).versions == {}
+
+
 def test_failing_checks_exit_one_and_name_the_check(capsys):
     # An evolution window this coarse cannot meet the propagation bound; a
     # field of 1e300 must fail its check too, not overflow the field norm.
@@ -421,6 +448,32 @@ def test_precession_rejects_an_energy_that_is_not_finite(capsys):
     assert captured.err.startswith("error: --lam, --muB and --b"), captured.err
     assert main(argv[:-6] + ["--lam", "1", "--t", "1", "--steps", "2"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "lam, accepted",
+    [
+        ("1e-320", False),
+        ("1e-310", False),
+        (repr(math.nextafter(sys.float_info.min, 0)), False),  # the largest subnormal
+        (repr(sys.float_info.min), True),
+        ("2.3e-308", True),
+        ("1e-300", True),
+    ],
+)
+def test_precession_rejects_a_subnormal_radius(lam, accepted, capsys):
+    # Below the smallest normal float, 1/(lam*sin(theta)) in the Dirac
+    # bracket overflows and two rows turn nan.
+    code = main(["precession", "--theta0", "1", "--phi0", "0", "--muB", "1", "--lam", lam,
+                 "--t", "1", "--steps", "2"])
+    captured = capsys.readouterr()
+    if accepted:
+        assert code == 0, captured.err
+        assert "4 checks, 0 failures" in captured.out
+    else:
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: --lam must be at least"), captured.err
 
 
 @pytest.mark.parametrize(

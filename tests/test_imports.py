@@ -1,0 +1,79 @@
+"""Import policy: numpy and scipy load only where floats are computed.
+
+The exact checks (dequantization, Dirac brackets, precession) never touch a
+float matrix, so importing the package or running them must not load the
+numeric libraries.  Each probe runs in a fresh interpreter, because this
+test process has loaded both long before.
+"""
+
+import inspect
+import subprocess
+import sys
+
+import pytest
+
+from spindeq import cpi
+
+_PROBE = """
+import sys
+from spindeq.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+print(sorted(name for name in ("numpy", "scipy") if name in sys.modules))
+"""
+
+
+def _loaded_after(code, *args):
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_neither_numeric_library():
+    code = "import sys, spindeq; print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+    assert _loaded_after(code) == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--version"],
+        ["verify-dequantization", "--case", "bosonic"],
+        ["verify-dequantization", "--case", "grassmann"],
+        ["verify-dequantization", "--case", "coadjoint"],
+        ["check-dirac", "--samples", "5"],
+        ["precession", "--theta0", "1", "--phi0", "0", "--muB", "1", "--t", "1",
+         "--steps", "4"],
+    ],
+    ids=" ".join,
+)
+def test_exact_subcommands_load_neither_numeric_library(argv):
+    assert _loaded_after(_PROBE, *argv) == "[]"
+
+
+def test_bosonic_evolution_loads_scipy():
+    code = """
+import sys
+from spindeq import Multivector, cpi, get_case
+spec = cpi.CpiSpec("bosonic")
+psi = Multivector.gen(get_case("bosonic").context, "q")
+assert "scipy" not in sys.modules
+cpi.evolve(psi, spec, 0.5)
+print("scipy" in sys.modules)
+"""
+    assert _loaded_after(code) == "True"
+
+
+def test_expm_stays_a_module_level_function():
+    # The benchmark's tracer wraps cpi.expm by name, and every exponential in
+    # cpi must reach it through that global.
+    assert inspect.isfunction(cpi.expm)
+    assert cpi.expm.__module__ == "spindeq.cpi"
+    assert cpi.expm([[0.0]]).tolist() == [[1.0]]
