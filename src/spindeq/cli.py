@@ -228,7 +228,7 @@ def _cmd_propagate_classical(args):
     extras = {}
     if case.name != "coadjoint":
         operator = cpi.build_cpi_hamiltonian(spec)
-        extras["operator"] = operator.description
+        extras["operator"] = format_poly(operator.operator.symbol)
         extras["spectrum_real"] = operator.spectrum_is_real()
     return checks, extras
 

@@ -11,16 +11,18 @@ form ω,
 with left derivatives, ∂_d taken first; for odd base fields that order
 carries the graded sign.
 
-Numeric side: the CPI Hamiltonian realized as an operator on wavefunctions
-over the enlarged space (fields and ghosts), multivectors over the case's
-context.  Auxiliary and antighost symbols become derivatives:
+Numeric side: H̃ itself is the operator on wavefunctions over the enlarged
+space (fields and ghosts), multivectors over the case's context.  Its
+auxiliary and antighost symbols act as derivatives:
 
     even base fields:  aux → −i ∂_field,  antighost → +∂_ghost
     odd base fields:   aux → +i ∂_field,  antighost → −∂_ghost
 
-and every monomial is ordered "multiply first, then differentiate", i.e. a
-classical monomial read left to right in canonical order is the operator
-composition read the same way.  Evolution solves i dψ/dt = H̃ψ.
+and every other symbol multiplies.  A monomial, read left to right in the
+context's canonical order, is the composition of its factors, so its
+rightmost factor acts first; auxiliaries and antighosts are declared before
+the fields and ghosts, so each monomial multiplies first and then
+differentiates.  Evolution solves i dψ/dt = H̃ψ.
 
 Operator application is exact (the graded algebra drops no term).  The one
 finite set is the spectrum basis of :meth:`LiouvilleOperator.full_basis`:
@@ -47,7 +49,7 @@ from operator import index as _as_int_index
 from typing import Mapping
 
 from .errors import UnsupportedCaseError
-from .exact import CRational, crational
+from .exact import I, crational
 from .grassmann import GrassmannOperator, Multivector
 from .superfield import builtin_hamiltonian, get_case
 from .symbols import (
@@ -220,10 +222,12 @@ class LiouvilleOperator:
     multivectors over the case's context in its fields and ghosts."""
 
     case: str
-    context: SymbolContext
     operator: GrassmannOperator
-    description: str
     truncation: int
+
+    @property
+    def context(self) -> SymbolContext:
+        return self.operator.context
 
     def apply(self, psi: Multivector) -> Multivector:
         return self.operator.apply(psi)
@@ -306,41 +310,12 @@ def build_cpi_hamiltonian(spec: CpiSpec) -> LiouvilleOperator:
         )
     h_tilde = cpi_hamiltonian(case, spec.bound_hamiltonian())
     _vector_field(spec)  # rejects H above quadratic
-    ghost_of = {f.antighost: f.ghost for f in case.families}
-    base_of = {f.aux: f.base for f in case.families}
-    aux_factor = CRational(0, 1) if case.base_parity == ODD else CRational(0, -1)
-    antighost_factor = CRational(-1) if case.base_parity == ODD else CRational(1)
-    terms = []
-    pieces = []
-    for mono in sorted(h_tilde.terms):
-        coeff = h_tilde.terms[mono]
-        word = []
-        for slot, exp in mono:
-            name, _dot = case.context.key(slot)
-            if name in base_of:
-                for _ in range(exp):
-                    coeff = coeff * aux_factor
-                    word.append(("diff", base_of[name]))
-            elif name in ghost_of:
-                for _ in range(exp):
-                    coeff = coeff * antighost_factor
-                    word.append(("diff", ghost_of[name]))
-            else:
-                word.extend(("mul", name) for _ in range(exp))
-        terms.append((coeff, tuple(word)))
-        pieces.append(
-            "("
-            + " ".join(f"d/d{n}" if kind == "diff" else n for kind, n in word)
-            + ")"
-        )
-    operator = GrassmannOperator(case.context, terms)
-    return LiouvilleOperator(
-        case.name,
-        case.context,
-        operator,
-        " + ".join(pieces) if pieces else "0",
-        spec.truncation,
-    )
+    aux_factor, antighost_factor = (I, -1) if case.base_parity == ODD else (-I, 1)
+    derivatives = {}
+    for f in case.families:
+        derivatives[f.aux] = (f.base, aux_factor)
+        derivatives[f.antighost] = (f.ghost, antighost_factor)
+    return LiouvilleOperator(case.name, GrassmannOperator(h_tilde, derivatives), spec.truncation)
 
 
 # -- wavefunctions -----------------------------------------------------------------

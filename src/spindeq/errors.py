@@ -5,8 +5,9 @@ class SpindeqError(Exception):
     """Base class for all package-specific errors."""
 
 
-class TableMismatchError(SpindeqError):
-    """Two multivectors built over different contexts were combined."""
+class TableMismatchError(SpindeqError, ValueError):
+    """Two elements or an operator and its argument over different contexts
+    were combined."""
 
 
 class ParityError(SpindeqError):

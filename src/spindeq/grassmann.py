@@ -9,13 +9,14 @@ the kernel's monomial form, products, left derivatives
 sign conventions.  They are exact: no power of an even generator is ever
 dropped.  This module adds Berezin integration (``berezin_integral(a, [g1,
 g2])`` integrates the *rightmost* measure first, i.e. it equals the
-iterated left derivative ``d_g1 d_g2 a``) and operators written as words.
+iterated left derivative ``d_g1 d_g2 a``) and operators given by their
+symbols.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import _graded
 from .errors import ParityError, TableMismatchError
@@ -34,7 +35,6 @@ class Multivector(GradedPolynomial):
 
     __slots__ = ()
     SCALARS = (int, float, complex, Fraction, CRational)
-    MISMATCH = TableMismatchError
 
     @staticmethod
     def lift(c):
@@ -62,7 +62,7 @@ class Multivector(GradedPolynomial):
     def __mul__(self, other):
         if isinstance(other, Multivector):
             return product(self, other)
-        return _graded.GradedElement.__mul__(self, other)
+        return self._scale(other)
 
     def substitute(self, bindings: Mapping[str, "Multivector"]) -> "Multivector":
         """Replace generators by multivectors over the same context.
@@ -97,39 +97,53 @@ def berezin_integral(a: Multivector, gens: Sequence[str]) -> Multivector:
 
 
 class GrassmannOperator:
-    """Linear operator on the algebra, written in normal-ordered words.
+    """Linear operator on the algebra, given by its symbol.
 
-    ``terms`` is a sequence of ``(coeff, word)`` pairs; each word is a tuple
-    of ``("mul", name)`` and ``("diff", name)`` steps.  Words apply right to
-    left, so ``(("mul", "xi"), ("diff", "xi"))`` differentiates first and
-    multiplies afterwards.
+    ``symbol`` is a polynomial over a context, exact or numeric.  An entry
+    ``name: (generator, factor)`` of ``derivatives`` makes the symbol
+    ``name`` act as ``factor`` times the left derivative by ``generator``;
+    every other symbol multiplies.  One rule reads a monomial: in the
+    context's canonical order it is the composition of its factors read
+    left to right, so its rightmost factor acts first.
     """
 
-    __slots__ = ("context", "terms")
+    __slots__ = ("symbol", "_terms")
 
-    def __init__(self, context: SymbolContext, terms: Iterable[tuple]):
-        self.context = context
-        clean = []
-        for coeff, word in terms:
-            word = tuple((kind, name) for kind, name in word)
-            for kind, name in word:
-                if kind not in ("mul", "diff"):
-                    raise ValueError(f"unknown operator step {kind!r}")
-                context.slot(name)
-            clean.append((Multivector.lift(coeff), word))
-        self.terms = tuple(clean)
+    def __init__(self, symbol: GradedPolynomial, derivatives: Mapping[str, tuple]):
+        ctx = symbol.context
+        acts_as = {}
+        for name, (generator, factor) in derivatives.items():
+            if ctx.decl(name).parity != ctx.decl(generator).parity:
+                raise ParityError(f"{name!r} cannot act as the derivative by {generator!r}")
+            acts_as[ctx.slot(name)] = (generator, Multivector.lift(factor))
+        terms = []
+        for mono in sorted(symbol.terms):  # fixes the order in which apply sums
+            coeff, steps = symbol.terms[mono], []
+            for slot, exp in mono:
+                for _ in range(exp):
+                    if slot in acts_as:
+                        generator, factor = acts_as[slot]
+                        coeff = coeff * factor
+                        steps.append(generator)
+                    else:
+                        steps.append(Multivector._wrap(ctx, {((slot, 1),): 1}))
+            # Steps in the order they act: a name differentiates, a generator multiplies.
+            terms.append((coeff, tuple(reversed(steps))))
+        self.symbol = symbol
+        self._terms = tuple(terms)
+
+    @property
+    def context(self) -> SymbolContext:
+        return self.symbol.context
 
     def apply(self, mv: Multivector) -> Multivector:
         if mv.context != self.context:
             raise TableMismatchError("operator and argument use different contexts")
         out = Multivector._wrap(self.context, {})
-        for coeff, word in self.terms:
+        for coeff, steps in self._terms:
             cur = mv
-            for kind, name in reversed(word):
-                if kind == "mul":
-                    cur = product(Multivector.gen(self.context, name), cur)
-                else:
-                    cur = partial_derivative(cur, name)
+            for step in steps:
+                cur = partial_derivative(cur, step) if isinstance(step, str) else product(step, cur)
             out = out + cur * coeff
         return out
 

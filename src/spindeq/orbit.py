@@ -84,14 +84,21 @@ def dirac_bracket(f: PhaseFunction, g: PhaseFunction, at) -> float:
                        + {f, Φ2}·(1/(λ sinθ))·{Φ1, g}
 
     using the inverse of {Φ_a, Φ_b} = ∓λ·sinθ; configurations with
-    |sinθ| ≤ 1e-6 raise :class:`PoleError`.
+    |sinθ| ≤ 1e-6, or with λ·sinθ so small that its reciprocal is not
+    finite, raise :class:`PoleError`.
     """
     s = math.sin(at.theta)
     if abs(s) <= 1e-6:
         raise PoleError(
             f"Dirac bracket singular at sin(theta) = {s:.3e}; too close to a pole"
         )
-    inv = 1.0 / (at.lambda_radius * s)
+    scale = at.lambda_radius * s
+    inv = 1.0 / scale if scale else math.inf
+    if not math.isfinite(inv):
+        raise PoleError(
+            f"Dirac bracket singular at lambda*sin(theta) = {scale:.3e}; "
+            "its reciprocal is not finite"
+        )
     plain = poisson_bracket(f, g, at)
     f1 = poisson_bracket(f, CONSTRAINT_1, at)
     f2 = poisson_bracket(f, CONSTRAINT_2, at)

@@ -4,9 +4,9 @@ A state is ψ(ξ) = ψ0 + ψ1·ξ, identified with the column (ψ0, ψ1).  An
 operator appears in four interchangeable forms:
 
 * 2x2 matrix (nested tuples, exact coefficients when the inputs are exact);
-* normal-ordered word operator α + β·ξ̂ + γ·ξ̄̂ + δ·ξ̂ξ̄̂ with ξ̂ = (ξ·) and
-  ξ̄̂ = d/dξ, acting on wavefunctions;
 * normal-ordered symbol A(ξ, ξ̄) = α + βξ + γξ̄ + δξξ̄;
+* word operator, the symbol acting on wavefunctions with ξ as (ξ·) and ξ̄
+  as d/dξ, read in normal order (``GrassmannOperator``);
 * integral kernel Ã(ξ, ξ′), applied by Berezin integration against ψ(ξ′).
 
 All Grassmann work happens in one algebra, the context ``TABLE`` of the
@@ -129,7 +129,7 @@ class SpinState:
 
 @dataclass(frozen=True)
 class SpinOperator:
-    """One operator in matrix form and word form together."""
+    """One operator in matrix form and word-operator form together."""
 
     matrix: tuple
     word: GrassmannOperator
@@ -138,61 +138,55 @@ class SpinOperator:
         (a, b), (c, d) = self.matrix
         return SpinState(a * state.c0 + b * state.c1, c * state.c0 + d * state.c1)
 
-    def apply_wavefunction(self, psi: Multivector) -> Multivector:
-        return self.word.apply(psi)
-
     def apply_state_via_words(self, state: SpinState) -> SpinState:
-        return SpinState.from_multivector(self.apply_wavefunction(state.as_multivector()))
+        return SpinState.from_multivector(self.word.apply(state.as_multivector()))
 
 
-def _words(alpha, beta, gamma, delta) -> GrassmannOperator:
-    """The normal-ordered word operator α + β·ξ̂ + γ·ξ̄̂ + δ·ξ̂ξ̄̂; zero
-    coefficients are left out."""
-    words = ((), (("mul", "xi"),), (("diff", "xi"),), (("mul", "xi"), ("diff", "xi")))
-    coeffs = (alpha, beta, gamma, delta)
-    return GrassmannOperator(TABLE, [(c, w) for c, w in zip(coeffs, words) if c != 0])
+def _symbol(alpha, beta, gamma, delta) -> Multivector:
+    """The normal-ordered symbol α + βξ + γξ̄ + δξξ̄."""
+    return Multivector(TABLE, dict(zip(_BASIS, (alpha, beta, gamma, delta))))
+
+
+def _operator(symbol: Multivector) -> GrassmannOperator:
+    """The operator of a normal-ordered symbol: ξ multiplies and ξ̄ acts as
+    d/dξ; ξ is declared first, so ξξ̄ differentiates first."""
+    return GrassmannOperator(symbol, {"xibar": ("xi", 1)})
 
 
 def operator_from_matrix(matrix) -> SpinOperator:
-    """Normal-ordered word operator with the given matrix.
+    """The word operator with the given matrix, from its normal-ordered symbol.
 
     α = a00, β = a10, γ = a01, δ = a11 − a00 reproduce the matrix columns on
     the basis states 1 and ξ.
     """
     (a00, a01), (a10, a11) = matrix
-    return SpinOperator(((a00, a01), (a10, a11)), _words(a00, a10, a01, a11 - a00))
+    return SpinOperator(((a00, a01), (a10, a11)), _operator(_symbol(a00, a10, a01, a11 - a00)))
 
 
 def spin_operators(hbar=1):
-    """(Sx, Sy, Sz, N) with word forms built from ξ̂ and ξ̄̂ directly.
+    """(Sx, Sy, Sz, N) with word operators built from their symbols directly.
 
-    Sx = (ħ/2)(ξ̄̂+ξ̂), Sy = (iħ/2)(ξ̂−ξ̄̂), Sz = ħN̂,
-    N̂ = (ξ̄̂ξ̂ − ξ̂ξ̄̂)/2.  ħ defaults to 1 and may be any exact or float
-    scale; exact scales give exact entries.
+    Sx = (ħ/2)(ξ + ξ̄), Sy = (iħ/2)(ξ − ξ̄), Sz = ħN, and N = 1/2 − ξξ̄ in
+    normal order.  ħ defaults to 1 and may be any exact or float scale;
+    exact scales give exact entries.
     """
     half = CRational(Fraction(1, 2))
     h2, ih2 = half * hbar, I * (half * hbar)
     zero = h2 - h2
-
-    def number(scale) -> GrassmannOperator:
-        """scale·(ξ̄̂ξ̂ − ξ̂ξ̄̂); ξ̄̂ξ̂ multiplies first, ξ̂ξ̄̂ differentiates first."""
-        raise_then_lower = (("diff", "xi"), ("mul", "xi"))
-        lower_then_raise = (("mul", "xi"), ("diff", "xi"))
-        return GrassmannOperator(TABLE, [(scale, raise_then_lower), (-scale, lower_then_raise)])
-
+    number = _symbol(half, 0, 0, -1)
     return (
-        SpinOperator(((zero, h2), (h2, zero)), _words(0, h2, h2, 0)),
-        SpinOperator(((zero, -ih2), (ih2, zero)), _words(0, ih2, -ih2, 0)),
-        SpinOperator(((h2, zero), (zero, -h2)), number(h2)),
-        SpinOperator(((half, zero), (zero, -half)), number(half)),
+        SpinOperator(((zero, h2), (h2, zero)), _operator(_symbol(0, h2, h2, 0))),
+        SpinOperator(((zero, -ih2), (ih2, zero)), _operator(_symbol(0, ih2, -ih2, 0))),
+        SpinOperator(((h2, zero), (zero, -h2)), _operator(number * hbar)),
+        SpinOperator(((half, zero), (zero, -half)), _operator(number)),
     )
 
 
 def hamiltonian(b: MagneticField) -> SpinOperator:
-    """Magnetic spin Hamiltonian in matrix and word form.
+    """Magnetic spin Hamiltonian in matrix and word-operator form.
 
     Matrix: −μ_B [[Bz, Bx−iBy], [Bx+iBy, −Bz]].
-    Words:  −μ_B [Bz + (Bx+iBy)·ξ̂ + (Bx−iBy)·ξ̄̂ − 2Bz·ξ̂ξ̄̂].
+    Symbol: −μ_B [Bz + (Bx+iBy)·ξ + (Bx−iBy)·ξ̄ − 2Bz·ξξ̄].
     The two are built independently from the components; exact components
     give exact entries.
     """
@@ -200,7 +194,7 @@ def hamiltonian(b: MagneticField) -> SpinOperator:
     plus = b.mu_b * (b.bx + I * b.by)
     minus = b.mu_b * (b.bx - I * b.by)
     matrix = ((-z, -minus), (-plus, z))
-    return SpinOperator(matrix, _words(-z, -plus, -minus, 2 * z))
+    return SpinOperator(matrix, _operator(_symbol(-z, -plus, -minus, 2 * z)))
 
 
 # -- symbol and kernel forms -------------------------------------------------------
@@ -209,7 +203,7 @@ def hamiltonian(b: MagneticField) -> SpinOperator:
 def ordered_symbol(op: SpinOperator) -> Multivector:
     """Normal-ordered symbol A(ξ, ξ̄) = α + βξ + γξ̄ + δξξ̄."""
     (a00, a01), (a10, a11) = op.matrix
-    return Multivector(TABLE, dict(zip(_BASIS, (a00, a10, a01, a11 - a00))))
+    return _symbol(a00, a10, a01, a11 - a00)
 
 
 def symbol_to_matrix(sym: Multivector) -> tuple:

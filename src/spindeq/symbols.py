@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from . import _graded
-from .errors import OddPowerError, ParityError, ParseError, UnknownSymbolError
+from .errors import OddPowerError, ParityError, ParseError, TableMismatchError, UnknownSymbolError
 from .exact import CRational, I
 
 ODD = "odd"
@@ -147,23 +147,147 @@ class SymbolContext:
         return _Parser(self, text).parse()
 
 
-class GradedPolynomial(_graded.GradedElement):
-    """Finite sum of monomials with CRational coefficients.
+class GradedPolynomial:
+    """Finite sum of monomials over a context, with CRational coefficients.
 
     ``terms`` maps monomials in the kernel's form, ``((slot, exponent),
     ...)`` sorted by slot, to coefficients.  The constructor
     ``GradedPolynomial(context, terms)`` checks that form; results of
-    algebra operations skip the check.
+    algebra operations skip the check.  The context supplies ``is_odd``,
+    the kernel's ``odd`` lookup, and ``has_slot``.  A subclass sets
+    ``SCALARS``, the scalar types it takes, and ``lift``, which checks one
+    coefficient.  Operands of two different element types never combine, so
+    an exact polynomial never holds a float; operands over different
+    contexts raise :class:`~spindeq.errors.TableMismatchError`.
     """
 
-    __slots__ = ()
+    __slots__ = ("context", "terms")
+    SCALARS: tuple = (int, Fraction, CRational)
     lift = staticmethod(_lift)
-    # Bound in this class itself, where per-layer tracing (bench/layers.py) wraps it.
-    __mul__ = _graded.GradedElement.__mul__
 
-    @property
-    def context(self) -> SymbolContext:
-        return self.algebra
+    def __init__(self, context: SymbolContext, terms: Mapping):
+        self.context = context
+        self.terms = _graded.checked(terms, context.is_odd, context.has_slot, self.lift)
+
+    @classmethod
+    def _wrap(cls, context: SymbolContext, terms: dict):
+        """The trusted constructor: wraps a kernel result without checking it."""
+        out = object.__new__(cls)
+        out.context = context
+        out.terms = terms
+        return out
+
+    def _new(self, terms: dict):
+        return self._wrap(self.context, terms)
+
+    def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} and {type(other).__name__}")
+        if self.context != other.context:
+            raise TableMismatchError(f"{type(self).__name__} operands over different contexts")
+
+    def _constant(self, value) -> dict:
+        value = self.lift(value)
+        return {(): value} if value else {}
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_constant(self) -> bool:
+        return all(mono == () for mono in self.terms)
+
+    def constant_part(self):
+        return self.terms.get((), 0)
+
+    def parity(self) -> int | None:
+        """0 for even, 1 for odd, None for mixed or zero."""
+        odd = self.context.is_odd
+        seen = {sum(e for slot, e in mono if odd[slot]) & 1 for mono in self.terms}
+        return seen.pop() if len(seen) == 1 else None
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return self.context == other.context and self.terms == other.terms
+        if isinstance(other, self.SCALARS):
+            return self.terms == self._constant(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        if isinstance(other, self.SCALARS):
+            addend = self._constant(other)
+        elif isinstance(other, GradedPolynomial):
+            self._check(other)
+            addend = other.terms
+        else:
+            return NotImplemented
+        out = dict(self.terms)
+        for mono, c in addend.items():
+            c = out.get(mono, 0) + c
+            if c:
+                out[mono] = c
+            else:
+                del out[mono]
+        return self._new(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __rsub__(self, other):
+        return other + (-1) * self
+
+    def __neg__(self):
+        return (-1) * self
+
+    def _scale(self, k):
+        """self·k for a scalar k, NotImplemented for anything else."""
+        if not isinstance(k, self.SCALARS):
+            return NotImplemented
+        k = self.lift(k)
+        return self._new({mono: v for mono, c in self.terms.items() if (v := c * k)})
+
+    # Per-layer tracing (bench/layers.py) wraps __mul__ in this class body;
+    # Multivector's scalar products call _scale and stay outside that span.
+    def __mul__(self, other):
+        if not isinstance(other, GradedPolynomial):
+            return self._scale(other)
+        self._check(other)
+        return self._new(_graded.mul(self.terms, other.terms, self.context.is_odd))
+
+    def __rmul__(self, other):
+        if isinstance(other, self.SCALARS):
+            return self.__mul__(other)
+        return NotImplemented
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("powers must be non-negative integers")
+        return self._new(_graded.power(self.terms, n, self.context.is_odd) if n else self._constant(1))
+
+    def _substitute(self, bound):
+        """Image under the graded endomorphism that sends each slot of
+        ``bound``, ``(key, slot, element)`` triples, to its element and
+        every other slot to itself."""
+        images = {}
+        for key, slot, element in bound:
+            self._check(element)
+            if not element.is_zero() and element.parity() != self.context.is_odd[slot]:
+                raise ParityError(f"binding for {key!r} has wrong parity")
+            images[slot] = element.terms
+        odd = self.context.is_odd
+        out: dict = {}
+        for mono, c in self.terms.items():
+            term = {(): c}
+            for slot, exp in mono:
+                image = images[slot] if slot in images else {((slot, 1),): 1}
+                term = _graded.mul(term, _graded.power(image, exp, odd), odd)
+            for m, v in term.items():
+                out[m] = out[m] + v if m in out else v
+        return self._new({mono: c for mono, c in out.items() if c})
 
     def coefficient(self, factors):
         """Coefficient of one monomial, with the sign of reordering into it.

@@ -67,3 +67,20 @@ def test_tracer_installs_every_hook_and_restores_the_library(layers):
         changed = [attr for attr in space if after[name].get(attr) is not space[attr]]
         assert not changed, f"{name}: {changed} not restored"
 
+
+
+def test_both_operator_callers_count_as_operator_applications(layers):
+    # The spin words and the CPI operator share GrassmannOperator.apply, so
+    # the per-layer metric sees both.
+    sx = spindeq.quantum.spin_operators()[0]
+    liouville = spindeq.build_cpi_hamiltonian(spindeq.CpiSpec("bosonic"))
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+        tracer.begin_op(0)
+        sx.apply_state_via_words(spindeq.quantum.SpinState(1, 0))
+        liouville.apply(spindeq.Multivector.gen(liouville.context, "q"))
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["grassmann.operator_apply.calls"] == 2

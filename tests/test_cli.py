@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from spindeq import superfield
+from spindeq import cpi, superfield
 from spindeq.cli import RunReport, SCHEMA_VERSION, main
 
 
@@ -150,6 +150,22 @@ def test_propagate_classical_all_cases(tmp_path, capsys):
         assert code == 0
         data = json.loads(out.read_text())
         assert data["all_passed"] is True
+    capsys.readouterr()
+
+
+def test_propagate_classical_reports_the_operator_with_its_coefficients(tmp_path, capsys):
+    # The report's operator is the CPI Hamiltonian's text, so it parses back
+    # and tells H from -H.
+    case = superfield.get_case("bosonic")
+    reported = []
+    for text in ("p^2/2 + q^2/2", "-(p^2/2 + q^2/2)"):
+        out = tmp_path / "r.json"
+        argv = ["propagate-classical", "--case", "bosonic", f"--hamiltonian={text}", "--out", str(out)]
+        assert main(argv) == 0
+        operator = json.loads(out.read_text())["extras"]["operator"]
+        assert case.context.parse(operator) == cpi.cpi_hamiltonian(case, case.context.parse(text))
+        reported.append(operator)
+    assert reported[0] != reported[1]
     capsys.readouterr()
 
 
@@ -474,6 +490,17 @@ def test_precession_rejects_a_subnormal_radius(lam, accepted, capsys):
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: --lam must be at least"), captured.err
+
+
+def test_precession_rejects_a_radius_whose_bracket_reciprocal_overflows(capsys):
+    # lam is a normal float, but lam*sin(theta0) ~ 6e-314 near the pole is
+    # not, and 1/(lam*sin(theta)) would turn two rows nan.
+    argv = ["precession", "--theta0", "3.14159", "--phi0", "0", "--muB", "1",
+            "--lam", "2.3e-308", "--t", "1", "--steps", "2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Dirac bracket singular at lambda*sin(theta)"), captured.err
 
 
 @pytest.mark.parametrize(

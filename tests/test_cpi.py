@@ -141,6 +141,20 @@ def test_operator_annihilates_constants():
         assert op.apply(Multivector(op.context, {(): 3})).is_zero()
 
 
+def test_operator_symbol_is_the_cpi_hamiltonian():
+    # Every stock Hamiltonian that has an operator (quadratic at most).
+    for case, name, coefficients in (
+        ("bosonic", "harmonic", None),
+        ("bosonic", "free", None),
+        ("bosonic", "bilinear", {"alpha": -2}),
+        ("grassmann", "spin", {"w": 1.5}),
+    ):
+        h = builtin_hamiltonian(case, name)
+        spec = CpiSpec(case, hamiltonian=h, coefficients=coefficients)
+        expected = cpi_hamiltonian(case, spec.bound_hamiltonian())
+        assert build_cpi_hamiltonian(spec).operator.symbol == expected
+
+
 def test_zero_hamiltonian_gives_zero_operator():
     ctx = get_case("bosonic").context
     op = build_cpi_hamiltonian(CpiSpec("bosonic", hamiltonian=ctx.zero()))

@@ -6,6 +6,7 @@ with exact coefficients, so any convention drift fails loudly rather than
 by a lucky cancellation.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -27,11 +28,17 @@ from spindeq import (
     partial_derivative,
     product,
 )
+from spindeq.quantum import TABLE
 
 PAIR = SymbolContext([("xi", ODD), ("xibar", ODD)])
 MIXED = SymbolContext([("x", EVEN), ("u", ODD), ("v", ODD)])
 MIXED_EXPS = [
     MIXED.monomial({"x": i, "u": j, "v": k}) for i in range(4) for j in range(2) for k in range(2)
+]
+# Every monomial of the quantum table's four odd generators.
+QUANTUM_EXPS = [
+    TABLE.monomial(dict(zip(("xi", "xibar", "xip", "xibarp"), bits)))
+    for bits in itertools.product((0, 1), repeat=4)
 ]
 gen = Multivector.gen
 
@@ -172,12 +179,32 @@ def test_unknown_generator_rejected():
 
 
 def test_operator_words_apply_right_to_left():
-    # ("diff","xi") then ("mul","xi") as a word acts as first multiply by
-    # xi, then differentiate; on 1 that gives d_xi(xi * 1) = 1.
-    op = GrassmannOperator(PAIR, [(1, (("diff", "xi"), ("mul", "xi")))])
-    assert op.apply(scalar(PAIR, 1)) == scalar(PAIR, 1)
-    op2 = GrassmannOperator(PAIR, [(1, (("mul", "xi"), ("diff", "xi")))])
-    assert op2.apply(scalar(PAIR, 1)).is_zero()
+    # With xibar acting as d/dxi, the monomial xi*xibar differentiates first
+    # and then multiplies, so it sends 1 to xi * d_xi(1) = 0; the symbol
+    # 1 - xi*xibar, the normal order of d_xi xi, sends 1 to 1.
+    derivatives = {"xibar": ("xi", 1)}
+    one = scalar(PAIR, 1)
+    xi_xibar = gen(PAIR, "xi") * gen(PAIR, "xibar")
+    assert GrassmannOperator(xi_xibar, derivatives).apply(one).is_zero()
+    assert GrassmannOperator(one - xi_xibar, derivatives).apply(one) == one
+
+
+@given(terms=st.dictionaries(st.sampled_from(QUANTUM_EXPS), coeff_st, max_size=6))
+def test_xi_and_its_derivative_anticommute(terms):
+    # X multiplies by xi and D differentiates by it, so X D + D X = 1 on any
+    # multivector of the quantum table, the primed generators included.
+    psi = Multivector(TABLE, terms)
+    derivatives = {"xibar": ("xi", 1)}
+    x = GrassmannOperator(gen(TABLE, "xi"), derivatives)
+    d = GrassmannOperator(gen(TABLE, "xibar"), derivatives)
+    assert x.apply(d.apply(psi)) + d.apply(x.apply(psi)) == psi
+
+
+def test_derivative_symbols_keep_the_parity_of_their_generator():
+    with pytest.raises(ParityError):
+        GrassmannOperator(gen(MIXED, "u"), {"x": ("u", 1)})
+    with pytest.raises(ParityError):
+        GrassmannOperator(gen(MIXED, "x"), {"u": ("x", 1)})
 
 
 @given(a=multivectors(), b=multivectors(), c=multivectors())
