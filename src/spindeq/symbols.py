@@ -43,10 +43,9 @@ class SymbolDecl:
 
 
 def _lift(value) -> CRational:
-    if isinstance(value, CRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return CRational(value)
+    out = CRational._lift(value)
+    if out is not None:
+        return out
     raise TypeError(f"polynomial coefficients must be exact, got {type(value).__name__}")
 
 
