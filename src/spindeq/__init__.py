@@ -108,14 +108,16 @@ from .orbit import (
     X1,
     X2,
     X3,
+    SPHERE,
     OrbitState,
     PhaseFunction,
     classical_trajectory,
     dirac_bracket,
+    on_sphere,
     poisson_bracket,
     precession_period,
     precession_rate,
-    random_states,
+    scaled_dirac_bracket,
     total_hamiltonian,
     wrap_angle,
 )
@@ -165,9 +167,10 @@ __all__ = [
     "cpi_lagrangian", "evolve", "flow_matrix", "jacobi_fields",
     # orbit
     "CARTESIAN", "CONSTRAINT_1", "CONSTRAINT_2", "HEIGHT", "PHI", "P_PHI", "P_THETA",
-    "THETA", "X1", "X2", "X3", "OrbitState", "PhaseFunction", "classical_trajectory",
-    "dirac_bracket", "poisson_bracket", "precession_period", "precession_rate",
-    "random_states", "total_hamiltonian", "wrap_angle",
+    "SPHERE", "THETA", "X1", "X2", "X3", "OrbitState", "PhaseFunction",
+    "classical_trajectory", "dirac_bracket", "on_sphere", "poisson_bracket",
+    "precession_period", "precession_rate", "scaled_dirac_bracket", "total_hamiltonian",
+    "wrap_angle",
     # suite
     "ALL_CHECKS", "CheckResult", "check_bosonic_dequantization",
     "check_coadjoint_dequantization", "check_cpi_transport", "check_dirac_brackets",

@@ -103,7 +103,7 @@ def _json_default(value):
 
 
 # Integer flags that count something and so must be at least 1.
-_COUNT_FLAGS = ("samples", "steps", "truncation")
+_COUNT_FLAGS = ("steps", "truncation")
 
 # Largest --truncation; its grassmann spectrum basis has 4·17² = 1,156 monomials.
 MAX_TRUNCATION = 16
@@ -182,6 +182,9 @@ def _cmd_propagate_quantum(args):
         b = quantum.MagneticField.from_text(args.b, mu_b=args.mu_b)
     except ValueError as exc:
         raise ValueError(f"--b {args.b!r}: {exc}") from None
+    if not math.isfinite(b.larmor_phase(args.t)):  # the oracle takes its cos and sin
+        raise ValueError(f"--b, --mu-b and --t: the Larmor phase mu_b*|b|*t must be finite, "
+                         f"got {args.mu_b}*{b.norm()}*{args.t}")
     try:
         slices = [int(x) for x in args.slices.split(",") if x.strip()]
     except ValueError:
@@ -248,13 +251,13 @@ def _cmd_precession(args):
         rows = []
         for t in times:
             s = orbit.classical_trajectory(state, args.muB, args.b, t)
-            rows.append((t, s.theta, s.phi, s.height, h_fun(s)))
+            rows.append((t, s.theta, s.phi, orbit.HEIGHT(s), h_fun(s)))
         _write_csv(args.out, ["t", "theta", "phi", "eta", "H"], rows)
     return suite.check_precession_flow(state, args.muB, args.b, times), {}
 
 
 def _cmd_check_dirac(args):
-    return suite.check_dirac_brackets(samples=args.samples, seed=args.seed), {}
+    return suite.check_dirac_brackets(), {}
 
 
 def _cmd_all(args):
@@ -327,9 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write a CSV of (t, theta, phi, eta, H)")
     p.set_defaults(handler=_cmd_precession)
 
-    p = sub.add_parser("check-dirac", help="bracket identities at random states")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int)
+    p = sub.add_parser("check-dirac", help="exact Dirac bracket identities on the sphere")
     p.add_argument("--out", dest="report_path", help="write the JSON report here")
     p.set_defaults(handler=_cmd_check_dirac)
 

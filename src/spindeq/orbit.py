@@ -5,24 +5,30 @@ The sphere arises by imposing the two second-class constraints
 
     Φ1 = p_θ,          Φ2 = p_φ − λ·cosθ,
 
-whose Poisson bracket {Φ1, Φ2} = −λ·sinθ degenerates at the poles, so all
-Dirac brackets carry a pole guard.  On the constraint surface the dynamics
-of H = −λ·μB·B·cosθ is uniform precession of φ at the rate
+whose Poisson bracket {Φ1, Φ2} = −λ·sinθ degenerates at the poles.  A phase
+function is one polynomial over ``SPHERE``; its gradient, its Poisson
+brackets and λ·sinθ times its Dirac brackets are derived polynomials, which
+``dirac_bracket`` evaluates at a float state behind a pole guard.  On the
+constraint surface H = −λ·μB·B·cosθ precesses φ at the rate
 {φ, H}_D = −μB·B of ``precession_rate``, with everything else frozen; the
-closed-form trajectory and the conserved quantities are exported for use as
-oracles.
+closed-form trajectory and the conserved quantities are exported as oracles.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, replace
-from typing import Callable
+from functools import lru_cache
 
 from .errors import PoleError
+from .symbols import EVEN, GradedPolynomial, SymbolContext, partial_derivative, substitute
 
 TWO_PI = 2.0 * math.pi
+
+# λ, μB and B are constants: a state gives λ, and a phase function binds μB and B.
+_NAMES = ("lam", "muB", "B", "theta", "phi", "p_theta", "p_phi",
+          "sin_theta", "cos_theta", "sin_phi", "cos_phi")
+SPHERE = SymbolContext([(name, EVEN, name in _NAMES[:3]) for name in _NAMES])
 
 
 @dataclass(frozen=True)
@@ -46,46 +52,73 @@ class OrbitState:
         """State on the constraint surface: p_θ = 0, p_φ = λ·cosθ."""
         return cls(theta, phi, 0.0, lambda_radius * math.cos(theta), lambda_radius)
 
-    @property
-    def height(self) -> float:
-        """η = λ·cosθ, the Darboux partner of φ."""
-        return self.lambda_radius * math.cos(self.theta)
-
 
 @dataclass(frozen=True)
 class PhaseFunction:
-    """Scalar function of a state with its analytic gradient.
-
-    Gradients are tuples (∂θ, ∂φ, ∂p_θ, ∂p_φ).
-    """
+    """A real polynomial over ``SPHERE`` as a function of a state; its
+    ``constants``, ``(name, value)`` pairs, bind μB and B."""
 
     name: str
-    fn: Callable
-    grad: Callable
+    polynomial: GradedPolynomial
+    constants: tuple = ()
+
+    def __post_init__(self):
+        p = self.polynomial
+        if (getattr(p, "context", None) is not SPHERE or any(c.im for c in p.terms.values())
+                or any(dot for _, dot in p.symbols_used())
+                or not {name for name, _ in self.constants} <= {"muB", "B"}):
+            raise ValueError(f"{self.name!r} must be a real polynomial over SPHERE binding muB, B")
 
     def __call__(self, state) -> float:
-        return self.fn(state)
-
-    def gradient(self, state) -> tuple[float, float, float, float]:
-        return self.grad(state)
+        return _evaluate(self.polynomial, state, self.constants)
 
 
-def poisson_bracket(f: PhaseFunction, g: PhaseFunction, at) -> float:
-    """{f, g} = f_θ g_{p_θ} − f_{p_θ} g_θ + f_φ g_{p_φ} − f_{p_φ} g_φ."""
-    fθ, fφ, fpθ, fpφ = f.gradient(at)
-    gθ, gφ, gpθ, gpφ = g.gradient(at)
+def _evaluate(p: GradedPolynomial, at, constants=()) -> float:
+    bound, θ, φ = dict(constants), at.theta, at.phi
+    if not {name for name, _ in p.symbols_used()} & {"muB", "B"} <= bound.keys():
+        raise ValueError(f"muB and B need values to evaluate {p}")
+    point = (at.lambda_radius, bound.get("muB"), bound.get("B"), θ, φ, at.p_theta, at.p_phi,
+             math.sin(θ), math.cos(θ), math.sin(φ), math.cos(φ))
+    return sum((float(c.re) * math.prod(point[i] ** e for (i, _), e in mono)
+                for mono, c in p.terms.items()), 0.0)
+
+
+@lru_cache(maxsize=64)
+def _gradient(p: GradedPolynomial) -> tuple:
+    """(∂θ, ∂φ, ∂p_θ, ∂p_φ) of p, each angle's through the chain rule:
+    ∂_θ = ∂_θ|explicit + cosθ·∂_sinθ − sinθ·∂_cosθ, and the same for φ."""
+    angles = [
+        partial_derivative(p, angle)
+        + SPHERE.sym(f"cos_{angle}") * partial_derivative(p, f"sin_{angle}")
+        - SPHERE.sym(f"sin_{angle}") * partial_derivative(p, f"cos_{angle}")
+        for angle in ("theta", "phi")
+    ]
+    return (*angles, partial_derivative(p, "p_theta"), partial_derivative(p, "p_phi"))
+
+
+def poisson_bracket(f: PhaseFunction, g: PhaseFunction) -> GradedPolynomial:
+    """{f, g} = f_θ g_{p_θ} − f_{p_θ} g_θ + f_φ g_{p_φ} − f_{p_φ} g_φ, exactly."""
+    fθ, fφ, fpθ, fpφ = _gradient(f.polynomial)
+    gθ, gφ, gpθ, gpφ = _gradient(g.polynomial)
     return fθ * gpθ - fpθ * gθ + fφ * gpφ - fpφ * gφ
 
 
+def scaled_dirac_bracket(f: PhaseFunction, g: PhaseFunction) -> GradedPolynomial:
+    """λ·sinθ·{f, g}_D, a polynomial: with the inverse of {Φ_a, Φ_b} = ∓λ·sinθ,
+
+        {f, g}_D = {f, g} − {f, Φ1}·(1/(λ sinθ))·{Φ2, g} + {f, Φ2}·(1/(λ sinθ))·{Φ1, g}.
+    """
+    return (
+        _SCALE * poisson_bracket(f, g)
+        - poisson_bracket(f, CONSTRAINT_1) * poisson_bracket(CONSTRAINT_2, g)
+        + poisson_bracket(f, CONSTRAINT_2) * poisson_bracket(CONSTRAINT_1, g)
+    )
+
+
 def dirac_bracket(f: PhaseFunction, g: PhaseFunction, at) -> float:
-    """Bracket on the constrained sphere.
-
-    {f, g}_D = {f, g} − {f, Φ1}·(1/(λ sinθ))·{Φ2, g}
-                       + {f, Φ2}·(1/(λ sinθ))·{Φ1, g}
-
-    using the inverse of {Φ_a, Φ_b} = ∓λ·sinθ; configurations with
-    |sinθ| ≤ 1e-6, or with λ·sinθ so small that its reciprocal is not
-    finite, raise :class:`PoleError`.
+    """{f, g}_D at the state ``at``: ``scaled_dirac_bracket`` there, over
+    λ·sinθ.  Configurations with |sinθ| ≤ 1e-6, or with λ·sinθ so small
+    that its reciprocal is not finite, raise :class:`PoleError`.
     """
     s = math.sin(at.theta)
     if abs(s) <= 1e-6:
@@ -99,69 +132,48 @@ def dirac_bracket(f: PhaseFunction, g: PhaseFunction, at) -> float:
             f"Dirac bracket singular at lambda*sin(theta) = {scale:.3e}; "
             "its reciprocal is not finite"
         )
-    plain = poisson_bracket(f, g, at)
-    f1 = poisson_bracket(f, CONSTRAINT_1, at)
-    f2 = poisson_bracket(f, CONSTRAINT_2, at)
-    g1 = poisson_bracket(CONSTRAINT_1, g, at)
-    g2 = poisson_bracket(CONSTRAINT_2, g, at)
-    return plain - f1 * inv * g2 + f2 * inv * g1
+    return _evaluate(scaled_dirac_bracket(f, g), at, f.constants + g.constants) * inv
+
+
+def on_sphere(p: GradedPolynomial) -> GradedPolynomial:
+    """p on the constraint surface, p_θ → 0 and p_φ → λ·cosθ, with cos² → 1 − sin²
+    for each angle.  Degree at most 1 in each cosine is a unique normal form
+    modulo sin² + cos² − 1 (Cox, Little & O'Shea, *Ideals, Varieties, and
+    Algorithms*, ch. 2): two polynomials agree on the sphere iff their images do."""
+    p = substitute(p, {"p_theta": SPHERE.zero(), "p_phi": HEIGHT.polynomial})
+    for angle in ("theta", "phi"):
+        cos, one_minus_sin2 = SPHERE.slot(f"cos_{angle}"), 1 - SPHERE.sym(f"sin_{angle}") ** 2
+        out = SPHERE.zero()
+        for mono, c in p.terms.items():
+            k = dict(mono).get(cos, 0) // 2
+            rest = {SPHERE.key(slot): e - 2 * k if slot == cos else e for slot, e in mono}
+            out = out + GradedPolynomial(SPHERE, {SPHERE.monomial(rest): c}) * one_minus_sin2**k
+        p = out
+    return p
 
 
 # -- builtin phase functions -------------------------------------------------------
 
-THETA = PhaseFunction("theta", lambda s: s.theta, lambda s: (1.0, 0.0, 0.0, 0.0))
-PHI = PhaseFunction("phi", lambda s: s.phi, lambda s: (0.0, 1.0, 0.0, 0.0))
-P_THETA = PhaseFunction("p_theta", lambda s: s.p_theta, lambda s: (0.0, 0.0, 1.0, 0.0))
-P_PHI = PhaseFunction("p_phi", lambda s: s.p_phi, lambda s: (0.0, 0.0, 0.0, 1.0))
 
-CONSTRAINT_1 = PhaseFunction("constraint_1", lambda s: s.p_theta, lambda s: (0.0, 0.0, 1.0, 0.0))
-CONSTRAINT_2 = PhaseFunction(
-    "constraint_2",
-    lambda s: s.p_phi - s.lambda_radius * math.cos(s.theta),
-    lambda s: (s.lambda_radius * math.sin(s.theta), 0.0, 0.0, 1.0),
+THETA, PHI, P_THETA, P_PHI = (
+    PhaseFunction(name, SPHERE.sym(name)) for name in ("theta", "phi", "p_theta", "p_phi")
 )
+CONSTRAINT_1 = PhaseFunction("constraint_1", SPHERE.parse("p_theta"))
+CONSTRAINT_2 = PhaseFunction("constraint_2", SPHERE.parse("p_phi - lam*cos_theta"))
+_SCALE = -poisson_bracket(CONSTRAINT_1, CONSTRAINT_2)  # λ·sinθ
 
-HEIGHT = PhaseFunction(
-    "height",
-    lambda s: s.lambda_radius * math.cos(s.theta),
-    lambda s: (-s.lambda_radius * math.sin(s.theta), 0.0, 0.0, 0.0),
-)
-
-X1 = PhaseFunction(
-    "x1",
-    lambda s: s.lambda_radius * math.sin(s.theta) * math.cos(s.phi),
-    lambda s: (
-        s.lambda_radius * math.cos(s.theta) * math.cos(s.phi),
-        -s.lambda_radius * math.sin(s.theta) * math.sin(s.phi),
-        0.0,
-        0.0,
-    ),
-)
-X2 = PhaseFunction(
-    "x2",
-    lambda s: s.lambda_radius * math.sin(s.theta) * math.sin(s.phi),
-    lambda s: (
-        s.lambda_radius * math.cos(s.theta) * math.sin(s.phi),
-        s.lambda_radius * math.sin(s.theta) * math.cos(s.phi),
-        0.0,
-        0.0,
-    ),
-)
-X3 = PhaseFunction("x3", HEIGHT.fn, HEIGHT.grad)
-
+HEIGHT = PhaseFunction("height", SPHERE.parse("lam*cos_theta"))  # η, the partner of φ
+X1 = PhaseFunction("x1", SPHERE.parse("lam*sin_theta*cos_phi"))
+X2 = PhaseFunction("x2", SPHERE.parse("lam*sin_theta*sin_phi"))
+X3 = PhaseFunction("x3", HEIGHT.polynomial)
 CARTESIAN = (X1, X2, X3)
+
+_ENERGY = SPHERE.parse("-lam*muB*B*cos_theta")
 
 
 def total_hamiltonian(mu_b: float, b: float) -> PhaseFunction:
     """H = −λ·μB·B·cosθ on the constraint surface."""
-
-    def fn(s):
-        return -s.lambda_radius * mu_b * b * math.cos(s.theta)
-
-    def grad(s):
-        return (s.lambda_radius * mu_b * b * math.sin(s.theta), 0.0, 0.0, 0.0)
-
-    return PhaseFunction("total_hamiltonian", fn, grad)
+    return PhaseFunction("total_hamiltonian", _ENERGY, (("muB", mu_b), ("B", b)))
 
 
 # -- closed-form dynamics ----------------------------------------------------------
@@ -186,16 +198,3 @@ def precession_period(mu_b: float, b: float) -> float:
 def classical_trajectory(state: OrbitState, mu_b: float, b: float, t: float) -> OrbitState:
     """Precession flow: φ(t) = φ0 + rate·t (wrapped), all else frozen."""
     return replace(state, phi=wrap_angle(state.phi + precession_rate(mu_b, b) * t))
-
-
-def random_states(n: int, seed: int) -> list[OrbitState]:
-    """Seeded sample of constraint-surface states away from the poles:
-    θ in [0.15, π − 0.15], φ in [0, 2π) and λ in [0.5, 2]."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(n):
-        theta = rng.uniform(0.15, math.pi - 0.15)
-        phi = rng.uniform(0.0, TWO_PI)
-        lam = rng.uniform(0.5, 2.0)
-        out.append(OrbitState.on_constraint(theta, phi, lam))
-    return out

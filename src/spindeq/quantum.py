@@ -89,6 +89,8 @@ class MagneticField:
                 pass
             try:
                 return Fraction(p)
+            except ZeroDivisionError:
+                raise ValueError(f"component {p!r} divides by zero") from None
             except ValueError:
                 return float(p)
 

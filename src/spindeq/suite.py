@@ -287,36 +287,31 @@ def check_slice_errors(errors) -> list[CheckResult]:
 # -- orbit brackets and precession ---------------------------------------------------
 
 
-def check_dirac_brackets(samples: int = 100, seed: int = 0) -> list[CheckResult]:
-    states = orbit.random_states(samples, seed)
-    canonical = max(
-        abs(orbit.dirac_bracket(orbit.PHI, orbit.HEIGHT, s) - 1.0) for s in states
-    )
-    out = [_numeric_check("dirac-canonical-pair", 1.0, 1.0, canonical, 1e-9)]
-    probes = (
-        orbit.THETA,
-        orbit.PHI,
-        orbit.P_THETA,
-        orbit.P_PHI,
-        orbit.X1,
-        orbit.X2,
-        orbit.X3,
-    )
-    worst = 0.0
-    for s in states:
-        for f in probes:
-            for c in (orbit.CONSTRAINT_1, orbit.CONSTRAINT_2):
-                worst = max(worst, abs(orbit.dirac_bracket(f, c, s)))
-    out.append(_numeric_check("dirac-constraints-vanish", 0.0, worst, worst, 1e-9))
-    cyc = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    worst_so3 = 0.0
-    for s in states:
-        xs = [f(s) for f in orbit.CARTESIAN]
-        for a, b, c in cyc:
-            value = orbit.dirac_bracket(orbit.CARTESIAN[a], orbit.CARTESIAN[b], s)
-            worst_so3 = max(worst_so3, abs(value - xs[c]))
-    out.append(_numeric_check("dirac-so3-relations", 0.0, worst_so3, worst_so3, 1e-8))
-    return out
+def check_dirac_brackets(seed: int = 0) -> list[CheckResult]:
+    """The Dirac bracket identities, exact on the sphere: both sides times
+    λ·sinθ, in ``orbit.on_sphere`` normal form.  Each row reports the first
+    of its identities that fails, or its first."""
+
+    def scaled(f, g):
+        return orbit.on_sphere(orbit.scaled_dirac_bracket(f, g))
+
+    lam_sin, x = orbit.SPHERE.parse("lam*sin_theta"), orbit.CARTESIAN
+    probes = (orbit.THETA, orbit.PHI, orbit.P_THETA, orbit.P_PHI, *x)
+    rows = {
+        "dirac-canonical-pair": [(lam_sin, scaled(orbit.PHI, orbit.HEIGHT))],
+        "dirac-constraints-vanish": [
+            (orbit.SPHERE.zero(), scaled(f, c))
+            for f in probes for c in (orbit.CONSTRAINT_1, orbit.CONSTRAINT_2)
+        ],
+        "dirac-so3-relations": [
+            (orbit.on_sphere(lam_sin * x[c].polynomial), scaled(x[a], x[b]))
+            for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        ],
+    }
+    return [
+        _exact_check(name, *next((pair for pair in pairs if pair[0] != pair[1]), pairs[0]))
+        for name, pairs in rows.items()
+    ]
 
 
 def check_precession_flow(state, mu_b, b, times) -> list[CheckResult]:
@@ -329,21 +324,16 @@ def check_precession_flow(state, mu_b, b, times) -> list[CheckResult]:
     angle_rate = orbit.dirac_bracket(orbit.PHI, h_fun, state)
     rate = orbit.precession_rate(mu_b, b)
     angle_gap = abs(angle_rate - rate) / max(abs(rate), 1.0)
-    along = [orbit.classical_trajectory(state, mu_b, b, t) for t in times]
-    height = max((s.height for s in along), key=lambda v: abs(v - state.height))
-    energy = max((h_fun(s) for s in along), key=lambda v: abs(v - h_fun(state)))
-    return [
+    out = [
         _numeric_check("precession-height-equation", 0.0, height_rate, abs(height_rate), 0.0),
         _numeric_check("precession-angle-equation", rate, angle_rate, angle_gap, 1e-12),
-        _numeric_check(
-            "precession-height-conserved", state.height, height,
-            abs(height - state.height), 0.0,
-        ),
-        _numeric_check(
-            "precession-energy-conserved", h_fun(state), energy,
-            abs(energy - h_fun(state)), 0.0,
-        ),
     ]
+    along = [orbit.classical_trajectory(state, mu_b, b, t) for t in times]
+    for name, f in (("height", orbit.HEIGHT), ("energy", h_fun)):
+        start = f(state)
+        worst = max((f(s) for s in along), key=lambda v: abs(v - start))
+        out.append(_numeric_check(f"precession-{name}-conserved", start, worst, abs(worst - start), 0.0))
+    return out
 
 
 def check_precession(seed: int = 0) -> list[CheckResult]:

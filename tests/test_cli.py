@@ -47,7 +47,7 @@ def test_domain_errors_exit_one(capsys):
         (["propagate-quantum", "--b", "nan,0,1", "--t", "1", "--slices", "4"], "--b"),
         (["propagate-quantum", "--b", "0,0,1", "--t", "inf", "--slices", "4"], "--t"),
         (["propagate-classical", "--case", "bosonic", "--t", "nan"], "--t"),
-        (["check-dirac", "--samples", "0"], "--samples"),
+        (["propagate-quantum", "--b", "1/0,0,1", "--t", "1", "--slices", "2"], "--b '1/0,0,1'"),
         (["precession", "--theta0", "1", "--phi0", "0", "--muB", "1", "--t", "1",
           "--steps", "0"], "--steps"),
         (["precession", "--theta0", "1", "--phi0", "0", "--muB", "1", "--t", "1",
@@ -187,21 +187,22 @@ def test_propagate_classical_serves_every_accepted_truncation(capsys):
     capsys.readouterr()
 
 
-def test_check_dirac_deterministic_for_fixed_seed(tmp_path, capsys):
-    paths = [tmp_path / "a.json", tmp_path / "b.json"]
-    for path in paths:
-        assert main(["check-dirac", "--samples", "6", "--seed", "3",
-                     "--out", str(path)]) == 0
+def test_check_dirac_is_exact_and_takes_no_seed(tmp_path, capsys):
+    path = tmp_path / "dirac.json"
+    assert main(["check-dirac", "--out", str(path)]) == 0
     capsys.readouterr()
-    reports = [json.loads(p.read_text()) for p in paths]
-    assert reports[0]["checks"] == reports[1]["checks"]
-    assert reports[0]["parameters"]["seed"] == 3
+    report = json.loads(path.read_text())
+    assert report["parameters"] == {}
+    assert [(c["residual"], c["tolerance"]) for c in report["checks"]] == [(0, None)] * 3
+    with pytest.raises(SystemExit):
+        main(["check-dirac", "--seed", "3"])
+    capsys.readouterr()
 
 
 def test_seed_falls_back_to_environment(tmp_path):
     out = tmp_path / "seeded.json"
     proc = run_cli(
-        "check-dirac", "--samples", "5", "--out", str(out),
+        "propagate-classical", "--case", "grassmann", "--out", str(out),
         env_extra={"SPINDEQ_SEED": "11"},
     )
     assert proc.returncode == 0
@@ -211,7 +212,7 @@ def test_seed_falls_back_to_environment(tmp_path):
 def test_flag_overrides_environment(tmp_path):
     out = tmp_path / "seeded.json"
     proc = run_cli(
-        "check-dirac", "--samples", "5", "--seed", "4", "--out", str(out),
+        "propagate-classical", "--case", "grassmann", "--seed", "4", "--out", str(out),
         env_extra={"SPINDEQ_SEED": "11"},
     )
     assert proc.returncode == 0
@@ -294,7 +295,7 @@ def test_off_phase_space_hamiltonians_are_rejected(capsys):
 
 def test_report_round_trip(tmp_path, capsys):
     path = tmp_path / "report.json"
-    assert main(["check-dirac", "--samples", "5", "--out", str(path)]) == 0
+    assert main(["check-dirac", "--out", str(path)]) == 0
     capsys.readouterr()
     report = RunReport.from_json(path.read_text())
     assert report.schema == SCHEMA_VERSION
@@ -322,7 +323,7 @@ def test_report_names_only_the_numeric_libraries_that_ran(tmp_path, capsys):
 
 def test_report_without_versions_still_loads(tmp_path, capsys):
     path = tmp_path / "report.json"
-    assert main(["check-dirac", "--samples", "5", "--out", str(path)]) == 0
+    assert main(["check-dirac", "--out", str(path)]) == 0
     capsys.readouterr()
     data = json.loads(path.read_text())
     del data["versions"]
@@ -452,6 +453,19 @@ def test_precession_rejects_a_rate_that_is_not_finite(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --muB and --b"), captured.err
+
+
+def test_propagate_quantum_rejects_a_larmor_phase_that_is_not_finite(capsys):
+    # |b| overflows to inf in the first, mu_b*|b|*t in the second; the
+    # closed-form oracle would take cos and sin of inf.
+    for argv in (
+        ["--b", "1.7e308,1.7e308,0", "--t", "1", "--slices", "2,4"],
+        ["--b", "0,0,1", "--mu-b", "1e308", "--t", "10", "--slices", "2,4"],
+    ):
+        assert main(["propagate-quantum", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --b, --mu-b and --t: the Larmor phase"), captured.err
 
 
 def test_precession_rejects_an_energy_that_is_not_finite(capsys):

@@ -48,7 +48,7 @@ def test_import_loads_neither_numeric_library():
         ["verify-dequantization", "--case", "bosonic"],
         ["verify-dequantization", "--case", "grassmann"],
         ["verify-dequantization", "--case", "coadjoint"],
-        ["check-dirac", "--samples", "5"],
+        ["check-dirac"],
         ["precession", "--theta0", "1", "--phi0", "0", "--muB", "1", "--t", "1",
          "--steps", "4"],
     ],

@@ -1,14 +1,16 @@
 """Source hygiene of the package: no module imports a name it never uses
 (``__init__`` is left out, because its imports are the public API), every
 public function or class has a caller outside the tests, and every Python
-example in the README runs.
+example and every ``spindeq`` command in the README runs.
 """
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import spindeq
+from spindeq.cli import main
 
 PACKAGE = Path(spindeq.__file__).parent
 
@@ -33,13 +35,26 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+README = Path(__file__).parents[1] / "README.md"
+
+
 def test_every_readme_python_block_runs():
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.S | re.M)
     assert len(blocks) >= 3
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
 
+
+def test_every_readme_command_runs(capsys):
+    # Each `spindeq ...` command the README shows, in backticks or after
+    # "$ ", must pass through the command line as written.
+    readme = README.read_text()
+    commands = re.findall(r"`spindeq ([^`]+)`", readme)
+    commands += re.findall(r"^\$ spindeq (.*)$", readme, flags=re.M)
+    assert len(commands) >= 7
+    for command in commands:
+        assert main(shlex.split(command)) == 0, command
+    capsys.readouterr()
 
 
 # Public names that only tests reach, and why each stays: they are the
