@@ -4,10 +4,11 @@ Layers, bottom up:
 
 * :mod:`spindeq.exact`: exact rational-complex coefficients;
 * :mod:`spindeq.symbols`: graded polynomials in named symbols with formal
-  time derivatives, parsing, and printing; its ``SymbolContext`` is the one
-  algebra class;
-* :mod:`spindeq.grassmann`: multivectors, the graded polynomials with float
-  or complex coefficients, with exact products and Berezin calculus;
+  time derivatives, parsing, and printing; ``SymbolContext`` is the one
+  algebra class and ``GradedPolynomial``, each coefficient exact or float,
+  its one element class;
+* :mod:`spindeq.grassmann`: Berezin calculus and operators given by their
+  symbols, acting on exact and float polynomials alike;
 * :mod:`spindeq.superfield`: superfield expansions and the dequantization
   map from quantum to classical-path-integral Lagrangians;
 * :mod:`spindeq.quantum`: spin-1/2 states and operators in one Grassmann
@@ -45,7 +46,7 @@ from .symbols import (
     partial_derivative,
     substitute,
 )
-from .grassmann import GrassmannOperator, Multivector, berezin_integral, product
+from .grassmann import GrassmannOperator, berezin_integral, product
 from .superfield import (
     CASES,
     DequantizationCase,
@@ -149,7 +150,7 @@ __all__ = [
     "formal_time_derivative", "format_poly", "parse", "partial_derivative",
     "substitute",
     # grassmann
-    "GrassmannOperator", "Multivector", "berezin_integral", "product",
+    "GrassmannOperator", "berezin_integral", "product",
     # superfield
     "CASES", "DequantizationCase", "DequantizationResult", "FieldFamily",
     "OMEGA_CANONICAL", "builtin_hamiltonian", "builtin_hamiltonians",

@@ -11,8 +11,9 @@ form ω,
 with left derivatives, ∂_d taken first; for odd base fields that order
 carries the graded sign.
 
-Numeric side: H̃ itself is the operator on wavefunctions over the enlarged
-space (fields and ghosts), multivectors over the case's context.  Its
+Operator side: H̃ itself is the operator on wavefunctions over the enlarged
+space (fields and ghosts), polynomials over the case's context with exact
+or float coefficients.  Its
 auxiliary and antighost symbols act as derivatives:
 
     even base fields:  aux → −i ∂_field,  antighost → +∂_ghost
@@ -24,10 +25,12 @@ rightmost factor acts first; auxiliaries and antighosts are declared before
 the fields and ghosts, so each monomial multiplies first and then
 differentiates.  Evolution solves i dψ/dt = H̃ψ.
 
-Operator application is exact (the graded algebra drops no term).  The one
-finite set is the spectrum basis of :meth:`LiouvilleOperator.full_basis`:
-monomials of total base-field degree at most ``CpiSpec.truncation``, which
-the supported Hamiltonians (base-field degree at most 2) map into itself.
+Operator application is exact (the graded algebra drops no term), and on
+an exact wavefunction so is its result.  For the supported Hamiltonians
+(base-field degree at most 2) H̃ is a derivation: it annihilates constants
+and obeys the graded Leibniz rule.  So its spectrum on the monomials of any
+degree is made of sums of the eigenvalues of two 2×2 blocks, H̃ on the
+field monomials and H̃ on the ghosts (:meth:`LiouvilleOperator.spectrum_is_real`).
 
 The compact-angle case (coadjoint) uses Fourier modes e^{ikφ} instead of a
 polynomial basis; its CPI Hamiltonian is first order, so each mode just
@@ -41,7 +44,6 @@ on first use, so the symbolic side never loads them.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -50,7 +52,7 @@ from typing import Mapping
 
 from .errors import UnsupportedCaseError
 from .exact import I, crational
-from .grassmann import GrassmannOperator, Multivector
+from .grassmann import GrassmannOperator
 from .superfield import builtin_hamiltonian, get_case
 from .symbols import (
     ODD,
@@ -62,7 +64,7 @@ from .symbols import (
 )
 
 DEFAULT_EVEN_TRUNCATION = 4
-TOLERANCE = 1e-9  # every transport residual and the spectrum's imaginary parts
+TOLERANCE = 1e-9  # every transport residual
 MAX_PHASE = 1e6  # beyond this μB·t (rad), doubles cannot resolve a packet center to TOLERANCE
 # Largest entry of the bosonic back flow exp(−t·M) that transport accepts, and
 # MAX_PHASE bounds |t|·max|M| there too: beyond either, the float exponential
@@ -139,8 +141,9 @@ class CpiSpec:
     with constant symbols; ``coefficients`` binds those to numbers, and the
     bound Hamiltonian is the one source of every rate that transport uses.
     Without ``hamiltonian`` a case takes its default stock one: the harmonic
-    oscillator, −(w/2)(1 − 2ξξ̄), or −μB·η.  ``truncation`` is the total
-    base-field degree of the spectrum basis.
+    oscillator, −(w/2)(1 − 2ξξ̄), or −μB·η.  ``truncation`` T bounds the
+    random bosonic wavefunctions that transport draws: their exponents of q
+    and of p stay below max(T − 1, 1).
     """
 
     case: str
@@ -219,24 +222,23 @@ def _mode_rate(spec: CpiSpec) -> float:
 @dataclass(frozen=True)
 class LiouvilleOperator:
     """CPI Hamiltonian as an operator on enlarged-space wavefunctions, the
-    multivectors over the case's context in its fields and ghosts."""
+    polynomials over the case's context in its fields and ghosts."""
 
     case: str
     operator: GrassmannOperator
-    truncation: int
 
     @property
     def context(self) -> SymbolContext:
         return self.operator.context
 
-    def apply(self, psi: Multivector) -> Multivector:
+    def apply(self, psi: GradedPolynomial) -> GradedPolynomial:
         return self.operator.apply(psi)
 
     def eigenvalue_on(self, powers) -> complex | None:
         """Eigenvalue on the monomial with the exponents ``powers`` maps
         field and ghost names to, or None if it is not an eigenvector."""
         mono = self.context.monomial(powers)
-        image = self.apply(Multivector(self.context, {mono: 1})).terms
+        image = self.apply(GradedPolynomial(self.context, {mono: 1})).terms
         if image.keys() - {mono}:
             return None
         return complex(image.get(mono, 0))
@@ -253,7 +255,7 @@ class LiouvilleOperator:
         index = {m: i for i, m in enumerate(basis)}
         columns = []
         for seed in basis:  # the basis grows while it is walked, up to closure
-            image = self.apply(Multivector(self.context, {seed: 1}))
+            image = self.apply(GradedPolynomial(self.context, {seed: 1}))
             col = {}
             for mono, coeff in image.terms.items():
                 if mono not in index:
@@ -267,32 +269,24 @@ class LiouvilleOperator:
                 matrix[index[mono], j] = value
         return basis, matrix
 
-    def full_basis(self):
-        """The spectrum basis: every monomial whose even exponents are at most
-        the truncation T and whose total base-field degree is at most T.
-
-        The supported Hamiltonians (base-field degree ≤ 2) never change a
-        monomial's degree in any family, so the operator is closed on this
-        set.
-        """
-        case = get_case(self.case)
-        D = self.truncation
-        names = case.base_names + tuple(f.ghost for f in case.families)
-        ranges = [range(2 if self.context.decl(n).parity == ODD else D + 1) for n in names]
-        out = []
-        for exps in itertools.product(*ranges):
-            if sum(exps[: len(case.base_names)]) <= D:
-                out.append(self.context.monomial(dict(zip(names, exps))))
-        return out
-
-    def spectrum(self) -> np.ndarray:
-        import numpy as np
-
-        basis, matrix = self.closure_matrix(self.full_basis())
-        return np.linalg.eigvals(matrix)
-
     def spectrum_is_real(self) -> bool:
-        return bool(abs(self.spectrum().imag).max(initial=0.0) <= TOLERANCE)
+        """Whether every eigenvalue of H̃ on the wavefunctions is real, exactly.
+
+        H̃ is a derivation, so on a monomial of fields and ghosts its
+        eigenvalues are sums of the eigenvalues of two 2×2 blocks: H̃ on the
+        two field monomials and H̃ on the two ghosts, modulo constants.  Each
+        eigenvalue alone is in the spectrum, so it is real iff each block has
+        a real trace and determinant and tr² − 4·det ≥ 0.
+        """
+        ctx, case = self.context, get_case(self.case)
+        for names in (case.base_names, tuple(f.ghost for f in case.families)):
+            monos = [ctx.monomial({name: 1}) for name in names]
+            images = [self.apply(ctx.sym(name)).terms for name in names]
+            (a, b), (c, d) = ([crational(image.get(m, 0)) for image in images] for m in monos)
+            trace, det = a + d, a * d - b * c
+            if trace.im or det.im or (trace * trace - 4 * det).re < 0:
+                return False
+        return True
 
 
 def build_cpi_hamiltonian(spec: CpiSpec) -> LiouvilleOperator:
@@ -315,7 +309,7 @@ def build_cpi_hamiltonian(spec: CpiSpec) -> LiouvilleOperator:
     for f in case.families:
         derivatives[f.aux] = (f.base, aux_factor)
         derivatives[f.antighost] = (f.ghost, antighost_factor)
-    return LiouvilleOperator(case.name, GrassmannOperator(h_tilde, derivatives), spec.truncation)
+    return LiouvilleOperator(case.name, GrassmannOperator(h_tilde, derivatives))
 
 
 # -- wavefunctions -----------------------------------------------------------------
@@ -419,8 +413,8 @@ def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = No
         return FourierWavefunction(
             {key: c * cmath.exp(1j * key[0] * mu_b * t) for key, c in psi.terms.items()}
         )
-    if not isinstance(psi, Multivector):
-        raise UnsupportedCaseError("polynomial evolve expects a Multivector")
+    if not isinstance(psi, GradedPolynomial):
+        raise UnsupportedCaseError("polynomial evolve expects a GradedPolynomial")
     if operator is None:
         operator = build_cpi_hamiltonian(spec)
     if psi.context is not operator.context:
@@ -437,7 +431,7 @@ def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = No
             vec[i] = complex(c)
     out = expm(-1j * t * matrix) @ vec
     terms = {mono: out[i] for i, mono in enumerate(basis) if out[i]}
-    return Multivector(operator.context, terms)
+    return GradedPolynomial(operator.context, terms)
 
 
 def jacobi_fields(spec: CpiSpec, c0, t: float) -> tuple:
@@ -556,11 +550,11 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
                         residual = abs(value - expected)
                         add(f"eigen-{exps}", expected, value.real, residual)
         xi_cxi = {"xi": 1, "c_xi": 1}
-        moved = evolve(Multivector(ctx, {ctx.monomial(xi_cxi): 1.0}), spec, t, operator)
+        moved = evolve(GradedPolynomial(ctx, {ctx.monomial(xi_cxi): 1.0}), spec, t, operator)
         expected_phase = cmath.exp(-1j * w * 2 * t)
         actual = complex(moved.coefficient(xi_cxi))
         add("phase-xi-cxi", expected_phase, actual, abs(actual - expected_phase))
-        one = Multivector(ctx, {(): 1.0})
+        one = ctx.const(1.0)
         add(
             "constant-annihilated",
             0.0,
@@ -580,7 +574,7 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
             f"{MAX_STRETCH:g} for M = omega*Hess H (flag --t); got t = {t:g}, "
             f"|t|*max|M| = {phase:.3g}, max|exp(-t*M)| = {stretch:.3g}"
         )
-    q, p, c_q, c_p = (Multivector.gen(ctx, name) for name in ("q", "p", "c_q", "c_p"))
+    q, p, c_q, c_p = (ctx.sym(name) for name in ("q", "p", "c_q", "c_p"))
     q_flow = flow_back[0, 0] * q + flow_back[0, 1] * p
     p_flow = flow_back[1, 0] * q + flow_back[1, 1] * p
     cq_flow = flow_back[0, 0] * c_q + flow_back[0, 1] * c_p
@@ -595,7 +589,7 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
             h_ = rng.randrange(0, 2)
             mono = ctx.monomial({"q": a, "p": b, "c_q": g, "c_p": h_})
             terms[mono] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        psi = Multivector(ctx, terms)
+        psi = GradedPolynomial(ctx, terms)
         gap = evolve(psi, spec, t, operator) - psi.substitute(bindings)
         residual = max((abs(complex(c)) for c in gap.terms.values()), default=0.0)
         add(f"transport-{n}", 0.0, residual, residual)

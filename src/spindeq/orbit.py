@@ -55,7 +55,7 @@ class OrbitState:
 
 @dataclass(frozen=True)
 class PhaseFunction:
-    """A real polynomial over ``SPHERE`` as a function of a state; its
+    """A real exact polynomial over ``SPHERE`` as a function of a state; its
     ``constants``, ``(name, value)`` pairs, bind μB and B."""
 
     name: str
@@ -64,10 +64,13 @@ class PhaseFunction:
 
     def __post_init__(self):
         p = self.polynomial
-        if (getattr(p, "context", None) is not SPHERE or any(c.im for c in p.terms.values())
+        if (getattr(p, "context", None) is not SPHERE or not p.is_exact()
+                or any(c.im for c in p.terms.values())
                 or any(dot for _, dot in p.symbols_used())
                 or not {name for name, _ in self.constants} <= {"muB", "B"}):
-            raise ValueError(f"{self.name!r} must be a real polynomial over SPHERE binding muB, B")
+            raise ValueError(
+                f"{self.name!r} must be a real exact polynomial over SPHERE binding muB, B"
+            )
 
     def __call__(self, state) -> float:
         return _evaluate(self.polynomial, state, self.constants)

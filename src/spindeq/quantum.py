@@ -40,12 +40,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import CRational, I
-from .grassmann import GrassmannOperator, Multivector, berezin_integral, product
-from .symbols import ODD, SymbolContext
+from .grassmann import GrassmannOperator, berezin_integral, product
+from .symbols import ODD, GradedPolynomial, SymbolContext
 
 _NAMES = ("xi", "xibar", "xip", "xibarp")
 TABLE = SymbolContext((name, ODD) for name in _NAMES)
-_XI, _XIBAR, _XIP, _XIBARP = (Multivector.gen(TABLE, name) for name in _NAMES)
+_XI, _XIBAR, _XIP, _XIBARP = (TABLE.sym(name) for name in _NAMES)
 
 # Monomials 1, ξ, ξ̄, ξξ̄ of a symbol, whose first two are the 1, ξ of a
 # wavefunction, and 1, ξ, ξ′, ξξ′ of a kernel.
@@ -53,8 +53,8 @@ _BASIS = tuple(TABLE.monomial(p) for p in ({}, {"xi": 1}, {"xibar": 1}, {"xi": 1
 _KERNEL_BASIS = tuple(TABLE.monomial(p) for p in ({}, {"xi": 1}, {"xip": 1}, {"xi": 1, "xip": 1}))
 
 
-def _coefficients(mv: Multivector, basis: tuple, what: str) -> tuple:
-    """The coefficients of ``mv`` on ``basis``.  A multivector off ``TABLE``
+def _coefficients(mv: GradedPolynomial, basis: tuple, what: str) -> tuple:
+    """The coefficients of ``mv`` on ``basis``.  A polynomial off ``TABLE``
     or with a term outside the basis raises ``ValueError``, so no input is
     silently truncated."""
     if mv.context is not TABLE or not mv.terms.keys() <= set(basis):
@@ -116,11 +116,11 @@ class SpinState:
     c0: object
     c1: object
 
-    def as_multivector(self) -> Multivector:
-        return Multivector(TABLE, dict(zip(_BASIS, (self.c0, self.c1))))
+    def as_multivector(self) -> GradedPolynomial:
+        return GradedPolynomial(TABLE, dict(zip(_BASIS, (self.c0, self.c1))))
 
     @classmethod
-    def from_multivector(cls, mv: Multivector) -> "SpinState":
+    def from_multivector(cls, mv: GradedPolynomial) -> "SpinState":
         return cls(*_coefficients(mv, _BASIS[:2], "a wavefunction of xi"))
 
     def as_vector(self) -> np.ndarray:
@@ -144,12 +144,12 @@ class SpinOperator:
         return SpinState.from_multivector(self.word.apply(state.as_multivector()))
 
 
-def _symbol(alpha, beta, gamma, delta) -> Multivector:
+def _symbol(alpha, beta, gamma, delta) -> GradedPolynomial:
     """The normal-ordered symbol α + βξ + γξ̄ + δξξ̄."""
-    return Multivector(TABLE, dict(zip(_BASIS, (alpha, beta, gamma, delta))))
+    return GradedPolynomial(TABLE, dict(zip(_BASIS, (alpha, beta, gamma, delta))))
 
 
-def _operator(symbol: Multivector) -> GrassmannOperator:
+def _operator(symbol: GradedPolynomial) -> GrassmannOperator:
     """The operator of a normal-ordered symbol: ξ multiplies and ξ̄ acts as
     d/dξ; ξ is declared first, so ξξ̄ differentiates first."""
     return GrassmannOperator(symbol, {"xibar": ("xi", 1)})
@@ -202,24 +202,24 @@ def hamiltonian(b: MagneticField) -> SpinOperator:
 # -- symbol and kernel forms -------------------------------------------------------
 
 
-def ordered_symbol(op: SpinOperator) -> Multivector:
+def ordered_symbol(op: SpinOperator) -> GradedPolynomial:
     """Normal-ordered symbol A(ξ, ξ̄) = α + βξ + γξ̄ + δξξ̄."""
     (a00, a01), (a10, a11) = op.matrix
     return _symbol(a00, a10, a01, a11 - a00)
 
 
-def symbol_to_matrix(sym: Multivector) -> tuple:
+def symbol_to_matrix(sym: GradedPolynomial) -> tuple:
     alpha, beta, gamma, delta = _coefficients(sym, _BASIS, "a symbol in xi, xibar")
     return ((alpha, gamma), (beta, alpha + delta))
 
 
-def integral_kernel(op: SpinOperator) -> Multivector:
+def integral_kernel(op: SpinOperator) -> GradedPolynomial:
     """Kernel Ã(ξ, ξ′) with Ĥψ(ξ) = ∫dξ′ Ã(ξ, ξ′) ψ(ξ′)."""
     (a00, a01), (a10, a11) = op.matrix
-    return Multivector(TABLE, dict(zip(_KERNEL_BASIS, (a01, -a11, a00, -a10))))
+    return GradedPolynomial(TABLE, dict(zip(_KERNEL_BASIS, (a01, -a11, a00, -a10))))
 
 
-def kernel_to_matrix(kern: Multivector) -> tuple:
+def kernel_to_matrix(kern: GradedPolynomial) -> tuple:
     k0, k1, k2, k3 = _coefficients(kern, _KERNEL_BASIS, "a kernel in xi, xip")
     return ((k2, k0), (-k3, -k1))
 
@@ -228,13 +228,13 @@ def kernel_to_matrix(kern: Multivector) -> tuple:
 _KERNEL_WEIGHT = 1 + product(_XIBAR, _XIP - _XI)
 
 
-def kernel_from_symbol(sym: Multivector) -> Multivector:
+def kernel_from_symbol(sym: GradedPolynomial) -> GradedPolynomial:
     """Ã(ξ, ξ′) = ∫dξ̄ A(ξ, ξ̄) e^{ξ̄(ξ′−ξ)}."""
     _coefficients(sym, _BASIS, "a symbol in xi, xibar")
     return berezin_integral(product(sym, _KERNEL_WEIGHT), ["xibar"])
 
 
-def apply_kernel(kern: Multivector, psi: Multivector) -> Multivector:
+def apply_kernel(kern: GradedPolynomial, psi: GradedPolynomial) -> GradedPolynomial:
     """∫dξ′ Ã(ξ, ξ′) ψ(ξ′) as a wavefunction of ξ."""
     _coefficients(kern, _KERNEL_BASIS, "a kernel in xi, xip")
     _coefficients(psi, _BASIS[:2], "a wavefunction of xi")
@@ -244,7 +244,7 @@ def apply_kernel(kern: Multivector, psi: Multivector) -> Multivector:
 _COMPOSE_WEIGHT = 1 + product(_XIBARP - _XIBAR, _XIP - _XI)
 
 
-def compose_symbols(late: Multivector, early: Multivector) -> Multivector:
+def compose_symbols(late: GradedPolynomial, early: GradedPolynomial) -> GradedPolynomial:
     """Symbol of the operator product (late ∘ early).
 
     U(ξ; ξ̄0) = ∫dξ′dξ̄′ e^{(ξ̄′−ξ̄0)(ξ′−ξ)} · late(ξ, ξ̄′) · early(ξ′, ξ̄0),
@@ -268,7 +268,7 @@ def symbol_structure_constants() -> tuple[tuple[int, int, int, object], ...]:
     Derived by running ``compose_symbols`` on every pair of basis symbols,
     so the entries are exact and the convolution stays their only source.
     """
-    basis = [Multivector(TABLE, {e: 1}) for e in _BASIS]
+    basis = [GradedPolynomial(TABLE, {e: 1}) for e in _BASIS]
     out = []
     for i, late in enumerate(basis):
         for j, early in enumerate(basis):
@@ -279,19 +279,20 @@ def symbol_structure_constants() -> tuple[tuple[int, int, int, object], ...]:
     return tuple(out)
 
 
-def _compose_near_identity(late: list, early: list) -> list:
-    """(1 + late) ∘ (1 + early) − 1 on coefficient vectors over ``_BASIS``.
+def _compose_near_identity(late: list, early: list, constants) -> list:
+    """(1 + late) ∘ (1 + early) − 1 on coefficient vectors over ``_BASIS``,
+    given the structure ``constants``.
 
     Carrying the offset from the identity symbol, not the symbol, keeps the
     O(ε) part of a short-time factor at full relative precision.
     """
     out = [a + b for a, b in zip(late, early)]
-    for i, j, k, c in symbol_structure_constants():
+    for i, j, k, c in constants:
         out[k] += c * late[i] * early[j]
     return out
 
 
-def sliced_symbol(b: MagneticField, t: float, n: int) -> Multivector:
+def sliced_symbol(b: MagneticField, t: float, n: int) -> GradedPolynomial:
     """Symbol of the n-slice propagator: (1 − i·(t/n)·H̄) composed n times.
 
     The n-th power is taken by repeated squaring over the structure
@@ -309,13 +310,16 @@ def sliced_symbol(b: MagneticField, t: float, n: int) -> Multivector:
     step = h_bar * complex(0, -eps)
     square = [step.terms.get(e, 0) for e in _BASIS]
     power = [0, 0, 0, 0]  # offsets from the identity symbol 1
+    # The exact constants as numbers, once: a CRational times a complex at
+    # every step would convert it each time.
+    constants = [(i, j, k, complex(c)) for i, j, k, c in symbol_structure_constants()]
     while n:
         if n & 1:
-            power = _compose_near_identity(power, square)
-        square = _compose_near_identity(square, square)
+            power = _compose_near_identity(power, square, constants)
+        square = _compose_near_identity(square, square, constants)
         n >>= 1
     power[0] += 1
-    return Multivector(TABLE, dict(zip(_BASIS, power)))
+    return GradedPolynomial(TABLE, dict(zip(_BASIS, power)))
 
 
 def sliced_propagator(b: MagneticField, t: float, n: int) -> np.ndarray:
@@ -346,7 +350,7 @@ def pauli_evolve(state: SpinState, b: MagneticField, t: float) -> SpinState:
     return SpinState(out[0], out[1])
 
 
-def kernel_propagate(psi: Multivector, b: MagneticField, t: float, n: int) -> Multivector:
+def kernel_propagate(psi: GradedPolynomial, b: MagneticField, t: float, n: int):
     """ψ(ξ, t) = ∫dξ0 Ũ(ξ, t; ξ0) ψ(ξ0) with the n-slice propagator."""
     kern = kernel_from_symbol(sliced_symbol(b, t, n))
     return apply_kernel(kern, psi)

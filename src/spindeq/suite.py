@@ -42,13 +42,15 @@ class CheckResult:
 
 
 def _exact_check(name, expected_poly, actual_poly) -> CheckResult:
+    """An exact identity: it holds only when both sides are exact and equal."""
     diff = actual_poly - expected_poly
-    ok = diff.is_zero()
+    exact = expected_poly.is_exact() and actual_poly.is_exact()
+    ok = exact and diff.is_zero()
     return CheckResult(
         name,
         format_poly(expected_poly),
         format_poly(actual_poly),
-        0 if ok else format_poly(diff),
+        0 if ok else format_poly(diff) if exact else "inexact side",
         ok,
         tolerance=None,
     )
@@ -79,8 +81,11 @@ def check_dequantization(
 
     The superfield expansion is recomputed here, apart from ``dequantize``,
     and must equal ``cpi_l + surface`` exactly.  Given the Hamiltonian,
-    ``cpi_l`` must also equal its CPI Lagrangian.
+    ``cpi_l`` must also equal its CPI Lagrangian.  The inputs must be exact:
+    a float term that cancels leaves no coefficient for a row to inspect.
     """
+    if not all(p is None or p.is_exact() for p in (lagrangian, cpi_l, surface, hamiltonian)):
+        raise ValueError("dequantization is checked exactly; its input must be exact")
     case = superfield.get_case(case)
     raw = superfield.supertime_integral(
         substitute(lagrangian, superfield.superfield_bindings(case)), case.theta, case.thetabar

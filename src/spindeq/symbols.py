@@ -1,20 +1,27 @@
-"""Graded polynomials in named symbols, with exact coefficients.
+"""Graded polynomials in named symbols: the one element class.
 
 This layer carries the symbolic identities.  Symbols are declared in a
 :class:`SymbolContext` with a parity and an optional ``constant`` flag
 (constants have vanishing time derivative).  Dotted symbols -- formal time
 derivatives such as ``dot(q)`` -- need no declaration: they inherit the
 parity of their base symbol and sort immediately after it.  A context is
-the one algebra class of the package: the numeric elements of
-:mod:`spindeq.grassmann` live over contexts too.
+the one algebra class of the package, and :class:`GradedPolynomial` its one
+element class: quantum symbols, superfields, the CPI Hamiltonian and the
+wavefunctions it acts on are all graded polynomials.
 
 Monomials take the one form of the graded-algebra kernel
 :mod:`spindeq._graded`, ``((slot, exponent), ...)`` sorted by slot, where
 the slot of a symbol is its (declaration index, dot order) pair; products,
 left derivatives and substitutions are the kernel's, with its transposition
 signs.  This module adds names with dots, the formal time derivative, the
-printer and the parser.  Coefficients are exact Gaussian rationals so that
-identities that hold, hold with residual exactly zero.
+printer and the parser.
+
+Each coefficient is exact or float on its own (:func:`lift`): ``int``,
+``Fraction`` and ``CRational`` are kept exact as Gaussian rationals, so that
+identities that hold, hold with residual exactly zero; ``float`` and
+``complex`` pass through, and arithmetic that mixes the two degrades to
+``complex``, as :class:`~spindeq.exact.CRational` does.  A claim of exactness
+is checked where it is made, with :meth:`GradedPolynomial.is_exact`.
 """
 
 from __future__ import annotations
@@ -42,11 +49,19 @@ class SymbolDecl:
     constant: bool = False
 
 
-def _lift(value) -> CRational:
+# The scalars a polynomial takes as coefficients, and the exact ones among them.
+SCALARS = (int, float, complex, Fraction, CRational)
+_EXACT = (int, Fraction, CRational)
+
+
+def lift(value):
+    """One coefficient: exact values as ``CRational``, floats as they are."""
     out = CRational._lift(value)
     if out is not None:
         return out
-    raise TypeError(f"polynomial coefficients must be exact, got {type(value).__name__}")
+    if isinstance(value, (float, complex)):
+        return value
+    raise TypeError(f"polynomial coefficients must be numbers, got {type(value).__name__}")
 
 
 # Deepest nesting of parentheses and dot(...) that the parser accepts; each
@@ -147,26 +162,22 @@ class SymbolContext:
 
 
 class GradedPolynomial:
-    """Finite sum of monomials over a context, with CRational coefficients.
+    """Finite sum of monomials over a context, each coefficient exact or float.
 
     ``terms`` maps monomials in the kernel's form, ``((slot, exponent),
     ...)`` sorted by slot, to coefficients.  The constructor
-    ``GradedPolynomial(context, terms)`` checks that form; results of
-    algebra operations skip the check.  The context supplies ``is_odd``,
-    the kernel's ``odd`` lookup, and ``has_slot``.  A subclass sets
-    ``SCALARS``, the scalar types it takes, and ``lift``, which checks one
-    coefficient.  Operands of two different element types never combine, so
-    an exact polynomial never holds a float; operands over different
-    contexts raise :class:`~spindeq.errors.TableMismatchError`.
+    ``GradedPolynomial(context, terms)`` checks that form and lifts each
+    coefficient (:func:`lift`); results of algebra operations skip the
+    check.  The context supplies ``is_odd``, the kernel's ``odd`` lookup,
+    and ``has_slot``.  Operands over different contexts raise
+    :class:`~spindeq.errors.TableMismatchError`.
     """
 
     __slots__ = ("context", "terms")
-    SCALARS: tuple = (int, Fraction, CRational)
-    lift = staticmethod(_lift)
 
     def __init__(self, context: SymbolContext, terms: Mapping):
         self.context = context
-        self.terms = _graded.checked(terms, context.is_odd, context.has_slot, self.lift)
+        self.terms = _graded.checked(terms, context.is_odd, context.has_slot, lift)
 
     @classmethod
     def _wrap(cls, context: SymbolContext, terms: dict):
@@ -180,17 +191,19 @@ class GradedPolynomial:
         return self._wrap(self.context, terms)
 
     def _check(self, other):
-        if type(other) is not type(self):
-            raise TypeError(f"cannot combine {type(self).__name__} and {type(other).__name__}")
         if self.context != other.context:
-            raise TableMismatchError(f"{type(self).__name__} operands over different contexts")
+            raise TableMismatchError("GradedPolynomial operands over different contexts")
 
     def _constant(self, value) -> dict:
-        value = self.lift(value)
+        value = lift(value)
         return {(): value} if value else {}
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def is_exact(self) -> bool:
+        """Whether every coefficient is exact (an int, Fraction or CRational)."""
+        return all(isinstance(c, _EXACT) for c in self.terms.values())
 
     def is_constant(self) -> bool:
         return all(mono == () for mono in self.terms)
@@ -205,9 +218,9 @@ class GradedPolynomial:
         return seen.pop() if len(seen) == 1 else None
 
     def __eq__(self, other) -> bool:
-        if type(other) is type(self):
+        if isinstance(other, GradedPolynomial):
             return self.context == other.context and self.terms == other.terms
-        if isinstance(other, self.SCALARS):
+        if isinstance(other, SCALARS):
             return self.terms == self._constant(other)
         return NotImplemented
 
@@ -215,7 +228,7 @@ class GradedPolynomial:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        if isinstance(other, self.SCALARS):
+        if isinstance(other, SCALARS):
             addend = self._constant(other)
         elif isinstance(other, GradedPolynomial):
             self._check(other)
@@ -244,13 +257,14 @@ class GradedPolynomial:
 
     def _scale(self, k):
         """self·k for a scalar k, NotImplemented for anything else."""
-        if not isinstance(k, self.SCALARS):
+        if not isinstance(k, SCALARS):
             return NotImplemented
-        k = self.lift(k)
+        k = lift(k)
         return self._new({mono: v for mono, c in self.terms.items() if (v := c * k)})
 
-    # Per-layer tracing (bench/layers.py) wraps __mul__ in this class body;
-    # Multivector's scalar products call _scale and stay outside that span.
+    # Per-layer tracing (bench/layers.py) wraps __mul__ in this class body, so
+    # its span covers every graded product written with ``*``, exact or float;
+    # scalar products call _scale and stay outside it.
     def __mul__(self, other):
         if not isinstance(other, GradedPolynomial):
             return self._scale(other)
@@ -258,7 +272,7 @@ class GradedPolynomial:
         return self._new(_graded.mul(self.terms, other.terms, self.context.is_odd))
 
     def __rmul__(self, other):
-        if isinstance(other, self.SCALARS):
+        if isinstance(other, SCALARS):
             return self.__mul__(other)
         return NotImplemented
 
@@ -267,17 +281,21 @@ class GradedPolynomial:
             raise ValueError("powers must be non-negative integers")
         return self._new(_graded.power(self.terms, n, self.context.is_odd) if n else self._constant(1))
 
-    def _substitute(self, bound):
-        """Image under the graded endomorphism that sends each slot of
-        ``bound``, ``(key, slot, element)`` triples, to its element and
-        every other slot to itself."""
+    def substitute(self, bindings: Mapping) -> "GradedPolynomial":
+        """Replace symbols by polynomials of matching parity.
+
+        Binding keys are symbol names or ``(name, dot)`` pairs; unbound
+        symbols pass through.  Substitution is a graded ring homomorphism, so
+        it commutes with products by construction.
+        """
+        odd = self.context.is_odd
         images = {}
-        for key, slot, element in bound:
+        for key, element in bindings.items():
+            slot = self.context.slot(key)
             self._check(element)
-            if not element.is_zero() and element.parity() != self.context.is_odd[slot]:
+            if not element.is_zero() and element.parity() != odd[slot]:
                 raise ParityError(f"binding for {key!r} has wrong parity")
             images[slot] = element.terms
-        odd = self.context.is_odd
         out: dict = {}
         for mono, c in self.terms.items():
             term = {(): c}
@@ -301,7 +319,7 @@ class GradedPolynomial:
                 sign *= step
         if not sign:
             raise ValueError("requested monomial vanishes identically")
-        return self.terms.get(mono, self.lift(0)) * sign
+        return self.terms.get(mono, lift(0)) * sign
 
     def symbols_used(self) -> set[SymKey]:
         return {self.context.key(slot) for mono in self.terms for slot, _ in mono}
@@ -336,19 +354,12 @@ def partial_derivative(p: GradedPolynomial, name: str, dot: int = 0) -> GradedPo
 
 
 def substitute(p: GradedPolynomial, bindings: Mapping) -> GradedPolynomial:
-    """Replace symbols by polynomials of matching parity.
-
-    Binding keys are symbol names or ``(name, dot)`` pairs; unbound symbols
-    pass through.  Substitution is a graded ring homomorphism, so it
-    commutes with products by construction.
-    """
-    ctx = p.context
-    bound = [(key, ctx.slot(key), poly) for key, poly in bindings.items()]
-    return p._substitute(bound)
+    """``p.substitute(bindings)``: see :meth:`GradedPolynomial.substitute`."""
+    return p.substitute(bindings)
 
 
 def bind_constants(p: GradedPolynomial, values: Mapping[str, object]) -> GradedPolynomial:
-    """Substitute exact numeric values for (even) symbols."""
+    """Substitute numeric values for (even) symbols."""
     ctx = p.context
     bindings = {name: ctx.const(v) for name, v in values.items()}
     return substitute(p, bindings)
@@ -363,8 +374,14 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _coeff_parts(c: CRational, has_mono: bool) -> tuple[str, str]:
-    """Split a coefficient into a sign character and a printable body."""
+def _coeff_parts(c, has_mono: bool) -> tuple[str, str]:
+    """Split a coefficient into a sign character and a printable body; a
+    float or complex one prints as Python writes it, so never as exact."""
+    if isinstance(c, (float, complex)):
+        z = complex(c)
+        if not z.imag:
+            return ("-" if z.real < 0 else "+"), repr(abs(z.real))
+        return "+", f"({z.real!r}{'-' if z.imag < 0 else '+'}{abs(z.imag)!r}*i)"
     re_, im = c.re, c.im
     if im == 0:
         sign = "-" if re_ < 0 else "+"
@@ -392,7 +409,8 @@ def _factor_str(key: SymKey, exp: int) -> str:
 
 
 def format_poly(p: GradedPolynomial) -> str:
-    """Deterministic text form; ``parse`` inverts it exactly."""
+    """Deterministic text form; ``parse`` inverts it exactly for an exact
+    polynomial."""
     if not p.terms:
         return "0"
     ctx = p.context

@@ -79,7 +79,7 @@ def test_both_operator_callers_count_as_operator_applications(layers):
         tracer.install()
         tracer.begin_op(0)
         sx.apply_state_via_words(spindeq.quantum.SpinState(1, 0))
-        liouville.apply(spindeq.Multivector.gen(liouville.context, "q"))
+        liouville.apply(liouville.context.sym("q"))
         tracer.end_op()
     finally:
         tracer.uninstall()

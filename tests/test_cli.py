@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from spindeq import cpi, superfield
+from spindeq import cli, cpi, superfield
 from spindeq.cli import RunReport, SCHEMA_VERSION, main
 
 
@@ -59,12 +59,32 @@ def test_domain_errors_exit_one(capsys):
         (["propagate-classical", "--case", "bosonic", "--truncation", "17"], "--truncation"),
         (["verify-dequantization", "--case", "bosonic", "--gamma"], "--gamma"),
         (["verify-dequantization", "--case", "grassmann", "--gamma"], "--gamma"),
+        # The sliced propagator's powers would overflow to nan; a field of
+        # 1e300 must not overflow the field norm either.
+        (["propagate-quantum", "--b", "0,0,1", "--t", "1e300", "--slices", "2"], "--b"),
+        (["propagate-quantum", "--b", "1e300,0,0", "--t", "1", "--slices", "2"], "--b"),
+        (["propagate-quantum", "--b", "0,0,1", "--t", "1e6", "--slices", "1000000"], "--b"),
+        (["propagate-quantum", "--b", "0,0,1", "--t", "2000", "--slices", "1000"], "--b"),
     )
     for argv, flag in rejected:
         assert main(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: " + flag), captured.err
+
+
+def test_precession_steps_are_capped_before_any_work(monkeypatch, capsys):
+    def never_run(args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setattr(cli, "_cmd_precession", never_run)
+    argv = ["precession", "--theta0", "1", "--phi0", "0", "--muB", "1", "--t", "1", "--steps"]
+    for steps in (cli.MAX_STEPS + 1, 100000000000):
+        assert main([*argv, str(steps)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: --steps must be from 1 to {cli.MAX_STEPS}")
+    with pytest.raises(SystemExit):
+        main(["precession", "--help"])
+    assert f"time steps, 1 to {cli.MAX_STEPS}" in capsys.readouterr().out
 
 
 def test_wrong_dequantization_split_fails_decomposition(monkeypatch, capsys):
@@ -275,7 +295,7 @@ def test_all_rows_keep_their_names_and_order(tmp_path, capsys):
 
 def test_explicit_hamiltonian_at_truncation_one_gives_the_stock_rows(tmp_path, capsys):
     # The stock harmonic oscillator, spelled out, must not be held to the
-    # spectrum basis degree: T bounds the basis, not the Hamiltonian.
+    # truncation: T bounds the transported wavefunctions, not the Hamiltonian.
     base = ["propagate-classical", "--case", "bosonic", "--truncation", "1", "--seed", "3"]
     stock, explicit = tmp_path / "stock.json", tmp_path / "explicit.json"
     assert main(base + ["--out", str(stock)]) == 0
@@ -331,14 +351,12 @@ def test_report_without_versions_still_loads(tmp_path, capsys):
 
 
 def test_failing_checks_exit_one_and_name_the_check(capsys):
-    # An evolution window this coarse cannot meet the propagation bound; a
-    # field of 1e300 must fail its check too, not overflow the field norm.
-    for b, slices in (("0,0,9999", "1"), ("1e300,0,0", "2")):
-        code = main(["propagate-quantum", "--b", b, "--t", "1.0", "--slices", slices])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "FAIL" in captured.out
-        assert captured.err.startswith(f"failed checks: slice-error-n={slices}")
+    # An evolution window this coarse cannot meet the propagation bound.
+    code = main(["propagate-quantum", "--b", "0,0,9999", "--t", "1.0", "--slices", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "FAIL" in captured.out
+    assert captured.err.startswith("failed checks: slice-error-n=1")
 
 
 def test_propagate_classical_reads_its_rates_off_the_hamiltonian(tmp_path, capsys):

@@ -18,7 +18,6 @@ from spindeq import cpi
 from spindeq import (
     CpiSpec,
     FourierWavefunction,
-    Multivector,
     UnsupportedCaseError,
     bind_constants,
     build_cpi_hamiltonian,
@@ -38,7 +37,7 @@ GRASSMANN_FIELDS = ("xi", "xibar", "c_xi", "c_xibar")
 
 
 def gen(case, name):
-    return Multivector.gen(get_case(case).context, name)
+    return get_case(case).context.sym(name)
 
 
 def test_coadjoint_hamiltonian_is_linear_in_aux():
@@ -138,7 +137,7 @@ def test_spec_default_hamiltonians():
 def test_operator_annihilates_constants():
     for spec in (CpiSpec("bosonic"), CpiSpec("grassmann", coefficients={"w": 2.0})):
         op = build_cpi_hamiltonian(spec)
-        assert op.apply(Multivector(op.context, {(): 3})).is_zero()
+        assert op.apply(op.context.const(3)).is_zero()
 
 
 def test_operator_symbol_is_the_cpi_hamiltonian():
@@ -207,9 +206,35 @@ def test_bosonic_monomials_mix_under_rotation():
     assert np.allclose(matrix, np.array([[0, 1j], [-1j, 0]]))
 
 
+def test_operator_applies_to_exact_polynomials():
+    op = build_cpi_hamiltonian(CpiSpec("bosonic"))
+    ctx = op.context
+    image = op.apply(ctx.parse("q^2*c_p"))
+    assert image.is_exact() and image == ctx.parse("i*q^2*c_q - 2*i*q*p*c_p")
+    floated = op.apply(ctx.parse("q^2*c_p") * 1.0)
+    assert not floated.is_exact() and floated == image
+
+
 def test_spectrum_is_real():
     for spec in (CpiSpec("bosonic"), CpiSpec("grassmann", coefficients={"w": 0.7})):
         assert build_cpi_hamiltonian(spec).spectrum_is_real()
+    # The spectrum of H̃ is real exactly when det Hess H >= 0: elliptic,
+    # parabolic (a defective closure matrix, spectrum {0}) and hyperbolic.
+    ctx = get_case("bosonic").context
+    for text, real in (("p^2/2+q^2/2", True), ("p^2/2+q*p/2+q^2/8", True), ("p^2/2", True),
+                       ("q*p", False), ("(1/4)*q^2 - p^2 + 3*q*p", False)):
+        spec = CpiSpec("bosonic", hamiltonian=ctx.parse(text))
+        assert build_cpi_hamiltonian(spec).spectrum_is_real() is real, text
+
+
+@given(st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=4)] * 5))
+def test_spectrum_is_real_iff_the_hessian_determinant_is_not_negative(coeffs):
+    # H = a·q²/2 + b·q·p + c·p²/2 + d·q + e·p, so det Hess H = a·c − b².
+    a, b, c, d, e = coeffs
+    q, p = (get_case("bosonic").context.sym(name) for name in ("q", "p"))
+    h = (a / 2) * q**2 + b * q * p + (c / 2) * p**2 + d * q + e * p
+    real = build_cpi_hamiltonian(CpiSpec("bosonic", hamiltonian=h)).spectrum_is_real()
+    assert real is (a * c - b * b >= 0)
 
 
 def test_fourier_wavefunction_validation():
@@ -281,7 +306,7 @@ def test_quartic_evolution_is_rejected():
     with pytest.raises(UnsupportedCaseError):
         evolve(gen("bosonic", "q"), spec, 1.0)
     with pytest.raises(UnsupportedCaseError):
-        build_cpi_hamiltonian(spec).spectrum()
+        build_cpi_hamiltonian(spec)
 
 
 def test_evolve_type_and_table_guards():

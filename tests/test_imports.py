@@ -61,9 +61,9 @@ def test_exact_subcommands_load_neither_numeric_library(argv):
 def test_bosonic_evolution_loads_scipy():
     code = """
 import sys
-from spindeq import Multivector, cpi, get_case
+from spindeq import cpi, get_case
 spec = cpi.CpiSpec("bosonic")
-psi = Multivector.gen(get_case("bosonic").context, "q")
+psi = get_case("bosonic").context.sym("q")
 assert "scipy" not in sys.modules
 cpi.evolve(psi, spec, 0.5)
 print("scipy" in sys.modules)

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from spindeq import (
     ODD,
     CRational,
+    GradedPolynomial,
     MagneticField,
-    Multivector,
     SpinState,
     SymbolContext,
     apply_kernel,
@@ -215,9 +215,9 @@ def test_inputs_outside_their_support_are_rejected(slot):
     call(valid)
     other = SymbolContext((name, ODD) for name in ("xi", "xibar", "xip", "xibarp", "eta"))
     for bad in (
-        valid + Multivector.gen(TABLE, stray),
-        valid * Multivector.gen(TABLE, stray),
-        Multivector(other, valid.terms),
+        valid + TABLE.sym(stray),
+        valid * TABLE.sym(stray),
+        GradedPolynomial(other, valid.terms),
     ):
         with pytest.raises(ValueError):
             call(bad)
@@ -330,7 +330,7 @@ def test_structure_constants_reproduce_composition(m1, m2):
     out = [CRational(0)] * 4
     for i, j, k, c in symbol_structure_constants():
         out[k] += c * s1.terms.get(_BASIS_EXPS[i], 0) * s2.terms.get(_BASIS_EXPS[j], 0)
-    assert Multivector(TABLE, dict(zip(_BASIS_EXPS, out))) == compose_symbols(s1, s2)
+    assert GradedPolynomial(TABLE, dict(zip(_BASIS_EXPS, out))) == compose_symbols(s1, s2)
 
 
 @pytest.mark.parametrize("n", [*range(1, 18), 64, 100])

@@ -1,7 +1,8 @@
 """Source hygiene of the package: no module imports a name it never uses
 (``__init__`` is left out, because its imports are the public API), every
-public function or class has a caller outside the tests, and every Python
-example and every ``spindeq`` command in the README runs.
+public function or class has a caller outside the tests, ``GradedPolynomial``
+stays the one element class, and every Python example and every ``spindeq``
+command in the README runs.
 """
 
 import ast
@@ -33,6 +34,14 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_graded_polynomial_is_the_one_element_class():
+    # Exact and float coefficients live in one class; a subclass would be a
+    # second element type, with its own rules for combining the two.
+    subclasses = [cls for cls in spindeq.GradedPolynomial.__subclasses__()
+                  if cls.__module__.startswith("spindeq")]
+    assert subclasses == []
 
 
 README = Path(__file__).parents[1] / "README.md"

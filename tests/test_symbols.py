@@ -204,10 +204,16 @@ def test_bind_constants_rejects_odd_targets():
         bind_constants(CTX.parse("u"), {"u": 2})
 
 
-def test_exact_only_coefficients():
-    with pytest.raises(TypeError):
-        CTX.const(0.5)
+def test_coefficients_are_exact_or_float():
+    # Exact values stay exact, floats pass through, anything else is refused.
     assert CTX.const(Fraction(1, 2)) == CTX.parse("1/2")
+    assert CTX.const(Fraction(1, 2)).is_exact() and not CTX.const(0.5).is_exact()
+    assert CTX.const(0.5).constant_part() == 0.5 and CTX.const(0.5) == CTX.parse("1/2")
+    mixed = CTX.parse("q/2") + CTX.sym("p") * 0.25j
+    assert not mixed.is_exact() and isinstance(mixed.coefficient({"q": 1}), CRational)
+    assert str(mixed) == "1/2*q + (0.0+0.25*i)*p"
+    with pytest.raises(TypeError):
+        CTX.const("1/2")
 
 
 def test_context_identity_matters():
