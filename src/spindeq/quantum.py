@@ -3,7 +3,7 @@
 A state is ψ(ξ) = ψ0 + ψ1·ξ, identified with the column (ψ0, ψ1).  An
 operator appears in four interchangeable forms:
 
-* 2x2 matrix (nested tuples, exact coefficients when the inputs are exact);
+* 2x2 matrix, nested tuples;
 * normal-ordered symbol A(ξ, ξ̄) = α + βξ + γξ̄ + δξξ̄;
 * word operator, the symbol acting on wavefunctions with ξ as (ξ·) and ξ̄
   as d/dξ, read in normal order (``GrassmannOperator``);
@@ -12,7 +12,10 @@ operator appears in four interchangeable forms:
 All Grassmann work happens in one algebra, the context ``TABLE`` of the
 odd symbols ξ, ξ̄ and their primed copies ξ′, ξ̄′: a wavefunction uses ξ, a symbol ξ and ξ̄, a
 kernel ξ and ξ′, and the primed variables are the ones that the Berezin
-integrals of kernel application and composition remove.
+integrals of kernel application and composition remove.  Its even
+constants ``mu_b``, ``bx``, ``by``, ``bz``, ``c0`` and ``c1`` make a generic
+field and state: states and forms are built by ring arithmetic, so an entry
+may be a polynomial in them, and the maps back to numbers reject it.
 
 The maps between the forms are exact.  Symbols of successive evolution
 factors compose by a two-variable Berezin convolution
@@ -20,15 +23,12 @@ factors compose by a two-variable Berezin convolution
 under that composition is the time-sliced propagator, whose error against
 the closed-form evolution decays like 1/n in the slice count.
 
-Symbols span the four basis monomials 1, ξ, ξ̄, ξξ̄, so the convolution is
-a bilinear map fixed by its structure constants on that basis.  They are
-read off ``compose_symbols`` itself on the 16 basis pairs, once, on first
-use; the convolution stays the only definition of composition.  Because it
-is associative, the n-th power can be taken by repeated squaring, in
-O(log n) four-term products, with no change to the result beyond rounding.
+Symbols span 1, ξ, ξ̄, ξξ̄, so the convolution is fixed by its structure
+constants on that basis (``symbol_structure_constants``, read off the
+convolution), and ``sliced_symbol`` takes the power by repeated squaring.
 
-The float oracles (``as_vector``, ``sliced_propagator``,
-``magnetic_evolution``) import numpy on first use.
+The float oracles (``sliced_propagator``, ``magnetic_evolution``) are 2x2
+tuples of ``complex`` too, acting like the exact matrices; no numpy.
 """
 
 from __future__ import annotations
@@ -41,10 +41,13 @@ from fractions import Fraction
 
 from .exact import CRational, I
 from .grassmann import GrassmannOperator, berezin_integral, product
-from .symbols import ODD, GradedPolynomial, SymbolContext
+from .symbols import EVEN, ODD, GradedPolynomial, SymbolContext
 
+_CONSTANTS = ("mu_b", "bx", "by", "bz", "c0", "c1")
 _NAMES = ("xi", "xibar", "xip", "xibarp")
-TABLE = SymbolContext((name, ODD) for name in _NAMES)
+TABLE = SymbolContext(
+    [*((name, EVEN, True) for name in _CONSTANTS), *((name, ODD) for name in _NAMES)]
+)
 _XI, _XIBAR, _XIP, _XIBARP = (TABLE.sym(name) for name in _NAMES)
 
 # Monomials 1, ξ, ξ̄, ξξ̄ of a symbol, whose first two are the 1, ξ of a
@@ -62,9 +65,28 @@ def _coefficients(mv: GradedPolynomial, basis: tuple, what: str) -> tuple:
     return tuple(mv.terms.get(m, 0) for m in basis)
 
 
+def _span(coefficients, basis: tuple) -> GradedPolynomial:
+    """Σ c·e over the ``basis`` monomials e; each c a number or a polynomial in the constants."""
+    terms = (GradedPolynomial._wrap(TABLE, {e: 1}) * c for c, e in zip(coefficients, basis))
+    return sum(terms, TABLE.zero())
+
+
+def _act(matrix, state: "SpinState") -> "SpinState":
+    (a, b), (c, d) = matrix
+    return SpinState(a * state.c0 + b * state.c1, c * state.c0 + d * state.c1)
+
+
+def _finite(v) -> bool:
+    try:
+        return cmath.isfinite(complex(v))
+    except OverflowError:  # an int or Fraction beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class MagneticField:
-    """Field vector and the magneton-like coupling in front of it."""
+    """Field vector and the magneton-like coupling in front of it: finite
+    numbers, or polynomials in ``TABLE``'s constants for the exact methods."""
 
     bx: object
     by: object
@@ -72,21 +94,22 @@ class MagneticField:
     mu_b: object = 1
 
     def __post_init__(self):
-        if not all(cmath.isfinite(complex(v)) for v in (self.bx, self.by, self.bz, self.mu_b)):
-            raise ValueError("field components and mu_b must be finite numbers")
+        for v in (self.bx, self.by, self.bz, self.mu_b):
+            if isinstance(v, GradedPolynomial):
+                if v.context is not TABLE or not v.symbols_used() <= {(c, 0) for c in _CONSTANTS}:
+                    raise ValueError(f"not a polynomial in the quantum table's constants: {v!r}")
+            elif not _finite(v):
+                raise ValueError("field components and mu_b must be finite and fit in a float")
 
     @classmethod
     def from_text(cls, text: str, mu_b=1.0) -> "MagneticField":
-        """Parse "BX,BY,BZ"; fractions and integers stay exact, decimals float."""
+        """Parse "BX,BY,BZ"; what ``Fraction`` reads (3, 1/2, 0.3, 1e-3) stays
+        exact, and anything else goes through ``float``."""
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != 3:
             raise ValueError("expected three comma-separated components")
 
         def component(p: str):
-            try:
-                return int(p)
-            except ValueError:
-                pass
             try:
                 return Fraction(p)
             except ZeroDivisionError:
@@ -117,16 +140,11 @@ class SpinState:
     c1: object
 
     def as_multivector(self) -> GradedPolynomial:
-        return GradedPolynomial(TABLE, dict(zip(_BASIS, (self.c0, self.c1))))
+        return _span((self.c0, self.c1), _BASIS)
 
     @classmethod
     def from_multivector(cls, mv: GradedPolynomial) -> "SpinState":
         return cls(*_coefficients(mv, _BASIS[:2], "a wavefunction of xi"))
-
-    def as_vector(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([complex(self.c0), complex(self.c1)])
 
 
 @dataclass(frozen=True)
@@ -137,16 +155,12 @@ class SpinOperator:
     word: GrassmannOperator
 
     def apply_matrix(self, state: SpinState) -> SpinState:
-        (a, b), (c, d) = self.matrix
-        return SpinState(a * state.c0 + b * state.c1, c * state.c0 + d * state.c1)
-
-    def apply_state_via_words(self, state: SpinState) -> SpinState:
-        return SpinState.from_multivector(self.word.apply(state.as_multivector()))
+        return _act(self.matrix, state)
 
 
 def _symbol(alpha, beta, gamma, delta) -> GradedPolynomial:
     """The normal-ordered symbol α + βξ + γξ̄ + δξξ̄."""
-    return GradedPolynomial(TABLE, dict(zip(_BASIS, (alpha, beta, gamma, delta))))
+    return _span((alpha, beta, gamma, delta), _BASIS)
 
 
 def _operator(symbol: GradedPolynomial) -> GrassmannOperator:
@@ -163,6 +177,11 @@ def operator_from_matrix(matrix) -> SpinOperator:
     """
     (a00, a01), (a10, a11) = matrix
     return SpinOperator(((a00, a01), (a10, a11)), _operator(_symbol(a00, a10, a01, a11 - a00)))
+
+
+def ordered_symbol(op: SpinOperator) -> GradedPolynomial:
+    """Normal-ordered symbol α + βξ + γξ̄ + δξξ̄ of ``op``: its word form's symbol."""
+    return op.word.symbol
 
 
 def spin_operators(hbar=1):
@@ -192,20 +211,11 @@ def hamiltonian(b: MagneticField) -> SpinOperator:
     The two are built independently from the components; exact components
     give exact entries.
     """
-    z = b.mu_b * b.bz
-    plus = b.mu_b * (b.bx + I * b.by)
-    minus = b.mu_b * (b.bx - I * b.by)
-    matrix = ((-z, -minus), (-plus, z))
-    return SpinOperator(matrix, _operator(_symbol(-z, -plus, -minus, 2 * z)))
+    z, plus, minus = (b.mu_b * v for v in (b.bz, b.bx + I * b.by, b.bx - I * b.by))
+    return SpinOperator(((-z, -minus), (-plus, z)), _operator(_symbol(-z, -plus, -minus, 2 * z)))
 
 
 # -- symbol and kernel forms -------------------------------------------------------
-
-
-def ordered_symbol(op: SpinOperator) -> GradedPolynomial:
-    """Normal-ordered symbol A(ξ, ξ̄) = α + βξ + γξ̄ + δξξ̄."""
-    (a00, a01), (a10, a11) = op.matrix
-    return _symbol(a00, a10, a01, a11 - a00)
 
 
 def symbol_to_matrix(sym: GradedPolynomial) -> tuple:
@@ -216,7 +226,7 @@ def symbol_to_matrix(sym: GradedPolynomial) -> tuple:
 def integral_kernel(op: SpinOperator) -> GradedPolynomial:
     """Kernel Ã(ξ, ξ′) with Ĥψ(ξ) = ∫dξ′ Ã(ξ, ξ′) ψ(ξ′)."""
     (a00, a01), (a10, a11) = op.matrix
-    return GradedPolynomial(TABLE, dict(zip(_KERNEL_BASIS, (a01, -a11, a00, -a10))))
+    return _span((a01, -a11, a00, -a10), _KERNEL_BASIS)
 
 
 def kernel_to_matrix(kern: GradedPolynomial) -> tuple:
@@ -322,32 +332,32 @@ def sliced_symbol(b: MagneticField, t: float, n: int) -> GradedPolynomial:
     return GradedPolynomial(TABLE, dict(zip(_BASIS, power)))
 
 
-def sliced_propagator(b: MagneticField, t: float, n: int) -> np.ndarray:
-    import numpy as np
-
+def sliced_propagator(b: MagneticField, t: float, n: int) -> tuple:
+    """The n-slice propagator as a 2x2 matrix of ``complex``."""
     matrix = symbol_to_matrix(sliced_symbol(b, t, n))
-    return np.array([[complex(v) for v in row] for row in matrix])
+    return tuple(tuple(complex(v) for v in row) for row in matrix)
 
 
-def magnetic_evolution(b: MagneticField, t: float) -> np.ndarray:
-    """Closed-form evolution exp(−i·H·t) for the magnetic Hamiltonian.
+def magnetic_evolution(b: MagneticField, t: float) -> tuple:
+    """Closed-form evolution exp(−i·H·t) for the magnetic Hamiltonian, as a
+    2x2 matrix of ``complex``.
 
     With φ = μ_B|B|t and n̂ the field direction this is
     cos(φ)·I + i·sin(φ)·(n̂·σ); the +i sign reflects the −μ_B coupling.
     """
-    import numpy as np
-
     if b.norm() == 0:
-        return np.eye(2, dtype=complex)
+        return ((1 + 0j, 0j), (0j, 1 + 0j))
     phi = b.larmor_phase(t)
     nx, ny, nz = b.unit()
-    sigma = np.array([[nz, nx - 1j * ny], [nx + 1j * ny, -nz]])
-    return math.cos(phi) * np.eye(2) + 1j * math.sin(phi) * sigma
+    cos, i_sin = math.cos(phi), 1j * math.sin(phi)
+    return (
+        (cos + i_sin * nz, i_sin * (nx - 1j * ny)),
+        (i_sin * (nx + 1j * ny), cos - i_sin * nz),
+    )
 
 
 def pauli_evolve(state: SpinState, b: MagneticField, t: float) -> SpinState:
-    out = magnetic_evolution(b, t) @ state.as_vector()
-    return SpinState(out[0], out[1])
+    return _act(magnetic_evolution(b, t), state)
 
 
 def kernel_propagate(psi: GradedPolynomial, b: MagneticField, t: float, n: int):
@@ -359,8 +369,8 @@ def kernel_propagate(psi: GradedPolynomial, b: MagneticField, t: float, n: int):
 def slicing_errors(b: MagneticField, t: float, slice_counts) -> list[tuple[int, float]]:
     """Max-element error of the sliced propagator against the closed form."""
     oracle = magnetic_evolution(b, t)
-    out = []
-    for n in slice_counts:
-        approx = sliced_propagator(b, t, n)
-        out.append((n, float(abs(approx - oracle).max())))
-    return out
+    return [
+        (n, max(abs(x - y) for row, exact in zip(sliced_propagator(b, t, n), oracle)
+                for x, y in zip(row, exact)))
+        for n in slice_counts
+    ]

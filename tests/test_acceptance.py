@@ -62,8 +62,8 @@ def test_criterion_04_observable_map(capsys):
 
 
 def test_criterion_05_representation_isomorphism(capsys):
-    # Matrix and word forms agree on both basis states for 50 random exact
-    # fields; su(2) commutators hold in both forms.
+    # Matrix and word forms agree exactly on a generic state, for the spin
+    # operators and a generic field; su(2) commutators hold in both forms.
     _run(
         capsys,
         "spin operator isomorphism",

@@ -78,7 +78,7 @@ def test_both_operator_callers_count_as_operator_applications(layers):
     try:
         tracer.install()
         tracer.begin_op(0)
-        sx.apply_state_via_words(spindeq.quantum.SpinState(1, 0))
+        sx.word.apply(spindeq.quantum.SpinState(1, 0).as_multivector())
         liouville.apply(liouville.context.sym("q"))
         tracer.end_op()
     finally:

@@ -1,9 +1,10 @@
 """Import policy: numpy and scipy load only where floats are computed.
 
-The exact checks (dequantization, Dirac brackets, precession) never touch a
-float matrix, so importing the package or running them must not load the
-numeric libraries.  Each probe runs in a fresh interpreter, because this
-test process has loaded both long before.
+The exact checks (dequantization, Dirac brackets, precession, the spin
+isomorphism) never touch a float matrix, and the spin-1/2 oracles are 2x2
+tuples, so importing the package, running those or ``propagate-quantum``
+must not load the numeric libraries.  Each probe runs in a fresh
+interpreter, because this test process has loaded both long before.
 """
 
 import inspect
@@ -56,6 +57,23 @@ def test_import_loads_neither_numeric_library():
 )
 def test_exact_subcommands_load_neither_numeric_library(argv):
     assert _loaded_after(_PROBE, *argv) == "[]"
+
+
+def test_propagate_quantum_loads_neither_numeric_library():
+    argv = ["propagate-quantum", "--b", "0.3,-0.4,0.8", "--t", "1", "--slices", "10,100"]
+    assert _loaded_after(_PROBE, *argv) == "[]"
+
+
+@pytest.mark.parametrize("group", ["check_isomorphism", "check_slicing"])
+def test_spin_groups_load_neither_numeric_library(group):
+    # The spin rows are exact, and the slicing oracles are 2x2 tuples.
+    code = f"""
+import sys
+from spindeq import suite
+assert all(row.passed for row in suite.{group}())
+print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))
+"""
+    assert _loaded_after(code) == "[]"
 
 
 def test_bosonic_evolution_loads_scipy():

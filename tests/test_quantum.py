@@ -5,7 +5,10 @@ word in multiplication/derivative moves on wavefunctions, an ordered symbol
 in (xi, xibar), and an integral kernel in (xi, xi').  The tests force all
 four to agree, then check that composing symbols is a homomorphism onto
 matrix products and that the time-sliced propagator converges at first
-order onto the closed-form rotation.
+order onto the closed-form rotation.  The float oracles are 2x2 tuples of
+``complex``; numpy and scipy appear here only as independent references.
+The suite's spin rows are exact identities on a generic field and state,
+and two sabotaged Hamiltonians must fail the generic-field row.
 """
 
 from fractions import Fraction
@@ -17,10 +20,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spindeq import (
+    EVEN,
     ODD,
     CRational,
     GradedPolynomial,
     MagneticField,
+    SpinOperator,
     SpinState,
     SymbolContext,
     apply_kernel,
@@ -36,11 +41,15 @@ from spindeq import (
     pauli_evolve,
     sliced_propagator,
     sliced_symbol,
+    slicing_errors,
     spin_operators,
     symbol_to_matrix,
 )
+from spindeq import quantum
 from spindeq.cli import main
-from spindeq.quantum import TABLE, symbol_structure_constants
+from spindeq.exact import I
+from spindeq.quantum import TABLE, _operator, _symbol, symbol_structure_constants
+from spindeq.suite import check_isomorphism
 
 fractions_st = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 entry_st = st.builds(CRational, fractions_st, fractions_st)
@@ -89,7 +98,7 @@ def test_occupation_operator_squares_to_quarter_identity():
         _matmul(n.matrix, n.matrix), ((quarter, CRational(0)), (CRational(0), quarter))
     )
     for state in BASIS:
-        twice = n.apply_state_via_words(n.apply_state_via_words(state))
+        twice = SpinState.from_multivector(n.word.apply(n.word.apply(state.as_multivector())))
         assert twice.c0 == quarter * state.c0
         assert twice.c1 == quarter * state.c1
 
@@ -117,7 +126,7 @@ def test_matrix_and_word_forms_agree_on_basis():
     for op in ops:
         for state in BASIS:
             via_matrix = op.apply_matrix(state)
-            via_words = op.apply_state_via_words(state)
+            via_words = SpinState.from_multivector(op.word.apply(state.as_multivector()))
             assert via_matrix.c0 == via_words.c0
             assert via_matrix.c1 == via_words.c1
 
@@ -139,7 +148,7 @@ def test_hamiltonian_forms_agree_for_any_component_types(bx, by, bz, mu_b):
         assert all(isinstance(v, (int, Fraction, CRational)) for v in entries)
     for state in BASIS:
         via_matrix = op.apply_matrix(state)
-        via_words = op.apply_state_via_words(state)
+        via_words = SpinState.from_multivector(op.word.apply(state.as_multivector()))
         for m, w in ((via_matrix.c0, via_words.c0), (via_matrix.c1, via_words.c1)):
             if exact:
                 assert m == w
@@ -213,7 +222,11 @@ _SUPPORTS = {
 def test_inputs_outside_their_support_are_rejected(slot):
     call, valid, stray = _SUPPORTS[slot]
     call(valid)
-    other = SymbolContext((name, ODD) for name in ("xi", "xibar", "xip", "xibarp", "eta"))
+    # TABLE's declarations and one more, so the terms carry over unchanged.
+    other = SymbolContext(
+        [*((name, EVEN, True) for name in ("mu_b", "bx", "by", "bz", "c0", "c1")),
+         *((name, ODD) for name in ("xi", "xibar", "xip", "xibarp", "eta"))]
+    )
     for bad in (
         valid + TABLE.sym(stray),
         valid * TABLE.sym(stray),
@@ -278,8 +291,8 @@ def test_pauli_evolution_diagonal_phase_and_unitarity():
         b = MagneticField(*rng.normal(size=3), mu_b=abs(rng.normal()))
         psi = SpinState(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
         evolved = pauli_evolve(psi, b, float(rng.uniform(0.1, 4.0)))
-        assert np.linalg.norm(evolved.as_vector()) == pytest.approx(
-            np.linalg.norm(psi.as_vector()), abs=1e-12
+        assert np.linalg.norm([complex(evolved.c0), complex(evolved.c1)]) == pytest.approx(
+            np.linalg.norm([complex(psi.c0), complex(psi.c1)]), abs=1e-12
         )
 
 
@@ -291,7 +304,7 @@ def test_sliced_propagator_converges():
     b = MagneticField(0.6, 0.0, 0.8)
     t = 1.2
     exact = magnetic_evolution(b, t)
-    errs = [np.abs(sliced_propagator(b, t, n) - exact).max() for n in (16, 32, 64)]
+    errs = [np.abs(np.array(sliced_propagator(b, t, n)) - exact).max() for n in (16, 32, 64)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.2)
 
@@ -364,7 +377,7 @@ def test_sliced_propagator_is_the_exact_power_of_one_slice_to_rounding():
             square = matmul(square, square)
             k >>= 1
         exact = np.array([[complex(v) for v in row] for row in power])
-        assert np.abs(sliced_propagator(b, t, n) - exact).max() < 1e-15
+        assert np.abs(np.array(sliced_propagator(b, t, n)) - exact).max() < 1e-15
 
 
 def test_propagate_quantum_takes_a_million_slices(capsys):
@@ -394,3 +407,102 @@ def test_kernel_propagation_tracks_matrix_evolution():
         abs(complex(via_kernel.c1) - complex(via_matrix.c1)),
     )
     assert err < 5.0 / n
+
+
+def test_oracles_are_tuples_of_complex_and_match_numpy():
+    b, t = MagneticField(0.3, -0.4, 0.8), 1.25
+    for matrix in (magnetic_evolution(b, t), sliced_propagator(b, t, 100),
+                   magnetic_evolution(MagneticField(0, 0, 0), t)):
+        assert isinstance(matrix, tuple) and all(isinstance(row, tuple) for row in matrix)
+        assert all(type(v) is complex for row in matrix for v in row)
+    # The max over the entries is numpy's max of the elementwise modulus, up
+    # to the last bit of numpy's own modulus.
+    oracle = np.array(magnetic_evolution(b, t))
+    for n, err in slicing_errors(b, t, (10, 100, 1000)):
+        assert type(err) is float
+        assert err == pytest.approx(np.abs(np.array(sliced_propagator(b, t, n)) - oracle).max(),
+                                    rel=1e-15)
+
+
+def test_field_components_beyond_the_float_range_are_rejected():
+    for value in (10**400, Fraction(10**400, 3), -(10**400)):
+        with pytest.raises(ValueError, match="finite and fit in a float"):
+            MagneticField(value, 0, 0)
+    with pytest.raises(ValueError, match="finite and fit in a float"):
+        MagneticField(0, 0, 1, mu_b=10**400)
+
+
+_GENERIC = MagneticField(*(TABLE.sym(name) for name in ("bx", "by", "bz")), mu_b=TABLE.sym("mu_b"))
+_GENERIC_PSI = SpinState(TABLE.sym("c0"), TABLE.sym("c1"))
+
+
+def test_generic_field_and_state_stay_symbolic():
+    op = hamiltonian(_GENERIC)
+    assert op.matrix[0][0] == -TABLE.parse("mu_b*bz")
+    psi = _GENERIC_PSI.as_multivector()
+    assert psi == TABLE.parse("c0 + c1*xi")
+    assert op.apply_matrix(_GENERIC_PSI).as_multivector() == op.word.apply(psi)
+    # A component is a number or a polynomial in the constants of TABLE.
+    for bad in (TABLE.sym("xi"), TABLE.parse("bx*xi*xibar"),
+                SymbolContext([("bx", EVEN)]).sym("bx")):
+        with pytest.raises(ValueError):
+            MagneticField(bad, 0, 0)
+    with pytest.raises(TypeError):
+        _GENERIC.norm()
+
+
+def test_numeric_maps_reject_a_generic_input():
+    # Their basis has no constants, so a generic input is rejected whole
+    # rather than truncated to its numeric terms.
+    op = hamiltonian(_GENERIC)
+    for call, arg in (
+        (symbol_to_matrix, ordered_symbol(op)),
+        (kernel_to_matrix, integral_kernel(op)),
+        (SpinState.from_multivector, _GENERIC_PSI.as_multivector()),
+        (kernel_from_symbol, ordered_symbol(op)),
+        (lambda s: compose_symbols(s, s), ordered_symbol(op)),
+    ):
+        with pytest.raises(ValueError):
+            call(arg)
+
+
+def test_spin_rows_are_exact_and_ignore_the_seed():
+    rows = check_isomorphism(seed=0)
+    assert [r.to_dict() for r in rows] == [r.to_dict() for r in check_isomorphism(seed=5)]
+    assert len(rows) == 8
+    for row in rows:
+        assert row.passed and row.residual == 0 and type(row.residual) is int, row
+        assert row.tolerance is None
+        # Both sides are printed polynomials in the generic state's constants.
+        assert TABLE.parse(row.expected) == TABLE.parse(row.actual)
+        assert {"c0", "c1"} & {name for name, _ in TABLE.parse(row.actual).symbols_used()}
+
+
+def _sabotaged(coefficients):
+    """``hamiltonian`` with its matrix kept and its symbol from ``coefficients(b)``."""
+
+    def build(b):
+        return SpinOperator(hamiltonian(b).matrix, _operator(_symbol(*coefficients(b))))
+
+    return build
+
+
+def _half_for_mu_b(b):
+    z, plus, minus = (Fraction(1, 2) * v for v in (b.bz, b.bx + I * b.by, b.bx - I * b.by))
+    return -z, -plus, -minus, 2 * z
+
+
+def _flipped_xi_xibar(b):
+    z, plus, minus = (b.mu_b * v for v in (b.bz, b.bx + I * b.by, b.bx - I * b.by))
+    return -z, -plus, -minus, -2 * z
+
+
+@pytest.mark.parametrize("sabotage", [_half_for_mu_b, _flipped_xi_xibar], ids=lambda f: f.__name__)
+def test_sabotaged_hamiltonians_fail_the_generic_field_row(monkeypatch, sabotage):
+    monkeypatch.setattr(quantum, "hamiltonian", _sabotaged(sabotage))
+    rows = {r.name: r for r in check_isomorphism()}
+    row = rows["isomorphism-hamiltonian-generic-field"]
+    assert not row.passed
+    assert row.residual != 0 and row.expected != row.actual
+    # Only the Hamiltonian is sabotaged: the spin operators' rows still pass.
+    assert all(r.passed for r in rows.values() if r is not row)
