@@ -239,12 +239,11 @@ def _cmd_propagate_classical(args):
         truncation=args.truncation,
     )
     checks = suite.check_transport(spec, args.t, args.seed)
-    extras = {}
-    if case.name != "coadjoint":
-        operator = cpi.build_cpi_hamiltonian(spec)
-        extras["operator"] = format_poly(operator.operator.symbol)
-        extras["spectrum_real"] = operator.spectrum_is_real()
-    return checks, extras
+    operator = cpi.build_cpi_hamiltonian(spec)
+    return checks, {
+        "operator": format_poly(operator.operator.symbol),
+        "spectrum_real": operator.spectrum_is_real(),
+    }
 
 
 def _cmd_precession(args):

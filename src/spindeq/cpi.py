@@ -32,13 +32,14 @@ and obeys the graded Leibniz rule.  So its spectrum on the monomials of any
 degree is made of sums of the eigenvalues of two 2×2 blocks, H̃ on the
 field monomials and H̃ on the ghosts (:meth:`LiouvilleOperator.spectrum_is_real`).
 
-The compact-angle case (coadjoint) uses Fourier modes e^{ikφ} instead of a
-polynomial basis; its CPI Hamiltonian is first order, so each mode just
-picks up the phase exp(i·k·μB·t), which is transport along the classical
-precession flow.
+Every case has this operator; the compact-angle case (coadjoint) evolves
+Fourier modes e^{ikφ} instead of polynomials.  Its H̃ = −μB·Λ_φ is first
+order, so each mode picks up the phase exp(i·k·μB·t): transport along the
+classical precession flow.
 
-numpy and scipy are imported inside the functions that compute with floats,
-on first use, so the symbolic side never loads them.
+The classical side is one exact linear vector field, whose 2×2 flow is a
+closed-form exponential in nested tuples.  numpy and scipy load only where
+polynomial wavefunctions evolve (``closure_matrix``, ``expm``, ``evolve``).
 """
 
 from __future__ import annotations
@@ -171,33 +172,26 @@ class CpiSpec:
         return h
 
 
-def _vector_field(spec: CpiSpec) -> tuple[np.ndarray, np.ndarray]:
+def _vector_field(spec: CpiSpec) -> tuple[tuple, tuple]:
     """The classical vector field v(φ) = v₀ + M·φ of the bound Hamiltonian
-    on the (first, second) base fields:
+    on the (first, second) base fields, as nested tuples (v₀, M):
 
-        v₀^a = ω^{ab} ∂_b H(0),    M^a_d = ω^{ab} ∂_d ∂_b H,
+        v^a = ω^{ab} ∂_b H,    v₀^a = v^a(0),    M^a_d = ∂_d v^a,
 
-    ∂_b taken first; for odd fields that order carries the graded sign.  H
-    must be at most quadratic in the base fields.
+    ∂_b taken first; for odd fields that order carries the graded sign.
+    Entries are exact where H is; M is traceless in every case.  H must be
+    at most quadratic in the base fields.
     """
-    import numpy as np
-
     case = get_case(spec.case)
     h = spec.bound_hamiltonian()
-    grad = np.zeros(2, dtype=complex)
-    hess = np.zeros((2, 2), dtype=complex)
-    for b, fb in enumerate(case.families):
-        db = partial_derivative(h, fb.base)
-        grad[b] = complex(db.constant_part())
-        for d, fd in enumerate(case.families):
-            dd = partial_derivative(db, fd.base)
-            if not dd.is_constant():
-                raise UnsupportedCaseError(
-                    f"transport needs H at most quadratic in {list(case.base_names)}"
-                )
-            hess[b, d] = complex(dd.constant_part())
-    omega = np.array(case.omega, dtype=complex)
-    return omega @ grad, omega @ hess
+    fields = case.base_names
+    grad = [partial_derivative(h, b) for b in fields]
+    v = [sum((w * g for w, g in zip(row, grad)), case.context.zero()) for row in case.omega]
+    jacobian = [[partial_derivative(va, d) for d in fields] for va in v]
+    if not all(x.is_constant() for row in jacobian for x in row):
+        raise UnsupportedCaseError(f"transport needs H at most quadratic in {list(fields)}")
+    m = tuple(tuple(x.constant_part() for x in row) for row in jacobian)
+    return tuple(va.constant_part() for va in v), m
 
 
 def _real(rate) -> float:
@@ -207,12 +201,12 @@ def _real(rate) -> float:
     return rate.real
 
 
-def _mode_rate(spec: CpiSpec) -> float:
+def _mode_rate(operator: LiouvilleOperator) -> float:
     """μB of the coadjoint CPI Hamiltonian H̃ = −μB·Λ_φ, minus its Λ_φ
     coefficient; any other H̃ is unsupported."""
-    case = get_case(spec.case)
+    case = get_case(operator.case)
     aux = case.families[0].aux
-    h_tilde = cpi_hamiltonian(case, spec.bound_hamiltonian())
+    h_tilde = operator.operator.symbol
     mu_b = -h_tilde.coefficient({aux: 1})
     if h_tilde != -mu_b * case.context.sym(aux):
         raise UnsupportedCaseError("coadjoint transport needs H = -muB*eta + constant")
@@ -290,18 +284,13 @@ class LiouvilleOperator:
 
 
 def build_cpi_hamiltonian(spec: CpiSpec) -> LiouvilleOperator:
-    """Realize the CPI Hamiltonian of ``spec`` as an operator.
+    """Realize the CPI Hamiltonian of ``spec`` as an operator, for every case.
 
-    Coadjoint evolution uses Fourier modes, not this operator; asking for it
-    raises an unsupported-case error.  So does a Hamiltonian of base-field
-    degree above 2: its operator raises the degree of every monomial, so no
-    finite basis closes under it.
+    A Hamiltonian of base-field degree above 2 raises an unsupported-case
+    error: its operator raises the degree of every monomial, so no finite
+    basis closes under it.
     """
     case = get_case(spec.case)
-    if case.name == "coadjoint":
-        raise UnsupportedCaseError(
-            "coadjoint wavefunctions are Fourier series; use evolve directly"
-        )
     h_tilde = cpi_hamiltonian(case, spec.bound_hamiltonian())
     _vector_field(spec)  # rejects H above quadratic
     aux_factor, antighost_factor = (I, -1) if case.base_parity == ODD else (-I, 1)
@@ -399,7 +388,7 @@ def expm(a):
 
 
 def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = None):
-    """Solve i dψ/dt = H̃ψ for time t.
+    """Solve i dψ/dt = H̃ψ for time t, by ``operator`` or else spec's H̃.
 
     Coadjoint: each Fourier mode k gains the exact phase e^{i·k·μB·t}, with
     μB read off H̃ = −μB·Λ_φ.  Polynomial cases: matrix exponential on the
@@ -409,7 +398,7 @@ def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = No
     if case.name == "coadjoint":
         if not isinstance(psi, FourierWavefunction):
             raise UnsupportedCaseError("coadjoint evolve expects a FourierWavefunction")
-        mu_b = _mode_rate(spec)
+        mu_b = _mode_rate(operator or build_cpi_hamiltonian(spec))
         return FourierWavefunction(
             {key: c * cmath.exp(1j * key[0] * mu_b * t) for key, c in psi.terms.items()}
         )
@@ -434,6 +423,19 @@ def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = No
     return GradedPolynomial(operator.context, terms)
 
 
+def _exp_traceless(m, t: float) -> tuple:
+    """exp(t·M) = cosh(s)·I + (sinh(s)/s)·t·M for a traceless 2×2 M, with
+    s² = −t²·det M, and I + t·M at s = 0 (Bernstein & So, IEEE TAC 38,
+    1993), as a nested tuple of ``complex``.  Past the float range
+    ``cmath.cosh`` raises ``OverflowError``.
+    """
+    (a, b), (c, d) = m
+    s = t * cmath.sqrt(-complex(a * d - b * c))
+    cosh, sinhc = (cmath.cosh(s), cmath.sinh(s) / s) if s else (1 + 0j, 1 + 0j)
+    k = sinhc * t
+    return ((cosh + k * a, k * b), (k * c, cosh + k * d))
+
+
 def jacobi_fields(spec: CpiSpec, c0, t: float) -> tuple:
     """Ghost transport along the classical flow, exp(t·M)·c₀ with the
     graded Hessian M^a_d = ω^{ab} ∂_d ∂_b H of every case.
@@ -444,22 +446,21 @@ def jacobi_fields(spec: CpiSpec, c0, t: float) -> tuple:
     c0 = tuple(complex(v) for v in c0)
     if len(c0) != 2:
         raise ValueError("expected one ghost component per phase-space direction")
-    import numpy as np
-
-    moved = expm(t * _vector_field(spec)[1]) @ np.array(c0)
-    return (complex(moved[0]), complex(moved[1]))
+    (a, b), (c, d) = _exp_traceless(_vector_field(spec)[1], t)
+    return (a * c0[0] + b * c0[1], c * c0[0] + d * c0[1])
 
 
-def flow_matrix(spec: CpiSpec, t: float) -> np.ndarray:
-    """Linear classical flow on (first, second) base fields.
+def flow_matrix(spec: CpiSpec, t: float) -> tuple:
+    """Linear classical flow exp(t·M) on (first, second) base fields, as a
+    2×2 nested tuple of ``complex`` in closed form.
 
     Requires a homogeneous quadratic Hamiltonian so that fields and ghosts
     share one linear flow.
     """
     v0, m = _vector_field(spec)
-    if v0.any():
+    if any(v0):
         raise UnsupportedCaseError("linear flow needs a homogeneous quadratic Hamiltonian")
-    return expm(t * m)
+    return _exp_traceless(m, t)
 
 
 def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
@@ -468,12 +469,12 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
     The operator side evolves by H̃; the classical side takes its rates from
     the vector field v of H.  Returns {"checks": [{name, expected, actual,
     residual, passed}, ...], "passed": bool}.  Residual tolerance:
-    ``TOLERANCE``.
+    ``TOLERANCE``.  H̃ is built once and serves every evolution.
     """
-    import numpy as np
-
     rng = random.Random(seed)
     case = get_case(spec.case)
+    operator = build_cpi_hamiltonian(spec)
+    v0, m = _vector_field(spec)
     checks = []
 
     def add(name, expected, actual, residual):
@@ -488,8 +489,7 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
         )
 
     if case.name == "coadjoint":
-        _mode_rate(spec)  # rejects any H̃ but −μB·Λ_φ, before the μB checks
-        v0, _m = _vector_field(spec)
+        _mode_rate(operator)  # rejects any H̃ but −μB·Λ_φ, before the μB checks
         mu_b = -_real(v0[0])  # v₀^φ = ∂_η H = −μB
         if not mu_b:
             raise UnsupportedCaseError("coadjoint transport needs muB != 0 for its period check")
@@ -502,14 +502,14 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
         for n in range(_SAMPLES):
             center = rng.uniform(0, 2 * math.pi)
             packet = FourierWavefunction.wrapped_gaussian(center)
-            moved = evolve(packet, spec, t)
+            moved = evolve(packet, spec, t, operator)
             expected = (center - mu_b * t) % (2 * math.pi)
             actual = moved.circular_center() % (2 * math.pi)
             residual = abs((actual - expected + math.pi) % (2 * math.pi) - math.pi)
             add(f"packet-center-{n}", expected, actual, residual)
         packet = FourierWavefunction.wrapped_gaussian(1.0)
         with_eta = packet.tensor_factor(eta_exp=2)
-        moved = evolve(with_eta, spec, t)
+        moved = evolve(with_eta, spec, t, operator)
         residual = max(
             abs(
                 moved.coefficient((k, 2, 0, 0))
@@ -518,7 +518,7 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
             for k in range(-PACKET_MODES, PACKET_MODES + 1)
         )
         add("eta-marginal-invariant", 0.0, residual, residual)
-        back = evolve(packet, spec, period)
+        back = evolve(packet, spec, period, operator)
         add("period-identity", 0.0, packet.max_difference(back), packet.max_difference(back))
         ghosts = jacobi_fields(spec, (0.3 + 0.1j, -0.2j), t)
         residual = max(abs(ghosts[0] - (0.3 + 0.1j)), abs(ghosts[1] - (-0.2j)))
@@ -527,16 +527,14 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
             "norm-preserved",
             packet.norm_sq(),
             moved.norm_sq(),
-            abs(packet.norm_sq() - evolve(packet, spec, t).norm_sq()),
+            abs(packet.norm_sq() - evolve(packet, spec, t, operator).norm_sq()),
         )
         return {"checks": checks, "passed": all(c["passed"] for c in checks)}
 
-    operator = build_cpi_hamiltonian(spec)
     ctx = case.context
     if case.name == "grassmann":
         names = ("xi", "xibar", "c_xi", "c_xibar")
-        _v0, m = _vector_field(spec)
-        w = _real(-1j * m[0, 0])  # M^ξ_ξ = iω
+        w = _real(-1j * m[0][0])  # M^ξ_ξ = iω
         for a in (0, 1):
             for b in (0, 1):
                 for j in (0, 1, 2):
@@ -564,10 +562,12 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
         return {"checks": checks, "passed": all(c["passed"] for c in checks)}
 
     # bosonic: operator evolution against substitution along the linear flow
-    with np.errstate(over="ignore", invalid="ignore"):
+    phase = abs(t) * max(abs(complex(x)) for row in m for x in row)
+    try:
         flow_back = flow_matrix(spec, -t)
-    phase = abs(t) * np.abs(_vector_field(spec)[1]).max()
-    stretch = np.abs(flow_back).max()
+        stretch = max(abs(x) for row in flow_back for x in row)
+    except (OverflowError, ValueError):  # cosh(s) past the float range, or s itself
+        stretch = math.inf
     if not (phase <= MAX_PHASE and stretch <= MAX_STRETCH):
         raise UnsupportedCaseError(
             f"bosonic transport needs |t|*max|M| <= {MAX_PHASE:g} and max|exp(-t*M)| <= "
@@ -575,11 +575,9 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
             f"|t|*max|M| = {phase:.3g}, max|exp(-t*M)| = {stretch:.3g}"
         )
     q, p, c_q, c_p = (ctx.sym(name) for name in ("q", "p", "c_q", "c_p"))
-    q_flow = flow_back[0, 0] * q + flow_back[0, 1] * p
-    p_flow = flow_back[1, 0] * q + flow_back[1, 1] * p
-    cq_flow = flow_back[0, 0] * c_q + flow_back[0, 1] * c_p
-    cp_flow = flow_back[1, 0] * c_q + flow_back[1, 1] * c_p
-    bindings = {"q": q_flow, "p": p_flow, "c_q": cq_flow, "c_p": cp_flow}
+    bindings = {}
+    for (x, y), field, ghost in zip(flow_back, ("q", "p"), ("c_q", "c_p")):
+        bindings[field], bindings[ghost] = x * q + y * p, x * c_q + y * c_p
     for n in range(_SAMPLES):
         terms = {}
         for _ in range(4):

@@ -10,6 +10,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -334,7 +335,7 @@ def test_report_round_trip(tmp_path, capsys):
 
 def test_report_names_only_the_numeric_libraries_that_ran(tmp_path, capsys):
     # An exact run in a fresh interpreter never loads numpy or scipy, so its
-    # report names neither; a transport run names both.
+    # report names neither; a bosonic transport run names both.
     exact = tmp_path / "exact.json"
     proc = run_cli("verify-dequantization", "--case", "bosonic", "--report", str(exact))
     assert proc.returncode == 0, proc.stderr
@@ -550,7 +551,7 @@ def test_precession_rejects_a_radius_whose_bracket_reciprocal_overflows(capsys):
         ("p^2/2 + q^2/2", "1e8", False),
         ("p^2/2", "1000", False),
         ("q*p", "10", False),
-        ("q*p", "1000", False),  # exp(t*M) overflows
+        ("q*p", "1000", False),  # cosh(1000) overflows: a stretch of inf
         ("p^2/2 + q^2/2", "1e6", True),
         ("p^2/2", "20", True),
         ("q*p", "3", True),
@@ -558,9 +559,11 @@ def test_precession_rejects_a_radius_whose_bracket_reciprocal_overflows(capsys):
 )
 def test_bosonic_transport_bounds_its_flow(hamiltonian, t, accepted, capsys):
     # Past |t|*max|M| = 1e6 or a stretch of 30, the float exponential of the
-    # closure matrix misses the 1e-9 tolerance.
+    # closure matrix misses the 1e-9 tolerance.  No input may warn.
     argv = ["propagate-classical", "--case", "bosonic", f"--hamiltonian={hamiltonian}", "--t", t]
-    code = main(argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
     captured = capsys.readouterr()
     if accepted:
         assert code == 0, captured.err
@@ -570,6 +573,16 @@ def test_bosonic_transport_bounds_its_flow(hamiltonian, t, accepted, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: bosonic transport needs |t|*max|M| <= 1e+06")
         assert "--t" in captured.err
+        overflows = (hamiltonian, t) == ("q*p", "1000")
+        assert ("max|exp(-t*M)| = inf" in captured.err) is overflows, captured.err
+
+
+def test_coadjoint_report_carries_its_operator(tmp_path, capsys):
+    out = tmp_path / "coadjoint.json"
+    assert main(["propagate-classical", "--case", "coadjoint", "--muB", "2", "--out", str(out)]) == 0
+    extras = json.loads(out.read_text())["extras"]
+    assert extras == {"operator": "-2*Lam_phi", "spectrum_real": True}
+    capsys.readouterr()
 
 
 def test_deep_nesting_and_large_powers_end_cleanly():

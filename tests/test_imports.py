@@ -1,9 +1,10 @@
 """Import policy: numpy and scipy load only where floats are computed.
 
 The exact checks (dequantization, Dirac brackets, precession, the spin
-isomorphism) never touch a float matrix, and the spin-1/2 oracles are 2x2
-tuples, so importing the package, running those or ``propagate-quantum``
-must not load the numeric libraries.  Each probe runs in a fresh
+isomorphism) never touch a float matrix, and the spin-1/2 oracles and the
+classical 2x2 flows are tuples, so importing the package, running those,
+``propagate-quantum`` or coadjoint ``propagate-classical`` must not load the
+numeric libraries.  Each probe runs in a fresh
 interpreter, because this test process has loaded both long before.
 """
 
@@ -61,6 +62,12 @@ def test_exact_subcommands_load_neither_numeric_library(argv):
 
 def test_propagate_quantum_loads_neither_numeric_library():
     argv = ["propagate-quantum", "--b", "0.3,-0.4,0.8", "--t", "1", "--slices", "10,100"]
+    assert _loaded_after(_PROBE, *argv) == "[]"
+
+
+def test_coadjoint_transport_loads_neither_numeric_library():
+    # Fourier modes, a closed-form ghost flow and an exact spectrum.
+    argv = ["propagate-classical", "--case", "coadjoint", "--muB", "0.8"]
     assert _loaded_after(_PROBE, *argv) == "[]"
 
 

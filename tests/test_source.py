@@ -1,8 +1,9 @@
 """Source hygiene of the package: no module imports a name it never uses
 (``__init__`` is left out, because its imports are the public API), every
 public function or class has a caller outside the tests, ``GradedPolynomial``
-stays the one element class, and every Python example and every ``spindeq``
-command in the README runs.
+stays the one element class, numpy and scipy are imported only where
+polynomial wavefunctions evolve, and every Python example and every
+``spindeq`` command in the README runs.
 """
 
 import ast
@@ -42,6 +43,39 @@ def test_graded_polynomial_is_the_one_element_class():
     subclasses = [cls for cls in spindeq.GradedPolynomial.__subclasses__()
                   if cls.__module__.startswith("spindeq")]
     assert subclasses == []
+
+
+def _numeric_imports(tree: ast.Module) -> dict[str, set[str]]:
+    """The numeric libraries that each top-level function or method imports,
+    by its name; imports outside every function are keyed ``<module>``."""
+    out = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                roots = {alias.name.split(".")[0] for alias in child.names}
+            elif isinstance(child, ast.ImportFrom):
+                roots = {(child.module or "").split(".")[0]}
+            else:
+                roots = set()
+            if roots & {"numpy", "scipy"}:
+                out.setdefault(owner, set()).update(roots & {"numpy", "scipy"})
+            top = isinstance(child, ast.FunctionDef) and owner == "<module>"
+            visit(child, child.name if top else owner)
+
+    visit(tree, "<module>")
+    return out
+
+
+def test_numeric_libraries_stay_behind_the_closure_matrix_exponential():
+    # cpi's 2x2 flows are closed-form tuples; only the matrix of H̃ on a
+    # closed basis, its exponential and the evolution that uses them are
+    # numpy arrays, and no other module imports either library.
+    found = {path.name: _numeric_imports(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: libraries for name, libraries in found.items() if libraries} == {
+        "cpi.py": {"closure_matrix": {"numpy"}, "expm": {"scipy"}, "evolve": {"numpy"}},
+    }
 
 
 README = Path(__file__).parents[1] / "README.md"
