@@ -14,7 +14,8 @@ Layers, bottom up:
 * :mod:`spindeq.quantum`: spin-1/2 states and operators in one Grassmann
   algebra, symbol composition, and time-sliced propagators;
 * :mod:`spindeq.cpi`: the classical-path-integral Hamiltonian as an
-  operator, with transport checks against classical characteristics;
+  operator, its exact and float evolution, and transport checks against
+  the classical flow;
 * :mod:`spindeq.orbit`: the constrained sphere: Poisson/Dirac brackets and
   closed-form precession;
 * :mod:`spindeq.suite` / :mod:`spindeq.cli`: end-to-end checks and the
@@ -94,8 +95,10 @@ from .cpi import (
     cpi_kinetic,
     cpi_lagrangian,
     evolve,
+    exact_flow,
     flow_matrix,
     jacobi_fields,
+    rotate,
 )
 from .orbit import (
     CARTESIAN,
@@ -165,7 +168,7 @@ __all__ = [
     # cpi
     "DEFAULT_EVEN_TRUNCATION", "CpiSpec", "FourierWavefunction", "LiouvilleOperator",
     "build_cpi_hamiltonian", "characteristics_check", "cpi_hamiltonian", "cpi_kinetic",
-    "cpi_lagrangian", "evolve", "flow_matrix", "jacobi_fields",
+    "cpi_lagrangian", "evolve", "exact_flow", "flow_matrix", "jacobi_fields", "rotate",
     # orbit
     "CARTESIAN", "CONSTRAINT_1", "CONSTRAINT_2", "HEIGHT", "PHI", "P_PHI", "P_THETA",
     "SPHERE", "THETA", "X1", "X2", "X3", "OrbitState", "PhaseFunction",

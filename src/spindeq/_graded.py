@@ -119,3 +119,15 @@ def left_derivative(x: dict, slot, odd) -> dict:
             rest = ((slot, e - 1),) if e > 1 else ()
             out[mono[:k] + rest + mono[k + 1 :]] = c * e
     return out
+
+
+def left_multiply(x: dict, slot, odd) -> dict:
+    """The generator at ``slot`` times x, from the left.  Distinct monomials
+    keep distinct images, so nothing collects."""
+    factor = ((slot, 1),)
+    out = {}
+    for mono, c in x.items():
+        sign, image = merge(factor, mono, odd)
+        if sign:
+            out[image] = c if sign > 0 else -c
+    return out

@@ -37,17 +37,27 @@ Fourier modes e^{ikφ} instead of polynomials.  Its H̃ = −μB·Λ_φ is first
 order, so each mode picks up the phase exp(i·k·μB·t): transport along the
 classical precession flow.
 
-The classical side is one exact linear vector field, whose 2×2 flow is a
-closed-form exponential in nested tuples.  numpy and scipy load only where
-polynomial wavefunctions evolve (``closure_matrix``, ``expm``, ``evolve``).
+The classical side is one exact linear vector field v = v₀ + M·φ, whose
+2×2 flow is one closed form in nested tuples.  Each side comes in two
+forms.  At a Gaussian-rational phase e^{−iνt}, ν² = det M, both are exact:
+:func:`rotate` evolves by Sylvester's formula on H̃ and :func:`exact_flow`
+is the flow, and the suite's bosonic and grassmann transport rows are
+identities between them.  At any float t, :func:`flow_matrix` is the flow
+and :func:`evolve` takes the matrix exponential of H̃ on the closure of ψ's
+monomials; :func:`characteristics_check` compares the two for
+``propagate-classical``.  numpy and scipy load only in that float
+evolution (``closure_matrix``, ``expm``, ``evolve``).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import index as _as_int_index
 from typing import Mapping
 
@@ -61,6 +71,7 @@ from .symbols import (
     SymbolContext,
     bind_constants,
     format_poly,
+    lift,
     partial_derivative,
 )
 
@@ -73,6 +84,11 @@ MAX_PHASE = 1e6  # beyond this μB·t (rad), doubles cannot resolve a packet cen
 MAX_STRETCH = 30
 PACKET_MODES = 48  # the coadjoint test packet has the modes |k| <= PACKET_MODES
 _SAMPLES = 5  # random packet centers (coadjoint) or wavefunctions (bosonic) per check
+# The grassmann monomials ξ^a·ξ̄^b·c_ξ^j·c_ξ̄^k that transport checks as
+# eigenvectors of H̃, with eigenvalue ω·(a − b + j − k): their exponents
+# (a, b, j, k), in row order, and the generators they belong to.
+GRASSMANN_EXPONENTS = tuple(itertools.product((0, 1), (0, 1), (0, 1, 2), (0, 1)))
+GRASSMANN_NAMES = ("xi", "xibar", "c_xi", "c_xibar")
 
 
 # -- symbolic builders -------------------------------------------------------------
@@ -192,6 +208,27 @@ def _vector_field(spec: CpiSpec) -> tuple[tuple, tuple]:
         raise UnsupportedCaseError(f"transport needs H at most quadratic in {list(fields)}")
     m = tuple(tuple(x.constant_part() for x in row) for row in jacobian)
     return tuple(va.constant_part() for va in v), m
+
+
+def exact_rate(spec: CpiSpec) -> Fraction:
+    """ν ≥ 0 with ν² = det M, exactly: the rate of the flow generator M of
+    ``spec`` and the unit of H̃'s spectrum.  M is traceless, so
+    M² = −ν²·I.  Raises :class:`UnsupportedCaseError` unless det M is the
+    square of a rational."""
+    return _rate(_vector_field(spec)[1])
+
+
+def _rate(m) -> Fraction:
+    (a, b), (c, d) = m
+    det = crational(a * d - b * c)
+    nu = None
+    if not det.im and det.re >= 0:
+        nu = Fraction(math.isqrt(det.re.numerator), math.isqrt(det.re.denominator))
+    if nu is None or nu * nu != det.re:
+        raise UnsupportedCaseError(
+            f"exact transport needs det M to be the square of a rational, got {det}"
+        )
+    return nu
 
 
 def _real(rate) -> float:
@@ -377,6 +414,24 @@ class FourierWavefunction:
         return f"FourierWavefunction({len(self.terms)} modes)"
 
 
+def random_wavefunction(spec: CpiSpec, rng: random.Random, coefficient) -> GradedPolynomial:
+    """A bosonic wavefunction of four random monomials q^a·p^b·c_q^g·c_p^h,
+    with a and b below max(T − 1, 1) for spec's truncation T, each with the
+    coefficient ``coefficient(rng)``."""
+    ctx = get_case(spec.case).context
+    top = max(spec.truncation - 1, 1)
+    terms = {}
+    for _ in range(4):
+        powers = {
+            "q": rng.randrange(top),
+            "p": rng.randrange(top),
+            "c_q": rng.randrange(2),
+            "c_p": rng.randrange(2),
+        }
+        terms[ctx.monomial(powers)] = coefficient(rng)
+    return GradedPolynomial(ctx, terms)
+
+
 # -- evolution ---------------------------------------------------------------------
 
 
@@ -423,17 +478,133 @@ def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = No
     return GradedPolynomial(operator.context, terms)
 
 
-def _exp_traceless(m, t: float) -> tuple:
-    """exp(t·M) = cosh(s)·I + (sinh(s)/s)·t·M for a traceless 2×2 M, with
-    s² = −t²·det M, and I + t·M at s = 0 (Bernstein & So, IEEE TAC 38,
-    1993), as a nested tuple of ``complex``.  Past the float range
-    ``cmath.cosh`` raises ``OverflowError``.
+def _times_root(poly: list, root: Fraction) -> list:
+    """poly·(x − root), coefficients lowest power first."""
+    return [
+        (poly[j - 1] if j else 0) - (root * poly[j] if j < len(poly) else 0)
+        for j in range(len(poly) + 1)
+    ]
+
+
+@functools.cache
+def _sylvester(degree: int, nu: Fraction, z) -> tuple[tuple, tuple]:
+    """Coefficients, lowest power first, of the polynomial of least degree
+    that takes the value z^m at each node ν·m, m = −d, −d+2, …, d (the one
+    node 0 when ν = 0), and of the certificate polynomial Π_m (x − ν·m)."""
+    ms = range(-degree, degree + 1, 2) if nu else (0,)
+    certificate = [1]
+    for m in ms:
+        certificate = _times_root(certificate, nu * m)
+    weights = [0] * len(ms)
+    value = Fraction(1)
+    for _ in ms[1:]:
+        value = value / z  # z^m at the first node
+    for m in ms:
+        basis, denominator = [1], Fraction(1)
+        for n in ms:
+            if n != m:
+                basis = _times_root(basis, nu * n)
+                denominator *= nu * (m - n)
+        weights = [w + value / denominator * c for w, c in zip(weights, basis)]
+        value = value * z * z
+    return tuple(weights), tuple(certificate)
+
+
+def _combine(coefficients, polys) -> dict:
+    """The terms of Σ_j coefficients[j]·polys[j]."""
+    out: dict = {}
+    for c, poly in zip(coefficients, polys):
+        if c:
+            for mono, v in poly.terms.items():
+                out[mono] = out[mono] + c * v if mono in out else c * v
+    return {mono: v for mono, v in out.items() if v}
+
+
+def rotate(psi, operator: LiouvilleOperator, nu, z) -> GradedPolynomial:
+    """exp(−i·t·H̃)ψ for the operator H̃ of a quadratic H, with ν from
+    :func:`exact_rate`, at the time t where e^{−iνt} = z; exact when ψ, H̃
+    and z are.
+
+    H̃ keeps the total degree d of a monomial in fields and ghosts, and on
+    the block ψ_d its eigenvalues are ν·m for m = −d, −d+2, …, d (the one
+    eigenvalue 0 when ν = 0).  Sylvester's formula (Higham, *Functions of
+    Matrices*, SIAM 2008, §1.2) sends ψ_d to Σ_j w_j·H̃^j ψ_d, where the w_j
+    interpolate z^m at the nodes ν·m: d applications of H̃ and no matrix.
+    One more application checks the certificate Π_m (H̃ − ν·m) ψ_d = 0
+    exactly; where it fails, that spectrum is wrong for ψ_d and
+    :class:`UnsupportedCaseError` is raised, never a wrong answer.
     """
+    ctx, nu, z = operator.context, Fraction(nu), lift(z)
+    blocks: dict = {}
+    for mono, coeff in psi.terms.items():
+        blocks.setdefault(sum(exp for _slot, exp in mono), {})[mono] = coeff
+    out: dict = {}  # the blocks share no monomial
+    for degree, terms in sorted(blocks.items()):
+        weights, certificate = _sylvester(degree, nu, z)
+        powers = [psi._new(terms)]  # H̃^j ψ_d
+        while len(powers) < len(certificate):
+            powers.append(operator.apply(powers[-1]))
+        if _combine(certificate, powers):
+            raise UnsupportedCaseError(
+                f"H̃ on degree {degree} does not have the spectrum nu*m, |m| <= {degree}, "
+                f"for nu = {nu}"
+            )
+        out.update(_combine(weights, powers))
+    return GradedPolynomial._wrap(ctx, out)
+
+
+def _exp_traceless(m, cosh, k) -> tuple:
+    """cosh·I + k·M for a 2×2 M, as a nested tuple.  For a traceless M this
+    is exp(t·M) at cosh = cosh(s) and k = t·sinh(s)/s with s² = −t²·det M,
+    which is I + t·M at s = 0 (Bernstein & So, IEEE TAC 38, 1993); at
+    det M = ν² > 0 the pair is (cos νt, sin(νt)/ν).
+    """
+    (a, b), (c, d) = m
+    return ((cosh + k * a, k * b), (k * c, cosh + k * d))
+
+
+def _float_flow(m, t: float) -> tuple:
+    """exp(t·M) for a traceless 2×2 M, as a nested tuple of ``complex``.
+    Past the float range ``cmath.cosh`` raises ``OverflowError``."""
     (a, b), (c, d) = m
     s = t * cmath.sqrt(-complex(a * d - b * c))
     cosh, sinhc = (cmath.cosh(s), cmath.sinh(s) / s) if s else (1 + 0j, 1 + 0j)
-    k = sinhc * t
-    return ((cosh + k * a, k * b), (k * c, cosh + k * d))
+    return _exp_traceless(m, cosh, sinhc * t)
+
+
+def exact_flow(spec: CpiSpec, z) -> tuple:
+    """Linear classical flow exp(t·M) on (first, second) base fields, for the
+    time t at which e^{−iνt} = z with ν = :func:`exact_rate`, as a 2×2 nested
+    tuple; exact when z is.
+
+    Since M² = −ν²·I, exp(t·M) = cos(νt)·I + (sin(νt)/ν)·M, with
+    cos(νt) = (z + 1/z)/2 and sin(νt) = i·(z − 1/z)/2.  At ν = 0 the phase
+    fixes no time, so only M = 0, whose flow is I, is accepted.
+    """
+    m = _vector_field(spec)[1]
+    nu, z = _rate(m), lift(z)
+    if nu:
+        inverse = 1 / z
+        return _exp_traceless(m, (z + inverse) / 2, I * (z - inverse) / (2 * nu))
+    if any(x for row in m for x in row):
+        raise UnsupportedCaseError("a nilpotent M needs a time, which the phase at nu = 0 lacks")
+    return _exp_traceless(m, 1, 0)
+
+
+def pull_back(psi, spec: CpiSpec, flow) -> GradedPolynomial:
+    """ψ with the case's (first, second) base fields and its ghosts each
+    replaced by the 2×2 linear ``flow`` applied to them: ψ∘flow(−t) for
+    ``flow_matrix(spec, −t)``.  The flow has no drift, so a wavefunction in
+    the fields needs a homogeneous H."""
+    case = get_case(spec.case)
+    ctx = case.context
+    fields = [ctx.sym(f.base) for f in case.families]
+    ghosts = [ctx.sym(f.ghost) for f in case.families]
+    bindings = {}
+    for row, f in zip(flow, case.families):
+        bindings[f.base] = sum((x * g for x, g in zip(row, fields)), ctx.zero())
+        bindings[f.ghost] = sum((x * g for x, g in zip(row, ghosts)), ctx.zero())
+    return psi.substitute(bindings)
 
 
 def jacobi_fields(spec: CpiSpec, c0, t: float) -> tuple:
@@ -446,7 +617,7 @@ def jacobi_fields(spec: CpiSpec, c0, t: float) -> tuple:
     c0 = tuple(complex(v) for v in c0)
     if len(c0) != 2:
         raise ValueError("expected one ghost component per phase-space direction")
-    (a, b), (c, d) = _exp_traceless(_vector_field(spec)[1], t)
+    (a, b), (c, d) = _float_flow(_vector_field(spec)[1], t)
     return (a * c0[0] + b * c0[1], c * c0[0] + d * c0[1])
 
 
@@ -460,17 +631,30 @@ def flow_matrix(spec: CpiSpec, t: float) -> tuple:
     v0, m = _vector_field(spec)
     if any(v0):
         raise UnsupportedCaseError("linear flow needs a homogeneous quadratic Hamiltonian")
-    return _exp_traceless(m, t)
+    return _float_flow(m, t)
 
 
 def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
-    """Compare operator evolution against transport along classical paths.
+    """Compare float operator evolution against transport along classical
+    paths, at any time t.
 
     The operator side evolves by H̃; the classical side takes its rates from
     the vector field v of H.  Returns {"checks": [{name, expected, actual,
     residual, passed}, ...], "passed": bool}.  Residual tolerance:
-    ``TOLERANCE``.  H̃ is built once and serves every evolution.
+    ``TOLERANCE``.  H̃ is built once and serves every evolution.  A rate
+    that leaves the float range raises :class:`UnsupportedCaseError`.
     """
+    try:
+        checks = _transport_rows(spec, t, seed)
+    except OverflowError:
+        raise UnsupportedCaseError(
+            "transport needs the coefficients of H, and the rates they give, within the float "
+            "range (flags --hamiltonian, --omega, --muB)"
+        ) from None
+    return {"checks": checks, "passed": all(c["passed"] for c in checks)}
+
+
+def _transport_rows(spec: CpiSpec, t: float, seed: int) -> list[dict]:
     rng = random.Random(seed)
     case = get_case(spec.case)
     operator = build_cpi_hamiltonian(spec)
@@ -529,24 +713,20 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
             moved.norm_sq(),
             abs(packet.norm_sq() - evolve(packet, spec, t, operator).norm_sq()),
         )
-        return {"checks": checks, "passed": all(c["passed"] for c in checks)}
+        return checks
 
     ctx = case.context
     if case.name == "grassmann":
-        names = ("xi", "xibar", "c_xi", "c_xibar")
         w = _real(-1j * m[0][0])  # M^ξ_ξ = iω
-        for a in (0, 1):
-            for b in (0, 1):
-                for j in (0, 1, 2):
-                    for k in (0, 1):
-                        exps = (a, b, j, k)
-                        value = operator.eigenvalue_on(dict(zip(names, exps)))
-                        expected = w * (a - b + j - k)
-                        if value is None:
-                            add(f"eigen-{exps}", expected, None, float("inf"))
-                            continue
-                        residual = abs(value - expected)
-                        add(f"eigen-{exps}", expected, value.real, residual)
+        for exps in GRASSMANN_EXPONENTS:
+            a, b, j, k = exps
+            value = operator.eigenvalue_on(dict(zip(GRASSMANN_NAMES, exps)))
+            expected = w * (a - b + j - k)
+            if value is None:
+                add(f"eigen-{exps}", expected, None, float("inf"))
+                continue
+            residual = abs(value - expected)
+            add(f"eigen-{exps}", expected, value.real, residual)
         xi_cxi = {"xi": 1, "c_xi": 1}
         moved = evolve(GradedPolynomial(ctx, {ctx.monomial(xi_cxi): 1.0}), spec, t, operator)
         expected_phase = cmath.exp(-1j * w * 2 * t)
@@ -559,7 +739,7 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
             0.0,
             0.0 if operator.apply(one).is_zero() else 1.0,
         )
-        return {"checks": checks, "passed": all(c["passed"] for c in checks)}
+        return checks
 
     # bosonic: operator evolution against substitution along the linear flow
     phase = abs(t) * max(abs(complex(x)) for row in m for x in row)
@@ -574,21 +754,9 @@ def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
             f"{MAX_STRETCH:g} for M = omega*Hess H (flag --t); got t = {t:g}, "
             f"|t|*max|M| = {phase:.3g}, max|exp(-t*M)| = {stretch:.3g}"
         )
-    q, p, c_q, c_p = (ctx.sym(name) for name in ("q", "p", "c_q", "c_p"))
-    bindings = {}
-    for (x, y), field, ghost in zip(flow_back, ("q", "p"), ("c_q", "c_p")):
-        bindings[field], bindings[ghost] = x * q + y * p, x * c_q + y * c_p
     for n in range(_SAMPLES):
-        terms = {}
-        for _ in range(4):
-            a = rng.randrange(max(spec.truncation - 1, 1))
-            b = rng.randrange(max(spec.truncation - 1, 1))
-            g = rng.randrange(0, 2)
-            h_ = rng.randrange(0, 2)
-            mono = ctx.monomial({"q": a, "p": b, "c_q": g, "c_p": h_})
-            terms[mono] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        psi = GradedPolynomial(ctx, terms)
-        gap = evolve(psi, spec, t, operator) - psi.substitute(bindings)
+        psi = random_wavefunction(spec, rng, lambda r: complex(r.uniform(-1, 1), r.uniform(-1, 1)))
+        gap = evolve(psi, spec, t, operator) - pull_back(psi, spec, flow_back)
         residual = max((abs(complex(c)) for c in gap.terms.values()), default=0.0)
         add(f"transport-{n}", 0.0, residual, residual)
-    return {"checks": checks, "passed": all(c["passed"] for c in checks)}
+    return checks

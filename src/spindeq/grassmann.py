@@ -74,10 +74,10 @@ class GrassmannOperator:
                     if slot in acts_as:
                         generator, factor = acts_as[slot]
                         coeff = coeff * factor
-                        steps.append(generator)
+                        steps.append((_graded.left_derivative, ctx.slot(generator)))
                     else:
-                        steps.append(GradedPolynomial._wrap(ctx, {((slot, 1),): 1}))
-            # Steps in the order they act: a name differentiates, a generator multiplies.
+                        steps.append((_graded.left_multiply, slot))
+            # Steps in the order they act, each a kernel function and its slot.
             terms.append((coeff, tuple(reversed(steps))))
         self.symbol = symbol
         self._terms = tuple(terms)
@@ -89,13 +89,16 @@ class GrassmannOperator:
     def apply(self, psi: GradedPolynomial) -> GradedPolynomial:
         if psi.context != self.context:
             raise TableMismatchError("operator and argument use different contexts")
-        out = self.context.zero()
+        odd = self.context.is_odd
+        out: dict = {}
         for coeff, steps in self._terms:
-            cur = psi
-            for step in steps:
-                cur = partial_derivative(cur, step) if isinstance(step, str) else product(step, cur)
-            out = out + cur * coeff
-        return out
+            cur = psi.terms
+            for step, slot in steps:
+                cur = step(cur, slot, odd)
+            for mono, c in cur.items():
+                v = c * coeff
+                out[mono] = out[mono] + v if mono in out else v
+        return psi._new({mono: c for mono, c in out.items() if c})
 
     def commutator_apply(self, other: "GrassmannOperator", psi: GradedPolynomial):
         """Apply [self, other] to a polynomial."""

@@ -12,12 +12,14 @@ generic state and field, not on samples.
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import cpi, orbit, quantum, superfield
-from .exact import I
-from .symbols import format_poly, formal_time_derivative, substitute
+from .exact import CRational, I
+from .symbols import GradedPolynomial, format_poly, formal_time_derivative, substitute
 
 
 @dataclass
@@ -42,14 +44,14 @@ class CheckResult:
 
 def _exact_check(name, expected_poly, actual_poly) -> CheckResult:
     """An exact identity: it holds only when both sides are exact and equal."""
-    diff = actual_poly - expected_poly
     exact = expected_poly.is_exact() and actual_poly.is_exact()
-    ok = exact and diff.is_zero()
+    ok = exact and actual_poly == expected_poly
+    expected = format_poly(expected_poly)
     return CheckResult(
         name,
-        format_poly(expected_poly),
-        format_poly(actual_poly),
-        0 if ok else format_poly(diff) if exact else "inexact side",
+        expected,
+        expected if ok else format_poly(actual_poly),  # equal sides print alike
+        0 if ok else format_poly(actual_poly - expected_poly) if exact else "inexact side",
         ok,
         tolerance=None,
     )
@@ -335,16 +337,64 @@ def check_transport(spec: cpi.CpiSpec, t: float, seed: int) -> list[CheckResult]
     ]
 
 
+# e^{−iνt} at νt = atan(4/3), where cos νt = 3/5 and sin νt = 4/5: the phase at
+# which the exact transport rows evolve, so both sides are Gaussian rationals.
+TRANSPORT_PHASE = (3 - 4 * I) / 5
+GRASSMANN_OMEGA = Fraction(13, 10)
+
+
+def _gaussian_rational(rng) -> CRational:
+    return CRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                     Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+
+
 def check_cpi_transport(seed: int = 0) -> list[CheckResult]:
-    specs = (
-        cpi.CpiSpec("coadjoint", coefficients={"muB": 0.8}),
-        cpi.CpiSpec("grassmann", coefficients={"w": 1.3}),
-        cpi.CpiSpec(
-            "bosonic",
-            hamiltonian=superfield.builtin_hamiltonian("bosonic", "harmonic"),
-        ),
-    )
-    return [check for spec in specs for check in check_transport(spec, 0.7, seed)]
+    """CPI transport against the classical flow in the three cases.
+
+    The coadjoint packet rows are float, at t = 0.7.  Every other row is an
+    exact identity: the coadjoint ghosts, which the exact flow of M = 0
+    leaves constant; the grassmann eigenvalues ω·(a − b + j − k) and the
+    phase of ξc_ξ at ω = 13/10; and the bosonic harmonic oscillator on five
+    wavefunctions drawn from ``seed`` with Gaussian-rational coefficients.
+    Phases are taken at :data:`TRANSPORT_PHASE`.
+    """
+    coadjoint = cpi.CpiSpec("coadjoint", coefficients={"muB": 0.8})
+    ghosts = superfield.get_case("coadjoint").context.parse("(3+i)/10*c_phi - i/5*c_eta")
+    # M = 0 exactly, so the ghost flow is I at every time; ν = 0 makes z = 1.
+    moved = cpi.pull_back(ghosts, coadjoint, cpi.exact_flow(coadjoint, 1))
+    name = "cpi-coadjoint-ghosts-constant"
+    out = [
+        _exact_check(name, ghosts, moved) if row.name == name else row
+        for row in check_transport(coadjoint, 0.7, seed)
+    ]
+
+    grassmann = cpi.CpiSpec("grassmann", coefficients={"w": GRASSMANN_OMEGA})
+    operator = cpi.build_cpi_hamiltonian(grassmann)
+    ctx = operator.context
+    for exps in cpi.GRASSMANN_EXPONENTS:
+        a, b, j, k = exps
+        mono = GradedPolynomial(ctx, {ctx.monomial(dict(zip(cpi.GRASSMANN_NAMES, exps))): 1})
+        expected = GRASSMANN_OMEGA * (a - b + j - k) * mono
+        out.append(_exact_check(f"cpi-grassmann-eigen-{exps}", expected, operator.apply(mono)))
+    xi_cxi = ctx.sym("xi") * ctx.sym("c_xi")
+    rotated = cpi.rotate(xi_cxi, operator, cpi.exact_rate(grassmann), TRANSPORT_PHASE)
+    expected = TRANSPORT_PHASE * TRANSPORT_PHASE * xi_cxi
+    out.append(_exact_check("cpi-grassmann-phase-xi-cxi", expected, rotated))
+    annihilated = operator.apply(ctx.const(1))
+    out.append(_exact_check("cpi-grassmann-constant-annihilated", ctx.zero(), annihilated))
+
+    # ψ moved back along the classical flow, ψ∘flow(−t), against exp(−itH̃)ψ.
+    harmonic = superfield.builtin_hamiltonian("bosonic", "harmonic")
+    bosonic = cpi.CpiSpec("bosonic", hamiltonian=harmonic)
+    operator, nu = cpi.build_cpi_hamiltonian(bosonic), cpi.exact_rate(bosonic)
+    back = cpi.exact_flow(bosonic, 1 / TRANSPORT_PHASE)
+    rng = random.Random(seed)
+    for n in range(5):
+        psi = cpi.random_wavefunction(bosonic, rng, _gaussian_rational)
+        expected = cpi.pull_back(psi, bosonic, back)
+        rotated = cpi.rotate(psi, operator, nu, TRANSPORT_PHASE)
+        out.append(_exact_check(f"cpi-bosonic-transport-{n}", expected, rotated))
+    return out
 
 
 # -- aggregation --------------------------------------------------------------------

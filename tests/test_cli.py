@@ -628,3 +628,18 @@ def test_coadjoint_hamiltonian_form_is_checked_before_its_rate(capsys):
         assert main(["propagate-classical", "--case", "coadjoint", f"--hamiltonian={text}"]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: coadjoint transport needs H = -muB*eta + constant\n"
+
+
+@pytest.mark.parametrize(
+    "case, hamiltonian",
+    [("bosonic", "10^400*q*p"), ("grassmann", "10^400*xi*xibar"), ("coadjoint", "-10^400*eta")],
+)
+def test_transport_rejects_coefficients_beyond_the_float_range(case, hamiltonian):
+    # H is exact, but the float engine reads its rates as floats; past the
+    # float range that is an input error, not a traceback.
+    done = run_cli("propagate-classical", "--case", case, f"--hamiltonian={hamiltonian}")
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: transport needs the coefficients of H"), done.stderr
+    assert "--hamiltonian" in done.stderr
+    assert "Traceback" not in done.stderr

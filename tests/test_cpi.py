@@ -3,11 +3,13 @@
 The polynomial layer is pinned by worked examples for all three cases; the
 operator layer is checked against closed-form characteristics: Fourier
 modes shift, ghost factors ride along unchanged, monomial eigenvalues come
-out real, and the matrix-exponential evolution is additive in time.
+out real, the matrix-exponential evolution is additive in time and agrees
+with the exact rotation, and the exact rotation is the classical flow.
 """
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,9 +18,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from spindeq import cpi
+from spindeq import cpi, suite
 from spindeq import (
+    CRational,
     CpiSpec,
+    GradedPolynomial,
+    I,
     FourierWavefunction,
     UnsupportedCaseError,
     bind_constants,
@@ -29,9 +34,11 @@ from spindeq import (
     cpi_kinetic,
     cpi_lagrangian,
     evolve,
+    exact_flow,
     flow_matrix,
     get_case,
     jacobi_fields,
+    rotate,
 )
 
 # The grassmann wavefunction generators, in the order of an exponent tuple.
@@ -433,3 +440,125 @@ def test_bosonic_transport_bound_keeps_quadratics_with_entries_up_to_three():
             assert len(characteristics_check(spec, t=0.7, seed=1)["checks"]) == 5
     with pytest.raises(UnsupportedCaseError, match="max\\|exp\\(-t\\*M\\)\\| <= 30"):
         characteristics_check(CpiSpec("bosonic", hamiltonian=ctx.parse("3*q*p")), t=1.2)
+
+
+# -- exact rotation ------------------------------------------------------------------
+
+PHASE = (3 - 4 * I) / 5  # e^{−iνt} at νt = atan(4/3)
+
+
+def _rotate(psi, spec, z):
+    return rotate(psi, build_cpi_hamiltonian(spec), cpi.exact_rate(spec), z)
+
+
+def _largest(poly):
+    return max((abs(complex(c)) for c in poly.terms.values()), default=0.0)
+
+
+def test_float_evolution_matches_the_exact_rotation():
+    # At νt = atan(4/3) the rotation is exact, so it checks the float engine
+    # (closure matrix and expm) in both polynomial cases.
+    bosonic = CpiSpec("bosonic")
+    rng = random.Random(7)
+    for _ in range(5):
+        psi = cpi.random_wavefunction(bosonic, rng, suite._gaussian_rational)
+        exact = _rotate(psi, bosonic, PHASE)
+        assert exact.is_exact()
+        assert _largest(evolve(psi, bosonic, math.atan2(4, 3)) - exact) <= 1e-9
+    grassmann = CpiSpec("grassmann", coefficients={"w": Fraction(13, 10)})
+    ctx = get_case("grassmann").context
+    psi = ctx.parse("xi*c_xi + (2-i)*xibar*c_xi^2 - c_xibar/3 + 5")
+    exact = _rotate(psi, grassmann, PHASE)
+    assert exact.coefficient({"xi": 1, "c_xi": 1}) == PHASE * PHASE
+    assert _largest(evolve(psi, grassmann, math.atan2(4, 3) / 1.3) - exact) <= 1e-9
+
+
+gaussian = st.builds(CRational, rationals, rationals)
+monomials = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1), st.integers(0, 1))
+
+
+@given(
+    terms=st.dictionaries(monomials, gaussian, min_size=1, max_size=4),
+    k=st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool),
+    u=st.integers(-6, 6),
+    v=st.integers(-6, 6),
+)
+@example(terms={(2, 2, 1, 1): CRational(1)}, k=Fraction(1), u=2, v=1)
+def test_rotation_is_the_classical_flow(terms, k, u, v):
+    # H = k·(q² + p²)/2 has ν = |k|; every (u − iv)/(u + iv) is a phase
+    # e^{−iνt} of modulus 1 and a Gaussian rational.  Exact transport is
+    # ψ∘flow(−t), and rotations compose by multiplying their phases.
+    if not (u or v):
+        u = 1
+    z = CRational(u, -v) / CRational(u, v)
+    ctx = get_case("bosonic").context
+    spec = CpiSpec("bosonic", hamiltonian=(k / 2) * ctx.parse("q^2 + p^2"))
+    psi = GradedPolynomial(
+        ctx,
+        {ctx.monomial(dict(zip(("q", "p", "c_q", "c_p"), exps))): c for exps, c in terms.items()},
+    )
+    op, nu = build_cpi_hamiltonian(spec), cpi.exact_rate(spec)
+    once = rotate(psi, op, nu, z)
+    assert once == cpi.pull_back(psi, spec, exact_flow(spec, 1 / z))
+    assert rotate(once, op, nu, z) == rotate(psi, op, nu, z * z)
+
+
+def test_exact_flow_is_the_rational_rotation():
+    # Harmonic H at νt = atan(4/3): cos = 3/5 and sin = 4/5.
+    flow = exact_flow(CpiSpec("bosonic"), PHASE)
+    assert flow == ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)))
+    assert all(isinstance(x, CRational) for row in flow for x in row)
+    coadjoint = CpiSpec("coadjoint", coefficients={"muB": Fraction(4, 5)})
+    assert exact_flow(coadjoint, 1) == ((1, 0), (0, 1))
+
+
+def test_rotation_rejects_a_spectrum_it_cannot_certify():
+    ctx = get_case("bosonic").context
+    q = ctx.sym("q")
+    # Parabolic: ν = 0, and H̃ is nilpotent but not zero on q.
+    with pytest.raises(UnsupportedCaseError, match="does not have the spectrum"):
+        _rotate(q, CpiSpec("bosonic", hamiltonian=ctx.parse("p^2/2")), PHASE)
+    with pytest.raises(UnsupportedCaseError, match="nilpotent M"):
+        exact_flow(CpiSpec("bosonic", hamiltonian=ctx.parse("p^2/2")), 1)
+    # Hyperbolic, or a rate that is not rational: no exact ν.
+    for text in ("q*p", "p^2/2 + q^2"):
+        with pytest.raises(UnsupportedCaseError, match="square of a rational"):
+            _rotate(q, CpiSpec("bosonic", hamiltonian=ctx.parse(text)), PHASE)
+    # The operator of ν = 2 with the rate ν = 1: the certificate fails.
+    doubled = build_cpi_hamiltonian(CpiSpec("bosonic", hamiltonian=ctx.parse("p^2 + q^2")))
+    with pytest.raises(UnsupportedCaseError, match="does not have the spectrum"):
+        rotate(q, doubled, 1, PHASE)
+
+
+def _failing(rows):
+    return {row.name for row in rows if not row.passed}
+
+
+def test_forward_flow_fails_every_bosonic_row(monkeypatch):
+    original = cpi.exact_flow
+    monkeypatch.setattr(cpi, "exact_flow", lambda spec, z: original(spec, 1 / z))
+    bosonic = {f"cpi-bosonic-transport-{n}" for n in range(5)}
+    for seed in (0, 1, 2):
+        assert _failing(suite.check_cpi_transport(seed)) == bosonic
+
+
+def test_flipped_ghost_sign_fails_the_exact_rows(monkeypatch):
+    # With the antighost terms of H̃ negated, the ghosts rotate the wrong
+    # way: every grassmann monomial with j ≠ k ghosts changes eigenvalue,
+    # and every bosonic wavefunction drawn here has ghost terms.
+    original = cpi.cpi_hamiltonian
+
+    def flipped(case, h):
+        out = original(case, h)
+        ctx = out.context
+        antighosts = {ctx.slot(f.antighost) for f in get_case(case).families}
+        return GradedPolynomial(ctx, {
+            mono: -c if any(slot in antighosts for slot, _ in mono) else c
+            for mono, c in out.terms.items()
+        })
+
+    monkeypatch.setattr(cpi, "cpi_hamiltonian", flipped)
+    expected = {f"cpi-grassmann-eigen-{e}" for e in cpi.GRASSMANN_EXPONENTS if e[2] != e[3]}
+    expected |= {"cpi-grassmann-phase-xi-cxi"} | {f"cpi-bosonic-transport-{n}" for n in range(5)}
+    for seed in (0, 1, 2):
+        assert _failing(suite.check_cpi_transport(seed)) == expected

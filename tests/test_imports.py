@@ -1,10 +1,11 @@
 """Import policy: numpy and scipy load only where floats are computed.
 
 The exact checks (dequantization, Dirac brackets, precession, the spin
-isomorphism) never touch a float matrix, and the spin-1/2 oracles and the
-classical 2x2 flows are tuples, so importing the package, running those,
-``propagate-quantum`` or coadjoint ``propagate-classical`` must not load the
-numeric libraries.  Each probe runs in a fresh
+isomorphism, exact transport) never touch a float matrix, and the spin-1/2
+oracles and the classical 2x2 flows are tuples, so importing the package,
+running those, ``spindeq all``, ``propagate-quantum`` or coadjoint
+``propagate-classical`` must not load the numeric libraries.  Only float
+evolution of polynomial wavefunctions does.  Each probe runs in a fresh
 interpreter, because this test process has loaded both long before.
 """
 
@@ -53,6 +54,7 @@ def test_import_loads_neither_numeric_library():
         ["check-dirac"],
         ["precession", "--theta0", "1", "--phi0", "0", "--muB", "1", "--t", "1",
          "--steps", "4"],
+        ["all"],
     ],
     ids=" ".join,
 )
@@ -71,19 +73,29 @@ def test_coadjoint_transport_loads_neither_numeric_library():
     assert _loaded_after(_PROBE, *argv) == "[]"
 
 
-@pytest.mark.parametrize("group", ["check_isomorphism", "check_slicing"])
-def test_spin_groups_load_neither_numeric_library(group):
-    # The spin rows are exact, and the slicing oracles are 2x2 tuples.
-    code = f"""
+_GROUP_PROBE = """
 import sys
 from spindeq import suite
 assert all(row.passed for row in suite.{group}())
 print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))
 """
-    assert _loaded_after(code) == "[]"
+
+
+@pytest.mark.parametrize("group", ["check_isomorphism", "check_slicing"])
+def test_spin_groups_load_neither_numeric_library(group):
+    # The spin rows are exact, and the slicing oracles are 2x2 tuples.
+    assert _loaded_after(_GROUP_PROBE.format(group=group)) == "[]"
+
+
+def test_cpi_transport_group_loads_neither_numeric_library():
+    # The bosonic and grassmann rows evolve by the exact rotation, and the
+    # coadjoint packets by Fourier phases.
+    assert _loaded_after(_GROUP_PROBE.format(group="check_cpi_transport")) == "[]"
 
 
 def test_bosonic_evolution_loads_scipy():
+    # Float evolution at any time t, for propagate-classical, stays on the
+    # closure-matrix exponential.
     code = """
 import sys
 from spindeq import cpi, get_case
