@@ -97,7 +97,6 @@ from .cpi import (
     evolve,
     exact_flow,
     flow_matrix,
-    jacobi_fields,
     rotate,
 )
 from .orbit import (
@@ -168,7 +167,7 @@ __all__ = [
     # cpi
     "DEFAULT_EVEN_TRUNCATION", "CpiSpec", "FourierWavefunction", "LiouvilleOperator",
     "build_cpi_hamiltonian", "characteristics_check", "cpi_hamiltonian", "cpi_kinetic",
-    "cpi_lagrangian", "evolve", "exact_flow", "flow_matrix", "jacobi_fields", "rotate",
+    "cpi_lagrangian", "evolve", "exact_flow", "flow_matrix", "rotate",
     # orbit
     "CARTESIAN", "CONSTRAINT_1", "CONSTRAINT_2", "HEIGHT", "PHI", "P_PHI", "P_THETA",
     "SPHERE", "THETA", "X1", "X2", "X3", "OrbitState", "PhaseFunction",

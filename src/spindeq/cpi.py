@@ -37,23 +37,22 @@ Fourier modes e^{ikφ} instead of polynomials.  Its H̃ = −μB·Λ_φ is first
 order, so each mode picks up the phase exp(i·k·μB·t): transport along the
 classical precession flow.
 
-The classical side is one exact linear vector field v = v₀ + M·φ, whose
-2×2 flow is one closed form in nested tuples.  Each side comes in two
-forms.  At a Gaussian-rational phase e^{−iνt}, ν² = det M, both are exact:
-:func:`rotate` evolves by Sylvester's formula on H̃ and :func:`exact_flow`
-is the flow, and the suite's bosonic and grassmann transport rows are
-identities between them.  At any float t, :func:`flow_matrix` is the flow
-and :func:`evolve` takes the matrix exponential of H̃ on the closure of ψ's
-monomials; :func:`characteristics_check` compares the two for
-``propagate-classical``.  numpy and scipy load only in that float
-evolution (``closure_matrix``, ``expm``, ``evolve``).
+The classical side is one exact linear vector field v = v₀ + M·φ
+(:func:`vector_field`), whose 2×2 flow is one closed form in nested tuples.
+Each side comes in two forms.  At a Gaussian-rational phase e^{−iνt},
+ν² = det M, both are exact: :func:`rotate` evolves by Sylvester's formula
+on H̃ and :func:`exact_flow` is the flow.  At any float t, :func:`flow_matrix`
+is the flow and :func:`evolve` takes the matrix exponential of H̃ on the
+closure of ψ's monomials.  numpy and scipy load only in that float
+evolution (``closure_matrix``, ``expm``, ``evolve``).  This module is the
+engine only: ``suite.check_transport`` compares the two sides, for the CLI,
+the suite and the benchmark alike.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -77,18 +76,14 @@ from .symbols import (
 
 DEFAULT_EVEN_TRUNCATION = 4
 TOLERANCE = 1e-9  # every transport residual
-MAX_PHASE = 1e6  # beyond this μB·t (rad), doubles cannot resolve a packet center to TOLERANCE
+# Beyond this phase (rad), μB·t for coadjoint and ω·t for grassmann, doubles
+# cannot resolve a packet center to TOLERANCE or hold the phase e^{−iωt} at all.
+MAX_PHASE = 1e6
 # Largest entry of the bosonic back flow exp(−t·M) that transport accepts, and
 # MAX_PHASE bounds |t|·max|M| there too: beyond either, the float exponential
 # of the closure matrix misses TOLERANCE at the default truncation.
 MAX_STRETCH = 30
 PACKET_MODES = 48  # the coadjoint test packet has the modes |k| <= PACKET_MODES
-_SAMPLES = 5  # random packet centers (coadjoint) or wavefunctions (bosonic) per check
-# The grassmann monomials ξ^a·ξ̄^b·c_ξ^j·c_ξ̄^k that transport checks as
-# eigenvectors of H̃, with eigenvalue ω·(a − b + j − k): their exponents
-# (a, b, j, k), in row order, and the generators they belong to.
-GRASSMANN_EXPONENTS = tuple(itertools.product((0, 1), (0, 1), (0, 1, 2), (0, 1)))
-GRASSMANN_NAMES = ("xi", "xibar", "c_xi", "c_xibar")
 
 
 # -- symbolic builders -------------------------------------------------------------
@@ -188,7 +183,7 @@ class CpiSpec:
         return h
 
 
-def _vector_field(spec: CpiSpec) -> tuple[tuple, tuple]:
+def vector_field(spec: CpiSpec) -> tuple[tuple, tuple]:
     """The classical vector field v(φ) = v₀ + M·φ of the bound Hamiltonian
     on the (first, second) base fields, as nested tuples (v₀, M):
 
@@ -215,7 +210,7 @@ def exact_rate(spec: CpiSpec) -> Fraction:
     ``spec`` and the unit of H̃'s spectrum.  M is traceless, so
     M² = −ν²·I.  Raises :class:`UnsupportedCaseError` unless det M is the
     square of a rational."""
-    return _rate(_vector_field(spec)[1])
+    return _rate(vector_field(spec)[1])
 
 
 def _rate(m) -> Fraction:
@@ -231,14 +226,7 @@ def _rate(m) -> Fraction:
     return nu
 
 
-def _real(rate) -> float:
-    rate = complex(rate)
-    if rate.imag:
-        raise UnsupportedCaseError(f"transport needs a real rate, got {rate}")
-    return rate.real
-
-
-def _mode_rate(operator: LiouvilleOperator) -> float:
+def mode_rate(operator: LiouvilleOperator) -> float:
     """μB of the coadjoint CPI Hamiltonian H̃ = −μB·Λ_φ, minus its Λ_φ
     coefficient; any other H̃ is unsupported."""
     case = get_case(operator.case)
@@ -247,7 +235,10 @@ def _mode_rate(operator: LiouvilleOperator) -> float:
     mu_b = -h_tilde.coefficient({aux: 1})
     if h_tilde != -mu_b * case.context.sym(aux):
         raise UnsupportedCaseError("coadjoint transport needs H = -muB*eta + constant")
-    return _real(mu_b)
+    rate = complex(mu_b)
+    if rate.imag:
+        raise UnsupportedCaseError(f"transport needs a real rate, got {rate}")
+    return rate.real
 
 
 @dataclass(frozen=True)
@@ -264,15 +255,6 @@ class LiouvilleOperator:
 
     def apply(self, psi: GradedPolynomial) -> GradedPolynomial:
         return self.operator.apply(psi)
-
-    def eigenvalue_on(self, powers) -> complex | None:
-        """Eigenvalue on the monomial with the exponents ``powers`` maps
-        field and ghost names to, or None if it is not an eigenvector."""
-        mono = self.context.monomial(powers)
-        image = self.apply(GradedPolynomial(self.context, {mono: 1})).terms
-        if image.keys() - {mono}:
-            return None
-        return complex(image.get(mono, 0))
 
     def closure_matrix(self, seeds):
         """Basis closure of the seed monomials and the matrix of the operator.
@@ -329,7 +311,7 @@ def build_cpi_hamiltonian(spec: CpiSpec) -> LiouvilleOperator:
     """
     case = get_case(spec.case)
     h_tilde = cpi_hamiltonian(case, spec.bound_hamiltonian())
-    _vector_field(spec)  # rejects H above quadratic
+    vector_field(spec)  # rejects H above quadratic
     aux_factor, antighost_factor = (I, -1) if case.base_parity == ODD else (-I, 1)
     derivatives = {}
     for f in case.families:
@@ -453,7 +435,7 @@ def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = No
     if case.name == "coadjoint":
         if not isinstance(psi, FourierWavefunction):
             raise UnsupportedCaseError("coadjoint evolve expects a FourierWavefunction")
-        mu_b = _mode_rate(operator or build_cpi_hamiltonian(spec))
+        mu_b = mode_rate(operator or build_cpi_hamiltonian(spec))
         return FourierWavefunction(
             {key: c * cmath.exp(1j * key[0] * mu_b * t) for key, c in psi.terms.items()}
         )
@@ -486,7 +468,7 @@ def _times_root(poly: list, root: Fraction) -> list:
     ]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=64)
 def _sylvester(degree: int, nu: Fraction, z) -> tuple[tuple, tuple]:
     """Coefficients, lowest power first, of the polynomial of least degree
     that takes the value z^m at each node ν·m, m = −d, −d+2, …, d (the one
@@ -563,15 +545,6 @@ def _exp_traceless(m, cosh, k) -> tuple:
     return ((cosh + k * a, k * b), (k * c, cosh + k * d))
 
 
-def _float_flow(m, t: float) -> tuple:
-    """exp(t·M) for a traceless 2×2 M, as a nested tuple of ``complex``.
-    Past the float range ``cmath.cosh`` raises ``OverflowError``."""
-    (a, b), (c, d) = m
-    s = t * cmath.sqrt(-complex(a * d - b * c))
-    cosh, sinhc = (cmath.cosh(s), cmath.sinh(s) / s) if s else (1 + 0j, 1 + 0j)
-    return _exp_traceless(m, cosh, sinhc * t)
-
-
 def exact_flow(spec: CpiSpec, z) -> tuple:
     """Linear classical flow exp(t·M) on (first, second) base fields, for the
     time t at which e^{−iνt} = z with ν = :func:`exact_rate`, as a 2×2 nested
@@ -581,7 +554,7 @@ def exact_flow(spec: CpiSpec, z) -> tuple:
     cos(νt) = (z + 1/z)/2 and sin(νt) = i·(z − 1/z)/2.  At ν = 0 the phase
     fixes no time, so only M = 0, whose flow is I, is accepted.
     """
-    m = _vector_field(spec)[1]
+    m = vector_field(spec)[1]
     nu, z = _rate(m), lift(z)
     if nu:
         inverse = 1 / z
@@ -607,156 +580,28 @@ def pull_back(psi, spec: CpiSpec, flow) -> GradedPolynomial:
     return psi.substitute(bindings)
 
 
-def jacobi_fields(spec: CpiSpec, c0, t: float) -> tuple:
-    """Ghost transport along the classical flow, exp(t·M)·c₀ with the
-    graded Hessian M^a_d = ω^{ab} ∂_d ∂_b H of every case.
-
-    grassmann: (e^{iωt}c₀, e^{−iωt}c₁) with ω the bilinear coefficient; for
-    the coadjoint H = −μB·η the Hessian is 0, so the ghosts stay constant.
-    """
-    c0 = tuple(complex(v) for v in c0)
-    if len(c0) != 2:
-        raise ValueError("expected one ghost component per phase-space direction")
-    (a, b), (c, d) = _float_flow(_vector_field(spec)[1], t)
-    return (a * c0[0] + b * c0[1], c * c0[0] + d * c0[1])
-
-
 def flow_matrix(spec: CpiSpec, t: float) -> tuple:
     """Linear classical flow exp(t·M) on (first, second) base fields, as a
-    2×2 nested tuple of ``complex`` in closed form.
+    2×2 nested tuple of ``complex`` in closed form; past the float range
+    ``cmath.cosh`` raises ``OverflowError``.
 
     Requires a homogeneous quadratic Hamiltonian so that fields and ghosts
     share one linear flow.
     """
-    v0, m = _vector_field(spec)
+    v0, m = vector_field(spec)
     if any(v0):
         raise UnsupportedCaseError("linear flow needs a homogeneous quadratic Hamiltonian")
-    return _float_flow(m, t)
+    (a, b), (c, d) = m
+    s = t * cmath.sqrt(-complex(a * d - b * c))
+    cosh, sinhc = (cmath.cosh(s), cmath.sinh(s) / s) if s else (1 + 0j, 1 + 0j)
+    return _exp_traceless(m, cosh, sinhc * t)
 
 
 def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
-    """Compare float operator evolution against transport along classical
-    paths, at any time t.
+    """The rows of ``suite.check_transport`` at the float time t, as dicts:
+    {"checks": [CheckResult.to_dict(), ...], "passed": bool}, the view that
+    the benchmark reads."""
+    from . import suite  # suite imports this module
 
-    The operator side evolves by H̃; the classical side takes its rates from
-    the vector field v of H.  Returns {"checks": [{name, expected, actual,
-    residual, passed}, ...], "passed": bool}.  Residual tolerance:
-    ``TOLERANCE``.  H̃ is built once and serves every evolution.  A rate
-    that leaves the float range raises :class:`UnsupportedCaseError`.
-    """
-    try:
-        checks = _transport_rows(spec, t, seed)
-    except OverflowError:
-        raise UnsupportedCaseError(
-            "transport needs the coefficients of H, and the rates they give, within the float "
-            "range (flags --hamiltonian, --omega, --muB)"
-        ) from None
-    return {"checks": checks, "passed": all(c["passed"] for c in checks)}
-
-
-def _transport_rows(spec: CpiSpec, t: float, seed: int) -> list[dict]:
-    rng = random.Random(seed)
-    case = get_case(spec.case)
-    operator = build_cpi_hamiltonian(spec)
-    v0, m = _vector_field(spec)
-    checks = []
-
-    def add(name, expected, actual, residual):
-        checks.append(
-            {
-                "name": name,
-                "expected": expected,
-                "actual": actual,
-                "residual": float(residual),
-                "passed": bool(residual <= TOLERANCE),
-            }
-        )
-
-    if case.name == "coadjoint":
-        _mode_rate(operator)  # rejects any H̃ but −μB·Λ_φ, before the μB checks
-        mu_b = -_real(v0[0])  # v₀^φ = ∂_η H = −μB
-        if not mu_b:
-            raise UnsupportedCaseError("coadjoint transport needs muB != 0 for its period check")
-        period = 2 * math.pi / mu_b
-        if not (abs(mu_b * t) <= MAX_PHASE and math.isfinite(period)):
-            raise UnsupportedCaseError(
-                f"coadjoint transport needs |muB*t| <= {MAX_PHASE:g} and a finite period "
-                f"2*pi/muB (flags --muB, --t); got muB = {mu_b:g}, t = {t:g}"
-            )
-        for n in range(_SAMPLES):
-            center = rng.uniform(0, 2 * math.pi)
-            packet = FourierWavefunction.wrapped_gaussian(center)
-            moved = evolve(packet, spec, t, operator)
-            expected = (center - mu_b * t) % (2 * math.pi)
-            actual = moved.circular_center() % (2 * math.pi)
-            residual = abs((actual - expected + math.pi) % (2 * math.pi) - math.pi)
-            add(f"packet-center-{n}", expected, actual, residual)
-        packet = FourierWavefunction.wrapped_gaussian(1.0)
-        with_eta = packet.tensor_factor(eta_exp=2)
-        moved = evolve(with_eta, spec, t, operator)
-        residual = max(
-            abs(
-                moved.coefficient((k, 2, 0, 0))
-                - packet.coefficient((k, 0, 0, 0)) * cmath.exp(1j * k * mu_b * t)
-            )
-            for k in range(-PACKET_MODES, PACKET_MODES + 1)
-        )
-        add("eta-marginal-invariant", 0.0, residual, residual)
-        back = evolve(packet, spec, period, operator)
-        add("period-identity", 0.0, packet.max_difference(back), packet.max_difference(back))
-        ghosts = jacobi_fields(spec, (0.3 + 0.1j, -0.2j), t)
-        residual = max(abs(ghosts[0] - (0.3 + 0.1j)), abs(ghosts[1] - (-0.2j)))
-        add("ghosts-constant", 0.0, residual, residual)
-        add(
-            "norm-preserved",
-            packet.norm_sq(),
-            moved.norm_sq(),
-            abs(packet.norm_sq() - evolve(packet, spec, t, operator).norm_sq()),
-        )
-        return checks
-
-    ctx = case.context
-    if case.name == "grassmann":
-        w = _real(-1j * m[0][0])  # M^ξ_ξ = iω
-        for exps in GRASSMANN_EXPONENTS:
-            a, b, j, k = exps
-            value = operator.eigenvalue_on(dict(zip(GRASSMANN_NAMES, exps)))
-            expected = w * (a - b + j - k)
-            if value is None:
-                add(f"eigen-{exps}", expected, None, float("inf"))
-                continue
-            residual = abs(value - expected)
-            add(f"eigen-{exps}", expected, value.real, residual)
-        xi_cxi = {"xi": 1, "c_xi": 1}
-        moved = evolve(GradedPolynomial(ctx, {ctx.monomial(xi_cxi): 1.0}), spec, t, operator)
-        expected_phase = cmath.exp(-1j * w * 2 * t)
-        actual = complex(moved.coefficient(xi_cxi))
-        add("phase-xi-cxi", expected_phase, actual, abs(actual - expected_phase))
-        one = ctx.const(1.0)
-        add(
-            "constant-annihilated",
-            0.0,
-            0.0,
-            0.0 if operator.apply(one).is_zero() else 1.0,
-        )
-        return checks
-
-    # bosonic: operator evolution against substitution along the linear flow
-    phase = abs(t) * max(abs(complex(x)) for row in m for x in row)
-    try:
-        flow_back = flow_matrix(spec, -t)
-        stretch = max(abs(x) for row in flow_back for x in row)
-    except (OverflowError, ValueError):  # cosh(s) past the float range, or s itself
-        stretch = math.inf
-    if not (phase <= MAX_PHASE and stretch <= MAX_STRETCH):
-        raise UnsupportedCaseError(
-            f"bosonic transport needs |t|*max|M| <= {MAX_PHASE:g} and max|exp(-t*M)| <= "
-            f"{MAX_STRETCH:g} for M = omega*Hess H (flag --t); got t = {t:g}, "
-            f"|t|*max|M| = {phase:.3g}, max|exp(-t*M)| = {stretch:.3g}"
-        )
-    for n in range(_SAMPLES):
-        psi = random_wavefunction(spec, rng, lambda r: complex(r.uniform(-1, 1), r.uniform(-1, 1)))
-        gap = evolve(psi, spec, t, operator) - pull_back(psi, spec, flow_back)
-        residual = max((abs(complex(c)) for c in gap.terms.values()), default=0.0)
-        add(f"transport-{n}", 0.0, residual, residual)
-    return checks
+    rows = suite.check_transport(spec, float(t), seed)
+    return {"checks": [row.to_dict() for row in rows], "passed": all(row.passed for row in rows)}

@@ -7,10 +7,17 @@ in the exact arithmetic; numeric comparisons report a float residual against
 a stated tolerance.  Every group in :data:`ALL_CHECKS` takes ``seed``, and
 only ``cpi-transport`` reads it: the spin isomorphism is checked on a
 generic state and field, not on samples.
+
+:func:`check_transport` builds every ``cpi-*`` row, for the suite's
+``cpi-transport`` group, for ``propagate-classical`` and, through
+``cpi.characteristics_check``, for the benchmark; ``cpi`` holds only the
+engine it compares.
 """
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 import random
 import time
@@ -18,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cpi, orbit, quantum, superfield
-from .exact import CRational, I
+from .errors import UnsupportedCaseError
+from .exact import CRational, I, crational
 from .symbols import GradedPolynomial, format_poly, formal_time_derivative, substitute
 
 
@@ -322,30 +330,178 @@ def check_precession(seed: int = 0) -> list[CheckResult]:
     return out
 
 
-def check_transport(spec: cpi.CpiSpec, t: float, seed: int) -> list[CheckResult]:
-    """CPI transport of ``spec`` over time ``t`` against the classical flow."""
-    return [
-        CheckResult(
-            f"cpi-{spec.case}-{item['name']}",
-            item["expected"],
-            item["actual"],
-            item["residual"],
-            item["passed"],
-            tolerance=cpi.TOLERANCE,
-        )
-        for item in cpi.characteristics_check(spec, t=t, seed=seed)["checks"]
-    ]
-
+# -- CPI transport -------------------------------------------------------------------
 
 # e^{−iνt} at νt = atan(4/3), where cos νt = 3/5 and sin νt = 4/5: the phase at
-# which the exact transport rows evolve, so both sides are Gaussian rationals.
+# which the suite's polynomial transport rows evolve, so both sides are
+# Gaussian rationals.
 TRANSPORT_PHASE = (3 - 4 * I) / 5
 GRASSMANN_OMEGA = Fraction(13, 10)
+SAMPLES = 5  # random packet centers (coadjoint) or wavefunctions (bosonic) per check
+# The grassmann monomials ξ^a·ξ̄^b·c_ξ^j·c_ξ̄^k that transport checks as
+# eigenvectors of H̃, with eigenvalue ω·(a − b + j − k): their exponents
+# (a, b, j, k), in row order, and the generators they belong to.
+GRASSMANN_EXPONENTS = tuple(itertools.product((0, 1), (0, 1), (0, 1, 2), (0, 1)))
+GRASSMANN_NAMES = ("xi", "xibar", "c_xi", "c_xibar")
 
 
 def _gaussian_rational(rng) -> CRational:
     return CRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                      Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+
+
+def _complex(rng) -> complex:
+    return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+
+def check_transport(spec: cpi.CpiSpec, clock, seed: int = 0) -> list[CheckResult]:
+    """CPI transport of ``spec`` against the classical flow, as the rows
+    ``cpi-<case>-…`` of ``propagate-classical``, the suite and the bench.
+
+    ``clock`` is a float time t or an exact phase z = e^{−iνt}, ν from
+    ``cpi.exact_rate``, and it alone picks the path: the grassmann rows and
+    the coadjoint ghosts are exact at either, the coadjoint packets need a
+    time, and bosonic transport is exact at a phase and float at a time.
+    """
+    build = {"coadjoint": _coadjoint_transport, "grassmann": _grassmann_transport,
+             "bosonic": _bosonic_transport}[superfield.get_case(spec.case).name]
+    try:
+        return build(spec, clock, seed, cpi.build_cpi_hamiltonian(spec))
+    except OverflowError:
+        raise UnsupportedCaseError(
+            "transport needs the coefficients of H, and the rates they give, within the float "
+            "range (flags --hamiltonian, --omega, --muB)"
+        ) from None
+
+
+def _coadjoint_transport(spec, t, seed, operator) -> list[CheckResult]:
+    """Wave packets move at the rate μB = −v₀^φ of the classical field, the
+    η-marginal rides along, a period is the identity and the norm is kept,
+    all float at the time t; the ghosts stay put exactly, since M = 0."""
+    if not isinstance(t, float):
+        raise UnsupportedCaseError(f"coadjoint transport moves packets for a float time t, got {t!r}")
+    cpi.mode_rate(operator)  # rejects any H̃ but −μB·Λ_φ, before the μB checks
+    mu_b = -complex(cpi.vector_field(spec)[0][0]).real  # v₀^φ = ∂_η H = −μB
+    if not mu_b:
+        raise UnsupportedCaseError("coadjoint transport needs muB != 0 for its period check")
+    period = 2 * math.pi / mu_b
+    if not (abs(mu_b * t) <= cpi.MAX_PHASE and math.isfinite(period)):
+        raise UnsupportedCaseError(
+            f"coadjoint transport needs |muB*t| <= {cpi.MAX_PHASE:g} and a finite period "
+            f"2*pi/muB (flags --muB, --t); got muB = {mu_b:g}, t = {t:g}"
+        )
+    rng = random.Random(seed)
+    rows = []
+
+    def add(name, expected, actual, residual):
+        rows.append(_numeric_check(f"cpi-coadjoint-{name}", expected, actual, residual, cpi.TOLERANCE))
+
+    for n in range(SAMPLES):
+        center = rng.uniform(0, 2 * math.pi)
+        moved = cpi.evolve(cpi.FourierWavefunction.wrapped_gaussian(center), spec, t, operator)
+        expected = (center - mu_b * t) % (2 * math.pi)
+        actual = moved.circular_center() % (2 * math.pi)
+        add(f"packet-center-{n}", expected, actual,
+            abs((actual - expected + math.pi) % (2 * math.pi) - math.pi))
+    packet = cpi.FourierWavefunction.wrapped_gaussian(1.0)
+    with_eta = cpi.evolve(packet.tensor_factor(eta_exp=2), spec, t, operator)
+    gap = max(
+        abs(
+            with_eta.coefficient((k, 2, 0, 0))
+            - packet.coefficient((k, 0, 0, 0)) * cmath.exp(1j * k * mu_b * t)
+        )
+        for k in range(-cpi.PACKET_MODES, cpi.PACKET_MODES + 1)
+    )
+    add("eta-marginal-invariant", 0.0, gap, gap)
+    gap = packet.max_difference(cpi.evolve(packet, spec, period, operator))
+    add("period-identity", 0.0, gap, gap)
+    ghosts = superfield.get_case("coadjoint").context.parse("(3+i)/10*c_phi - i/5*c_eta")
+    # M = 0 exactly, so the ghost flow is I at every time; ν = 0 makes z = 1.
+    moved = cpi.pull_back(ghosts, spec, cpi.exact_flow(spec, 1))
+    rows.append(_exact_check("cpi-coadjoint-ghosts-constant", ghosts, moved))
+    norm, kept = packet.norm_sq(), cpi.evolve(packet, spec, t, operator).norm_sq()
+    add("norm-preserved", norm, kept, abs(norm - kept))
+    return rows
+
+
+def _grassmann_transport(spec, clock, seed, operator) -> list[CheckResult]:
+    """Exact rows at any clock: H̃ multiplies each monomial of
+    :data:`GRASSMANN_EXPONENTS` by ω·(a − b + j − k), with ω = −i·M^ξ_ξ
+    read off the classical field; exp(−itH̃) multiplies ξc_ξ by z^{±2}, the
+    sign of ω; and H̃ annihilates constants.  A float time t becomes the
+    phase z = e^{−iνt} in its exact binary value, for |ω·t| up to
+    ``cpi.MAX_PHASE``."""
+    ctx = operator.context
+    w = -I * cpi.vector_field(spec)[1][0][0]  # M^ξ_ξ = iω
+    if w.im:
+        raise UnsupportedCaseError(f"transport needs a real rate, got {complex(w)}")
+    nu = abs(w.re)
+    if isinstance(clock, float):
+        phase = float(nu) * clock
+        if not abs(phase) <= cpi.MAX_PHASE:
+            raise UnsupportedCaseError(
+                f"grassmann transport needs |omega*t| <= {cpi.MAX_PHASE:g} (flags --omega, --t); "
+                f"got |omega| = {float(nu):g}, t = {clock:g}"
+            )
+        clock = crational(cmath.exp(-1j * phase))
+    rows = []
+    for exps in GRASSMANN_EXPONENTS:
+        a, b, j, k = exps
+        mono = GradedPolynomial(ctx, {ctx.monomial(dict(zip(GRASSMANN_NAMES, exps))): 1})
+        expected = w * (a - b + j - k) * mono
+        rows.append(_exact_check(f"cpi-grassmann-eigen-{exps}", expected, operator.apply(mono)))
+    xi_cxi = ctx.sym("xi") * ctx.sym("c_xi")
+    square = clock * clock
+    expected = (square if w == nu else 1 / square) * xi_cxi  # e^{−2iωt}
+    rotated = cpi.rotate(xi_cxi, operator, nu, clock)
+    rows.append(_exact_check("cpi-grassmann-phase-xi-cxi", expected, rotated))
+    annihilated = operator.apply(ctx.const(1))
+    rows.append(_exact_check("cpi-grassmann-constant-annihilated", ctx.zero(), annihilated))
+    return rows
+
+
+def _bosonic_transport(spec, clock, seed, operator) -> list[CheckResult]:
+    """exp(−itH̃)ψ against ψ∘flow(−t) on :data:`SAMPLES` wavefunctions drawn
+    from ``seed``: exact at a phase z (``rotate``, ``exact_flow``,
+    Gaussian-rational ψ), and float at a time t (``evolve``,
+    ``flow_matrix``, complex ψ) within the bounds where the float
+    exponential of the closure matrix meets ``cpi.TOLERANCE``."""
+    if isinstance(clock, float):
+        m, t = cpi.vector_field(spec)[1], clock
+        phase = abs(t) * max(abs(complex(x)) for row in m for x in row)
+        try:
+            back = cpi.flow_matrix(spec, -t)
+            stretch = max(abs(x) for row in back for x in row)
+        except (OverflowError, ValueError):  # cosh(s) past the float range, or s itself
+            stretch = math.inf
+        if not (phase <= cpi.MAX_PHASE and stretch <= cpi.MAX_STRETCH):
+            raise UnsupportedCaseError(
+                f"bosonic transport needs |t|*max|M| <= {cpi.MAX_PHASE:g} and max|exp(-t*M)| <= "
+                f"{cpi.MAX_STRETCH:g} for M = omega*Hess H (flag --t); got t = {t:g}, "
+                f"|t|*max|M| = {phase:.3g}, max|exp(-t*M)| = {stretch:.3g}"
+            )
+        draw = _complex
+
+        def evolve(psi):
+            return cpi.evolve(psi, spec, t, operator)
+    else:
+        nu = cpi.exact_rate(spec)
+        back, draw = cpi.exact_flow(spec, 1 / clock), _gaussian_rational
+
+        def evolve(psi):
+            return cpi.rotate(psi, operator, nu, clock)
+    rng = random.Random(seed)
+    rows = []
+    for n in range(SAMPLES):
+        psi = cpi.random_wavefunction(spec, rng, draw)
+        expected, actual = cpi.pull_back(psi, spec, back), evolve(psi)
+        name = f"cpi-bosonic-transport-{n}"
+        if expected.is_exact() and actual.is_exact():
+            rows.append(_exact_check(name, expected, actual))
+        else:  # the largest coefficient gap
+            gap = max((abs(complex(c)) for c in (actual - expected).terms.values()), default=0.0)
+            rows.append(_numeric_check(name, 0.0, gap, gap, cpi.TOLERANCE))
+    return rows
 
 
 def check_cpi_transport(seed: int = 0) -> list[CheckResult]:
@@ -358,43 +514,12 @@ def check_cpi_transport(seed: int = 0) -> list[CheckResult]:
     wavefunctions drawn from ``seed`` with Gaussian-rational coefficients.
     Phases are taken at :data:`TRANSPORT_PHASE`.
     """
-    coadjoint = cpi.CpiSpec("coadjoint", coefficients={"muB": 0.8})
-    ghosts = superfield.get_case("coadjoint").context.parse("(3+i)/10*c_phi - i/5*c_eta")
-    # M = 0 exactly, so the ghost flow is I at every time; ν = 0 makes z = 1.
-    moved = cpi.pull_back(ghosts, coadjoint, cpi.exact_flow(coadjoint, 1))
-    name = "cpi-coadjoint-ghosts-constant"
-    out = [
-        _exact_check(name, ghosts, moved) if row.name == name else row
-        for row in check_transport(coadjoint, 0.7, seed)
-    ]
-
     grassmann = cpi.CpiSpec("grassmann", coefficients={"w": GRASSMANN_OMEGA})
-    operator = cpi.build_cpi_hamiltonian(grassmann)
-    ctx = operator.context
-    for exps in cpi.GRASSMANN_EXPONENTS:
-        a, b, j, k = exps
-        mono = GradedPolynomial(ctx, {ctx.monomial(dict(zip(cpi.GRASSMANN_NAMES, exps))): 1})
-        expected = GRASSMANN_OMEGA * (a - b + j - k) * mono
-        out.append(_exact_check(f"cpi-grassmann-eigen-{exps}", expected, operator.apply(mono)))
-    xi_cxi = ctx.sym("xi") * ctx.sym("c_xi")
-    rotated = cpi.rotate(xi_cxi, operator, cpi.exact_rate(grassmann), TRANSPORT_PHASE)
-    expected = TRANSPORT_PHASE * TRANSPORT_PHASE * xi_cxi
-    out.append(_exact_check("cpi-grassmann-phase-xi-cxi", expected, rotated))
-    annihilated = operator.apply(ctx.const(1))
-    out.append(_exact_check("cpi-grassmann-constant-annihilated", ctx.zero(), annihilated))
-
-    # ψ moved back along the classical flow, ψ∘flow(−t), against exp(−itH̃)ψ.
-    harmonic = superfield.builtin_hamiltonian("bosonic", "harmonic")
-    bosonic = cpi.CpiSpec("bosonic", hamiltonian=harmonic)
-    operator, nu = cpi.build_cpi_hamiltonian(bosonic), cpi.exact_rate(bosonic)
-    back = cpi.exact_flow(bosonic, 1 / TRANSPORT_PHASE)
-    rng = random.Random(seed)
-    for n in range(5):
-        psi = cpi.random_wavefunction(bosonic, rng, _gaussian_rational)
-        expected = cpi.pull_back(psi, bosonic, back)
-        rotated = cpi.rotate(psi, operator, nu, TRANSPORT_PHASE)
-        out.append(_exact_check(f"cpi-bosonic-transport-{n}", expected, rotated))
-    return out
+    return [
+        *check_transport(cpi.CpiSpec("coadjoint", coefficients={"muB": 0.8}), 0.7, seed),
+        *check_transport(grassmann, TRANSPORT_PHASE, seed),
+        *check_transport(cpi.CpiSpec("bosonic"), TRANSPORT_PHASE, seed),  # harmonic
+    ]
 
 
 # -- aggregation --------------------------------------------------------------------

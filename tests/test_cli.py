@@ -643,3 +643,31 @@ def test_transport_rejects_coefficients_beyond_the_float_range(case, hamiltonian
     assert done.stderr.startswith("error: transport needs the coefficients of H"), done.stderr
     assert "--hamiltonian" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_grassmann_rows_are_exact_at_a_float_omega(tmp_path, capsys):
+    # --omega binds as its exact binary value, so all 26 grassmann rows are
+    # identities; of the coadjoint rows, the ghost row is.
+    out = tmp_path / "r.json"
+    for argv, count, name in ((["--case", "grassmann", "--omega", "1.3", "--t", "0.4"], 26, "cpi-grassmann-"),
+                              (["--case", "coadjoint", "--muB", "0.8"], 1, "cpi-coadjoint-ghosts-constant")):
+        assert main(["propagate-classical", *argv, "--out", str(out)]) == 0
+        exact = [c for c in json.loads(out.read_text())["checks"] if c["tolerance"] is None]
+        assert len(exact) == count and all(c["name"].startswith(name) for c in exact)
+        assert all(type(c["residual"]) is int and c["residual"] == 0 for c in exact)
+    capsys.readouterr()
+
+
+def test_grassmann_transport_bounds_its_phase():
+    # Past |omega*t| = 1e6 rad doubles hold no phase e^{-i*omega*t}; a tiny
+    # omega is exact, and its Sylvester weights divide by omega^2 exactly.
+    done = run_cli("propagate-classical", "--case", "grassmann", "--omega", "1e200")
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: grassmann transport needs |omega*t| <= 1e+06"), done.stderr
+    assert "--omega" in done.stderr and "--t" in done.stderr
+    done = run_cli("propagate-classical", "--case", "grassmann", "--omega", "1e-300")
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout.count("(residual 0)\n") == 26
+    assert "26 checks, 0 failures" in done.stdout

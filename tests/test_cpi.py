@@ -8,6 +8,7 @@ with the exact rotation, and the exact rotation is the classical flow.
 """
 
 import cmath
+import json
 import math
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from spindeq import cpi, suite
+from spindeq.cli import main
 from spindeq import (
     CRational,
     CpiSpec,
@@ -36,8 +38,8 @@ from spindeq import (
     evolve,
     exact_flow,
     flow_matrix,
+    crational,
     get_case,
-    jacobi_fields,
     rotate,
 )
 
@@ -187,7 +189,13 @@ def test_zero_time_evolution_is_identity():
     assert complex(out.coefficient({"q": 1})) == pytest.approx(1.0, abs=1e-15)
 
 
+def _grassmann_monomial(op, exps):
+    return GradedPolynomial(op.context, {op.context.monomial(dict(zip(GRASSMANN_FIELDS, exps))): 1})
+
+
 def test_grassmann_eigenvalues_count_occupation():
+    # The float w binds as its exact binary value, and H̃ scales each
+    # monomial by exactly w times its occupation.
     w = 1.3
     op = build_cpi_hamiltonian(CpiSpec("grassmann", coefficients={"w": w}))
     # exps = (xi, xibar, c_xi, c_xibar); eigenvalue = w(a - b + j - k).
@@ -198,9 +206,10 @@ def test_grassmann_eigenvalues_count_occupation():
         ((1, 1, 0, 1), -1),
         ((0, 0, 0, 0), 0),
     ]:
-        value = op.eigenvalue_on(dict(zip(GRASSMANN_FIELDS, exps)))
-        assert value is not None
-        assert value == pytest.approx(w * factor)
+        mono = _grassmann_monomial(op, exps)
+        image = op.apply(mono)
+        assert image.is_exact()
+        assert image == crational(w) * factor * mono
 
 
 def test_grassmann_eigenvalues_on_ghost_squares_at_low_truncation():
@@ -210,14 +219,14 @@ def test_grassmann_eigenvalues_on_ghost_squares_at_low_truncation():
         op = build_cpi_hamiltonian(spec)
         for exps in ((0, 0, 2, 0), (1, 0, 2, 1), (0, 1, 2, 0)):
             a, b, j, k = exps
-            value = op.eigenvalue_on(dict(zip(GRASSMANN_FIELDS, exps)))
-            assert value == pytest.approx(w * (a - b + j - k))
+            mono = _grassmann_monomial(op, exps)
+            assert op.apply(mono) == crational(w) * (a - b + j - k) * mono
 
 
 def test_bosonic_monomials_mix_under_rotation():
     op = build_cpi_hamiltonian(CpiSpec("bosonic"))
-    assert op.eigenvalue_on({"q": 1}) is None
     q, p = op.context.monomial({"q": 1}), op.context.monomial({"p": 1})
+    assert op.apply(op.context.sym("q")).terms.keys() - {q}  # not a multiple of q
     basis, matrix = op.closure_matrix([q])
     assert basis == [q, p]
     assert np.allclose(matrix, np.array([[0, 1j], [-1j, 0]]))
@@ -335,18 +344,29 @@ def test_evolve_type_and_table_guards():
         evolve(gen("grassmann", "xi"), bos, 1.0)
 
 
+def _ghost_coefficients(psi, spec):
+    # The coefficients of the ghost monomials c_1, c_2 of spec's case in psi.
+    return [complex(psi.coefficient({f.ghost: 1})) for f in get_case(spec.case).families]
+
+
 def test_jacobi_fields_all_cases():
+    # Ghosts move as Jacobi fields, by the flow exp(t·M) of the fields:
+    # ψ(c) = c_1 + 2·c_2 pulled back by the flow is ψ(exp(t·M)·c).
     coad = CpiSpec("coadjoint", coefficients={"muB": 0.8})
-    assert jacobi_fields(coad, (1.0, 2.0), 3.0) == ((1 + 0j), (2 + 0j))
+    ctx = get_case("coadjoint").context
+    ghosts = ctx.parse("c_phi + 2*c_eta")
+    assert cpi.pull_back(ghosts, coad, exact_flow(coad, 1)) == ghosts  # M = 0
     w = 1.3
     gra = CpiSpec("grassmann", coefficients={"w": w})
-    c0, c1 = jacobi_fields(gra, (1.0, 1.0), 1.0)
+    psi = get_case("grassmann").context.parse("c_xi + c_xibar")
+    c0, c1 = _ghost_coefficients(cpi.pull_back(psi, gra, flow_matrix(gra, 1.0)), gra)
     assert c0 == pytest.approx(cmath.exp(1j * w))
     assert c1 == pytest.approx(cmath.exp(-1j * w))
     bos = CpiSpec("bosonic")
-    out = jacobi_fields(bos, (1.0, 0.0), math.pi / 2)
-    assert complex(out[0]) == pytest.approx(0, abs=1e-12)
-    assert complex(out[1]) == pytest.approx(-1, abs=1e-12)
+    psi = get_case("bosonic").context.sym("c_q")
+    out = _ghost_coefficients(cpi.pull_back(psi, bos, flow_matrix(bos, math.pi / 2)), bos)
+    assert out[0] == pytest.approx(0, abs=1e-12)
+    assert out[1] == pytest.approx(1, abs=1e-12)  # c_q(t) = cos t·c_q + sin t·c_p
 
 
 def test_flow_matrix_forms():
@@ -398,9 +418,12 @@ def test_grassmann_flow_is_the_closed_form_phase(w, t):
     # Reference: the grassmann ghosts pick up opposite phases, diag(e^{iwt}, e^{-iwt}).
     spec = CpiSpec("grassmann", coefficients={"w": w})
     expected = np.diag([cmath.exp(1j * w * t), cmath.exp(-1j * w * t)])
-    assert np.allclose(flow_matrix(spec, t), expected, rtol=0, atol=1e-12)
+    flow = flow_matrix(spec, t)
+    assert np.allclose(flow, expected, rtol=0, atol=1e-12)
     c0 = np.array([0.3 + 0.1j, -0.2j])
-    assert np.allclose(jacobi_fields(spec, c0, t), expected @ c0, rtol=0, atol=1e-12)
+    ghosts = get_case("grassmann").context.parse("(3+i)/10*c_xi - i/5*c_xibar")
+    moved = _ghost_coefficients(cpi.pull_back(ghosts, spec, flow), spec)
+    assert np.allclose(moved, expected @ c0, rtol=0, atol=1e-12)
 
 
 def test_every_case_defaults_to_its_first_stock_hamiltonian():
@@ -412,9 +435,13 @@ def test_every_case_defaults_to_its_first_stock_hamiltonian():
 
 
 def test_characteristics_check_smoke():
-    report = characteristics_check(CpiSpec("coadjoint", coefficients={"muB": 0.8}), t=0.5)
+    spec = CpiSpec("coadjoint", coefficients={"muB": 0.8})
+    report = characteristics_check(spec, t=0.5)
     assert report["passed"]
     assert all(c["passed"] for c in report["checks"])
+    # Packets move over a time; a phase alone does not fix one.
+    with pytest.raises(UnsupportedCaseError, match="float time t"):
+        suite.check_transport(spec, suite.TRANSPORT_PHASE, 0)
 
 
 def test_coadjoint_transport_reads_the_cpi_hamiltonian(monkeypatch):
@@ -424,7 +451,7 @@ def test_coadjoint_transport_reads_the_cpi_hamiltonian(monkeypatch):
     original = cpi.cpi_hamiltonian
     monkeypatch.setattr(cpi, "cpi_hamiltonian", lambda case, h: -original(case, h))
     checks = characteristics_check(spec, t=0.7)["checks"]
-    centers = [c for c in checks if c["name"].startswith("packet-center-")]
+    centers = [c for c in checks if c["name"].startswith("cpi-coadjoint-packet-center-")]
     assert len(centers) == 5
     assert not any(c["passed"] for c in centers)
 
@@ -542,10 +569,8 @@ def test_forward_flow_fails_every_bosonic_row(monkeypatch):
         assert _failing(suite.check_cpi_transport(seed)) == bosonic
 
 
-def test_flipped_ghost_sign_fails_the_exact_rows(monkeypatch):
-    # With the antighost terms of H̃ negated, the ghosts rotate the wrong
-    # way: every grassmann monomial with j ≠ k ghosts changes eigenvalue,
-    # and every bosonic wavefunction drawn here has ghost terms.
+def _flip_ghost_signs(monkeypatch):
+    # Negate the antighost terms of H̃, so the ghosts rotate the wrong way.
     original = cpi.cpi_hamiltonian
 
     def flipped(case, h):
@@ -558,7 +583,45 @@ def test_flipped_ghost_sign_fails_the_exact_rows(monkeypatch):
         })
 
     monkeypatch.setattr(cpi, "cpi_hamiltonian", flipped)
-    expected = {f"cpi-grassmann-eigen-{e}" for e in cpi.GRASSMANN_EXPONENTS if e[2] != e[3]}
-    expected |= {"cpi-grassmann-phase-xi-cxi"} | {f"cpi-bosonic-transport-{n}" for n in range(5)}
+
+
+# Every grassmann monomial with j ≠ k ghosts changes eigenvalue when the
+# ghosts rotate the wrong way, and so does ξc_ξ.
+FLIPPED_GRASSMANN = {f"cpi-grassmann-eigen-{e}" for e in suite.GRASSMANN_EXPONENTS if e[2] != e[3]}
+FLIPPED_GRASSMANN |= {"cpi-grassmann-phase-xi-cxi"}
+
+
+def test_flipped_ghost_sign_fails_the_exact_rows(monkeypatch):
+    # Every bosonic wavefunction drawn here has ghost terms as well.
+    _flip_ghost_signs(monkeypatch)
+    expected = FLIPPED_GRASSMANN | {f"cpi-bosonic-transport-{n}" for n in range(5)}
     for seed in (0, 1, 2):
         assert _failing(suite.check_cpi_transport(seed)) == expected
+
+
+def test_flipped_ghost_sign_fails_the_cli_grassmann_rows(monkeypatch, tmp_path, capsys):
+    # propagate-classical runs the same exact rows at a float --omega and --t.
+    _flip_ghost_signs(monkeypatch)
+    out = tmp_path / "r.json"
+    argv = ["propagate-classical", "--case", "grassmann", "--omega", "0.9", "--t", "0.4"]
+    assert main([*argv, "--out", str(out)]) == 1
+    capsys.readouterr()
+    checks = json.loads(out.read_text())["checks"]
+    assert {c["name"] for c in checks if not c["passed"]} == FLIPPED_GRASSMANN
+
+
+@pytest.mark.parametrize(
+    "spec, t",
+    [
+        (CpiSpec("bosonic", truncation=3), 0.4),
+        (CpiSpec("grassmann", coefficients={"w": -0.75}), 1.1),
+        (CpiSpec("coadjoint", coefficients={"muB": 1.5}), 0.3),
+    ],
+    ids=lambda value: getattr(value, "case", None),
+)
+def test_characteristics_check_is_the_dict_view_of_check_transport(spec, t):
+    # The benchmark reads these dicts; they are the suite's rows, unchanged.
+    report = characteristics_check(spec, t, 4)
+    rows = suite.check_transport(spec, t, 4)
+    assert report["checks"] == [row.to_dict() for row in rows]
+    assert report["passed"] is all(row.passed for row in rows) is True

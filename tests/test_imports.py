@@ -3,9 +3,9 @@
 The exact checks (dequantization, Dirac brackets, precession, the spin
 isomorphism, exact transport) never touch a float matrix, and the spin-1/2
 oracles and the classical 2x2 flows are tuples, so importing the package,
-running those, ``spindeq all``, ``propagate-quantum`` or coadjoint
-``propagate-classical`` must not load the numeric libraries.  Only float
-evolution of polynomial wavefunctions does.  Each probe runs in a fresh
+running those, ``spindeq all``, ``propagate-quantum`` or coadjoint and
+grassmann ``propagate-classical`` must not load the numeric libraries.  Only
+float evolution of bosonic wavefunctions does.  Each probe runs in a fresh
 interpreter, because this test process has loaded both long before.
 """
 
@@ -55,6 +55,7 @@ def test_import_loads_neither_numeric_library():
         ["precession", "--theta0", "1", "--phi0", "0", "--muB", "1", "--t", "1",
          "--steps", "4"],
         ["all"],
+        ["propagate-classical", "--case", "grassmann", "--omega", "1.3"],  # exact at any --t
     ],
     ids=" ".join,
 )

@@ -1,7 +1,8 @@
 """Source hygiene of the package: no module imports a name it never uses
 (``__init__`` is left out, because its imports are the public API), every
-public function or class has a caller outside the tests, ``GradedPolynomial``
-stays the one element class, numpy and scipy are imported only where
+public function or class has a caller outside the tests, no module reads
+another module's underscore names, ``GradedPolynomial`` stays the one
+element class, numpy and scipy are imported only where
 polynomial wavefunctions evolve, and every Python example and every
 ``spindeq`` command in the README runs.
 """
@@ -35,6 +36,34 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _private_reads(tree: ast.Module) -> list[str]:
+    """``module._name`` for each underscore name the module reads from
+    another package module, by attribute or by ``from .module import``."""
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and not node.module
+        for alias in node.names
+    }
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and node.module:
+            out += [f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and node.attr.startswith("_")
+              and not node.attr.startswith("__")):
+            out.append(f"{node.value.id}.{node.attr}")
+    return sorted(set(out))
+
+
+def test_no_module_reads_another_modules_private_names():
+    # What one module needs of another is public; ``from . import _graded``
+    # names a private module, whose functions are public to the package.
+    reads = {path.name: _private_reads(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in reads.items() if found} == {}
 
 
 def test_graded_polynomial_is_the_one_element_class():
