@@ -5,7 +5,9 @@ table).  :func:`main` times the run, builds one :class:`RunReport`
 (parameters, a list of named checks with expected/actual/residual, wall
 time, and the versions of what ran), writes it where ``--out``/``--report``
 asks for JSON, prints it, and exits 0 only when every check passed.  Failing
-check names go to stderr.  Randomized checks take ``--seed``, falling back
+check names go to stderr.  A run stopped by an error exits 1 with the error
+on stderr, and its JSON report, if asked for, has no checks, an ``error``
+object and ``all_passed`` false.  Randomized checks take ``--seed``, falling back
 to the SPINDEQ_SEED environment variable and then to 0, and are
 deterministic for a fixed seed.
 """
@@ -22,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__, cpi, orbit, quantum, suite, superfield
-from .errors import SpindeqError
+from .errors import IdentityViolationError, SpindeqError
 from .suite import CheckResult
 from .symbols import format_poly
 
@@ -55,16 +57,17 @@ class RunReport:
     extras: dict = field(default_factory=dict)
     versions: dict = field(default_factory=_runtime_versions)
     schema: str = SCHEMA_VERSION
+    error: dict | None = None  # class, message and payload of a run that raised
 
     @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return self.error is None and all(c.passed for c in self.checks)
 
     def failures(self) -> list[str]:
         return [c.name for c in self.checks if not c.passed]
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "schema": self.schema,
             "subcommand": self.subcommand,
             "parameters": self.parameters,
@@ -74,6 +77,9 @@ class RunReport:
             "versions": self.versions,
             "all_passed": self.all_passed,
         }
+        if self.error is not None:
+            out["error"] = self.error
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, default=_json_default)
@@ -89,6 +95,7 @@ class RunReport:
             extras=data.get("extras", {}),
             versions=data.get("versions", {}),
             schema=data["schema"],
+            error=data.get("error"),
         )
 
     def write(self, path: str) -> None:
@@ -353,6 +360,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parameters(args) -> dict:
+    """The run's flags; a number that is not finite, which only a rejected
+    run records, as its text, so that the report stays strict JSON."""
+    return {
+        k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+        for k, v in vars(args).items()
+        if k not in _NOT_PARAMETERS
+    }
+
+
+def _write_error_report(args, exc: Exception, start: float) -> None:
+    """Where ``--out``/``--report`` asks for JSON, the report of a run that
+    raised: no checks, and the error's class, message and, for an
+    :class:`IdentityViolationError`, its payload.  A path that cannot be
+    written is left as it is; the error has gone to stderr already."""
+    path = getattr(args, "report_path", None)
+    if not path:
+        return
+    error = {"class": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, IdentityViolationError):
+        error["payload"] = exc.payload
+    report = RunReport(
+        args.subcommand, _parameters(args), [], time.perf_counter() - start, error=error
+    )
+    try:
+        report.write(path)
+    except OSError:
+        pass
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -360,15 +397,15 @@ def main(argv=None) -> int:
     try:
         _prepare_inputs(args)
         checks, extras = args.handler(args)
-        parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
         report = RunReport(
-            args.subcommand, parameters, checks, time.perf_counter() - start, extras
+            args.subcommand, _parameters(args), checks, time.perf_counter() - start, extras
         )
         report_path = getattr(args, "report_path", None)
         if report_path:
             report.write(report_path)
     except (SpindeqError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        _write_error_report(args, exc, start)
         return 1
     for check in report.checks:
         status = "ok" if check.passed else "FAIL"

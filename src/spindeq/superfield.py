@@ -63,8 +63,9 @@ class DequantizationCase:
     form ω^{ab} on the base fields.  ``kinetic`` is the first-order kinetic
     term of the quantum Lagrangian and ``shift`` the optional one-form shift
     added to it; ``hamiltonians`` lists the stock Hamiltonians as
-    ``(name, text)`` pairs, the case's default first.  The context and the
-    superfields are derived from these once.
+    ``(name, text)`` pairs, the case's default first.  The context, the
+    superfields with their bindings, and the parsed kinetic term, shift and
+    stock Hamiltonians are derived from these once.
     """
 
     name: str
@@ -119,6 +120,29 @@ class DequantizationCase:
             out.append(body + th * ghost + thb * antighost + (thb * th) * aux)
         return tuple(out)
 
+    @cached_property
+    def bindings(self) -> dict:
+        """Each base field and its dot mapped to its superfield, built once;
+        :func:`superfield_bindings` hands out copies."""
+        out = {}
+        for family, sf in zip(self.families, self.superfields):
+            out[(family.base, 0)] = sf
+            out[(family.base, 1)] = formal_time_derivative(sf)
+        return out
+
+    @cached_property
+    def kinetic_term(self) -> GradedPolynomial:
+        return self.context.parse(self.kinetic)
+
+    @cached_property
+    def shift_term(self) -> GradedPolynomial | None:
+        return None if self.shift is None else self.context.parse(self.shift)
+
+    @cached_property
+    def stock_hamiltonians(self) -> dict[str, GradedPolynomial]:
+        """The stock Hamiltonians parsed once, by name."""
+        return {name: self.context.parse(text) for name, text in self.hamiltonians}
+
 
 def _families(bases, aux="lam"):
     return tuple(FieldFamily(b, f"c_{b}", f"{aux}_{b}", f"cbar_{b}") for b in bases)
@@ -162,12 +186,7 @@ def get_case(case) -> DequantizationCase:
 
 def superfield_bindings(case) -> dict:
     """Substitution map sending each base field (and its dot) into superspace."""
-    case = get_case(case)
-    out = {}
-    for family, sf in zip(case.families, case.superfields):
-        out[(family.base, 0)] = sf
-        out[(family.base, 1)] = formal_time_derivative(sf)
-    return out
+    return dict(get_case(case).bindings)
 
 
 def compose_observable_taylor(h: GradedPolynomial, bindings: Mapping) -> GradedPolynomial:
@@ -289,14 +308,15 @@ def builtin_hamiltonian(case, name: str | None = None) -> GradedPolynomial:
     """A stock Hamiltonian by name; without a name, the case's default (the
     first entry of its table)."""
     case = get_case(case)
-    table = builtin_hamiltonians(case)
     if name is None:
         name = case.hamiltonians[0][0]
-    if name not in table:
+    try:
+        return case.stock_hamiltonians[name]
+    except KeyError:
         raise UnsupportedCaseError(
-            f"no builtin Hamiltonian {name!r} for case {case.name!r}"
-        )
-    return case.context.parse(table[name])
+            f"no builtin Hamiltonian {name!r} for case {case.name!r}; "
+            f"expected one of {tuple(builtin_hamiltonians(case))}"
+        ) from None
 
 
 def quantum_lagrangian(case, hamiltonian: GradedPolynomial, gamma: bool = False) -> GradedPolynomial:
@@ -310,10 +330,9 @@ def quantum_lagrangian(case, hamiltonian: GradedPolynomial, gamma: bool = False)
                Hamiltonian is H = −μB·η)
     """
     case = get_case(case)
-    ctx = case.context
-    kinetic = ctx.parse(case.kinetic)
+    kinetic = case.kinetic_term
     if gamma:
-        if case.shift is None:
+        if case.shift_term is None:
             raise UnsupportedCaseError(f"case {case.name!r} has no one-form shift")
-        kinetic = kinetic + ctx.parse(case.shift)
+        kinetic = kinetic + case.shift_term
     return kinetic - hamiltonian

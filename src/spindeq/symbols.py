@@ -287,6 +287,12 @@ class GradedPolynomial:
         Binding keys are symbol names or ``(name, dot)`` pairs; unbound
         symbols pass through.  Substitution is a graded ring homomorphism, so
         it commutes with products by construction.
+
+        Each power of a binding that some monomial needs is built once per
+        call, on an ascending ladder over the exponents in use: X^{e_k} =
+        X^{e_{k-1}} · X^{e_k - e_{k-1}}, the step by repeated squaring.
+        Consecutive exponents cost one product each, and a lone huge one
+        stays O(log n).
         """
         odd = self.context.is_odd
         images = {}
@@ -296,12 +302,22 @@ class GradedPolynomial:
             if not element.is_zero() and element.parity() != odd[slot]:
                 raise ParityError(f"binding for {key!r} has wrong parity")
             images[slot] = element.terms
+        needed: dict = {}
+        for mono in self.terms:
+            for slot, exp in mono:
+                needed.setdefault(slot, set()).add(exp)
+        powers = {}  # (slot, exponent) -> the image of that factor
+        for slot, exps in needed.items():
+            image, last = images.get(slot, {((slot, 1),): 1}), 0
+            for e in sorted(exps):
+                step = _graded.power(image, e - last, odd)
+                powers[slot, e] = _graded.mul(powers[slot, last], step, odd) if last else step
+                last = e
         out: dict = {}
         for mono, c in self.terms.items():
             term = {(): c}
-            for slot, exp in mono:
-                image = images[slot] if slot in images else {((slot, 1),): 1}
-                term = _graded.mul(term, _graded.power(image, exp, odd), odd)
+            for factor in mono:
+                term = _graded.mul(term, powers[factor], odd)
             for m, v in term.items():
                 out[m] = out[m] + v if m in out else v
         return self._new({mono: c for mono, c in out.items() if c})

@@ -14,7 +14,7 @@ import warnings
 
 import pytest
 
-from spindeq import cli, cpi, superfield
+from spindeq import IdentityViolationError, cli, cpi, superfield
 from spindeq.cli import RunReport, SCHEMA_VERSION, main
 
 
@@ -333,6 +333,53 @@ def test_report_round_trip(tmp_path, capsys):
     assert json.loads(report.to_json()) == json.loads(path.read_text())
 
 
+def test_a_run_stopped_by_an_error_still_writes_its_report(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    argv = ["verify-dequantization", "--case", "bosonic", "--hamiltonian", "q +* p",
+            "--report", str(path)]
+    assert main(argv) == 1
+    message = "expected a value, got '*' (at position 3)"
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    data = json.loads(path.read_text())
+    assert data["schema"] == SCHEMA_VERSION
+    assert data["checks"] == [] and data["all_passed"] is False
+    assert data["parameters"]["hamiltonian"] == "q +* p"
+    assert data["error"] == {"class": "ParseError", "message": message}
+    report = RunReport.from_json(path.read_text())
+    assert not report.all_passed and report.error == data["error"]
+    assert json.loads(report.to_json()) == data
+    # A rejected number that is not finite is recorded as text, not as NaN.
+    assert main(["propagate-classical", "--case", "bosonic", "--t", "nan", "--out", str(path)]) == 1
+    capsys.readouterr()
+    data = json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(name))
+    assert data["parameters"]["t"] == "nan" and data["error"]["class"] == "ValueError"
+
+
+def test_an_identity_violation_reports_its_residual(tmp_path, capsys, monkeypatch):
+    def violated(lagrangian, case):
+        raise IdentityViolationError("not a CPI Lagrangian", payload={"residual": "dot(lam_p)*q"})
+
+    monkeypatch.setattr(superfield, "dequantize", violated)
+    path = tmp_path / "report.json"
+    assert main(["verify-dequantization", "--case", "bosonic", "--report", str(path)]) == 1
+    assert capsys.readouterr().err == "error: not a CPI Lagrangian\n"
+    data = json.loads(path.read_text())
+    assert data["checks"] == [] and data["all_passed"] is False
+    assert data["error"] == {
+        "class": "IdentityViolationError",
+        "message": "not a CPI Lagrangian",
+        "payload": {"residual": "dot(lam_p)*q"},
+    }
+    # A report path that cannot be written leaves the one error line.
+    missing = tmp_path / "no-such-dir" / "report.json"
+    assert main(["verify-dequantization", "--case", "bosonic", "--report", str(missing)]) == 1
+    assert capsys.readouterr().err == "error: not a CPI Lagrangian\n"
+    assert main(["check-dirac", "--out", str(missing)]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 2]")
+    assert not missing.exists()
+
+
 def test_report_names_only_the_numeric_libraries_that_ran(tmp_path, capsys):
     # An exact run in a fresh interpreter never loads numpy or scipy, so its
     # report names neither; a bosonic transport run names both.
@@ -455,7 +502,9 @@ def test_propagate_classical_rejects_a_constant_without_a_flag(tmp_path, capsys)
     assert captured.out == ""
     assert captured.err.startswith("error: unbound constants"), captured.err
     assert "'alpha'" in captured.err
-    assert not out.exists()
+    report = json.loads(out.read_text())
+    assert report["checks"] == [] and report["all_passed"] is False
+    assert report["error"]["class"] == "UnsupportedCaseError"
 
 
 def test_bare_verify_dequantization_checks_the_default_stock_hamiltonian(tmp_path, capsys):

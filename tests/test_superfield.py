@@ -7,6 +7,9 @@ must land on the matching classical-path-integral Lagrangian up to a total
 time derivative.
 """
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from spindeq import (
@@ -26,6 +29,7 @@ from spindeq import (
     superfield_bindings,
     supertime_integral,
 )
+from spindeq import _graded
 
 
 def test_case_registry():
@@ -107,17 +111,81 @@ def test_grassmann_substitution_term_count():
     assert len(expanded.terms) == 9
 
 
+def _bosonic_hamiltonian(degree, rng):
+    """Half (rounded up) of the monomials q^a·p^b of each total degree up to
+    ``degree``, with random rational coefficients."""
+    ctx = get_case("bosonic").context
+    h = ctx.zero()
+    for k in range(1, degree + 1):
+        for a in rng.sample(range(k + 1), (k + 2) // 2):
+            c = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+            h = h + ctx.sym("q") ** a * ctx.sym("p") ** (k - a) * c
+    return h
+
+
 def test_taylor_route_matches_substitution():
-    probes = {
-        "bosonic": "q^2*p + p^3/3",
-        "grassmann": "xi*xibar",
-        "coadjoint": "-muB*eta",
-    }
-    for name, text in probes.items():
-        case = get_case(name)
-        h = case.context.parse(text)
-        bindings = superfield_bindings(case)
+    # The Taylor route never calls substitute, so it is an independent oracle.
+    bosonic = get_case("bosonic").context
+    probes = [
+        ("bosonic", bosonic.parse("q^2*p + p^3/3")),
+        ("bosonic", _bosonic_hamiltonian(12, random.Random(7))),
+        ("grassmann", get_case("grassmann").context.parse("xi*xibar")),
+        ("coadjoint", get_case("coadjoint").context.parse("-muB*eta")),
+    ]
+    for name, h in probes:
+        bindings = superfield_bindings(name)
         assert compose_observable_taylor(h, bindings) == substitute(h, bindings)
+
+
+def test_substitution_work_stays_at_the_ladder_figure(monkeypatch):
+    # Kernel products are counted, not timed, so the figure repeats exactly.
+    # Raising each binding to each exponent per monomial took 257 products
+    # and 4,686 monomial pairs here; the ascending ladder of powers takes 102
+    # and 1,421.
+    case = get_case("bosonic")
+    ctx = case.context
+    h = ctx.zero()
+    for k in range(1, 13):
+        for a in range(0, k + 1, 2):
+            h = h + ctx.sym("q") ** a * ctx.sym("p") ** (k - a) * Fraction(a + 1, k - a + 2)
+    lagrangian = quantum_lagrangian(case, h)
+    assert len(lagrangian.terms) == 49
+    bindings = superfield_bindings(case)
+    counts = [0, 0]
+    mul = _graded.mul
+
+    def counted(x, y, odd):
+        counts[0] += 1
+        counts[1] += len(x) * len(y)
+        return mul(x, y, odd)
+
+    monkeypatch.setattr(_graded, "mul", counted)
+    out = substitute(lagrangian, bindings)
+    monkeypatch.undo()
+    assert counts[0] <= 102 and counts[1] <= 1421, counts
+    assert out == compose_observable_taylor(lagrangian, bindings)
+
+
+def test_case_polynomials_are_derived_once():
+    for name in CASES:
+        case = get_case(name)
+        ctx = case.context
+        assert case.kinetic_term == ctx.parse(case.kinetic)
+        assert case.shift_term == (None if case.shift is None else ctx.parse(case.shift))
+        for key, text in case.hamiltonians:
+            assert builtin_hamiltonian(case, key) == ctx.parse(text)
+            assert builtin_hamiltonian(case, key) is builtin_hamiltonian(name, key)
+        fresh = {}
+        for family, sf in zip(case.families, case.superfields):
+            fresh[(family.base, 0)] = sf
+            fresh[(family.base, 1)] = formal_time_derivative(sf)
+        handed_out = superfield_bindings(case)
+        assert handed_out == fresh
+        handed_out[(case.families[0].base, 0)] = ctx.zero()
+        del handed_out[(case.families[1].base, 1)]
+        assert superfield_bindings(name) == fresh
+    with pytest.raises(UnsupportedCaseError):
+        builtin_hamiltonian("grassmann", "harmonic")
 
 
 def test_builtin_tables():

@@ -5,6 +5,7 @@ constant; that is enough to exercise every sign rule and every parser error
 path without dragging in the physics layers.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -267,3 +268,82 @@ def test_partial_derivative_leibniz(a, b, key):
     lhs = partial_derivative(a * b, *key)
     rhs = partial_derivative(a, *key) * b + (a * partial_derivative(b, *key)) * sign
     assert lhs == rhs
+
+
+# -- substitution against a per-monomial reference ---------------------------------
+
+_EVEN_PIECES = [CTX.parse(t) for t in ("1", "q", "p", "dot(q)", "w", "u*ubar", "q*p")]
+_ODD_PIECES = [CTX.parse(t) for t in ("u", "ubar", "q*u", "dot(u)", "p*ubar")]
+# Bindable keys with the largest exponent a monomial may carry on each; w is
+# never bound, so every polynomial may keep an unbound slot.
+_LADDER_SLOTS = {("q", 0): 15, ("p", 0): 15, ("q", 1): 3, ("u", 0): 1, ("ubar", 0): 1, ("w", 0): 2}
+
+
+def _naive_substitute(poly, bindings):
+    """Each monomial's coefficient times ``image ** exp`` per factor, summed."""
+    out = CTX.zero()
+    for mono, c in poly.terms.items():
+        term = CTX.const(c)
+        for slot, exp in mono:
+            key = CTX.key(slot)
+            term = term * bindings.get(key, CTX.sym(*key)) ** exp
+        out = out + term
+    return out
+
+
+@st.composite
+def ladder_cases(draw):
+    """A polynomial with exponents 0 to 15 on q and p, and bindings for some
+    of its symbols: even or odd, zero, or left unbound; exact or float."""
+    exact = draw(st.booleans())
+    coeffs = (
+        st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        if exact
+        else st.floats(min_value=-2, max_value=2, allow_nan=False)
+    )
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        powers = {key: draw(st.integers(0, top)) for key, top in _LADDER_SLOTS.items()}
+        terms[CTX.monomial(powers)] = draw(coeffs)
+    bindings = {}
+    for key in list(_LADDER_SLOTS)[:-1]:
+        kind = draw(st.sampled_from(["unbound", "zero", "polynomial"]))
+        if kind == "zero":
+            bindings[key] = CTX.zero()
+        elif kind == "polynomial":
+            pieces = _ODD_PIECES if CTX.decl(key[0]).parity == "odd" else _EVEN_PIECES
+            chosen = draw(st.lists(st.sampled_from(pieces), min_size=1, max_size=2))
+            bindings[key] = sum((piece * draw(coeffs) for piece in chosen), CTX.zero())
+    return GradedPolynomial(CTX, terms), bindings, exact
+
+
+@given(case=ladder_cases())
+def test_substitution_matches_the_per_monomial_reference(case):
+    poly, bindings, exact = case
+    out, reference = substitute(poly, bindings), _naive_substitute(poly, bindings)
+    if exact:
+        assert out == reference
+        return
+    # Float powers are multiplied in another order, so the two agree to
+    # rounding: a few ulps of the largest magnitude a partial sum can reach,
+    # Σ |c| Π ‖image‖₁^exp over the monomials.
+    def norm(key):
+        return sum(abs(complex(c)) for c in bindings.get(key, CTX.sym(*key)).terms.values())
+
+    scale = sum(
+        abs(complex(c)) * math.prod(norm(CTX.key(slot)) ** exp for slot, exp in mono)
+        for mono, c in poly.terms.items()
+    )
+    for mono in set(out.terms) | set(reference.terms):
+        gap = abs(complex(out.terms.get(mono, 0) - reference.terms.get(mono, 0)))
+        assert gap <= 1e-12 * scale, (mono, gap, scale)
+
+
+def test_substitution_reuses_powers_and_keeps_huge_exponents_cheap():
+    # q^3, q^4 and q^7 share one ladder; q^99999999 costs O(log n) products,
+    # and a zero binding wipes every monomial it touches.
+    poly = CTX.parse("q^3 + q^4*p + 2*q^7")
+    out = substitute(poly, {"q": CTX.parse("q + p")})
+    assert out == CTX.parse("(q + p)^3 + (q + p)^4*p + 2*(q + p)^7")
+    assert substitute(CTX.parse("q^99999999*w + w"), {"q": CTX.const(1)}) == CTX.parse("2*w")
+    assert substitute(poly + CTX.parse("p"), {"q": CTX.zero()}) == CTX.parse("p")
