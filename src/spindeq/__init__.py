@@ -87,7 +87,6 @@ from .quantum import (
 from .cpi import (
     DEFAULT_EVEN_TRUNCATION,
     CpiSpec,
-    FourierWavefunction,
     LiouvilleOperator,
     build_cpi_hamiltonian,
     characteristics_check,
@@ -165,7 +164,7 @@ __all__ = [
     "pauli_evolve", "sliced_propagator", "sliced_symbol", "slicing_errors",
     "spin_operators", "symbol_to_matrix",
     # cpi
-    "DEFAULT_EVEN_TRUNCATION", "CpiSpec", "FourierWavefunction", "LiouvilleOperator",
+    "DEFAULT_EVEN_TRUNCATION", "CpiSpec", "LiouvilleOperator",
     "build_cpi_hamiltonian", "characteristics_check", "cpi_hamiltonian", "cpi_kinetic",
     "cpi_lagrangian", "evolve", "exact_flow", "flow_matrix", "rotate",
     # orbit

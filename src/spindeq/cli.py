@@ -109,8 +109,9 @@ def _json_default(value):
     return str(value)
 
 
-# Largest --truncation: at 16, bosonic transport draws wavefunctions of
-# degree up to 14 in q and in p and takes about 0.8 s on a 2-core machine.
+# Largest --truncation: at 16, bosonic and coadjoint transport draw
+# wavefunctions of degree up to 14 in each base field; bosonic takes about
+# 0.8 s on a 2-core machine, and coadjoint about 20 ms.
 MAX_TRUNCATION = 16
 # Largest precession --steps: 100,000 steps take about 4 s with --out on a
 # 2-core machine, and the run keeps every step's time in memory.
@@ -316,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("propagate-classical", help="CPI transport against classical flow")
     p.add_argument("--case", required=True, choices=superfield.CASES)
     p.add_argument("--omega", type=float, help="value of the constant w in H (default 1)")
-    p.add_argument("--muB", type=float, help="value of the constant muB in H (default 1), "
-                   f"with |muB*t| <= {cpi.MAX_PHASE:g}")
+    p.add_argument("--muB", type=float, help="value of the constant muB in H (default 1)")
     p.add_argument(
         "--t",
         type=float,
@@ -329,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--truncation",
         type=int,
         default=cpi.DEFAULT_EVEN_TRUNCATION,
-        help="bounds the random bosonic wavefunctions that transport draws: exponents of q and "
-        f"of p below max(T-1, 1); 1 to {MAX_TRUNCATION}",
+        help="bounds the random bosonic and coadjoint wavefunctions that transport draws: "
+        f"exponents of each base field below max(T-1, 1); 1 to {MAX_TRUNCATION}",
     )
     p.add_argument("--hamiltonian", help="expression over the base fields (even case)")
     p.add_argument("--seed", type=int)

@@ -32,21 +32,19 @@ and obeys the graded Leibniz rule.  So its spectrum on the monomials of any
 degree is made of sums of the eigenvalues of two 2×2 blocks, H̃ on the
 field monomials and H̃ on the ghosts (:meth:`LiouvilleOperator.spectrum_is_real`).
 
-Every case has this operator; the compact-angle case (coadjoint) evolves
-Fourier modes e^{ikφ} instead of polynomials.  Its H̃ = −μB·Λ_φ is first
-order, so each mode picks up the phase exp(i·k·μB·t): transport along the
-classical precession flow.
-
 The classical side is one exact linear vector field v = v₀ + M·φ
 (:func:`vector_field`), whose 2×2 flow is one closed form in nested tuples.
-Each side comes in two forms.  At a Gaussian-rational phase e^{−iνt},
+Each side comes in three forms.  At a Gaussian-rational phase e^{−iνt},
 ν² = det M, both are exact: :func:`rotate` evolves by Sylvester's formula
-on H̃ and :func:`exact_flow` is the flow.  At any float t, :func:`flow_matrix`
-is the flow and :func:`evolve` takes the matrix exponential of H̃ on the
-closure of ψ's monomials.  numpy and scipy load only in that float
-evolution (``closure_matrix``, ``expm``, ``evolve``).  This module is the
-engine only: ``suite.check_transport`` compares the two sides, for the CLI,
-the suite and the benchmark alike.
+on H̃ and :func:`exact_flow` is the flow.  Where H̃ is nilpotent on ψ, as the
+coadjoint H̃ = −μB·Λ_φ = iμB·∂_φ is on every polynomial, both are exact at
+any rational t: :func:`evolve_nilpotent` sums the Taylor series of
+exp(−itH̃), which ends, and :func:`pull_back` takes the flow with its drift.
+At any float t, :func:`flow_matrix` is the flow and :func:`evolve` takes
+the matrix exponential of H̃ on the closure of ψ's monomials.  numpy and
+scipy load only in that float evolution (``closure_matrix``, ``expm``,
+``evolve``).  This module is the engine only: ``suite.check_transport``
+compares the two sides, for the CLI, the suite and the benchmark alike.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index as _as_int_index
 from typing import Mapping
 
 from .errors import UnsupportedCaseError
@@ -76,14 +73,13 @@ from .symbols import (
 
 DEFAULT_EVEN_TRUNCATION = 4
 TOLERANCE = 1e-9  # every transport residual
-# Beyond this phase (rad), μB·t for coadjoint and ω·t for grassmann, doubles
-# cannot resolve a packet center to TOLERANCE or hold the phase e^{−iωt} at all.
+# Beyond this phase (rad), ω·t for grassmann and |t|·max|M| for bosonic, doubles
+# cannot hold the phase e^{−iωt} or meet TOLERANCE.
 MAX_PHASE = 1e6
 # Largest entry of the bosonic back flow exp(−t·M) that transport accepts, and
 # MAX_PHASE bounds |t|·max|M| there too: beyond either, the float exponential
 # of the closure matrix misses TOLERANCE at the default truncation.
 MAX_STRETCH = 30
-PACKET_MODES = 48  # the coadjoint test packet has the modes |k| <= PACKET_MODES
 
 
 # -- symbolic builders -------------------------------------------------------------
@@ -154,8 +150,8 @@ class CpiSpec:
     bound Hamiltonian is the one source of every rate that transport uses.
     Without ``hamiltonian`` a case takes its default stock one: the harmonic
     oscillator, −(w/2)(1 − 2ξξ̄), or −μB·η.  ``truncation`` T bounds the
-    random bosonic wavefunctions that transport draws: their exponents of q
-    and of p stay below max(T − 1, 1).
+    random bosonic and coadjoint wavefunctions that transport draws: their
+    exponents of the two base fields stay below max(T − 1, 1).
     """
 
     case: str
@@ -224,21 +220,6 @@ def _rate(m) -> Fraction:
             f"exact transport needs det M to be the square of a rational, got {det}"
         )
     return nu
-
-
-def mode_rate(operator: LiouvilleOperator) -> float:
-    """μB of the coadjoint CPI Hamiltonian H̃ = −μB·Λ_φ, minus its Λ_φ
-    coefficient; any other H̃ is unsupported."""
-    case = get_case(operator.case)
-    aux = case.families[0].aux
-    h_tilde = operator.operator.symbol
-    mu_b = -h_tilde.coefficient({aux: 1})
-    if h_tilde != -mu_b * case.context.sym(aux):
-        raise UnsupportedCaseError("coadjoint transport needs H = -muB*eta + constant")
-    rate = complex(mu_b)
-    if rate.imag:
-        raise UnsupportedCaseError(f"transport needs a real rate, got {rate}")
-    return rate.real
 
 
 @dataclass(frozen=True)
@@ -323,95 +304,19 @@ def build_cpi_hamiltonian(spec: CpiSpec) -> LiouvilleOperator:
 # -- wavefunctions -----------------------------------------------------------------
 
 
-class FourierWavefunction:
-    """Wavefunction on the enlarged coadjoint space.
-
-    Terms are keyed (k, eta_exp, c_phi_exp, c_eta_exp) and stand for
-    e^{ikφ}·η^a·(c^φ)^g·(c^η)^h with a complex coefficient.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping):
-        clean = {}
-        for key, coeff in terms.items():
-            k, eta_e, cphi_e, ceta_e = key
-            try:
-                k = _as_int_index(k)
-            except TypeError:
-                raise ValueError(f"bad Fourier term key {key!r}") from None
-            if eta_e < 0 or cphi_e not in (0, 1) or ceta_e not in (0, 1):
-                raise ValueError(f"bad Fourier term key {key!r}")
-            value = complex(coeff)
-            if value:
-                clean[(k, eta_e, cphi_e, ceta_e)] = value
-        self.terms = clean
-
-    @classmethod
-    def wrapped_gaussian(cls, center: float):
-        """Periodic Gaussian packet of width σ = 0.35:
-        c_k = e^{−σ²k²/2} e^{−ik·center} / 2π for |k| ≤ ``PACKET_MODES``."""
-        sigma = 0.35
-        terms = {}
-        for k in range(-PACKET_MODES, PACKET_MODES + 1):
-            terms[(k, 0, 0, 0)] = (
-                cmath.exp(-0.5 * sigma * sigma * k * k) * cmath.exp(-1j * k * center) / (2 * cmath.pi)
-            )
-        return cls(terms)
-
-    def tensor_factor(self, eta_exp=0, c_phi_exp=0, c_eta_exp=0):
-        """Same mode content attached to a fixed η/ghost monomial."""
-        return FourierWavefunction(
-            {
-                (k, eta_exp, c_phi_exp, c_eta_exp): c
-                for (k, _e, _g, _h), c in self.terms.items()
-            }
-        )
-
-    def coefficient(self, key) -> complex:
-        return self.terms.get(tuple(key), 0j)
-
-    def circular_center(self) -> float:
-        """Angle estimate from the k = −1 mode (the circular first moment)."""
-        c = self.coefficient((-1, 0, 0, 0))
-        if not c:
-            raise ValueError("no k=-1 mode; circular center undefined")
-        return cmath.phase(c)
-
-    def norm_sq(self) -> float:
-        return sum(abs(c) ** 2 for c in self.terms.values())
-
-    def max_difference(self, other) -> float:
-        keys = set(self.terms) | set(other.terms)
-        if not keys:
-            return 0.0
-        return max(abs(self.terms.get(k, 0j) - other.terms.get(k, 0j)) for k in keys)
-
-    def __eq__(self, other):
-        if not isinstance(other, FourierWavefunction):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self):
-        return f"FourierWavefunction({len(self.terms)} modes)"
-
-
 def random_wavefunction(spec: CpiSpec, rng: random.Random, coefficient) -> GradedPolynomial:
-    """A bosonic wavefunction of four random monomials q^a·p^b·c_q^g·c_p^h,
-    with a and b below max(T − 1, 1) for spec's truncation T, each with the
+    """A wavefunction of four random monomials φ₁^a·φ₂^b·c₁^g·c₂^h in the
+    even case's fields and ghosts (q, p, c_q, c_p or φ, η, c_φ, c_η), with a
+    and b below max(T − 1, 1) for spec's truncation T, each with the
     coefficient ``coefficient(rng)``."""
-    ctx = get_case(spec.case).context
+    case = get_case(spec.case)
     top = max(spec.truncation - 1, 1)
     terms = {}
     for _ in range(4):
-        powers = {
-            "q": rng.randrange(top),
-            "p": rng.randrange(top),
-            "c_q": rng.randrange(2),
-            "c_p": rng.randrange(2),
-        }
-        terms[ctx.monomial(powers)] = coefficient(rng)
-    return GradedPolynomial(ctx, terms)
+        powers = {f.base: rng.randrange(top) for f in case.families}
+        powers.update({f.ghost: rng.randrange(2) for f in case.families})
+        terms[case.context.monomial(powers)] = coefficient(rng)
+    return GradedPolynomial(case.context, terms)
 
 
 # -- evolution ---------------------------------------------------------------------
@@ -425,22 +330,10 @@ def expm(a):
 
 
 def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = None):
-    """Solve i dψ/dt = H̃ψ for time t, by ``operator`` or else spec's H̃.
-
-    Coadjoint: each Fourier mode k gains the exact phase e^{i·k·μB·t}, with
-    μB read off H̃ = −μB·Λ_φ.  Polynomial cases: matrix exponential on the
-    closure of ψ's monomials.
-    """
-    case = get_case(spec.case)
-    if case.name == "coadjoint":
-        if not isinstance(psi, FourierWavefunction):
-            raise UnsupportedCaseError("coadjoint evolve expects a FourierWavefunction")
-        mu_b = mode_rate(operator or build_cpi_hamiltonian(spec))
-        return FourierWavefunction(
-            {key: c * cmath.exp(1j * key[0] * mu_b * t) for key, c in psi.terms.items()}
-        )
+    """Solve i dψ/dt = H̃ψ for the float time t, by ``operator`` or else
+    spec's H̃: the matrix exponential on the closure of ψ's monomials."""
     if not isinstance(psi, GradedPolynomial):
-        raise UnsupportedCaseError("polynomial evolve expects a GradedPolynomial")
+        raise UnsupportedCaseError("evolve expects a GradedPolynomial")
     if operator is None:
         operator = build_cpi_hamiltonian(spec)
     if psi.context is not operator.context:
@@ -535,6 +428,32 @@ def rotate(psi, operator: LiouvilleOperator, nu, z) -> GradedPolynomial:
     return GradedPolynomial._wrap(ctx, out)
 
 
+def evolve_nilpotent(psi, operator: LiouvilleOperator, t) -> GradedPolynomial:
+    """exp(−i·t·H̃)ψ as the Taylor sum Σ_k (−it)^k/k!·H̃^k ψ, which ends; exact
+    when ψ, H̃ and t are.
+
+    For an H at most quadratic whose M is nilpotent, such as the coadjoint
+    H̃ = −μB·Λ_φ = iμB·∂_φ with M = 0, H̃ is a derivation that lowers a
+    weight of at most 2d on the monomials of total degree d in fields and
+    ghosts (weight 2 on the fields and ghosts that M moves, 1 on the rest),
+    so H̃^{2d+1}ψ = 0 for ψ of degree d.  A sum that has not ended by then
+    raises :class:`UnsupportedCaseError`, never a truncated answer.
+    """
+    degree = max((sum(exp for _slot, exp in mono) for mono in psi.terms), default=0)
+    powers = [psi]  # H̃^k ψ
+    while not powers[-1].is_zero():
+        if len(powers) > 2 * degree + 1:
+            raise UnsupportedCaseError(
+                f"H̃ is not nilpotent on a wavefunction of degree {degree}: "
+                f"H̃^{2 * degree + 1} does not annihilate it"
+            )
+        powers.append(operator.apply(powers[-1]))
+    coefficients, step = [1], -I * t
+    for k in range(1, len(powers)):
+        coefficients.append(coefficients[-1] * step / k)
+    return GradedPolynomial._wrap(operator.context, _combine(coefficients, powers))
+
+
 def _exp_traceless(m, cosh, k) -> tuple:
     """cosh·I + k·M for a 2×2 M, as a nested tuple.  For a traceless M this
     is exp(t·M) at cosh = cosh(s) and k = t·sinh(s)/s with s² = −t²·det M,
@@ -564,19 +483,19 @@ def exact_flow(spec: CpiSpec, z) -> tuple:
     return _exp_traceless(m, 1, 0)
 
 
-def pull_back(psi, spec: CpiSpec, flow) -> GradedPolynomial:
-    """ψ with the case's (first, second) base fields and its ghosts each
-    replaced by the 2×2 linear ``flow`` applied to them: ψ∘flow(−t) for
-    ``flow_matrix(spec, −t)``.  The flow has no drift, so a wavefunction in
-    the fields needs a homogeneous H."""
+def pull_back(psi, spec: CpiSpec, flow, drift=(0, 0)) -> GradedPolynomial:
+    """ψ with the case's (first, second) base fields replaced by the affine
+    map flow·φ + ``drift`` and its ghosts by flow·c, for a 2×2 ``flow``:
+    ψ∘flow(−t) when flow·φ + drift is the classical flow of φ over −t, as
+    ``flow_matrix(spec, −t)`` is with no drift for a homogeneous H."""
     case = get_case(spec.case)
     ctx = case.context
-    fields = [ctx.sym(f.base) for f in case.families]
-    ghosts = [ctx.sym(f.ghost) for f in case.families]
+    fields = [ctx.monomial({f.base: 1}) for f in case.families]
+    ghosts = [ctx.monomial({f.ghost: 1}) for f in case.families]
     bindings = {}
-    for row, f in zip(flow, case.families):
-        bindings[f.base] = sum((x * g for x, g in zip(row, fields)), ctx.zero())
-        bindings[f.ghost] = sum((x * g for x, g in zip(row, ghosts)), ctx.zero())
+    for row, shift, f in zip(flow, drift, case.families):
+        bindings[f.base] = GradedPolynomial(ctx, {(): shift, **dict(zip(fields, row))})
+        bindings[f.ghost] = GradedPolynomial(ctx, dict(zip(ghosts, row)))
     return psi.substitute(bindings)
 
 

@@ -27,7 +27,13 @@ from fractions import Fraction
 from . import cpi, orbit, quantum, superfield
 from .errors import UnsupportedCaseError
 from .exact import CRational, I, crational
-from .symbols import GradedPolynomial, format_poly, formal_time_derivative, substitute
+from .symbols import (
+    GradedPolynomial,
+    format_poly,
+    formal_time_derivative,
+    partial_derivative,
+    substitute,
+)
 
 
 @dataclass
@@ -337,7 +343,8 @@ def check_precession(seed: int = 0) -> list[CheckResult]:
 # Gaussian rationals.
 TRANSPORT_PHASE = (3 - 4 * I) / 5
 GRASSMANN_OMEGA = Fraction(13, 10)
-SAMPLES = 5  # random packet centers (coadjoint) or wavefunctions (bosonic) per check
+COADJOINT_MU_B = Fraction(4, 5)
+SAMPLES = 5  # random wavefunctions per coadjoint or bosonic transport check
 # The grassmann monomials ξ^a·ξ̄^b·c_ξ^j·c_ξ̄^k that transport checks as
 # eigenvectors of H̃, with eigenvalue ω·(a − b + j − k): their exponents
 # (a, b, j, k), in row order, and the generators they belong to.
@@ -359,9 +366,10 @@ def check_transport(spec: cpi.CpiSpec, clock, seed: int = 0) -> list[CheckResult
     ``cpi-<case>-…`` of ``propagate-classical``, the suite and the bench.
 
     ``clock`` is a float time t or an exact phase z = e^{−iνt}, ν from
-    ``cpi.exact_rate``, and it alone picks the path: the grassmann rows and
-    the coadjoint ghosts are exact at either, the coadjoint packets need a
-    time, and bosonic transport is exact at a phase and float at a time.
+    ``cpi.exact_rate``, and it alone picks the path: the grassmann rows are
+    exact at either, the coadjoint rows are exact at a time, taken in its
+    exact binary value, and bosonic transport is exact at a phase and float
+    at a time.
     """
     build = {"coadjoint": _coadjoint_transport, "grassmann": _grassmann_transport,
              "bosonic": _bosonic_transport}[superfield.get_case(spec.case).name]
@@ -375,52 +383,46 @@ def check_transport(spec: cpi.CpiSpec, clock, seed: int = 0) -> list[CheckResult
 
 
 def _coadjoint_transport(spec, t, seed, operator) -> list[CheckResult]:
-    """Wave packets move at the rate μB = −v₀^φ of the classical field, the
-    η-marginal rides along, a period is the identity and the norm is kept,
-    all float at the time t; the ghosts stay put exactly, since M = 0."""
+    """Exact rows at the float time t, in its exact binary value, each
+    applying H̃ = −μB·Λ_φ by its Taylor sum, which ends
+    (``cpi.evolve_nilpotent``).  The classical field of H = −μB·η plus a
+    constant has M = 0 and v₀ = (−μB, 0), so the flow moves φ by v₀^φ·t and
+    keeps η and the ghosts.  On :data:`SAMPLES` Gaussian-rational ψ over
+    (φ, η, c_φ, c_η) drawn from ``seed``, exp(−itH̃)ψ = ψ∘flow(−t).  On the
+    last of them, ψ₀: the η² marginal rides along, times t and t/3 compose
+    to 4t/3, and −iH̃ψ₀ = −v₀^φ·∂_φψ₀; and exp(−itH̃) keeps the ghosts."""
     if not isinstance(t, float):
-        raise UnsupportedCaseError(f"coadjoint transport moves packets for a float time t, got {t!r}")
-    cpi.mode_rate(operator)  # rejects any H̃ but −μB·Λ_φ, before the μB checks
-    mu_b = -complex(cpi.vector_field(spec)[0][0]).real  # v₀^φ = ∂_η H = −μB
-    if not mu_b:
-        raise UnsupportedCaseError("coadjoint transport needs muB != 0 for its period check")
-    period = 2 * math.pi / mu_b
-    if not (abs(mu_b * t) <= cpi.MAX_PHASE and math.isfinite(period)):
-        raise UnsupportedCaseError(
-            f"coadjoint transport needs |muB*t| <= {cpi.MAX_PHASE:g} and a finite period "
-            f"2*pi/muB (flags --muB, --t); got muB = {mu_b:g}, t = {t:g}"
-        )
+        raise UnsupportedCaseError(f"coadjoint transport needs a float time t, got {t!r}")
+    v0, m = cpi.vector_field(spec)
+    if any(x for row in m for x in row) or v0[1]:
+        raise UnsupportedCaseError("coadjoint transport needs H = -muB*eta + constant")
+    mu_b = -crational(v0[0])
+    if mu_b.im:
+        raise UnsupportedCaseError(f"transport needs a real rate, got {complex(mu_b)}")
+    t, ctx = Fraction(t), operator.context
+
+    def evolve(psi, time):
+        return cpi.evolve_nilpotent(psi, operator, time)
+
+    def back(psi, time):  # ψ∘flow(−time)
+        return cpi.pull_back(psi, spec, ((1, 0), (0, 1)), [-time * x for x in v0])
+
     rng = random.Random(seed)
     rows = []
-
-    def add(name, expected, actual, residual):
-        rows.append(_numeric_check(f"cpi-coadjoint-{name}", expected, actual, residual, cpi.TOLERANCE))
-
     for n in range(SAMPLES):
-        center = rng.uniform(0, 2 * math.pi)
-        moved = cpi.evolve(cpi.FourierWavefunction.wrapped_gaussian(center), spec, t, operator)
-        expected = (center - mu_b * t) % (2 * math.pi)
-        actual = moved.circular_center() % (2 * math.pi)
-        add(f"packet-center-{n}", expected, actual,
-            abs((actual - expected + math.pi) % (2 * math.pi) - math.pi))
-    packet = cpi.FourierWavefunction.wrapped_gaussian(1.0)
-    with_eta = cpi.evolve(packet.tensor_factor(eta_exp=2), spec, t, operator)
-    gap = max(
-        abs(
-            with_eta.coefficient((k, 2, 0, 0))
-            - packet.coefficient((k, 0, 0, 0)) * cmath.exp(1j * k * mu_b * t)
-        )
-        for k in range(-cpi.PACKET_MODES, cpi.PACKET_MODES + 1)
-    )
-    add("eta-marginal-invariant", 0.0, gap, gap)
-    gap = packet.max_difference(cpi.evolve(packet, spec, period, operator))
-    add("period-identity", 0.0, gap, gap)
-    ghosts = superfield.get_case("coadjoint").context.parse("(3+i)/10*c_phi - i/5*c_eta")
-    # M = 0 exactly, so the ghost flow is I at every time; ν = 0 makes z = 1.
-    moved = cpi.pull_back(ghosts, spec, cpi.exact_flow(spec, 1))
-    rows.append(_exact_check("cpi-coadjoint-ghosts-constant", ghosts, moved))
-    norm, kept = packet.norm_sq(), cpi.evolve(packet, spec, t, operator).norm_sq()
-    add("norm-preserved", norm, kept, abs(norm - kept))
+        psi = cpi.random_wavefunction(spec, rng, _gaussian_rational)
+        moved = evolve(psi, t)
+        rows.append(_exact_check(f"cpi-coadjoint-transport-{n}", back(psi, t), moved))
+    eta_sq = ctx.sym("eta") ** 2  # ψ₀ is the last ψ drawn
+    rows += [
+        _exact_check("cpi-coadjoint-eta-marginal-invariant", eta_sq * moved,
+                     evolve(eta_sq * psi, t)),
+        _exact_check("cpi-coadjoint-composition", back(psi, 4 * t / 3), evolve(moved, t / 3)),
+    ]
+    ghosts = ctx.parse("(3+i)/10*c_phi - i/5*c_eta")
+    rows.append(_exact_check("cpi-coadjoint-ghosts-constant", back(ghosts, t), evolve(ghosts, t)))
+    lie = -v0[0] * partial_derivative(psi, "phi")
+    rows.append(_exact_check("cpi-coadjoint-generator", lie, -I * operator.apply(psi)))
     return rows
 
 
@@ -507,16 +509,17 @@ def _bosonic_transport(spec, clock, seed, operator) -> list[CheckResult]:
 def check_cpi_transport(seed: int = 0) -> list[CheckResult]:
     """CPI transport against the classical flow in the three cases.
 
-    The coadjoint packet rows are float, at t = 0.7.  Every other row is an
-    exact identity: the coadjoint ghosts, which the exact flow of M = 0
-    leaves constant; the grassmann eigenvalues ω·(a − b + j − k) and the
-    phase of ξc_ξ at ω = 13/10; and the bosonic harmonic oscillator on five
-    wavefunctions drawn from ``seed`` with Gaussian-rational coefficients.
-    Phases are taken at :data:`TRANSPORT_PHASE`.
+    Every row is an exact identity: the nine coadjoint rows at μB = 4/5 and
+    the dyadic time t = 0.75, on wavefunctions drawn from ``seed``; the
+    grassmann eigenvalues ω·(a − b + j − k) and the phase of ξc_ξ at
+    ω = 13/10; and the bosonic harmonic oscillator on five wavefunctions
+    drawn from ``seed``.  Coefficients are Gaussian rationals, and phases
+    are taken at :data:`TRANSPORT_PHASE`.
     """
     grassmann = cpi.CpiSpec("grassmann", coefficients={"w": GRASSMANN_OMEGA})
+    coadjoint = cpi.CpiSpec("coadjoint", coefficients={"muB": COADJOINT_MU_B})
     return [
-        *check_transport(cpi.CpiSpec("coadjoint", coefficients={"muB": 0.8}), 0.7, seed),
+        *check_transport(coadjoint, 0.75, seed),
         *check_transport(grassmann, TRANSPORT_PHASE, seed),
         *check_transport(cpi.CpiSpec("bosonic"), TRANSPORT_PHASE, seed),  # harmonic
     ]

@@ -384,10 +384,8 @@ def bind_constants(p: GradedPolynomial, values: Mapping[str, object]) -> GradedP
 # -- printing -------------------------------------------------------------------
 
 
-def _frac_str(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+def _frac_str(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _coeff_parts(c, has_mono: bool) -> tuple[str, str]:
@@ -399,21 +397,14 @@ def _coeff_parts(c, has_mono: bool) -> tuple[str, str]:
             return ("-" if z.real < 0 else "+"), repr(abs(z.real))
         return "+", f"({z.real!r}{'-' if z.imag < 0 else '+'}{abs(z.imag)!r}*i)"
     re_, im = c.re, c.im
-    if im == 0:
-        sign = "-" if re_ < 0 else "+"
-        mag = abs(re_)
-        body = "" if (mag == 1 and has_mono) else _frac_str(mag)
-    elif re_ == 0:
-        sign = "-" if im < 0 else "+"
-        mag = abs(im)
-        body = "i" if mag == 1 else f"{_frac_str(mag)}*i"
-    else:
-        sign = "+"
-        im_mag = abs(im)
-        im_body = "i" if im_mag == 1 else f"{_frac_str(im_mag)}*i"
-        joiner = "+" if im > 0 else "-"
-        body = f"({_frac_str(re_)}{joiner}{im_body})"
-    return sign, body
+    a, p, b, q = re_.numerator, re_.denominator, im.numerator, im.denominator
+    if not b:
+        body = "" if (abs(a) == 1 and p == 1 and has_mono) else _frac_str(abs(a), p)
+        return ("-" if a < 0 else "+"), body
+    im_body = "i" if (abs(b) == 1 and q == 1) else f"{_frac_str(abs(b), q)}*i"
+    if not a:
+        return ("-" if b < 0 else "+"), im_body
+    return "+", f"({_frac_str(a, p)}{'+' if b > 0 else '-'}{im_body})"
 
 
 def _factor_str(key: SymKey, exp: int) -> str:

@@ -284,9 +284,9 @@ ALL_ROW_NAMES = (
        "precession-height-equation", "precession-angle-equation", "precession-period-identity",
        "precession-height-conserved", "precession-energy-conserved",
        "precession-flow-composition"]
-    + [f"cpi-coadjoint-packet-center-{n}" for n in range(5)]
-    + ["cpi-coadjoint-eta-marginal-invariant", "cpi-coadjoint-period-identity",
-       "cpi-coadjoint-ghosts-constant", "cpi-coadjoint-norm-preserved"]
+    + [f"cpi-coadjoint-transport-{n}" for n in range(5)]
+    + ["cpi-coadjoint-eta-marginal-invariant", "cpi-coadjoint-composition",
+       "cpi-coadjoint-ghosts-constant", "cpi-coadjoint-generator"]
     + [f"cpi-grassmann-eigen-({a}, {b}, {j}, {k})" for a in (0, 1) for b in (0, 1)
        for j in (0, 1, 2) for k in (0, 1)]
     + ["cpi-grassmann-phase-xi-cxi", "cpi-grassmann-constant-annihilated"]
@@ -428,13 +428,12 @@ def test_propagate_classical_reads_its_rates_off_the_hamiltonian(tmp_path, capsy
         rows.append(json.loads(out.read_text())["checks"])
     assert rows[0] == rows[1]
     capsys.readouterr()
-    # A coadjoint H that is not -muB*eta plus a constant, or one with muB = 0,
-    # has no rate to check against.
-    for extra in (["--hamiltonian=eta^2"], ["--muB", "0"]):
-        assert main(["propagate-classical", "--case", "coadjoint", *extra]) == 1, extra
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: coadjoint transport"), captured.err
+    # A coadjoint H that is not -muB*eta plus a constant has no rate to
+    # check against.
+    assert main(["propagate-classical", "--case", "coadjoint", "--hamiltonian=eta^2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: coadjoint transport"), captured.err
 
 
 def test_one_slice_count_reports_only_its_error(capsys):
@@ -645,43 +644,49 @@ def test_deep_nesting_and_large_powers_end_cleanly():
 
 
 @pytest.mark.parametrize(
-    "extra, accepted",
+    "extra",
     [
-        (["--muB", "3e7"], False),
-        (["--muB", "1e8"], False),
-        (["--t", "1e7"], False),
-        (["--muB", "1e308"], False),
-        (["--muB", "1e-310"], False),  # the period 2*pi/muB overflows
-        (["--muB", "1e6", "--t", "1"], True),
-        (["--muB", "1", "--t", "1e6"], True),
-        (["--muB", "1e-300"], True),
+        ["--muB", "3e7"],
+        ["--muB", "1e8"],
+        ["--t", "1e7"],
+        ["--muB", "1e308"],
+        ["--muB", "1e-310"],
+        ["--muB", "1e6", "--t", "1"],
+        ["--muB", "1", "--t", "1e6"],
+        ["--muB", "1e-300"],
+        ["--muB", "0"],
+        ["--hamiltonian=-10^400*eta"],
+        ["--muB", "0.8", "--truncation", "16"],
     ],
+    ids=",".join,
 )
-def test_coadjoint_transport_bounds_its_phase(extra, accepted, capsys):
-    # Beyond |muB*t| = 1e6 rad doubles cannot resolve a packet center to 1e-9.
-    code = main(["propagate-classical", "--case", "coadjoint", *extra])
+def test_coadjoint_transport_is_exact_at_any_rate_and_time(extra, tmp_path, capsys):
+    # A float --muB and --t bind as their exact binary values, and the Taylor
+    # sum of exp(-itH̃) ends, so there is no phase too large or too small.
+    out = tmp_path / "r.json"
+    code = main(["propagate-classical", "--case", "coadjoint", *extra, "--out", str(out)])
     captured = capsys.readouterr()
-    if accepted:
-        assert code == 0, captured.err
-        assert "9 checks, 0 failures" in captured.out
-    else:
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("error: coadjoint transport needs |muB*t| <= 1e+06")
-        assert "--muB" in captured.err and "--t" in captured.err
+    assert code == 0, captured.err
+    assert "9 checks, 0 failures" in captured.out
+    checks = json.loads(out.read_text())["checks"]
+    assert all(c["residual"] == 0 and type(c["residual"]) is int for c in checks)
+    assert all(c["tolerance"] is None for c in checks)
 
 
 def test_coadjoint_hamiltonian_form_is_checked_before_its_rate(capsys):
-    # eta^2 and eta*phi have muB = 0 as well; their form is what is wrong.
-    for text in ("eta^2", "eta*phi"):
+    # eta^2 and eta*phi have a field with M != 0; -(1+i)*eta has the right
+    # form and a rate that is not real.
+    for text, message in (("eta^2", "coadjoint transport needs H = -muB*eta + constant"),
+                          ("eta*phi", "coadjoint transport needs H = -muB*eta + constant"),
+                          ("-(1+i)*eta", "transport needs a real rate, got (1+1j)")):
         assert main(["propagate-classical", "--case", "coadjoint", f"--hamiltonian={text}"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: coadjoint transport needs H = -muB*eta + constant\n"
+        assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
     "case, hamiltonian",
-    [("bosonic", "10^400*q*p"), ("grassmann", "10^400*xi*xibar"), ("coadjoint", "-10^400*eta")],
+    [("bosonic", "10^400*q*p"), ("grassmann", "10^400*xi*xibar")],
 )
 def test_transport_rejects_coefficients_beyond_the_float_range(case, hamiltonian):
     # H is exact, but the float engine reads its rates as floats; past the
@@ -695,11 +700,11 @@ def test_transport_rejects_coefficients_beyond_the_float_range(case, hamiltonian
 
 
 def test_grassmann_rows_are_exact_at_a_float_omega(tmp_path, capsys):
-    # --omega binds as its exact binary value, so all 26 grassmann rows are
-    # identities; of the coadjoint rows, the ghost row is.
+    # --omega and --muB bind as their exact binary values, so all 26
+    # grassmann rows and all 9 coadjoint rows are identities.
     out = tmp_path / "r.json"
     for argv, count, name in ((["--case", "grassmann", "--omega", "1.3", "--t", "0.4"], 26, "cpi-grassmann-"),
-                              (["--case", "coadjoint", "--muB", "0.8"], 1, "cpi-coadjoint-ghosts-constant")):
+                              (["--case", "coadjoint", "--muB", "0.8"], 9, "cpi-coadjoint-")):
         assert main(["propagate-classical", *argv, "--out", str(out)]) == 0
         exact = [c for c in json.loads(out.read_text())["checks"] if c["tolerance"] is None]
         assert len(exact) == count and all(c["name"].startswith(name) for c in exact)

@@ -1,10 +1,11 @@
 """Classical-path-integral Hamiltonians as polynomials and as operators.
 
 The polynomial layer is pinned by worked examples for all three cases; the
-operator layer is checked against closed-form characteristics: Fourier
-modes shift, ghost factors ride along unchanged, monomial eigenvalues come
-out real, the matrix-exponential evolution is additive in time and agrees
-with the exact rotation, and the exact rotation is the classical flow.
+operator layer is checked against closed-form characteristics: the
+coadjoint Taylor sum shifts φ and keeps the ghosts, monomial eigenvalues
+come out real, the matrix-exponential evolution is additive in time and
+agrees with the exact rotation, and the exact rotation and the Taylor sum
+are the classical flow.
 """
 
 import cmath
@@ -26,7 +27,6 @@ from spindeq import (
     CpiSpec,
     GradedPolynomial,
     I,
-    FourierWavefunction,
     UnsupportedCaseError,
     bind_constants,
     build_cpi_hamiltonian,
@@ -181,9 +181,6 @@ def test_zero_hamiltonian_gives_zero_operator():
 
 
 def test_zero_time_evolution_is_identity():
-    spec = CpiSpec("coadjoint", coefficients={"muB": 0.8})
-    wave = FourierWavefunction.wrapped_gaussian(center=0.4)
-    assert evolve(wave, spec, 0.0).max_difference(wave) == 0.0
     psi = gen("bosonic", "q")
     out = evolve(psi, CpiSpec("bosonic"), 0.0)
     assert complex(out.coefficient({"q": 1})) == pytest.approx(1.0, abs=1e-15)
@@ -263,55 +260,45 @@ def test_spectrum_is_real_iff_the_hessian_determinant_is_not_negative(coeffs):
     assert real is (a * c - b * b >= 0)
 
 
-def test_fourier_wavefunction_validation():
-    with pytest.raises(ValueError):
-        FourierWavefunction({(0, 0, 2, 0): 1.0})
-    with pytest.raises(ValueError):
-        FourierWavefunction({(0.5, 0, 0, 0): 1.0})
-    with pytest.raises(ValueError):
-        FourierWavefunction({(0, -1, 0, 0): 1.0})
-    wave = FourierWavefunction({(2, 0, 0, 0): 0.0, (1, 1, 1, 0): 2.0})
-    assert (2, 0, 0, 0) not in wave.terms
-    assert wave.coefficient((1, 1, 1, 0)) == 2.0
-
-
-def test_wrapped_gaussian_center():
-    for center in (-2.0, 0.3, 3.0):
-        wave = FourierWavefunction.wrapped_gaussian(center=center)
-        assert wave.circular_center() == pytest.approx(center, abs=1e-9)
-    assert FourierWavefunction.wrapped_gaussian(center=1.0).max_difference(
-        FourierWavefunction.wrapped_gaussian(center=1.0)
-    ) == 0.0
-
-
 def test_coadjoint_evolution_shifts_the_packet():
-    mu_b = 0.8
-    spec = CpiSpec("coadjoint", coefficients={"muB": mu_b})
-    wave = FourierWavefunction.wrapped_gaussian(center=1.0)
-    out = evolve(wave, spec, 2.0)
-    assert out.circular_center() == pytest.approx(1.0 - mu_b * 2.0, abs=1e-9)
-
-
-def test_coadjoint_evolution_is_additive_and_periodic():
-    mu_b = 0.8
-    spec = CpiSpec("coadjoint", coefficients={"muB": mu_b})
-    wave = FourierWavefunction.wrapped_gaussian(center=0.4)
-    once = evolve(wave, spec, 2.0)
-    twice = evolve(evolve(wave, spec, 0.7), spec, 1.3)
-    assert once.max_difference(twice) < 1e-12
-    period = 2.0 * math.pi / mu_b
-    assert evolve(wave, spec, period).max_difference(wave) < 1e-12
+    # H̃ = iμB·∂_φ, so exp(−itH̃) sends ψ(φ) to ψ(φ + μB·t): a packet
+    # centred at φ = 1 moves to 1 − μB·t, here 1 − 8/5 = −3/5.
+    spec = CpiSpec("coadjoint", coefficients={"muB": Fraction(4, 5)})
+    ctx = get_case("coadjoint").context
+    packet = ctx.parse("(phi - 1)^2 + 3")
+    moved = cpi.evolve_nilpotent(packet, build_cpi_hamiltonian(spec), Fraction(2))
+    assert moved == ctx.parse("(phi + 3/5)^2 + 3")
 
 
 def test_coadjoint_ghost_factors_only_pick_up_mode_phases():
-    mu_b = 1.1
+    # Only the φ part of each term moves (φ ↦ φ + 3/5 at μB = 4/5 and
+    # t = 3/4); η and the ghost factors ride along unchanged.
+    spec = CpiSpec("coadjoint", coefficients={"muB": Fraction(4, 5)})
+    ctx = get_case("coadjoint").context
+    psi = ctx.parse("phi^2*eta*c_phi + (2-i)*phi*c_eta + 5")
+    moved = cpi.evolve_nilpotent(psi, build_cpi_hamiltonian(spec), Fraction(3, 4))
+    assert moved == ctx.parse("(phi + 3/5)^2*eta*c_phi + (2-i)*(phi + 3/5)*c_eta + 5")
+
+
+@given(
+    terms=st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)),
+        st.builds(CRational, rationals, rationals), min_size=1, max_size=4,
+    ),
+    mu_b=rationals,
+    t=st.tuples(rationals, rationals),
+)
+def test_coadjoint_evolution_is_additive_and_the_classical_flow(terms, mu_b, t):
     spec = CpiSpec("coadjoint", coefficients={"muB": mu_b})
-    wave = FourierWavefunction({(2, 1, 1, 0): 1.0, (-1, 0, 0, 1): 0.5})
-    out = evolve(wave, spec, 0.9)
-    assert out.coefficient((2, 1, 1, 0)) == pytest.approx(cmath.exp(1j * 2 * mu_b * 0.9))
-    assert out.coefficient((-1, 0, 0, 1)) == pytest.approx(
-        0.5 * cmath.exp(-1j * mu_b * 0.9)
+    ctx = get_case("coadjoint").context
+    psi = GradedPolynomial(
+        ctx,
+        {ctx.monomial(dict(zip(("phi", "eta", "c_phi", "c_eta"), e))): c for e, c in terms.items()},
     )
+    op = build_cpi_hamiltonian(spec)
+    once = cpi.evolve_nilpotent(psi, op, t[0] + t[1])
+    assert cpi.evolve_nilpotent(cpi.evolve_nilpotent(psi, op, t[0]), op, t[1]) == once
+    assert once == cpi.pull_back(psi, spec, ((1, 0), (0, 1)), (mu_b * (t[0] + t[1]), 0))
 
 
 def test_polynomial_evolution_is_additive():
@@ -439,21 +426,41 @@ def test_characteristics_check_smoke():
     report = characteristics_check(spec, t=0.5)
     assert report["passed"]
     assert all(c["passed"] for c in report["checks"])
-    # Packets move over a time; a phase alone does not fix one.
+    # φ moves by μB·t; at ν = 0 a phase fixes no time.
     with pytest.raises(UnsupportedCaseError, match="float time t"):
         suite.check_transport(spec, suite.TRANSPORT_PHASE, 0)
 
 
+# Wrong CPI Hamiltonians for the coadjoint H = −μB·η; the classical side
+# reads only H, so each row must see at least one of them.
+COADJOINT_SABOTAGES = {
+    "doubled": lambda h: 2 * h,
+    "negated": lambda h: -h,
+    "lam-eta": lambda h: h + h.context.sym("Lam_eta"),
+    "ghost-mixing": lambda h: h + h.context.sym("cbar_phi") * h.context.sym("c_eta"),
+}
+MOVING_ROWS = {f"cpi-coadjoint-{name}" for name in
+               ("composition", "generator", *(f"transport-{n}" for n in range(5)))}
+
+
 def test_coadjoint_transport_reads_the_cpi_hamiltonian(monkeypatch):
-    # The operator side evolves by H̃ and the oracle reads H; with H̃ negated
-    # the packets move the wrong way, and the check must see it.
-    spec = CpiSpec("coadjoint", coefficients={"muB": 0.8})
+    spec = CpiSpec("coadjoint", coefficients={"muB": suite.COADJOINT_MU_B})
     original = cpi.cpi_hamiltonian
-    monkeypatch.setattr(cpi, "cpi_hamiltonian", lambda case, h: -original(case, h))
-    checks = characteristics_check(spec, t=0.7)["checks"]
-    centers = [c for c in checks if c["name"].startswith("cpi-coadjoint-packet-center-")]
-    assert len(centers) == 5
-    assert not any(c["passed"] for c in centers)
+    for seed in (0, 1, 2):
+        names = {row.name for row in suite.check_transport(spec, 0.75, seed)}
+        failed = {}
+        for label, change in COADJOINT_SABOTAGES.items():
+            monkeypatch.setattr(cpi, "cpi_hamiltonian", lambda case, h: change(original(case, h)))
+            failed[label] = _failing(suite.check_transport(spec, 0.75, seed))
+        assert failed["doubled"] == failed["negated"] == MOVING_ROWS
+        assert "cpi-coadjoint-eta-marginal-invariant" in failed["lam-eta"]
+        assert "cpi-coadjoint-ghosts-constant" in failed["ghost-mixing"]
+        assert set().union(*failed.values()) == names and len(names) == 9
+        # H̃ + 1 is not nilpotent: its Taylor sum never ends, so no row may pass.
+        monkeypatch.setattr(cpi, "cpi_hamiltonian", lambda case, h: original(case, h) + 1)
+        with pytest.raises(UnsupportedCaseError, match="not nilpotent"):
+            suite.check_transport(spec, 0.75, seed)
+        monkeypatch.setattr(cpi, "cpi_hamiltonian", original)
 
 
 def test_bosonic_transport_bound_keeps_quadratics_with_entries_up_to_three():
@@ -537,6 +544,39 @@ def test_exact_flow_is_the_rational_rotation():
     assert all(isinstance(x, CRational) for row in flow for x in row)
     coadjoint = CpiSpec("coadjoint", coefficients={"muB": Fraction(4, 5)})
     assert exact_flow(coadjoint, 1) == ((1, 0), (0, 1))
+
+
+@given(
+    terms=st.dictionaries(monomials, gaussian, min_size=1, max_size=4),
+    k=rationals,
+    a=st.integers(-2, 2),
+    b=st.integers(-2, 2),
+    linear=st.tuples(rationals, rationals),
+    t=rationals,
+)
+def test_nilpotent_evolution_is_the_affine_classical_flow(terms, k, a, b, linear, t):
+    # H = k·(a·q + b·p)²/2 + d·q + e·p has det M = 0, so M² = 0 and the flow
+    # is flow(−t)·x = (I − t·M)·x − t·v₀ + (t²/2)·M·v₀, ghosts by I − t·M.
+    ctx = get_case("bosonic").context
+    q, p = ctx.sym("q"), ctx.sym("p")
+    d, e = linear
+    spec = CpiSpec("bosonic", hamiltonian=(k / 2) * (a * q + b * p) ** 2 + d * q + e * p)
+    psi = GradedPolynomial(
+        ctx,
+        {ctx.monomial(dict(zip(("q", "p", "c_q", "c_p"), exps))): c for exps, c in terms.items()},
+    )
+    v0, m = cpi.vector_field(spec)
+    back = tuple(tuple((i == j) - t * m[i][j] for j in range(2)) for i in range(2))
+    drift = [-t * v0[i] + t * t / 2 * (m[i][0] * v0[0] + m[i][1] * v0[1]) for i in range(2)]
+    moved = cpi.evolve_nilpotent(psi, build_cpi_hamiltonian(spec), t)
+    assert moved == cpi.pull_back(psi, spec, back, drift)
+
+
+def test_nilpotent_evolution_rejects_an_operator_that_is_not():
+    # The harmonic H̃ turns q into p and back, so its Taylor sum never ends.
+    op = build_cpi_hamiltonian(CpiSpec("bosonic"))
+    with pytest.raises(UnsupportedCaseError, match="not nilpotent"):
+        cpi.evolve_nilpotent(op.context.sym("q"), op, Fraction(1, 2))
 
 
 def test_rotation_rejects_a_spectrum_it_cannot_certify():

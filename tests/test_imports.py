@@ -69,9 +69,11 @@ def test_propagate_quantum_loads_neither_numeric_library():
 
 
 def test_coadjoint_transport_loads_neither_numeric_library():
-    # Fourier modes, a closed-form ghost flow and an exact spectrum.
-    argv = ["propagate-classical", "--case", "coadjoint", "--muB", "0.8"]
-    assert _loaded_after(_PROBE, *argv) == "[]"
+    # An exact Taylor sum, an exact affine flow and an exact spectrum, at
+    # any rate and time.
+    for extra in (["--muB", "0.8"], ["--muB", "1e308"], ["--hamiltonian=-10^400*eta"]):
+        argv = ["propagate-classical", "--case", "coadjoint", *extra]
+        assert _loaded_after(_PROBE, *argv) == "[]", extra
 
 
 _GROUP_PROBE = """
@@ -90,7 +92,7 @@ def test_spin_groups_load_neither_numeric_library(group):
 
 def test_cpi_transport_group_loads_neither_numeric_library():
     # The bosonic and grassmann rows evolve by the exact rotation, and the
-    # coadjoint packets by Fourier phases.
+    # coadjoint rows by the exact Taylor sum.
     assert _loaded_after(_GROUP_PROBE.format(group="check_cpi_transport")) == "[]"
 
 
