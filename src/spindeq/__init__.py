@@ -94,9 +94,6 @@ from .cpi import (
     cpi_kinetic,
     cpi_lagrangian,
     evolve,
-    exact_flow,
-    flow_matrix,
-    rotate,
 )
 from .orbit import (
     CARTESIAN,
@@ -166,7 +163,7 @@ __all__ = [
     # cpi
     "DEFAULT_EVEN_TRUNCATION", "CpiSpec", "LiouvilleOperator",
     "build_cpi_hamiltonian", "characteristics_check", "cpi_hamiltonian", "cpi_kinetic",
-    "cpi_lagrangian", "evolve", "exact_flow", "flow_matrix", "rotate",
+    "cpi_lagrangian", "evolve",
     # orbit
     "CARTESIAN", "CONSTRAINT_1", "CONSTRAINT_2", "HEIGHT", "PHI", "P_PHI", "P_THETA",
     "SPHERE", "THETA", "X1", "X2", "X3", "OrbitState", "PhaseFunction",

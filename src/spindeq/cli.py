@@ -35,17 +35,8 @@ _NOT_PARAMETERS = ("subcommand", "handler", "report_path")
 
 
 def _runtime_versions() -> dict:
-    """Versions of spindeq and Python, and of numpy and scipy if this
-    process has loaded them; never loads them itself."""
-    versions = {
-        "spindeq": __version__,
-        "python": ".".join(map(str, sys.version_info[:3])),
-    }
-    for name in ("numpy", "scipy"):
-        module = sys.modules.get(name)
-        if module is not None:
-            versions[name] = module.__version__
-    return versions
+    """Versions of spindeq and Python; the package loads no third-party library."""
+    return {"spindeq": __version__, "python": ".".join(map(str, sys.version_info[:3]))}
 
 
 @dataclass
@@ -110,8 +101,9 @@ def _json_default(value):
 
 
 # Largest --truncation: at 16, bosonic and coadjoint transport draw
-# wavefunctions of degree up to 14 in each base field; bosonic takes about
-# 0.8 s on a 2-core machine, and coadjoint about 20 ms.
+# wavefunctions of degree up to 14 in each base field; on a 2-core machine
+# bosonic takes 0.7-0.9 s for the harmonic oscillator and 1.2-1.4 s for the
+# hyperbolic (1/4)*q^2 - p^2 + 3*q*p, and coadjoint about 25 ms.
 MAX_TRUNCATION = 16
 # Largest precession --steps: 100,000 steps take about 4 s with --out on a
 # 2-core machine, and the run keeps every step's time in memory.
@@ -246,11 +238,13 @@ def _cmd_propagate_classical(args):
         coefficients=coefficients,
         truncation=args.truncation,
     )
-    checks = suite.check_transport(spec, args.t, args.seed)
+    clock = cpi.cayley_clock(spec, args.t)
+    checks = suite.check_transport(spec, clock, args.seed)
     operator = cpi.build_cpi_hamiltonian(spec)
     return checks, {
         "operator": format_poly(operator.operator.symbol),
         "spectrum_real": operator.spectrum_is_real(),
+        "clock": str(clock),  # the exact Cayley clock r of --t that every row used
     }
 
 
@@ -322,8 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--t",
         type=float,
         default=0.7,
-        help=f"transport time; bosonic needs |t|*max|M| <= {cpi.MAX_PHASE:g} and "
-        f"max|exp(-t*M)| <= {cpi.MAX_STRETCH:g} for M = omega*Hess H",
+        help=f"transport time, taken as its exact Cayley clock r; needs |nu*t| <= "
+        f"{cpi.MAX_PHASE:g} where nu^2 = det M > 0 for M = omega*Hess H, and a hyperbolic "
+        "clock tanh(kappa*t/2) that does not round to 1 where det M = -kappa^2 < 0",
     )
     p.add_argument(
         "--truncation",

@@ -33,17 +33,18 @@ degree is made of sums of the eigenvalues of two 2×2 blocks, H̃ on the
 field monomials and H̃ on the ghosts (:meth:`LiouvilleOperator.spectrum_is_real`).
 
 The classical side is one exact linear vector field v = v₀ + M·φ
-(:func:`vector_field`), whose 2×2 flow is one closed form in nested tuples.
-Each side comes in three forms.  At a Gaussian-rational phase e^{−iνt},
-ν² = det M, both are exact: :func:`rotate` evolves by Sylvester's formula
-on H̃ and :func:`exact_flow` is the flow.  Where H̃ is nilpotent on ψ, as the
-coadjoint H̃ = −μB·Λ_φ = iμB·∂_φ is on every polynomial, both are exact at
-any rational t: :func:`evolve_nilpotent` sums the Taylor series of
-exp(−itH̃), which ends, and :func:`pull_back` takes the flow with its drift.
-At any float t, :func:`flow_matrix` is the flow and :func:`evolve` takes
-the matrix exponential of H̃ on the closure of ψ's monomials.  numpy and
-scipy load only in that float evolution (``closure_matrix``, ``expm``,
-``evolve``).  This module is the engine only: ``suite.check_transport``
+(``CpiSpec.vector_field``), with D = det M rational for every parsed H.  Both
+sides are exact on one clock, the Cayley clock r of a time τ: r =
+tan(ντ/2)/ν for D = ν², tanh(κτ/2)/κ for D = −κ² and τ/2 for D = 0, so that
+
+    exp(τ·M) = ((1 − D·r²)·I + 2r·M) / (1 + D·r²)
+
+with no square root (the Cayley map; Hairer, Lubich & Wanner, *Geometric
+Numerical Integration*, 2nd ed., 2006).  :func:`expm` is that 2×2 flow,
+:func:`evolve` is exp(−iτH̃)ψ, exact at any rational r for every quadratic
+H, and :func:`cayley_clock` turns a float time into the exact binary value
+of r, the one place that bounds a time.  No module of the package loads
+numpy or scipy.  This module is the engine only: ``suite.check_transport``
 compares the two sides, for the CLI, the suite and the benchmark alike.
 """
 
@@ -53,6 +54,7 @@ import cmath
 import functools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -72,14 +74,14 @@ from .symbols import (
 )
 
 DEFAULT_EVEN_TRUNCATION = 4
-TOLERANCE = 1e-9  # every transport residual
-# Beyond this phase (rad), ω·t for grassmann and |t|·max|M| for bosonic, doubles
-# cannot hold the phase e^{−iωt} or meet TOLERANCE.
+# Beyond this phase |ν·t| (rad) of a float time t, doubles hold no phase e^{−iνt}.
 MAX_PHASE = 1e6
-# Largest entry of the bosonic back flow exp(−t·M) that transport accepts, and
-# MAX_PHASE bounds |t|·max|M| there too: beyond either, the float exponential
-# of the closure matrix misses TOLERANCE at the default truncation.
-MAX_STRETCH = 30
+# Past this |det M|², the rate |ν| = |det M|^{1/2} is beyond the float range.
+_MAX_NORM = Fraction(sys.float_info.max) ** 4
+FLOAT_RANGE = (
+    "transport needs the coefficients of H, and the rates they give, within the float range "
+    "(flags --hamiltonian, --omega, --muB)"
+)
 
 
 # -- symbolic builders -------------------------------------------------------------
@@ -178,48 +180,28 @@ class CpiSpec:
             )
         return h
 
+    @functools.cached_property
+    def vector_field(self) -> tuple[tuple, tuple]:
+        """The classical vector field v(φ) = v₀ + M·φ of the bound Hamiltonian
+        on the (first, second) base fields, as nested tuples (v₀, M), read
+        once per spec:
 
-def vector_field(spec: CpiSpec) -> tuple[tuple, tuple]:
-    """The classical vector field v(φ) = v₀ + M·φ of the bound Hamiltonian
-    on the (first, second) base fields, as nested tuples (v₀, M):
+            v^a = ω^{ab} ∂_b H,    v₀^a = v^a(0),    M^a_d = ∂_d v^a,
 
-        v^a = ω^{ab} ∂_b H,    v₀^a = v^a(0),    M^a_d = ∂_d v^a,
-
-    ∂_b taken first; for odd fields that order carries the graded sign.
-    Entries are exact where H is; M is traceless in every case.  H must be
-    at most quadratic in the base fields.
-    """
-    case = get_case(spec.case)
-    h = spec.bound_hamiltonian()
-    fields = case.base_names
-    grad = [partial_derivative(h, b) for b in fields]
-    v = [sum((w * g for w, g in zip(row, grad)), case.context.zero()) for row in case.omega]
-    jacobian = [[partial_derivative(va, d) for d in fields] for va in v]
-    if not all(x.is_constant() for row in jacobian for x in row):
-        raise UnsupportedCaseError(f"transport needs H at most quadratic in {list(fields)}")
-    m = tuple(tuple(x.constant_part() for x in row) for row in jacobian)
-    return tuple(va.constant_part() for va in v), m
-
-
-def exact_rate(spec: CpiSpec) -> Fraction:
-    """ν ≥ 0 with ν² = det M, exactly: the rate of the flow generator M of
-    ``spec`` and the unit of H̃'s spectrum.  M is traceless, so
-    M² = −ν²·I.  Raises :class:`UnsupportedCaseError` unless det M is the
-    square of a rational."""
-    return _rate(vector_field(spec)[1])
-
-
-def _rate(m) -> Fraction:
-    (a, b), (c, d) = m
-    det = crational(a * d - b * c)
-    nu = None
-    if not det.im and det.re >= 0:
-        nu = Fraction(math.isqrt(det.re.numerator), math.isqrt(det.re.denominator))
-    if nu is None or nu * nu != det.re:
-        raise UnsupportedCaseError(
-            f"exact transport needs det M to be the square of a rational, got {det}"
-        )
-    return nu
+        ∂_b taken first; for odd fields that order carries the graded sign.
+        Entries are exact where H is; M is traceless in every case.  H must
+        be at most quadratic in the base fields.
+        """
+        case = get_case(self.case)
+        h = self.bound_hamiltonian()
+        fields = case.base_names
+        grad = [partial_derivative(h, b) for b in fields]
+        v = [sum((w * g for w, g in zip(row, grad)), case.context.zero()) for row in case.omega]
+        jacobian = [[partial_derivative(va, d) for d in fields] for va in v]
+        if not all(x.is_constant() for row in jacobian for x in row):
+            raise UnsupportedCaseError(f"transport needs H at most quadratic in {list(fields)}")
+        m = tuple(tuple(x.constant_part() for x in row) for row in jacobian)
+        return tuple(va.constant_part() for va in v), m
 
 
 @dataclass(frozen=True)
@@ -237,46 +219,35 @@ class LiouvilleOperator:
     def apply(self, psi: GradedPolynomial) -> GradedPolynomial:
         return self.operator.apply(psi)
 
-    def closure_matrix(self, seeds):
-        """Basis closure of the seed monomials and the matrix of the operator.
-
-        Column j holds the expansion of the operator applied to basis
-        monomial j.
-        """
-        import numpy as np
-
+    def closure_matrix(self, seeds) -> tuple[tuple, tuple]:
+        """The basis closure of the seed monomials, seeds first, and the
+        exact matrix of the operator on it, as nested tuples: entry [i][j]
+        is the coefficient of basis monomial i in the image of monomial j."""
         basis = list(dict.fromkeys(seeds))
-        index = {m: i for i, m in enumerate(basis)}
-        columns = []
+        known, images = set(basis), []
         for seed in basis:  # the basis grows while it is walked, up to closure
-            image = self.apply(GradedPolynomial(self.context, {seed: 1}))
-            col = {}
-            for mono, coeff in image.terms.items():
-                if mono not in index:
-                    index[mono] = len(basis)
-                    basis.append(mono)
-                col[mono] = complex(coeff)
-            columns.append(col)
-        matrix = np.zeros((len(basis), len(basis)), dtype=complex)
-        for j, col in enumerate(columns):
-            for mono, value in col.items():
-                matrix[index[mono], j] = value
-        return basis, matrix
+            image = self.apply(GradedPolynomial(self.context, {seed: 1})).terms
+            basis += [mono for mono in image if mono not in known]
+            known.update(image)
+            images.append(image)
+        return tuple(basis), tuple(
+            tuple(crational(image.get(mono, 0)) for image in images) for mono in basis
+        )
 
     def spectrum_is_real(self) -> bool:
         """Whether every eigenvalue of H̃ on the wavefunctions is real, exactly.
 
         H̃ is a derivation, so on a monomial of fields and ghosts its
-        eigenvalues are sums of the eigenvalues of two 2×2 blocks: H̃ on the
-        two field monomials and H̃ on the two ghosts, modulo constants.  Each
-        eigenvalue alone is in the spectrum, so it is real iff each block has
-        a real trace and determinant and tr² − 4·det ≥ 0.
+        eigenvalues are sums of the eigenvalues of two 2×2 blocks of the
+        closure matrix: H̃ on the two field monomials and H̃ on the two
+        ghosts, modulo constants.  Each eigenvalue alone is in the spectrum,
+        so it is real iff each block has a real trace and determinant and
+        tr² − 4·det ≥ 0.
         """
         ctx, case = self.context, get_case(self.case)
         for names in (case.base_names, tuple(f.ghost for f in case.families)):
-            monos = [ctx.monomial({name: 1}) for name in names]
-            images = [self.apply(ctx.sym(name)).terms for name in names]
-            (a, b), (c, d) = ([crational(image.get(m, 0)) for image in images] for m in monos)
+            matrix = self.closure_matrix([ctx.monomial({name: 1}) for name in names])[1]
+            (a, b), (c, d) = (row[:2] for row in matrix[:2])
             trace, det = a + d, a * d - b * c
             if trace.im or det.im or (trace * trace - 4 * det).re < 0:
                 return False
@@ -292,7 +263,7 @@ def build_cpi_hamiltonian(spec: CpiSpec) -> LiouvilleOperator:
     """
     case = get_case(spec.case)
     h_tilde = cpi_hamiltonian(case, spec.bound_hamiltonian())
-    vector_field(spec)  # rejects H above quadratic
+    spec.vector_field  # rejects H above quadratic
     aux_factor, antighost_factor = (I, -1) if case.base_parity == ODD else (-I, 1)
     derivatives = {}
     for f in case.families:
@@ -319,41 +290,79 @@ def random_wavefunction(spec: CpiSpec, rng: random.Random, coefficient) -> Grade
     return GradedPolynomial(case.context, terms)
 
 
-# -- evolution ---------------------------------------------------------------------
+# -- evolution on the Cayley clock ---------------------------------------------------
 
 
-def expm(a):
-    """Matrix exponential, scipy's; scipy is imported on the first call."""
-    from scipy import linalg
-
-    return linalg.expm(a)
+def _determinant(m):
+    (a, b), (c, d) = m
+    return crational(a * d - b * c)
 
 
-def evolve(psi, spec: CpiSpec, t: float, operator: LiouvilleOperator | None = None):
-    """Solve i dψ/dt = H̃ψ for the float time t, by ``operator`` or else
-    spec's H̃: the matrix exponential on the closure of ψ's monomials."""
-    if not isinstance(psi, GradedPolynomial):
-        raise UnsupportedCaseError("evolve expects a GradedPolynomial")
-    if operator is None:
-        operator = build_cpi_hamiltonian(spec)
-    if psi.context is not operator.context:
-        raise UnsupportedCaseError("wavefunction context does not match the operator's")
-    if psi.is_zero():
-        return psi
-    import numpy as np
-
-    basis, matrix = operator.closure_matrix(sorted(psi.terms))
-    vec = np.zeros(len(basis), dtype=complex)
-    for i, mono in enumerate(basis):
-        c = psi.terms.get(mono)
-        if c is not None:
-            vec[i] = complex(c)
-    out = expm(-1j * t * matrix) @ vec
-    terms = {mono: out[i] for i, mono in enumerate(basis) if out[i]}
-    return GradedPolynomial(operator.context, terms)
+def _cayley(det, r) -> tuple:
+    """(cos ντ, sin(ντ)/ν) = ((1 − D·r²)/(1 + D·r²), 2r/(1 + D·r²)) at the
+    time τ whose Cayley clock is r, for ν² = D; exact when D and r are."""
+    denominator = 1 + det * r * r
+    if not denominator:
+        raise UnsupportedCaseError(
+            f"the Cayley clock r = {r} is the infinite time of det M = {det}: 1 + det*r^2 = 0"
+        )
+    return (1 - det * r * r) / denominator, 2 * r / denominator
 
 
-def _times_root(poly: list, root: Fraction) -> list:
+def cayley_clock(spec: CpiSpec, t: float):
+    """The Cayley clock r of the float time t for spec's flow generator M,
+    D = det M: tan(νt/2)/ν for D = ν², tanh(κt/2)/κ for D = −κ² and t/2 for
+    D = 0, in its exact binary value, a ``Fraction`` (a ``CRational`` for a
+    complex D).  Transport is then exact at the time τ that r encodes, which
+    is t up to rounding.
+
+    Rejects a rate |ν| beyond the float range; |ν·t| > :data:`MAX_PHASE`,
+    where doubles hold no phase; and a hyperbolic clock tanh(κt/2) that
+    rounds to ±1, or any r with 1 + D·r² <= 0, which is no finite real time.
+    """
+    det = _determinant(spec.vector_field[1])
+    if not det:
+        return Fraction(t) / 2
+    if det.re ** 2 + det.im ** 2 > _MAX_NORM:
+        raise UnsupportedCaseError(FLOAT_RANGE)
+    square = det * Fraction(t) ** 2 / 4  # (ν·t/2)², exact
+    hyperbolic = not square.im and square.re < 0
+    if not hyperbolic and square.re ** 2 + square.im ** 2 > Fraction(MAX_PHASE / 2) ** 4:
+        raise UnsupportedCaseError(
+            f"transport needs |nu*t| <= {MAX_PHASE:g} for nu^2 = det M, M = omega*Hess H "
+            f"(flags --t, --hamiltonian, --omega); got t = {t:g}"
+        )
+    try:
+        half = cmath.sqrt(complex(square))  # |ν·t|/2, or iκ·|t|/2 for D = −κ²
+    except OverflowError:  # only a hyperbolic square is unbounded
+        half = complex(0, math.inf)
+    tanh = math.tanh(half.imag) if hyperbolic else 0
+    if not half:
+        ratio = 1
+    else:  # tan(x)/x and tanh(x)/x are even, so the sign of t is in t/2 alone
+        ratio = tanh / half.imag if hyperbolic else cmath.tan(half) / half
+    clock = crational(ratio * t / 2)
+    infinite = 1 + det * clock * clock
+    if abs(tanh) == 1 or (not infinite.im and infinite.re <= 0):
+        raise UnsupportedCaseError(
+            f"transport needs a hyperbolic clock tanh(kappa*t/2) below 1 for det M = -kappa^2 "
+            f"(flag --t); got t = {t:g}"
+        )
+    return clock if clock.im else clock.re
+
+
+def expm(m, r) -> tuple:
+    """exp(τ·M) for a traceless 2×2 M at the time τ whose Cayley clock is
+    r: ((1 − D·r²)·I + 2r·M)/(1 + D·r²) with D = det M, which is I + τ·M at
+    D = 0, as a nested tuple; exact when M and r are."""
+    cos, sinc = _cayley(_determinant(m), lift(r))
+    return tuple(
+        tuple((cos if i == j else 0) + sinc * x for j, x in enumerate(row))
+        for i, row in enumerate(m)
+    )
+
+
+def _times_root(poly: list, root) -> list:
     """poly·(x − root), coefficients lowest power first."""
     return [
         (poly[j - 1] if j else 0) - (root * poly[j] if j < len(poly) else 0)
@@ -361,28 +370,49 @@ def _times_root(poly: list, root: Fraction) -> list:
     ]
 
 
-@functools.lru_cache(maxsize=64)
-def _sylvester(degree: int, nu: Fraction, z) -> tuple[tuple, tuple]:
+def _interpolate(nodes, values) -> list:
     """Coefficients, lowest power first, of the polynomial of least degree
-    that takes the value z^m at each node ν·m, m = −d, −d+2, …, d (the one
-    node 0 when ν = 0), and of the certificate polynomial Π_m (x − ν·m)."""
-    ms = range(-degree, degree + 1, 2) if nu else (0,)
-    certificate = [1]
-    for m in ms:
-        certificate = _times_root(certificate, nu * m)
-    weights = [0] * len(ms)
-    value = Fraction(1)
-    for _ in ms[1:]:
-        value = value / z  # z^m at the first node
-    for m in ms:
+    that takes values[j] at nodes[j] (Lagrange)."""
+    out = [0] * len(nodes)
+    for j, (node, value) in enumerate(zip(nodes, values)):
         basis, denominator = [1], Fraction(1)
-        for n in ms:
-            if n != m:
-                basis = _times_root(basis, nu * n)
-                denominator *= nu * (m - n)
-        weights = [w + value / denominator * c for w, c in zip(weights, basis)]
-        value = value * z * z
-    return tuple(weights), tuple(certificate)
+        for k, other in enumerate(nodes):
+            if k != j:
+                basis = _times_root(basis, other)
+                denominator *= node - other
+        out = [w + value / denominator * b for w, b in zip(out, basis)]
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _chebyshev(degree: int, det, r) -> tuple[tuple, tuple]:
+    """Coefficients in x, lowest power first, of E(x²) + x·O(x²) =
+    exp(−iτx) on the spectrum of H̃ on degree d, and of the certificate
+    x^{[d even]}·Π_{m>0}(x² − D·m²).
+
+    There H̃² has the eigenvalues D·m², m = d, d−2, … ≥ 0.  E interpolates
+    cos(mντ) = T_m(c) at y = D·m², and O interpolates −i·sin(mντ)/(mν) =
+    −i·σ·U_{m−1}(c)/m at m > 0, with (c, σ) from :func:`_cayley` and T, U
+    the Chebyshev polynomials: every value is rational in r.
+    """
+    c, sigma = _cayley(det, r)
+    cos, sin = [1, c], [0, 1]  # T_m(c) and U_{m−1}(c), m = 0, 1, …
+    for _ in range(degree - 1):
+        cos.append(2 * c * cos[-1] - cos[-2])
+        sin.append(2 * c * sin[-1] - sin[-2])
+    ms = range(degree, -1, -2)
+    positive = [m for m in ms if m]
+    weights = [0] * (degree + 1)
+    weights[0::2] = _interpolate([det * m * m for m in ms], [cos[m] for m in ms])
+    weights[1::2] = _interpolate(
+        [det * m * m for m in positive], [-I * sigma * sin[m] / m for m in positive]
+    )
+    in_y = [1]
+    for m in positive:
+        in_y = _times_root(in_y, det * m * m)
+    certificate = [0] * (2 * len(in_y) - 1)
+    certificate[0::2] = in_y
+    return tuple(weights), tuple(certificate if degree % 2 else [0, *certificate])
 
 
 def _combine(coefficients, polys) -> dict:
@@ -395,50 +425,49 @@ def _combine(coefficients, polys) -> dict:
     return {mono: v for mono, v in out.items() if v}
 
 
-def rotate(psi, operator: LiouvilleOperator, nu, z) -> GradedPolynomial:
-    """exp(−i·t·H̃)ψ for the operator H̃ of a quadratic H, with ν from
-    :func:`exact_rate`, at the time t where e^{−iνt} = z; exact when ψ, H̃
-    and z are.
+def evolve(psi, spec: CpiSpec, r, operator: LiouvilleOperator | None = None) -> GradedPolynomial:
+    """exp(−iτH̃)ψ at the time τ whose Cayley clock is r, by ``operator``
+    or else spec's H̃; exact when ψ, H̃ and r are.
 
-    H̃ keeps the total degree d of a monomial in fields and ghosts, and on
-    the block ψ_d its eigenvalues are ν·m for m = −d, −d+2, …, d (the one
-    eigenvalue 0 when ν = 0).  Sylvester's formula (Higham, *Functions of
-    Matrices*, SIAM 2008, §1.2) sends ψ_d to Σ_j w_j·H̃^j ψ_d, where the w_j
-    interpolate z^m at the nodes ν·m: d applications of H̃ and no matrix.
-    One more application checks the certificate Π_m (H̃ − ν·m) ψ_d = 0
-    exactly; where it fails, that spectrum is wrong for ψ_d and
+    At D = det M = 0 this is the Taylor sum Σ_k (−iτ)^k/k!·H̃^k ψ at τ = 2r,
+    which ends: for an H at most quadratic with nilpotent M, such as the
+    coadjoint H̃ = −μB·Λ_φ = iμB·∂_φ, H̃ lowers a weight of at most 2d on the
+    monomials of total degree d in fields and ghosts, so H̃^{2d+1}ψ = 0, and
+    a sum that has not ended by then raises :class:`UnsupportedCaseError`.
+
+    At D ≠ 0, H̃ keeps the total degree d, and each block ψ_d goes to
+    E(H̃²)ψ_d + H̃·O(H̃²)ψ_d with the weights of :func:`_chebyshev`, cached
+    per (d, D, r): d applications of H̃ and no matrix.  One more checks the
+    certificate exactly; where it fails, that spectrum is wrong for ψ_d and
     :class:`UnsupportedCaseError` is raised, never a wrong answer.
     """
-    ctx, nu, z = operator.context, Fraction(nu), lift(z)
+    if operator is None:
+        operator = build_cpi_hamiltonian(spec)
+    if psi.context is not operator.context:
+        raise UnsupportedCaseError("wavefunction context does not match the operator's")
+    det, r = _determinant(spec.vector_field[1]), lift(r)
+    if not det:
+        return _taylor(psi, operator, 2 * r)
     blocks: dict = {}
     for mono, coeff in psi.terms.items():
         blocks.setdefault(sum(exp for _slot, exp in mono), {})[mono] = coeff
     out: dict = {}  # the blocks share no monomial
     for degree, terms in sorted(blocks.items()):
-        weights, certificate = _sylvester(degree, nu, z)
+        weights, certificate = _chebyshev(degree, det, r)
         powers = [psi._new(terms)]  # H̃^j ψ_d
         while len(powers) < len(certificate):
             powers.append(operator.apply(powers[-1]))
         if _combine(certificate, powers):
             raise UnsupportedCaseError(
                 f"H̃ on degree {degree} does not have the spectrum nu*m, |m| <= {degree}, "
-                f"for nu = {nu}"
+                f"for nu^2 = det M = {det}"
             )
         out.update(_combine(weights, powers))
-    return GradedPolynomial._wrap(ctx, out)
+    return GradedPolynomial._wrap(operator.context, out)
 
 
-def evolve_nilpotent(psi, operator: LiouvilleOperator, t) -> GradedPolynomial:
-    """exp(−i·t·H̃)ψ as the Taylor sum Σ_k (−it)^k/k!·H̃^k ψ, which ends; exact
-    when ψ, H̃ and t are.
-
-    For an H at most quadratic whose M is nilpotent, such as the coadjoint
-    H̃ = −μB·Λ_φ = iμB·∂_φ with M = 0, H̃ is a derivation that lowers a
-    weight of at most 2d on the monomials of total degree d in fields and
-    ghosts (weight 2 on the fields and ghosts that M moves, 1 on the rest),
-    so H̃^{2d+1}ψ = 0 for ψ of degree d.  A sum that has not ended by then
-    raises :class:`UnsupportedCaseError`, never a truncated answer.
-    """
+def _taylor(psi, operator: LiouvilleOperator, t) -> GradedPolynomial:
+    """Σ_k (−it)^k/k!·H̃^k ψ, for an H̃ nilpotent on ψ (see :func:`evolve`)."""
     degree = max((sum(exp for _slot, exp in mono) for mono in psi.terms), default=0)
     powers = [psi]  # H̃^k ψ
     while not powers[-1].is_zero():
@@ -454,40 +483,11 @@ def evolve_nilpotent(psi, operator: LiouvilleOperator, t) -> GradedPolynomial:
     return GradedPolynomial._wrap(operator.context, _combine(coefficients, powers))
 
 
-def _exp_traceless(m, cosh, k) -> tuple:
-    """cosh·I + k·M for a 2×2 M, as a nested tuple.  For a traceless M this
-    is exp(t·M) at cosh = cosh(s) and k = t·sinh(s)/s with s² = −t²·det M,
-    which is I + t·M at s = 0 (Bernstein & So, IEEE TAC 38, 1993); at
-    det M = ν² > 0 the pair is (cos νt, sin(νt)/ν).
-    """
-    (a, b), (c, d) = m
-    return ((cosh + k * a, k * b), (k * c, cosh + k * d))
-
-
-def exact_flow(spec: CpiSpec, z) -> tuple:
-    """Linear classical flow exp(t·M) on (first, second) base fields, for the
-    time t at which e^{−iνt} = z with ν = :func:`exact_rate`, as a 2×2 nested
-    tuple; exact when z is.
-
-    Since M² = −ν²·I, exp(t·M) = cos(νt)·I + (sin(νt)/ν)·M, with
-    cos(νt) = (z + 1/z)/2 and sin(νt) = i·(z − 1/z)/2.  At ν = 0 the phase
-    fixes no time, so only M = 0, whose flow is I, is accepted.
-    """
-    m = vector_field(spec)[1]
-    nu, z = _rate(m), lift(z)
-    if nu:
-        inverse = 1 / z
-        return _exp_traceless(m, (z + inverse) / 2, I * (z - inverse) / (2 * nu))
-    if any(x for row in m for x in row):
-        raise UnsupportedCaseError("a nilpotent M needs a time, which the phase at nu = 0 lacks")
-    return _exp_traceless(m, 1, 0)
-
-
 def pull_back(psi, spec: CpiSpec, flow, drift=(0, 0)) -> GradedPolynomial:
     """ψ with the case's (first, second) base fields replaced by the affine
     map flow·φ + ``drift`` and its ghosts by flow·c, for a 2×2 ``flow``:
-    ψ∘flow(−t) when flow·φ + drift is the classical flow of φ over −t, as
-    ``flow_matrix(spec, −t)`` is with no drift for a homogeneous H."""
+    ψ∘flow(−τ) when flow·φ + drift is the classical flow of φ over −τ, as
+    ``expm(M, −r)`` is with no drift for a homogeneous H."""
     case = get_case(spec.case)
     ctx = case.context
     fields = [ctx.monomial({f.base: 1}) for f in case.families]
@@ -499,28 +499,11 @@ def pull_back(psi, spec: CpiSpec, flow, drift=(0, 0)) -> GradedPolynomial:
     return psi.substitute(bindings)
 
 
-def flow_matrix(spec: CpiSpec, t: float) -> tuple:
-    """Linear classical flow exp(t·M) on (first, second) base fields, as a
-    2×2 nested tuple of ``complex`` in closed form; past the float range
-    ``cmath.cosh`` raises ``OverflowError``.
-
-    Requires a homogeneous quadratic Hamiltonian so that fields and ghosts
-    share one linear flow.
-    """
-    v0, m = vector_field(spec)
-    if any(v0):
-        raise UnsupportedCaseError("linear flow needs a homogeneous quadratic Hamiltonian")
-    (a, b), (c, d) = m
-    s = t * cmath.sqrt(-complex(a * d - b * c))
-    cosh, sinhc = (cmath.cosh(s), cmath.sinh(s) / s) if s else (1 + 0j, 1 + 0j)
-    return _exp_traceless(m, cosh, sinhc * t)
-
-
 def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:
-    """The rows of ``suite.check_transport`` at the float time t, as dicts:
-    {"checks": [CheckResult.to_dict(), ...], "passed": bool}, the view that
-    the benchmark reads."""
+    """The rows of ``suite.check_transport`` at the Cayley clock of the
+    float time t, as dicts: {"checks": [CheckResult.to_dict(), ...],
+    "passed": bool}, the view that the benchmark reads."""
     from . import suite  # suite imports this module
 
-    rows = suite.check_transport(spec, float(t), seed)
+    rows = suite.check_transport(spec, cayley_clock(spec, float(t)), seed)
     return {"checks": [row.to_dict() for row in rows], "passed": all(row.passed for row in rows)}

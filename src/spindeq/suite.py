@@ -10,13 +10,12 @@ generic state and field, not on samples.
 
 :func:`check_transport` builds every ``cpi-*`` row, for the suite's
 ``cpi-transport`` group, for ``propagate-classical`` and, through
-``cpi.characteristics_check``, for the benchmark; ``cpi`` holds only the
-engine it compares.
+``cpi.characteristics_check``, for the benchmark, at an exact Cayley clock;
+``cpi`` holds only the engine it compares.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import random
@@ -338,10 +337,6 @@ def check_precession(seed: int = 0) -> list[CheckResult]:
 
 # -- CPI transport -------------------------------------------------------------------
 
-# e^{−iνt} at νt = atan(4/3), where cos νt = 3/5 and sin νt = 4/5: the phase at
-# which the suite's polynomial transport rows evolve, so both sides are
-# Gaussian rationals.
-TRANSPORT_PHASE = (3 - 4 * I) / 5
 GRASSMANN_OMEGA = Fraction(13, 10)
 COADJOINT_MU_B = Fraction(4, 5)
 SAMPLES = 5  # random wavefunctions per coadjoint or bosonic transport check
@@ -357,95 +352,90 @@ def _gaussian_rational(rng) -> CRational:
                      Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
 
 
-def _complex(rng) -> complex:
-    return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-
-
 def check_transport(spec: cpi.CpiSpec, clock, seed: int = 0) -> list[CheckResult]:
     """CPI transport of ``spec`` against the classical flow, as the rows
     ``cpi-<case>-…`` of ``propagate-classical``, the suite and the bench.
 
-    ``clock`` is a float time t or an exact phase z = e^{−iνt}, ν from
-    ``cpi.exact_rate``, and it alone picks the path: the grassmann rows are
-    exact at either, the coadjoint rows are exact at a time, taken in its
-    exact binary value, and bosonic transport is exact at a phase and float
-    at a time.
+    Every row is an exact identity at the time τ whose Cayley clock is the
+    exact ``clock`` r (``cpi.cayley_clock`` takes a float time to one):
+    exp(−iτH̃) by ``cpi.evolve`` against ψ∘flow(−τ), the flow from
+    ``cpi.expm``, one code path per case.
     """
     build = {"coadjoint": _coadjoint_transport, "grassmann": _grassmann_transport,
              "bosonic": _bosonic_transport}[superfield.get_case(spec.case).name]
     try:
         return build(spec, clock, seed, cpi.build_cpi_hamiltonian(spec))
     except OverflowError:
-        raise UnsupportedCaseError(
-            "transport needs the coefficients of H, and the rates they give, within the float "
-            "range (flags --hamiltonian, --omega, --muB)"
-        ) from None
+        raise UnsupportedCaseError(cpi.FLOAT_RANGE) from None
 
 
-def _coadjoint_transport(spec, t, seed, operator) -> list[CheckResult]:
-    """Exact rows at the float time t, in its exact binary value, each
-    applying H̃ = −μB·Λ_φ by its Taylor sum, which ends
-    (``cpi.evolve_nilpotent``).  The classical field of H = −μB·η plus a
-    constant has M = 0 and v₀ = (−μB, 0), so the flow moves φ by v₀^φ·t and
-    keeps η and the ghosts.  On :data:`SAMPLES` Gaussian-rational ψ over
-    (φ, η, c_φ, c_η) drawn from ``seed``, exp(−itH̃)ψ = ψ∘flow(−t).  On the
-    last of them, ψ₀: the η² marginal rides along, times t and t/3 compose
-    to 4t/3, and −iH̃ψ₀ = −v₀^φ·∂_φψ₀; and exp(−itH̃) keeps the ghosts."""
-    if not isinstance(t, float):
-        raise UnsupportedCaseError(f"coadjoint transport needs a float time t, got {t!r}")
-    v0, m = cpi.vector_field(spec)
+def _back(psi, spec, r):
+    """ψ∘flow(−τ) for the time τ whose Cayley clock is r: the fields and
+    ghosts move by exp(−τM), and a drift v₀ ≠ 0, which needs det M = 0,
+    moves the fields by −τ·v₀ + (τ²/2)·M·v₀ as well, τ = 2r."""
+    v0, m = spec.vector_field
+    drift = (0, 0)
+    if any(v0):
+        (a, b), (c, d) = m
+        if a * d - b * c:
+            raise UnsupportedCaseError(
+                "transport with a linear term in H needs det M = 0 for M = omega*Hess H "
+                "(flag --hamiltonian)"
+            )
+        drift = [-2 * r * v + 2 * r * r * (row[0] * v0[0] + row[1] * v0[1])
+                 for v, row in zip(v0, m)]
+    return cpi.pull_back(psi, spec, cpi.expm(m, -r), drift)
+
+
+def _coadjoint_transport(spec, r, seed, operator) -> list[CheckResult]:
+    """Rows that each apply H̃ = −μB·Λ_φ, by its Taylor sum, which ends.
+    The classical field of H = −μB·η plus a constant has M = 0 and
+    v₀ = (−μB, 0), so the flow moves φ by v₀^φ·τ and keeps η and the ghosts.
+    On :data:`SAMPLES` Gaussian-rational ψ over (φ, η, c_φ, c_η) drawn from
+    ``seed``, exp(−iτH̃)ψ = ψ∘flow(−τ).  On the last of them, ψ₀: the η²
+    marginal rides along, clocks r and r/3 compose to 4r/3 (at D = 0 the
+    clock is τ/2), and −iH̃ψ₀ = −v₀^φ·∂_φψ₀; and exp(−iτH̃) keeps the ghosts."""
+    v0, m = spec.vector_field
     if any(x for row in m for x in row) or v0[1]:
         raise UnsupportedCaseError("coadjoint transport needs H = -muB*eta + constant")
     mu_b = -crational(v0[0])
     if mu_b.im:
         raise UnsupportedCaseError(f"transport needs a real rate, got {complex(mu_b)}")
-    t, ctx = Fraction(t), operator.context
+    ctx = operator.context
 
-    def evolve(psi, time):
-        return cpi.evolve_nilpotent(psi, operator, time)
-
-    def back(psi, time):  # ψ∘flow(−time)
-        return cpi.pull_back(psi, spec, ((1, 0), (0, 1)), [-time * x for x in v0])
+    def evolve(psi, clock):
+        return cpi.evolve(psi, spec, clock, operator)
 
     rng = random.Random(seed)
     rows = []
     for n in range(SAMPLES):
         psi = cpi.random_wavefunction(spec, rng, _gaussian_rational)
-        moved = evolve(psi, t)
-        rows.append(_exact_check(f"cpi-coadjoint-transport-{n}", back(psi, t), moved))
+        moved = evolve(psi, r)
+        rows.append(_exact_check(f"cpi-coadjoint-transport-{n}", _back(psi, spec, r), moved))
     eta_sq = ctx.sym("eta") ** 2  # ψ₀ is the last ψ drawn
     rows += [
         _exact_check("cpi-coadjoint-eta-marginal-invariant", eta_sq * moved,
-                     evolve(eta_sq * psi, t)),
-        _exact_check("cpi-coadjoint-composition", back(psi, 4 * t / 3), evolve(moved, t / 3)),
+                     evolve(eta_sq * psi, r)),
+        _exact_check("cpi-coadjoint-composition", _back(psi, spec, 4 * r / 3),
+                     evolve(moved, r / 3)),
     ]
     ghosts = ctx.parse("(3+i)/10*c_phi - i/5*c_eta")
-    rows.append(_exact_check("cpi-coadjoint-ghosts-constant", back(ghosts, t), evolve(ghosts, t)))
+    rows.append(_exact_check("cpi-coadjoint-ghosts-constant", _back(ghosts, spec, r),
+                             evolve(ghosts, r)))
     lie = -v0[0] * partial_derivative(psi, "phi")
     rows.append(_exact_check("cpi-coadjoint-generator", lie, -I * operator.apply(psi)))
     return rows
 
 
-def _grassmann_transport(spec, clock, seed, operator) -> list[CheckResult]:
-    """Exact rows at any clock: H̃ multiplies each monomial of
-    :data:`GRASSMANN_EXPONENTS` by ω·(a − b + j − k), with ω = −i·M^ξ_ξ
-    read off the classical field; exp(−itH̃) multiplies ξc_ξ by z^{±2}, the
-    sign of ω; and H̃ annihilates constants.  A float time t becomes the
-    phase z = e^{−iνt} in its exact binary value, for |ω·t| up to
-    ``cpi.MAX_PHASE``."""
+def _grassmann_transport(spec, r, seed, operator) -> list[CheckResult]:
+    """H̃ multiplies each monomial of :data:`GRASSMANN_EXPONENTS` by
+    ω·(a − b + j − k), with ω = −i·M^ξ_ξ read off the classical field;
+    exp(−iτH̃)ξc_ξ = (ξc_ξ)∘flow(−τ) = e^{−2iωτ}ξc_ξ; and H̃ annihilates
+    constants."""
     ctx = operator.context
-    w = -I * cpi.vector_field(spec)[1][0][0]  # M^ξ_ξ = iω
+    w = -I * spec.vector_field[1][0][0]  # M^ξ_ξ = iω
     if w.im:
         raise UnsupportedCaseError(f"transport needs a real rate, got {complex(w)}")
-    nu = abs(w.re)
-    if isinstance(clock, float):
-        phase = float(nu) * clock
-        if not abs(phase) <= cpi.MAX_PHASE:
-            raise UnsupportedCaseError(
-                f"grassmann transport needs |omega*t| <= {cpi.MAX_PHASE:g} (flags --omega, --t); "
-                f"got |omega| = {float(nu):g}, t = {clock:g}"
-            )
-        clock = crational(cmath.exp(-1j * phase))
     rows = []
     for exps in GRASSMANN_EXPONENTS:
         a, b, j, k = exps
@@ -453,56 +443,22 @@ def _grassmann_transport(spec, clock, seed, operator) -> list[CheckResult]:
         expected = w * (a - b + j - k) * mono
         rows.append(_exact_check(f"cpi-grassmann-eigen-{exps}", expected, operator.apply(mono)))
     xi_cxi = ctx.sym("xi") * ctx.sym("c_xi")
-    square = clock * clock
-    expected = (square if w == nu else 1 / square) * xi_cxi  # e^{−2iωt}
-    rotated = cpi.rotate(xi_cxi, operator, nu, clock)
-    rows.append(_exact_check("cpi-grassmann-phase-xi-cxi", expected, rotated))
+    rows.append(_exact_check("cpi-grassmann-phase-xi-cxi", _back(xi_cxi, spec, r),
+                             cpi.evolve(xi_cxi, spec, r, operator)))
     annihilated = operator.apply(ctx.const(1))
     rows.append(_exact_check("cpi-grassmann-constant-annihilated", ctx.zero(), annihilated))
     return rows
 
 
-def _bosonic_transport(spec, clock, seed, operator) -> list[CheckResult]:
-    """exp(−itH̃)ψ against ψ∘flow(−t) on :data:`SAMPLES` wavefunctions drawn
-    from ``seed``: exact at a phase z (``rotate``, ``exact_flow``,
-    Gaussian-rational ψ), and float at a time t (``evolve``,
-    ``flow_matrix``, complex ψ) within the bounds where the float
-    exponential of the closure matrix meets ``cpi.TOLERANCE``."""
-    if isinstance(clock, float):
-        m, t = cpi.vector_field(spec)[1], clock
-        phase = abs(t) * max(abs(complex(x)) for row in m for x in row)
-        try:
-            back = cpi.flow_matrix(spec, -t)
-            stretch = max(abs(x) for row in back for x in row)
-        except (OverflowError, ValueError):  # cosh(s) past the float range, or s itself
-            stretch = math.inf
-        if not (phase <= cpi.MAX_PHASE and stretch <= cpi.MAX_STRETCH):
-            raise UnsupportedCaseError(
-                f"bosonic transport needs |t|*max|M| <= {cpi.MAX_PHASE:g} and max|exp(-t*M)| <= "
-                f"{cpi.MAX_STRETCH:g} for M = omega*Hess H (flag --t); got t = {t:g}, "
-                f"|t|*max|M| = {phase:.3g}, max|exp(-t*M)| = {stretch:.3g}"
-            )
-        draw = _complex
-
-        def evolve(psi):
-            return cpi.evolve(psi, spec, t, operator)
-    else:
-        nu = cpi.exact_rate(spec)
-        back, draw = cpi.exact_flow(spec, 1 / clock), _gaussian_rational
-
-        def evolve(psi):
-            return cpi.rotate(psi, operator, nu, clock)
+def _bosonic_transport(spec, r, seed, operator) -> list[CheckResult]:
+    """exp(−iτH̃)ψ against ψ∘flow(−τ) on :data:`SAMPLES` Gaussian-rational
+    wavefunctions drawn from ``seed``."""
     rng = random.Random(seed)
     rows = []
     for n in range(SAMPLES):
-        psi = cpi.random_wavefunction(spec, rng, draw)
-        expected, actual = cpi.pull_back(psi, spec, back), evolve(psi)
-        name = f"cpi-bosonic-transport-{n}"
-        if expected.is_exact() and actual.is_exact():
-            rows.append(_exact_check(name, expected, actual))
-        else:  # the largest coefficient gap
-            gap = max((abs(complex(c)) for c in (actual - expected).terms.values()), default=0.0)
-            rows.append(_numeric_check(name, 0.0, gap, gap, cpi.TOLERANCE))
+        psi = cpi.random_wavefunction(spec, rng, _gaussian_rational)
+        rows.append(_exact_check(f"cpi-bosonic-transport-{n}", _back(psi, spec, r),
+                                 cpi.evolve(psi, spec, r, operator)))
     return rows
 
 
@@ -510,18 +466,19 @@ def check_cpi_transport(seed: int = 0) -> list[CheckResult]:
     """CPI transport against the classical flow in the three cases.
 
     Every row is an exact identity: the nine coadjoint rows at μB = 4/5 and
-    the dyadic time t = 0.75, on wavefunctions drawn from ``seed``; the
+    clock 3/8, which is t = 3/4, on wavefunctions drawn from ``seed``; the
     grassmann eigenvalues ω·(a − b + j − k) and the phase of ξc_ξ at
-    ω = 13/10; and the bosonic harmonic oscillator on five wavefunctions
-    drawn from ``seed``.  Coefficients are Gaussian rationals, and phases
-    are taken at :data:`TRANSPORT_PHASE`.
+    ω = 13/10 and clock 5/13; and the bosonic harmonic oscillator at clock
+    1/2 on five wavefunctions drawn from ``seed``.  Coefficients are
+    Gaussian rationals.  At both of the last two clocks ν·r = 1/2, so
+    cos ντ = 3/5 and sin ντ = 4/5.
     """
     grassmann = cpi.CpiSpec("grassmann", coefficients={"w": GRASSMANN_OMEGA})
     coadjoint = cpi.CpiSpec("coadjoint", coefficients={"muB": COADJOINT_MU_B})
     return [
-        *check_transport(coadjoint, 0.75, seed),
-        *check_transport(grassmann, TRANSPORT_PHASE, seed),
-        *check_transport(cpi.CpiSpec("bosonic"), TRANSPORT_PHASE, seed),  # harmonic
+        *check_transport(coadjoint, Fraction(3, 8), seed),
+        *check_transport(grassmann, Fraction(5, 13), seed),
+        *check_transport(cpi.CpiSpec("bosonic"), Fraction(1, 2), seed),  # harmonic
     ]
 
 

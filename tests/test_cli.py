@@ -11,6 +11,7 @@ import math
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -381,20 +382,16 @@ def test_an_identity_violation_reports_its_residual(tmp_path, capsys, monkeypatc
 
 
 def test_report_names_only_the_numeric_libraries_that_ran(tmp_path, capsys):
-    # An exact run in a fresh interpreter never loads numpy or scipy, so its
-    # report names neither; a bosonic transport run names both.
-    exact = tmp_path / "exact.json"
-    proc = run_cli("verify-dequantization", "--case", "bosonic", "--report", str(exact))
-    assert proc.returncode == 0, proc.stderr
-    versions = json.loads(exact.read_text())["versions"]
-    assert set(versions) == {"spindeq", "python"}
-    assert versions["python"] == ".".join(map(str, sys.version_info[:3]))
-    transport = tmp_path / "transport.json"
-    assert main(["propagate-classical", "--case", "bosonic", "--out", str(transport)]) == 0
-    capsys.readouterr()
-    assert set(json.loads(transport.read_text())["versions"]) == {
-        "spindeq", "python", "numpy", "scipy"
-    }
+    # Every run is exact and loads neither numpy nor scipy, so a report names
+    # spindeq and Python only, bosonic transport included.
+    for argv in (["verify-dequantization", "--case", "bosonic", "--report"],
+                 ["propagate-classical", "--case", "bosonic", "--seed", "1", "--out"]):
+        path = tmp_path / "r.json"
+        proc = run_cli(*argv, str(path))
+        assert proc.returncode == 0, proc.stderr
+        versions = json.loads(path.read_text())["versions"]
+        assert versions == {"spindeq": cli.__version__,
+                            "python": ".".join(map(str, sys.version_info[:3]))}
 
 
 def test_report_without_versions_still_loads(tmp_path, capsys):
@@ -597,17 +594,18 @@ def test_precession_rejects_a_radius_whose_bracket_reciprocal_overflows(capsys):
     [
         ("p^2/2 + q^2/2", "3e6", False),
         ("p^2/2 + q^2/2", "1e8", False),
-        ("p^2/2", "1000", False),
-        ("q*p", "10", False),
-        ("q*p", "1000", False),  # cosh(1000) overflows: a stretch of inf
+        ("p^2/2", "1000", True),
+        ("q*p", "10", True),
+        ("q*p", "1000", False),  # tanh(500) rounds to 1: the clock of an infinite time
         ("p^2/2 + q^2/2", "1e6", True),
         ("p^2/2", "20", True),
         ("q*p", "3", True),
     ],
 )
 def test_bosonic_transport_bounds_its_flow(hamiltonian, t, accepted, capsys):
-    # Past |t|*max|M| = 1e6 or a stretch of 30, the float exponential of the
-    # closure matrix misses the 1e-9 tolerance.  No input may warn.
+    # Past |nu*t| = 1e6 doubles hold no phase, and a hyperbolic clock that
+    # rounds to 1 is no finite time; every accepted run is exact.  No input
+    # may warn.
     argv = ["propagate-classical", "--case", "bosonic", f"--hamiltonian={hamiltonian}", "--t", t]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -616,20 +614,22 @@ def test_bosonic_transport_bounds_its_flow(hamiltonian, t, accepted, capsys):
     if accepted:
         assert code == 0, captured.err
         assert "5 checks, 0 failures" in captured.out
+        assert captured.out.count("(residual 0)\n") == 5
     else:
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("error: bosonic transport needs |t|*max|M| <= 1e+06")
-        assert "--t" in captured.err
-        overflows = (hamiltonian, t) == ("q*p", "1000")
-        assert ("max|exp(-t*M)| = inf" in captured.err) is overflows, captured.err
+        hyperbolic = hamiltonian == "q*p"
+        bound = "a hyperbolic clock tanh(kappa*t/2) below 1" if hyperbolic else "|nu*t| <= 1e+06"
+        assert captured.err.startswith(f"error: transport needs {bound}"), captured.err
+        assert "--t" in captured.err and "Traceback" not in captured.err
 
 
 def test_coadjoint_report_carries_its_operator(tmp_path, capsys):
     out = tmp_path / "coadjoint.json"
     assert main(["propagate-classical", "--case", "coadjoint", "--muB", "2", "--out", str(out)]) == 0
     extras = json.loads(out.read_text())["extras"]
-    assert extras == {"operator": "-2*Lam_phi", "spectrum_real": True}
+    assert extras == {"operator": "-2*Lam_phi", "spectrum_real": True,
+                      "clock": str(Fraction(0.7) / 2)}  # at det M = 0 the clock is t/2
     capsys.readouterr()
 
 
@@ -713,15 +713,74 @@ def test_grassmann_rows_are_exact_at_a_float_omega(tmp_path, capsys):
 
 
 def test_grassmann_transport_bounds_its_phase():
-    # Past |omega*t| = 1e6 rad doubles hold no phase e^{-i*omega*t}; a tiny
-    # omega is exact, and its Sylvester weights divide by omega^2 exactly.
+    # Past |nu*t| = 1e6 rad, nu = |omega|, doubles hold no phase
+    # e^{-i*omega*t}; a tiny omega is exact, and its weights divide by
+    # det M = omega^2 exactly.
     done = run_cli("propagate-classical", "--case", "grassmann", "--omega", "1e200")
     assert done.returncode == 1
     assert done.stdout == ""
-    assert done.stderr.startswith("error: grassmann transport needs |omega*t| <= 1e+06"), done.stderr
+    assert done.stderr.startswith("error: transport needs |nu*t| <= 1e+06"), done.stderr
     assert "--omega" in done.stderr and "--t" in done.stderr
+    assert "Traceback" not in done.stderr
     done = run_cli("propagate-classical", "--case", "grassmann", "--omega", "1e-300")
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
     assert done.stdout.count("(residual 0)\n") == 26
     assert "26 checks, 0 failures" in done.stdout
+
+
+# The hyperbolic H on which the float engine failed 5 of 5 true identities
+# at truncation 8 and above.
+HYPERBOLIC = "--hamiltonian=(1/4)*q^2 - p^2 + 3*q*p"
+
+
+@pytest.mark.parametrize("truncation", ["6", "8", "12", "16"])
+def test_hyperbolic_transport_is_exact_at_every_truncation(truncation, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    argv = ["propagate-classical", "--case", "bosonic", HYPERBOLIC, "--seed", "1",
+            "--truncation", truncation, "--out", str(out)]
+    assert main(argv) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    checks = json.loads(out.read_text())["checks"]
+    assert len(checks) == 5
+    assert all(type(c["residual"]) is int and c["residual"] == 0 for c in checks)
+    assert all(c["tolerance"] is None for c in checks)
+
+
+def test_propagate_classical_records_the_clock_that_reruns_its_rows(tmp_path, capsys):
+    # extras["clock"] is the exact Cayley clock r of --t; check_transport at
+    # r alone gives the report's rows again.
+    from spindeq import suite
+
+    for case, extra in (("bosonic", [HYPERBOLIC, "--t", "1.3"]), ("grassmann", ["--omega", "0.9"]),
+                        ("coadjoint", ["--muB", "0.8"])):
+        out = tmp_path / "r.json"
+        assert main(["propagate-classical", "--case", case, *extra, "--seed", "2",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        parameters = report["parameters"]
+        spec_h = parameters["hamiltonian"]
+        ctx = superfield.get_case(case).context
+        coefficients = {k: parameters[f] for k, f in (("w", "omega"), ("muB", "muB"))
+                        if parameters.get(f) is not None}
+        spec = cpi.CpiSpec(case, hamiltonian=None if spec_h is None else ctx.parse(spec_h),
+                           coefficients=coefficients, truncation=parameters["truncation"])
+        rows = suite.check_transport(spec, Fraction(report["extras"]["clock"]), 2)
+        assert [row.to_dict() for row in rows] == report["checks"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--hamiltonian=p^2/2+q^2/2+q"], "transport with a linear term in H needs det M = 0"),
+        (["--hamiltonian=2*q*p+q^2", "--t", "20"], "transport needs a hyperbolic clock"),
+    ],
+)
+def test_transport_rejects_a_drift_off_det_zero_and_an_infinite_clock(extra, message, capsys):
+    # D != 0 with a drift has no degree-preserving H̃; at D = -4, t = 20 the
+    # clock tanh(2t/2)/2 rounds to 1/2, where 1 + D*r^2 = 0.
+    assert main(["propagate-classical", "--case", "bosonic", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}"), captured.err

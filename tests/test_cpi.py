@@ -3,9 +3,9 @@
 The polynomial layer is pinned by worked examples for all three cases; the
 operator layer is checked against closed-form characteristics: the
 coadjoint Taylor sum shifts φ and keeps the ghosts, monomial eigenvalues
-come out real, the matrix-exponential evolution is additive in time and
-agrees with the exact rotation, and the exact rotation and the Taylor sum
-are the classical flow.
+come out real, and exact evolution on the Cayley clock is the classical
+flow for every sign of det M and composes by the Cayley sum of its clocks.
+scipy's matrix exponential is the float oracle for the 2×2 flow.
 """
 
 import cmath
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -36,11 +36,8 @@ from spindeq import (
     cpi_kinetic,
     cpi_lagrangian,
     evolve,
-    exact_flow,
-    flow_matrix,
     crational,
     get_case,
-    rotate,
 )
 
 # The grassmann wavefunction generators, in the order of an exponent tuple.
@@ -181,9 +178,8 @@ def test_zero_hamiltonian_gives_zero_operator():
 
 
 def test_zero_time_evolution_is_identity():
-    psi = gen("bosonic", "q")
-    out = evolve(psi, CpiSpec("bosonic"), 0.0)
-    assert complex(out.coefficient({"q": 1})) == pytest.approx(1.0, abs=1e-15)
+    psi = gen("bosonic", "q") + gen("bosonic", "p") * gen("bosonic", "c_q")
+    assert evolve(psi, CpiSpec("bosonic"), 0) == psi
 
 
 def _grassmann_monomial(op, exps):
@@ -225,8 +221,8 @@ def test_bosonic_monomials_mix_under_rotation():
     q, p = op.context.monomial({"q": 1}), op.context.monomial({"p": 1})
     assert op.apply(op.context.sym("q")).terms.keys() - {q}  # not a multiple of q
     basis, matrix = op.closure_matrix([q])
-    assert basis == [q, p]
-    assert np.allclose(matrix, np.array([[0, 1j], [-1j, 0]]))
+    assert basis == (q, p)
+    assert matrix == ((0, I), (-I, 0))  # exact: H̃q = −i·p and H̃p = i·q
 
 
 def test_operator_applies_to_exact_polynomials():
@@ -266,7 +262,7 @@ def test_coadjoint_evolution_shifts_the_packet():
     spec = CpiSpec("coadjoint", coefficients={"muB": Fraction(4, 5)})
     ctx = get_case("coadjoint").context
     packet = ctx.parse("(phi - 1)^2 + 3")
-    moved = cpi.evolve_nilpotent(packet, build_cpi_hamiltonian(spec), Fraction(2))
+    moved = evolve(packet, spec, Fraction(1))  # at det M = 0 the clock is t/2
     assert moved == ctx.parse("(phi + 3/5)^2 + 3")
 
 
@@ -276,7 +272,7 @@ def test_coadjoint_ghost_factors_only_pick_up_mode_phases():
     spec = CpiSpec("coadjoint", coefficients={"muB": Fraction(4, 5)})
     ctx = get_case("coadjoint").context
     psi = ctx.parse("phi^2*eta*c_phi + (2-i)*phi*c_eta + 5")
-    moved = cpi.evolve_nilpotent(psi, build_cpi_hamiltonian(spec), Fraction(3, 4))
+    moved = evolve(psi, spec, Fraction(3, 8))
     assert moved == ctx.parse("(phi + 3/5)^2*eta*c_phi + (2-i)*(phi + 3/5)*c_eta + 5")
 
 
@@ -296,20 +292,20 @@ def test_coadjoint_evolution_is_additive_and_the_classical_flow(terms, mu_b, t):
         {ctx.monomial(dict(zip(("phi", "eta", "c_phi", "c_eta"), e))): c for e, c in terms.items()},
     )
     op = build_cpi_hamiltonian(spec)
-    once = cpi.evolve_nilpotent(psi, op, t[0] + t[1])
-    assert cpi.evolve_nilpotent(cpi.evolve_nilpotent(psi, op, t[0]), op, t[1]) == once
+    once = evolve(psi, spec, (t[0] + t[1]) / 2, op)
+    assert evolve(evolve(psi, spec, t[0] / 2, op), spec, t[1] / 2, op) == once
     assert once == cpi.pull_back(psi, spec, ((1, 0), (0, 1)), (mu_b * (t[0] + t[1]), 0))
 
 
 def test_polynomial_evolution_is_additive():
+    # Clocks add by the tangent rule: at det M = 1, clocks 1/3 and 1/4 make
+    # (1/3 + 1/4)/(1 − 1/12) = 7/11, and (1 − r²)/(1 + r²) = 0 at r = 1 is a
+    # quarter turn, q → −p.
     spec = CpiSpec("bosonic")
-    psi = gen("bosonic", "q") + gen("bosonic", "c_p")
-    once = evolve(psi, spec, 1.7)
-    twice = evolve(evolve(psi, spec, 0.9), spec, 0.8)
-    for mono in set(once.terms) | set(twice.terms):
-        a = complex(once.terms.get(mono, 0))
-        b = complex(twice.terms.get(mono, 0))
-        assert a == pytest.approx(b, abs=1e-12)
+    psi = gen("bosonic", "q") * gen("bosonic", "p") + gen("bosonic", "c_p")
+    once = evolve(psi, spec, Fraction(7, 11))
+    assert evolve(evolve(psi, spec, Fraction(1, 3)), spec, Fraction(1, 4)) == once
+    assert evolve(gen("bosonic", "q"), spec, 1) == -gen("bosonic", "p")
 
 
 def test_quartic_evolution_is_rejected():
@@ -317,18 +313,27 @@ def test_quartic_evolution_is_rejected():
     ctx = get_case("bosonic").context
     spec = CpiSpec("bosonic", hamiltonian=ctx.parse("p^2/2 + q^4/4"))
     with pytest.raises(UnsupportedCaseError):
-        evolve(gen("bosonic", "q"), spec, 1.0)
+        evolve(gen("bosonic", "q"), spec, 1)
     with pytest.raises(UnsupportedCaseError):
         build_cpi_hamiltonian(spec)
 
 
 def test_evolve_type_and_table_guards():
     spec = CpiSpec("coadjoint", coefficients={"muB": 1.0})
-    with pytest.raises(UnsupportedCaseError):
-        evolve(gen("bosonic", "q"), spec, 1.0)
+    with pytest.raises(UnsupportedCaseError, match="context"):
+        evolve(gen("bosonic", "q"), spec, 1)
     bos = CpiSpec("bosonic")
-    with pytest.raises(UnsupportedCaseError):
-        evolve(gen("grassmann", "xi"), bos, 1.0)
+    with pytest.raises(UnsupportedCaseError, match="context"):
+        evolve(gen("grassmann", "xi"), bos, 1)
+
+
+def _flow(spec, t):
+    """exp(t·M) at the Cayley clock of the float time t."""
+    return cpi.expm(spec.vector_field[1], cpi.cayley_clock(spec, t))
+
+
+def _floats(matrix):
+    return np.array([[complex(x) for x in row] for row in matrix])
 
 
 def _ghost_coefficients(psi, spec):
@@ -342,33 +347,35 @@ def test_jacobi_fields_all_cases():
     coad = CpiSpec("coadjoint", coefficients={"muB": 0.8})
     ctx = get_case("coadjoint").context
     ghosts = ctx.parse("c_phi + 2*c_eta")
-    assert cpi.pull_back(ghosts, coad, exact_flow(coad, 1)) == ghosts  # M = 0
+    assert cpi.pull_back(ghosts, coad, _flow(coad, 1.0)) == ghosts  # M = 0
     w = 1.3
     gra = CpiSpec("grassmann", coefficients={"w": w})
     psi = get_case("grassmann").context.parse("c_xi + c_xibar")
-    c0, c1 = _ghost_coefficients(cpi.pull_back(psi, gra, flow_matrix(gra, 1.0)), gra)
+    c0, c1 = _ghost_coefficients(cpi.pull_back(psi, gra, _flow(gra, 1.0)), gra)
     assert c0 == pytest.approx(cmath.exp(1j * w))
     assert c1 == pytest.approx(cmath.exp(-1j * w))
     bos = CpiSpec("bosonic")
     psi = get_case("bosonic").context.sym("c_q")
-    out = _ghost_coefficients(cpi.pull_back(psi, bos, flow_matrix(bos, math.pi / 2)), bos)
+    out = _ghost_coefficients(cpi.pull_back(psi, bos, _flow(bos, math.pi / 2)), bos)
     assert out[0] == pytest.approx(0, abs=1e-12)
     assert out[1] == pytest.approx(1, abs=1e-12)  # c_q(t) = cos t·c_q + sin t·c_p
 
 
 def test_flow_matrix_forms():
     assert np.allclose(
-        flow_matrix(CpiSpec("bosonic"), 0.5),
+        _floats(_flow(CpiSpec("bosonic"), 0.5)),
         np.array([[math.cos(0.5), math.sin(0.5)], [-math.sin(0.5), math.cos(0.5)]]),
     )
     ctx = get_case("bosonic").context
     bilinear = CpiSpec("bosonic", hamiltonian=ctx.parse("alpha*q*p"), coefficients={"alpha": 0.5})
-    assert np.allclose(flow_matrix(bilinear, 2.0), np.diag([math.e, 1.0 / math.e]))
+    assert np.allclose(_floats(_flow(bilinear, 2.0)), np.diag([math.e, 1.0 / math.e]))
     with pytest.raises(UnsupportedCaseError):
-        flow_matrix(CpiSpec("bosonic", hamiltonian=ctx.parse("q^4/4")), 1.0)
-    # A linear term shifts the flow off the origin, so it is not linear.
-    with pytest.raises(UnsupportedCaseError):
-        flow_matrix(CpiSpec("bosonic", hamiltonian=ctx.parse("p^2/2+q^2/2+q")), 1.0)
+        cpi.cayley_clock(CpiSpec("bosonic", hamiltonian=ctx.parse("q^4/4")), 1.0)
+    # A linear term shifts the flow off the origin; transport takes that
+    # affine flow only where det M = 0.
+    with pytest.raises(UnsupportedCaseError, match="linear term in H needs det M = 0"):
+        suite.check_transport(
+            CpiSpec("bosonic", hamiltonian=ctx.parse("p^2/2+q^2/2+q")), Fraction(1, 2))
 
 
 entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))  # p/q, |p|, q <= 3
@@ -383,17 +390,30 @@ entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))  # p/q, |p|
 @example(hessian=(Fraction(2), Fraction(2), Fraction(2)), t=3.5)  # det = 0, a shear
 @example(hessian=(Fraction(0), Fraction(0), Fraction(0)), t=1.0)  # M = 0
 def test_flow_matrix_is_the_matrix_exponential(hessian, t):
-    # Reference: scipy's expm of t·M, M = ω·Hess H for H = a/2·q² + b·q·p + c/2·p²,
-    # so det M = a·c − b² takes every sign.  Against 50-digit arithmetic on
-    # this grid, expm itself is off by up to 1.7e-12 of the largest entry and
-    # the closed form by 2.1e-15, so the bound is 1e-11.
+    # Reference: scipy's expm of τ·M, M = ω·Hess H for H = a/2·q² + b·q·p + c/2·p²,
+    # so D = det M = a·c − b² takes every sign, at the float time τ that the
+    # Cayley clock r of t encodes: 2·atan(ν·r)/ν for D = ν², 2r for D = 0,
+    # and 2·atanh(κ·r)/κ for D = −κ², taken as log((1 + κ|r|)²/(1 + D·r²))/κ
+    # with the sign of r, since 1 + D·r² is exact and atanh near 1 is not.
+    # scipy's expm is off by up to 1.7e-12 of the largest entry on this grid
+    # (against 50-digit arithmetic), and the exact flow not at all, so the
+    # bound is 1e-11.
     a, b, c = hessian
     ctx = get_case("bosonic").context
     q, p = ctx.sym("q"), ctx.sym("p")
     spec = CpiSpec("bosonic", hamiltonian=(a / 2) * q**2 + b * q * p + (c / 2) * p**2)
+    r = cpi.cayley_clock(spec, t)
+    det = a * c - b * b
+    if det > 0:
+        tau = 2 * math.atan(math.sqrt(det) * r) / math.sqrt(det)
+    elif det < 0:
+        kappa = math.sqrt(-det)
+        tau = math.copysign(math.log((1 + kappa * abs(r)) ** 2 / (1 + det * r * r)) / kappa, r)
+    else:
+        tau = 2 * r
     m = np.array([[b, c], [-a, -b]], dtype=float)
-    reference = expm(t * m)
-    gap = np.abs(np.array(flow_matrix(spec, t)) - reference).max()
+    reference = expm(float(tau) * m)
+    gap = np.abs(_floats(cpi.expm(spec.vector_field[1], r)) - reference).max()
     assert gap <= 1e-11 * np.abs(reference).max()
 
 
@@ -405,8 +425,8 @@ def test_grassmann_flow_is_the_closed_form_phase(w, t):
     # Reference: the grassmann ghosts pick up opposite phases, diag(e^{iwt}, e^{-iwt}).
     spec = CpiSpec("grassmann", coefficients={"w": w})
     expected = np.diag([cmath.exp(1j * w * t), cmath.exp(-1j * w * t)])
-    flow = flow_matrix(spec, t)
-    assert np.allclose(flow, expected, rtol=0, atol=1e-12)
+    flow = _flow(spec, t)
+    assert np.allclose(_floats(flow), expected, rtol=0, atol=1e-12)
     c0 = np.array([0.3 + 0.1j, -0.2j])
     ghosts = get_case("grassmann").context.parse("(3+i)/10*c_xi - i/5*c_xibar")
     moved = _ghost_coefficients(cpi.pull_back(ghosts, spec, flow), spec)
@@ -426,9 +446,9 @@ def test_characteristics_check_smoke():
     report = characteristics_check(spec, t=0.5)
     assert report["passed"]
     assert all(c["passed"] for c in report["checks"])
-    # φ moves by μB·t; at ν = 0 a phase fixes no time.
-    with pytest.raises(UnsupportedCaseError, match="float time t"):
-        suite.check_transport(spec, suite.TRANSPORT_PHASE, 0)
+    # At det M = 0 the clock of t = 0.5 is exactly 1/4.
+    rows = suite.check_transport(spec, Fraction(1, 4))
+    assert report["checks"] == [row.to_dict() for row in rows]
 
 
 # Wrong CPI Hamiltonians for the coadjoint H = −μB·η; the classical side
@@ -444,14 +464,15 @@ MOVING_ROWS = {f"cpi-coadjoint-{name}" for name in
 
 
 def test_coadjoint_transport_reads_the_cpi_hamiltonian(monkeypatch):
+    clock = Fraction(3, 8)  # t = 3/4
     spec = CpiSpec("coadjoint", coefficients={"muB": suite.COADJOINT_MU_B})
     original = cpi.cpi_hamiltonian
     for seed in (0, 1, 2):
-        names = {row.name for row in suite.check_transport(spec, 0.75, seed)}
+        names = {row.name for row in suite.check_transport(spec, clock, seed)}
         failed = {}
         for label, change in COADJOINT_SABOTAGES.items():
             monkeypatch.setattr(cpi, "cpi_hamiltonian", lambda case, h: change(original(case, h)))
-            failed[label] = _failing(suite.check_transport(spec, 0.75, seed))
+            failed[label] = _failing(suite.check_transport(spec, clock, seed))
         assert failed["doubled"] == failed["negated"] == MOVING_ROWS
         assert "cpi-coadjoint-eta-marginal-invariant" in failed["lam-eta"]
         assert "cpi-coadjoint-ghosts-constant" in failed["ghost-mixing"]
@@ -459,30 +480,25 @@ def test_coadjoint_transport_reads_the_cpi_hamiltonian(monkeypatch):
         # H̃ + 1 is not nilpotent: its Taylor sum never ends, so no row may pass.
         monkeypatch.setattr(cpi, "cpi_hamiltonian", lambda case, h: original(case, h) + 1)
         with pytest.raises(UnsupportedCaseError, match="not nilpotent"):
-            suite.check_transport(spec, 0.75, seed)
+            suite.check_transport(spec, clock, seed)
         monkeypatch.setattr(cpi, "cpi_hamiltonian", original)
 
 
 def test_bosonic_transport_bound_keeps_quadratics_with_entries_up_to_three():
-    # The largest stretch at t = 0.7 over Hessian entries p/q with |p|, q <= 3
-    # is about 17, within MAX_STRETCH, at every truncation.
+    # The time bound is |nu*t| <= 1e6 and a hyperbolic clock below 1, so the
+    # Hessians with entries up to 3 that stretched the old float flow the
+    # most are exact at every truncation, and so is 3*q*p at t = 1.2.
     ctx = get_case("bosonic").context
     for a, b, c in ((3, 3, -3), (-3, 3, 3), (3, -3, -3), (3, 0, -3), (-3, 0, -3)):
         h = ctx.parse(f"({a})*q^2/2 + ({b})*q*p + ({c})*p^2/2")
         for truncation in (4, 5, 6):
             spec = CpiSpec("bosonic", hamiltonian=h, truncation=truncation)
-            assert len(characteristics_check(spec, t=0.7, seed=1)["checks"]) == 5
-    with pytest.raises(UnsupportedCaseError, match="max\\|exp\\(-t\\*M\\)\\| <= 30"):
-        characteristics_check(CpiSpec("bosonic", hamiltonian=ctx.parse("3*q*p")), t=1.2)
+            assert characteristics_check(spec, t=0.7, seed=1)["passed"]
+    report = characteristics_check(CpiSpec("bosonic", hamiltonian=ctx.parse("3*q*p")), t=1.2)
+    assert report["passed"] and all(c["residual"] == 0 for c in report["checks"])
 
 
-# -- exact rotation ------------------------------------------------------------------
-
-PHASE = (3 - 4 * I) / 5  # e^{−iνt} at νt = atan(4/3)
-
-
-def _rotate(psi, spec, z):
-    return rotate(psi, build_cpi_hamiltonian(spec), cpi.exact_rate(spec), z)
+# -- exact evolution on the Cayley clock ----------------------------------------------
 
 
 def _largest(poly):
@@ -490,60 +506,75 @@ def _largest(poly):
 
 
 def test_float_evolution_matches_the_exact_rotation():
-    # At νt = atan(4/3) the rotation is exact, so it checks the float engine
-    # (closure matrix and expm) in both polynomial cases.
+    # t = atan(4/3) has the clock 1/2 up to rounding at ν = 1, and
+    # t = atan(4/3)/1.3 the clock 5/13 at ν = 13/10, where e^{−iνt} is
+    # (3 − 4i)/5; the binary clocks of the float times land next to them.
     bosonic = CpiSpec("bosonic")
     rng = random.Random(7)
     for _ in range(5):
         psi = cpi.random_wavefunction(bosonic, rng, suite._gaussian_rational)
-        exact = _rotate(psi, bosonic, PHASE)
-        assert exact.is_exact()
-        assert _largest(evolve(psi, bosonic, math.atan2(4, 3)) - exact) <= 1e-9
+        exact = evolve(psi, bosonic, Fraction(1, 2))
+        near = evolve(psi, bosonic, cpi.cayley_clock(bosonic, math.atan2(4, 3)))
+        assert exact.is_exact() and near.is_exact()
+        assert 0 < _largest(near - exact) <= 1e-9
     grassmann = CpiSpec("grassmann", coefficients={"w": Fraction(13, 10)})
     ctx = get_case("grassmann").context
     psi = ctx.parse("xi*c_xi + (2-i)*xibar*c_xi^2 - c_xibar/3 + 5")
-    exact = _rotate(psi, grassmann, PHASE)
-    assert exact.coefficient({"xi": 1, "c_xi": 1}) == PHASE * PHASE
-    assert _largest(evolve(psi, grassmann, math.atan2(4, 3) / 1.3) - exact) <= 1e-9
+    exact = evolve(psi, grassmann, Fraction(5, 13))
+    phase = (3 - 4 * I) / 5
+    assert exact.coefficient({"xi": 1, "c_xi": 1}) == phase * phase
+    near = evolve(psi, grassmann, cpi.cayley_clock(grassmann, math.atan2(4, 3) / 1.3))
+    assert _largest(near - exact) <= 1e-9
 
 
 gaussian = st.builds(CRational, rationals, rationals)
 monomials = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1), st.integers(0, 1))
+clocks = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 
 @given(
     terms=st.dictionaries(monomials, gaussian, min_size=1, max_size=4),
-    k=st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool),
-    u=st.integers(-6, 6),
-    v=st.integers(-6, 6),
+    hessian=st.tuples(entries, entries, entries),
+    r=clocks,
+    s=clocks,
 )
-@example(terms={(2, 2, 1, 1): CRational(1)}, k=Fraction(1), u=2, v=1)
-def test_rotation_is_the_classical_flow(terms, k, u, v):
-    # H = k·(q² + p²)/2 has ν = |k|; every (u − iv)/(u + iv) is a phase
-    # e^{−iνt} of modulus 1 and a Gaussian rational.  Exact transport is
-    # ψ∘flow(−t), and rotations compose by multiplying their phases.
-    if not (u or v):
-        u = 1
-    z = CRational(u, -v) / CRational(u, v)
+@example(terms={(2, 2, 1, 1): CRational(1)}, hessian=(1, 0, 1), r=Fraction(1, 2), s=Fraction(1, 3))
+@example(terms={(2, 1, 1, 0): CRational(2, 1)}, hessian=(0, 3, 0), r=Fraction(1, 5), s=Fraction(-1, 2))
+@example(terms={(1, 2, 0, 1): CRational(1, -1)}, hessian=(2, 2, 2), r=Fraction(3, 2), s=Fraction(1))
+@example(terms={(1, 1, 1, 1): CRational(1)}, hessian=(2, 0, 1), r=Fraction(1, 3), s=Fraction(1, 4))
+def test_rotation_is_the_classical_flow(terms, hessian, r, s):
+    # H = a/2·q² + b·q·p + c/2·p², so D = det M = a·c − b² takes every sign
+    # (the examples: D = 1, −9, 0 and 2, whose ν = √2 is not rational).  At
+    # any rational clock, exact evolution is ψ∘flow(−τ), and clocks compose
+    # by the Cayley sum (r + s)/(1 − D·r·s), the tangent addition rule.
+    a, b, c = map(Fraction, hessian)
+    det = a * c - b * b
+    assume(1 + det * r * r and 1 + det * s * s and 1 - det * r * s)
+    total = (r + s) / (1 - det * r * s)
+    assume(1 + det * total * total)
     ctx = get_case("bosonic").context
-    spec = CpiSpec("bosonic", hamiltonian=(k / 2) * ctx.parse("q^2 + p^2"))
+    q, p = ctx.sym("q"), ctx.sym("p")
+    spec = CpiSpec("bosonic", hamiltonian=(a / 2) * q**2 + b * q * p + (c / 2) * p**2)
     psi = GradedPolynomial(
         ctx,
         {ctx.monomial(dict(zip(("q", "p", "c_q", "c_p"), exps))): c for exps, c in terms.items()},
     )
-    op, nu = build_cpi_hamiltonian(spec), cpi.exact_rate(spec)
-    once = rotate(psi, op, nu, z)
-    assert once == cpi.pull_back(psi, spec, exact_flow(spec, 1 / z))
-    assert rotate(once, op, nu, z) == rotate(psi, op, nu, z * z)
+    op = build_cpi_hamiltonian(spec)
+    once = evolve(psi, spec, r, op)
+    assert once == cpi.pull_back(psi, spec, cpi.expm(spec.vector_field[1], -r))
+    assert evolve(once, spec, s, op) == evolve(psi, spec, total, op)
 
 
 def test_exact_flow_is_the_rational_rotation():
-    # Harmonic H at νt = atan(4/3): cos = 3/5 and sin = 4/5.
-    flow = exact_flow(CpiSpec("bosonic"), PHASE)
+    # Harmonic H at clock 1/2: cos ντ = 3/5 and sin ντ = 4/5.  q*p (D = −1)
+    # at clock 1/2 stretches by e^{±τ} = 3^{±1}, p^2/2 (D = 0) shears by
+    # τ = 2r, and M = 0 stays put.
+    flow = cpi.expm(CpiSpec("bosonic").vector_field[1], Fraction(1, 2))
     assert flow == ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)))
     assert all(isinstance(x, CRational) for row in flow for x in row)
-    coadjoint = CpiSpec("coadjoint", coefficients={"muB": Fraction(4, 5)})
-    assert exact_flow(coadjoint, 1) == ((1, 0), (0, 1))
+    assert cpi.expm(((1, 0), (0, -1)), Fraction(1, 2)) == ((3, 0), (0, Fraction(1, 3)))
+    assert cpi.expm(((0, 1), (0, 0)), Fraction(1, 2)) == ((1, 1), (0, 1))
+    assert cpi.expm(((0, 0), (0, 0)), 7) == ((1, 0), (0, 1))
 
 
 @given(
@@ -565,48 +596,76 @@ def test_nilpotent_evolution_is_the_affine_classical_flow(terms, k, a, b, linear
         ctx,
         {ctx.monomial(dict(zip(("q", "p", "c_q", "c_p"), exps))): c for exps, c in terms.items()},
     )
-    v0, m = cpi.vector_field(spec)
+    v0, m = spec.vector_field
     back = tuple(tuple((i == j) - t * m[i][j] for j in range(2)) for i in range(2))
     drift = [-t * v0[i] + t * t / 2 * (m[i][0] * v0[0] + m[i][1] * v0[1]) for i in range(2)]
-    moved = cpi.evolve_nilpotent(psi, build_cpi_hamiltonian(spec), t)
+    moved = evolve(psi, spec, t / 2)
     assert moved == cpi.pull_back(psi, spec, back, drift)
+    assert back == cpi.expm(m, -t / 2)
+    rows = suite.check_transport(spec, t / 2)  # the same affine flow, in the rows
+    assert all(row.passed for row in rows) and len(rows) == 5
 
 
 def test_nilpotent_evolution_rejects_an_operator_that_is_not():
-    # The harmonic H̃ turns q into p and back, so its Taylor sum never ends.
+    # At det M = 0 evolution is a Taylor sum; the harmonic H̃ turns q into p
+    # and back, so its sum never ends.
     op = build_cpi_hamiltonian(CpiSpec("bosonic"))
+    parabolic = CpiSpec("bosonic", hamiltonian=op.context.parse("p^2/2"))
     with pytest.raises(UnsupportedCaseError, match="not nilpotent"):
-        cpi.evolve_nilpotent(op.context.sym("q"), op, Fraction(1, 2))
+        evolve(op.context.sym("q"), parabolic, Fraction(1, 4), op)
 
 
 def test_rotation_rejects_a_spectrum_it_cannot_certify():
     ctx = get_case("bosonic").context
     q = ctx.sym("q")
-    # Parabolic: ν = 0, and H̃ is nilpotent but not zero on q.
-    with pytest.raises(UnsupportedCaseError, match="does not have the spectrum"):
-        _rotate(q, CpiSpec("bosonic", hamiltonian=ctx.parse("p^2/2")), PHASE)
-    with pytest.raises(UnsupportedCaseError, match="nilpotent M"):
-        exact_flow(CpiSpec("bosonic", hamiltonian=ctx.parse("p^2/2")), 1)
-    # Hyperbolic, or a rate that is not rational: no exact ν.
-    for text in ("q*p", "p^2/2 + q^2"):
-        with pytest.raises(UnsupportedCaseError, match="square of a rational"):
-            _rotate(q, CpiSpec("bosonic", hamiltonian=ctx.parse(text)), PHASE)
-    # The operator of ν = 2 with the rate ν = 1: the certificate fails.
-    doubled = build_cpi_hamiltonian(CpiSpec("bosonic", hamiltonian=ctx.parse("p^2 + q^2")))
-    with pytest.raises(UnsupportedCaseError, match="does not have the spectrum"):
-        rotate(q, doubled, 1, PHASE)
+    harmonic = CpiSpec("bosonic")
+    # The operator of ν = 2, or a nilpotent one, with the rate ν = 1: the
+    # certificate (H̃² − 1)q = 0 fails.
+    for text in ("p^2 + q^2", "p^2/2"):
+        wrong = build_cpi_hamiltonian(CpiSpec("bosonic", hamiltonian=ctx.parse(text)))
+        with pytest.raises(UnsupportedCaseError, match="does not have the spectrum"):
+            evolve(q, harmonic, Fraction(1, 2), wrong)
+    # 1 + D·r² = 0: the clock 1/2 at D = −4 is the infinite time of the flow.
+    boost = CpiSpec("bosonic", hamiltonian=ctx.parse("2*q*p+q^2"))
+    with pytest.raises(UnsupportedCaseError, match="infinite time"):
+        evolve(q, boost, Fraction(1, 2))
+    with pytest.raises(UnsupportedCaseError, match="infinite time"):
+        cpi.expm(boost.vector_field[1], Fraction(-1, 2))
+
+
+def test_cayley_clock_is_the_binary_value_of_the_clock():
+    ctx = get_case("bosonic").context
+    for text, t, expected in (("p^2/2+q^2/2", 0.7, math.tan(0.35)), ("q*p", 3.0, math.tanh(1.5)),
+                              ("p^2/2", 0.7, 0.35), ("p^2/2+q^2", 1.0, math.tan(2**-0.5) / 2**0.5)):
+        clock = cpi.cayley_clock(CpiSpec("bosonic", hamiltonian=ctx.parse(text)), t)
+        assert isinstance(clock, Fraction) and float(clock) == pytest.approx(expected, rel=1e-15)
+    # A complex det M, from a complex H, gives a Gaussian-rational clock.
+    clock = cpi.cayley_clock(CpiSpec("bosonic", hamiltonian=ctx.parse("i*q^2/2+p^2/2")), 0.7)
+    nu = cmath.sqrt(1j)
+    assert isinstance(clock, CRational)
+    assert complex(clock) == pytest.approx(cmath.tan(0.35 * nu) / nu)
 
 
 def _failing(rows):
     return {row.name for row in rows if not row.passed}
 
 
+BOSONIC_ROWS = {f"cpi-bosonic-transport-{n}" for n in range(5)}
+# One elliptic, one hyperbolic and one parabolic H, each with a cross term.
+SIGNS = ("p^2/2+q^2+q*p/3", "(1/4)*q^2 - p^2 + 3*q*p", "p^2/2+q*p/2+q^2/8")
+
+
 def test_forward_flow_fails_every_bosonic_row(monkeypatch):
-    original = cpi.exact_flow
-    monkeypatch.setattr(cpi, "exact_flow", lambda spec, z: original(spec, 1 / z))
-    bosonic = {f"cpi-bosonic-transport-{n}" for n in range(5)}
+    # The flow the wrong way, exp(+τM), fails every bosonic row and the
+    # grassmann phase; at M = 0 the coadjoint flow has only its drift.
+    original = cpi.expm
+    monkeypatch.setattr(cpi, "expm", lambda m, r: original(m, -r))
     for seed in (0, 1, 2):
-        assert _failing(suite.check_cpi_transport(seed)) == bosonic
+        assert _failing(suite.check_cpi_transport(seed)) == BOSONIC_ROWS | {
+            "cpi-grassmann-phase-xi-cxi"}
+        for text in SIGNS:
+            spec = CpiSpec("bosonic", hamiltonian=get_case("bosonic").context.parse(text))
+            assert _failing(suite.check_transport(spec, Fraction(1, 3), seed)) == BOSONIC_ROWS
 
 
 def _flip_ghost_signs(monkeypatch):
@@ -634,9 +693,11 @@ FLIPPED_GRASSMANN |= {"cpi-grassmann-phase-xi-cxi"}
 def test_flipped_ghost_sign_fails_the_exact_rows(monkeypatch):
     # Every bosonic wavefunction drawn here has ghost terms as well.
     _flip_ghost_signs(monkeypatch)
-    expected = FLIPPED_GRASSMANN | {f"cpi-bosonic-transport-{n}" for n in range(5)}
     for seed in (0, 1, 2):
-        assert _failing(suite.check_cpi_transport(seed)) == expected
+        assert _failing(suite.check_cpi_transport(seed)) == FLIPPED_GRASSMANN | BOSONIC_ROWS
+        for text in SIGNS:
+            spec = CpiSpec("bosonic", hamiltonian=get_case("bosonic").context.parse(text))
+            assert _failing(suite.check_transport(spec, Fraction(1, 3), seed)) == BOSONIC_ROWS
 
 
 def test_flipped_ghost_sign_fails_the_cli_grassmann_rows(monkeypatch, tmp_path, capsys):
@@ -662,6 +723,6 @@ def test_flipped_ghost_sign_fails_the_cli_grassmann_rows(monkeypatch, tmp_path, 
 def test_characteristics_check_is_the_dict_view_of_check_transport(spec, t):
     # The benchmark reads these dicts; they are the suite's rows, unchanged.
     report = characteristics_check(spec, t, 4)
-    rows = suite.check_transport(spec, t, 4)
+    rows = suite.check_transport(spec, cpi.cayley_clock(spec, t), 4)
     assert report["checks"] == [row.to_dict() for row in rows]
     assert report["passed"] is all(row.passed for row in rows) is True

@@ -1,17 +1,18 @@
-"""Import policy: numpy and scipy load only where floats are computed.
+"""Import policy: the package never loads numpy or scipy.
 
 The exact checks (dequantization, Dirac brackets, precession, the spin
-isomorphism, exact transport) never touch a float matrix, and the spin-1/2
-oracles and the classical 2x2 flows are tuples, so importing the package,
-running those, ``spindeq all``, ``propagate-quantum`` or coadjoint and
-grassmann ``propagate-classical`` must not load the numeric libraries.  Only
-float evolution of bosonic wavefunctions does.  Each probe runs in a fresh
-interpreter, because this test process has loaded both long before.
+isomorphism, transport in every case) never touch a float matrix, and the
+spin-1/2 oracles and the classical 2x2 flows are tuples, so importing the
+package, running those, ``spindeq all``, ``propagate-quantum`` or
+``propagate-classical`` of any case must not load the numeric libraries.
+Each probe runs in a fresh interpreter, because this test process has
+loaded both long before.
 """
 
 import inspect
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -96,24 +97,20 @@ def test_cpi_transport_group_loads_neither_numeric_library():
     assert _loaded_after(_GROUP_PROBE.format(group="check_cpi_transport")) == "[]"
 
 
-def test_bosonic_evolution_loads_scipy():
-    # Float evolution at any time t, for propagate-classical, stays on the
-    # closure-matrix exponential.
-    code = """
-import sys
-from spindeq import cpi, get_case
-spec = cpi.CpiSpec("bosonic")
-psi = get_case("bosonic").context.sym("q")
-assert "scipy" not in sys.modules
-cpi.evolve(psi, spec, 0.5)
-print("scipy" in sys.modules)
-"""
-    assert _loaded_after(code) == "True"
+def test_bosonic_transport_loads_neither_numeric_library():
+    # Exact evolution on the Cayley clock at a float --t, for every sign of
+    # det M, and the exact closure matrix of spectrum_real.
+    for extra in ([], ["--hamiltonian=(1/4)*q^2 - p^2 + 3*q*p", "--t", "1.5"],
+                  ["--hamiltonian=p^2/2"]):
+        argv = ["propagate-classical", "--case", "bosonic", "--seed", "1", *extra]
+        assert _loaded_after(_PROBE, *argv) == "[]", extra
 
 
 def test_expm_stays_a_module_level_function():
-    # The benchmark's tracer wraps cpi.expm by name, and every exponential in
-    # cpi must reach it through that global.
+    # The benchmark's tracer wraps cpi.expm by name: the exact 2x2 flow at a
+    # Cayley clock, here the harmonic one at r = 1/2.
     assert inspect.isfunction(cpi.expm)
     assert cpi.expm.__module__ == "spindeq.cpi"
-    assert cpi.expm([[0.0]]).tolist() == [[1.0]]
+    half = Fraction(1, 2)
+    assert cpi.expm(((0, 1), (-1, 0)), half) == ((Fraction(3, 5), Fraction(4, 5)),
+                                                  (Fraction(-4, 5), Fraction(3, 5)))

@@ -2,9 +2,8 @@
 (``__init__`` is left out, because its imports are the public API), every
 public function or class has a caller outside the tests, no module reads
 another module's underscore names, ``GradedPolynomial`` stays the one
-element class, numpy and scipy are imported only where
-polynomial wavefunctions evolve, and every Python example and every
-``spindeq`` command in the README runs.
+element class, no module imports numpy or scipy, and every Python example
+and every ``spindeq`` command in the README runs.
 """
 
 import ast
@@ -96,15 +95,12 @@ def _numeric_imports(tree: ast.Module) -> dict[str, set[str]]:
     return out
 
 
-def test_numeric_libraries_stay_behind_the_closure_matrix_exponential():
-    # cpi's 2x2 flows are closed-form tuples; only the matrix of H̃ on a
-    # closed basis, its exponential and the evolution that uses them are
-    # numpy arrays, and no other module imports either library.
+def test_no_module_imports_a_numeric_library():
+    # Every computation is exact or on tuples of floats; numpy and scipy
+    # stay the tests' oracles.
     found = {path.name: _numeric_imports(ast.parse(path.read_text()))
              for path in sorted(PACKAGE.glob("*.py"))}
-    assert {name: libraries for name, libraries in found.items() if libraries} == {
-        "cpi.py": {"closure_matrix": {"numpy"}, "expm": {"scipy"}, "evolve": {"numpy"}},
-    }
+    assert {name: libraries for name, libraries in found.items() if libraries} == {}
 
 
 README = Path(__file__).parents[1] / "README.md"
