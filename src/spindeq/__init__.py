@@ -62,6 +62,7 @@ from .superfield import (
     quantum_lagrangian,
     superfield_bindings,
     supertime_integral,
+    top_component,
 )
 from .quantum import (
     MagneticField,
@@ -153,7 +154,7 @@ __all__ = [
     "CASES", "DequantizationCase", "DequantizationResult", "FieldFamily",
     "OMEGA_CANONICAL", "builtin_hamiltonian", "builtin_hamiltonians",
     "compose_observable_taylor", "dequantize", "get_case", "quantum_lagrangian",
-    "superfield_bindings", "supertime_integral",
+    "superfield_bindings", "supertime_integral", "top_component",
     # quantum
     "MagneticField", "SpinOperator", "SpinState", "apply_kernel", "compose_symbols",
     "hamiltonian", "integral_kernel", "kernel_from_symbol", "kernel_propagate",

@@ -99,8 +99,10 @@ def check_dequantization(
 ) -> list[CheckResult]:
     """Check the split ``(cpi_l, surface)`` of ``lagrangian``.
 
-    The superfield expansion is recomputed here, apart from ``dequantize``,
-    and must equal ``cpi_l + surface`` exactly.  Given the Hamiltonian,
+    The superfield expansion is recomputed here by an independent route,
+    ``substitute`` then ``supertime_integral`` (``dequantize`` reads the top
+    component off a Taylor expansion instead), and must equal
+    ``cpi_l + surface`` exactly.  Given the Hamiltonian,
     ``cpi_l`` must also equal its CPI Lagrangian.  The inputs must be exact:
     a float term that cancels leaves no coefficient for a row to inspect.
     """

@@ -14,7 +14,11 @@ with |φ| = 1 for odd base fields.  Replacing fields by superfields and
 integrating over the odd time partners maps a quantum Lagrangian to the
 classical-path-integral Lagrangian up to total time derivatives;
 ``dequantize`` performs the map and splits off the total-derivative part
-exactly.
+exactly.  It never builds L(Φ): every Φ − φ carries θ or θ̄, so the θθ̄
+component is read off the second-order Taylor expansion in Φ − φ
+(:func:`top_component`), with the supertime parts built once per case.
+``substitute`` followed by :func:`supertime_integral` stays the
+independent route that ``suite.check_dequantization`` compares with.
 
 Supertime measure convention: ``supertime_integral(thetabar*theta * X) =
 i*X`` (the rightmost measure acts first, as in :mod:`spindeq.grassmann`).
@@ -28,7 +32,7 @@ from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from . import _graded
-from .errors import IdentityViolationError, UnsupportedCaseError
+from .errors import IdentityViolationError, TableMismatchError, UnsupportedCaseError
 from .exact import CRational, I
 from .symbols import (
     EVEN,
@@ -38,7 +42,6 @@ from .symbols import (
     format_poly,
     formal_time_derivative,
     partial_derivative,
-    substitute,
 )
 
 OMEGA_CANONICAL = ((0, 1), (-1, 0))
@@ -129,6 +132,27 @@ class DequantizationCase:
             out[(family.base, 0)] = sf
             out[(family.base, 1)] = formal_time_derivative(sf)
         return out
+
+    @cached_property
+    def top_parts(self) -> tuple:
+        """The supertime parts of the second-order Taylor rule, built once.
+
+        With Δ_a = Φ_a − φ_a for each bound slot a (each base field and its
+        dot) and T = :func:`supertime_integral`, one entry per bound slot b:
+        ``(b, T(Δ_b), ((a, T(½Δ_bΔ_a)), ...))`` as term maps, the pairs
+        listed only where nonzero.  Each part has one or two monomials.
+        """
+        ctx = self.context
+        deltas = [(ctx.slot(key), sf - ctx.sym(*key)) for key, sf in self.bindings.items()]
+        half = CRational(1) / CRational(2)
+
+        def top(g):
+            return supertime_integral(g, self.theta, self.thetabar).terms
+
+        return tuple(
+            (b, top(db), tuple((a, part) for a, da in deltas if (part := top(half * (db * da)))))
+            for b, db in deltas
+        )
 
     @cached_property
     def kinetic_term(self) -> GradedPolynomial:
@@ -228,21 +252,66 @@ class DequantizationResult(NamedTuple):
     surface_term: GradedPolynomial
 
 
+def top_component(l: GradedPolynomial, case) -> GradedPolynomial:
+    """i∫dθdθ̄ L(superfields), read off the second-order Taylor expansion of
+    :func:`compose_observable_taylor` without building L(Φ).
+
+    Every Δ_a = Φ_a − φ_a carries θ or θ̄, and T(Y·X) = T(Y)·X for X free of
+    θ and θ̄, with T = :func:`supertime_integral`.  So for L free of them
+
+        i∫dθdθ̄ L(Φ) = Σ_a T(Δ_a)·∂_a L + Σ_{a,b} T(½Δ_bΔ_a)·∂_a∂_b L,
+
+    with left derivatives, ∂_b taken first, and the parts T(·) from
+    :attr:`DequantizationCase.top_parts`: one derivative pass per bound slot
+    and per nonzero pair, and one kernel product per nonzero derivative.  A
+    Lagrangian that mentions θ or θ̄, at any dot order, raises
+    :class:`UnsupportedCaseError` before any work.
+    """
+    case = get_case(case)
+    ctx = case.context
+    if l.context is not ctx:
+        raise TableMismatchError(f"the Lagrangian is not over the {case.name} case's symbols")
+    if any(name in (case.theta, case.thetabar) for name, _dot in l.symbols_used()):
+        raise UnsupportedCaseError(
+            f"dequantization needs a Lagrangian free of the supertime pair "
+            f"({case.theta}, {case.thetabar}) at every dot order; --lagrangian and "
+            f"--hamiltonian may not use them"
+        )
+    odd = ctx.is_odd
+    out: dict = {}
+
+    def add(part, derivative):
+        for mono, c in _graded.mul(part, derivative, odd).items():
+            out[mono] = out[mono] + c if mono in out else c
+
+    for b, first, pairs in case.top_parts:
+        d_b = _graded.left_derivative(l.terms, b, odd)
+        if not d_b:
+            continue
+        if first:
+            add(first, d_b)
+        for a, part in pairs:
+            if d_ab := _graded.left_derivative(d_b, a, odd):
+                add(part, d_ab)
+    return GradedPolynomial._wrap(ctx, {mono: c for mono, c in out.items() if c})
+
+
 def dequantize(l: GradedPolynomial, case) -> DequantizationResult:
     """Map a Lagrangian through the superfield substitution and split it.
 
     Returns ``(cpi_lagrangian, surface_term)`` with
     ``cpi_lagrangian + surface_term`` exactly equal to
-    ``i∫dθdθ̄ L(superfields)``.  The surface term is recognized as a linear
+    ``i∫dθdθ̄ L(superfields)``, computed by :func:`top_component`.  That
+    route never builds L(Φ) with ``substitute``, so
+    ``suite.check_dequantization``, which does, checks the split by an
+    independent route.  The surface term is recognized as a linear
     combination of d/dt of bilinears containing an auxiliary or antighost
     symbol; dotted auxiliaries/antighosts cannot appear in a CPI Lagrangian,
     which makes the split unique.  A remainder that cannot be absorbed that
     way raises :class:`IdentityViolationError`.
     """
     case = get_case(case)
-    raw = supertime_integral(
-        substitute(l, superfield_bindings(case)), case.theta, case.thetabar
-    )
+    raw = top_component(l, case)
     surface = _recognize_surface(raw, case)
     return DequantizationResult(raw - surface, surface)
 

@@ -110,6 +110,60 @@ def test_wrong_dequantization_split_fails_decomposition(monkeypatch, capsys):
     assert capsys.readouterr().err.strip() == "failed checks: decomposition-exact"
 
 
+def _without_the_half(parts):
+    return tuple((b, first, tuple((a, {m: 2 * c for m, c in part.items()}) for a, part in pairs))
+                 for b, first, pairs in parts)
+
+
+def _without_first_order_parts(parts):
+    return tuple((b, {}, pairs) for b, _first, pairs in parts)
+
+
+@pytest.mark.parametrize("wrong_route", [_without_the_half, _without_first_order_parts])
+def test_a_wrong_top_component_route_fails_decomposition(wrong_route, tmp_path, monkeypatch,
+                                                         capsys):
+    # dequantize reads the top component off the Taylor parts and
+    # decomposition-exact rebuilds it by substitution, so a wrong part fails
+    # the row for each case's default Hamiltonian.
+    for name in superfield.CASES:
+        case = superfield.get_case(name)
+        wrong = wrong_route(case.top_parts)
+        monkeypatch.setitem(case.__dict__, "top_parts", wrong)
+        path = tmp_path / f"{name}.json"
+        assert main(["verify-dequantization", "--case", name, "--report", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("failed checks: decomposition-exact")
+        row = json.loads(path.read_text())["checks"][0]
+        assert row["name"] == "decomposition-exact" and not row["passed"]
+        monkeypatch.undo()
+        assert main(["verify-dequantization", "--case", name, "--report", str(path)]) == 0
+        capsys.readouterr()
+        assert json.loads(path.read_text())["checks"][0]["expected"] == row["expected"]
+
+
+def test_verify_dequantization_rejects_the_supertime_pair(tmp_path, capsys):
+    # The top-component rule holds only for a Lagrangian free of theta and
+    # thetabar, so one that mentions either is refused before any work.
+    for name, flag, text in (
+        ("bosonic", "--lagrangian", "theta*q"),
+        ("bosonic", "--lagrangian", "p*dot(q) + q*thetabar*c_q"),
+        ("grassmann", "--lagrangian", "thetabar*xi"),
+        ("coadjoint", "--lagrangian", "chi*c_phi*eta"),
+        ("coadjoint", "--hamiltonian", "chibar*c_eta"),
+    ):
+        case = superfield.get_case(name)
+        path = tmp_path / "report.json"
+        assert main(["verify-dequantization", "--case", name, flag, text,
+                     "--report", str(path)]) == 1
+        message = (f"dequantization needs a Lagrangian free of the supertime pair "
+                   f"({case.theta}, {case.thetabar}) at every dot order; --lagrangian and "
+                   f"--hamiltonian may not use them")
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+        data = json.loads(path.read_text())
+        assert data["checks"] == [] and data["all_passed"] is False
+        assert data["error"] == {"class": "UnsupportedCaseError", "message": message}
+
+
 def test_verify_dequantization_passes(tmp_path):
     report_path = tmp_path / "report.json"
     proc = run_cli(

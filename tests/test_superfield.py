@@ -11,10 +11,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spindeq import (
     CASES,
     IdentityViolationError,
+    TableMismatchError,
     UnsupportedCaseError,
     builtin_hamiltonian,
     builtin_hamiltonians,
@@ -28,8 +31,9 @@ from spindeq import (
     substitute,
     superfield_bindings,
     supertime_integral,
+    top_component,
 )
-from spindeq import _graded
+from spindeq import _graded, symbols
 
 
 def test_case_registry():
@@ -137,12 +141,8 @@ def test_taylor_route_matches_substitution():
         assert compose_observable_taylor(h, bindings) == substitute(h, bindings)
 
 
-def test_substitution_work_stays_at_the_ladder_figure(monkeypatch):
-    # Kernel products are counted, not timed, so the figure repeats exactly.
-    # Raising each binding to each exponent per monomial took 257 products
-    # and 4,686 monomial pairs here; the ascending ladder of powers takes 102
-    # and 1,421.
-    case = get_case("bosonic")
+def _degree_twelve_lagrangian(case):
+    """A fixed bosonic Hamiltonian of degree 12 and its 49-term Lagrangian."""
     ctx = case.context
     h = ctx.zero()
     for k in range(1, 13):
@@ -150,7 +150,11 @@ def test_substitution_work_stays_at_the_ladder_figure(monkeypatch):
             h = h + ctx.sym("q") ** a * ctx.sym("p") ** (k - a) * Fraction(a + 1, k - a + 2)
     lagrangian = quantum_lagrangian(case, h)
     assert len(lagrangian.terms) == 49
-    bindings = superfield_bindings(case)
+    return h, lagrangian
+
+
+def _count_products(monkeypatch):
+    """``[kernel products, monomial pairs]``, counted until ``monkeypatch.undo()``."""
     counts = [0, 0]
     mul = _graded.mul
 
@@ -160,10 +164,102 @@ def test_substitution_work_stays_at_the_ladder_figure(monkeypatch):
         return mul(x, y, odd)
 
     monkeypatch.setattr(_graded, "mul", counted)
+    return counts
+
+
+def test_substitution_work_stays_at_the_ladder_figure(monkeypatch):
+    # Kernel products are counted, not timed, so the figure repeats exactly.
+    # Raising each binding to each exponent per monomial took 257 products
+    # and 4,686 monomial pairs here; the ascending ladder of powers takes 102
+    # and 1,421.
+    case = get_case("bosonic")
+    _, lagrangian = _degree_twelve_lagrangian(case)
+    bindings = superfield_bindings(case)
+    counts = _count_products(monkeypatch)
     out = substitute(lagrangian, bindings)
     monkeypatch.undo()
     assert counts[0] <= 102 and counts[1] <= 1421, counts
     assert out == compose_observable_taylor(lagrangian, bindings)
+
+
+def test_dequantization_work_stays_at_the_taylor_figure(monkeypatch):
+    # The same 49-term Lagrangian: substitution and the supertime integral
+    # took 111 kernel products over 1,643 monomial pairs inside dequantize;
+    # the top-component rule takes 17 over 284, and never substitutes.
+    case = get_case("bosonic")
+    h, lagrangian = _degree_twelve_lagrangian(case)
+    case.top_parts  # the parts are built once per case, outside the count
+    def never(self, bindings):
+        raise AssertionError("dequantize called substitute")
+
+    counts = _count_products(monkeypatch)
+    monkeypatch.setattr(symbols.GradedPolynomial, "substitute", never)
+    result = dequantize(lagrangian, case)
+    monkeypatch.undo()
+    assert counts[0] <= 17 and counts[1] <= 284, counts
+    raw = supertime_integral(
+        substitute(lagrangian, superfield_bindings(case)), case.theta, case.thetabar
+    )
+    assert result.cpi_lagrangian + result.surface_term == raw
+    assert result.cpi_lagrangian == cpi_lagrangian(case, h)
+
+
+def _case_symbols(case):
+    """Every symbol of a case but its supertime pair: constants, then each
+    family's base field, ghost, auxiliary and antighost."""
+    names = list(case.constants)
+    for f in case.families:
+        names += [f.base, f.ghost, f.aux, f.antighost]
+    return names
+
+
+@st.composite
+def _lagrangians(draw):
+    """A random exact Lagrangian over one case's symbols, free of θ and θ̄,
+    every symbol at dot order 0 to 2, with the case's kinetic term or
+    without."""
+    case = get_case(draw(st.sampled_from(CASES)))
+    ctx = case.context
+    factor = st.tuples(st.sampled_from(_case_symbols(case)), st.integers(0, 2))
+    out = case.kinetic_term if draw(st.booleans()) else ctx.zero()
+    for _ in range(draw(st.integers(1, 5))):
+        term = ctx.const(Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 5))))
+        for name, dot in draw(st.lists(factor, max_size=4)):
+            term = term * ctx.sym(name, dot)
+        out = out + term
+    return case, out
+
+
+@given(_lagrangians())
+def test_top_component_is_the_supertime_integral_of_the_substitution(drawn):
+    case, lagrangian = drawn
+    raw = supertime_integral(
+        substitute(lagrangian, superfield_bindings(case)), case.theta, case.thetabar
+    )
+    assert top_component(lagrangian, case) == raw
+    try:
+        result = dequantize(lagrangian, case)
+    except IdentityViolationError:
+        return  # no CPI Lagrangian plus a total derivative; the split is refused
+    assert result.cpi_lagrangian + result.surface_term == raw
+
+
+def test_dequantize_rejects_the_supertime_pair_before_any_work(monkeypatch):
+    def never(*args):
+        raise AssertionError("dequantize did work")
+
+    monkeypatch.setattr(_graded, "left_derivative", never)
+    for name in CASES:
+        case = get_case(name)
+        ctx = case.context
+        ghost = ctx.sym(case.families[0].ghost)
+        for odd_time in (case.theta, case.thetabar):
+            for dot in (0, 1, 2):
+                lagrangian = case.kinetic_term + ctx.sym(odd_time, dot) * ghost
+                with pytest.raises(UnsupportedCaseError) as err:
+                    dequantize(lagrangian, case)
+                assert f"({case.theta}, {case.thetabar})" in str(err.value)
+                assert "--lagrangian" in str(err.value)
 
 
 def test_case_polynomials_are_derived_once():
@@ -243,6 +339,8 @@ def test_dequantize_rejects_non_lagrangian_input():
     with pytest.raises(IdentityViolationError) as err:
         dequantize(case.context.parse("dot(lam_p)*dot(q)"), case)
     assert "residual" in err.value.payload
+    with pytest.raises(TableMismatchError):
+        dequantize(get_case("coadjoint").context.parse("eta*dot(phi)"), case)
 
 
 def test_quantum_lagrangian_rejects_a_shift_the_case_lacks():
