@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Every subcommand turns its flags into suite checks (some also write a CSV
-table).  :func:`main` times the run, builds one :class:`RunReport`
+table).  :func:`main` times the run and builds one :class:`RunReport`
 (parameters, a list of named checks with expected/actual/residual, wall
-time, and the versions of what ran), writes it where ``--out``/``--report``
-asks for JSON, prints it, and exits 0 only when every check passed.  Failing
-check names go to stderr.  A run stopped by an error exits 1 with the error
-on stderr, and its JSON report, if asked for, has no checks, an ``error``
-object and ``all_passed`` false.  Randomized checks take ``--seed``, falling back
-to the SPINDEQ_SEED environment variable and then to 0, and are
-deterministic for a fixed seed.
+time, and the versions of what ran) for a finished run and for a failed one
+alike, writes it where ``--out``/``--report`` asks for JSON, and prints it.
+It exits 0 only when every check passed; failing check names go to stderr.
+A run stopped by an error exits 1 with the error on stderr, and its report
+has no checks, an ``error`` object and ``all_passed`` false; a report path
+that cannot be written is left as it is.  Randomized checks take
+``--seed``, falling back to the SPINDEQ_SEED environment variable, which
+must be an integer, and then to 0, and are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__, cpi, orbit, quantum, suite, superfield
-from .errors import IdentityViolationError, SpindeqError
+from .errors import IdentityViolationError, SpindeqError, UnsupportedCaseError
 from .suite import CheckResult
 from .symbols import format_poly
 
@@ -132,7 +133,11 @@ def _prepare_inputs(args) -> None:
     if not 0 < getattr(args, "theta0", 1.0) < math.pi:
         raise ValueError(f"--theta0 must lie strictly between 0 and pi, got {args.theta0}")
     if "seed" in vars(args) and args.seed is None:
-        args.seed = int(os.environ.get("SPINDEQ_SEED") or 0)
+        text = os.environ.get("SPINDEQ_SEED") or "0"
+        try:
+            args.seed = int(text)
+        except ValueError:
+            raise ValueError(f"SPINDEQ_SEED must be an integer, got {text!r}") from None
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -221,9 +226,15 @@ def _cmd_propagate_classical(args):
     else:
         hamiltonian = superfield.builtin_hamiltonian(case)
     # A flag binds a constant that H uses, by default to 1, and is recorded;
-    # a flag for a constant that H lacks is rejected.  Any other constant
-    # stays unbound, and the spec rejects it.
+    # a flag for a constant that H lacks is rejected, and so is a constant
+    # that no flag binds.
     in_use = {name for name, _dot in hamiltonian.symbols_used()}
+    unbound = sorted(name for name in in_use - {"w", "muB"} if case.context.decl(name).constant)
+    if unbound:
+        raise UnsupportedCaseError(
+            f"unbound constants {unbound}: --hamiltonian may use only the constants that a flag "
+            "binds, w (--omega) and muB (--muB)"
+        )
     coefficients = {}
     for flag, dest, constant in (("--omega", "omega", "w"), ("--muB", "muB", "muB")):
         value = getattr(args, dest)
@@ -242,7 +253,7 @@ def _cmd_propagate_classical(args):
     checks = suite.check_transport(spec, clock, args.seed)
     operator = cpi.build_cpi_hamiltonian(spec)
     return checks, {
-        "operator": format_poly(operator.operator.symbol),
+        "operator": format_poly(operator.symbol),
         "spectrum_real": operator.spectrum_is_real(),
         "clock": str(clock),  # the exact Cayley clock r of --t that every row used
     }
@@ -365,51 +376,39 @@ def _parameters(args) -> dict:
     }
 
 
-def _write_error_report(args, exc: Exception, start: float) -> None:
-    """Where ``--out``/``--report`` asks for JSON, the report of a run that
-    raised: no checks, and the error's class, message and, for an
-    :class:`IdentityViolationError`, its payload.  A path that cannot be
-    written is left as it is; the error has gone to stderr already."""
-    path = getattr(args, "report_path", None)
-    if not path:
-        return
-    error = {"class": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, IdentityViolationError):
-        error["payload"] = exc.payload
-    report = RunReport(
-        args.subcommand, _parameters(args), [], time.perf_counter() - start, error=error
-    )
-    try:
-        report.write(path)
-    except OSError:
-        pass
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()
+    checks, extras, error = [], {}, None
     try:
         _prepare_inputs(args)
         checks, extras = args.handler(args)
-        report = RunReport(
-            args.subcommand, _parameters(args), checks, time.perf_counter() - start, extras
-        )
-        report_path = getattr(args, "report_path", None)
-        if report_path:
-            report.write(report_path)
     except (SpindeqError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _write_error_report(args, exc, start)
+        error = {"class": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, IdentityViolationError):
+            error["payload"] = exc.payload
+    report = RunReport(
+        args.subcommand, _parameters(args), checks, time.perf_counter() - start, extras, error=error
+    )
+    try:
+        if getattr(args, "report_path", None):
+            report.write(args.report_path)
+    except OSError as exc:
+        if error is None:  # a failed run has printed its own error, and keeps it
+            print(f"error: {exc}", file=sys.stderr)
         return 1
+    if error is not None:
+        return 1
+    failures = report.failures()
     for check in report.checks:
         status = "ok" if check.passed else "FAIL"
         print(f"{status:4s} {check.name} (residual {check.residual})")
     print(
         f"{report.subcommand}: {len(report.checks)} checks, "
-        f"{len(report.failures())} failures, {report.timing_seconds:.2f}s"
+        f"{len(failures)} failures, {report.timing_seconds:.2f}s"
     )
-    failures = report.failures()
     if failures:
         print("failed checks: " + ", ".join(failures), file=sys.stderr)
         return 1

@@ -60,13 +60,12 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import UnsupportedCaseError
-from .exact import I, crational
+from .exact import CRational, I, crational
 from .grassmann import GrassmannOperator
 from .superfield import builtin_hamiltonian, get_case
 from .symbols import (
     ODD,
     GradedPolynomial,
-    SymbolContext,
     bind_constants,
     format_poly,
     lift,
@@ -78,10 +77,6 @@ DEFAULT_EVEN_TRUNCATION = 4
 MAX_PHASE = 1e6
 # Past this |det M|², the rate |ν| = |det M|^{1/2} is beyond the float range.
 _MAX_NORM = Fraction(sys.float_info.max) ** 4
-FLOAT_RANGE = (
-    "transport needs the coefficients of H, and the rates they give, within the float range "
-    "(flags --hamiltonian, --omega, --muB)"
-)
 
 
 # -- symbolic builders -------------------------------------------------------------
@@ -204,20 +199,16 @@ class CpiSpec:
         return tuple(va.constant_part() for va in v), m
 
 
-@dataclass(frozen=True)
-class LiouvilleOperator:
-    """CPI Hamiltonian as an operator on enlarged-space wavefunctions, the
-    polynomials over the case's context in its fields and ghosts."""
+class LiouvilleOperator(GrassmannOperator):
+    """CPI Hamiltonian of a case as an operator on enlarged-space
+    wavefunctions, the polynomials over the case's context in its fields and
+    ghosts: H̃'s :class:`GrassmannOperator`."""
 
-    case: str
-    operator: GrassmannOperator
+    __slots__ = ("case",)
 
-    @property
-    def context(self) -> SymbolContext:
-        return self.operator.context
-
-    def apply(self, psi: GradedPolynomial) -> GradedPolynomial:
-        return self.operator.apply(psi)
+    def __init__(self, case: str, symbol: GradedPolynomial, derivatives: Mapping[str, tuple]):
+        super().__init__(symbol, derivatives)
+        self.case = case
 
     def closure_matrix(self, seeds) -> tuple[tuple, tuple]:
         """The basis closure of the seed monomials, seeds first, and the
@@ -269,24 +260,25 @@ def build_cpi_hamiltonian(spec: CpiSpec) -> LiouvilleOperator:
     for f in case.families:
         derivatives[f.aux] = (f.base, aux_factor)
         derivatives[f.antighost] = (f.ghost, antighost_factor)
-    return LiouvilleOperator(case.name, GrassmannOperator(h_tilde, derivatives))
+    return LiouvilleOperator(case.name, h_tilde, derivatives)
 
 
 # -- wavefunctions -----------------------------------------------------------------
 
 
-def random_wavefunction(spec: CpiSpec, rng: random.Random, coefficient) -> GradedPolynomial:
+def random_wavefunction(spec: CpiSpec, rng: random.Random) -> GradedPolynomial:
     """A wavefunction of four random monomials φ₁^a·φ₂^b·c₁^g·c₂^h in the
     even case's fields and ghosts (q, p, c_q, c_p or φ, η, c_φ, c_η), with a
-    and b below max(T − 1, 1) for spec's truncation T, each with the
-    coefficient ``coefficient(rng)``."""
+    and b below max(T − 1, 1) for spec's truncation T, each with a Gaussian
+    rational coefficient whose two parts are each n/d, |n| <= 9, 1 <= d <= 9."""
     case = get_case(spec.case)
     top = max(spec.truncation - 1, 1)
     terms = {}
     for _ in range(4):
         powers = {f.base: rng.randrange(top) for f in case.families}
         powers.update({f.ghost: rng.randrange(2) for f in case.families})
-        terms[case.context.monomial(powers)] = coefficient(rng)
+        parts = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2))
+        terms[case.context.monomial(powers)] = CRational(*parts)
     return GradedPolynomial(case.context, terms)
 
 
@@ -324,7 +316,10 @@ def cayley_clock(spec: CpiSpec, t: float):
     if not det:
         return Fraction(t) / 2
     if det.re ** 2 + det.im ** 2 > _MAX_NORM:
-        raise UnsupportedCaseError(FLOAT_RANGE)
+        raise UnsupportedCaseError(
+            "transport needs the coefficients of H, and the rates they give, within the float "
+            "range (flags --hamiltonian, --omega, --muB)"
+        )
     square = det * Fraction(t) ** 2 / 4  # (ν·t/2)², exact
     hyperbolic = not square.im and square.re < 0
     if not hyperbolic and square.re ** 2 + square.im ** 2 > Fraction(MAX_PHASE / 2) ** 4:

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import cpi, orbit, quantum, superfield
 from .errors import UnsupportedCaseError
-from .exact import CRational, I, crational
+from .exact import I, crational
 from .symbols import (
     GradedPolynomial,
     format_poly,
@@ -83,17 +83,6 @@ def _numeric_check(name, expected, actual, residual, tol) -> CheckResult:
 # -- dequantization identities -----------------------------------------------------
 
 
-def _surface_poly(case_name: str):
-    """The expected total-derivative part: −d/dt of the conjugate bilinear."""
-    case = superfield.get_case(case_name)
-    ctx = case.context
-    second = case.families[1]
-    bilinear = ctx.sym(second.aux) * ctx.sym(second.base) + ctx.imaginary() * ctx.sym(
-        second.antighost
-    ) * ctx.sym(second.ghost)
-    return -formal_time_derivative(bilinear)
-
-
 def check_dequantization(
     case, lagrangian, cpi_l, surface, hamiltonian=None
 ) -> list[CheckResult]:
@@ -120,47 +109,38 @@ def check_dequantization(
     return out
 
 
+def _stock_dequantization(case, prefix: str, name: str, plain=None):
+    """Rows ``<prefix>-cpi`` and ``<prefix>-surface`` of ``dequantize`` on the
+    stock Hamiltonian ``name``, and its surface.  Given ``plain``, the surface
+    without the one-form shift, the Lagrangian has the shift and the second
+    row is ``<prefix>-extra``: what the shift adds, −d/dt(γ·Λ_η)."""
+    case = superfield.get_case(case)
+    h = superfield.builtin_hamiltonian(case, name)
+    lagrangian = superfield.quantum_lagrangian(case, h, gamma=plain is not None)
+    cpi_l, surface = superfield.dequantize(lagrangian, case)
+    ctx, conjugate = case.context, case.families[1]
+    if plain is None:  # the surface is −d/dt of the conjugate bilinear
+        bilinear = ctx.sym(conjugate.aux) * ctx.sym(conjugate.base) + ctx.imaginary() * ctx.sym(
+            conjugate.antighost) * ctx.sym(conjugate.ghost)
+        second = _exact_check(f"{prefix}-surface", -formal_time_derivative(bilinear), surface)
+    else:
+        extra = -formal_time_derivative(ctx.parse("gamma*Lam_eta"))
+        second = _exact_check(f"{prefix}-extra", extra, surface - plain)
+    return [_exact_check(f"{prefix}-cpi", cpi.cpi_lagrangian(case, h), cpi_l), second], surface
+
+
 def check_bosonic_dequantization(seed: int = 0) -> list[CheckResult]:
-    out = []
-    case = superfield.get_case("bosonic")
-    for name in ("free", "harmonic", "quartic", "bilinear"):
-        h = superfield.builtin_hamiltonian(case, name)
-        l = superfield.quantum_lagrangian(case, h)
-        cpi_l, surface = superfield.dequantize(l, case)
-        out.append(
-            _exact_check(f"bosonic-{name}-cpi", cpi.cpi_lagrangian(case, h), cpi_l)
-        )
-        out.append(_exact_check(f"bosonic-{name}-surface", _surface_poly("bosonic"), surface))
-    return out
+    return [row for name in ("free", "harmonic", "quartic", "bilinear")
+            for row in _stock_dequantization("bosonic", f"bosonic-{name}", name)[0]]
 
 
 def check_grassmann_dequantization(seed: int = 0) -> list[CheckResult]:
-    case = superfield.get_case("grassmann")
-    h = superfield.builtin_hamiltonian(case, "spin")
-    l = superfield.quantum_lagrangian(case, h)
-    cpi_l, surface = superfield.dequantize(l, case)
-    return [
-        _exact_check("grassmann-spin-cpi", cpi.cpi_lagrangian(case, h), cpi_l),
-        _exact_check("grassmann-spin-surface", _surface_poly("grassmann"), surface),
-    ]
+    return _stock_dequantization("grassmann", "grassmann-spin", "spin")[0]
 
 
 def check_coadjoint_dequantization(seed: int = 0) -> list[CheckResult]:
-    case = superfield.get_case("coadjoint")
-    ctx = case.context
-    h = superfield.builtin_hamiltonian(case, "spin")
-    plain = superfield.quantum_lagrangian(case, h)
-    cpi_l, surface = superfield.dequantize(plain, case)
-    out = [
-        _exact_check("coadjoint-cpi", cpi.cpi_lagrangian(case, h), cpi_l),
-        _exact_check("coadjoint-surface", _surface_poly("coadjoint"), surface),
-    ]
-    with_gamma = superfield.quantum_lagrangian(case, h, gamma=True)
-    cpi_g, surface_g = superfield.dequantize(with_gamma, case)
-    out.append(_exact_check("coadjoint-gamma-cpi", cpi.cpi_lagrangian(case, h), cpi_g))
-    extra = -formal_time_derivative(ctx.parse("gamma*Lam_eta"))
-    out.append(_exact_check("coadjoint-gamma-extra", extra, surface_g - surface))
-    return out
+    rows, plain = _stock_dequantization("coadjoint", "coadjoint", "spin")
+    return rows + _stock_dequantization("coadjoint", "coadjoint-gamma", "spin", plain)[0]
 
 
 def check_observable_map(seed: int = 0) -> list[CheckResult]:
@@ -319,21 +299,25 @@ def check_precession_flow(state, mu_b, b, times) -> list[CheckResult]:
 
 
 def check_precession(seed: int = 0) -> list[CheckResult]:
+    """:func:`check_precession_flow`, and the period and flow against the
+    Dirac-bracket rate {φ, H}_D at the state: period·|{φ, H}_D| = 2π, and the
+    flow over 0.4 then 0.6 moves φ by {φ, H}_D·1.0, wrapped."""
     mu_b, b = 0.9, 1.3
     state = orbit.OrbitState.on_constraint(1.1, 0.3, 1.7)
     period = orbit.precession_period(mu_b, b)
     flow = check_precession_flow(state, mu_b, b, [0.37 * period])
+    angle_rate = flow[1].actual  # {φ, H}_D at the state
     out = flow[:2]  # the equations of motion; conservation follows the period
-    moved = orbit.classical_trajectory(state, mu_b, b, period)
-    angle_gap = abs((moved.phi - state.phi + math.pi) % (2 * math.pi) - math.pi)
-    out.append(_numeric_check("precession-period-identity", state.phi, moved.phi, angle_gap, 1e-12))
+    turn = period * abs(angle_rate)
+    out.append(_numeric_check("precession-period-identity", 2 * math.pi, turn,
+                              abs(turn - 2 * math.pi), 1e-12))
     out += flow[2:]
     composed = orbit.classical_trajectory(
         orbit.classical_trajectory(state, mu_b, b, 0.4), mu_b, b, 0.6
     )
-    direct = orbit.classical_trajectory(state, mu_b, b, 1.0)
-    gap = abs((composed.phi - direct.phi + math.pi) % (2 * math.pi) - math.pi)
-    out.append(_numeric_check("precession-flow-composition", direct.phi, composed.phi, gap, 1e-12))
+    direct = orbit.wrap_angle(state.phi + angle_rate * 1.0)
+    gap = abs((composed.phi - direct + math.pi) % (2 * math.pi) - math.pi)
+    out.append(_numeric_check("precession-flow-composition", direct, composed.phi, gap, 1e-12))
     return out
 
 
@@ -349,11 +333,6 @@ GRASSMANN_EXPONENTS = tuple(itertools.product((0, 1), (0, 1), (0, 1, 2), (0, 1))
 GRASSMANN_NAMES = ("xi", "xibar", "c_xi", "c_xibar")
 
 
-def _gaussian_rational(rng) -> CRational:
-    return CRational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                     Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-
-
 def check_transport(spec: cpi.CpiSpec, clock, seed: int = 0) -> list[CheckResult]:
     """CPI transport of ``spec`` against the classical flow, as the rows
     ``cpi-<case>-…`` of ``propagate-classical``, the suite and the bench.
@@ -363,12 +342,12 @@ def check_transport(spec: cpi.CpiSpec, clock, seed: int = 0) -> list[CheckResult
     exp(−iτH̃) by ``cpi.evolve`` against ψ∘flow(−τ), the flow from
     ``cpi.expm``, one code path per case.
     """
-    build = {"coadjoint": _coadjoint_transport, "grassmann": _grassmann_transport,
-             "bosonic": _bosonic_transport}[superfield.get_case(spec.case).name]
-    try:
-        return build(spec, clock, seed, cpi.build_cpi_hamiltonian(spec))
-    except OverflowError:
-        raise UnsupportedCaseError(cpi.FLOAT_RANGE) from None
+    operator = cpi.build_cpi_hamiltonian(spec)
+    if operator.case == "grassmann":
+        return _grassmann_transport(spec, clock, operator)
+    if operator.case == "coadjoint":
+        return _coadjoint_transport(spec, clock, seed, operator)
+    return _bosonic_transport(spec, clock, seed, operator)[0]
 
 
 def _back(psi, spec, r):
@@ -389,47 +368,52 @@ def _back(psi, spec, r):
     return cpi.pull_back(psi, spec, cpi.expm(m, -r), drift)
 
 
+def _bosonic_transport(spec, r, seed, operator):
+    """The rows ``cpi-<case>-transport-<n>`` of an even case: exp(−iτH̃)ψ
+    against ψ∘flow(−τ) on :data:`SAMPLES` Gaussian-rational wavefunctions
+    drawn from ``seed``; with the last ψ and its image."""
+    rng = random.Random(seed)
+    rows = []
+    for n in range(SAMPLES):
+        psi = cpi.random_wavefunction(spec, rng)
+        back = _back(psi, spec, r)  # a drift off det M = 0 is rejected here, first
+        moved = cpi.evolve(psi, spec, r, operator)
+        rows.append(_exact_check(f"cpi-{operator.case}-transport-{n}", back, moved))
+    return rows, psi, moved
+
+
 def _coadjoint_transport(spec, r, seed, operator) -> list[CheckResult]:
     """Rows that each apply H̃ = −μB·Λ_φ, by its Taylor sum, which ends.
     The classical field of H = −μB·η plus a constant has M = 0 and
     v₀ = (−μB, 0), so the flow moves φ by v₀^φ·τ and keeps η and the ghosts.
-    On :data:`SAMPLES` Gaussian-rational ψ over (φ, η, c_φ, c_η) drawn from
-    ``seed``, exp(−iτH̃)ψ = ψ∘flow(−τ).  On the last of them, ψ₀: the η²
-    marginal rides along, clocks r and r/3 compose to 4r/3 (at D = 0 the
-    clock is τ/2), and −iH̃ψ₀ = −v₀^φ·∂_φψ₀; and exp(−iτH̃) keeps the ghosts."""
+    The transport rows of :func:`_bosonic_transport`; then, on the last ψ
+    drawn, ψ₀: the η² marginal rides along, clocks r and r/3 compose to 4r/3
+    (at D = 0 the clock is τ/2), and −iH̃ψ₀ = −v₀^φ·∂_φψ₀; and exp(−iτH̃)
+    keeps the ghosts."""
     v0, m = spec.vector_field
     if any(x for row in m for x in row) or v0[1]:
         raise UnsupportedCaseError("coadjoint transport needs H = -muB*eta + constant")
-    mu_b = -crational(v0[0])
-    if mu_b.im:
-        raise UnsupportedCaseError(f"transport needs a real rate, got {complex(mu_b)}")
     ctx = operator.context
-
-    def evolve(psi, clock):
-        return cpi.evolve(psi, spec, clock, operator)
-
-    rng = random.Random(seed)
-    rows = []
-    for n in range(SAMPLES):
-        psi = cpi.random_wavefunction(spec, rng, _gaussian_rational)
-        moved = evolve(psi, r)
-        rows.append(_exact_check(f"cpi-coadjoint-transport-{n}", _back(psi, spec, r), moved))
-    eta_sq = ctx.sym("eta") ** 2  # ψ₀ is the last ψ drawn
-    rows += [
-        _exact_check("cpi-coadjoint-eta-marginal-invariant", eta_sq * moved,
-                     evolve(eta_sq * psi, r)),
-        _exact_check("cpi-coadjoint-composition", _back(psi, spec, 4 * r / 3),
-                     evolve(moved, r / 3)),
-    ]
+    mu_b = -crational(v0[0])
+    if mu_b.im:  # printed exactly, since a float overflows past 1e308
+        rate = format_poly(ctx.const(mu_b))
+        raise UnsupportedCaseError(f"transport needs a real rate, got {rate}")
+    rows, psi, moved = _bosonic_transport(spec, r, seed, operator)
+    eta_sq = ctx.sym("eta") ** 2
     ghosts = ctx.parse("(3+i)/10*c_phi - i/5*c_eta")
-    rows.append(_exact_check("cpi-coadjoint-ghosts-constant", _back(ghosts, spec, r),
-                             evolve(ghosts, r)))
-    lie = -v0[0] * partial_derivative(psi, "phi")
-    rows.append(_exact_check("cpi-coadjoint-generator", lie, -I * operator.apply(psi)))
-    return rows
+    return rows + [
+        _exact_check("cpi-coadjoint-eta-marginal-invariant", eta_sq * moved,
+                     cpi.evolve(eta_sq * psi, spec, r, operator)),
+        _exact_check("cpi-coadjoint-composition", _back(psi, spec, 4 * r / 3),
+                     cpi.evolve(moved, spec, r / 3, operator)),
+        _exact_check("cpi-coadjoint-ghosts-constant", _back(ghosts, spec, r),
+                     cpi.evolve(ghosts, spec, r, operator)),
+        _exact_check("cpi-coadjoint-generator", -v0[0] * partial_derivative(psi, "phi"),
+                     -I * operator.apply(psi)),
+    ]
 
 
-def _grassmann_transport(spec, r, seed, operator) -> list[CheckResult]:
+def _grassmann_transport(spec, r, operator) -> list[CheckResult]:
     """H̃ multiplies each monomial of :data:`GRASSMANN_EXPONENTS` by
     ω·(a − b + j − k), with ω = −i·M^ξ_ξ read off the classical field;
     exp(−iτH̃)ξc_ξ = (ξc_ξ)∘flow(−τ) = e^{−2iωτ}ξc_ξ; and H̃ annihilates
@@ -437,7 +421,8 @@ def _grassmann_transport(spec, r, seed, operator) -> list[CheckResult]:
     ctx = operator.context
     w = -I * spec.vector_field[1][0][0]  # M^ξ_ξ = iω
     if w.im:
-        raise UnsupportedCaseError(f"transport needs a real rate, got {complex(w)}")
+        rate = format_poly(ctx.const(w))
+        raise UnsupportedCaseError(f"transport needs a real rate, got {rate}")
     rows = []
     for exps in GRASSMANN_EXPONENTS:
         a, b, j, k = exps
@@ -449,18 +434,6 @@ def _grassmann_transport(spec, r, seed, operator) -> list[CheckResult]:
                              cpi.evolve(xi_cxi, spec, r, operator)))
     annihilated = operator.apply(ctx.const(1))
     rows.append(_exact_check("cpi-grassmann-constant-annihilated", ctx.zero(), annihilated))
-    return rows
-
-
-def _bosonic_transport(spec, r, seed, operator) -> list[CheckResult]:
-    """exp(−iτH̃)ψ against ψ∘flow(−τ) on :data:`SAMPLES` Gaussian-rational
-    wavefunctions drawn from ``seed``."""
-    rng = random.Random(seed)
-    rows = []
-    for n in range(SAMPLES):
-        psi = cpi.random_wavefunction(spec, rng, _gaussian_rational)
-        rows.append(_exact_check(f"cpi-bosonic-transport-{n}", _back(psi, spec, r),
-                                 cpi.evolve(psi, spec, r, operator)))
     return rows
 
 

@@ -544,17 +544,41 @@ def test_propagate_classical_records_only_the_constants_it_used(tmp_path, capsys
 
 
 def test_propagate_classical_rejects_a_constant_without_a_flag(tmp_path, capsys):
-    # alpha has no flag, so nothing binds it; a run must not pick a value.
+    # Only w and muB have a flag, so nothing binds any other constant; a run
+    # must not pick a value, and the message names the flags that bind.
     out = tmp_path / "report.json"
-    argv = ["propagate-classical", "--case", "bosonic", "--hamiltonian", "alpha*q*p", "--out", str(out)]
-    assert main(argv) == 1
+    for case, hamiltonian, constant in (("bosonic", "alpha*q*p", "alpha"),
+                                        ("bosonic", "hbar*q^2/2", "hbar"),
+                                        ("coadjoint", "-muB*eta + gamma*eta", "gamma")):
+        argv = ["propagate-classical", "--case", case, "--hamiltonian", hamiltonian,
+                "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unbound constants"), captured.err
+        assert f"'{constant}'" in captured.err
+        assert all(flag in captured.err for flag in ("--hamiltonian", "--omega", "--muB"))
+        assert "coefficients" not in captured.err
+        report = json.loads(out.read_text())
+        assert report["checks"] == [] and report["all_passed"] is False
+        assert report["error"]["class"] == "UnsupportedCaseError"
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_a_seed_in_the_environment_that_is_not_an_integer_is_rejected(value, tmp_path, capsys,
+                                                                       monkeypatch):
+    monkeypatch.setenv("SPINDEQ_SEED", value)
+    out = tmp_path / "report.json"
+    assert main(["all", "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: unbound constants"), captured.err
-    assert "'alpha'" in captured.err
+    message = f"SPINDEQ_SEED must be an integer, got {value!r}"
+    assert captured.out == "" and captured.err == f"error: {message}\n"
     report = json.loads(out.read_text())
+    assert report["error"] == {"class": "ValueError", "message": message}
     assert report["checks"] == [] and report["all_passed"] is False
-    assert report["error"]["class"] == "UnsupportedCaseError"
+    # A --seed flag does not read the environment.
+    assert main(["all", "--seed", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
 
 
 def test_bare_verify_dequantization_checks_the_default_stock_hamiltonian(tmp_path, capsys):
@@ -732,10 +756,14 @@ def test_coadjoint_hamiltonian_form_is_checked_before_its_rate(capsys):
     # form and a rate that is not real.
     for text, message in (("eta^2", "coadjoint transport needs H = -muB*eta + constant"),
                           ("eta*phi", "coadjoint transport needs H = -muB*eta + constant"),
-                          ("-(1+i)*eta", "transport needs a real rate, got (1+1j)")):
+                          ("-(1+i)*eta", "transport needs a real rate, got (1+i)")):
         assert main(["propagate-classical", "--case", "coadjoint", f"--hamiltonian={text}"]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
+    # Exact at any rate: a complex rate past the float range is still a
+    # complex rate, printed exactly, not a float-range problem.
+    assert main(["propagate-classical", "--case", "coadjoint", "--hamiltonian=-(10^400)*i*eta"]) == 1
+    assert capsys.readouterr().err == f"error: transport needs a real rate, got {10**400}*i\n"
 
 
 @pytest.mark.parametrize(

@@ -205,6 +205,24 @@ def test_precession_angle_row_fails_for_the_opposite_hamiltonian(monkeypatch):
     assert rows["precession-height-equation"].passed
 
 
+@pytest.mark.parametrize(
+    "wrong, failing",
+    [
+        (lambda rate: 2 * rate, {"angle-equation", "period-identity", "flow-composition"}),
+        (lambda rate: -rate, {"angle-equation", "flow-composition"}),
+    ],
+    ids=["doubled", "negated"],
+)
+def test_a_wrong_precession_rate_fails_the_rows_that_read_the_bracket(monkeypatch, wrong, failing):
+    # The period and the composed flow are compared with the Dirac-bracket
+    # rate {φ, H}_D, not with the closed form's own rate; a negated rate
+    # keeps the period, so it fails the composition alone among the two.
+    stock = orbit.precession_rate
+    monkeypatch.setattr(orbit, "precession_rate", lambda mu_b, b: wrong(stock(mu_b, b)))
+    rows = check_precession()
+    assert {row.name for row in rows if not row.passed} == {f"precession-{n}" for n in failing}
+
+
 def test_equations_of_motion_are_exact_on_the_sphere():
     # λ·sinθ·{η, H}_D vanishes and λ·sinθ·{φ, H}_D = −λ·sinθ·μB·B, as polynomials.
     h = total_hamiltonian(0.9, 1.3)

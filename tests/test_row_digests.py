@@ -1,0 +1,111 @@
+"""Every exact row of ``spindeq all`` pinned by a digest, at seeds 0-5.
+
+The 67 exact rows (all but the 10 slicing and 6 precession rows, whose last
+bits come from the C math library) each hash their six reports, one per
+seed: name, both sides as printed, residual, tolerance and verdict.  A
+refactor that moves any of them fails here and names the row.  A change
+that means to change a row pins its digest again, with
+``PYTHONPATH=src python tests/test_row_digests.py`` printing the current table.
+"""
+
+import hashlib
+import json
+
+from spindeq import suite
+
+SEEDS = range(6)
+NUMERIC = ("slicing-", "precession-")  # rows whose floats come from libm
+
+DIGESTS = {
+    "bosonic-free-cpi": "4551ed9436284622",
+    "bosonic-free-surface": "0e5b4c78b0b4e78d",
+    "bosonic-harmonic-cpi": "1565c402ac5965b3",
+    "bosonic-harmonic-surface": "aafad40ac029bf0e",
+    "bosonic-quartic-cpi": "b5aa807e9ffae600",
+    "bosonic-quartic-surface": "f5f8ee66bd1472ee",
+    "bosonic-bilinear-cpi": "e6b567d2bc13a646",
+    "bosonic-bilinear-surface": "8d5ceb1a39771b52",
+    "grassmann-spin-cpi": "d14e65fd629db168",
+    "grassmann-spin-surface": "b741f47277ab958e",
+    "coadjoint-cpi": "46ed711a5d52026f",
+    "coadjoint-surface": "a2edc1f08d1d06ef",
+    "coadjoint-gamma-cpi": "67c7bf5adc8efda1",
+    "coadjoint-gamma-extra": "8e59f06ccedfbe2e",
+    "observable-map-liouville": "adb623b924e6a98e",
+    "observable-map-taylor-route": "af060a5579f69442",
+    "isomorphism-Sx": "a07a5f0ce1c9e992",
+    "isomorphism-Sy": "50a54a4e59408cf9",
+    "isomorphism-Sz": "cf3fc013546151a3",
+    "isomorphism-N": "e13faaa71d562ddd",
+    "su2-commutator-xy": "d1d0df330854a481",
+    "su2-commutator-yz": "fd9ac9074c06ec69",
+    "su2-commutator-zx": "1a3bc337664a9554",
+    "isomorphism-hamiltonian-generic-field": "c5a2d677f8ba1ed0",
+    "dirac-canonical-pair": "573837fa32b2086c",
+    "dirac-constraints-vanish": "f4b3154be8df9ee5",
+    "dirac-so3-relations": "2301c33c36406417",
+    "cpi-coadjoint-transport-0": "6a5ffa5777f4f502",
+    "cpi-coadjoint-transport-1": "3343956183da7a3f",
+    "cpi-coadjoint-transport-2": "6aa1236fd7776936",
+    "cpi-coadjoint-transport-3": "4753ed325c5aad2f",
+    "cpi-coadjoint-transport-4": "4f0118f35f71f7bb",
+    "cpi-coadjoint-eta-marginal-invariant": "d0d9ccbb9f3f3f59",
+    "cpi-coadjoint-composition": "1e3ac851adb08ac7",
+    "cpi-coadjoint-ghosts-constant": "6721578d72c60814",
+    "cpi-coadjoint-generator": "c395b46048ce24c3",
+    "cpi-grassmann-eigen-(0, 0, 0, 0)": "82eb4f67dba5a2c8",
+    "cpi-grassmann-eigen-(0, 0, 0, 1)": "9253587d7dced1fc",
+    "cpi-grassmann-eigen-(0, 0, 1, 0)": "24d863157e275a71",
+    "cpi-grassmann-eigen-(0, 0, 1, 1)": "96dc9e2a6578283a",
+    "cpi-grassmann-eigen-(0, 0, 2, 0)": "3397fc940948779d",
+    "cpi-grassmann-eigen-(0, 0, 2, 1)": "353dabfc523c66f1",
+    "cpi-grassmann-eigen-(0, 1, 0, 0)": "73db0ec118d470bc",
+    "cpi-grassmann-eigen-(0, 1, 0, 1)": "9833f3b936724367",
+    "cpi-grassmann-eigen-(0, 1, 1, 0)": "6286a095ff8e1f94",
+    "cpi-grassmann-eigen-(0, 1, 1, 1)": "3c6d458e6e75f3e1",
+    "cpi-grassmann-eigen-(0, 1, 2, 0)": "a3c9fb3f3c13eae4",
+    "cpi-grassmann-eigen-(0, 1, 2, 1)": "9fe8a5a89b8600ca",
+    "cpi-grassmann-eigen-(1, 0, 0, 0)": "5e10a8227ae0848e",
+    "cpi-grassmann-eigen-(1, 0, 0, 1)": "bfed43a4fc3dbd1f",
+    "cpi-grassmann-eigen-(1, 0, 1, 0)": "0f8df1e2fcd0fdd1",
+    "cpi-grassmann-eigen-(1, 0, 1, 1)": "0ca9c28915f7659c",
+    "cpi-grassmann-eigen-(1, 0, 2, 0)": "1d07aaba86e9dff9",
+    "cpi-grassmann-eigen-(1, 0, 2, 1)": "851637f55f3fa83b",
+    "cpi-grassmann-eigen-(1, 1, 0, 0)": "66c83ecc429c8c11",
+    "cpi-grassmann-eigen-(1, 1, 0, 1)": "12271ec2b3895649",
+    "cpi-grassmann-eigen-(1, 1, 1, 0)": "820ed8a6e07fbc43",
+    "cpi-grassmann-eigen-(1, 1, 1, 1)": "8ab9b2b222df157a",
+    "cpi-grassmann-eigen-(1, 1, 2, 0)": "c30289725f536924",
+    "cpi-grassmann-eigen-(1, 1, 2, 1)": "5d51f19f95872c8d",
+    "cpi-grassmann-phase-xi-cxi": "362d083265e14a84",
+    "cpi-grassmann-constant-annihilated": "afb29065525935f2",
+    "cpi-bosonic-transport-0": "bf9a59946a57233d",
+    "cpi-bosonic-transport-1": "0ec3d3afaf4e9251",
+    "cpi-bosonic-transport-2": "886f094c03a746a1",
+    "cpi-bosonic-transport-3": "6888697a45277556",
+    "cpi-bosonic-transport-4": "dabfd58e732146f3",
+}
+
+
+def row_digests() -> dict:
+    reports: dict = {}
+    for seed in SEEDS:
+        for row in suite.run_all(seed)[0]:
+            if not row.name.startswith(NUMERIC):
+                reports.setdefault(row.name, []).append(row.to_dict())
+    return {
+        name: hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16]
+        for name, rows in reports.items()
+    }
+
+
+def test_every_exact_row_keeps_its_digest():
+    digests = row_digests()
+    assert list(digests) == list(DIGESTS)
+    moved = [name for name, digest in DIGESTS.items() if digests[name] != digest]
+    assert not moved, f"rows that changed: {moved}"
+
+
+if __name__ == "__main__":
+    for name, digest in row_digests().items():
+        print(f'    "{name}": "{digest}",')

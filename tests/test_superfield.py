@@ -33,7 +33,7 @@ from spindeq import (
     supertime_integral,
     top_component,
 )
-from spindeq import _graded, symbols
+from spindeq import _graded, suite, symbols
 
 
 def test_case_registry():
@@ -348,3 +348,19 @@ def test_quantum_lagrangian_rejects_a_shift_the_case_lacks():
         h = builtin_hamiltonian(name, next(iter(builtin_hamiltonians(name))))
         with pytest.raises(UnsupportedCaseError):
             quantum_lagrangian(name, h, gamma=True)
+
+
+def test_top_parts_without_the_half_fail_every_dequantization_group(monkeypatch):
+    # The second-order parts T(½Δ_bΔ_a) taken twice: the three groups share
+    # one row builder, and each of them must see the wrong top component.
+    for name in CASES:
+        case = get_case(name)
+        doubled = tuple(
+            (b, first, tuple((a, {mono: 2 * c for mono, c in part.items()}) for a, part in pairs))
+            for b, first, pairs in case.top_parts
+        )
+        monkeypatch.setitem(case.__dict__, "top_parts", doubled)
+    for group in (suite.check_bosonic_dequantization, suite.check_grassmann_dequantization,
+                  suite.check_coadjoint_dequantization):
+        rows = group()
+        assert all(not row.passed for row in rows if row.name.endswith("-cpi")), group.__name__
