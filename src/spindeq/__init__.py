@@ -14,10 +14,10 @@ Layers, bottom up:
 * :mod:`spindeq.quantum`: spin-1/2 states and operators in one Grassmann
   algebra, symbol composition, and time-sliced propagators;
 * :mod:`spindeq.cpi`: the classical-path-integral Hamiltonian as an
-  operator, its exact and float evolution, and transport checks against
-  the classical flow;
-* :mod:`spindeq.orbit`: the constrained sphere: Poisson/Dirac brackets and
-  closed-form precession;
+  operator, and its exact evolution and the classical flow on one Cayley
+  clock;
+* :mod:`spindeq.orbit`: the constrained sphere: Poisson brackets, Dirac
+  brackets as exact polynomials, and the precession flow;
 * :mod:`spindeq.suite` / :mod:`spindeq.cli`: end-to-end checks and the
   ``spindeq`` command.
 """
@@ -27,7 +27,6 @@ from .errors import (
     OddPowerError,
     ParityError,
     ParseError,
-    PoleError,
     SpindeqError,
     TableMismatchError,
     UnknownSymbolError,
@@ -115,11 +114,10 @@ from .orbit import (
     dirac_bracket,
     on_sphere,
     poisson_bracket,
-    precession_period,
     precession_rate,
+    pull_back,
     scaled_dirac_bracket,
     total_hamiltonian,
-    wrap_angle,
 )
 from .suite import (
     ALL_CHECKS,
@@ -140,8 +138,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     # errors
-    "IdentityViolationError", "OddPowerError", "ParityError", "ParseError", "PoleError",
-    "SpindeqError", "TableMismatchError", "UnknownSymbolError", "UnsupportedCaseError",
+    "IdentityViolationError", "OddPowerError", "ParityError", "ParseError", "SpindeqError",
+    "TableMismatchError", "UnknownSymbolError", "UnsupportedCaseError",
     # exact
     "CRational", "I", "crational",
     # symbols
@@ -169,8 +167,7 @@ __all__ = [
     "CARTESIAN", "CONSTRAINT_1", "CONSTRAINT_2", "HEIGHT", "PHI", "P_PHI", "P_THETA",
     "SPHERE", "THETA", "X1", "X2", "X3", "OrbitState", "PhaseFunction",
     "classical_trajectory", "dirac_bracket", "on_sphere", "poisson_bracket",
-    "precession_period", "precession_rate", "scaled_dirac_bracket", "total_hamiltonian",
-    "wrap_angle",
+    "precession_rate", "pull_back", "scaled_dirac_bracket", "total_hamiltonian",
     # suite
     "ALL_CHECKS", "CheckResult", "check_bosonic_dequantization",
     "check_coadjoint_dequantization", "check_cpi_transport", "check_dirac_brackets",

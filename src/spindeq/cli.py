@@ -23,6 +23,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import __version__, cpi, orbit, quantum, suite, superfield
 from .errors import IdentityViolationError, SpindeqError, UnsupportedCaseError
@@ -115,21 +116,16 @@ _COUNT_CAPS = {"steps": MAX_STEPS, "truncation": MAX_TRUNCATION}
 
 def _prepare_inputs(args) -> None:
     """Reject non-finite numbers, counts outside 1 to their caps, a sphere
-    radius below the smallest normal float and orbit states off the sphere;
-    resolve the seed."""
+    radius that is not positive and orbit states off the sphere; resolve the
+    seed."""
     for dest, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"--{dest.replace('_', '-')} must be a finite number, got {value}")
     for flag, cap in _COUNT_CAPS.items():
         if not 1 <= getattr(args, flag, 1) <= cap:
             raise ValueError(f"--{flag} must be from 1 to {cap}, got {getattr(args, flag)}")
-    # Below the smallest normal float, 1/(lam*sin(theta)) in the Dirac bracket
-    # overflows.
-    if getattr(args, "lam", 1.0) < sys.float_info.min:
-        raise ValueError(
-            f"--lam must be at least {sys.float_info.min!r}, the smallest normal float; "
-            f"got {args.lam}"
-        )
+    if getattr(args, "lam", 1.0) <= 0:
+        raise ValueError(f"--lam must be positive, got {args.lam}")
     if not 0 < getattr(args, "theta0", 1.0) < math.pi:
         raise ValueError(f"--theta0 must lie strictly between 0 and pi, got {args.theta0}")
     if "seed" in vars(args) and args.seed is None:
@@ -250,8 +246,8 @@ def _cmd_propagate_classical(args):
         truncation=args.truncation,
     )
     clock = cpi.cayley_clock(spec, args.t)
-    checks = suite.check_transport(spec, clock, args.seed)
     operator = cpi.build_cpi_hamiltonian(spec)
+    checks = suite.check_transport(spec, clock, args.seed, operator)
     return checks, {
         "operator": format_poly(operator.symbol),
         "spectrum_real": operator.spectrum_is_real(),
@@ -260,23 +256,25 @@ def _cmd_propagate_classical(args):
 
 
 def _cmd_precession(args):
-    if not math.isfinite(args.muB * args.b):
-        raise ValueError(f"--muB and --b: the rate muB*b must be finite, got {args.muB}*{args.b}")
-    if not math.isfinite(args.lam * args.muB * args.b):
-        raise ValueError(
-            f"--lam, --muB and --b: the energy lam*muB*b must be finite, "
-            f"got {args.lam}*{args.muB}*{args.b}"
-        )
-    state = orbit.OrbitState.on_constraint(args.theta0, args.phi0, args.lam)
-    times = [args.t * k / args.steps for k in range(args.steps + 1)]
+    for flags, what, values in (("--muB and --b", "the rate muB*b", (args.muB, args.b)),
+                                ("--lam, --muB and --b", "the energy lam*muB*b",
+                                 (args.lam, args.muB, args.b)),
+                                ("--muB, --b and --t", "the phase muB*b*t",
+                                 (args.muB, args.b, args.t))):
+        if not math.isfinite(math.prod(values)):
+            raise ValueError(f"{flags}: {what} must be finite, got {'*'.join(map(str, values))}")
+    half = args.muB * args.b * args.t / 2  # -nu*t/2: the table turns phi by nu*t
     if args.out:
+        state = orbit.OrbitState.on_constraint(args.theta0, args.phi0, args.lam)
         h_fun = orbit.total_hamiltonian(args.muB, args.b)
         rows = []
-        for t in times:
+        for t in (args.t * k / args.steps for k in range(args.steps + 1)):
             s = orbit.classical_trajectory(state, args.muB, args.b, t)
             rows.append((t, s.theta, s.phi, orbit.HEIGHT(s), h_fun(s)))
         _write_csv(args.out, ["t", "theta", "phi", "eta", "H"], rows)
-    return suite.check_precession_flow(state, args.muB, args.b, times), {}
+    # The Cayley clock tan(nu*t/2)/nu of --t, exact; tan(x)/x is even and finite.
+    clock = Fraction(math.tan(half) / half if half else 1) * Fraction(args.t) / 2
+    return suite.check_precession_flow(args.muB, args.b, clock), {"clock": str(clock)}
 
 
 def _cmd_check_dirac(args):

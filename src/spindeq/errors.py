@@ -32,10 +32,6 @@ class OddPowerError(ParseError):
     """An anticommuting symbol was raised to a power of two or higher."""
 
 
-class PoleError(SpindeqError):
-    """A sphere-angle computation was requested too close to a pole."""
-
-
 class UnsupportedCaseError(SpindeqError):
     """The requested computation is outside the implemented scope."""
 

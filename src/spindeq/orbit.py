@@ -6,29 +6,30 @@ The sphere arises by imposing the two second-class constraints
     Φ1 = p_θ,          Φ2 = p_φ − λ·cosθ,
 
 whose Poisson bracket {Φ1, Φ2} = −λ·sinθ degenerates at the poles.  A phase
-function is one polynomial over ``SPHERE``; its gradient, its Poisson
-brackets and λ·sinθ times its Dirac brackets are derived polynomials, which
-``dirac_bracket`` evaluates at a float state behind a pole guard.  On the
-constraint surface H = −λ·μB·B·cosθ precesses φ at the rate
-{φ, H}_D = −μB·B of ``precession_rate``, with everything else frozen; the
-closed-form trajectory and the conserved quantities are exported as oracles.
+function is one polynomial over ``SPHERE``; its gradient and its Poisson
+brackets with both constraints are derived once and kept on it.  The Dirac
+bracket has a pole where {Φ1, Φ2} vanishes, so ``dirac_bracket`` gives the
+polynomial λ·sinθ·{f, g}_D in ``on_sphere`` normal form, exact everywhere.
+On the constraint surface H = −λ·μB·B·cosθ precesses φ at the rate
+{φ, H}_D = −μB·B of ``precession_rate``, with everything else frozen:
+``pull_back`` moves a polynomial along that flow, and the float
+``classical_trajectory`` tabulates it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property
 
-from .errors import PoleError
 from .symbols import EVEN, GradedPolynomial, SymbolContext, partial_derivative, substitute
-
-TWO_PI = 2.0 * math.pi
 
 # λ, μB and B are constants: a state gives λ, and a phase function binds μB and B.
 _NAMES = ("lam", "muB", "B", "theta", "phi", "p_theta", "p_phi",
           "sin_theta", "cos_theta", "sin_phi", "cos_phi")
 SPHERE = SymbolContext([(name, EVEN, name in _NAMES[:3]) for name in _NAMES])
+# (slot of cos, 1 − sin²) for each angle: the reduction cos² → 1 − sin².
+_PYTHAGORAS = [(SPHERE.slot(f"cos_{a}"), 1 - SPHERE.sym(f"sin_{a}") ** 2) for a in ("theta", "phi")]
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,8 @@ class OrbitState:
 
 @dataclass(frozen=True)
 class PhaseFunction:
-    """A real exact polynomial over ``SPHERE`` as a function of a state; its
-    ``constants``, ``(name, value)`` pairs, bind μB and B."""
+    """A real exact polynomial over ``SPHERE``, whose ``constants``,
+    ``(name, value)`` pairs, bind μB and B; called on a state, its float value."""
 
     name: str
     polynomial: GradedPolynomial
@@ -73,69 +74,56 @@ class PhaseFunction:
             )
 
     def __call__(self, state) -> float:
-        return _evaluate(self.polynomial, state, self.constants)
+        bound, θ, φ = dict(self.constants), state.theta, state.phi
+        if not {name for name, _ in self.polynomial.symbols_used()} & {"muB", "B"} <= bound.keys():
+            raise ValueError(f"muB and B need values to evaluate {self.polynomial}")
+        point = (state.lambda_radius, bound.get("muB"), bound.get("B"), θ, φ, state.p_theta,
+                 state.p_phi, math.sin(θ), math.cos(θ), math.sin(φ), math.cos(φ))
+        return sum((float(c.re) * math.prod(point[i] ** e for (i, _), e in mono)
+                    for mono, c in self.polynomial.terms.items()), 0.0)
 
+    @cached_property
+    def gradient(self) -> tuple:
+        """(∂θ, ∂φ, ∂p_θ, ∂p_φ), each angle's through the chain rule:
+        ∂_θ = ∂_θ|explicit + cosθ·∂_sinθ − sinθ·∂_cosθ, and the same for φ."""
+        p = self.polynomial
+        angles = [
+            partial_derivative(p, angle)
+            + SPHERE.sym(f"cos_{angle}") * partial_derivative(p, f"sin_{angle}")
+            - SPHERE.sym(f"sin_{angle}") * partial_derivative(p, f"cos_{angle}")
+            for angle in ("theta", "phi")
+        ]
+        return (*angles, partial_derivative(p, "p_theta"), partial_derivative(p, "p_phi"))
 
-def _evaluate(p: GradedPolynomial, at, constants=()) -> float:
-    bound, θ, φ = dict(constants), at.theta, at.phi
-    if not {name for name, _ in p.symbols_used()} & {"muB", "B"} <= bound.keys():
-        raise ValueError(f"muB and B need values to evaluate {p}")
-    point = (at.lambda_radius, bound.get("muB"), bound.get("B"), θ, φ, at.p_theta, at.p_phi,
-             math.sin(θ), math.cos(θ), math.sin(φ), math.cos(φ))
-    return sum((float(c.re) * math.prod(point[i] ** e for (i, _), e in mono)
-                for mono, c in p.terms.items()), 0.0)
-
-
-@lru_cache(maxsize=64)
-def _gradient(p: GradedPolynomial) -> tuple:
-    """(∂θ, ∂φ, ∂p_θ, ∂p_φ) of p, each angle's through the chain rule:
-    ∂_θ = ∂_θ|explicit + cosθ·∂_sinθ − sinθ·∂_cosθ, and the same for φ."""
-    angles = [
-        partial_derivative(p, angle)
-        + SPHERE.sym(f"cos_{angle}") * partial_derivative(p, f"sin_{angle}")
-        - SPHERE.sym(f"sin_{angle}") * partial_derivative(p, f"cos_{angle}")
-        for angle in ("theta", "phi")
-    ]
-    return (*angles, partial_derivative(p, "p_theta"), partial_derivative(p, "p_phi"))
+    @cached_property
+    def constraint_brackets(self) -> tuple:
+        """({f, Φ1}, {f, Φ2})."""
+        return poisson_bracket(self, CONSTRAINT_1), poisson_bracket(self, CONSTRAINT_2)
 
 
 def poisson_bracket(f: PhaseFunction, g: PhaseFunction) -> GradedPolynomial:
     """{f, g} = f_θ g_{p_θ} − f_{p_θ} g_θ + f_φ g_{p_φ} − f_{p_φ} g_φ, exactly."""
-    fθ, fφ, fpθ, fpφ = _gradient(f.polynomial)
-    gθ, gφ, gpθ, gpφ = _gradient(g.polynomial)
+    fθ, fφ, fpθ, fpφ = f.gradient
+    gθ, gφ, gpθ, gpφ = g.gradient
     return fθ * gpθ - fpθ * gθ + fφ * gpφ - fpφ * gφ
 
 
 def scaled_dirac_bracket(f: PhaseFunction, g: PhaseFunction) -> GradedPolynomial:
     """λ·sinθ·{f, g}_D, a polynomial: with the inverse of {Φ_a, Φ_b} = ∓λ·sinθ,
 
-        {f, g}_D = {f, g} − {f, Φ1}·(1/(λ sinθ))·{Φ2, g} + {f, Φ2}·(1/(λ sinθ))·{Φ1, g}.
+        {f, g}_D = {f, g} − {f, Φ1}·(1/(λ sinθ))·{Φ2, g} + {f, Φ2}·(1/(λ sinθ))·{Φ1, g},
+
+    so λ·sinθ·{f, g}_D = λ·sinθ·{f, g} + {f, Φ1}·{g, Φ2} − {f, Φ2}·{g, Φ1}.
     """
-    return (
-        _SCALE * poisson_bracket(f, g)
-        - poisson_bracket(f, CONSTRAINT_1) * poisson_bracket(CONSTRAINT_2, g)
-        + poisson_bracket(f, CONSTRAINT_2) * poisson_bracket(CONSTRAINT_1, g)
-    )
+    (f1, f2), (g1, g2) = f.constraint_brackets, g.constraint_brackets
+    return _SCALE * poisson_bracket(f, g) + f1 * g2 - f2 * g1
 
 
-def dirac_bracket(f: PhaseFunction, g: PhaseFunction, at) -> float:
-    """{f, g}_D at the state ``at``: ``scaled_dirac_bracket`` there, over
-    λ·sinθ.  Configurations with |sinθ| ≤ 1e-6, or with λ·sinθ so small
-    that its reciprocal is not finite, raise :class:`PoleError`.
-    """
-    s = math.sin(at.theta)
-    if abs(s) <= 1e-6:
-        raise PoleError(
-            f"Dirac bracket singular at sin(theta) = {s:.3e}; too close to a pole"
-        )
-    scale = at.lambda_radius * s
-    inv = 1.0 / scale if scale else math.inf
-    if not math.isfinite(inv):
-        raise PoleError(
-            f"Dirac bracket singular at lambda*sin(theta) = {scale:.3e}; "
-            "its reciprocal is not finite"
-        )
-    return _evaluate(scaled_dirac_bracket(f, g), at, f.constants + g.constants) * inv
+def dirac_bracket(f: PhaseFunction, g: PhaseFunction) -> GradedPolynomial:
+    """λ·sinθ·{f, g}_D on the sphere, in ``on_sphere`` normal form: two
+    brackets agree on the sphere iff these polynomials are equal, the poles
+    included, where {f, g}_D itself is singular."""
+    return on_sphere(scaled_dirac_bracket(f, g))
 
 
 def on_sphere(p: GradedPolynomial) -> GradedPolynomial:
@@ -143,15 +131,18 @@ def on_sphere(p: GradedPolynomial) -> GradedPolynomial:
     for each angle.  Degree at most 1 in each cosine is a unique normal form
     modulo sin² + cos² − 1 (Cox, Little & O'Shea, *Ideals, Varieties, and
     Algorithms*, ch. 2): two polynomials agree on the sphere iff their images do."""
-    p = substitute(p, {"p_theta": SPHERE.zero(), "p_phi": HEIGHT.polynomial})
-    for angle in ("theta", "phi"):
-        cos, one_minus_sin2 = SPHERE.slot(f"cos_{angle}"), 1 - SPHERE.sym(f"sin_{angle}") ** 2
-        out = SPHERE.zero()
+    if {("p_theta", 0), ("p_phi", 0)} & p.symbols_used():
+        p = substitute(p, {"p_theta": SPHERE.zero(), "p_phi": HEIGHT.polynomial})
+    for cos, one_minus_sin2 in _PYTHAGORAS:
+        kept, reduced = {}, []
         for mono, c in p.terms.items():
             k = dict(mono).get(cos, 0) // 2
-            rest = {SPHERE.key(slot): e - 2 * k if slot == cos else e for slot, e in mono}
-            out = out + GradedPolynomial(SPHERE, {SPHERE.monomial(rest): c}) * one_minus_sin2**k
-        p = out
+            if k:
+                rest = tuple((s, e % 2 if s == cos else e) for s, e in mono if s != cos or e % 2)
+                reduced.append(GradedPolynomial(SPHERE, {rest: c}) * one_minus_sin2**k)
+            else:
+                kept[mono] = c
+        p = sum(reduced, GradedPolynomial(SPHERE, kept))
     return p
 
 
@@ -179,25 +170,27 @@ def total_hamiltonian(mu_b: float, b: float) -> PhaseFunction:
     return PhaseFunction("total_hamiltonian", _ENERGY, (("muB", mu_b), ("B", b)))
 
 
-# -- closed-form dynamics ----------------------------------------------------------
+# -- the precession flow ----------------------------------------------------------
 
 
-def wrap_angle(x: float) -> float:
-    return x % TWO_PI
-
-
-def precession_rate(mu_b: float, b: float) -> float:
-    """dφ/dt = {φ, H}_D = −μB·B, the one rate of the precession flow."""
+def precession_rate(mu_b, b):
+    """dφ/dt = {φ, H}_D = −μB·B, the one rate of the flow, of numbers or polynomials."""
     return -mu_b * b
 
 
-def precession_period(mu_b: float, b: float) -> float:
-    rate = precession_rate(mu_b, b)
-    if rate == 0.0:
-        raise ValueError("no precession at zero field")
-    return TWO_PI / abs(rate)
+def pull_back(p: GradedPolynomial, flow) -> GradedPolynomial:
+    """p with (cos φ, sin φ) replaced by flow·(cos φ, sin φ), for a 2×2
+    ``flow``: p along the precession flow over τ when flow = exp(τ·M) for
+    M = ((0, −ν), (ν, 0)), such as ``cpi.expm(M, r)`` at the Cayley clock r.
+    p must not hold φ itself, which no polynomial map moves by ντ."""
+    if ("phi", 0) in p.symbols_used():
+        raise ValueError(f"pull_back turns cos_phi and sin_phi, not phi itself: {p}")
+    cos, sin = SPHERE.monomial({"cos_phi": 1}), SPHERE.monomial({"sin_phi": 1})
+    return substitute(p, {name: GradedPolynomial(SPHERE, {cos: x, sin: y})
+                          for name, (x, y) in zip(("cos_phi", "sin_phi"), flow)})
 
 
 def classical_trajectory(state: OrbitState, mu_b: float, b: float, t: float) -> OrbitState:
-    """Precession flow: φ(t) = φ0 + rate·t (wrapped), all else frozen."""
-    return replace(state, phi=wrap_angle(state.phi + precession_rate(mu_b, b) * t))
+    """The precession flow in floats, for the ``precession`` table:
+    φ(t) = φ0 + rate·t mod 2π, all else frozen."""
+    return replace(state, phi=(state.phi + precession_rate(mu_b, b) * t) % (2 * math.pi))

@@ -16,8 +16,8 @@ generic state and field, not on samples.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 import random
 import time
 from dataclasses import dataclass
@@ -28,6 +28,7 @@ from .errors import UnsupportedCaseError
 from .exact import I, crational
 from .symbols import (
     GradedPolynomial,
+    bind_constants,
     format_poly,
     formal_time_derivative,
     partial_derivative,
@@ -251,74 +252,86 @@ def check_slice_errors(errors) -> list[CheckResult]:
 
 # -- orbit brackets and precession ---------------------------------------------------
 
+PRECESSION_MU_B, PRECESSION_B = Fraction(9, 10), Fraction(13, 10)
+_LAM_SIN = orbit.SPHERE.parse("lam*sin_theta")
+
 
 def check_dirac_brackets(seed: int = 0) -> list[CheckResult]:
     """The Dirac bracket identities, exact on the sphere: both sides times
     λ·sinθ, in ``orbit.on_sphere`` normal form.  Each row reports the first
     of its identities that fails, or its first."""
-
-    def scaled(f, g):
-        return orbit.on_sphere(orbit.scaled_dirac_bracket(f, g))
-
-    lam_sin, x = orbit.SPHERE.parse("lam*sin_theta"), orbit.CARTESIAN
+    x, bracket = orbit.CARTESIAN, orbit.dirac_bracket
     probes = (orbit.THETA, orbit.PHI, orbit.P_THETA, orbit.P_PHI, *x)
     rows = {
-        "dirac-canonical-pair": [(lam_sin, scaled(orbit.PHI, orbit.HEIGHT))],
+        "dirac-canonical-pair": [(_LAM_SIN, bracket(orbit.PHI, orbit.HEIGHT))],
         "dirac-constraints-vanish": [
-            (orbit.SPHERE.zero(), scaled(f, c))
+            (orbit.SPHERE.zero(), bracket(f, c))
             for f in probes for c in (orbit.CONSTRAINT_1, orbit.CONSTRAINT_2)
         ],
         "dirac-so3-relations": [
-            (orbit.on_sphere(lam_sin * x[c].polynomial), scaled(x[a], x[b]))
+            (orbit.on_sphere(_LAM_SIN * x[c].polynomial), bracket(x[a], x[b]))
             for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
         ],
     }
     return [_first_failing(name, pairs) for name, pairs in rows.items()]
 
 
-def check_precession_flow(state, mu_b, b, times) -> list[CheckResult]:
-    """Both equations of motion at ``state``, the Dirac brackets {η, H}_D
-    and {φ, H}_D against the closed-form flow's rates 0 and
-    ``precession_rate``, and height and energy exactly conserved along the
-    flow at every one of ``times``."""
-    h_fun = orbit.total_hamiltonian(mu_b, b)
-    height_rate = orbit.dirac_bracket(orbit.HEIGHT, h_fun, state)
-    angle_rate = orbit.dirac_bracket(orbit.PHI, h_fun, state)
-    rate = orbit.precession_rate(mu_b, b)
-    angle_gap = abs(angle_rate - rate) / max(abs(rate), 1.0)
-    out = [
-        _numeric_check("precession-height-equation", 0.0, height_rate, abs(height_rate), 0.0),
-        _numeric_check("precession-angle-equation", rate, angle_rate, angle_gap, 1e-12),
+def check_precession_flow(mu_b, b, r, s=None) -> list[CheckResult]:
+    """The ``precession-…`` rows for the field ``mu_b``·``b``, exact on the
+    sphere with λ symbolic: the ``precession`` subcommand's, and given a
+    second Cayley clock ``s`` the suite's two more.  F(X) = λ·sinθ·{X, H}_D.
+
+    With μB and B symbolic and ν = −μB·B from ``orbit.precession_rate``,
+    F(X1) = −ν·λ·sinθ·X2 and F(X2) = ν·λ·sinθ·X1 (``-angle-equation``), and
+    {X3, H}_D = {H, H}_D = 0 (``-height-equation``).  The flow turns
+    (cos φ, sin φ) by ``cpi.expm(M, r)``, M = ((0, −ν), (ν, 0)), at the exact
+    μB and B, and keeps X3 and H (``-conserved``).  With F at those values:
+    four quarter turns (clock 1/ν) give the identity, and one is ν⁻¹·F, not
+    the identity (``-period-identity``); the clocks r and s compose to
+    (r + s)/(1 − ν²rs), and the flow's term linear in r, 2r·M, is 2r·F
+    (``-flow-composition``)."""
+    h = orbit.total_hamiltonian(mu_b, b)
+    x1, x2, x3 = orbit.CARTESIAN
+    rate = orbit.precession_rate(orbit.SPHERE.sym("muB"), orbit.SPHERE.sym("B"))
+    field = [orbit.dirac_bracket(x, h) for x in (x1, x2)]
+    nu = orbit.precession_rate(Fraction(mu_b), Fraction(b))
+    generator, zero = ((0, -nu), (nu, 0)), orbit.SPHERE.zero()
+    flow = functools.cache(lambda clock: cpi.expm(generator, clock))
+
+    def along(x, *clocks):
+        p = x.polynomial
+        for clock in clocks:
+            p = orbit.pull_back(p, flow(clock))
+        return p
+
+    rows = [
+        ("precession-height-equation",
+         [(zero, orbit.dirac_bracket(x3, h)), (zero, orbit.dirac_bracket(h, h))]),
+        ("precession-angle-equation", [
+            (orbit.on_sphere(-rate * _LAM_SIN * x2.polynomial), field[0]),
+            (orbit.on_sphere(rate * _LAM_SIN * x1.polynomial), field[1]),
+        ]),
+        *((f"precession-{name}-conserved", [(f.polynomial, along(f, r))])
+          for name, f in (("height", x3), ("energy", h))),
     ]
-    along = [orbit.classical_trajectory(state, mu_b, b, t) for t in times]
-    for name, f in (("height", orbit.HEIGHT), ("energy", h_fun)):
-        start = f(state)
-        worst = max((f(s) for s in along), key=lambda v: abs(v - start))
-        out.append(_numeric_check(f"precession-{name}-conserved", start, worst, abs(worst - start), 0.0))
-    return out
+    if s is not None:
+        field = [bind_constants(f, {"muB": Fraction(mu_b), "B": Fraction(b)}) for f in field]
+        period = [(x.polynomial, along(x, *[1 / nu] * 4)) for x in (x1, x2)]
+        period.append((field[0], orbit.on_sphere(nu * _LAM_SIN * along(x1, 1 / nu))))
+        composition = [(along(x, (r + s) / (1 - nu * nu * r * s)), along(x, r, s))
+                       for x in (x1, x2)]
+        composition += [(f, orbit.on_sphere(_LAM_SIN * orbit.pull_back(x.polynomial, generator)))
+                        for f, x in zip(field, (x1, x2))]
+        rows.insert(2, ("precession-period-identity", period))
+        rows.append(("precession-flow-composition", composition))
+    return [_first_failing(name, pairs) for name, pairs in rows]
 
 
 def check_precession(seed: int = 0) -> list[CheckResult]:
-    """:func:`check_precession_flow`, and the period and flow against the
-    Dirac-bracket rate {φ, H}_D at the state: period·|{φ, H}_D| = 2π, and the
-    flow over 0.4 then 0.6 moves φ by {φ, H}_D·1.0, wrapped."""
-    mu_b, b = 0.9, 1.3
-    state = orbit.OrbitState.on_constraint(1.1, 0.3, 1.7)
-    period = orbit.precession_period(mu_b, b)
-    flow = check_precession_flow(state, mu_b, b, [0.37 * period])
-    angle_rate = flow[1].actual  # {φ, H}_D at the state
-    out = flow[:2]  # the equations of motion; conservation follows the period
-    turn = period * abs(angle_rate)
-    out.append(_numeric_check("precession-period-identity", 2 * math.pi, turn,
-                              abs(turn - 2 * math.pi), 1e-12))
-    out += flow[2:]
-    composed = orbit.classical_trajectory(
-        orbit.classical_trajectory(state, mu_b, b, 0.4), mu_b, b, 0.6
-    )
-    direct = orbit.wrap_angle(state.phi + angle_rate * 1.0)
-    gap = abs((composed.phi - direct + math.pi) % (2 * math.pi) - math.pi)
-    out.append(_numeric_check("precession-flow-composition", direct, composed.phi, gap, 1e-12))
-    return out
+    """:func:`check_precession_flow` at μB = 9/10 and B = 13/10, so
+    ν = −117/100, and the clocks r = 1/(2ν) and s = 1/(4ν)."""
+    nu = orbit.precession_rate(PRECESSION_MU_B, PRECESSION_B)
+    return check_precession_flow(PRECESSION_MU_B, PRECESSION_B, 1 / (2 * nu), 1 / (4 * nu))
 
 
 # -- CPI transport -------------------------------------------------------------------
@@ -333,16 +346,18 @@ GRASSMANN_EXPONENTS = tuple(itertools.product((0, 1), (0, 1), (0, 1, 2), (0, 1))
 GRASSMANN_NAMES = ("xi", "xibar", "c_xi", "c_xibar")
 
 
-def check_transport(spec: cpi.CpiSpec, clock, seed: int = 0) -> list[CheckResult]:
+def check_transport(spec: cpi.CpiSpec, clock, seed: int = 0, operator=None) -> list[CheckResult]:
     """CPI transport of ``spec`` against the classical flow, as the rows
     ``cpi-<case>-…`` of ``propagate-classical``, the suite and the bench.
 
     Every row is an exact identity at the time τ whose Cayley clock is the
     exact ``clock`` r (``cpi.cayley_clock`` takes a float time to one):
     exp(−iτH̃) by ``cpi.evolve`` against ψ∘flow(−τ), the flow from
-    ``cpi.expm``, one code path per case.
+    ``cpi.expm``, one code path per case.  ``operator``, H̃ of ``spec`` as
+    ``cpi.build_cpi_hamiltonian`` gives it, is built here if not given.
     """
-    operator = cpi.build_cpi_hamiltonian(spec)
+    if operator is None:
+        operator = cpi.build_cpi_hamiltonian(spec)
     if operator.case == "grassmann":
         return _grassmann_transport(spec, clock, operator)
     if operator.case == "coadjoint":

@@ -85,8 +85,9 @@ def test_criterion_07_dirac_brackets(capsys):
 
 
 def test_criterion_08_precession(capsys):
-    # Closed-form trajectory satisfies both equations of motion to machine
-    # precision; the flow over one period is the identity mod 2pi.
+    # Both equations of motion hold as exact Dirac-bracket identities, and the
+    # Cayley-clock flow conserves height and energy, composes its clocks and
+    # closes after four quarter turns.
     _run(capsys, "precession closed form", check_precession, 1.0)
 
 

@@ -57,6 +57,10 @@ def test_domain_errors_exit_one(capsys):
           "--steps", "0"], "--steps"),
         (["precession", "--theta0", "1", "--phi0", "0", "--muB", "1", "--t", "1",
           "--lam", "0"], "--lam"),
+        (["precession", "--theta0", "1", "--phi0", "0", "--muB", "1", "--t", "1",
+          "--lam", "-1"], "--lam"),
+        (["precession", "--theta0", "1", "--phi0", "0", "--muB", "10", "--t", "1e308"],
+         "--muB, --b and --t"),
         (["precession", "--theta0", "0", "--phi0", "0", "--muB", "1", "--t", "1"], "--theta0"),
         (["propagate-quantum", "--b", "0,0,1", "--t", "1", "--slices", "0"], "--slices"),
         (["propagate-quantum", "--b", "0,0,1", "--t", "1", "--slices", "x"], "--slices"),
@@ -633,17 +637,19 @@ def test_precession_rejects_an_energy_that_is_not_finite(capsys):
 @pytest.mark.parametrize(
     "lam, accepted",
     [
-        ("1e-320", False),
-        ("1e-310", False),
-        (repr(math.nextafter(sys.float_info.min, 0)), False),  # the largest subnormal
+        ("1e-320", True),
+        ("1e-310", True),
+        (repr(math.nextafter(sys.float_info.min, 0)), True),  # the largest subnormal
         (repr(sys.float_info.min), True),
         ("2.3e-308", True),
         ("1e-300", True),
+        ("0", False),
+        ("-1", False),
     ],
 )
-def test_precession_rejects_a_subnormal_radius(lam, accepted, capsys):
-    # Below the smallest normal float, 1/(lam*sin(theta)) in the Dirac
-    # bracket overflows and two rows turn nan.
+def test_precession_takes_every_positive_radius(lam, accepted, capsys):
+    # The rows are exact with lam symbolic, so a subnormal radius passes
+    # them; a radius that is not positive is no sphere.
     code = main(["precession", "--theta0", "1", "--phi0", "0", "--muB", "1", "--lam", lam,
                  "--t", "1", "--steps", "2"])
     captured = capsys.readouterr()
@@ -653,18 +659,44 @@ def test_precession_rejects_a_subnormal_radius(lam, accepted, capsys):
     else:
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("error: --lam must be at least"), captured.err
+        assert captured.err.startswith("error: --lam must be positive"), captured.err
 
 
-def test_precession_rejects_a_radius_whose_bracket_reciprocal_overflows(capsys):
-    # lam is a normal float, but lam*sin(theta0) ~ 6e-314 near the pole is
-    # not, and 1/(lam*sin(theta)) would turn two rows nan.
+def test_precession_passes_at_a_radius_near_the_pole(tmp_path, capsys):
+    # lam*sin(theta0) ~ 6e-314 is subnormal; the exact rows need no
+    # reciprocal of it, and the table's height and energy stay finite.
+    out = tmp_path / "orbit.csv"
     argv = ["precession", "--theta0", "3.14159", "--phi0", "0", "--muB", "1",
-            "--lam", "2.3e-308", "--t", "1", "--steps", "2"]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: Dirac bracket singular at lambda*sin(theta)"), captured.err
+            "--lam", "2.3e-308", "--t", "1", "--steps", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert "4 checks, 0 failures" in capsys.readouterr().out
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(math.isfinite(float(row[k])) for row in rows for k in ("eta", "H"))
+
+
+def test_precession_checks_at_the_cayley_clock_of_its_time():
+    # r = tan(nu*t/2)/nu for nu = -muB*b, exact, and t/2 at zero field.
+    for mu_b, expected in (("0.9", math.tan(-0.9 * 1.3) / -1.17), ("0", 1.0)):
+        args = cli.build_parser().parse_args(
+            ["precession", "--theta0", "1.1", "--phi0", "0.3", "--muB", mu_b, "--b", "1.3",
+             "--t", "2"])
+        cli._prepare_inputs(args)
+        checks, extras = args.handler(args)
+        assert all(row.passed and row.residual == 0 for row in checks)
+        assert float(Fraction(extras["clock"])) == pytest.approx(expected, rel=1e-12)
+
+
+def test_propagate_classical_builds_the_cpi_hamiltonian_once(monkeypatch, tmp_path, capsys):
+    # The rows and extras.operator share one H~.
+    calls = []
+    stock = cpi.build_cpi_hamiltonian
+    monkeypatch.setattr(cpi, "build_cpi_hamiltonian", lambda spec: calls.append(spec) or stock(spec))
+    out = tmp_path / "bosonic.json"
+    assert main(["propagate-classical", "--case", "bosonic", "--seed", "1", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert json.loads(out.read_text())["extras"]["spectrum_real"] is True
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

@@ -3,12 +3,14 @@
 Every phase function is a polynomial over ``SPHERE``, and its gradient and
 brackets are derived.  The derived gradients are checked once against
 Richardson-extrapolated central differences; that threshold sits well above
-the step-size error floor but far below any sign or factor mistake.
+the step-size error floor but far below any sign or factor mistake.  The
+exact Dirac brackets are checked against floats at seeded states too.
 """
 
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -27,19 +29,19 @@ from spindeq import (
     GradedPolynomial,
     OrbitState,
     PhaseFunction,
-    PoleError,
     SymbolContext,
+    bind_constants,
     classical_trajectory,
     dirac_bracket,
+    format_poly,
     on_sphere,
     poisson_bracket,
-    precession_period,
     precession_rate,
+    pull_back,
     scaled_dirac_bracket,
     total_hamiltonian,
-    wrap_angle,
 )
-from spindeq import orbit
+from spindeq import cpi, orbit, suite
 from spindeq.suite import check_dirac_brackets, check_precession
 
 
@@ -64,6 +66,12 @@ LAM_SIN = SPHERE.parse("lam*sin_theta")
 
 def value(polynomial, state, constants=()):
     return PhaseFunction("value", polynomial, constants)(state)
+
+
+def bracket_at(f, g, state):
+    """{f, g}_D at a state: the exact ``dirac_bracket`` there, over λ·sinθ."""
+    scale = state.lambda_radius * math.sin(state.theta)
+    return value(dirac_bracket(f, g), state, f.constants + g.constants) / scale
 
 
 def richardson_gradient(f, state, step=1e-6):
@@ -140,40 +148,38 @@ def test_constraint_pair_poisson_bracket():
 def test_bracket_antisymmetry():
     assert poisson_bracket(HEIGHT, HEIGHT) == 0
     assert scaled_dirac_bracket(PHI, HEIGHT) == -scaled_dirac_bracket(HEIGHT, PHI)
-    for s in STATES[:3]:
-        assert dirac_bracket(PHI, HEIGHT, s) == pytest.approx(
-            -dirac_bracket(HEIGHT, PHI, s), abs=1e-9
-        )
+    for f, g in ((PHI, HEIGHT), (CARTESIAN[0], CARTESIAN[1]), (THETA, CARTESIAN[2])):
+        assert dirac_bracket(f, g) == -dirac_bracket(g, f)
 
 
 def test_dirac_bracket_canonical_pair():
     for state in STATES:
-        assert dirac_bracket(PHI, HEIGHT, state) == pytest.approx(1.0, abs=1e-9)
+        assert bracket_at(PHI, HEIGHT, state) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_constraints_are_central_for_dirac_bracket():
     probes = [THETA, PHI, P_THETA, P_PHI, HEIGHT, *CARTESIAN]
-    for state in STATES[:4]:
-        for f in probes:
-            for constraint in (CONSTRAINT_1, CONSTRAINT_2):
-                assert dirac_bracket(f, constraint, state) == pytest.approx(
-                    0.0, abs=1e-9
-                )
+    for f in probes:
+        for constraint in (CONSTRAINT_1, CONSTRAINT_2):
+            assert dirac_bracket(f, constraint).is_zero()
+            assert dirac_bracket(constraint, f).is_zero()
 
 
 def test_dirac_bracket_so3():
     x1, x2, x3 = CARTESIAN
     for state in STATES[:6]:
-        assert dirac_bracket(x1, x2, state) == pytest.approx(x3(state), abs=1e-8)
-        assert dirac_bracket(x2, x3, state) == pytest.approx(x1(state), abs=1e-8)
-        assert dirac_bracket(x3, x1, state) == pytest.approx(x2(state), abs=1e-8)
+        assert bracket_at(x1, x2, state) == pytest.approx(x3(state), abs=1e-8)
+        assert bracket_at(x2, x3, state) == pytest.approx(x1(state), abs=1e-8)
+        assert bracket_at(x3, x1, state) == pytest.approx(x2(state), abs=1e-8)
 
 
-def test_dirac_bracket_pole_guard():
-    with pytest.raises(PoleError):
-        dirac_bracket(PHI, HEIGHT, OrbitState(1e-9, 0.0))
-    with pytest.raises(PoleError):
-        dirac_bracket(PHI, HEIGHT, OrbitState(math.pi - 1e-9, 0.0))
+def test_the_dirac_bracket_is_a_polynomial_at_the_poles():
+    # {φ, η}_D = 1 has λ·sinθ·{φ, η}_D = λ·sinθ, which is finite, and 0 at
+    # the poles themselves: the exact bracket needs no pole guard.
+    assert dirac_bracket(PHI, HEIGHT) == LAM_SIN
+    for theta in (1e-9, math.pi - 1e-9):
+        near_pole = OrbitState.on_constraint(theta, 0.0, lambda_radius=2.3e-308)
+        assert value(dirac_bracket(PHI, HEIGHT), near_pole) == 2.3e-308 * math.sin(theta)
 
 
 def test_trajectory_solves_equations_of_motion():
@@ -183,13 +189,13 @@ def test_trajectory_solves_equations_of_motion():
     h = total_hamiltonian(mu_b, b)
     rate = precession_rate(mu_b, b)
     assert rate == -mu_b * b
+    assert dirac_bracket(HEIGHT, h).is_zero()
     for state in STATES[:6]:
-        assert dirac_bracket(HEIGHT, h, state) == 0.0
-        assert dirac_bracket(PHI, h, state) == pytest.approx(rate, rel=1e-12)
+        assert bracket_at(PHI, h, state) == pytest.approx(rate, rel=1e-12)
         moved = classical_trajectory(state, mu_b, b, t)
         assert HEIGHT(moved) == HEIGHT(state)
         turned = (moved.phi - state.phi + math.pi) % (2 * math.pi) - math.pi
-        assert turned / t == pytest.approx(dirac_bracket(PHI, h, state), rel=1e-12)
+        assert turned / t == pytest.approx(bracket_at(PHI, h, state), rel=1e-12)
 
 
 def test_precession_angle_row_fails_for_the_opposite_hamiltonian(monkeypatch):
@@ -209,18 +215,83 @@ def test_precession_angle_row_fails_for_the_opposite_hamiltonian(monkeypatch):
     "wrong, failing",
     [
         (lambda rate: 2 * rate, {"angle-equation", "period-identity", "flow-composition"}),
-        (lambda rate: -rate, {"angle-equation", "flow-composition"}),
+        (lambda rate: -rate, {"angle-equation", "period-identity", "flow-composition"}),
     ],
     ids=["doubled", "negated"],
 )
 def test_a_wrong_precession_rate_fails_the_rows_that_read_the_bracket(monkeypatch, wrong, failing):
-    # The period and the composed flow are compared with the Dirac-bracket
-    # rate {φ, H}_D, not with the closed form's own rate; a negated rate
-    # keeps the period, so it fails the composition alone among the two.
+    # A quarter turn of the flow and the flow's generator are compared with
+    # the Dirac-bracket field λ·sinθ·{X, H}_D, not with the closed form's own
+    # rate.  A quarter turn at the clock 1/ν of a wrong ν is still a quarter
+    # turn, but ν times it is not the field; a doubled rate also doubles
+    # the generator, and a negated one turns it around.  The conservation
+    # rows hold at any rate.
     stock = orbit.precession_rate
     monkeypatch.setattr(orbit, "precession_rate", lambda mu_b, b: wrong(stock(mu_b, b)))
     rows = check_precession()
     assert {row.name for row in rows if not row.passed} == {f"precession-{n}" for n in failing}
+    # In the composition row the clocks still compose; its generator part fails.
+    composition = rows[-1]
+    x1 = CARTESIAN[0]
+    field = bind_constants(dirac_bracket(x1, total_hamiltonian(0.9, 1.3)),
+                           {"muB": Fraction(9, 10), "B": Fraction(13, 10)})
+    assert composition.name == "precession-flow-composition"
+    assert composition.expected == format_poly(field)
+
+
+def test_a_flow_that_turns_theta_fails_both_conservation_rows(monkeypatch):
+    def turns_theta(p, flow):
+        (a, b), (c, d) = flow
+        cos, sin = SPHERE.sym("cos_theta"), SPHERE.sym("sin_theta")
+        return p.substitute({"cos_theta": a * cos + b * sin, "sin_theta": c * cos + d * sin})
+
+    monkeypatch.setattr(orbit, "pull_back", turns_theta)
+    failed = {row.name for row in check_precession() if not row.passed}
+    assert {"precession-height-conserved", "precession-energy-conserved"} <= failed
+    assert "precession-height-equation" not in failed
+
+
+def test_a_hamiltonian_with_a_phi_term_fails_the_height_equation(monkeypatch):
+    stock = orbit.total_hamiltonian
+
+    def tilted(mu_b, b):  # H + μB·B·X1: a field with a component along x1
+        h = stock(mu_b, b)
+        extra = SPHERE.parse("muB*B*lam*sin_theta*cos_phi")
+        return PhaseFunction("tilted", h.polynomial + extra, h.constants)
+
+    monkeypatch.setattr(orbit, "total_hamiltonian", tilted)
+    rows = {row.name: row for row in check_precession()}
+    assert not rows["precession-height-equation"].passed
+    assert rows["precession-height-equation"].residual != 0
+
+
+def test_a_quarter_turn_at_the_wrong_clock_fails_the_period_row(monkeypatch):
+    # Only the flow at the quarter clock 1/ν runs at 9/10 of it.
+    quarter = 1 / precession_rate(suite.PRECESSION_MU_B, suite.PRECESSION_B)
+    stock = cpi.expm
+    monkeypatch.setattr(cpi, "expm", lambda m, r: stock(m, r * Fraction(9, 10) if r == quarter else r))
+    failed = {row.name for row in check_precession() if not row.passed}
+    assert failed == {"precession-period-identity"}
+
+
+def test_pull_back_turns_cos_and_sin_of_phi_only():
+    quarter = ((0, -1), (1, 0))
+    x1, x2, x3 = (x.polynomial for x in CARTESIAN)
+    assert pull_back(x1, quarter) == -x2 and pull_back(x2, quarter) == x1
+    assert pull_back(x3, quarter) == x3
+    with pytest.raises(ValueError, match="not phi itself"):
+        pull_back(PHI.polynomial, quarter)
+
+
+def test_phase_functions_keep_their_brackets_with_the_constraints():
+    # Each phase function derives its gradient and constraint brackets once;
+    # a fresh instance of the same polynomial derives equal ones.
+    h = total_hamiltonian(0.9, 1.3)
+    assert h.constraint_brackets is h.constraint_brackets
+    assert h.gradient is h.gradient
+    fresh = PhaseFunction("again", h.polynomial, h.constants)
+    assert fresh.constraint_brackets == h.constraint_brackets
+    assert fresh.constraint_brackets is not h.constraint_brackets
 
 
 def test_equations_of_motion_are_exact_on_the_sphere():
@@ -267,8 +338,7 @@ def test_trajectory_composition_and_period():
     twice = classical_trajectory(classical_trajectory(state, mu_b, b, t1), mu_b, b, t2)
     assert once.phi == pytest.approx(twice.phi, abs=1e-12)
     assert once.theta == state.theta
-    period = precession_period(mu_b, b)
-    assert period == pytest.approx(2.0 * math.pi / (mu_b * b))
+    period = 2.0 * math.pi / abs(precession_rate(mu_b, b))
     closed = classical_trajectory(state, mu_b, b, period)
     assert closed.phi == pytest.approx(state.phi, abs=1e-12)
 
@@ -291,10 +361,12 @@ def test_zero_field_freezes_the_trajectory():
 
 
 def test_wrap_angle_range():
-    for x in (-7.0, -1.0, 0.0, 1.0, 7.0, 12.56):
-        w = wrap_angle(x)
+    # The trajectory wraps φ into [0, 2π), for either sign of the rate.
+    state = OrbitState.on_constraint(1.1, 0.0)
+    for mu_b, t in ((1.0, 7.0), (1.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (-1.0, 7.0), (-1.0, 12.56)):
+        w = classical_trajectory(state, mu_b, 1.0, t).phi
         assert 0.0 <= w < 2.0 * math.pi
-        assert math.cos(w) == pytest.approx(math.cos(x), abs=1e-12)
+        assert math.cos(w) == pytest.approx(math.cos(-mu_b * t), abs=1e-12)
 
 
 # -- the normal form on the sphere ---------------------------------------------------
