@@ -45,6 +45,7 @@ from .symbols import (
 )
 
 OMEGA_CANONICAL = ((0, 1), (-1, 0))
+_ONE = CRational(1)
 
 
 @dataclass(frozen=True)
@@ -139,19 +140,30 @@ class DequantizationCase:
 
         With Δ_a = Φ_a − φ_a for each bound slot a (each base field and its
         dot) and T = :func:`supertime_integral`, one entry per bound slot b:
-        ``(b, T(Δ_b), ((a, T(½Δ_bΔ_a)), ...))`` as term maps, the pairs
-        listed only where nonzero.  Each part has one or two monomials.
+        ``(b, T(Δ_b), ((a, part), ...))`` as term maps, with a running over
+        b and the slots listed after it, each unordered pair once.  Since
+        ∂_b∂_a L = s·∂_a∂_b L, with s = −1 when both slots are odd, the pair's
+        part is T(½Δ_bΔ_a) + s·T(½Δ_aΔ_b) (T(½Δ_bΔ_b) when a = b), listed
+        only where nonzero.  Each part has one or two monomials.
         """
         ctx = self.context
+        odd = ctx.is_odd
         deltas = [(ctx.slot(key), sf - ctx.sym(*key)) for key, sf in self.bindings.items()]
         half = CRational(1) / CRational(2)
 
         def top(g):
-            return supertime_integral(g, self.theta, self.thetabar).terms
+            return supertime_integral(g, self.theta, self.thetabar)
+
+        def pair(b, db, a, da):
+            part = top(half * (db * da))
+            if a != b:
+                swapped = top(half * (da * db))
+                part = part - swapped if odd[a] and odd[b] else part + swapped
+            return part.terms
 
         return tuple(
-            (b, top(db), tuple((a, part) for a, da in deltas if (part := top(half * (db * da)))))
-            for b, db in deltas
+            (b, top(db).terms, tuple((a, p) for a, da in deltas[k:] if (p := pair(b, db, a, da))))
+            for k, (b, db) in enumerate(deltas)
         )
 
     @cached_property
@@ -262,8 +274,9 @@ def top_component(l: GradedPolynomial, case) -> GradedPolynomial:
         i∫dθdθ̄ L(Φ) = Σ_a T(Δ_a)·∂_a L + Σ_{a,b} T(½Δ_bΔ_a)·∂_a∂_b L,
 
     with left derivatives, ∂_b taken first, and the parts T(·) from
-    :attr:`DequantizationCase.top_parts`: one derivative pass per bound slot
-    and per nonzero pair, and one kernel product per nonzero derivative.  A
+    :attr:`DequantizationCase.top_parts`, which sum the pairs (a, b) and
+    (b, a) into one: one derivative pass per bound slot and per nonzero
+    unordered pair, and one kernel product per nonzero derivative.  A
     Lagrangian that mentions θ or θ̄, at any dot order, raises
     :class:`UnsupportedCaseError` before any work.
     """
@@ -326,6 +339,7 @@ def _recognize_surface(raw: GradedPolynomial, case: DequantizationCase) -> Grade
                 return idx
         return None
 
+    derivatives: dict = {}  # bilinear monomial -> its time derivative, taken once
     betas: dict = {}
     for mono in sorted(raw.terms):
         idx = first_forbidden(mono)
@@ -338,8 +352,11 @@ def _recognize_surface(raw: GradedPolynomial, case: DequantizationCase) -> Grade
         sign, key = _graded.merge(mono[:idx], undotted, ctx.is_odd)
         if not sign:
             continue  # strip collides with an odd factor; leave for the residual check
-        bilinear = GradedPolynomial(ctx, {key: 1})
-        in_derivative = formal_time_derivative(bilinear).terms.get(mono)
+        # The merge leaves the key in normal form, so the bilinear needs no check.
+        bilinear = GradedPolynomial._wrap(ctx, {key: _ONE})
+        if key not in derivatives:
+            derivatives[key] = formal_time_derivative(bilinear)
+        in_derivative = derivatives[key].terms.get(mono)
         if not in_derivative:
             continue
         beta = coeff / in_derivative
@@ -353,7 +370,7 @@ def _recognize_surface(raw: GradedPolynomial, case: DequantizationCase) -> Grade
             betas[key] = beta
     surface = ctx.zero()
     for key, beta in betas.items():
-        surface = surface + beta * formal_time_derivative(GradedPolynomial(ctx, {key: 1}))
+        surface = surface + beta * derivatives[key]
     remainder = raw - surface
     leftovers = [m for m in remainder.terms if first_forbidden(m) is not None]
     if leftovers:

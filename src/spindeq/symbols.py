@@ -14,7 +14,9 @@ Monomials take the one form of the graded-algebra kernel
 the slot of a symbol is its (declaration index, dot order) pair; products,
 left derivatives and substitutions are the kernel's, with its transposition
 signs.  This module adds names with dots, the formal time derivative, the
-printer and the parser.
+printer and the parser.  The parser works on kernel term maps throughout and
+wraps its result once, so text never passes through the checked constructor
+or through ``GradedPolynomial`` arithmetic.
 
 Each coefficient is exact or float on its own (:func:`lift`): ``int``,
 ``Fraction`` and ``CRational`` are kept exact as Gaussian rationals, so that
@@ -27,6 +29,7 @@ is checked where it is made, with :meth:`GradedPolynomial.is_exact`.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -292,7 +295,10 @@ class GradedPolynomial:
         call, on an ascending ladder over the exponents in use: X^{e_k} =
         X^{e_{k-1}} · X^{e_k - e_{k-1}}, the step by repeated squaring.
         Consecutive exponents cost one product each, and a lone huge one
-        stays O(log n).
+        stays O(log n).  The unbound factors of a monomial get no ladder and
+        no product: they move in front of the bound ones, with the sign of
+        that move (each image has its factor's parity), and join each
+        monomial of the product by one merge.
         """
         odd = self.context.is_odd
         images = {}
@@ -305,21 +311,33 @@ class GradedPolynomial:
         needed: dict = {}
         for mono in self.terms:
             for slot, exp in mono:
-                needed.setdefault(slot, set()).add(exp)
+                if slot in images:
+                    needed.setdefault(slot, set()).add(exp)
         powers = {}  # (slot, exponent) -> the image of that factor
         for slot, exps in needed.items():
-            image, last = images.get(slot, {((slot, 1),): 1}), 0
+            last = 0
             for e in sorted(exps):
-                step = _graded.power(image, e - last, odd)
+                step = _graded.power(images[slot], e - last, odd)
                 powers[slot, e] = _graded.mul(powers[slot, last], step, odd) if last else step
                 last = e
         out: dict = {}
         for mono, c in self.terms.items():
-            term = {(): c}
+            term, kept, sign, odd_bound = {(): c}, [], 1, 0
             for factor in mono:
-                term = _graded.mul(term, powers[factor], odd)
+                slot = factor[0]
+                if slot in images:
+                    term = _graded.mul(term, powers[factor], odd)
+                    odd_bound += odd[slot]
+                else:
+                    kept.append(factor)
+                    if odd[slot] and odd_bound & 1:
+                        sign = -sign
+            kept = tuple(kept)
             for m, v in term.items():
-                out[m] = out[m] + v if m in out else v
+                step, m = _graded.merge(kept, m, odd)
+                if step:
+                    v = v if step * sign > 0 else -v
+                    out[m] = out[m] + v if m in out else v
         return self._new({mono: c for mono, c in out.items() if c})
 
     def coefficient(self, factors):
@@ -355,12 +373,19 @@ def formal_time_derivative(p: GradedPolynomial) -> GradedPolynomial:
     the parity of s and stands where s stood.  Symbols declared ``constant``
     are annihilated.
     """
-    ctx = p.context
-    out = ctx.zero()
-    for name, dot in sorted(p.symbols_used()):
-        if not ctx.decl(name).constant:
-            out = out + ctx.sym(name, dot + 1) * partial_derivative(p, name, dot)
-    return out
+    return p._new(_time_derivative(p.context, p.terms))
+
+
+def _time_derivative(ctx: SymbolContext, terms: dict) -> dict:
+    """:func:`formal_time_derivative` on a term map, summed into one dict."""
+    odd, out = ctx.is_odd, {}
+    for slot in sorted({slot for mono in terms for slot, _ in mono}, key=ctx.key):
+        if ctx._decls[slot[0]].constant:
+            continue
+        derivative = _graded.left_derivative(terms, slot, odd)
+        for mono, c in _graded.left_multiply(derivative, (slot[0], slot[1] + 1), odd).items():
+            out[mono] = out[mono] + c if mono in out else c
+    return {mono: c for mono, c in out.items() if c}
 
 
 def partial_derivative(p: GradedPolynomial, name: str, dot: int = 0) -> GradedPolynomial:
@@ -441,32 +466,25 @@ def format_poly(p: GradedPolynomial) -> str:
 
 # -- parsing --------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
-)
+# Tokens are numerals, identifiers and single-character operators; whitespace
+# separates them and is skipped.  _STRAY matches a character no token takes.
+_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()]")
+_STRAY = re.compile(r"[^\s\dA-Za-z_+\-*/^()]")
+_ONE = CRational._lift(1)
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(text: str) -> list[_Token]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            out.append(_Token(m.lastgroup, m.group(), pos))
-        pos = m.end()
-    out.append(_Token("end", "", len(text)))
-    return out
+def _coefficient_power(c, n: int):
+    """c**n for an exact coefficient and n >= 1, by repeated squaring."""
+    if c is _ONE:
+        return c
+    out = None
+    while True:
+        if n & 1:
+            out = c if out is None else out * c
+        n >>= 1
+        if not n:
+            return out
+        c = c * c
 
 
 class _Parser:
@@ -478,116 +496,173 @@ class _Parser:
     power  := atom ('^' NUMBER)*
     atom   := NUMBER | 'i' | IDENT | 'dot' '(' expr ')' | '(' expr ')'
 
+    Every rule returns a kernel term map, which :meth:`parse` wraps once.
+    The text is tokenized by one ``findall``; a token's position is recovered
+    only when an error reports it.  Atoms are built unchecked from the
+    context's slots; a product of two one-term factors is one monomial
+    merge, a power of a one-term factor scales its exponents, and only
+    multi-term factors reach the kernel's products.  Each ``expr`` adds its
+    terms into one dict.
+
     Division is allowed only by nonzero constant subexpressions, which keeps
-    everything inside the polynomial ring.  Signs are read in a loop, and
-    parentheses and ``dot(...)`` may nest at most ``MAX_NESTING`` deep.
+    everything inside the polynomial ring.  A product or power of nonzero
+    factors that vanishes raises :class:`OddPowerError`.  Signs are read in a
+    loop, and parentheses and ``dot(...)`` may nest at most ``MAX_NESTING``
+    deep.
     """
 
+    __slots__ = ("ctx", "odd", "text", "tokens", "k", "depth")
+
     def __init__(self, ctx: SymbolContext, text: str):
+        stray = _STRAY.search(text)
+        if stray is not None:
+            raise ParseError(f"unexpected character {stray.group()!r}", stray.start())
         self.ctx = ctx
+        self.odd = ctx.is_odd
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _TOKEN.findall(text)
+        self.tokens.append("")  # the end of the input
         self.k = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.k]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
+    def position(self, k: int) -> int:
+        """The offset in the text of token ``k``; the end marker's is the length."""
+        for j, match in enumerate(_TOKEN.finditer(self.text)):
+            if j == k:
+                return match.start()
+        return len(self.text)
 
     def parse(self) -> GradedPolynomial:
-        value = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
-        return value
+        terms = self.expr()
+        tok = self.tokens[self.k]
+        if tok:
+            raise ParseError(f"unexpected token {tok!r}", self.position(self.k))
+        return GradedPolynomial._wrap(self.ctx, terms)
 
-    def expr(self) -> GradedPolynomial:
-        value = self.term()
-        while self.peek().text in ("+", "-"):
-            op = self.advance()
+    def expr(self) -> dict:
+        out = self.term()
+        summed = False
+        while (op := self.tokens[self.k]) in ("+", "-"):
+            self.k += 1
             rhs = self.term()
-            value = value + rhs if op.text == "+" else value - rhs
-        return value
-
-    def term(self) -> GradedPolynomial:
-        value = self.unary()
-        while self.peek().text in ("*", "/"):
-            op = self.advance()
-            rhs = self.unary()
-            if op.text == "*":
-                value = self._checked_mul(value, rhs, op.pos)
+            summed = True
+            if op == "+":
+                for mono, c in rhs.items():
+                    out[mono] = out[mono] + c if mono in out else c
             else:
-                value = self._divide(value, rhs, op.pos)
+                for mono, c in rhs.items():
+                    out[mono] = out[mono] - c if mono in out else -c
+        return {mono: c for mono, c in out.items() if c} if summed else out
+
+    def term(self) -> dict:
+        value = self.unary()
+        while (op := self.tokens[self.k]) in ("*", "/"):
+            at = self.k
+            self.k += 1
+            rhs = self.unary()
+            value = self.product(value, rhs, at) if op == "*" else self.quotient(value, rhs, at)
         return value
 
-    def unary(self) -> GradedPolynomial:
+    def unary(self) -> dict:
+        """The rules unary and power in one: signs, an atom, then its powers."""
         negate = False
-        while self.peek().text in ("-", "+"):
-            negate ^= self.advance().text == "-"
-        return -self.power() if negate else self.power()
-
-    def power(self) -> GradedPolynomial:
+        while (sign := self.tokens[self.k]) in ("-", "+"):
+            negate ^= sign == "-"
+            self.k += 1
         value = self.atom()
-        while self.peek().text == "^":
-            op = self.advance()
-            tok = self.advance()
-            if tok.kind != "num":
-                raise ParseError("exponent must be an integer literal", tok.pos)
-            n = int(tok.text)
-            result = value**n
-            if result.is_zero() and not value.is_zero() and n >= 2:
-                raise OddPowerError("odd symbol raised to a power above one", op.pos)
+        while self.tokens[self.k] == "^":
+            at = self.k
+            self.k += 2
+            if not self.tokens[at + 1].isdecimal():
+                raise ParseError("exponent must be an integer literal", self.position(at + 1))
+            n = self.integer(at + 1)
+            result = self.raised(value, n)
+            if not result and value and n >= 2:
+                raise OddPowerError("odd symbol raised to a power above one", self.position(at))
             value = result
-        return value
+        return {mono: -c for mono, c in value.items()} if negate else value
 
-    def atom(self) -> GradedPolynomial:
-        tok = self.advance()
-        if tok.kind == "num":
-            return self.ctx.const(int(tok.text))
-        if tok.kind == "ident":
-            if tok.text == "i":
-                return self.ctx.imaginary()
-            if tok.text == "dot":
-                opener = self.advance()
-                if opener.text != "(":
-                    raise ParseError("expected '(' after dot", opener.pos)
-                return formal_time_derivative(self.nested(opener))
-            if not self.ctx.declared(tok.text):
-                raise UnknownSymbolError(f"unknown symbol {tok.text!r}", tok.pos)
-            return self.ctx.sym(tok.text)
-        if tok.text == "(":
-            return self.nested(tok)
-        raise ParseError(f"expected a value, got {tok.text!r}" if tok.text else "unexpected end of input", tok.pos)
+    def atom(self) -> dict:
+        k = self.k
+        tok = self.tokens[k]
+        self.k = k + 1
+        index = self.ctx._index.get(tok)
+        if index is not None:
+            return {(((index, 0), 1),): _ONE}
+        if tok.isdecimal():
+            n = self.integer(k)
+            return {(): CRational._lift(n)} if n else {}
+        if tok == "i":
+            return {(): I}
+        if tok == "dot":
+            if self.tokens[k + 1] != "(":
+                raise ParseError("expected '(' after dot", self.position(k + 1))
+            self.k = k + 2
+            return _time_derivative(self.ctx, self.nested(k + 1))
+        if tok.isidentifier():
+            raise UnknownSymbolError(f"unknown symbol {tok!r}", self.position(k))
+        if tok == "(":
+            return self.nested(k)
+        message = f"expected a value, got {tok!r}" if tok else "unexpected end of input"
+        raise ParseError(message, self.position(k))
 
-    def nested(self, opener: _Token) -> GradedPolynomial:
-        """The expression after ``opener``, an opening parenthesis, up to its ')'."""
+    def nested(self, opener: int) -> dict:
+        """The expression after token ``opener``, an opening parenthesis, up to its ')'."""
         if self.depth == MAX_NESTING:
-            raise ParseError(f"parentheses and dot(...) nested deeper than {MAX_NESTING}", opener.pos)
+            raise ParseError(
+                f"parentheses and dot(...) nested deeper than {MAX_NESTING}", self.position(opener)
+            )
         self.depth += 1
         inner = self.expr()
         self.depth -= 1
-        closer = self.advance()
-        if closer.text != ")":
-            raise ParseError("expected ')'", closer.pos)
+        if self.tokens[self.k] != ")":
+            raise ParseError("expected ')'", self.position(self.k))
+        self.k += 1
         return inner
 
-    def _checked_mul(self, a, b, pos) -> GradedPolynomial:
-        result = a * b
-        if result.is_zero() and not a.is_zero() and not b.is_zero():
-            raise OddPowerError("product vanishes: odd symbol squared", pos)
+    def integer(self, k: int) -> int:
+        """The value of numeral token ``k``."""
+        tok = self.tokens[k]
+        try:
+            return int(tok)
+        except ValueError:  # longer than the interpreter converts
+            raise ParseError(
+                f"integer literal {tok[:12]}... has {len(tok)} digits, more than the "
+                f"{sys.get_int_max_str_digits()} accepted",
+                self.position(k),
+            ) from None
+
+    def raised(self, value: dict, n: int) -> dict:
+        if not n:
+            return {(): _ONE}
+        if n == 1:
+            return value
+        if len(value) != 1:
+            return _graded.power(value, n, self.odd)
+        ((mono, c),) = value.items()
+        if any(self.odd[slot] for slot, _ in mono):
+            return {}
+        return {tuple((slot, e * n) for slot, e in mono): _coefficient_power(c, n)}
+
+    def product(self, a: dict, b: dict, at: int) -> dict:
+        if len(a) == 1 and len(b) == 1:
+            ((ma, ca),), ((mb, cb),) = a.items(), b.items()
+            sign, mono = _graded.merge(ma, mb, self.odd)
+            c = cb if ca is _ONE else ca if cb is _ONE else ca * cb
+            result = {mono: c if sign > 0 else -c} if sign else {}
+        else:
+            result = _graded.mul(a, b, self.odd)
+        if not result and a and b:
+            raise OddPowerError("product vanishes: odd symbol squared", self.position(at))
         return result
 
-    def _divide(self, a, b, pos) -> GradedPolynomial:
-        if not b.is_constant():
-            raise ParseError("division only by numeric constants", pos)
-        value = b.constant_part()
+    def quotient(self, a: dict, b: dict, at: int) -> dict:
+        if any(b):
+            raise ParseError("division only by numeric constants", self.position(at))
+        value = b.get(())
         if not value:
-            raise ParseError("division by zero", pos)
-        return a * (CRational(1) / value)
+            raise ParseError("division by zero", self.position(at))
+        return {mono: c / value for mono, c in a.items()}
 
 
 def parse(ctx: SymbolContext, text: str) -> GradedPolynomial:

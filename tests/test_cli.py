@@ -754,6 +754,26 @@ def test_deep_nesting_and_large_powers_end_cleanly():
 
 
 @pytest.mark.parametrize(
+    "hamiltonian, position",
+    [("1" * 5000 + "*q", 0), ("p + q^" + "1" * 5000, 6)],
+)
+def test_numerals_beyond_the_int_string_limit_are_parse_errors(hamiltonian, position, tmp_path,
+                                                              capsys):
+    # A numeral or exponent longer than Python converts to int is rejected as
+    # input, with its position, not as the interpreter's ValueError.
+    path = tmp_path / "report.json"
+    argv = ["verify-dequantization", "--case", "bosonic", "--hamiltonian", hamiltonian,
+            "--report", str(path)]
+    assert main(argv) == 1
+    message = (
+        f"integer literal 111111111111... has 5000 digits, more than the "
+        f"{sys.get_int_max_str_digits()} accepted (at position {position})"
+    )
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert json.loads(path.read_text())["error"] == {"class": "ParseError", "message": message}
+
+
+@pytest.mark.parametrize(
     "extra",
     [
         ["--muB", "3e7"],

@@ -33,7 +33,8 @@ from spindeq import (
     supertime_integral,
     top_component,
 )
-from spindeq import _graded, suite, symbols
+from spindeq import _graded, suite, superfield, symbols
+from spindeq.symbols import format_poly
 
 
 def test_case_registry():
@@ -185,18 +186,29 @@ def test_substitution_work_stays_at_the_ladder_figure(monkeypatch):
 def test_dequantization_work_stays_at_the_taylor_figure(monkeypatch):
     # The same 49-term Lagrangian: substitution and the supertime integral
     # took 111 kernel products over 1,643 monomial pairs inside dequantize;
-    # the top-component rule takes 17 over 284, and never substitutes.
+    # the top-component rule took 17 over 284 with a part per ordered pair of
+    # slots, and takes 7 over 214 with one per unordered pair.  It never
+    # substitutes, and the surface takes one time derivative per bilinear
+    # (two here, against four when each β took its own).
     case = get_case("bosonic")
     h, lagrangian = _degree_twelve_lagrangian(case)
     case.top_parts  # the parts are built once per case, outside the count
     def never(self, bindings):
         raise AssertionError("dequantize called substitute")
 
+    derivatives = []
+
+    def recorded(p):
+        derivatives.append(p)
+        return formal_time_derivative(p)
+
     counts = _count_products(monkeypatch)
     monkeypatch.setattr(symbols.GradedPolynomial, "substitute", never)
+    monkeypatch.setattr(superfield, "formal_time_derivative", recorded)
     result = dequantize(lagrangian, case)
     monkeypatch.undo()
-    assert counts[0] <= 17 and counts[1] <= 284, counts
+    assert counts[0] <= 7 and counts[1] <= 214, counts
+    assert len(derivatives) == len({format_poly(p) for p in derivatives}) == 2
     raw = supertime_integral(
         substitute(lagrangian, superfield_bindings(case)), case.theta, case.thetabar
     )

@@ -6,11 +6,12 @@ path without dragging in the physics layers.
 """
 
 import math
-import re
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spindeq import (
@@ -27,6 +28,7 @@ from spindeq import (
     partial_derivative,
     substitute,
 )
+from spindeq import _graded
 from spindeq.symbols import MAX_NESTING
 
 
@@ -108,24 +110,64 @@ def test_parser_division_rules():
         CTX.parse("q/0")
 
 
+_DIGIT_LIMIT = sys.get_int_max_str_digits()
+_LONG_NUMERAL = "1" * (_DIGIT_LIMIT + 700)
+_LONG_NUMERAL_MESSAGE = (
+    f"integer literal 111111111111... has {len(_LONG_NUMERAL)} digits, more than the "
+    f"{_DIGIT_LIMIT} accepted"
+)
+
+# (text, error class, message, position) for every way the parser rejects text.
+PARSER_ERRORS = [
+    ("q + ", ParseError, "unexpected end of input", 4),
+    ("", ParseError, "unexpected end of input", 0),
+    ("q*", ParseError, "unexpected end of input", 2),
+    ("* q", ParseError, "expected a value, got '*'", 0),
+    ("q   + ^", ParseError, "expected a value, got '^'", 6),
+    ("zz + 1", UnknownSymbolError, "unknown symbol 'zz'", 0),
+    ("q*dot(zz)", UnknownSymbolError, "unknown symbol 'zz'", 6),
+    ("q$", ParseError, "unexpected character '$'", 1),
+    ("q + + )$", ParseError, "unexpected character '$'", 7),  # before any token is read
+    ("q \u00e9", ParseError, "unexpected character '\u00e9'", 2),
+    ("q)", ParseError, "unexpected token ')'", 1),
+    ("2 + 3 3", ParseError, "unexpected token '3'", 6),
+    ("q^p", ParseError, "exponent must be an integer literal", 2),
+    ("q^", ParseError, "exponent must be an integer literal", 2),
+    ("q^-2", ParseError, "exponent must be an integer literal", 2),
+    ("dot q", ParseError, "expected '(' after dot", 4),
+    ("dot", ParseError, "expected '(' after dot", 3),
+    ("dot(q", ParseError, "expected ')'", 5),
+    ("(q", ParseError, "expected ')'", 2),
+    ("(q + p", ParseError, "expected ')'", 6),
+    ("u*u", OddPowerError, "product vanishes: odd symbol squared", 1),
+    ("q*u*ubar*u", OddPowerError, "product vanishes: odd symbol squared", 8),
+    ("u*ubar*(u + ubar)", OddPowerError, "product vanishes: odd symbol squared", 6),
+    ("u^2", OddPowerError, "odd symbol raised to a power above one", 1),
+    ("q + (2*u*q)^3", OddPowerError, "odd symbol raised to a power above one", 11),
+    ("(u + ubar)^2", OddPowerError, "odd symbol raised to a power above one", 10),
+    ("q/p", ParseError, "division only by numeric constants", 1),
+    ("q/(1 + u)", ParseError, "division only by numeric constants", 1),
+    ("q/0", ParseError, "division by zero", 1),
+    ("2*q/(1 - 1)", ParseError, "division by zero", 3),
+    ("(" * 300 + "q" + ")" * 300, ParseError,
+     f"parentheses and dot(...) nested deeper than {MAX_NESTING}", MAX_NESTING),
+    ("dot(" * 60 + "q" + ")" * 60, ParseError,
+     f"parentheses and dot(...) nested deeper than {MAX_NESTING}", 4 * (MAX_NESTING + 1) - 1),
+    (_LONG_NUMERAL + "*q", ParseError, _LONG_NUMERAL_MESSAGE, 0),
+    ("q^" + _LONG_NUMERAL, ParseError, _LONG_NUMERAL_MESSAGE, 2),
+    ("p + 3*q^2^" + _LONG_NUMERAL, ParseError, _LONG_NUMERAL_MESSAGE, 10),
+]
+
+
 def test_parser_error_positions():
-    with pytest.raises(ParseError) as err:
-        CTX.parse("q + ")
-    assert err.value.position == 4
-    with pytest.raises(UnknownSymbolError) as err:
-        CTX.parse("zz + 1")
-    assert err.value.position == 0
-    for text, position, message in (
-        ("q$", 1, "unexpected character"),
-        ("q)", 1, "unexpected token"),
-        ("q^p", 2, "exponent must be an integer literal"),
-        ("dot q", 4, "expected '(' after dot"),
-        ("dot(q", 5, "expected ')'"),
-        ("(q", 2, "expected ')'"),
-    ):
-        with pytest.raises(ParseError, match=re.escape(message)) as err:
+    # Each rejection has its own class, message and position; a numeral too
+    # long for int() is one of them, not a bare ValueError.
+    for text, error, message, position in PARSER_ERRORS:
+        with pytest.raises(ParseError) as err:
             CTX.parse(text)
-        assert err.value.position == position, text
+        assert type(err.value) is error, text
+        assert str(err.value) == f"{message} (at position {position})", text[:40]
+        assert err.value.position == position, text[:40]
 
 
 def test_parser_nesting_is_bounded_and_signs_are_not():
@@ -142,8 +184,188 @@ def test_parser_nesting_is_bounded_and_signs_are_not():
     assert CTX.parse("+".join(["q"] * 20000)) == CTX.parse("20000*q")
 
 
+# -- the parser against arithmetic on the same expression tree ---------------------
+
+_DIVISORS = st.one_of(
+    st.integers(1, 9).map(lambda n: ("num", n)),
+    st.just(("i",)),
+    st.tuples(st.integers(1, 9), st.integers(1, 9)).map(
+        lambda ab: ("paren", ("div", ("num", ab[0]), ("num", ab[1])))
+    ),
+)
+
+
+def _extend(children):
+    binary = st.one_of(
+        st.tuples(st.just("mul"), children, children),
+        st.tuples(st.just("add"), st.sampled_from("+-"), children, children),
+    )
+    return st.one_of(
+        binary,
+        binary,
+        st.tuples(st.just("div"), children, _DIVISORS),
+        st.tuples(st.just("pow"), children, st.integers(0, 3)),
+        st.tuples(st.just("sign"), st.sampled_from("+-"), children),
+        children.map(lambda x: ("dot", x)),
+        children.map(lambda x: ("paren", x)),
+    )
+
+
+_TREES = st.recursive(
+    st.one_of(
+        st.sampled_from([("sym", name) for name in ("q", "p", "w", "u", "ubar")]),
+        st.sampled_from([("sym", name) for name in ("q", "p", "w", "u", "ubar")] + [("i",)]),
+        st.integers(0, 12).map(lambda n: ("num", n)),
+    ),
+    _extend,
+    max_leaves=10,
+)
+
+# The grammar level of each node: expr 0, term 1, unary 2, power 3, atom 4.
+_LEVEL = {"add": 0, "mul": 1, "div": 1, "sign": 2, "pow": 3}
+
+
+def _render(node, need=0) -> str:
+    """The text of a tree, parenthesized only where the grammar needs it."""
+    kind = node[0]
+    if kind == "num":
+        text = str(node[1])
+    elif kind == "i":
+        text = "i"
+    elif kind == "sym":
+        text = node[1]
+    elif kind in ("dot", "paren"):
+        text = f"{'dot' if kind == 'dot' else ''}({_render(node[1])})"
+    elif kind == "sign":
+        text = node[1] + _render(node[2], 2)
+    elif kind == "pow":
+        text = f"{_render(node[1], 3)}^{node[2]}"
+    elif kind in ("mul", "div"):
+        text = _render(node[1], 1) + ("*" if kind == "mul" else "/") + _render(node[2], 2)
+    else:
+        text = f"{_render(node[2])} {node[1]} {_render(node[3], 1)}"
+    return f"({text})" if _LEVEL.get(kind, 4) < need else text
+
+
+def _size(node) -> int:
+    """A bound on the number of terms of a tree's value."""
+    kind = node[0]
+    if kind in ("num", "i", "sym"):
+        return 1
+    if kind in ("dot", "paren", "sign"):
+        return _size(node[-1]) * (5 if kind == "dot" else 1)
+    if kind == "pow":
+        return _size(node[1]) ** node[2]
+    if kind == "mul":
+        return _size(node[1]) * _size(node[2])
+    if kind == "div":
+        return _size(node[1])
+    return _size(node[2]) + _size(node[3])
+
+
+def _vanishing(value, *factors):
+    if value.is_zero() and not any(f.is_zero() for f in factors):
+        raise OddPowerError("vanishing product")
+    return value
+
+
+def _evaluate(node) -> GradedPolynomial:
+    """The value of a tree by GradedPolynomial arithmetic, without the parser."""
+    kind = node[0]
+    if kind == "num":
+        return CTX.const(node[1])
+    if kind == "i":
+        return CTX.imaginary()
+    if kind == "sym":
+        return CTX.sym(node[1])
+    if kind == "paren":
+        return _evaluate(node[1])
+    if kind == "dot":  # Σ_s dot(s)·∂_s over the symbols that are not constant
+        x = _evaluate(node[1])
+        out = CTX.zero()
+        for name, dot in sorted(x.symbols_used()):
+            if not CTX.decl(name).constant:
+                out = out + CTX.sym(name, dot + 1) * partial_derivative(x, name, dot)
+        return out
+    if kind == "sign":
+        x = _evaluate(node[2])
+        return -x if node[1] == "-" else x
+    if kind == "pow":
+        x, n = _evaluate(node[1]), node[2]
+        return _vanishing(x**n, x) if n >= 2 else x**n
+    a = _evaluate(node[1] if kind != "add" else node[2])
+    if kind == "mul":
+        b = _evaluate(node[2])
+        return _vanishing(a * b, a, b)
+    if kind == "div":
+        return a * (CRational(1) / _evaluate(node[2]).constant_part())
+    b = _evaluate(node[3])
+    return a + b if node[1] == "+" else a - b
+
+
+@settings(deadline=None, max_examples=300)
+@given(tree=_TREES)
+def test_parse_agrees_with_arithmetic_on_random_expressions(tree):
+    # Numbers, i, even and odd symbols, dot(...), parentheses, signs, powers,
+    # products and division by constants, rendered as text: parse gives the
+    # value of the same tree, exactly, or the same OddPowerError.
+    assume(_size(tree) <= 200)
+    text = _render(tree)
+    try:
+        expected = _evaluate(tree)
+    except OddPowerError:
+        with pytest.raises(OddPowerError):
+            CTX.parse(text)
+        return
+    got = CTX.parse(text)
+    assert got == expected, text
+    assert all(type(c) is CRational for c in got.terms.values()), text
+
+
+def _sweep_text() -> str:
+    """A degree-12 Hamiltonian shaped like the benchmark's sweep inputs: 48
+    terms (c)*q^a*p^b, half the monomials of each total degree."""
+    return " + ".join(
+        f"({a + 1}/{k - a + 2})*q^{a}*p^{k - a}" for k in range(1, 13) for a in range(0, k + 1, 2)
+    )
+
+
+def _count_kernel_calls(monkeypatch, names):
+    """Calls of the named ``_graded`` functions, counted until ``monkeypatch.undo()``."""
+    calls = Counter()
+    for name in names:
+        original = getattr(_graded, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(_graded, name, counted)
+    return calls
+
+
+def test_parsing_a_sweep_text_checks_nothing_and_multiplies_no_polynomials(monkeypatch):
+    # Atoms are built unchecked and one-term factors meet by monomial merges:
+    # building every atom through the public constructor and every product
+    # through the kernel took 192 checked term maps and 283 products here.
+    text = _sweep_text()
+    calls = _count_kernel_calls(monkeypatch, ("checked", "mul"))
+    got = CTX.parse(text)
+    monkeypatch.undo()
+    assert calls == Counter(), calls
+    q, p, expected = CTX.sym("q"), CTX.sym("p"), CTX.zero()
+    for k in range(1, 13):
+        for a in range(0, k + 1, 2):
+            expected = expected + q**a * p ** (k - a) * Fraction(a + 1, k - a + 2)
+    assert len(got.terms) == 48 and got == expected
+
+
 def test_powers_are_taken_by_squaring():
     assert CTX.parse("q^99999999") == CTX.sym("q") ** 99999999
+    # A power of one term scales its exponents and raises its coefficient.
+    q, dp = CTX.sym("q"), CTX.sym("p", 1)
+    assert CTX.parse("q^2^3") == q**6
+    assert CTX.parse("(-2/3*i*q^2*dot(p))^3") == q**6 * dp**3 * CRational(0, Fraction(8, 27))
     x = CTX.parse("q + 2*u - i*dot(p)/3")
     power = CTX.const(1)
     for n in range(1, 10):
@@ -347,3 +569,19 @@ def test_substitution_reuses_powers_and_keeps_huge_exponents_cheap():
     assert out == CTX.parse("(q + p)^3 + (q + p)^4*p + 2*(q + p)^7")
     assert substitute(CTX.parse("q^99999999*w + w"), {"q": CTX.const(1)}) == CTX.parse("2*w")
     assert substitute(poly + CTX.parse("p"), {"q": CTX.zero()}) == CTX.parse("p")
+
+
+def test_unbound_factors_pass_through_substitution(monkeypatch):
+    # A slot with no binding gets no power ladder and no product: with no
+    # bound slot in the polynomial, substitution multiplies nothing.
+    poly = CTX.parse("3*q^4*p*u*ubar - w*dot(u)*p^2 + 2")
+    calls = _count_kernel_calls(monkeypatch, ("mul",))
+    out = substitute(poly, {("q", 1): CTX.parse("p")})
+    monkeypatch.undo()
+    assert calls == Counter() and out == poly
+    # An unbound odd factor moves past the images of bound odd factors with
+    # their sign, and meets them by one merge.
+    assert substitute(CTX.parse("u*ubar"), {"u": CTX.parse("dot(u)")}) == CTX.parse("dot(u)*ubar")
+    assert substitute(CTX.parse("u*ubar*q"), {"u": CTX.parse("q*ubar")}).is_zero()
+    out = substitute(CTX.parse("u*ubar"), {"ubar": CTX.parse("p*dot(u)")})
+    assert out == CTX.parse("p*u*dot(u)")
