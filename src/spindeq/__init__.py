@@ -23,6 +23,7 @@ Layers, bottom up:
 """
 
 from .errors import (
+    FormatError,
     IdentityViolationError,
     OddPowerError,
     ParityError,
@@ -138,7 +139,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     # errors
-    "IdentityViolationError", "OddPowerError", "ParityError", "ParseError", "SpindeqError",
+    "FormatError", "IdentityViolationError", "OddPowerError", "ParityError", "ParseError", "SpindeqError",
     "TableMismatchError", "UnknownSymbolError", "UnsupportedCaseError",
     # exact
     "CRational", "I", "crational",

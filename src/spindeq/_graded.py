@@ -5,9 +5,10 @@ pairs sorted by slot, every exponent positive, ``()`` for the constant
 monomial.  A slot is the (declaration index, dot order) pair of a symbol in
 a ``SymbolContext``, so dotted symbols need no declaration of their own.  An
 element is a term map ``{monomial: coefficient}`` without zero
-coefficients; term maps are never changed once built, so results may share
-them.  The functions here take ``odd``, a lookup with ``odd[slot]`` true for
-an anticommuting slot.
+coefficients; term maps are never changed once built (only
+:func:`add_product` adds into a map still being built), so results may
+share them.  The functions here take ``odd``, a lookup with ``odd[slot]``
+true for an anticommuting slot.
 
 Only :func:`checked` validates: the public constructors call it, and every
 kernel result is wrapped unchecked by ``GradedPolynomial._wrap``.
@@ -15,7 +16,10 @@ kernel result is wrapped unchecked by ``GradedPolynomial._wrap``.
 Sign conventions, fixed here and relied on everywhere above:
 
 * a product is brought into slot order with ``(-1)`` per transposition of
-  two odd factors, and vanishes when an odd slot repeats;
+  two odd factors, and vanishes when an odd slot repeats.  :func:`merge`
+  counts the transpositions in the one pass that interleaves the factors:
+  an odd factor of the left operand crosses every odd factor of the right
+  one placed before it;
 * derivatives are left derivatives: the factor is commuted to the front of
   the monomial and then struck.
 """
@@ -29,19 +33,19 @@ def merge(a: tuple, b: tuple, odd) -> tuple[int, tuple]:
     if not a or not b:
         return 1, a or b
     out = []
-    pending = sum(1 for slot, _ in a if odd[slot])  # odd factors of a not yet placed
-    swaps = i = j = 0
-    while i < len(a) and j < len(b):
+    placed = swaps = i = j = 0  # placed: odd factors of b already in out
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
         sa, ea = a[i]
         sb, eb = b[j]
         if sa < sb:
             out.append(a[i])
-            pending -= odd[sa]
+            if odd[sa]:
+                swaps += placed
             i += 1
         elif sb < sa:
             out.append(b[j])
-            if odd[sb]:
-                swaps += pending
+            placed += odd[sb]
             j += 1
         elif odd[sa]:
             return 0, ()
@@ -49,8 +53,13 @@ def merge(a: tuple, b: tuple, odd) -> tuple[int, tuple]:
             out.append((sa, ea + eb))
             i += 1
             j += 1
-    out += a[i:]
-    out += b[j:]
+    if i < la:
+        if placed & 1:  # each odd factor left in a crosses every odd factor of b
+            for slot, _ in a[i:]:
+                swaps += odd[slot]
+        out += a[i:]
+    else:
+        out += b[j:]
     return (-1 if swaps & 1 else 1), tuple(out)
 
 
@@ -73,8 +82,9 @@ def checked(terms, odd, has_slot, lift) -> dict:
     return out
 
 
-def mul(x: dict, y: dict, odd) -> dict:
-    out: dict = {}
+def add_product(out: dict, x: dict, y: dict, odd) -> dict:
+    """Add x·y into the term map ``out`` in place and return it; the sums
+    that cancel stay in ``out`` as zeros."""
     for ma, ca in x.items():
         for mb, cb in y.items():
             sign, mono = merge(ma, mb, odd)
@@ -84,7 +94,11 @@ def mul(x: dict, y: dict, odd) -> dict:
             if sign < 0:
                 c = -c
             out[mono] = out[mono] + c if mono in out else c
-    return {mono: c for mono, c in out.items() if c}
+    return out
+
+
+def mul(x: dict, y: dict, odd) -> dict:
+    return {mono: c for mono, c in add_product({}, x, y, odd).items() if c}
 
 
 def power(x: dict, n: int, odd) -> dict:
@@ -115,19 +129,33 @@ def left_derivative(x: dict, slot, odd) -> dict:
             if sum(1 for s, _ in mono[:k] if odd[s]) & 1:
                 c = -c
             out[mono[:k] + mono[k + 1 :]] = c
+        elif e > 1:
+            out[mono[:k] + ((slot, e - 1),) + mono[k + 1 :]] = c * e
         else:
-            rest = ((slot, e - 1),) if e > 1 else ()
-            out[mono[:k] + rest + mono[k + 1 :]] = c * e
+            out[mono[:k] + mono[k + 1 :]] = c
     return out
 
 
 def left_multiply(x: dict, slot, odd) -> dict:
-    """The generator at ``slot`` times x, from the left.  Distinct monomials
-    keep distinct images, so nothing collects."""
+    """The generator at ``slot`` times x, from the left: it is inserted at
+    its place, with ``(-1)`` per odd factor it passes when it is odd.
+    Distinct monomials keep distinct images, so nothing collects."""
+    is_odd = odd[slot]
     factor = ((slot, 1),)
     out = {}
     for mono, c in x.items():
-        sign, image = merge(factor, mono, odd)
-        if sign:
-            out[image] = c if sign > 0 else -c
+        k = flips = 0
+        for s, _ in mono:
+            if s >= slot:
+                break
+            if is_odd:
+                flips += odd[s]
+            k += 1
+        if k == len(mono) or mono[k][0] != slot:
+            image = mono[:k] + factor + mono[k:]
+        elif is_odd:
+            continue
+        else:
+            image = mono[:k] + ((slot, mono[k][1] + 1),) + mono[k + 1 :]
+        out[image] = -c if flips & 1 else c
     return out

@@ -32,6 +32,10 @@ class OddPowerError(ParseError):
     """An anticommuting symbol was raised to a power of two or higher."""
 
 
+class FormatError(SpindeqError, ValueError):
+    """A polynomial could not be written out as text."""
+
+
 class UnsupportedCaseError(SpindeqError):
     """The requested computation is outside the implemented scope."""
 

@@ -5,9 +5,10 @@ coefficients are Gaussian rationals.  A :class:`CRational` stores the value
 (a + b·i)/d as three plain ints in normal form: d > 0 and gcd(a, b, d) = 1,
 so zero is (0, 0, 1) and equal values have equal triples.  A sum, difference
 or product takes one three-way gcd; a sum over a shared denominator
-multiplies nothing (Knuth, *TAOCP* vol. 2, §4.5.1).  Results already in
-normal form are built by the trusted constructor :func:`_make`, which checks
-nothing.  ``re`` and ``im`` read the parts as :class:`fractions.Fraction`.
+multiplies nothing, a product with an ``int`` k takes only gcd(k, d), and a
+quotient by a real value needs no norm (Knuth, *TAOCP* vol. 2, §4.5.1).
+Results already in normal form are built by the trusted constructor
+:func:`_make`, which checks nothing.  ``re`` and ``im`` read the parts as :class:`fractions.Fraction`.
 
 Mixing a :class:`CRational` with a float or a Python ``complex`` degrades
 gracefully to ``complex`` arithmetic; mixing with ``int`` or ``Fraction``
@@ -96,6 +97,14 @@ class CRational:
         return _difference(o, self)
 
     def __mul__(self, other):
+        if type(other) is int:
+            # gcd(a, b, d) = 1, so only gcd(k, d) can cancel: no lift, one gcd.
+            d = self._d
+            g = gcd(other, d)
+            if g == 1:
+                return _make(self._a * other, self._b * other, d)
+            k = other // g
+            return _make(self._a * k, self._b * k, d // g)
         o = other if type(other) is CRational else _lift(other)
         if o is None:
             if isinstance(other, _FLOATS):
@@ -191,8 +200,13 @@ def _difference(x: CRational, y: CRational) -> CRational:
 
 def _quotient(x: CRational, y: CRational) -> CRational:
     """x / y, by the conjugate of y: ((a + b*i)/d) / ((c + e*i)/f) is
-    (a + b*i)(c - e*i)·f / (d·(c² + e²))."""
+    (a + b*i)(c - e*i)·f / (d·(c² + e²)); by a real y = c/f it is
+    (a + b*i)·f / (d·c), with no norm."""
     a, b, d, c, e, f = x._a, x._b, x._d, y._a, y._b, y._d
+    if not e and c:
+        if c < 0:
+            c, f = -c, -f
+        return _reduced(a * f, b * f, d * c)
     norm = c * c + e * e
     if not norm:
         raise ZeroDivisionError("division by zero")

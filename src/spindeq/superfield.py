@@ -276,7 +276,8 @@ def top_component(l: GradedPolynomial, case) -> GradedPolynomial:
     with left derivatives, ∂_b taken first, and the parts T(·) from
     :attr:`DequantizationCase.top_parts`, which sum the pairs (a, b) and
     (b, a) into one: one derivative pass per bound slot and per nonzero
-    unordered pair, and one kernel product per nonzero derivative.  A
+    unordered pair, and one kernel product per nonzero derivative, added
+    into one term map.  A
     Lagrangian that mentions θ or θ̄, at any dot order, raises
     :class:`UnsupportedCaseError` before any work.
     """
@@ -292,20 +293,15 @@ def top_component(l: GradedPolynomial, case) -> GradedPolynomial:
         )
     odd = ctx.is_odd
     out: dict = {}
-
-    def add(part, derivative):
-        for mono, c in _graded.mul(part, derivative, odd).items():
-            out[mono] = out[mono] + c if mono in out else c
-
     for b, first, pairs in case.top_parts:
         d_b = _graded.left_derivative(l.terms, b, odd)
         if not d_b:
             continue
         if first:
-            add(first, d_b)
+            _graded.add_product(out, first, d_b, odd)
         for a, part in pairs:
             if d_ab := _graded.left_derivative(d_b, a, odd):
-                add(part, d_ab)
+                _graded.add_product(out, part, d_ab, odd)
     return GradedPolynomial._wrap(ctx, {mono: c for mono, c in out.items() if c})
 
 
@@ -324,12 +320,13 @@ def dequantize(l: GradedPolynomial, case) -> DequantizationResult:
     way raises :class:`IdentityViolationError`.
     """
     case = get_case(case)
-    raw = top_component(l, case)
-    surface = _recognize_surface(raw, case)
-    return DequantizationResult(raw - surface, surface)
+    return _recognize_surface(top_component(l, case), case)
 
 
-def _recognize_surface(raw: GradedPolynomial, case: DequantizationCase) -> GradedPolynomial:
+def _recognize_surface(raw: GradedPolynomial, case: DequantizationCase) -> DequantizationResult:
+    """Split ``raw`` into ``(raw − surface, surface)``.  Only a forbidden
+    monomial of ``raw`` or a monomial of the surface can be forbidden in
+    ``raw − surface``, so the leftover scan looks at those alone."""
     ctx = case.context
     absorbable = {ctx.slot(n)[0] for f in case.families for n in (f.aux, f.antighost)}
 
@@ -341,10 +338,12 @@ def _recognize_surface(raw: GradedPolynomial, case: DequantizationCase) -> Grade
 
     derivatives: dict = {}  # bilinear monomial -> its time derivative, taken once
     betas: dict = {}
+    forbidden = []
     for mono in sorted(raw.terms):
         idx = first_forbidden(mono)
         if idx is None:
             continue
+        forbidden.append(mono)
         coeff = raw.terms[mono]
         (base, dot), exp = mono[idx]
         # Undotting keeps the factor in place, so the merge adds no sign.
@@ -372,14 +371,16 @@ def _recognize_surface(raw: GradedPolynomial, case: DequantizationCase) -> Grade
     for key, beta in betas.items():
         surface = surface + beta * derivatives[key]
     remainder = raw - surface
-    leftovers = [m for m in remainder.terms if first_forbidden(m) is not None]
+    left = remainder.terms
+    leftovers = {m for m in forbidden if m in left}
+    leftovers.update(m for m in surface.terms if m in left and first_forbidden(m) is not None)
     if leftovers:
-        bad = GradedPolynomial(ctx, {m: remainder.terms[m] for m in leftovers})
+        bad = GradedPolynomial(ctx, {m: left[m] for m in leftovers})
         raise IdentityViolationError(
             "dequantization result is not a CPI Lagrangian plus a total derivative",
             payload={"residual": format_poly(bad), "raw": format_poly(raw)},
         )
-    return surface
+    return DequantizationResult(remainder, surface)
 
 
 # -- builtin Lagrangians and Hamiltonians -----------------------------------------

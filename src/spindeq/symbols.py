@@ -32,10 +32,18 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log10
 from typing import Iterable, Mapping
 
 from . import _graded
-from .errors import OddPowerError, ParityError, ParseError, TableMismatchError, UnknownSymbolError
+from .errors import (
+    FormatError,
+    OddPowerError,
+    ParityError,
+    ParseError,
+    TableMismatchError,
+    UnknownSymbolError,
+)
 from .exact import CRational, I
 
 ODD = "odd"
@@ -230,18 +238,25 @@ class GradedPolynomial:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other):
+    def _operand(self, other) -> dict | None:
+        """The term map of a scalar or of a polynomial over this context,
+        None for anything else."""
         if isinstance(other, SCALARS):
-            addend = self._constant(other)
-        elif isinstance(other, GradedPolynomial):
+            return self._constant(other)
+        if isinstance(other, GradedPolynomial):
             self._check(other)
-            addend = other.terms
-        else:
+            return other.terms
+        return None
+
+    def __add__(self, other):
+        addend = self._operand(other)
+        if addend is None:
             return NotImplemented
         out = dict(self.terms)
         for mono, c in addend.items():
-            c = out.get(mono, 0) + c
-            if c:
+            if mono not in out:
+                out[mono] = c
+            elif c := out[mono] + c:
                 out[mono] = c
             else:
                 del out[mono]
@@ -250,7 +265,18 @@ class GradedPolynomial:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-1) * other
+        subtrahend = self._operand(other)
+        if subtrahend is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for mono, c in subtrahend.items():
+            if mono not in out:
+                out[mono] = -c
+            elif c := out[mono] - c:
+                out[mono] = c
+            else:
+                del out[mono]
+        return self._new(out)
 
     def __rsub__(self, other):
         return other + (-1) * self
@@ -409,8 +435,21 @@ def bind_constants(p: GradedPolynomial, values: Mapping[str, object]) -> GradedP
 # -- printing -------------------------------------------------------------------
 
 
+def _int_str(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # longer than the interpreter converts
+        n = abs(n)
+        digits = int((n.bit_length() - 1) * log10(2)) + 1  # exact or one short
+        digits += n >= 10**digits
+        raise FormatError(
+            f"a coefficient has {digits} digits, more than the "
+            f"{sys.get_int_max_str_digits()} that can be printed"
+        ) from None
+
+
 def _frac_str(num: int, den: int) -> str:
-    return str(num) if den == 1 else f"{num}/{den}"
+    return _int_str(num) if den == 1 else f"{_int_str(num)}/{_int_str(den)}"
 
 
 def _coeff_parts(c, has_mono: bool) -> tuple[str, str]:

@@ -773,6 +773,23 @@ def test_numerals_beyond_the_int_string_limit_are_parse_errors(hamiltonian, posi
     assert json.loads(path.read_text())["error"] == {"class": "ParseError", "message": message}
 
 
+@pytest.mark.parametrize("hamiltonian, digits", [("10^5000*q", 5001), ("2^20000*q*p", 6021)])
+def test_coefficients_beyond_the_int_string_limit_are_format_errors(hamiltonian, digits, tmp_path,
+                                                                    capsys):
+    # A coefficient computed by ^ may be too long to print; the run stops with
+    # the printer's error, and the report records it.
+    path = tmp_path / "report.json"
+    argv = ["verify-dequantization", "--case", "bosonic", "--hamiltonian", hamiltonian,
+            "--report", str(path)]
+    assert main(argv) == 1
+    message = (
+        f"a coefficient has {digits} digits, more than the "
+        f"{sys.get_int_max_str_digits()} that can be printed"
+    )
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert json.loads(path.read_text())["error"] == {"class": "FormatError", "message": message}
+
+
 @pytest.mark.parametrize(
     "extra",
     [

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spindeq import CRational, crational, format_poly
+from spindeq import CRational, crational, exact, format_poly
 from spindeq.superfield import get_case
 
 fractions_st = st.one_of(
@@ -67,6 +67,38 @@ def test_arithmetic_matches_the_fraction_pair_reference(op, z, w):
         assert isinstance(out, CRational)
         assert_normal(out)
         assert pair(out) == reference(op, x, y)
+
+
+@given(z=crationals, m=st.integers(-(10**6), 10**6), f=fractions_st)
+def test_int_products_and_real_quotients_match_the_reference(z, m, f):
+    # Ints that share factors with the denominator, zero, negative ints and
+    # bools, on either side of a product; real divisors of both signs,
+    # including ones that share factors with the dividend.
+    d = z._d
+    for k in (m, -m, 0, 1, -1, d, -d, d * m, d // 2 or 1, -math.gcd(d, m), True, False):
+        for x, y in ((z, k), (k, z)):
+            out = x * y
+            assert_normal(out)
+            assert pair(out) == reference(operator.mul, x, y)
+    for real in (f, Fraction(d, 3), Fraction(m or 5, d)):
+        if not real:
+            continue
+        for divisor in (CRational(real, 0), CRational(-real, 0)):
+            for x in (z, m, CRational(real)):
+                out = x / divisor
+                assert_normal(out)
+                assert pair(out) == reference(operator.truediv, x, divisor)
+
+
+def test_int_products_skip_the_lift_and_bools_do_not(monkeypatch):
+    lifted = []
+    monkeypatch.setattr(exact, "_lift", lambda value: lifted.append(value) or CRational(value))
+    z = CRational(Fraction(5, 12), Fraction(-7, 18))  # over 36
+    assert pair(z * 8) == pair(8 * z) == (Fraction(10, 3), Fraction(-28, 9))
+    assert pair(z * -36) == (Fraction(-15), Fraction(14))
+    assert lifted == []
+    assert pair(z * True) == pair(z)
+    assert lifted == [True]
 
 
 @given(z=crationals)

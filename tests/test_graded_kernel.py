@@ -6,12 +6,16 @@ Products, left derivatives, substitutions and the bosonic CPI operator H̃
 must then agree term by term within 1e-12, and the exact side must stay
 exact.  Exactness is a property of the coefficients, so an exact claim
 checks it where the claim is made; the last tests show why at the input.
+
+The kernel's sign rule is checked on its own against a brute-force
+reference: concatenate the factors, bubble-sort them with a sign flip per
+swap of two odd factors, and merge equal slots.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spindeq import (
@@ -28,6 +32,7 @@ from spindeq import (
     quantum_lagrangian,
     substitute,
 )
+from spindeq import _graded
 from spindeq.suite import _exact_check, check_dequantization
 
 CTX = SymbolContext((("x", EVEN), ("u", ODD), ("v", ODD)))
@@ -86,6 +91,68 @@ def test_substitutions_agree(a, x, u):
 @given(psi=both_kinds(ctx=BOSONIC, exps=FIELD_EXPS))
 def test_operator_applications_agree(psi):
     assert agree(LIOUVILLE.apply(psi[0]), LIOUVILLE.apply(psi[1]))
+
+
+# Slots as in a context: (declaration index, dot order); 1 and 3 are odd, and
+# a dotted slot has its base's parity.
+KERNEL_ODD = {(b, d): b in (1, 3) for b in range(4) for d in range(2)}
+monomials_st = st.dictionaries(
+    st.sampled_from(sorted(KERNEL_ODD)), st.integers(1, 3), max_size=5
+).map(lambda powers: tuple(sorted((s, 1 if KERNEL_ODD[s] else e) for s, e in powers.items())))
+
+
+def reference_product(*monomials) -> tuple[int, tuple]:
+    """The product of monomials by a stable bubble sort of their factors,
+    ``(-1)`` per swap of two odd factors; 0 when an odd slot repeats."""
+    factors = [factor for mono in monomials for factor in mono]
+    sign = 1
+    for end in range(len(factors) - 1, 0, -1):
+        for k in range(end):
+            if factors[k][0] > factors[k + 1][0]:
+                if KERNEL_ODD[factors[k][0]] and KERNEL_ODD[factors[k + 1][0]]:
+                    sign = -sign
+                factors[k], factors[k + 1] = factors[k + 1], factors[k]
+    merged = []
+    for slot, e in factors:
+        if merged and merged[-1][0] == slot:
+            if KERNEL_ODD[slot]:
+                return 0, ()
+            merged[-1] = (slot, merged[-1][1] + e)
+        else:
+            merged.append((slot, e))
+    return sign, tuple(merged)
+
+
+@settings(max_examples=500)
+@example(a=(((1, 1), 1),), b=(((1, 0), 1), ((3, 0), 1)), slot=(3, 1))  # crossing inside the merge
+@example(a=(((3, 0), 1),), b=(((0, 0), 2), ((1, 0), 1)), slot=(1, 1))  # crossing in a's tail
+@given(a=monomials_st, b=monomials_st, slot=st.sampled_from(sorted(KERNEL_ODD)))
+def test_the_sign_rule_matches_the_bubble_sort_reference(a, b, slot):
+    product = reference_product(a, b)
+    assert _graded.merge(a, b, KERNEL_ODD) == product
+    # The generator from the left.
+    sign, mono = reference_product(((slot, 1),), a)
+    assert _graded.left_multiply({a: 1}, slot, KERNEL_ODD) == ({mono: sign} if sign else {})
+    # The left derivative strikes the factor brought to the front: a = s·slot·rest.
+    powers = dict(a)
+    if slot not in powers:
+        expected = {}
+    else:
+        e = powers.pop(slot)
+        if e > 1:
+            powers[slot] = e - 1
+        rest = tuple(sorted(powers.items()))
+        sign, mono = reference_product(((slot, 1),), rest)
+        assert mono == a
+        expected = {rest: sign * e}
+    assert _graded.left_derivative({a: 1}, slot, KERNEL_ODD) == expected
+    # Products add into a given map in place; mul adds into {}.
+    sign, mono = product
+    terms = {mono: sign} if sign else {}
+    assert _graded.mul({a: 1}, {b: 1}, KERNEL_ODD) == terms
+    out = {a: 1}
+    assert _graded.add_product(out, {a: 1}, {b: 1}, KERNEL_ODD) is out
+    assert out == {a: 1 + terms.pop(a, 0), **terms}
 
 
 def test_an_exact_row_fails_on_a_float_side():

@@ -33,7 +33,7 @@ from spindeq import (
     supertime_integral,
     top_component,
 )
-from spindeq import _graded, suite, superfield, symbols
+from spindeq import _graded, exact, suite, superfield, symbols
 from spindeq.symbols import format_poly
 
 
@@ -154,17 +154,20 @@ def _degree_twelve_lagrangian(case):
     return h, lagrangian
 
 
-def _count_products(monkeypatch):
-    """``[kernel products, monomial pairs]``, counted until ``monkeypatch.undo()``."""
+def _count_products(monkeypatch, name="mul"):
+    """``[kernel products, monomial pairs]`` of ``_graded.mul`` or, with
+    ``name="add_product"``, of the product that adds into a given term map
+    (which ``mul`` also calls), counted until ``monkeypatch.undo()``."""
     counts = [0, 0]
-    mul = _graded.mul
+    product = getattr(_graded, name)
 
-    def counted(x, y, odd):
+    def counted(*args):
+        x, y = args[-3:-1]
         counts[0] += 1
         counts[1] += len(x) * len(y)
-        return mul(x, y, odd)
+        return product(*args)
 
-    monkeypatch.setattr(_graded, "mul", counted)
+    monkeypatch.setattr(_graded, name, counted)
     return counts
 
 
@@ -187,9 +190,12 @@ def test_dequantization_work_stays_at_the_taylor_figure(monkeypatch):
     # The same 49-term Lagrangian: substitution and the supertime integral
     # took 111 kernel products over 1,643 monomial pairs inside dequantize;
     # the top-component rule took 17 over 284 with a part per ordered pair of
-    # slots, and takes 7 over 214 with one per unordered pair.  It never
-    # substitutes, and the surface takes one time derivative per bilinear
-    # (two here, against four when each β took its own).
+    # slots, and takes 7 over 214 with one per unordered pair, each added
+    # into one term map.  It never substitutes, and the surface takes one
+    # time derivative per bilinear (two here, against four when each β took
+    # its own).  It builds 386 CRationals, against 622 before int products
+    # skipped the lift, exponents of 1 the product and the split its second
+    # subtraction.
     case = get_case("bosonic")
     h, lagrangian = _degree_twelve_lagrangian(case)
     case.top_parts  # the parts are built once per case, outside the count
@@ -202,12 +208,21 @@ def test_dequantization_work_stays_at_the_taylor_figure(monkeypatch):
         derivatives.append(p)
         return formal_time_derivative(p)
 
-    counts = _count_products(monkeypatch)
+    made = [0]
+    make = exact._make
+
+    def counted_make(a, b, d):
+        made[0] += 1
+        return make(a, b, d)
+
+    counts = _count_products(monkeypatch, "add_product")
+    monkeypatch.setattr(exact, "_make", counted_make)
     monkeypatch.setattr(symbols.GradedPolynomial, "substitute", never)
     monkeypatch.setattr(superfield, "formal_time_derivative", recorded)
     result = dequantize(lagrangian, case)
     monkeypatch.undo()
     assert counts[0] <= 7 and counts[1] <= 214, counts
+    assert made[0] <= 386, made
     assert len(derivatives) == len({format_poly(p) for p in derivatives}) == 2
     raw = supertime_integral(
         substitute(lagrangian, superfield_bindings(case)), case.theta, case.thetabar
@@ -351,6 +366,11 @@ def test_dequantize_rejects_non_lagrangian_input():
     with pytest.raises(IdentityViolationError) as err:
         dequantize(case.context.parse("dot(lam_p)*dot(q)"), case)
     assert "residual" in err.value.payload
+    # Here the surface term brings the leftover in: d/dt(lam_p*cbar_p*c_q)
+    # absorbs the raw dot(lam_p)*cbar_p*c_q and adds lam_p*dot(cbar_p)*c_q.
+    with pytest.raises(IdentityViolationError) as err:
+        dequantize(case.context.parse("dot(q)*cbar_p*c_q"), case)
+    assert err.value.payload["residual"] == "lam_p*dot(cbar_p)*c_q"
     with pytest.raises(TableMismatchError):
         dequantize(get_case("coadjoint").context.parse("eta*dot(phi)"), case)
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from spindeq import (
     CRational,
+    FormatError,
     GradedPolynomial,
     OddPowerError,
     ParityError,
@@ -83,6 +84,19 @@ def test_format_is_deterministic():
     b = CTX.parse("ubar*u*(-1) + p*q")
     assert format_poly(a) == format_poly(b)
     assert a == b
+
+
+def test_a_coefficient_too_long_to_print_is_a_format_error():
+    # Powers make coefficients longer than Python converts to text; the
+    # printer says so instead of leaking the interpreter's ValueError.
+    limit = sys.get_int_max_str_digits()
+    for text, digits in (("10^5000*q", 5001), ("(10^5000 - 1)*q", 5000),
+                         ("2^20000*q*p", 6021), ("q/10^5000", 5001)):
+        with pytest.raises(FormatError) as info:
+            format_poly(CTX.parse(text))
+        assert str(info.value) == (
+            f"a coefficient has {digits} digits, more than the {limit} that can be printed"
+        )
 
 
 def test_imaginary_unit_squares_to_minus_one():
