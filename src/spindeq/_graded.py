@@ -5,10 +5,10 @@ pairs sorted by slot, every exponent positive, ``()`` for the constant
 monomial.  A slot is the (declaration index, dot order) pair of a symbol in
 a ``SymbolContext``, so dotted symbols need no declaration of their own.  An
 element is a term map ``{monomial: coefficient}`` without zero
-coefficients; term maps are never changed once built (only
-:func:`add_product` adds into a map still being built), so results may
-share them.  The functions here take ``odd``, a lookup with ``odd[slot]``
-true for an anticommuting slot.
+coefficients; term maps are never changed once built, so results may share
+them.  Only :func:`add_into`, the one sum of term maps, and
+:func:`add_product` add into a map still being built.  The functions here
+take ``odd``, a lookup with ``odd[slot]`` true for an anticommuting slot.
 
 Only :func:`checked` validates: the public constructors call it, and every
 kernel result is wrapped unchecked by ``GradedPolynomial._wrap``.
@@ -79,6 +79,27 @@ def checked(terms, odd, has_slot, lift) -> dict:
         coeff = lift(coeff)
         if coeff:
             out[mono] = coeff
+    return out
+
+
+def add_into(out: dict, x: dict, k=1) -> dict:
+    """Add k·x into the term map ``out`` in place and return it, deleting
+    each sum that cancels.  The int k = 1 multiplies nothing, and k = -1
+    only negates."""
+    unit = type(k) is int and (k == 1 or k == -1)
+    for mono, c in x.items():
+        if not unit:
+            c = c * k
+            if not c:
+                continue
+        elif k < 0:
+            c = -c
+        if mono not in out:
+            out[mono] = c
+        elif c := out[mono] + c:
+            out[mono] = c
+        else:
+            del out[mono]
     return out
 
 

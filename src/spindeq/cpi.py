@@ -59,6 +59,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from . import _graded
 from .errors import UnsupportedCaseError
 from .exact import CRational, I, crational
 from .grassmann import GrassmannOperator
@@ -415,9 +416,8 @@ def _combine(coefficients, polys) -> dict:
     out: dict = {}
     for c, poly in zip(coefficients, polys):
         if c:
-            for mono, v in poly.terms.items():
-                out[mono] = out[mono] + c * v if mono in out else c * v
-    return {mono: v for mono, v in out.items() if v}
+            _graded.add_into(out, poly.terms, c)
+    return out
 
 
 def evolve(psi, spec: CpiSpec, r, operator: LiouvilleOperator | None = None) -> GradedPolynomial:

@@ -95,10 +95,8 @@ class GrassmannOperator:
             cur = psi.terms
             for step, slot in steps:
                 cur = step(cur, slot, odd)
-            for mono, c in cur.items():
-                v = c * coeff
-                out[mono] = out[mono] + v if mono in out else v
-        return psi._new({mono: c for mono, c in out.items() if c})
+            _graded.add_into(out, cur, coeff)
+        return psi._new(out)
 
     def commutator_apply(self, other: "GrassmannOperator", psi: GradedPolynomial):
         """Apply [self, other] to a polynomial."""

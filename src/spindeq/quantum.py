@@ -67,7 +67,8 @@ def _coefficients(mv: GradedPolynomial, basis: tuple, what: str) -> tuple:
 
 def _span(coefficients, basis: tuple) -> GradedPolynomial:
     """Σ c·e over the ``basis`` monomials e; each c a number or a polynomial in the constants."""
-    terms = (GradedPolynomial._wrap(TABLE, {e: 1}) * c for c, e in zip(coefficients, basis))
+    terms = (c * GradedPolynomial(TABLE, {e: 1}) if isinstance(c, GradedPolynomial)
+             else GradedPolynomial(TABLE, {e: c}) for c, e in zip(coefficients, basis))
     return sum(terms, TABLE.zero())
 
 

@@ -397,6 +397,15 @@ def _bosonic_transport(spec, r, seed, operator):
     return rows, psi, moved
 
 
+def _real_rate(ctx, rate):
+    """``rate``, which must be real; else :class:`UnsupportedCaseError`,
+    with the rate printed exactly, since a float overflows past 1e308."""
+    if rate.im:
+        printed = format_poly(ctx.const(rate))
+        raise UnsupportedCaseError(f"transport needs a real rate, got {printed}")
+    return rate
+
+
 def _coadjoint_transport(spec, r, seed, operator) -> list[CheckResult]:
     """Rows that each apply H̃ = −μB·Λ_φ, by its Taylor sum, which ends.
     The classical field of H = −μB·η plus a constant has M = 0 and
@@ -409,10 +418,7 @@ def _coadjoint_transport(spec, r, seed, operator) -> list[CheckResult]:
     if any(x for row in m for x in row) or v0[1]:
         raise UnsupportedCaseError("coadjoint transport needs H = -muB*eta + constant")
     ctx = operator.context
-    mu_b = -crational(v0[0])
-    if mu_b.im:  # printed exactly, since a float overflows past 1e308
-        rate = format_poly(ctx.const(mu_b))
-        raise UnsupportedCaseError(f"transport needs a real rate, got {rate}")
+    mu_b = _real_rate(ctx, -crational(v0[0]))
     rows, psi, moved = _bosonic_transport(spec, r, seed, operator)
     eta_sq = ctx.sym("eta") ** 2
     ghosts = ctx.parse("(3+i)/10*c_phi - i/5*c_eta")
@@ -434,10 +440,7 @@ def _grassmann_transport(spec, r, operator) -> list[CheckResult]:
     exp(−iτH̃)ξc_ξ = (ξc_ξ)∘flow(−τ) = e^{−2iωτ}ξc_ξ; and H̃ annihilates
     constants."""
     ctx = operator.context
-    w = -I * spec.vector_field[1][0][0]  # M^ξ_ξ = iω
-    if w.im:
-        rate = format_poly(ctx.const(w))
-        raise UnsupportedCaseError(f"transport needs a real rate, got {rate}")
+    w = _real_rate(ctx, -I * spec.vector_field[1][0][0])  # M^ξ_ξ = iω
     rows = []
     for exps in GRASSMANN_EXPONENTS:
         a, b, j, k = exps

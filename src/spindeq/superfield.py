@@ -338,12 +338,8 @@ def _recognize_surface(raw: GradedPolynomial, case: DequantizationCase) -> Dequa
 
     derivatives: dict = {}  # bilinear monomial -> its time derivative, taken once
     betas: dict = {}
-    forbidden = []
-    for mono in sorted(raw.terms):
-        idx = first_forbidden(mono)
-        if idx is None:
-            continue
-        forbidden.append(mono)
+    forbidden = sorted((m, i) for m in raw.terms if (i := first_forbidden(m)) is not None)
+    for mono, idx in forbidden:
         coeff = raw.terms[mono]
         (base, dot), exp = mono[idx]
         # Undotting keeps the factor in place, so the merge adds no sign.
@@ -367,12 +363,13 @@ def _recognize_surface(raw: GradedPolynomial, case: DequantizationCase) -> Dequa
                 )
         else:
             betas[key] = beta
-    surface = ctx.zero()
+    sums: dict = {}
     for key, beta in betas.items():
-        surface = surface + beta * derivatives[key]
+        _graded.add_into(sums, derivatives[key].terms, beta)
+    surface = raw._new(sums)
     remainder = raw - surface
     left = remainder.terms
-    leftovers = {m for m in forbidden if m in left}
+    leftovers = {m for m, _ in forbidden if m in left}
     leftovers.update(m for m in surface.terms if m in left and first_forbidden(m) is not None)
     if leftovers:
         bad = GradedPolynomial(ctx, {m: left[m] for m in leftovers})

@@ -11,12 +11,12 @@ wavefunctions it acts on are all graded polynomials.
 
 Monomials take the one form of the graded-algebra kernel
 :mod:`spindeq._graded`, ``((slot, exponent), ...)`` sorted by slot, where
-the slot of a symbol is its (declaration index, dot order) pair; products,
-left derivatives and substitutions are the kernel's, with its transposition
-signs.  This module adds names with dots, the formal time derivative, the
-printer and the parser.  The parser works on kernel term maps throughout and
-wraps its result once, so text never passes through the checked constructor
-or through ``GradedPolynomial`` arithmetic.
+the slot of a symbol is its (declaration index, dot order) pair; sums,
+products, left derivatives and substitutions are the kernel's, with its
+transposition signs.  This module adds names with dots, the formal time
+derivative, the printer and the parser.  The parser works on kernel term
+maps throughout and wraps its result once, so text never passes through the
+checked constructor or through ``GradedPolynomial`` arithmetic.
 
 Each coefficient is exact or float on its own (:func:`lift`): ``int``,
 ``Fraction`` and ``CRational`` are kept exact as Gaussian rationals, so that
@@ -119,9 +119,6 @@ class SymbolContext:
             return
         self._index[name] = len(self._decls)
         self._decls.append(decl)
-
-    def declared(self, name: str) -> bool:
-        return name in self._index
 
     def decl(self, name: str) -> SymbolDecl:
         try:
@@ -248,62 +245,43 @@ class GradedPolynomial:
             return other.terms
         return None
 
-    def __add__(self, other):
-        addend = self._operand(other)
-        if addend is None:
+    def _sum(self, x: dict | None, y: dict | None, k: int):
+        """x + k·y as a polynomial, NotImplemented when an operand is None."""
+        if x is None or y is None:
             return NotImplemented
-        out = dict(self.terms)
-        for mono, c in addend.items():
-            if mono not in out:
-                out[mono] = c
-            elif c := out[mono] + c:
-                out[mono] = c
-            else:
-                del out[mono]
-        return self._new(out)
+        return self._new(_graded.add_into(dict(x), y, k))
+
+    def __add__(self, other):
+        return self._sum(self.terms, self._operand(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        subtrahend = self._operand(other)
-        if subtrahend is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for mono, c in subtrahend.items():
-            if mono not in out:
-                out[mono] = -c
-            elif c := out[mono] - c:
-                out[mono] = c
-            else:
-                del out[mono]
-        return self._new(out)
+        return self._sum(self.terms, self._operand(other), -1)
 
     def __rsub__(self, other):
-        return other + (-1) * self
+        return self._sum(self._operand(other), self.terms, -1)
 
     def __neg__(self):
-        return (-1) * self
+        return self._sum({}, self.terms, -1)
 
     def _scale(self, k):
-        """self·k for a scalar k, NotImplemented for anything else."""
+        """self·k for a scalar k, NotImplemented for anything else; an int k
+        stays an int, so an exact coefficient takes its one-gcd product."""
         if not isinstance(k, SCALARS):
             return NotImplemented
-        k = lift(k)
-        return self._new({mono: v for mono, c in self.terms.items() if (v := c * k)})
+        return self._new(_graded.add_into({}, self.terms, k if type(k) is int else lift(k)))
+
+    __rmul__ = _scale  # k * p: a scalar on the left, never a polynomial
 
     # Per-layer tracing (bench/layers.py) wraps __mul__ in this class body, so
-    # its span covers every graded product written with ``*``, exact or float;
-    # scalar products call _scale and stay outside it.
+    # its span covers every product written p * q or p * k, exact or float;
+    # k * p calls _scale alone and stays outside it.
     def __mul__(self, other):
         if not isinstance(other, GradedPolynomial):
             return self._scale(other)
         self._check(other)
         return self._new(_graded.mul(self.terms, other.terms, self.context.is_odd))
-
-    def __rmul__(self, other):
-        if isinstance(other, SCALARS):
-            return self.__mul__(other)
-        return NotImplemented
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -409,9 +387,8 @@ def _time_derivative(ctx: SymbolContext, terms: dict) -> dict:
         if ctx._decls[slot[0]].constant:
             continue
         derivative = _graded.left_derivative(terms, slot, odd)
-        for mono, c in _graded.left_multiply(derivative, (slot[0], slot[1] + 1), odd).items():
-            out[mono] = out[mono] + c if mono in out else c
-    return {mono: c for mono, c in out.items() if c}
+        _graded.add_into(out, _graded.left_multiply(derivative, (slot[0], slot[1] + 1), odd))
+    return out
 
 
 def partial_derivative(p: GradedPolynomial, name: str, dot: int = 0) -> GradedPolynomial:
@@ -512,20 +489,6 @@ _STRAY = re.compile(r"[^\s\dA-Za-z_+\-*/^()]")
 _ONE = CRational._lift(1)
 
 
-def _coefficient_power(c, n: int):
-    """c**n for an exact coefficient and n >= 1, by repeated squaring."""
-    if c is _ONE:
-        return c
-    out = None
-    while True:
-        if n & 1:
-            out = c if out is None else out * c
-        n >>= 1
-        if not n:
-            return out
-        c = c * c
-
-
 class _Parser:
     """Recursive-descent parser for the polynomial grammar.
 
@@ -541,7 +504,7 @@ class _Parser:
     context's slots; a product of two one-term factors is one monomial
     merge, a power of a one-term factor scales its exponents, and only
     multi-term factors reach the kernel's products.  Each ``expr`` adds its
-    terms into one dict.
+    terms into one dict with the kernel's sum.
 
     Division is allowed only by nonzero constant subexpressions, which keeps
     everything inside the polynomial ring.  A product or power of nonzero
@@ -580,18 +543,10 @@ class _Parser:
 
     def expr(self) -> dict:
         out = self.term()
-        summed = False
         while (op := self.tokens[self.k]) in ("+", "-"):
             self.k += 1
-            rhs = self.term()
-            summed = True
-            if op == "+":
-                for mono, c in rhs.items():
-                    out[mono] = out[mono] + c if mono in out else c
-            else:
-                for mono, c in rhs.items():
-                    out[mono] = out[mono] - c if mono in out else -c
-        return {mono: c for mono, c in out.items() if c} if summed else out
+            _graded.add_into(out, self.term(), 1 if op == "+" else -1)
+        return out
 
     def term(self) -> dict:
         value = self.unary()
@@ -681,7 +636,9 @@ class _Parser:
         ((mono, c),) = value.items()
         if any(self.odd[slot] for slot, _ in mono):
             return {}
-        return {tuple((slot, e * n) for slot, e in mono): _coefficient_power(c, n)}
+        if c is not _ONE:
+            (c,) = _graded.power({(): c}, n, self.odd).values()
+        return {tuple((slot, e * n) for slot, e in mono): c}
 
     def product(self, a: dict, b: dict, at: int) -> dict:
         if len(a) == 1 and len(b) == 1:

@@ -9,7 +9,9 @@ checks it where the claim is made; the last tests show why at the input.
 
 The kernel's sign rule is checked on its own against a brute-force
 reference: concatenate the factors, bubble-sort them with a sign flip per
-swap of two odd factors, and merge equal slots.
+swap of two odd factors, and merge equal slots.  Its sum, the one that
+every sum, difference and scalar multiple of term maps runs on, is checked
+against a plain loop.
 """
 
 from fractions import Fraction
@@ -153,6 +155,55 @@ def test_the_sign_rule_matches_the_bubble_sort_reference(a, b, slot):
     out = {a: 1}
     assert _graded.add_product(out, {a: 1}, {b: 1}, KERNEL_ODD) is out
     assert out == {a: 1 + terms.pop(a, 0), **terms}
+
+
+# Few monomials and small coefficients, so that sums often cancel.
+SUM_MONOMIALS = [(), (((0, 0), 1),), (((1, 0), 1),), (((0, 0), 2), ((1, 0), 1))]
+sum_coeff_st = st.builds(CRational, st.integers(-2, 2), st.integers(-1, 1)).filter(bool)
+term_maps_st = st.dictionaries(
+    st.sampled_from(SUM_MONOMIALS), sum_coeff_st | sum_coeff_st.map(complex)
+)
+factors_st = st.one_of(
+    st.sampled_from([1, -1]),
+    st.integers(-3, 3),
+    sum_coeff_st,
+    st.sampled_from([0.5, -1.0, 1.0, -2.5]),
+)
+
+
+def reference_sum(out: dict, x: dict, k) -> dict:
+    """out + k·x by a plain loop over the monomials of x, zeros dropped at the end."""
+    total = dict(out)
+    for mono, c in x.items():
+        total[mono] = total.get(mono, 0) + c * k
+    return {mono: c for mono, c in total.items() if c}
+
+
+@example(out={(): CRational(1)}, x={(): CRational(1)}, k=-1)  # the sum cancels
+@example(out={(): CRational(2)}, x={(): CRational(1)}, k=-2)  # an int product cancels
+@example(out={(): 0.5 + 0j}, x={(): CRational(1)}, k=-0.5)  # a float product cancels
+@given(out=term_maps_st, x=term_maps_st, k=factors_st)
+def test_add_into_is_the_plain_sum_without_zeros(out, x, k):
+    expected = reference_sum(out, x, k)
+    before = dict(x)
+    result = _graded.add_into(out, x, k)
+    assert result is out and x == before
+    assert result == expected
+    assert all(result.values())
+
+
+def test_add_into_multiplies_nothing_at_plus_and_minus_one():
+    class Unscalable(CRational):
+        __slots__ = ()
+
+        def __mul__(self, other):
+            raise AssertionError("add_into multiplied at k = ±1")
+
+        __rmul__ = __mul__
+
+    x = {(): Unscalable(1, 1), (((0, 0), 1),): Unscalable(-2)}
+    assert _graded.add_into({}, x, 1) == x
+    assert _graded.add_into({(): CRational(1, 1)}, x, -1) == {(((0, 0), 1),): CRational(2)}
 
 
 def test_an_exact_row_fails_on_a_float_side():

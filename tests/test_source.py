@@ -2,8 +2,9 @@
 (``__init__`` is left out, because its imports are the public API), every
 public function or class has a caller outside the tests, no module reads
 another module's underscore names, ``GradedPolynomial`` stays the one
-element class, no module imports numpy or scipy, and every Python example
-and every ``spindeq`` command in the README runs.
+element class, term maps are summed by hand only in the kernel, no module
+imports numpy or scipy, and every Python example and every ``spindeq``
+command in the README runs.
 """
 
 import ast
@@ -71,6 +72,52 @@ def test_graded_polynomial_is_the_one_element_class():
     subclasses = [cls for cls in spindeq.GradedPolynomial.__subclasses__()
                   if cls.__module__.startswith("spindeq")]
     assert subclasses == []
+
+
+def _hand_sums(tree: ast.Module) -> list[str]:
+    """The functions that add into a dict by hand: each tests ``k in d`` or
+    ``k not in d``, reads ``d[k]`` in an arithmetic operation and assigns
+    ``d[k]``, as ``out[m] = out[m] + c if m in out else c`` does; each
+    pair (k, d) is keyed by the dump of k and the name d."""
+    def entry(n):  # d[k] for a named d
+        return isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name)
+
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(fn))
+        tested = {(ast.dump(n.left), n.comparators[0].id) for n in nodes
+                  if isinstance(n, ast.Compare) and len(n.ops) == 1
+                  and isinstance(n.ops[0], (ast.In, ast.NotIn))
+                  and isinstance(n.comparators[0], ast.Name)}
+        read = {(ast.dump(side.slice), side.value.id) for n in nodes
+                if isinstance(n, ast.BinOp) for side in (n.left, n.right) if entry(side)}
+        assigned = {(ast.dump(n.slice), n.value.id) for n in nodes
+                    if entry(n) and isinstance(n.ctx, ast.Store)}
+        if tested & read & assigned:
+            out.append(fn.name)
+    return sorted(out)
+
+
+# The modules above ``symbols``: they sum term maps with ``_graded.add_into``
+# or with polynomial arithmetic, never by hand.
+ABOVE_SYMBOLS = ("grassmann", "superfield", "quantum", "cpi", "orbit", "suite", "cli")
+
+
+def test_term_maps_are_summed_by_hand_only_in_the_kernel():
+    idiom = (
+        "def apply(out, x):\n"
+        "    for m, c in x.items():\n"
+        "        out[m] = out[m] + c if m in out else c\n"
+    )
+    assert _hand_sums(ast.parse(idiom)) == ["apply"]
+    found = {name: _hand_sums(ast.parse((PACKAGE / f"{name}.py").read_text()))
+             for name in ABOVE_SYMBOLS}
+    assert {name: fns for name, fns in found.items() if fns} == {}
+    # symbols keeps one loop: substitution merges each term with its unbound
+    # factors before it adds the term in.
+    assert _hand_sums(ast.parse((PACKAGE / "symbols.py").read_text())) == ["substitute"]
 
 
 def _numeric_imports(tree: ast.Module) -> dict[str, set[str]]:

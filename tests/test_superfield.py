@@ -231,6 +231,29 @@ def test_dequantization_work_stays_at_the_taylor_figure(monkeypatch):
     assert result.cpi_lagrangian == cpi_lagrangian(case, h)
 
 
+def test_negation_and_int_factors_take_no_generic_product(monkeypatch):
+    # -p and 1 - p multiplied by a lifted -1, and p * 2 by a lifted 2: the
+    # generic product, one three-way gcd (exact._reduced) per coefficient,
+    # 49 each on this Lagrangian.  Negation multiplies nothing, and an int
+    # factor takes the int product, which needs only gcd(k, d).
+    _, p = _degree_twelve_lagrangian(get_case("bosonic"))
+    calls = [0]
+    reduced = exact._reduced
+
+    def counted(a, b, d):
+        calls[0] += 1
+        return reduced(a, b, d)
+
+    monkeypatch.setattr(exact, "_reduced", counted)
+    results = [-p, 1 - p, p * 2]
+    monkeypatch.undo()
+    assert calls == [0]
+    for result in results:
+        assert all(type(c) is exact.CRational for c in result.terms.values())
+    minus_one, two = exact.CRational(-1), exact.CRational(2)
+    assert results == [p * minus_one, 1 + p * minus_one, p * two]
+
+
 def _case_symbols(case):
     """Every symbol of a case but its supertime pair: constants, then each
     family's base field, ghost, auxiliary and antighost."""
