@@ -7,8 +7,9 @@ a ``SymbolContext``, so dotted symbols need no declaration of their own.  An
 element is a term map ``{monomial: coefficient}`` without zero
 coefficients; term maps are never changed once built, so results may share
 them.  Only :func:`add_into`, the one sum of term maps, and
-:func:`add_product` add into a map still being built.  The functions here
-take ``odd``, a lookup with ``odd[slot]`` true for an anticommuting slot.
+:func:`add_product` add into a map still being built; no module above this
+one sums term maps by hand.  The functions here take ``odd``, a lookup
+with ``odd[slot]`` true for an anticommuting slot.
 
 Only :func:`checked` validates: the public constructors call it, and every
 kernel result is wrapped unchecked by ``GradedPolynomial._wrap``.
@@ -19,7 +20,8 @@ Sign conventions, fixed here and relied on everywhere above:
   two odd factors, and vanishes when an odd slot repeats.  :func:`merge`
   counts the transpositions in the one pass that interleaves the factors:
   an odd factor of the left operand crosses every odd factor of the right
-  one placed before it;
+  one placed before it.  Substitution multiplies the images of a
+  monomial's factors in slot order, so its signs come from here too;
 * derivatives are left derivatives: the factor is commuted to the front of
   the monomial and then struck.
 """

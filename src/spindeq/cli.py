@@ -192,10 +192,9 @@ def _cmd_propagate_quantum(args):
         slices = [int(x) for x in args.slices.split(",") if x.strip()]
     except ValueError:
         slices = []
-    if not slices or min(slices) < 1:
-        raise ValueError(
-            f"--slices must be a comma-separated list of positive integers, got {args.slices!r}"
-        )
+    if not slices or min(slices) < 1 or len(set(slices)) < len(slices):
+        raise ValueError("--slices must be a comma-separated list of distinct positive "
+                         f"integers, got {args.slices!r}")
     # Repeated squaring forms powers of up to 2n slices, of norm up to
     # (1 + (phase/n)^2)^n; past the largest float they overflow to nan.
     for n in slices:
@@ -258,12 +257,14 @@ def _cmd_propagate_classical(args):
 def _cmd_precession(args):
     for flags, what, values in (("--muB and --b", "the rate muB*b", (args.muB, args.b)),
                                 ("--lam, --muB and --b", "the energy lam*muB*b",
-                                 (args.lam, args.muB, args.b)),
-                                ("--muB, --b and --t", "the phase muB*b*t",
-                                 (args.muB, args.b, args.t))):
+                                 (args.lam, args.muB, args.b))):
         if not math.isfinite(math.prod(values)):
             raise ValueError(f"{flags}: {what} must be finite, got {'*'.join(map(str, values))}")
-    half = args.muB * args.b * args.t / 2  # -nu*t/2: the table turns phi by nu*t
+    phase = args.muB * args.b * args.t  # -nu*t: the table turns phi by nu*t
+    if abs(phase) > cpi.MAX_PHASE:  # past it doubles stop resolving the phase, as in transport
+        raise ValueError(f"--muB, --b and --t: the phase |muB*b*t| must be at most "
+                         f"{cpi.MAX_PHASE:g}, got {args.muB}*{args.b}*{args.t}")
+    half = phase / 2
     if args.out:
         state = orbit.OrbitState.on_constraint(args.theta0, args.phi0, args.lam)
         h_fun = orbit.total_hamiltonian(args.muB, args.b)

@@ -324,9 +324,14 @@ def dequantize(l: GradedPolynomial, case) -> DequantizationResult:
 
 
 def _recognize_surface(raw: GradedPolynomial, case: DequantizationCase) -> DequantizationResult:
-    """Split ``raw`` into ``(raw − surface, surface)``.  Only a forbidden
-    monomial of ``raw`` or a monomial of the surface can be forbidden in
-    ``raw − surface``, so the leftover scan looks at those alone."""
+    """Split ``raw`` into ``(raw − surface, surface)``.  Each forbidden
+    monomial, in sorted order, names a bilinear by undotting its first dotted
+    auxiliary or antighost; the first that appears in its bilinear's time
+    derivative fixes the bilinear's β, and the others are skipped, as are
+    those whose undotting collides with an odd factor.  Every rejection is
+    the leftover scan's: only a forbidden monomial of ``raw`` or a monomial
+    of the surface can be forbidden in ``raw − surface``, so it looks at
+    those alone."""
     ctx = case.context
     absorbable = {ctx.slot(n)[0] for f in case.families for n in (f.aux, f.antighost)}
 
@@ -336,36 +341,22 @@ def _recognize_surface(raw: GradedPolynomial, case: DequantizationCase) -> Dequa
                 return idx
         return None
 
-    derivatives: dict = {}  # bilinear monomial -> its time derivative, taken once
-    betas: dict = {}
+    found: dict = {}  # bilinear monomial -> (β, its time derivative)
     forbidden = sorted((m, i) for m in raw.terms if (i := first_forbidden(m)) is not None)
     for mono, idx in forbidden:
-        coeff = raw.terms[mono]
         (base, dot), exp = mono[idx]
         # Undotting keeps the factor in place, so the merge adds no sign.
         undotted = (((base, dot - 1), exp),) + mono[idx + 1 :]
         sign, key = _graded.merge(mono[:idx], undotted, ctx.is_odd)
-        if not sign:
-            continue  # strip collides with an odd factor; leave for the residual check
-        # The merge leaves the key in normal form, so the bilinear needs no check.
-        bilinear = GradedPolynomial._wrap(ctx, {key: _ONE})
-        if key not in derivatives:
-            derivatives[key] = formal_time_derivative(bilinear)
-        in_derivative = derivatives[key].terms.get(mono)
-        if not in_derivative:
+        if not sign or key in found:
             continue
-        beta = coeff / in_derivative
-        if key in betas:
-            if betas[key] != beta:
-                raise IdentityViolationError(
-                    "surface-term recognition is inconsistent",
-                    payload={"monomial": format_poly(bilinear), "raw": format_poly(raw)},
-                )
-        else:
-            betas[key] = beta
+        # The merge leaves the key in normal form, so the bilinear needs no check.
+        derivative = formal_time_derivative(GradedPolynomial._wrap(ctx, {key: _ONE})).terms
+        if in_derivative := derivative.get(mono):
+            found[key] = (raw.terms[mono] / in_derivative, derivative)
     sums: dict = {}
-    for key, beta in betas.items():
-        _graded.add_into(sums, derivatives[key].terms, beta)
+    for beta, derivative in found.values():
+        _graded.add_into(sums, derivative, beta)
     surface = raw._new(sums)
     remainder = raw - surface
     left = remainder.terms

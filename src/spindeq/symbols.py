@@ -299,10 +299,10 @@ class GradedPolynomial:
         call, on an ascending ladder over the exponents in use: X^{e_k} =
         X^{e_{k-1}} · X^{e_k - e_{k-1}}, the step by repeated squaring.
         Consecutive exponents cost one product each, and a lone huge one
-        stays O(log n).  The unbound factors of a monomial get no ladder and
-        no product: they move in front of the bound ones, with the sign of
-        that move (each image has its factor's parity), and join each
-        monomial of the product by one merge.
+        stays O(log n).  Each term's image is the kernel product of its
+        factors' images in slot order, so the kernel fixes every sign: a run
+        of consecutive unbound factors joins as one monomial, a bound factor
+        as its ladder power, and the last product adds into the result.
         """
         odd = self.context.is_odd
         images = {}
@@ -326,22 +326,15 @@ class GradedPolynomial:
                 last = e
         out: dict = {}
         for mono, c in self.terms.items():
-            term, kept, sign, odd_bound = {(): c}, [], 1, 0
+            term, run = {(): c}, []
             for factor in mono:
-                slot = factor[0]
-                if slot in images:
-                    term = _graded.mul(term, powers[factor], odd)
-                    odd_bound += odd[slot]
-                else:
-                    kept.append(factor)
-                    if odd[slot] and odd_bound & 1:
-                        sign = -sign
-            kept = tuple(kept)
-            for m, v in term.items():
-                step, m = _graded.merge(kept, m, odd)
-                if step:
-                    v = v if step * sign > 0 else -v
-                    out[m] = out[m] + v if m in out else v
+                if factor[0] not in images:
+                    run.append(factor)
+                    continue
+                if run:
+                    term, run = _graded.mul(term, {tuple(run): 1}, odd), []
+                term = _graded.mul(term, powers[factor], odd)
+            _graded.add_product(out, term, {tuple(run): 1}, odd)
         return self._new({mono: c for mono, c in out.items() if c})
 
     def coefficient(self, factors):

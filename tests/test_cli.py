@@ -64,6 +64,7 @@ def test_domain_errors_exit_one(capsys):
         (["precession", "--theta0", "0", "--phi0", "0", "--muB", "1", "--t", "1"], "--theta0"),
         (["propagate-quantum", "--b", "0,0,1", "--t", "1", "--slices", "0"], "--slices"),
         (["propagate-quantum", "--b", "0,0,1", "--t", "1", "--slices", "x"], "--slices"),
+        (["propagate-quantum", "--b", "1,0,0", "--t", "1", "--slices", "10,10"], "--slices"),
         (["propagate-classical", "--case", "bosonic", "--truncation", "0"], "--truncation"),
         (["propagate-classical", "--case", "bosonic", "--truncation", "17"], "--truncation"),
         (["verify-dequantization", "--case", "bosonic", "--gamma"], "--gamma"),
@@ -415,6 +416,35 @@ def test_a_run_stopped_by_an_error_still_writes_its_report(tmp_path, capsys):
     assert data["parameters"]["t"] == "nan" and data["error"]["class"] == "ValueError"
 
 
+@pytest.mark.parametrize(
+    "lagrangian, residual",
+    [
+        # Both monomials name the bilinear lam_q*lam_p, with betas -1 and 2;
+        # the first fixes it, and the second is left over.
+        ("dot(q)*lam_q + 2*dot(p)*lam_p", "3*dot(lam_q)*lam_p"),
+        # Undotting dot(cbar_p) collides with the odd cbar_p before it.
+        ("q*cbar_p*dot(cbar_p)", "-lam_p*cbar_p*dot(cbar_p)"),
+        # Both monomials give beta -1, so one total derivative absorbs them.
+        ("dot(q)*lam_q - dot(p)*lam_p", None),
+    ],
+)
+def test_the_surface_split_on_worked_lagrangians(lagrangian, residual, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    argv = ["verify-dequantization", "--case", "bosonic", "--lagrangian", lagrangian]
+    code = main([*argv, "--report", str(path)])
+    captured = capsys.readouterr()
+    data = json.loads(path.read_text())
+    if residual is None:
+        assert code == 0 and data["all_passed"]
+        assert [row["name"] for row in data["checks"]] == ["decomposition-exact"]
+        return
+    assert code == 1 and captured.out == ""
+    message = "dequantization result is not a CPI Lagrangian plus a total derivative"
+    assert captured.err == f"error: {message}\n"
+    assert data["error"]["message"] == message
+    assert data["error"]["payload"]["residual"] == residual
+
+
 def test_an_identity_violation_reports_its_residual(tmp_path, capsys, monkeypatch):
     def violated(lagrangian, case):
         raise IdentityViolationError("not a CPI Lagrangian", payload={"residual": "dot(lam_p)*q"})
@@ -622,6 +652,18 @@ def test_propagate_quantum_rejects_a_larmor_phase_that_is_not_finite(capsys):
         assert captured.err.startswith("error: --b, --mu-b and --t: the Larmor phase"), captured.err
 
 
+def test_precession_bounds_its_phase_as_transport_does(capsys):
+    # The exact clock is read off math.tan of the phase muB*b*t, which
+    # doubles stop resolving past cpi.MAX_PHASE, as in propagate-classical.
+    argv = ["precession", "--theta0", "1", "--phi0", "0"]
+    assert main([*argv, "--muB", "1e5", "--t", "1e5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --muB, --b and --t: the phase"), captured.err
+    assert main([*argv, "--muB", "1e3", "--t", "1e2"]) == 0
+    assert capsys.readouterr().out.count("ok   precession-") == 4
+
+
 def test_precession_rejects_an_energy_that_is_not_finite(capsys):
     # muB*b is finite, but lam*muB*b overflows; three rows would turn nan.
     argv = ["precession", "--theta0", "1", "--phi0", "0", "--muB", "1e308", "--b", "0.5",
@@ -630,7 +672,9 @@ def test_precession_rejects_an_energy_that_is_not_finite(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --lam, --muB and --b"), captured.err
-    assert main(argv[:-6] + ["--lam", "1", "--t", "1", "--steps", "2"]) == 0
+    # At radius 1 the energy is finite; a short --t keeps the phase within
+    # cpi.MAX_PHASE.
+    assert main(argv[:-6] + ["--lam", "1", "--t", "1e-302", "--steps", "2"]) == 0
     capsys.readouterr()
 
 

@@ -162,6 +162,10 @@ def test_division_by_a_zero_value_raises(z):
             exact / CRational(0)
 
 
+def test_a_pure_imaginary_value_prints_without_its_real_part():
+    assert str(CRational(0, 2)) == "2i"
+
+
 def test_constructor_accepts_what_fraction_accepts():
     assert CRational("3/4", Decimal("-0.5")) == CRational(Fraction(3, 4), Fraction(-1, 2))
     assert CRational(0.75, True) == CRational(Fraction(3, 4), 1)

@@ -167,6 +167,14 @@ def test_unknown_generator_rejected():
         berezin_integral(PAIR.sym("xi"), ["nope"])
 
 
+def test_berezin_integral_and_operators_reject_bad_input():
+    with pytest.raises(ParityError):
+        berezin_integral(MIXED.sym("u"), ["x"])
+    operator = GrassmannOperator(PAIR.sym("xi"), {"xibar": ("xi", 1)})
+    with pytest.raises(TableMismatchError):
+        operator.apply(MIXED.sym("u"))
+
+
 def test_operator_words_apply_right_to_left():
     # With xibar acting as d/dxi, the monomial xi*xibar differentiates first
     # and then multiplies, so it sends 1 to xi * d_xi(1) = 0; the symbol

@@ -100,11 +100,6 @@ def _hand_sums(tree: ast.Module) -> list[str]:
     return sorted(out)
 
 
-# The modules above ``symbols``: they sum term maps with ``_graded.add_into``
-# or with polynomial arithmetic, never by hand.
-ABOVE_SYMBOLS = ("grassmann", "superfield", "quantum", "cpi", "orbit", "suite", "cli")
-
-
 def test_term_maps_are_summed_by_hand_only_in_the_kernel():
     idiom = (
         "def apply(out, x):\n"
@@ -112,12 +107,11 @@ def test_term_maps_are_summed_by_hand_only_in_the_kernel():
         "        out[m] = out[m] + c if m in out else c\n"
     )
     assert _hand_sums(ast.parse(idiom)) == ["apply"]
-    found = {name: _hand_sums(ast.parse((PACKAGE / f"{name}.py").read_text()))
-             for name in ABOVE_SYMBOLS}
+    # Every other module sums term maps with the kernel's add_into and
+    # add_product, or with polynomial arithmetic.
+    found = {path.name: _hand_sums(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "_graded.py"}
     assert {name: fns for name, fns in found.items() if fns} == {}
-    # symbols keeps one loop: substitution merges each term with its unbound
-    # factors before it adds the term in.
-    assert _hand_sums(ast.parse((PACKAGE / "symbols.py").read_text())) == ["substitute"]
 
 
 def _numeric_imports(tree: ast.Module) -> dict[str, set[str]]:

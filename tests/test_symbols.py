@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import spindeq
 from spindeq import (
     CRational,
     FormatError,
@@ -397,6 +398,34 @@ def test_coefficient_and_degree():
     assert poly.coefficient({("p", 0): 1, ("q", 1): 1}) == 3
     assert poly.coefficient({("q", 0): 2}) == -1
     assert sorted(poly.symbols_used()) == [("p", 0), ("q", 0), ("q", 1)]
+
+
+def test_declarations_and_constructors_reject_bad_input():
+    ctx = make_context()
+    with pytest.raises(ParityError):
+        ctx.declare("z", "bosonic")
+    with pytest.raises(ValueError, match="invalid symbol name"):
+        ctx.declare("i", "even")
+    with pytest.raises(ValueError, match="conflicting redeclaration"):
+        ctx.declare("q", "odd")
+    ctx.declare("q", "even")  # an identical redeclaration changes nothing
+    ctx.declare("z", "even")
+    assert ctx.slot("q") == (0, 0) and ctx.slot("z") == (5, 0)
+    with pytest.raises(ValueError):
+        ctx.sym("q", -1)
+    p = ctx.sym("p")
+    with pytest.raises(ValueError):
+        p ** -1
+    with pytest.raises(ValueError, match="vanishes"):
+        ctx.parse("u").coefficient({"u": 2})
+    with pytest.raises(TypeError):
+        p + "a"
+    assert (p == "a") is False
+
+
+def test_the_module_parse_is_the_context_parse():
+    text = "3*p*dot(q) - i*u*ubar/2"
+    assert spindeq.parse(CTX, text) == CTX.parse(text)
 
 
 def test_time_derivative_worked_example():
