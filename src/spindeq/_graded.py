@@ -159,12 +159,13 @@ def left_derivative(x: dict, slot, odd) -> dict:
     return out
 
 
-def left_multiply(x: dict, slot, odd) -> dict:
-    """The generator at ``slot`` times x, from the left: it is inserted at
-    its place, with ``(-1)`` per odd factor it passes when it is odd.
-    Distinct monomials keep distinct images, so nothing collects."""
+def left_multiply(x: dict, slot, odd, exp: int = 1) -> dict:
+    """The generator at ``slot`` to the power ``exp`` times x, from the
+    left: it is inserted at its place, with ``(-1)`` per odd factor it
+    passes when it is odd.  No coefficient is multiplied, and distinct
+    monomials keep distinct images, so nothing collects."""
     is_odd = odd[slot]
-    factor = ((slot, 1),)
+    factor = ((slot, exp),)
     out = {}
     for mono, c in x.items():
         k = flips = 0
@@ -179,6 +180,6 @@ def left_multiply(x: dict, slot, odd) -> dict:
         elif is_odd:
             continue
         else:
-            image = mono[:k] + ((slot, mono[k][1] + 1),) + mono[k + 1 :]
+            image = mono[:k] + ((slot, mono[k][1] + exp),) + mono[k + 1 :]
         out[image] = -c if flips & 1 else c
     return out

@@ -381,16 +381,28 @@ def _interpolate(nodes, values) -> list:
 
 
 @functools.lru_cache(maxsize=64)
-def _chebyshev(degree: int, det, r) -> tuple[tuple, tuple]:
-    """Coefficients in x, lowest power first, of E(x²) + x·O(x²) =
-    exp(−iτx) on the spectrum of H̃ on degree d, and of the certificate
-    x^{[d even]}·Π_{m>0}(x² − D·m²).
+def _weights(degree: int, det, r) -> tuple[tuple, tuple]:
+    """Coefficients in x, lowest power first, of a polynomial that is
+    exp(−iτx) on the spectrum of H̃ on the monomials of total degree d, and
+    of a certificate, a polynomial that vanishes there.
 
-    There H̃² has the eigenvalues D·m², m = d, d−2, … ≥ 0.  E interpolates
-    cos(mντ) = T_m(c) at y = D·m², and O interpolates −i·sin(mντ)/(mν) =
+    At D = 0 these are the Taylor weights (−iτ)^k/k!, k <= 2d, at τ = 2r,
+    and x^{2d+1}: for an H at most quadratic with nilpotent M, such as the
+    coadjoint H̃ = −μB·Λ_φ = iμB·∂_φ, each application of H̃ lowers a weight
+    that is at most 2d on those monomials, so H̃^{2d+1} annihilates them.
+
+    At D ≠ 0, H̃ keeps d, and H̃² has the eigenvalues D·m², m = d, d−2, … >= 0
+    there.  The polynomial is E(x²) + x·O(x²): E interpolates cos(mντ) =
+    T_m(c) at y = D·m², and O interpolates −i·sin(mντ)/(mν) =
     −i·σ·U_{m−1}(c)/m at m > 0, with (c, σ) from :func:`_cayley` and T, U
-    the Chebyshev polynomials: every value is rational in r.
+    the Chebyshev polynomials, so every value is rational in r.  The
+    certificate is x^{[d even]}·Π_{m>0}(x² − D·m²).
     """
+    if not det:
+        weights, step = [1], -I * (2 * r)
+        for k in range(1, 2 * degree + 1):
+            weights.append(weights[-1] * step / k)
+        return tuple(weights), (0,) * (2 * degree + 1) + (1,)
     c, sigma = _cayley(det, r)
     cos, sin = [1, c], [0, 1]  # T_m(c) and U_{m−1}(c), m = 0, 1, …
     for _ in range(degree - 1):
@@ -411,9 +423,8 @@ def _chebyshev(degree: int, det, r) -> tuple[tuple, tuple]:
     return tuple(weights), tuple(certificate if degree % 2 else [0, *certificate])
 
 
-def _combine(coefficients, polys) -> dict:
-    """The terms of Σ_j coefficients[j]·polys[j]."""
-    out: dict = {}
+def _combine(out: dict, coefficients, polys) -> dict:
+    """Add Σ_j coefficients[j]·polys[j] into the term map ``out``."""
     for c, poly in zip(coefficients, polys):
         if c:
             _graded.add_into(out, poly.terms, c)
@@ -424,16 +435,12 @@ def evolve(psi, spec: CpiSpec, r, operator: LiouvilleOperator | None = None) -> 
     """exp(−iτH̃)ψ at the time τ whose Cayley clock is r, by ``operator``
     or else spec's H̃; exact when ψ, H̃ and r are.
 
-    At D = det M = 0 this is the Taylor sum Σ_k (−iτ)^k/k!·H̃^k ψ at τ = 2r,
-    which ends: for an H at most quadratic with nilpotent M, such as the
-    coadjoint H̃ = −μB·Λ_φ = iμB·∂_φ, H̃ lowers a weight of at most 2d on the
-    monomials of total degree d in fields and ghosts, so H̃^{2d+1}ψ = 0, and
-    a sum that has not ended by then raises :class:`UnsupportedCaseError`.
-
-    At D ≠ 0, H̃ keeps the total degree d, and each block ψ_d goes to
-    E(H̃²)ψ_d + H̃·O(H̃²)ψ_d with the weights of :func:`_chebyshev`, cached
-    per (d, D, r): d applications of H̃ and no matrix.  One more checks the
-    certificate exactly; where it fails, that spectrum is wrong for ψ_d and
+    Each block ψ_d of total degree d in fields and ghosts goes to p(H̃)ψ_d
+    with the weights p of :func:`_weights`, cached per (d, D, r) for
+    D = det M: H̃ is applied until the certificate's degree is reached or a
+    power vanishes, and no matrix is built.  The certificate is then
+    checked exactly; where it fails, H̃ is not nilpotent on ψ_d (D = 0) or
+    does not have the spectrum ν·m, |m| <= d (D = ν²), and
     :class:`UnsupportedCaseError` is raised, never a wrong answer.
     """
     if operator is None:
@@ -441,41 +448,21 @@ def evolve(psi, spec: CpiSpec, r, operator: LiouvilleOperator | None = None) -> 
     if psi.context is not operator.context:
         raise UnsupportedCaseError("wavefunction context does not match the operator's")
     det, r = _determinant(spec.vector_field[1]), lift(r)
-    if not det:
-        return _taylor(psi, operator, 2 * r)
     blocks: dict = {}
     for mono, coeff in psi.terms.items():
         blocks.setdefault(sum(exp for _slot, exp in mono), {})[mono] = coeff
-    out: dict = {}  # the blocks share no monomial
+    out: dict = {}  # at D = 0 the blocks' images may share monomials
     for degree, terms in sorted(blocks.items()):
-        weights, certificate = _chebyshev(degree, det, r)
+        weights, certificate = _weights(degree, det, r)
         powers = [psi._new(terms)]  # H̃^j ψ_d
-        while len(powers) < len(certificate):
+        while len(powers) < len(certificate) and powers[-1].terms:
             powers.append(operator.apply(powers[-1]))
-        if _combine(certificate, powers):
-            raise UnsupportedCaseError(
-                f"H̃ on degree {degree} does not have the spectrum nu*m, |m| <= {degree}, "
-                f"for nu^2 = det M = {det}"
-            )
-        out.update(_combine(weights, powers))
+        if _combine({}, certificate, powers):
+            claim = (f"does not have the spectrum nu*m, |m| <= {degree}, for nu^2 = det M = {det}"
+                     if det else f"is not nilpotent: H̃^{2 * degree + 1} does not annihilate it")
+            raise UnsupportedCaseError(f"H̃ on degree {degree} {claim}")
+        _combine(out, weights, powers)
     return GradedPolynomial._wrap(operator.context, out)
-
-
-def _taylor(psi, operator: LiouvilleOperator, t) -> GradedPolynomial:
-    """Σ_k (−it)^k/k!·H̃^k ψ, for an H̃ nilpotent on ψ (see :func:`evolve`)."""
-    degree = max((sum(exp for _slot, exp in mono) for mono in psi.terms), default=0)
-    powers = [psi]  # H̃^k ψ
-    while not powers[-1].is_zero():
-        if len(powers) > 2 * degree + 1:
-            raise UnsupportedCaseError(
-                f"H̃ is not nilpotent on a wavefunction of degree {degree}: "
-                f"H̃^{2 * degree + 1} does not annihilate it"
-            )
-        powers.append(operator.apply(powers[-1]))
-    coefficients, step = [1], -I * t
-    for k in range(1, len(powers)):
-        coefficients.append(coefficients[-1] * step / k)
-    return GradedPolynomial._wrap(operator.context, _combine(coefficients, powers))
 
 
 def pull_back(psi, spec: CpiSpec, flow, drift=(0, 0)) -> GradedPolynomial:

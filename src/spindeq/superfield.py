@@ -278,18 +278,25 @@ def top_component(l: GradedPolynomial, case) -> GradedPolynomial:
     (b, a) into one: one derivative pass per bound slot and per nonzero
     unordered pair, and one kernel product per nonzero derivative, added
     into one term map.  A
-    Lagrangian that mentions θ or θ̄, at any dot order, raises
+    Lagrangian that mentions θ or θ̄, at any dot order, or a base field at
+    dot order 2 or more, which no superfield binding covers, raises
     :class:`UnsupportedCaseError` before any work.
     """
     case = get_case(case)
     ctx = case.context
     if l.context is not ctx:
         raise TableMismatchError(f"the Lagrangian is not over the {case.name} case's symbols")
-    if any(name in (case.theta, case.thetabar) for name, _dot in l.symbols_used()):
+    used = l.symbols_used()
+    if any(name in (case.theta, case.thetabar) for name, _dot in used):
         raise UnsupportedCaseError(
             f"dequantization needs a Lagrangian free of the supertime pair "
             f"({case.theta}, {case.thetabar}) at every dot order; --lagrangian and "
             f"--hamiltonian may not use them"
+        )
+    if deep := sorted({name for name, dot in used if dot > 1 and name in case.base_names}):
+        raise UnsupportedCaseError(
+            f"dequantization binds the base fields at dot orders 0 and 1 only; --lagrangian "
+            f"and --hamiltonian may not use a higher time derivative of {deep}"
         )
     odd = ctx.is_odd
     out: dict = {}

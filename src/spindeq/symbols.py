@@ -300,9 +300,10 @@ class GradedPolynomial:
         X^{e_{k-1}} · X^{e_k - e_{k-1}}, the step by repeated squaring.
         Consecutive exponents cost one product each, and a lone huge one
         stays O(log n).  Each term's image is the kernel product of its
-        factors' images in slot order, so the kernel fixes every sign: a run
-        of consecutive unbound factors joins as one monomial, a bound factor
-        as its ladder power, and the last product adds into the result.
+        factors' images, built from the right, so the kernel fixes every
+        sign: an unbound factor joins from the left by
+        :func:`_graded.left_multiply`, which multiplies no coefficient, and a
+        bound factor as its ladder power times the image so far.
         """
         odd = self.context.is_odd
         images = {}
@@ -326,16 +327,14 @@ class GradedPolynomial:
                 last = e
         out: dict = {}
         for mono, c in self.terms.items():
-            term, run = {(): c}, []
-            for factor in mono:
-                if factor[0] not in images:
-                    run.append(factor)
-                    continue
-                if run:
-                    term, run = _graded.mul(term, {tuple(run): 1}, odd), []
-                term = _graded.mul(term, powers[factor], odd)
-            _graded.add_product(out, term, {tuple(run): 1}, odd)
-        return self._new({mono: c for mono, c in out.items() if c})
+            term = {(): c}
+            for slot, exp in reversed(mono):
+                if slot in images:
+                    term = _graded.mul(powers[slot, exp], term, odd)
+                else:
+                    term = _graded.left_multiply(term, slot, odd, exp)
+            _graded.add_into(out, term)
+        return self._new(out)
 
     def coefficient(self, factors):
         """Coefficient of one monomial, with the sign of reordering into it.

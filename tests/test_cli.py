@@ -426,6 +426,8 @@ def test_a_run_stopped_by_an_error_still_writes_its_report(tmp_path, capsys):
         ("q*cbar_p*dot(cbar_p)", "-lam_p*cbar_p*dot(cbar_p)"),
         # Both monomials give beta -1, so one total derivative absorbs them.
         ("dot(q)*lam_q - dot(p)*lam_p", None),
+        # A twice-dotted auxiliary has no binding to miss; the scan refuses it.
+        ("dot(dot(lam_q))*q", "dot(lam_q)*dot(lam_p)"),
     ],
 )
 def test_the_surface_split_on_worked_lagrangians(lagrangian, residual, tmp_path, capsys):
@@ -979,3 +981,23 @@ def test_transport_rejects_a_drift_off_det_zero_and_an_infinite_clock(extra, mes
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}"), captured.err
+
+
+def test_verify_dequantization_rejects_a_second_time_derivative_of_a_base_field(tmp_path,
+                                                                                capsys):
+    # The superfield bindings cover the base fields at dot orders 0 and 1, so
+    # a higher derivative of one is refused, not left unexpanded.
+    path = tmp_path / "report.json"
+    for name, text, fields in (("bosonic", "p*dot(dot(q))", "['q']"),
+                               ("grassmann", "xibar*dot(dot(xi))", "['xi']"),
+                               ("coadjoint", "eta*dot(dot(phi))", "['phi']")):
+        assert main(["verify-dequantization", "--case", name, "--lagrangian", text,
+                     "--report", str(path)]) == 1
+        message = ("dequantization binds the base fields at dot orders 0 and 1 only; "
+                   f"--lagrangian and --hamiltonian may not use a higher time derivative of "
+                   f"{fields}")
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+        data = json.loads(path.read_text())
+        assert data["checks"] == [] and data["all_passed"] is False
+        assert data["error"] == {"class": "UnsupportedCaseError", "message": message}

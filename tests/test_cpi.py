@@ -633,6 +633,20 @@ def test_rotation_rejects_a_spectrum_it_cannot_certify():
         cpi.expm(boost.vector_field[1], Fraction(-1, 2))
 
 
+def test_evolution_stops_at_the_first_power_that_vanishes(monkeypatch):
+    # The harmonic H̃ annihilates the energy q² + p², so evolution returns it
+    # after the one application that finds H̃ψ = 0; the certificate of degree
+    # 2, H̃·(H̃² − 4·D), would take three.
+    ctx = get_case("bosonic").context
+    psi = ctx.parse("q^2 + p^2")
+    calls = []
+    apply = cpi.LiouvilleOperator.apply
+    monkeypatch.setattr(cpi.LiouvilleOperator, "apply",
+                        lambda op, x: calls.append(x) or apply(op, x))
+    assert evolve(psi, CpiSpec("bosonic"), Fraction(1, 3)) == psi
+    assert calls == [psi]
+
+
 def test_cayley_clock_is_the_binary_value_of_the_clock():
     ctx = get_case("bosonic").context
     for text, t, expected in (("p^2/2+q^2/2", 0.7, math.tan(0.35)), ("q*p", 3.0, math.tanh(1.5)),

@@ -5,13 +5,22 @@ the C math library) each hash their six reports, one per seed: name, both
 sides as printed, residual, tolerance and verdict.  A refactor that moves
 any of them fails here and names the row.  A change
 that means to change a row pins its digest again, with
-``PYTHONPATH=src python tests/test_row_digests.py`` printing the current table.
+``PYTHONPATH=src python tests/test_row_digests.py`` printing the current tables.
+
+The rows of ``propagate-classical --case C --seed S`` at its default
+``--t 0.7`` are pinned too, one digest per run, for each case and seeds 0-2:
+they run at the exact binary value of the Cayley clock of a float time,
+which the suite's rational clocks never reach.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import tempfile
 
-from spindeq import suite
+from spindeq import CASES, cli, suite
 
 SEEDS = range(6)
 NUMERIC = ("slicing-",)  # rows whose floats come from libm
@@ -93,25 +102,64 @@ DIGESTS = {
 }
 
 
+CLASSICAL_SEEDS = range(3)
+
+CLASSICAL_DIGESTS = {
+    "--case bosonic --seed 0": "28832213a1714a71",
+    "--case bosonic --seed 1": "619fae3459a2ca8d",
+    "--case bosonic --seed 2": "3126bd06cde7a685",
+    "--case grassmann --seed 0": "5ca8cb3ec4d77a56",
+    "--case grassmann --seed 1": "5ca8cb3ec4d77a56",
+    "--case grassmann --seed 2": "5ca8cb3ec4d77a56",
+    "--case coadjoint --seed 0": "ea8cf37f60ada48f",
+    "--case coadjoint --seed 1": "943bdae716f60d0b",
+    "--case coadjoint --seed 2": "5d419591a3f9df9f",
+}
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16]
+
+
 def row_digests() -> dict:
     reports: dict = {}
     for seed in SEEDS:
         for row in suite.run_all(seed)[0]:
             if not row.name.startswith(NUMERIC):
                 reports.setdefault(row.name, []).append(row.to_dict())
-    return {
-        name: hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16]
-        for name, rows in reports.items()
-    }
+    return {name: _digest(rows) for name, rows in reports.items()}
+
+
+def classical_digests() -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        path = os.path.join(tmp, "report.json")
+        for case in CASES:
+            for seed in CLASSICAL_SEEDS:
+                run = f"--case {case} --seed {seed}"
+                assert cli.main(["propagate-classical", *run.split(), "--out", path]) == 0
+                with open(path) as handle:
+                    out[run] = _digest(json.load(handle)["checks"])
+    return out
+
+
+def _moved(digests: dict, pinned: dict) -> list:
+    assert list(digests) == list(pinned)
+    return [name for name, digest in pinned.items() if digests[name] != digest]
 
 
 def test_every_exact_row_keeps_its_digest():
-    digests = row_digests()
-    assert list(digests) == list(DIGESTS)
-    moved = [name for name, digest in DIGESTS.items() if digests[name] != digest]
+    moved = _moved(row_digests(), DIGESTS)
     assert not moved, f"rows that changed: {moved}"
 
 
+def test_propagate_classical_at_a_float_time_keeps_its_rows():
+    moved = _moved(classical_digests(), CLASSICAL_DIGESTS)
+    assert not moved, f"propagate-classical runs whose rows changed: {moved}"
+
+
 if __name__ == "__main__":
-    for name, digest in row_digests().items():
-        print(f'    "{name}": "{digest}",')
+    for table in (row_digests(), classical_digests()):
+        for name, digest in table.items():
+            print(f'    "{name}": "{digest}",')
+        print()

@@ -283,6 +283,12 @@ def _lagrangians(draw):
 @given(_lagrangians())
 def test_top_component_is_the_supertime_integral_of_the_substitution(drawn):
     case, lagrangian = drawn
+    if any(dot > 1 and name in case.base_names for name, dot in lagrangian.symbols_used()):
+        # No superfield binding covers a base field at dot order 2, so the
+        # split refuses it rather than pass it through unexpanded.
+        with pytest.raises(UnsupportedCaseError, match="higher time derivative"):
+            dequantize(lagrangian, case)
+        return
     raw = supertime_integral(
         substitute(lagrangian, superfield_bindings(case)), case.theta, case.thetabar
     )

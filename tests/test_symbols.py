@@ -614,6 +614,14 @@ def test_substitution_reuses_powers_and_keeps_huge_exponents_cheap():
     assert substitute(poly + CTX.parse("p"), {"q": CTX.zero()}) == CTX.parse("p")
 
 
+def test_substitution_multiplies_no_coefficient_by_one():
+    # An unbound factor joins without a product, so a float coefficient keeps
+    # the sign of its zero imaginary part.
+    poly = GradedPolynomial(CTX, {CTX.monomial({"q": 1, "u": 1}): complex(1, -0.0)})
+    (coeff,) = substitute(poly, {"p": CTX.sym("q")}).terms.values()
+    assert math.copysign(1, coeff.imag) == -1 and coeff.real == 1
+
+
 def test_unbound_factors_pass_through_substitution(monkeypatch):
     # A slot with no binding gets no power ladder and no product: with no
     # bound slot in the polynomial, substitution multiplies nothing.
