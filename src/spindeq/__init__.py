@@ -2,13 +2,14 @@
 
 Layers, bottom up:
 
-* :mod:`spindeq.exact`: exact rational-complex coefficients;
+* :mod:`spindeq.exact`: exact rational-complex coefficients, and
+  ``crational``, which lifts a float to its exact binary value;
 * :mod:`spindeq.symbols`: graded polynomials in named symbols with formal
   time derivatives, parsing, and printing; ``SymbolContext`` is the one
-  algebra class and ``GradedPolynomial``, each coefficient exact or float,
-  its one element class;
+  algebra class and ``GradedPolynomial``, every coefficient exact, its one
+  element class;
 * :mod:`spindeq.grassmann`: Berezin calculus and operators given by their
-  symbols, acting on exact and float polynomials alike;
+  symbols;
 * :mod:`spindeq.superfield`: superfield expansions and the dequantization
   map from quantum to classical-path-integral Lagrangians;
 * :mod:`spindeq.quantum`: spin-1/2 states and operators in one Grassmann

@@ -13,8 +13,7 @@ carries the graded sign.
 
 Operator side: H̃ itself is the operator on wavefunctions over the enlarged
 space (fields and ghosts), polynomials over the case's context with exact
-or float coefficients.  Its
-auxiliary and antighost symbols act as derivatives:
+coefficients.  Its auxiliary and antighost symbols act as derivatives:
 
     even base fields:  aux → −i ∂_field,  antighost → +∂_ghost
     odd base fields:   aux → +i ∂_field,  antighost → −∂_ghost
@@ -25,8 +24,8 @@ rightmost factor acts first; auxiliaries and antighosts are declared before
 the fields and ghosts, so each monomial multiplies first and then
 differentiates.  Evolution solves i dψ/dt = H̃ψ.
 
-Operator application is exact (the graded algebra drops no term), and on
-an exact wavefunction so is its result.  For the supported Hamiltonians
+Operator application is exact: the graded algebra drops no term, and
+every coefficient is a Gaussian rational.  For the supported Hamiltonians
 (base-field degree at most 2) H̃ is a derivation: it annihilates constants
 and obeys the graded Leibniz rule.  So its spectrum on the monomials of any
 degree is made of sums of the eigenvalues of two 2×2 blocks, H̃ on the
@@ -69,7 +68,6 @@ from .symbols import (
     GradedPolynomial,
     bind_constants,
     format_poly,
-    lift,
     partial_derivative,
 )
 
@@ -351,7 +349,7 @@ def expm(m, r) -> tuple:
     """exp(τ·M) for a traceless 2×2 M at the time τ whose Cayley clock is
     r: ((1 − D·r²)·I + 2r·M)/(1 + D·r²) with D = det M, which is I + τ·M at
     D = 0, as a nested tuple; exact when M and r are."""
-    cos, sinc = _cayley(_determinant(m), lift(r))
+    cos, sinc = _cayley(_determinant(m), crational(r))
     return tuple(
         tuple((cos if i == j else 0) + sinc * x for j, x in enumerate(row))
         for i, row in enumerate(m)
@@ -437,21 +435,24 @@ def evolve(psi, spec: CpiSpec, r, operator: LiouvilleOperator | None = None) -> 
 
     Each block ψ_d of total degree d in fields and ghosts goes to p(H̃)ψ_d
     with the weights p of :func:`_weights`, cached per (d, D, r) for
-    D = det M: H̃ is applied until the certificate's degree is reached or a
-    power vanishes, and no matrix is built.  The certificate is then
-    checked exactly; where it fails, H̃ is not nilpotent on ψ_d (D = 0) or
-    does not have the spectrum ν·m, |m| <= d (D = ν²), and
-    :class:`UnsupportedCaseError` is raised, never a wrong answer.
+    D = det M; at D = 0 all of ψ is one block at its top degree, whose
+    Taylor weights extend those of every lower degree.  H̃ is applied until
+    the certificate's degree is reached or a power vanishes, and no matrix
+    is built.  The certificate is then checked exactly; where it fails, H̃
+    is not nilpotent on ψ_d (D = 0) or does not have the spectrum ν·m,
+    |m| <= d (D = ν²), and :class:`UnsupportedCaseError` is raised, never a wrong answer.
     """
     if operator is None:
         operator = build_cpi_hamiltonian(spec)
     if psi.context is not operator.context:
         raise UnsupportedCaseError("wavefunction context does not match the operator's")
-    det, r = _determinant(spec.vector_field[1]), lift(r)
+    det, r = _determinant(spec.vector_field[1]), crational(r)
     blocks: dict = {}
     for mono, coeff in psi.terms.items():
         blocks.setdefault(sum(exp for _slot, exp in mono), {})[mono] = coeff
-    out: dict = {}  # at D = 0 the blocks' images may share monomials
+    if not det and blocks:
+        blocks = {max(blocks): psi.terms}
+    out: dict = {}
     for degree, terms in sorted(blocks.items()):
         weights, certificate = _weights(degree, det, r)
         powers = [psi._new(terms)]  # H̃^j ψ_d

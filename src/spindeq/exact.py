@@ -217,11 +217,18 @@ I = _make(0, 1, 1)
 
 
 def crational(value) -> CRational:
-    """Coerce a number to :class:`CRational`; a float or complex goes
-    through its exact binary value."""
+    """The one coercion of a number into the algebra; a float or complex
+    enters at its exact binary value, and one that is not finite raises
+    ``ValueError``.  Its parts' denominators are powers of two, so the larger
+    is their lcm and its part's numerator is odd: normal form with no gcd."""
     out = _lift(value)
     if out is not None:
         return out
-    if isinstance(value, _FLOATS):
-        return CRational(value.real, value.imag)
-    raise TypeError(f"not a number: {value!r}")
+    if not isinstance(value, _FLOATS):
+        raise TypeError(f"not a number: {value!r}")
+    try:
+        (a, p), (b, q) = value.real.as_integer_ratio(), value.imag.as_integer_ratio()
+    except (OverflowError, ValueError):
+        raise ValueError(f"not a finite number: {value}") from None
+    d = max(p, q)
+    return _make(a * (d // p), b * (d // q), d)

@@ -1,14 +1,14 @@
 """Berezin calculus and operators given by their symbols.
 
 Elements are :class:`~spindeq.symbols.GradedPolynomial` over a
-:class:`~spindeq.symbols.SymbolContext`, each coefficient exact or float,
-with the kernel's monomial form, products, left derivatives
+:class:`~spindeq.symbols.SymbolContext`, with exact coefficients and the
+kernel's monomial form, products, left derivatives
 (:func:`~spindeq.symbols.partial_derivative`) and substitutions, and their
 sign conventions.  They are exact: no power of an even generator is ever
 dropped.  This module adds Berezin integration (``berezin_integral(a, [g1,
 g2])`` integrates the *rightmost* measure first, i.e. it equals the
 iterated left derivative ``d_g1 d_g2 a``) and operators given by their
-symbols, which act on exact and float polynomials alike.
+symbols, each factor lifted by :func:`~spindeq.exact.crational`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from typing import Mapping, Sequence
 
 from . import _graded
 from .errors import ParityError, TableMismatchError
-from .symbols import ODD, GradedPolynomial, SymbolContext, lift, partial_derivative
+from .exact import crational
+from .symbols import ODD, GradedPolynomial, SymbolContext, partial_derivative
 
 # The element class under its former name: the benchmark's per-layer tracer
 # (bench/layers.py) reads it, and it goes when that tracer's hooks are renamed.
@@ -65,7 +66,7 @@ class GrassmannOperator:
         for name, (generator, factor) in derivatives.items():
             if ctx.decl(name).parity != ctx.decl(generator).parity:
                 raise ParityError(f"{name!r} cannot act as the derivative by {generator!r}")
-            acts_as[ctx.slot(name)] = (generator, lift(factor))
+            acts_as[ctx.slot(name)] = (generator, crational(factor))
         terms = []
         for mono in sorted(symbol.terms):  # fixes the order in which apply sums
             coeff, steps = symbol.terms[mono], []

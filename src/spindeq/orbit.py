@@ -65,8 +65,7 @@ class PhaseFunction:
 
     def __post_init__(self):
         p = self.polynomial
-        if (getattr(p, "context", None) is not SPHERE or not p.is_exact()
-                or any(c.im for c in p.terms.values())
+        if (getattr(p, "context", None) is not SPHERE or any(c.im for c in p.terms.values())
                 or any(dot for _, dot in p.symbols_used())
                 or not {name for name, _ in self.constants} <= {"muB", "B"}):
             raise ValueError(

@@ -27,8 +27,10 @@ Symbols span 1, ξ, ξ̄, ξξ̄, so the convolution is fixed by its structure
 constants on that basis (``symbol_structure_constants``, read off the
 convolution), and ``sliced_symbol`` takes the power by repeated squaring.
 
-The float oracles (``sliced_propagator``, ``magnetic_evolution``) are 2x2
-tuples of ``complex`` too, acting like the exact matrices; no numpy.
+A float entry, say of a float field, enters a symbol at its exact binary
+value; matrix forms keep their entries as computed, and the float oracles
+(``sliced_propagator``, ``magnetic_evolution``) are 2x2 tuples of
+``complex``, acting like the exact matrices; no numpy.
 """
 
 from __future__ import annotations
@@ -190,7 +192,7 @@ def spin_operators(hbar=1):
 
     Sx = (ħ/2)(ξ + ξ̄), Sy = (iħ/2)(ξ − ξ̄), Sz = ħN, and N = 1/2 − ξξ̄ in
     normal order.  ħ defaults to 1 and may be any exact or float scale;
-    exact scales give exact entries.
+    exact scales give exact matrix entries.
     """
     half = CRational(Fraction(1, 2))
     h2, ih2 = half * hbar, I * (half * hbar)
@@ -310,16 +312,16 @@ def sliced_symbol(b: MagneticField, t: float, n: int) -> GradedPolynomial:
     constants of ``compose_symbols``, in O(log n) products.  Composition is
     associative, so every bracketing of the n factors gives the same symbol,
     and all powers of one symbol commute; squaring changes only the
-    floating-point rounding.  Each power is carried as its offset from the
+    floating-point rounding: the powers are taken in ``complex``, and only the
+    result is lifted.  Each power is carried as its offset from the
     identity symbol, which keeps the result within about 1e-15 of the exact
     power of the one-slice symbol.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("the slice count must be a positive integer")
     h_bar = ordered_symbol(hamiltonian(b))
-    eps = t / n
-    step = h_bar * complex(0, -eps)
-    square = [step.terms.get(e, 0) for e in _BASIS]
+    step = complex(0, -t / n)
+    square = [complex(h_bar.terms.get(e, 0)) * step for e in _BASIS]
     power = [0, 0, 0, 0]  # offsets from the identity symbol 1
     # The exact constants as numbers, once: a CRational times a complex at
     # every step would convert it each time.

@@ -18,12 +18,12 @@ derivative, the printer and the parser.  The parser works on kernel term
 maps throughout and wraps its result once, so text never passes through the
 checked constructor or through ``GradedPolynomial`` arithmetic.
 
-Each coefficient is exact or float on its own (:func:`lift`): ``int``,
-``Fraction`` and ``CRational`` are kept exact as Gaussian rationals, so that
-identities that hold, hold with residual exactly zero; ``float`` and
-``complex`` pass through, and arithmetic that mixes the two degrades to
-``complex``, as :class:`~spindeq.exact.CRational` does.  A claim of exactness
-is checked where it is made, with :meth:`GradedPolynomial.is_exact`.
+Every coefficient is an exact Gaussian rational, a
+:class:`~spindeq.exact.CRational`, so that identities that hold, hold with
+residual exactly zero.  A float enters at its exact binary value: the
+public constructor, scalar operands and scalar factors all go through
+:func:`~spindeq.exact.crational`, the one coercion of a number into the
+algebra.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import (
     TableMismatchError,
     UnknownSymbolError,
 )
-from .exact import CRational, I
+from .exact import CRational, I, crational
 
 ODD = "odd"
 EVEN = "even"
@@ -60,19 +60,8 @@ class SymbolDecl:
     constant: bool = False
 
 
-# The scalars a polynomial takes as coefficients, and the exact ones among them.
+# The scalars a polynomial takes, each lifted by ``crational``.
 SCALARS = (int, float, complex, Fraction, CRational)
-_EXACT = (int, Fraction, CRational)
-
-
-def lift(value):
-    """One coefficient: exact values as ``CRational``, floats as they are."""
-    out = CRational._lift(value)
-    if out is not None:
-        return out
-    if isinstance(value, (float, complex)):
-        return value
-    raise TypeError(f"polynomial coefficients must be numbers, got {type(value).__name__}")
 
 
 # Deepest nesting of parentheses and dot(...) that the parser accepts; each
@@ -170,22 +159,22 @@ class SymbolContext:
 
 
 class GradedPolynomial:
-    """Finite sum of monomials over a context, each coefficient exact or float.
+    """Finite sum of monomials over a context with exact coefficients.
 
     ``terms`` maps monomials in the kernel's form, ``((slot, exponent),
-    ...)`` sorted by slot, to coefficients.  The constructor
+    ...)`` sorted by slot, to ``CRational`` coefficients.  The constructor
     ``GradedPolynomial(context, terms)`` checks that form and lifts each
-    coefficient (:func:`lift`); results of algebra operations skip the
-    check.  The context supplies ``is_odd``, the kernel's ``odd`` lookup,
-    and ``has_slot``.  Operands over different contexts raise
-    :class:`~spindeq.errors.TableMismatchError`.
+    coefficient (:func:`~spindeq.exact.crational`); results of algebra
+    operations skip the check.  The context supplies ``is_odd``, the
+    kernel's ``odd`` lookup, and ``has_slot``.  Operands over different
+    contexts raise :class:`~spindeq.errors.TableMismatchError`.
     """
 
     __slots__ = ("context", "terms")
 
     def __init__(self, context: SymbolContext, terms: Mapping):
         self.context = context
-        self.terms = _graded.checked(terms, context.is_odd, context.has_slot, lift)
+        self.terms = _graded.checked(terms, context.is_odd, context.has_slot, crational)
 
     @classmethod
     def _wrap(cls, context: SymbolContext, terms: dict):
@@ -203,15 +192,11 @@ class GradedPolynomial:
             raise TableMismatchError("GradedPolynomial operands over different contexts")
 
     def _constant(self, value) -> dict:
-        value = lift(value)
+        value = crational(value)
         return {(): value} if value else {}
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_exact(self) -> bool:
-        """Whether every coefficient is exact (an int, Fraction or CRational)."""
-        return all(isinstance(c, _EXACT) for c in self.terms.values())
 
     def is_constant(self) -> bool:
         return all(mono == () for mono in self.terms)
@@ -229,7 +214,10 @@ class GradedPolynomial:
         if isinstance(other, GradedPolynomial):
             return self.context == other.context and self.terms == other.terms
         if isinstance(other, SCALARS):
-            return self.terms == self._constant(other)
+            try:
+                return self.terms == self._constant(other)
+            except ValueError:  # a float that is not finite equals no polynomial
+                return False
         return NotImplemented
 
     def __hash__(self):
@@ -270,12 +258,12 @@ class GradedPolynomial:
         stays an int, so an exact coefficient takes its one-gcd product."""
         if not isinstance(k, SCALARS):
             return NotImplemented
-        return self._new(_graded.add_into({}, self.terms, k if type(k) is int else lift(k)))
+        return self._new(_graded.add_into({}, self.terms, k if type(k) is int else crational(k)))
 
     __rmul__ = _scale  # k * p: a scalar on the left, never a polynomial
 
     # Per-layer tracing (bench/layers.py) wraps __mul__ in this class body, so
-    # its span covers every product written p * q or p * k, exact or float;
+    # its span covers every product written p * q or p * k;
     # k * p calls _scale alone and stays outside it.
     def __mul__(self, other):
         if not isinstance(other, GradedPolynomial):
@@ -349,7 +337,7 @@ class GradedPolynomial:
                 sign *= step
         if not sign:
             raise ValueError("requested monomial vanishes identically")
-        return self.terms.get(mono, lift(0)) * sign
+        return self.terms.get(mono, crational(0)) * sign
 
     def symbols_used(self) -> set[SymKey]:
         return {self.context.key(slot) for mono in self.terms for slot, _ in mono}
@@ -422,13 +410,7 @@ def _frac_str(num: int, den: int) -> str:
 
 
 def _coeff_parts(c, has_mono: bool) -> tuple[str, str]:
-    """Split a coefficient into a sign character and a printable body; a
-    float or complex one prints as Python writes it, so never as exact."""
-    if isinstance(c, (float, complex)):
-        z = complex(c)
-        if not z.imag:
-            return ("-" if z.real < 0 else "+"), repr(abs(z.real))
-        return "+", f"({z.real!r}{'-' if z.imag < 0 else '+'}{abs(z.imag)!r}*i)"
+    """Split a coefficient into a sign character and a printable body."""
     re_, im = c.re, c.im
     a, p, b, q = re_.numerator, re_.denominator, im.numerator, im.denominator
     if not b:
@@ -449,8 +431,7 @@ def _factor_str(key: SymKey, exp: int) -> str:
 
 
 def format_poly(p: GradedPolynomial) -> str:
-    """Deterministic text form; ``parse`` inverts it exactly for an exact
-    polynomial."""
+    """Deterministic text form; ``parse`` inverts it exactly."""
     if not p.terms:
         return "0"
     ctx = p.context
@@ -478,7 +459,7 @@ def format_poly(p: GradedPolynomial) -> str:
 # separates them and is skipped.  _STRAY matches a character no token takes.
 _TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()]")
 _STRAY = re.compile(r"[^\s\dA-Za-z_+\-*/^()]")
-_ONE = CRational._lift(1)
+_ONE = crational(1)
 
 
 class _Parser:
@@ -577,7 +558,7 @@ class _Parser:
             return {(((index, 0), 1),): _ONE}
         if tok.isdecimal():
             n = self.integer(k)
-            return {(): CRational._lift(n)} if n else {}
+            return {(): crational(n)} if n else {}
         if tok == "i":
             return {(): I}
         if tok == "dot":

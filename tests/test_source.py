@@ -3,8 +3,9 @@
 public function or class has a caller outside the tests, no module reads
 another module's underscore names, ``GradedPolynomial`` stays the one
 element class, term maps are summed by hand only in the kernel, no module
-imports numpy or scipy, and every Python example and every ``spindeq``
-command in the README runs.
+imports numpy or scipy, every Python example and every ``spindeq``
+command in the README runs, and every polynomial that the suite and those
+commands build has ``CRational`` coefficients only.
 """
 
 import ast
@@ -13,6 +14,7 @@ import shlex
 from pathlib import Path
 
 import spindeq
+from spindeq import CRational, suite
 from spindeq.cli import main
 
 PACKAGE = Path(spindeq.__file__).parent
@@ -67,8 +69,8 @@ def test_no_module_reads_another_modules_private_names():
 
 
 def test_graded_polynomial_is_the_one_element_class():
-    # Exact and float coefficients live in one class; a subclass would be a
-    # second element type, with its own rules for combining the two.
+    # Every polynomial lives in one class; a subclass would be a second
+    # element type, with its own rules for combining with the first.
     subclasses = [cls for cls in spindeq.GradedPolynomial.__subclasses__()
                   if cls.__module__.startswith("spindeq")]
     assert subclasses == []
@@ -164,6 +166,35 @@ def test_every_readme_command_runs(capsys):
     for command in commands:
         assert main(shlex.split(command)) == 0, command
     capsys.readouterr()
+
+
+def test_every_polynomial_has_exact_coefficients(monkeypatch, capsys):
+    # One coefficient domain: a polynomial made by the public constructor or
+    # wrapped from a kernel result holds CRational coefficients only, a float
+    # at its exact binary value.
+    cls = spindeq.GradedPolynomial
+    wrap, init = cls._wrap.__func__, cls.__init__
+    kinds, count = set(), 0
+
+    def record(terms):
+        nonlocal count
+        kinds.update(map(type, terms.values()))
+        count += 1
+
+    def spy_wrap(klass, context, terms):
+        record(terms)
+        return wrap(klass, context, terms)
+
+    def spy_init(self, context, terms):
+        init(self, context, terms)
+        record(self.terms)
+
+    monkeypatch.setattr(cls, "_wrap", classmethod(spy_wrap))
+    monkeypatch.setattr(cls, "__init__", spy_init)
+    suite.run_all(0)
+    test_every_readme_command_runs(capsys)
+    monkeypatch.undo()
+    assert count > 1000 and kinds == {CRational}
 
 
 # Public names that only tests reach, and why each stays: they are the

@@ -471,15 +471,24 @@ def test_bind_constants_rejects_odd_targets():
 
 
 def test_coefficients_are_exact_or_float():
-    # Exact values stay exact, floats pass through, anything else is refused.
+    # Exact values stay exact, a float enters at its exact binary value, and
+    # anything else is refused.
     assert CTX.const(Fraction(1, 2)) == CTX.parse("1/2")
-    assert CTX.const(Fraction(1, 2)).is_exact() and not CTX.const(0.5).is_exact()
-    assert CTX.const(0.5).constant_part() == 0.5 and CTX.const(0.5) == CTX.parse("1/2")
-    mixed = CTX.parse("q/2") + CTX.sym("p") * 0.25j
-    assert not mixed.is_exact() and isinstance(mixed.coefficient({"q": 1}), CRational)
-    assert str(mixed) == "1/2*q + (0.0+0.25*i)*p"
+    assert CTX.const(0.5) == CTX.parse("1/2")
+    assert CTX.const(0.1).constant_part() == CRational(Fraction(0.1))
+    assert str(CTX.sym("p") * 0.25j) == "1/4*i*p"
     with pytest.raises(TypeError):
         CTX.const("1/2")
+
+
+@pytest.mark.parametrize("x", [math.inf, math.nan, complex(1, math.inf)])
+def test_a_number_that_is_not_finite_is_refused(x):
+    for build in (lambda: GradedPolynomial(CTX, {(): x}), lambda: CTX.const(x)):
+        with pytest.raises(ValueError, match="not a finite number"):
+            build()
+    # A comparison never raises, not even with an int beyond the float range.
+    assert not CTX.const(1) == x and not CTX.const(10**400) == x
+    assert CTX.const(10**400) == 10**400 and not CTX.const(1) == 10**400
 
 
 def test_context_identity_matters():
@@ -614,12 +623,15 @@ def test_substitution_reuses_powers_and_keeps_huge_exponents_cheap():
     assert substitute(poly + CTX.parse("p"), {"q": CTX.zero()}) == CTX.parse("p")
 
 
-def test_substitution_multiplies_no_coefficient_by_one():
-    # An unbound factor joins without a product, so a float coefficient keeps
-    # the sign of its zero imaginary part.
-    poly = GradedPolynomial(CTX, {CTX.monomial({"q": 1, "u": 1}): complex(1, -0.0)})
-    (coeff,) = substitute(poly, {"p": CTX.sym("q")}).terms.values()
-    assert math.copysign(1, coeff.imag) == -1 and coeff.real == 1
+def test_substitution_multiplies_no_coefficient_by_one(monkeypatch):
+    # An unbound factor joins without a product.
+    poly = CTX.parse("3/5*q*u")
+    products = []
+    multiply = CRational.__mul__
+    monkeypatch.setattr(CRational, "__mul__", lambda z, w: products.append(w) or multiply(z, w))
+    out = substitute(poly, {"p": CTX.sym("q")})
+    monkeypatch.undo()
+    assert products == [] and out == poly
 
 
 def test_unbound_factors_pass_through_substitution(monkeypatch):
