@@ -10,9 +10,12 @@ quotient by a real value needs no norm (Knuth, *TAOCP* vol. 2, §4.5.1).
 Results already in normal form are built by the trusted constructor
 :func:`_make`, which checks nothing.  ``re`` and ``im`` read the parts as :class:`fractions.Fraction`.
 
-Mixing a :class:`CRational` with a float or a Python ``complex`` degrades
-gracefully to ``complex`` arithmetic; mixing with ``int`` or ``Fraction``
-stays exact.
+One number rule covers every operand: an ``int`` or ``Fraction`` enters
+exactly, and a finite float or ``complex`` at its exact binary value, so
+mixed arithmetic stays exact, equal values hash alike, and equality is exact
+and transitive, as for :class:`fractions.Fraction` (``CRational(Fraction(1,
+10)) != 0.1``).  Any other operand, a non-finite float included, gets
+``NotImplemented``.
 """
 
 from __future__ import annotations
@@ -51,14 +54,25 @@ class CRational:
 
     @staticmethod
     def _lift(value):
-        """Return a CRational for exact inputs, None for float-like ones."""
+        """The one coercion of a number: an int or Fraction exactly, a finite
+        float or complex at its exact binary value, and None for anything
+        else.  A binary value's parts have power-of-two denominators, so the
+        larger is their lcm and its part's numerator is odd: normal form with
+        no gcd."""
         if isinstance(value, CRational):
             return value
         if isinstance(value, int):
             return _make(int(value), 0, 1)
         if isinstance(value, Fraction):
             return _make(value.numerator, 0, value.denominator)
-        return None
+        if not isinstance(value, _FLOATS):
+            return None
+        try:
+            (a, p), (b, q) = value.real.as_integer_ratio(), value.imag.as_integer_ratio()
+        except (OverflowError, ValueError):
+            return None
+        d = max(p, q)
+        return _make(a * (d // p), b * (d // q), d)
 
     def __complex__(self) -> complex:
         return complex(self._a / self._d, self._b / self._d)
@@ -70,8 +84,6 @@ class CRational:
     def __add__(self, other):
         o = other if type(other) is CRational else _lift(other)
         if o is None:
-            if isinstance(other, _FLOATS):
-                return complex(self) + other
             return NotImplemented
         d, f = self._d, o._d
         if d == f:
@@ -83,16 +95,12 @@ class CRational:
     def __sub__(self, other):
         o = other if type(other) is CRational else _lift(other)
         if o is None:
-            if isinstance(other, _FLOATS):
-                return complex(self) - other
             return NotImplemented
         return _difference(self, o)
 
     def __rsub__(self, other):
         o = other if type(other) is CRational else _lift(other)
         if o is None:
-            if isinstance(other, _FLOATS):
-                return other - complex(self)
             return NotImplemented
         return _difference(o, self)
 
@@ -107,8 +115,6 @@ class CRational:
             return _make(self._a * k, self._b * k, d // g)
         o = other if type(other) is CRational else _lift(other)
         if o is None:
-            if isinstance(other, _FLOATS):
-                return complex(self) * other
             return NotImplemented
         a, b, c, e = self._a, self._b, o._a, o._b
         return _reduced(a * c - b * e, a * e + b * c, self._d * o._d)
@@ -118,16 +124,12 @@ class CRational:
     def __truediv__(self, other):
         o = other if type(other) is CRational else _lift(other)
         if o is None:
-            if isinstance(other, _FLOATS):
-                return complex(self) / other
             return NotImplemented
         return _quotient(self, o)
 
     def __rtruediv__(self, other):
         o = other if type(other) is CRational else _lift(other)
         if o is None:
-            if isinstance(other, _FLOATS):
-                return other / complex(self)
             return NotImplemented
         return _quotient(o, self)
 
@@ -138,11 +140,9 @@ class CRational:
 
     def __eq__(self, other) -> bool:
         o = other if type(other) is CRational else _lift(other)
-        if o is not None:
-            return self._a == o._a and self._b == o._b and self._d == o._d
-        if isinstance(other, _FLOATS):
-            return complex(self) == other
-        return NotImplemented
+        if o is None:
+            return NotImplemented
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
         # The formula of ``complex``, so values equal to an int, Fraction,
@@ -217,18 +217,11 @@ I = _make(0, 1, 1)
 
 
 def crational(value) -> CRational:
-    """The one coercion of a number into the algebra; a float or complex
-    enters at its exact binary value, and one that is not finite raises
-    ``ValueError``.  Its parts' denominators are powers of two, so the larger
-    is their lcm and its part's numerator is odd: normal form with no gcd."""
+    """A number as a :class:`CRational`, by ``_lift``; a float or complex that
+    is not finite raises ``ValueError``, and a non-number ``TypeError``."""
     out = _lift(value)
     if out is not None:
         return out
-    if not isinstance(value, _FLOATS):
-        raise TypeError(f"not a number: {value!r}")
-    try:
-        (a, p), (b, q) = value.real.as_integer_ratio(), value.imag.as_integer_ratio()
-    except (OverflowError, ValueError):
-        raise ValueError(f"not a finite number: {value}") from None
-    d = max(p, q)
-    return _make(a * (d // p), b * (d // q), d)
+    if isinstance(value, _FLOATS):
+        raise ValueError(f"not a finite number: {value}")
+    raise TypeError(f"not a number: {value!r}")

@@ -27,10 +27,11 @@ Symbols span 1, ξ, ξ̄, ξξ̄, so the convolution is fixed by its structure
 constants on that basis (``symbol_structure_constants``, read off the
 convolution), and ``sliced_symbol`` takes the power by repeated squaring.
 
-A float entry, say of a float field, enters a symbol at its exact binary
-value; matrix forms keep their entries as computed, and the float oracles
-(``sliced_propagator``, ``magnetic_evolution``) are 2x2 tuples of
-``complex``, acting like the exact matrices; no numpy.
+A float entry, say of a float field, enters a matrix form or a symbol at its
+exact binary value, so every form is exact for every numeric field.  The
+float oracles (``sliced_propagator``, ``magnetic_evolution``) need a numeric
+field and are 2x2 tuples of ``complex``, acting like the exact matrices; no
+numpy.
 """
 
 from __future__ import annotations
@@ -123,6 +124,8 @@ class MagneticField:
         return cls(*(component(p) for p in parts), mu_b=mu_b)
 
     def norm(self) -> float:
+        if any(isinstance(v, GradedPolynomial) for v in (self.bx, self.by, self.bz, self.mu_b)):
+            raise ValueError("the float oracles need a numeric field, not polynomials")
         return math.hypot(float(self.bx), float(self.by), float(self.bz))
 
     def unit(self) -> tuple[float, float, float]:
@@ -132,7 +135,7 @@ class MagneticField:
         return (float(self.bx) / n, float(self.by) / n, float(self.bz) / n)
 
     def larmor_phase(self, t: float) -> float:
-        return float(self.mu_b) * self.norm() * t
+        return self.norm() * float(self.mu_b) * t
 
 
 @dataclass(frozen=True)
@@ -191,8 +194,8 @@ def spin_operators(hbar=1):
     """(Sx, Sy, Sz, N) with word operators built from their symbols directly.
 
     Sx = (ħ/2)(ξ + ξ̄), Sy = (iħ/2)(ξ − ξ̄), Sz = ħN, and N = 1/2 − ξξ̄ in
-    normal order.  ħ defaults to 1 and may be any exact or float scale;
-    exact scales give exact matrix entries.
+    normal order.  ħ defaults to 1 and may be any number, a float entering
+    at its exact binary value: the matrix entries are exact.
     """
     half = CRational(Fraction(1, 2))
     h2, ih2 = half * hbar, I * (half * hbar)
@@ -211,10 +214,11 @@ def hamiltonian(b: MagneticField) -> SpinOperator:
 
     Matrix: −μ_B [[Bz, Bx−iBy], [Bx+iBy, −Bz]].
     Symbol: −μ_B [Bz + (Bx+iBy)·ξ + (Bx−iBy)·ξ̄ − 2Bz·ξξ̄].
-    The two are built independently from the components; exact components
-    give exact entries.
+    The two are built independently from the components.  The numeric
+    entries are exact, a float component entering at its exact binary value.
     """
-    z, plus, minus = (b.mu_b * v for v in (b.bz, b.bx + I * b.by, b.bx - I * b.by))
+    mu = CRational(1) * b.mu_b  # exact even when mu_b and bz are both floats
+    z, plus, minus = (mu * v for v in (b.bz, b.bx + I * b.by, b.bx - I * b.by))
     return SpinOperator(((-z, -minus), (-plus, z)), _operator(_symbol(-z, -plus, -minus, 2 * z)))
 
 
@@ -321,10 +325,11 @@ def sliced_symbol(b: MagneticField, t: float, n: int) -> GradedPolynomial:
         raise ValueError("the slice count must be a positive integer")
     h_bar = ordered_symbol(hamiltonian(b))
     step = complex(0, -t / n)
-    square = [complex(h_bar.terms.get(e, 0)) * step for e in _BASIS]
+    square = [complex(c) * step for c in _coefficients(h_bar, _BASIS, "a numeric symbol")]
     power = [0, 0, 0, 0]  # offsets from the identity symbol 1
-    # The exact constants as numbers, once: a CRational times a complex at
-    # every step would convert it each time.
+    # The exact constants as complex, once: a CRational times a complex is
+    # exact, so unconverted they would make the squaring exact, with operands
+    # that double in size at every step.
     constants = [(i, j, k, complex(c)) for i, j, k, c in symbol_structure_constants()]
     while n:
         if n & 1:

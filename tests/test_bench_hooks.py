@@ -8,8 +8,10 @@ instead of defined in its own class body, say) fails here.
 """
 
 import importlib.util
+import operator
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -84,3 +86,24 @@ def test_both_operator_callers_count_as_operator_applications(layers):
     finally:
         tracer.uninstall()
     assert tracer.counts["grassmann.operator_apply.calls"] == 2
+
+
+@pytest.mark.parametrize(
+    "op", [operator.add, operator.sub, operator.mul, operator.truediv], ids=lambda op: op.__name__
+)
+def test_one_crational_operation_counts_as_one_exact_op(layers, op):
+    # ``exact.ops`` counts calls of the eight wrapped arithmetic operators,
+    # so an operator that delegates to another would count twice.
+    z = spindeq.CRational(Fraction(3, 4), Fraction(-1, 2))
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+        for w in (3, True, Fraction(2, 5), 0.75, 0.5 - 2j, spindeq.CRational(1, 1)):
+            for x, y in ((z, w), (w, z)):
+                before = tracer.counts["exact.ops"]
+                tracer.begin_op(0)
+                op(x, y)
+                tracer.end_op()
+                assert tracer.counts["exact.ops"] - before == 1, (x, y)
+    finally:
+        tracer.uninstall()

@@ -2,8 +2,10 @@
 
 Every ``CRational`` result is compared with the same operation done on
 ``(re, im)`` pairs of :class:`fractions.Fraction`, over operands of every
-exact type on either side, and checked to be in normal form.  Float and
-complex operands must give the ``complex`` that ``complex(z) op w`` gives.
+exact type on either side, and checked to be in normal form.  A finite float
+or complex operand takes its exact binary value, ``crational(w)``, in
+arithmetic, equality and hashing alike, as a ``Fraction`` would; a
+non-finite one is no operand.
 """
 
 import math
@@ -140,16 +142,44 @@ def test_real_values_hash_like_their_fraction(f):
 
 @pytest.mark.parametrize("op", EXACT_OPS, ids=lambda op: op.__name__)
 @given(z=crationals, w=float_operands)
-def test_float_and_complex_operands_give_complex(op, z, w):
-    cz = complex(float(z.re), float(z.im))
-    if op is not operator.truediv or w:
-        out = op(z, w)
-        assert type(out) is complex and out == op(cz, w)
-    if op is not operator.truediv or z:
-        out = op(w, z)
-        # The reflected add and mul compute complex(z) op w; sub and div, w op complex(z).
-        expected = op(cz, w) if op in (operator.add, operator.mul) else op(w, cz)
-        assert type(out) is complex and out == expected
+def test_float_and_complex_operands_take_their_exact_binary_value(op, z, w):
+    exact = crational(w)
+    for x, y, lifted in ((z, w, (z, exact)), (w, z, (exact, z))):
+        if op is operator.truediv and not y:
+            continue
+        out = op(x, y)
+        assert type(out) is CRational and out == op(*lifted)
+        assert_normal(out)
+
+
+@pytest.mark.parametrize(
+    "w", [math.inf, -math.inf, math.nan, complex(math.inf, 0), complex(0, math.nan)]
+)
+def test_non_finite_operands_are_not_numbers_of_the_algebra(w):
+    z = CRational(Fraction(1, 3), 2)
+    for op in EXACT_OPS:
+        for x, y in ((z, w), (w, z)):
+            with pytest.raises(TypeError):
+                op(x, y)
+    assert z != w and w != z and not z == w
+
+
+@given(z=crationals, w=float_operands)
+def test_float_equality_is_equality_of_the_exact_binary_value(z, w):
+    exact = crational(w)
+    for candidate in (z, exact, CRational(exact.re + 1, exact.im)):
+        same = candidate == exact
+        assert (candidate == w) is same and (w == candidate) is same
+        if same:
+            assert hash(candidate) == hash(w)
+
+
+def test_equality_with_floats_is_the_fraction_rule():
+    tenth = CRational(Fraction(1, 10))
+    assert (tenth == 0.1) is (Fraction(1, 10) == 0.1) is False
+    assert {0.1: 1}.get(tenth) is None and {0.1: 1}.get(crational(0.1)) == 1
+    assert CRational(2**60 + 1) != float(2**60)
+    assert crational(0.1) == 0.1 and crational(0.1) != tenth
 
 
 @given(z=crationals)
