@@ -245,11 +245,10 @@ def _cmd_propagate_classical(args):
         truncation=args.truncation,
     )
     clock = cpi.cayley_clock(spec, args.t)
-    operator = cpi.build_cpi_hamiltonian(spec)
-    checks = suite.check_transport(spec, clock, args.seed, operator)
+    checks = suite.check_transport(spec, clock, args.seed)
     return checks, {
-        "operator": format_poly(operator.symbol),
-        "spectrum_real": operator.spectrum_is_real(),
+        "operator": format_poly(spec.operator.symbol),
+        "spectrum_real": spec.operator.spectrum_is_real(),
         "clock": str(clock),  # the exact Cayley clock r of --t that every row used
     }
 

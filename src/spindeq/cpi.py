@@ -43,8 +43,11 @@ Numerical Integration*, 2nd ed., 2006).  :func:`expm` is that 2×2 flow,
 :func:`evolve` is exp(−iτH̃)ψ, exact at any rational r for every quadratic
 H, and :func:`cayley_clock` turns a float time into the exact binary value
 of r, the one place that bounds a time.  No module of the package loads
-numpy or scipy.  This module is the engine only: ``suite.check_transport``
-compares the two sides, for the CLI, the suite and the benchmark alike.
+numpy or scipy.  This module is the engine only, and both sides of
+transport read a spec and r alone: :func:`evolve`, by H̃ as
+``CpiSpec.operator`` builds it once per spec, and :func:`pull_back`,
+ψ∘flow(−τ) with the ghosts as Jacobi fields.  ``suite.check_transport``
+compares the two, for the CLI, the suite and the benchmark alike.
 """
 
 from __future__ import annotations
@@ -196,6 +199,11 @@ class CpiSpec:
             raise UnsupportedCaseError(f"transport needs H at most quadratic in {list(fields)}")
         m = tuple(tuple(x.constant_part() for x in row) for row in jacobian)
         return tuple(va.constant_part() for va in v), m
+
+    @functools.cached_property
+    def operator(self) -> LiouvilleOperator:
+        """H̃ of this spec, by :func:`build_cpi_hamiltonian`, built once per spec."""
+        return build_cpi_hamiltonian(self)
 
 
 class LiouvilleOperator(GrassmannOperator):
@@ -429,9 +437,9 @@ def _combine(out: dict, coefficients, polys) -> dict:
     return out
 
 
-def evolve(psi, spec: CpiSpec, r, operator: LiouvilleOperator | None = None) -> GradedPolynomial:
-    """exp(−iτH̃)ψ at the time τ whose Cayley clock is r, by ``operator``
-    or else spec's H̃; exact when ψ, H̃ and r are.
+def evolve(psi, spec: CpiSpec, r) -> GradedPolynomial:
+    """exp(−iτH̃)ψ at the time τ whose Cayley clock is r, by spec's H̃;
+    exact when ψ, H̃ and r are.
 
     Each block ψ_d of total degree d in fields and ghosts goes to p(H̃)ψ_d
     with the weights p of :func:`_weights`, cached per (d, D, r) for
@@ -442,8 +450,7 @@ def evolve(psi, spec: CpiSpec, r, operator: LiouvilleOperator | None = None) -> 
     is not nilpotent on ψ_d (D = 0) or does not have the spectrum ν·m,
     |m| <= d (D = ν²), and :class:`UnsupportedCaseError` is raised, never a wrong answer.
     """
-    if operator is None:
-        operator = build_cpi_hamiltonian(spec)
+    operator = spec.operator
     if psi.context is not operator.context:
         raise UnsupportedCaseError("wavefunction context does not match the operator's")
     det, r = _determinant(spec.vector_field[1]), crational(r)
@@ -466,17 +473,25 @@ def evolve(psi, spec: CpiSpec, r, operator: LiouvilleOperator | None = None) -> 
     return GradedPolynomial._wrap(operator.context, out)
 
 
-def pull_back(psi, spec: CpiSpec, flow, drift=(0, 0)) -> GradedPolynomial:
-    """ψ with the case's (first, second) base fields replaced by the affine
-    map flow·φ + ``drift`` and its ghosts by flow·c, for a 2×2 ``flow``:
-    ψ∘flow(−τ) when flow·φ + drift is the classical flow of φ over −τ, as
-    ``expm(M, −r)`` is with no drift for a homogeneous H."""
+def pull_back(psi, spec: CpiSpec, r) -> GradedPolynomial:
+    """ψ∘flow(−τ) at the time τ whose Cayley clock is r: the case's (first,
+    second) base fields and its ghosts, as Jacobi fields, move by
+    exp(−τM) = ``expm(M, −r)``, and a drift v₀ ≠ 0, which needs det M = 0,
+    moves the fields by −τ·v₀ + (τ²/2)·M·v₀ as well, τ = 2r."""
+    v0, m = spec.vector_field
+    drift = (0, 0)
+    if any(v0):
+        if _determinant(m):
+            raise UnsupportedCaseError("transport with a linear term in H needs det M = 0 "
+                                       "for M = omega*Hess H (flag --hamiltonian)")
+        drift = [-2 * r * v + 2 * r * r * (row[0] * v0[0] + row[1] * v0[1])
+                 for v, row in zip(v0, m)]
     case = get_case(spec.case)
     ctx = case.context
     fields = [ctx.monomial({f.base: 1}) for f in case.families]
     ghosts = [ctx.monomial({f.ghost: 1}) for f in case.families]
     bindings = {}
-    for row, shift, f in zip(flow, drift, case.families):
+    for row, shift, f in zip(expm(m, -r), drift, case.families):
         bindings[f.base] = GradedPolynomial(ctx, {(): shift, **dict(zip(fields, row))})
         bindings[f.ghost] = GradedPolynomial(ctx, dict(zip(ghosts, row)))
     return psi.substitute(bindings)

@@ -70,9 +70,8 @@ def _coefficients(mv: GradedPolynomial, basis: tuple, what: str) -> tuple:
 
 def _span(coefficients, basis: tuple) -> GradedPolynomial:
     """Σ c·e over the ``basis`` monomials e; each c a number or a polynomial in the constants."""
-    terms = (c * GradedPolynomial(TABLE, {e: 1}) if isinstance(c, GradedPolynomial)
-             else GradedPolynomial(TABLE, {e: c}) for c, e in zip(coefficients, basis))
-    return sum(terms, TABLE.zero())
+    return sum((c * GradedPolynomial(TABLE, {e: 1}) for c, e in zip(coefficients, basis)),
+               TABLE.zero())
 
 
 def _act(matrix, state: "SpinState") -> "SpinState":
@@ -90,7 +89,7 @@ def _finite(v) -> bool:
 @dataclass(frozen=True)
 class MagneticField:
     """Field vector and the magneton-like coupling in front of it: finite
-    numbers, or polynomials in ``TABLE``'s constants for the exact methods."""
+    real numbers, or polynomials in ``TABLE``'s constants for the exact methods."""
 
     bx: object
     by: object
@@ -104,6 +103,8 @@ class MagneticField:
                     raise ValueError(f"not a polynomial in the quantum table's constants: {v!r}")
             elif not _finite(v):
                 raise ValueError("field components and mu_b must be finite and fit in a float")
+            elif complex(v).imag:
+                raise ValueError(f"field components and mu_b must be real, got {v!r}")
 
     @classmethod
     def from_text(cls, text: str, mu_b=1.0) -> "MagneticField":
@@ -126,16 +127,16 @@ class MagneticField:
     def norm(self) -> float:
         if any(isinstance(v, GradedPolynomial) for v in (self.bx, self.by, self.bz, self.mu_b)):
             raise ValueError("the float oracles need a numeric field, not polynomials")
-        return math.hypot(float(self.bx), float(self.by), float(self.bz))
+        return math.hypot(*(complex(v).real for v in (self.bx, self.by, self.bz)))
 
     def unit(self) -> tuple[float, float, float]:
         n = self.norm()
         if n == 0:
             raise ValueError("zero field has no direction")
-        return (float(self.bx) / n, float(self.by) / n, float(self.bz) / n)
+        return tuple(complex(v).real / n for v in (self.bx, self.by, self.bz))
 
     def larmor_phase(self, t: float) -> float:
-        return self.norm() * float(self.mu_b) * t
+        return self.norm() * complex(self.mu_b).real * t
 
 
 @dataclass(frozen=True)

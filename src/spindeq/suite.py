@@ -10,8 +10,8 @@ generic state and field, not on samples.
 
 :func:`check_transport` builds every ``cpi-*`` row, for the suite's
 ``cpi-transport`` group, for ``propagate-classical`` and, through
-``cpi.characteristics_check``, for the benchmark, at an exact Cayley clock;
-``cpi`` holds only the engine it compares.
+``cpi.characteristics_check``, for the benchmark: ``cpi.evolve`` against
+``cpi.pull_back``, each read from a spec and an exact Cayley clock alone.
 """
 
 from __future__ import annotations
@@ -337,44 +337,25 @@ GRASSMANN_EXPONENTS = tuple(itertools.product((0, 1), (0, 1), (0, 1, 2), (0, 1))
 GRASSMANN_NAMES = ("xi", "xibar", "c_xi", "c_xibar")
 
 
-def check_transport(spec: cpi.CpiSpec, clock, seed: int = 0, operator=None) -> list[CheckResult]:
+def check_transport(spec: cpi.CpiSpec, clock, seed: int = 0) -> list[CheckResult]:
     """CPI transport of ``spec`` against the classical flow, as the rows
     ``cpi-<case>-…`` of ``propagate-classical``, the suite and the bench.
 
     Every row is an exact identity at the time τ whose Cayley clock is the
-    exact ``clock`` r (``cpi.cayley_clock`` takes a float time to one):
-    exp(−iτH̃) by ``cpi.evolve`` against ψ∘flow(−τ), the flow from
-    ``cpi.expm``, one code path per case.  ``operator``, H̃ of ``spec`` as
-    ``cpi.build_cpi_hamiltonian`` gives it, is built here if not given.
+    exact ``clock`` r (``cpi.cayley_clock`` takes a float time to one),
+    ``cpi.evolve`` against ``cpi.pull_back``, exp(−iτH̃)ψ against
+    ψ∘flow(−τ), one code path per case.  H̃, ``spec.operator``, is built
+    first, so an H with no CPI operator is rejected before any row.
     """
-    if operator is None:
-        operator = cpi.build_cpi_hamiltonian(spec)
-    if operator.case == "grassmann":
-        return _grassmann_transport(spec, clock, operator)
-    if operator.case == "coadjoint":
-        return _coadjoint_transport(spec, clock, seed, operator)
-    return _bosonic_transport(spec, clock, seed, operator)[0]
+    case = spec.operator.case
+    if case == "grassmann":
+        return _grassmann_transport(spec, clock)
+    if case == "coadjoint":
+        return _coadjoint_transport(spec, clock, seed)
+    return _bosonic_transport(spec, clock, seed)[0]
 
 
-def _back(psi, spec, r):
-    """ψ∘flow(−τ) for the time τ whose Cayley clock is r: the fields and
-    ghosts move by exp(−τM), and a drift v₀ ≠ 0, which needs det M = 0,
-    moves the fields by −τ·v₀ + (τ²/2)·M·v₀ as well, τ = 2r."""
-    v0, m = spec.vector_field
-    drift = (0, 0)
-    if any(v0):
-        (a, b), (c, d) = m
-        if a * d - b * c:
-            raise UnsupportedCaseError(
-                "transport with a linear term in H needs det M = 0 for M = omega*Hess H "
-                "(flag --hamiltonian)"
-            )
-        drift = [-2 * r * v + 2 * r * r * (row[0] * v0[0] + row[1] * v0[1])
-                 for v, row in zip(v0, m)]
-    return cpi.pull_back(psi, spec, cpi.expm(m, -r), drift)
-
-
-def _bosonic_transport(spec, r, seed, operator):
+def _bosonic_transport(spec, r, seed):
     """The rows ``cpi-<case>-transport-<n>`` of an even case: exp(−iτH̃)ψ
     against ψ∘flow(−τ) on :data:`SAMPLES` Gaussian-rational wavefunctions
     drawn from ``seed``; with the last ψ and its image."""
@@ -382,9 +363,9 @@ def _bosonic_transport(spec, r, seed, operator):
     rows = []
     for n in range(SAMPLES):
         psi = cpi.random_wavefunction(spec, rng)
-        back = _back(psi, spec, r)  # a drift off det M = 0 is rejected here, first
-        moved = cpi.evolve(psi, spec, r, operator)
-        rows.append(_exact_check(f"cpi-{operator.case}-transport-{n}", back, moved))
+        back = cpi.pull_back(psi, spec, r)  # a drift off det M = 0 is rejected here, first
+        moved = cpi.evolve(psi, spec, r)
+        rows.append(_exact_check(f"cpi-{spec.operator.case}-transport-{n}", back, moved))
     return rows, psi, moved
 
 
@@ -397,7 +378,7 @@ def _real_rate(ctx, rate):
     return rate
 
 
-def _coadjoint_transport(spec, r, seed, operator) -> list[CheckResult]:
+def _coadjoint_transport(spec, r, seed) -> list[CheckResult]:
     """Rows that each apply H̃ = −μB·Λ_φ, by its Taylor sum, which ends.
     The classical field of H = −μB·η plus a constant has M = 0 and
     v₀ = (−μB, 0), so the flow moves φ by v₀^φ·τ and keeps η and the ghosts.
@@ -408,40 +389,41 @@ def _coadjoint_transport(spec, r, seed, operator) -> list[CheckResult]:
     v0, m = spec.vector_field
     if any(x for row in m for x in row) or v0[1]:
         raise UnsupportedCaseError("coadjoint transport needs H = -muB*eta + constant")
-    ctx = operator.context
-    mu_b = _real_rate(ctx, -crational(v0[0]))
-    rows, psi, moved = _bosonic_transport(spec, r, seed, operator)
+    ctx = spec.operator.context
+    _real_rate(ctx, -crational(v0[0]))  # μB
+    rows, psi, moved = _bosonic_transport(spec, r, seed)
     eta_sq = ctx.sym("eta") ** 2
     ghosts = ctx.parse("(3+i)/10*c_phi - i/5*c_eta")
     return rows + [
         _exact_check("cpi-coadjoint-eta-marginal-invariant", eta_sq * moved,
-                     cpi.evolve(eta_sq * psi, spec, r, operator)),
-        _exact_check("cpi-coadjoint-composition", _back(psi, spec, 4 * r / 3),
-                     cpi.evolve(moved, spec, r / 3, operator)),
-        _exact_check("cpi-coadjoint-ghosts-constant", _back(ghosts, spec, r),
-                     cpi.evolve(ghosts, spec, r, operator)),
+                     cpi.evolve(eta_sq * psi, spec, r)),
+        _exact_check("cpi-coadjoint-composition", cpi.pull_back(psi, spec, 4 * r / 3),
+                     cpi.evolve(moved, spec, r / 3)),
+        _exact_check("cpi-coadjoint-ghosts-constant", cpi.pull_back(ghosts, spec, r),
+                     cpi.evolve(ghosts, spec, r)),
         _exact_check("cpi-coadjoint-generator", -v0[0] * partial_derivative(psi, "phi"),
-                     -I * operator.apply(psi)),
+                     -I * spec.operator.apply(psi)),
     ]
 
 
-def _grassmann_transport(spec, r, operator) -> list[CheckResult]:
+def _grassmann_transport(spec, r) -> list[CheckResult]:
     """H̃ multiplies each monomial of :data:`GRASSMANN_EXPONENTS` by
     ω·(a − b + j − k), with ω = −i·M^ξ_ξ read off the classical field;
     exp(−iτH̃)ξc_ξ = (ξc_ξ)∘flow(−τ) = e^{−2iωτ}ξc_ξ; and H̃ annihilates
     constants."""
-    ctx = operator.context
+    ctx = spec.operator.context
     w = _real_rate(ctx, -I * spec.vector_field[1][0][0])  # M^ξ_ξ = iω
     rows = []
     for exps in GRASSMANN_EXPONENTS:
         a, b, j, k = exps
         mono = GradedPolynomial(ctx, {ctx.monomial(dict(zip(GRASSMANN_NAMES, exps))): 1})
         expected = w * (a - b + j - k) * mono
-        rows.append(_exact_check(f"cpi-grassmann-eigen-{exps}", expected, operator.apply(mono)))
+        rows.append(_exact_check(f"cpi-grassmann-eigen-{exps}", expected,
+                                 spec.operator.apply(mono)))
     xi_cxi = ctx.sym("xi") * ctx.sym("c_xi")
-    rows.append(_exact_check("cpi-grassmann-phase-xi-cxi", _back(xi_cxi, spec, r),
-                             cpi.evolve(xi_cxi, spec, r, operator)))
-    annihilated = operator.apply(ctx.const(1))
+    rows.append(_exact_check("cpi-grassmann-phase-xi-cxi", cpi.pull_back(xi_cxi, spec, r),
+                             cpi.evolve(xi_cxi, spec, r)))
+    annihilated = spec.operator.apply(ctx.const(1))
     rows.append(_exact_check("cpi-grassmann-constant-annihilated", ctx.zero(), annihilated))
     return rows
 

@@ -295,10 +295,9 @@ def test_coadjoint_evolution_is_additive_and_the_classical_flow(terms, mu_b, t):
         ctx,
         {ctx.monomial(dict(zip(("phi", "eta", "c_phi", "c_eta"), e))): c for e, c in terms.items()},
     )
-    op = build_cpi_hamiltonian(spec)
-    once = evolve(psi, spec, (t[0] + t[1]) / 2, op)
-    assert evolve(evolve(psi, spec, t[0] / 2, op), spec, t[1] / 2, op) == once
-    assert once == cpi.pull_back(psi, spec, ((1, 0), (0, 1)), (mu_b * (t[0] + t[1]), 0))
+    once = evolve(psi, spec, (t[0] + t[1]) / 2)
+    assert evolve(evolve(psi, spec, t[0] / 2), spec, t[1] / 2) == once
+    assert once == psi.substitute({"phi": ctx.sym("phi") + mu_b * (t[0] + t[1])})
 
 
 def test_polynomial_evolution_is_additive():
@@ -336,6 +335,11 @@ def _flow(spec, t):
     return cpi.expm(spec.vector_field[1], cpi.cayley_clock(spec, t))
 
 
+def _forward(psi, spec, t):
+    """ψ∘flow(t): ``cpi.pull_back`` at the Cayley clock of the float time −t."""
+    return cpi.pull_back(psi, spec, cpi.cayley_clock(spec, -t))
+
+
 def _floats(matrix):
     return np.array([[complex(x) for x in row] for row in matrix])
 
@@ -351,16 +355,16 @@ def test_jacobi_fields_all_cases():
     coad = CpiSpec("coadjoint", coefficients={"muB": 0.8})
     ctx = get_case("coadjoint").context
     ghosts = ctx.parse("c_phi + 2*c_eta")
-    assert cpi.pull_back(ghosts, coad, _flow(coad, 1.0)) == ghosts  # M = 0
+    assert _forward(ghosts, coad, 1.0) == ghosts  # M = 0
     w = 1.3
     gra = CpiSpec("grassmann", coefficients={"w": w})
     psi = get_case("grassmann").context.parse("c_xi + c_xibar")
-    c0, c1 = _ghost_coefficients(cpi.pull_back(psi, gra, _flow(gra, 1.0)), gra)
+    c0, c1 = _ghost_coefficients(_forward(psi, gra, 1.0), gra)
     assert c0 == pytest.approx(cmath.exp(1j * w))
     assert c1 == pytest.approx(cmath.exp(-1j * w))
     bos = CpiSpec("bosonic")
     psi = get_case("bosonic").context.sym("c_q")
-    out = _ghost_coefficients(cpi.pull_back(psi, bos, _flow(bos, math.pi / 2)), bos)
+    out = _ghost_coefficients(_forward(psi, bos, math.pi / 2), bos)
     assert out[0] == pytest.approx(0, abs=1e-12)
     assert out[1] == pytest.approx(1, abs=1e-12)  # c_q(t) = cos t·c_q + sin t·c_p
 
@@ -433,7 +437,7 @@ def test_grassmann_flow_is_the_closed_form_phase(w, t):
     assert np.allclose(_floats(flow), expected, rtol=0, atol=1e-12)
     c0 = np.array([0.3 + 0.1j, -0.2j])
     ghosts = get_case("grassmann").context.parse("(3+i)/10*c_xi - i/5*c_xibar")
-    moved = _ghost_coefficients(cpi.pull_back(ghosts, spec, flow), spec)
+    moved = _ghost_coefficients(_forward(ghosts, spec, t), spec)
     assert np.allclose(moved, expected @ c0, rtol=0, atol=1e-12)
 
 
@@ -468,15 +472,18 @@ MOVING_ROWS = {f"cpi-coadjoint-{name}" for name in
 
 
 def test_coadjoint_transport_reads_the_cpi_hamiltonian(monkeypatch):
+    # A spec keeps the H̃ it built, so each sabotage reads a fresh spec.
+    def fresh():
+        return CpiSpec("coadjoint", coefficients={"muB": suite.COADJOINT_MU_B})
+
     clock = Fraction(3, 8)  # t = 3/4
-    spec = CpiSpec("coadjoint", coefficients={"muB": suite.COADJOINT_MU_B})
     original = cpi.cpi_hamiltonian
     for seed in (0, 1, 2):
-        names = {row.name for row in suite.check_transport(spec, clock, seed)}
+        names = {row.name for row in suite.check_transport(fresh(), clock, seed)}
         failed = {}
         for label, change in COADJOINT_SABOTAGES.items():
             monkeypatch.setattr(cpi, "cpi_hamiltonian", lambda case, h: change(original(case, h)))
-            failed[label] = _failing(suite.check_transport(spec, clock, seed))
+            failed[label] = _failing(suite.check_transport(fresh(), clock, seed))
         assert failed["doubled"] == failed["negated"] == MOVING_ROWS
         assert "cpi-coadjoint-eta-marginal-invariant" in failed["lam-eta"]
         assert "cpi-coadjoint-ghosts-constant" in failed["ghost-mixing"]
@@ -484,7 +491,7 @@ def test_coadjoint_transport_reads_the_cpi_hamiltonian(monkeypatch):
         # H̃ + 1 is not nilpotent: its Taylor sum never ends, so no row may pass.
         monkeypatch.setattr(cpi, "cpi_hamiltonian", lambda case, h: original(case, h) + 1)
         with pytest.raises(UnsupportedCaseError, match="not nilpotent"):
-            suite.check_transport(spec, clock, seed)
+            suite.check_transport(fresh(), clock, seed)
         monkeypatch.setattr(cpi, "cpi_hamiltonian", original)
 
 
@@ -562,10 +569,9 @@ def test_rotation_is_the_classical_flow(terms, hessian, r, s):
         ctx,
         {ctx.monomial(dict(zip(("q", "p", "c_q", "c_p"), exps))): c for exps, c in terms.items()},
     )
-    op = build_cpi_hamiltonian(spec)
-    once = evolve(psi, spec, r, op)
-    assert once == cpi.pull_back(psi, spec, cpi.expm(spec.vector_field[1], -r))
-    assert evolve(once, spec, s, op) == evolve(psi, spec, total, op)
+    once = evolve(psi, spec, r)
+    assert once == cpi.pull_back(psi, spec, r)
+    assert evolve(once, spec, s) == evolve(psi, spec, total)
 
 
 def test_exact_flow_is_the_rational_rotation():
@@ -603,26 +609,34 @@ def test_nilpotent_evolution_is_the_affine_classical_flow(terms, k, a, b, linear
     back = tuple(tuple((i == j) - t * m[i][j] for j in range(2)) for i in range(2))
     drift = [-t * v0[i] + t * t / 2 * (m[i][0] * v0[0] + m[i][1] * v0[1]) for i in range(2)]
     moved = evolve(psi, spec, t / 2)
-    assert moved == cpi.pull_back(psi, spec, back, drift)
+    assert moved == cpi.pull_back(psi, spec, t / 2)
+    c_q, c_p = ctx.sym("c_q"), ctx.sym("c_p")
+    assert moved == psi.substitute({
+        "q": back[0][0] * q + back[0][1] * p + drift[0],
+        "p": back[1][0] * q + back[1][1] * p + drift[1],
+        "c_q": back[0][0] * c_q + back[0][1] * c_p,
+        "c_p": back[1][0] * c_q + back[1][1] * c_p,
+    })
     assert back == cpi.expm(m, -t / 2)
     rows = suite.check_transport(spec, t / 2)  # the same affine flow, in the rows
     assert all(row.passed for row in rows) and len(rows) == 5
 
 
-def test_nilpotent_evolution_rejects_an_operator_that_is_not():
+def test_nilpotent_evolution_rejects_an_operator_that_is_not(monkeypatch):
     # At det M = 0 evolution is a Taylor sum; the harmonic H̃ turns q into p
     # and back, so its sum never ends.
     op = build_cpi_hamiltonian(CpiSpec("bosonic"))
+    monkeypatch.setattr(cpi, "build_cpi_hamiltonian", lambda spec: op)
     parabolic = CpiSpec("bosonic", hamiltonian=op.context.parse("p^2/2"))
     with pytest.raises(UnsupportedCaseError, match="not nilpotent"):
-        evolve(op.context.sym("q"), parabolic, Fraction(1, 4), op)
+        evolve(op.context.sym("q"), parabolic, Fraction(1, 4))
 
 
 def test_nilpotent_evolution_runs_one_chain_of_powers(monkeypatch):
     # At det M = 0 the lower degrees ride along with the top one: φ dies
     # inside the chain of H̃ powers that φ²·c_η needs.
     spec = CpiSpec("coadjoint", coefficients={"muB": Fraction(4, 5)})
-    op = build_cpi_hamiltonian(spec)
+    ctx = get_case("coadjoint").context
     calls = []
     apply = cpi.LiouvilleOperator.apply
     monkeypatch.setattr(cpi.LiouvilleOperator, "apply",
@@ -630,21 +644,23 @@ def test_nilpotent_evolution_runs_one_chain_of_powers(monkeypatch):
     counts = []
     for text in ("phi^2*c_eta", "phi + phi^2*c_eta"):
         calls.clear()
-        evolve(op.context.parse(text), spec, Fraction(1, 3), op)
+        evolve(ctx.parse(text), spec, Fraction(1, 3))
         counts.append(len(calls))
     assert counts[0] == counts[1] == 3
 
 
-def test_rotation_rejects_a_spectrum_it_cannot_certify():
+def test_rotation_rejects_a_spectrum_it_cannot_certify(monkeypatch):
     ctx = get_case("bosonic").context
     q = ctx.sym("q")
-    harmonic = CpiSpec("bosonic")
     # The operator of ν = 2, or a nilpotent one, with the rate ν = 1: the
-    # certificate (H̃² − 1)q = 0 fails.
+    # certificate (H̃² − 1)q = 0 fails.  A spec keeps the H̃ it built, so
+    # each wrong one goes to a fresh harmonic spec.
     for text in ("p^2 + q^2", "p^2/2"):
         wrong = build_cpi_hamiltonian(CpiSpec("bosonic", hamiltonian=ctx.parse(text)))
+        monkeypatch.setattr(cpi, "build_cpi_hamiltonian", lambda spec, op=wrong: op)
         with pytest.raises(UnsupportedCaseError, match="does not have the spectrum"):
-            evolve(q, harmonic, Fraction(1, 2), wrong)
+            evolve(q, CpiSpec("bosonic"), Fraction(1, 2))
+    monkeypatch.undo()
     # 1 + D·r² = 0: the clock 1/2 at D = −4 is the infinite time of the flow.
     boost = CpiSpec("bosonic", hamiltonian=ctx.parse("2*q*p+q^2"))
     with pytest.raises(UnsupportedCaseError, match="infinite time"):
@@ -760,3 +776,20 @@ def test_characteristics_check_is_the_dict_view_of_check_transport(spec, t):
     rows = suite.check_transport(spec, cpi.cayley_clock(spec, t), 4)
     assert report["checks"] == [row.to_dict() for row in rows]
     assert report["passed"] is all(row.passed for row in rows) is True
+
+
+def test_each_spec_builds_its_cpi_hamiltonian_once(monkeypatch):
+    # Both sides of transport read H̃ from the spec, which builds it once.
+    calls = []
+    stock = cpi.build_cpi_hamiltonian
+    monkeypatch.setattr(cpi, "build_cpi_hamiltonian", lambda spec: calls.append(spec) or stock(spec))
+    suite.check_cpi_transport(0)
+    assert len(calls) == 3
+    calls.clear()
+    characteristics_check(CpiSpec("coadjoint", coefficients={"muB": Fraction(4, 5)}))
+    assert len(calls) == 1
+    spec, q = CpiSpec("bosonic"), gen("bosonic", "q")
+    evolve(q, spec, Fraction(1, 3))
+    calls.clear()
+    assert evolve(q, spec, Fraction(1, 2)) == q.context.parse("3/5*q - 4/5*p")
+    assert calls == []

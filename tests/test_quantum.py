@@ -426,6 +426,17 @@ def test_field_components_beyond_the_float_range_are_rejected():
         MagneticField(0, 0, 1, mu_b=10**400)
 
 
+def test_a_real_crational_field_reads_as_the_equal_fraction():
+    # CRational, Fraction, int and float components give one float oracle.
+    x, mu = Fraction(3, 5), Fraction(7, 4)
+    exact = MagneticField(CRational(x), CRational(-1), 0.8, mu_b=CRational(mu))
+    plain = MagneticField(x, -1, 0.8, mu_b=mu)
+    assert exact.norm() == plain.norm() and exact.unit() == plain.unit()
+    assert exact.larmor_phase(1.3) == plain.larmor_phase(1.3)
+    assert magnetic_evolution(exact, 1.3) == magnetic_evolution(plain, 1.3)
+    assert slicing_errors(exact, 1.3, (10, 100)) == slicing_errors(plain, 1.3, (10, 100))
+
+
 _GENERIC = MagneticField(*(TABLE.sym(name) for name in ("bx", "by", "bz")), mu_b=TABLE.sym("mu_b"))
 _GENERIC_PSI = SpinState(TABLE.sym("c0"), TABLE.sym("c1"))
 
@@ -436,11 +447,14 @@ def test_generic_field_and_state_stay_symbolic():
     psi = _GENERIC_PSI.as_multivector()
     assert psi == TABLE.parse("c0 + c1*xi")
     assert op.apply_matrix(_GENERIC_PSI).as_multivector() == op.word.apply(psi)
-    # A component is a number or a polynomial in the constants of TABLE.
+    # A component is a real number or a polynomial in the constants of
+    # TABLE; a complex one would give a non-unitary sliced propagator.
     for bad in (TABLE.sym("xi"), TABLE.parse("bx*xi*xibar"),
-                SymbolContext([("bx", EVEN)]).sym("bx")):
+                SymbolContext([("bx", EVEN)]).sym("bx"), 1j, CRational(1, 1)):
         with pytest.raises(ValueError):
             MagneticField(bad, 0, 0)
+    with pytest.raises(ValueError, match="must be real"):
+        MagneticField(0, 0, 1, mu_b=CRational(2, 1))
     with pytest.raises(ValueError, match="numeric field"):
         _GENERIC.norm()
 

@@ -10,7 +10,9 @@ that means to change a row pins its digest again, with
 The rows of ``propagate-classical --case C --seed S`` at its default
 ``--t 0.7`` are pinned too, one digest per run, for each case and seeds 0-2:
 they run at the exact binary value of the Cayley clock of a float time,
-which the suite's rational clocks never reach.
+which the suite's rational clocks never reach.  So are two bosonic
+Hamiltonians that no suite row takes: p²/2 + q, whose linear term moves the
+fields by the affine flow at det M = 0, and the hyperbolic q·p.
 """
 
 import contextlib
@@ -103,6 +105,8 @@ DIGESTS = {
 
 
 CLASSICAL_SEEDS = range(3)
+CLASSICAL_RUNS = (*(f"--case {case}" for case in CASES),
+                  *(f"--case bosonic --hamiltonian {h}" for h in ("p^2/2+q", "q*p")))
 
 CLASSICAL_DIGESTS = {
     "--case bosonic --seed 0": "28832213a1714a71",
@@ -114,6 +118,12 @@ CLASSICAL_DIGESTS = {
     "--case coadjoint --seed 0": "ea8cf37f60ada48f",
     "--case coadjoint --seed 1": "943bdae716f60d0b",
     "--case coadjoint --seed 2": "5d419591a3f9df9f",
+    "--case bosonic --hamiltonian p^2/2+q --seed 0": "f8ffe1ad8a4b2252",
+    "--case bosonic --hamiltonian p^2/2+q --seed 1": "bc63e732aa896bb0",
+    "--case bosonic --hamiltonian p^2/2+q --seed 2": "87695f5915606e92",
+    "--case bosonic --hamiltonian q*p --seed 0": "ba6d19dee1de085c",
+    "--case bosonic --hamiltonian q*p --seed 1": "94034bd8deacdafe",
+    "--case bosonic --hamiltonian q*p --seed 2": "263803c70960eeff",
 }
 
 
@@ -134,9 +144,9 @@ def classical_digests() -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         path = os.path.join(tmp, "report.json")
-        for case in CASES:
+        for base in CLASSICAL_RUNS:
             for seed in CLASSICAL_SEEDS:
-                run = f"--case {case} --seed {seed}"
+                run = f"{base} --seed {seed}"
                 assert cli.main(["propagate-classical", *run.split(), "--out", path]) == 0
                 with open(path) as handle:
                     out[run] = _digest(json.load(handle)["checks"])
