@@ -75,7 +75,7 @@ class RunReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, default=_json_default)
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -83,7 +83,8 @@ class RunReport:
         return cls(
             subcommand=data["subcommand"],
             parameters=data["parameters"],
-            checks=[CheckResult(**c) for c in data["checks"]],
+            checks=[CheckResult(c["name"], c["expected"], c["actual"], c["residual"],
+                                tolerance=c["tolerance"]) for c in data["checks"]],
             timing_seconds=data["timing_seconds"],
             extras=data.get("extras", {}),
             versions=data.get("versions", {}),
@@ -94,12 +95,6 @@ class RunReport:
     def write(self, path: str) -> None:
         with open(path, "w") as handle:
             handle.write(self.to_json() + "\n")
-
-
-def _json_default(value):
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    return str(value)
 
 
 # Largest --truncation: at 16, bosonic and coadjoint transport draw

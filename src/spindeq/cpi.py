@@ -277,8 +277,13 @@ def random_wavefunction(spec: CpiSpec, rng: random.Random) -> GradedPolynomial:
     """A wavefunction of four random monomials φ₁^a·φ₂^b·c₁^g·c₂^h in the
     even case's fields and ghosts (q, p, c_q, c_p or φ, η, c_φ, c_η), with a
     and b below max(T − 1, 1) for spec's truncation T, each with a Gaussian
-    rational coefficient whose two parts are each n/d, |n| <= 9, 1 <= d <= 9."""
+    rational coefficient whose two parts are each n/d, |n| <= 9, 1 <= d <= 9.
+    An odd case raises :class:`UnsupportedCaseError`."""
     case = get_case(spec.case)
+    if case.base_parity == ODD:
+        raise UnsupportedCaseError(
+            f"random wavefunctions are drawn for the even cases bosonic and coadjoint, "
+            f"not {case.name}")
     top = max(spec.truncation - 1, 1)
     terms = {}
     for _ in range(4):
@@ -356,7 +361,10 @@ def cayley_clock(spec: CpiSpec, t: float):
 def expm(m, r) -> tuple:
     """exp(τ·M) for a traceless 2×2 M at the time τ whose Cayley clock is
     r: ((1 − D·r²)·I + 2r·M)/(1 + D·r²) with D = det M, which is I + τ·M at
-    D = 0, as a nested tuple; exact when M and r are."""
+    D = 0, as a nested tuple; exact when M and r are.  A nonzero trace
+    raises ``ValueError``: the formula needs M² = −D·I."""
+    if m[0][0] + m[1][1]:
+        raise ValueError(f"expm needs a traceless M, got {m}")
     cos, sinc = _cayley(_determinant(m), crational(r))
     return tuple(
         tuple((cos if i == j else 0) + sinc * x for j, x in enumerate(row))

@@ -17,6 +17,7 @@ import pytest
 
 from spindeq import IdentityViolationError, cli, cpi, superfield
 from spindeq.cli import RunReport, SCHEMA_VERSION, main
+from spindeq.suite import check_slice_errors
 
 
 def run_cli(*args, env_extra=None):
@@ -391,6 +392,21 @@ def test_report_round_trip(tmp_path, capsys):
     assert report.all_passed
     assert report.failures() == []
     assert json.loads(report.to_json()) == json.loads(path.read_text())
+
+
+def test_a_report_read_back_gives_the_verdicts_of_the_run(tmp_path, capsys):
+    # from_json rebuilds each row from its residual and tolerance, so the
+    # verdicts it derives are the ones the run wrote, failing rows included.
+    path = tmp_path / "report.json"
+    assert main(["all", "--seed", "3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    failing = RunReport("propagate-quantum", {}, check_slice_errors([(1, 1.0), (2, 1.0)]), 0.0)
+    for text in (path.read_text(), failing.to_json()):
+        data, report = json.loads(text), RunReport.from_json(text)
+        assert [c.passed for c in report.checks] == [c["passed"] for c in data["checks"]]
+        assert report.all_passed is data["all_passed"]
+        assert json.loads(report.to_json()) == data
+    assert report.failures() == ["slice-error-n=1", "slice-error-n=2"]
 
 
 def test_a_run_stopped_by_an_error_still_writes_its_report(tmp_path, capsys):
@@ -972,11 +988,16 @@ def test_propagate_classical_records_the_clock_that_reruns_its_rows(tmp_path, ca
     [
         (["--hamiltonian=p^2/2+q^2/2+q"], "transport with a linear term in H needs det M = 0"),
         (["--hamiltonian=2*q*p+q^2", "--t", "20"], "transport needs a hyperbolic clock"),
+        (["--hamiltonian=10^400*(q^2-p^2)/2"],
+         "transport needs the coefficients of H, and the rates they give, within the float range"),
+        (["--hamiltonian=q*p", "--t", "1e200"], "transport needs a hyperbolic clock"),
     ],
 )
 def test_transport_rejects_a_drift_off_det_zero_and_an_infinite_clock(extra, message, capsys):
     # D != 0 with a drift has no degree-preserving H̃; at D = -4, t = 20 the
-    # clock tanh(2t/2)/2 rounds to 1/2, where 1 + D*r^2 = 0.
+    # clock tanh(2t/2)/2 rounds to 1/2, where 1 + D*r^2 = 0.  A rate beyond
+    # the float range is refused, and at D = -1, t = 1e200 the square
+    # -(t/2)^2 overflows a float, so tanh(t/2) is taken as 1.
     assert main(["propagate-classical", "--case", "bosonic", *extra]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

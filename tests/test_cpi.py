@@ -537,6 +537,12 @@ def test_float_evolution_matches_the_exact_rotation():
     assert _largest(near - exact) <= 1e-9
 
 
+def test_random_wavefunctions_are_drawn_for_the_even_cases_only():
+    # The draws take powers of the base fields up to T - 2; an odd ξ has no ξ².
+    with pytest.raises(UnsupportedCaseError, match="even cases bosonic and coadjoint"):
+        cpi.random_wavefunction(CpiSpec("grassmann"), random.Random(0))
+
+
 gaussian = st.builds(CRational, rationals, rationals)
 monomials = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1), st.integers(0, 1))
 clocks = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -584,6 +590,10 @@ def test_exact_flow_is_the_rational_rotation():
     assert cpi.expm(((1, 0), (0, -1)), Fraction(1, 2)) == ((3, 0), (0, Fraction(1, 3)))
     assert cpi.expm(((0, 1), (0, 0)), Fraction(1, 2)) == ((1, 1), (0, 1))
     assert cpi.expm(((0, 0), (0, 0)), 7) == ((1, 0), (0, 1))
+    # The formula needs M² = −det M·I, which holds for a traceless M only.
+    for m in (((1, 0), (0, 1)), ((1, 2), (0, 3))):
+        with pytest.raises(ValueError, match="traceless"):
+            cpi.expm(m, Fraction(1, 2))
 
 
 @given(

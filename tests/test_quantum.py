@@ -8,9 +8,11 @@ matrix products and that the time-sliced propagator converges at first
 order onto the closed-form rotation.  The float oracles are 2x2 tuples of
 ``complex``; numpy and scipy appear here only as independent references.
 The suite's spin rows are exact identities on a generic field and state,
-and two sabotaged Hamiltonians must fail the generic-field row.
+and two sabotaged Hamiltonians must fail the generic-field row; a slicing
+row whose error reaches its stated tolerance fails.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +51,7 @@ from spindeq import quantum
 from spindeq.cli import main
 from spindeq.exact import I
 from spindeq.quantum import TABLE, _operator, _symbol, symbol_structure_constants
-from spindeq.suite import check_isomorphism
+from spindeq.suite import check_isomorphism, check_slice_errors, check_slicing
 
 fractions_st = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 entry_st = st.builds(CRational, fractions_st, fractions_st)
@@ -301,6 +303,25 @@ def test_sliced_propagator_converges():
     errs = [np.abs(np.array(sliced_propagator(b, t, n)) - exact).max() for n in (16, 32, 64)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.2)
+
+
+def test_a_slicing_row_fails_at_its_stated_tolerance(monkeypatch):
+    # A bounded row passes when residual < tolerance.  At e(1000) = 1e-2 the
+    # residual equals the tolerance, and at e(125)/e(250) = 1.7 it is 0.3 up
+    # to rounding: both rows fail.  One float below 1e-2, e(1000) passes.
+    errors = {10: 1.0, 100: 0.5, 125: 0.425, 250: 0.25, 500: 0.125}
+    monkeypatch.setattr(quantum, "slicing_errors",
+                        lambda b, t, counts: [(n, errors[n]) for n in counts])
+    for at_tolerance, passed in ((1e-2, False), (math.nextafter(1e-2, 0), True)):
+        errors[1000] = at_tolerance
+        rows = {row.name: row for row in check_slicing()}
+        for field in ("axis-field", "generic-field"):
+            at_1000, ratio = (rows[f"slicing-{field}-{r}"] for r in ("error-at-1000", "ratio-125"))
+            assert at_1000.passed is passed and at_1000.tolerance == 1e-2
+            assert ratio.residual >= ratio.tolerance == 0.3 and not ratio.passed
+            assert rows[f"slicing-{field}-monotone"].passed
+    # Each slice error must stay below 1; the errors need only not grow.
+    assert [row.passed for row in check_slice_errors([(1, 1.0), (2, 1.0)])] == [False, False, True]
 
 
 def test_sliced_symbol_single_slice():

@@ -3,18 +3,22 @@
 public function or class has a caller outside the tests, no module reads
 another module's underscore names, ``GradedPolynomial`` stays the one
 element class, term maps are summed by hand only in the kernel, no module
-imports numpy or scipy, every Python example and every ``spindeq``
-command in the README runs, and every polynomial that the suite and those
-commands build has ``CRational`` coefficients only.
+imports numpy or scipy, no ``CheckResult`` call passes a verdict, every
+Python example and every ``spindeq`` command in the README runs, and every
+polynomial that the suite and those commands build has ``CRational``
+coefficients only.
 """
 
 import ast
+import dataclasses
 import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 import spindeq
-from spindeq import CRational, suite
+from spindeq import CheckResult, CRational, suite
 from spindeq.cli import main
 
 PACKAGE = Path(spindeq.__file__).parent
@@ -66,6 +70,24 @@ def test_no_module_reads_another_modules_private_names():
     reads = {path.name: _private_reads(ast.parse(path.read_text()))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: found for name, found in reads.items() if found} == {}
+
+
+def test_no_check_result_call_passes_a_verdict():
+    # ``CheckResult.passed`` is derived from the residual and the tolerance,
+    # so every call passes name, expected, actual and residual, and at most
+    # a tolerance by keyword; a verdict in the old fifth slot is refused.
+    calls = [
+        (path.name, node.lineno, len(node.args), [k.arg for k in node.keywords])
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "CheckResult"
+    ]
+    assert len(calls) >= 4
+    assert [c for c in calls if c[2] != 4 or set(c[3]) - {"tolerance"}] == []
+    assert "passed" not in {f.name for f in dataclasses.fields(CheckResult)}
+    with pytest.raises(TypeError):
+        CheckResult("r", 1, 1, 0, True)
 
 
 def test_graded_polynomial_is_the_one_element_class():

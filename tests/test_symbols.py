@@ -479,6 +479,8 @@ def test_coefficients_are_exact_or_float():
     assert str(CTX.sym("p") * 0.25j) == "1/4*i*p"
     with pytest.raises(TypeError):
         CTX.const("1/2")
+    with pytest.raises(TypeError):
+        CTX.sym("p") * object()
 
 
 @pytest.mark.parametrize("x", [math.inf, math.nan, complex(1, math.inf)])
