@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Every subcommand turns its flags into suite checks (some also write a CSV
-table).  :func:`main` times the run and builds one :class:`RunReport`
+table).  :func:`main` builds the parser on its first call and reuses it for
+the rest of the process; the parser holds no handler, so ``main`` looks up
+the subcommand's ``_cmd_*`` function by name when it runs.  It times the
+run and builds one :class:`RunReport`
 (parameters, a list of named checks with expected/actual/residual, wall
 time, and the versions of what ran) for a finished run and for a failed one
 alike, writes it where ``--out``/``--report`` asks for JSON, and prints it.
@@ -33,7 +36,7 @@ from .symbols import format_poly
 SCHEMA_VERSION = "spindeq.report/1"
 
 # Namespace entries that are not run parameters.
-_NOT_PARAMETERS = ("subcommand", "handler", "report_path")
+_NOT_PARAMETERS = ("subcommand", "report_path")
 
 
 def _runtime_versions() -> dict:
@@ -302,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lagrangian", help="full Lagrangian expression (takes no other input flag)")
     p.add_argument("--gamma", action="store_true", help="include the symbolic one-form shift")
     p.add_argument("--report", dest="report_path", help="write the JSON report here")
-    p.set_defaults(handler=_cmd_verify_dequantization)
 
     p = sub.add_parser("propagate-quantum", help="time-sliced spin propagator vs closed form")
     p.add_argument("--b", required=True, help="field components BX,BY,BZ")
@@ -310,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--slices", required=True, help="comma-separated slice counts")
     p.add_argument("--out", help="write a CSV of (n, max_error_vs_oracle, wall_time)")
-    p.set_defaults(handler=_cmd_propagate_quantum)
 
     p = sub.add_parser("propagate-classical", help="CPI transport against classical flow")
     p.add_argument("--case", required=True, choices=superfield.CASES)
@@ -334,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hamiltonian", help="expression over the base fields (even case)")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", dest="report_path", help="write the JSON report here")
-    p.set_defaults(handler=_cmd_propagate_classical)
 
     p = sub.add_parser("precession", help="closed-form precession table and conservation checks")
     p.add_argument("--theta0", type=float, required=True)
@@ -345,16 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=1.0, help="sphere radius")
     p.add_argument("--steps", type=int, default=100, help=f"time steps, 1 to {MAX_STEPS}")
     p.add_argument("--out", help="write a CSV of (t, theta, phi, eta, H)")
-    p.set_defaults(handler=_cmd_precession)
 
     p = sub.add_parser("check-dirac", help="exact Dirac bracket identities on the sphere")
     p.add_argument("--out", dest="report_path", help="write the JSON report here")
-    p.set_defaults(handler=_cmd_check_dirac)
 
     p = sub.add_parser("all", help="run the complete check suite")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", dest="report_path", help="write the JSON report here")
-    p.set_defaults(handler=_cmd_all)
 
     return parser
 
@@ -369,14 +366,22 @@ def _parameters(args) -> dict:
     }
 
 
+# The parser of every main call in this process, built by the first one.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     start = time.perf_counter()
     checks, extras, error = [], {}, None
     try:
         _prepare_inputs(args)
-        checks, extras = args.handler(args)
+        # Looked up by name on every call, so a patched handler is the one that runs.
+        handler = globals()["_cmd_" + args.subcommand.replace("-", "_")]
+        checks, extras = handler(args)
     except (SpindeqError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         error = {"class": type(exc).__name__, "message": str(exc)}

@@ -63,7 +63,7 @@ from typing import Mapping
 
 from . import _graded
 from .errors import UnsupportedCaseError
-from .exact import CRational, I, crational
+from .exact import I, crational
 from .grassmann import GrassmannOperator
 from .superfield import builtin_hamiltonian, get_case
 from .symbols import (
@@ -289,8 +289,9 @@ def random_wavefunction(spec: CpiSpec, rng: random.Random) -> GradedPolynomial:
     for _ in range(4):
         powers = {f.base: rng.randrange(top) for f in case.families}
         powers.update({f.ghost: rng.randrange(2) for f in case.families})
-        parts = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2))
-        terms[case.context.monomial(powers)] = CRational(*parts)
+        a, p = rng.randint(-9, 9), rng.randint(1, 9)
+        b, q = rng.randint(-9, 9), rng.randint(1, 9)
+        terms[case.context.monomial(powers)] = (a * q + I * (b * p)) / (p * q)  # a/p + i·b/q
     return GradedPolynomial(case.context, terms)
 
 

@@ -8,7 +8,8 @@ or product takes one three-way gcd; a sum over a shared denominator
 multiplies nothing, a product with an ``int`` k takes only gcd(k, d), and a
 quotient by a real value needs no norm (Knuth, *TAOCP* vol. 2, §4.5.1).
 Results already in normal form are built by the trusted constructor
-:func:`_make`, which checks nothing.  ``re`` and ``im`` read the parts as :class:`fractions.Fraction`.
+:func:`_make`, which checks nothing.  ``re`` and ``im`` read the parts as
+:class:`fractions.Fraction`, and ``normal_form`` the three ints.
 
 One number rule covers every operand: an ``int`` or ``Fraction`` enters
 exactly, and a finite float or ``complex`` at its exact binary value, so
@@ -49,6 +50,11 @@ class CRational:
     @property
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
+
+    @property
+    def normal_form(self) -> tuple[int, int, int]:
+        """The ints (a, b, d) of the value (a + b*i)/d in normal form."""
+        return self._a, self._b, self._d
 
     # -- coercion -----------------------------------------------------------
 

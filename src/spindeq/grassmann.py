@@ -8,7 +8,8 @@ sign conventions.  They are exact: no power of an even generator is ever
 dropped.  This module adds Berezin integration (``berezin_integral(a, [g1,
 g2])`` integrates the *rightmost* measure first, i.e. it equals the
 iterated left derivative ``d_g1 d_g2 a``) and operators given by their
-symbols, each factor lifted by :func:`~spindeq.exact.crational`.
+symbols, each factor lifted by :func:`~spindeq.exact.crational`; an
+operator tabulates the image of each monomial it meets, once per instance.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from . import _graded
 from .errors import ParityError, TableMismatchError
 from .exact import crational
 from .symbols import ODD, GradedPolynomial, SymbolContext, partial_derivative
+
+_ONE = crational(1)
 
 # The element class under its former name: the benchmark's per-layer tracer
 # (bench/layers.py) reads it, and it goes when that tracer's hooks are renamed.
@@ -56,9 +59,13 @@ class GrassmannOperator:
     every other symbol multiplies.  One rule reads a monomial: in the
     context's canonical order it is the composition of its factors read
     left to right, so its rightmost factor acts first.
+
+    The operator is linear, so each instance tabulates its action: the image
+    of a monomial is built the first time ``apply`` meets it and reused for
+    the life of the operator.  A table entry is never summed into.
     """
 
-    __slots__ = ("symbol", "_terms")
+    __slots__ = ("symbol", "_terms", "_table")
 
     def __init__(self, symbol: GradedPolynomial, derivatives: Mapping[str, tuple]):
         ctx = symbol.context
@@ -82,22 +89,35 @@ class GrassmannOperator:
             terms.append((coeff, tuple(reversed(steps))))
         self.symbol = symbol
         self._terms = tuple(terms)
+        self._table: dict = {}  # monomial -> its image, filled as apply meets it
 
     @property
     def context(self) -> SymbolContext:
         return self.symbol.context
 
     def apply(self, psi: GradedPolynomial) -> GradedPolynomial:
+        """Σ c·image(m) over the terms c·m of ``psi``, summed into a fresh map."""
         if psi.context != self.context:
             raise TableMismatchError("operator and argument use different contexts")
+        table, out = self._table, {}
+        for mono, coeff in psi.terms.items():
+            image = table.get(mono)
+            if image is None:
+                image = table[mono] = self._image(mono)
+            _graded.add_into(out, image, coeff)
+        return psi._new(out)
+
+    def _image(self, mono: tuple) -> dict:
+        """The image of one monomial: each symbol term's steps run on it, and
+        the results summed in the symbol's monomial order."""
         odd = self.context.is_odd
         out: dict = {}
         for coeff, steps in self._terms:
-            cur = psi.terms
+            cur = {mono: _ONE}
             for step, slot in steps:
                 cur = step(cur, slot, odd)
             _graded.add_into(out, cur, coeff)
-        return psi._new(out)
+        return out
 
     def commutator_apply(self, other: "GrassmannOperator", psi: GradedPolynomial):
         """Apply [self, other] to a polynomial."""

@@ -26,6 +26,8 @@ the closed-form evolution decays like 1/n in the slice count.
 Symbols span 1, ξ, ξ̄, ξξ̄, so the convolution is fixed by its structure
 constants on that basis (``symbol_structure_constants``, read off the
 convolution), and ``sliced_symbol`` takes the power by repeated squaring.
+A field builds its Hamiltonian once (``MagneticField.hamiltonian``), so every
+slice count of one field reads the same symbol.
 
 A float entry, say of a float field, enters a matrix form or a symbol at its
 exact binary value, so every form is exact for every numeric field.  The
@@ -137,6 +139,11 @@ class MagneticField:
 
     def larmor_phase(self, t: float) -> float:
         return self.norm() * complex(self.mu_b).real * t
+
+    @functools.cached_property
+    def hamiltonian(self) -> "SpinOperator":
+        """The field's spin Hamiltonian, by :func:`hamiltonian`, built once per field."""
+        return hamiltonian(self)
 
 
 @dataclass(frozen=True)
@@ -322,9 +329,9 @@ def sliced_symbol(b: MagneticField, t: float, n: int) -> GradedPolynomial:
     identity symbol, which keeps the result within about 1e-15 of the exact
     power of the one-slice symbol.
     """
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("the slice count must be a positive integer")
-    h_bar = ordered_symbol(hamiltonian(b))
+    h_bar = ordered_symbol(b.hamiltonian)
     step = complex(0, -t / n)
     square = [complex(c) * step for c in _coefficients(h_bar, _BASIS, "a numeric symbol")]
     power = [0, 0, 0, 0]  # offsets from the identity symbol 1

@@ -32,7 +32,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log10
+from math import gcd, log10
 from typing import Iterable, Mapping
 
 from . import _graded
@@ -62,6 +62,7 @@ class SymbolDecl:
 
 # The scalars a polynomial takes, each lifted by ``crational``.
 SCALARS = (int, float, complex, Fraction, CRational)
+_ONE = crational(1)
 
 
 # Deepest nesting of parentheses and dot(...) that the parser accepts; each
@@ -150,9 +151,9 @@ class SymbolContext:
         return self.const(I)
 
     def sym(self, name: str, dot: int = 0) -> "GradedPolynomial":
-        if dot < 0:
-            raise ValueError("dot order must be non-negative")
-        return GradedPolynomial(self, {((self.slot((name, dot)), 1),): 1})
+        if isinstance(dot, bool) or not isinstance(dot, int) or dot < 0:
+            raise ValueError(f"dot order must be a non-negative integer, got {dot!r}")
+        return GradedPolynomial._wrap(self, {((self.slot((name, dot)), 1),): _ONE})
 
     def parse(self, text: str) -> "GradedPolynomial":
         return _Parser(self, text).parse()
@@ -411,8 +412,9 @@ def _frac_str(num: int, den: int) -> str:
 
 def _coeff_parts(c, has_mono: bool) -> tuple[str, str]:
     """Split a coefficient into a sign character and a printable body."""
-    re_, im = c.re, c.im
-    a, p, b, q = re_.numerator, re_.denominator, im.numerator, im.denominator
+    a, b, d = c.normal_form
+    g, h = gcd(a, d), gcd(b, d)  # each part a/p, b/q in lowest terms
+    a, p, b, q = a // g, d // g, b // h, d // h
     if not b:
         body = "" if (abs(a) == 1 and p == 1 and has_mono) else _frac_str(abs(a), p)
         return ("-" if a < 0 else "+"), body
@@ -459,7 +461,6 @@ def format_poly(p: GradedPolynomial) -> str:
 # separates them and is skipped.  _STRAY matches a character no token takes.
 _TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()]")
 _STRAY = re.compile(r"[^\s\dA-Za-z_+\-*/^()]")
-_ONE = crational(1)
 
 
 class _Parser:

@@ -744,9 +744,37 @@ def test_precession_checks_at_the_cayley_clock_of_its_time():
             ["precession", "--theta0", "1.1", "--phi0", "0.3", "--muB", mu_b, "--b", "1.3",
              "--t", "2"])
         cli._prepare_inputs(args)
-        checks, extras = args.handler(args)
+        checks, extras = cli._cmd_precession(args)
         assert all(row.passed and row.residual == 0 for row in checks)
         assert float(Fraction(extras["clock"])) == pytest.approx(expected, rel=1e-12)
+
+
+def test_one_parser_serves_every_main_call(monkeypatch, capsys):
+    built = []
+    stock = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or stock())
+    assert main(["check-dirac"]) == 0
+    assert main(["precession", "--theta0", "1", "--phi0", "0", "--muB", "1", "--t", "1",
+                 "--steps", "2"]) == 0
+    assert main(["check-dirac"]) == 0
+    with pytest.raises(SystemExit):
+        main(["precession", "--theta0"])
+    assert main(["check-dirac"]) == 0
+    assert len(built) == 1
+    capsys.readouterr()
+
+
+def test_a_handler_patched_after_the_first_call_runs(monkeypatch, tmp_path, capsys):
+    # The parser holds no handler: main looks it up by name on every call.
+    assert main(["check-dirac"]) == 0
+    monkeypatch.setattr(cli, "_cmd_check_dirac", lambda args: ([], {"patched": True}))
+    out = tmp_path / "report.json"
+    assert main(["check-dirac", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["extras"] == {"patched": True} and report["checks"] == []
+    assert report["parameters"] == {}
+    capsys.readouterr()
 
 
 def test_propagate_classical_builds_the_cpi_hamiltonian_once(monkeypatch, tmp_path, capsys):

@@ -543,6 +543,33 @@ def test_random_wavefunctions_are_drawn_for_the_even_cases_only():
         cpi.random_wavefunction(CpiSpec("grassmann"), random.Random(0))
 
 
+def _fraction_wavefunction(spec, rng):
+    """``random_wavefunction`` with each coefficient built from two
+    ``Fraction`` parts: its reference, drawing the same numbers."""
+    case = get_case(spec.case)
+    top = max(spec.truncation - 1, 1)
+    terms = {}
+    for _ in range(4):
+        powers = {f.base: rng.randrange(top) for f in case.families}
+        powers.update({f.ghost: rng.randrange(2) for f in case.families})
+        parts = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2))
+        terms[case.context.monomial(powers)] = CRational(*parts)
+    return GradedPolynomial(case.context, terms)
+
+
+def test_random_wavefunctions_equal_the_fraction_formula():
+    specs = [CpiSpec("bosonic"), CpiSpec("bosonic", truncation=9), CpiSpec("coadjoint")]
+    for spec in specs:
+        for seed in range(51):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for _ in range(2):
+                psi = cpi.random_wavefunction(spec, rng)
+                expected = _fraction_wavefunction(spec, reference)
+                assert psi.terms == expected.terms
+                assert all(type(c) is CRational for c in psi.terms.values())
+            assert rng.getstate() == reference.getstate()
+
+
 gaussian = st.builds(CRational, rationals, rationals)
 monomials = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1), st.integers(0, 1))
 clocks = st.fractions(min_value=-3, max_value=3, max_denominator=6)

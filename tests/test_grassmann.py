@@ -3,7 +3,8 @@
 Worked examples pin the sign conventions (left derivatives, rightmost
 measure first); hypothesis properties then hold over random multivectors
 with exact coefficients, so any convention drift fails loudly rather than
-by a lucky cancellation.
+by a lucky cancellation.  An operator's tabulated ``apply`` is compared
+with the term-by-term loop it replaced, kept here as the reference.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spindeq import _graded, cpi
 from spindeq import (
     EVEN,
     ODD,
@@ -24,10 +26,12 @@ from spindeq import (
     TableMismatchError,
     UnknownSymbolError,
     berezin_integral,
+    crational,
     partial_derivative,
     product,
 )
-from spindeq.quantum import TABLE
+from spindeq.quantum import TABLE, spin_operators
+from spindeq.superfield import get_case
 
 PAIR = SymbolContext([("xi", ODD), ("xibar", ODD)])
 MIXED = SymbolContext([("x", EVEN), ("u", ODD), ("v", ODD)])
@@ -260,3 +264,115 @@ def test_crational_hash_matches_equal_numbers(re, im):
     assert z == w and hash(z) == hash(w)
     if im == 0:
         assert hash(z) == hash(Fraction(re))
+
+
+# -- the operator table --------------------------------------------------------------
+
+
+def _term_by_term(operator, psi):
+    """``operator.apply(psi)`` as computed before operators tabulated their
+    action: each symbol term's steps run on all of psi, and the results are
+    summed in the symbol's monomial order.  The reference of the table."""
+    odd = operator.context.is_odd
+    out = {}
+    for coeff, steps in operator._terms:
+        cur = psi.terms
+        for step, slot in steps:
+            cur = step(cur, slot, odd)
+        _graded.add_into(out, cur, coeff)
+    return GradedPolynomial._wrap(operator.context, out)
+
+
+def _case_monomials(case_name):
+    """Monomials over the fields, ghosts, auxiliaries and antighosts of a
+    case, odd exponents at most 1 and even ones at most 2."""
+    case = get_case(case_name)
+    ctx = case.context
+    names = [name for f in case.families for name in (f.base, f.ghost, f.aux, f.antighost)]
+    tops = [1 if ctx.decl(name).parity == ODD else 2 for name in names]
+    return [ctx.monomial(dict(zip(names, exps)))
+            for exps in itertools.product(*(range(top + 1) for top in tops))]
+
+
+_CPI_SPECS = (
+    cpi.CpiSpec("bosonic"),
+    cpi.CpiSpec("bosonic", hamiltonian=get_case("bosonic").context.parse(
+        "(1/4)*q^2 - p^2 + 3*q*p + 2*q")),
+    cpi.CpiSpec("grassmann", coefficients={"w": Fraction(13, 10)}),
+    cpi.CpiSpec("coadjoint", coefficients={"muB": Fraction(4, 5)}),
+)
+_CASE_MONOMIALS = {spec.case: _case_monomials(spec.case) for spec in _CPI_SPECS}
+
+
+@given(data=st.data(), index=st.integers(0, len(_CPI_SPECS) - 1))
+def test_tabulated_apply_matches_term_by_term_under_cpi_operators(data, index):
+    spec = _CPI_SPECS[index]
+    op = cpi.build_cpi_hamiltonian(spec)
+    exps = _CASE_MONOMIALS[spec.case]
+    for _ in range(2):  # the second round reads entries the first one filled
+        terms = data.draw(st.dictionaries(st.sampled_from(exps), coeff_st, max_size=5))
+        psi = GradedPolynomial(op.context, terms)
+        assert op.apply(psi).terms == _term_by_term(op, psi).terms
+        assert all(type(c) is CRational for image in op._table.values() for c in image.values())
+
+
+@given(terms=st.dictionaries(st.sampled_from(QUANTUM_EXPS), coeff_st, max_size=6))
+def test_tabulated_apply_matches_term_by_term_on_spin_words(terms):
+    psi = GradedPolynomial(TABLE, terms)
+    for op in spin_operators(Fraction(3, 7)):
+        assert op.word.apply(psi).terms == _term_by_term(op.word, psi).terms
+
+
+@given(symbol=multivectors(), psi=multivectors(max_terms=6), factor=coeff_st)
+def test_tabulated_apply_matches_term_by_term_with_an_odd_derivative(symbol, psi, factor):
+    # v acts as factor times the left derivative by u; x and u multiply.
+    op = GrassmannOperator(symbol, {"v": ("u", factor)})
+    for scale in (1, Fraction(-2, 3)):
+        assert op.apply(psi * scale).terms == _term_by_term(op, psi * scale).terms
+
+
+def test_a_single_monomial_keeps_its_image_order():
+    # closure_matrix reads its basis off the insertion order of each image.
+    for spec in _CPI_SPECS:
+        op = cpi.build_cpi_hamiltonian(spec)
+        for mono in _CASE_MONOMIALS[spec.case][:40]:
+            psi = GradedPolynomial(op.context, {mono: CRational(2, -1)})
+            assert list(op.apply(psi).terms) == list(_term_by_term(op, psi).terms)
+
+
+def test_each_operator_has_its_own_table_and_never_sums_into_it():
+    spec = _CPI_SPECS[1]
+    first, second = (cpi.build_cpi_hamiltonian(spec) for _ in range(2))
+    ctx = first.context
+    psi = ctx.parse("q^2*c_p + (1/2)*q*p - i*c_q")
+    image = first.apply(psi)
+    assert first._table and first._table is not second._table and not second._table
+    assert second.apply(psi) == image and len(second._table) == len(first._table)
+    saved = {mono: dict(entry) for mono, entry in first._table.items()}
+    for other in (psi, -psi, psi * 3 + ctx.parse("q^2*c_p"), psi - psi):
+        first.apply(other)
+    assert {mono: first._table[mono] for mono in saved} == saved
+    assert first.apply(psi) == image
+
+
+def _closure_by_term_by_term(op, seeds):
+    """``LiouvilleOperator.closure_matrix`` with every image term by term."""
+    basis = list(dict.fromkeys(seeds))
+    known, images = set(basis), []
+    for seed in basis:
+        image = _term_by_term(op, GradedPolynomial(op.context, {seed: 1})).terms
+        basis += [mono for mono in image if mono not in known]
+        known.update(image)
+        images.append(image)
+    return tuple(basis), tuple(
+        tuple(crational(image.get(mono, 0)) for image in images) for mono in basis)
+
+
+def test_closure_matrix_keeps_its_basis_and_matrix():
+    for spec in _CPI_SPECS:
+        op = cpi.build_cpi_hamiltonian(spec)
+        ctx, case = op.context, get_case(spec.case)
+        names = [name for f in case.families for name in (f.base, f.ghost)]
+        seeds = [ctx.monomial({names[0]: 1}), ctx.monomial({names[1]: 1, names[2]: 1}),
+                 ctx.monomial({names[0]: 1, names[3]: 1})]
+        assert op.closure_matrix(seeds) == _closure_by_term_by_term(op, seeds)

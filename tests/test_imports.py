@@ -64,6 +64,20 @@ def test_exact_subcommands_load_neither_numeric_library(argv):
     assert _loaded_after(_PROBE, *argv) == "[]"
 
 
+def test_importing_the_cli_builds_no_parser():
+    # The parser is built by the first main call, never at import.
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or "
+        "init(self, *a, **k)\n"
+        "import spindeq.cli\n"
+        "print(len(built), spindeq.cli._parser)"
+    )
+    assert _loaded_after(code) == "0 None"
+
+
 def test_propagate_quantum_loads_neither_numeric_library():
     argv = ["propagate-quantum", "--b", "0.3,-0.4,0.8", "--t", "1", "--slices", "10,100"]
     assert _loaded_after(_PROBE, *argv) == "[]"

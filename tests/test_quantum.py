@@ -408,6 +408,52 @@ def test_sliced_propagator_rejects_bad_counts():
         sliced_symbol(MagneticField(1, 0, 0), 1.0, -3)
 
 
+def test_a_bool_slice_count_is_rejected():
+    # True is an int to isinstance, but it counts no slices.
+    b = MagneticField(0.3, -0.4, 0.8)
+    for call in (lambda: sliced_symbol(b, 1.0, True), lambda: sliced_symbol(b, 1.0, False),
+                 lambda: slicing_errors(b, 1.0, [True]), lambda: sliced_propagator(b, 1.0, 2.0)):
+        with pytest.raises(ValueError, match="slice count must be a positive integer"):
+            call()
+    assert sliced_symbol(b, 1.0, 1) == sliced_symbol(MagneticField(0.3, -0.4, 0.8), 1.0, 1)
+
+
+def test_a_field_builds_its_hamiltonian_once(monkeypatch):
+    built, sliced = [], []
+    stock_hamiltonian, stock_sliced = quantum.hamiltonian, quantum.sliced_symbol
+    monkeypatch.setattr(quantum, "hamiltonian",
+                        lambda b: built.append(b) or stock_hamiltonian(b))
+    monkeypatch.setattr(quantum, "sliced_symbol",
+                        lambda b, t, n: sliced.append(n) or stock_sliced(b, t, n))
+    b = MagneticField(0.3, -0.4, 0.8)
+    quantum.slicing_errors(b, 1.0, (10, 100, 125, 250, 500, 1000))
+    assert len(built) == 1 and sliced == [10, 100, 125, 250, 500, 1000]
+    assert b.hamiltonian is b.hamiltonian and len(built) == 1
+    assert b.hamiltonian.matrix == stock_hamiltonian(b).matrix
+
+
+def test_a_fresh_field_sees_a_patched_hamiltonian(monkeypatch):
+    stock = sliced_symbol(MagneticField(0.3, -0.4, 0.8), 1.0, 4)
+    monkeypatch.setattr(quantum, "hamiltonian", _sabotaged(_flipped_xi_xibar))
+    b = MagneticField(0.3, -0.4, 0.8)
+    assert ordered_symbol(b.hamiltonian) != ordered_symbol(hamiltonian(b))
+    assert sliced_symbol(b, 1.0, 4) != stock
+
+
+def test_slicing_errors_keep_their_floats():
+    # Pinned bit for bit from the formula that built the Hamiltonian once per
+    # slice count, for the two fields of the suite at t = 1.
+    pinned = {
+        (1.0, 0.0, 0.0): [0.041037025192103505, 0.0041995797237841526, 0.0033609441627160397,
+                          0.0016817251782460518, 0.0008411690531048288, 0.00042066029255694026],
+        (0.3, -0.4, 0.8): [0.04143413555400033, 0.004032585958726246, 0.0032239939802840697,
+                           0.001609916141323308, 0.0008044363588407569, 0.0004020875657547803],
+    }
+    for components, errors in pinned.items():
+        got = slicing_errors(MagneticField(*components), 1.0, (10, 100, 125, 250, 500, 1000))
+        assert [e for _, e in got] == errors
+
+
 def test_kernel_propagation_tracks_matrix_evolution():
     b = MagneticField(0.3, -0.4, 0.8)
     t = 1.0

@@ -100,6 +100,50 @@ def test_a_coefficient_too_long_to_print_is_a_format_error():
         )
 
 
+def _fraction_parts(c, has_mono):
+    """The coefficient text as printed from the ``Fraction`` parts ``re`` and
+    ``im``: the reference of ``symbols._coeff_parts``."""
+    def frac(num, den):
+        return str(num) if den == 1 else f"{num}/{den}"
+
+    a, p, b, q = c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator
+    if not b:
+        body = "" if (abs(a) == 1 and p == 1 and has_mono) else frac(abs(a), p)
+        return ("-" if a < 0 else "+"), body
+    im_body = "i" if (abs(b) == 1 and q == 1) else f"{frac(abs(b), q)}*i"
+    if not a:
+        return ("-" if b < 0 else "+"), im_body
+    return "+", f"({frac(a, p)}{'+' if b > 0 else '-'}{im_body})"
+
+
+_part_st = st.one_of(
+    st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-1, 3)]),
+    st.fractions(max_denominator=10**6),
+    st.integers(-(10**40), 10**40),
+)
+
+
+@given(re=_part_st, im=_part_st, has_mono=st.booleans())
+def test_coefficient_text_matches_the_fraction_printer(re, im, has_mono):
+    c = CRational(re, im)
+    assert spindeq.symbols._coeff_parts(c, has_mono) == _fraction_parts(c, has_mono)
+    poly = CTX.sym("q") * c + c
+    assert CTX.parse(format_poly(poly)) == poly
+
+
+def test_sym_takes_a_non_negative_int_dot_order():
+    # A bool or float dot order is no dot order: each is rejected by name,
+    # not by the kernel's check of the monomial it would make.
+    for dot in (1.0, True, False, -1, "1", None):
+        with pytest.raises(ValueError, match=r"^dot order must be a non-negative integer"):
+            CTX.sym("q", dot)
+    assert CTX.sym("q", 2) == CTX.parse("dot(dot(q))")
+    assert CTX.sym("u", 1).terms == {CTX.monomial({("u", 1): 1}): 1}
+    assert type(CTX.sym("p").terms[CTX.monomial({"p": 1})]) is CRational
+    with pytest.raises(UnknownSymbolError):
+        CTX.sym("x")
+
+
 def test_imaginary_unit_squares_to_minus_one():
     assert CTX.parse("i^2") == CTX.parse("-1")
     assert CTX.parse("i*i*q") == CTX.parse("-q")
