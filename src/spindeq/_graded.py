@@ -159,6 +159,22 @@ def left_derivative(x: dict, slot, odd) -> dict:
     return out
 
 
+def monomial_derivative(mono: tuple, slot, odd) -> tuple[int, tuple]:
+    """:func:`left_derivative` of the one monomial ``mono`` as ``(factor,
+    monomial)``: the derivative is factor·monomial, and factor is 0 when
+    the slot is absent, ±1 for an odd slot and the exponent for an even one."""
+    for k, (s, e) in enumerate(mono):
+        if s == slot:
+            break
+    else:
+        return 0, ()
+    if odd[slot]:
+        return (-1 if sum(1 for s, _ in mono[:k] if odd[s]) & 1 else 1), mono[:k] + mono[k + 1 :]
+    if e > 1:
+        return e, mono[:k] + ((slot, e - 1),) + mono[k + 1 :]
+    return 1, mono[:k] + mono[k + 1 :]
+
+
 def left_multiply(x: dict, slot, odd, exp: int = 1) -> dict:
     """The generator at ``slot`` to the power ``exp`` times x, from the
     left: it is inserted at its place, with ``(-1)`` per odd factor it

@@ -7,7 +7,8 @@ the subcommand's ``_cmd_*`` function by name when it runs.  It times the
 run and builds one :class:`RunReport`
 (parameters, a list of named checks with expected/actual/residual, wall
 time, and the versions of what ran) for a finished run and for a failed one
-alike, writes it where ``--out``/``--report`` asks for JSON, and prints it.
+alike, writes it as one line of JSON where ``--out``/``--report`` asks for
+it, and prints it.
 It exits 0 only when every check passed; failing check names go to stderr.
 A run stopped by an error exits 1 with the error on stderr, and its report
 has no checks, an ``error`` object and ``all_passed`` false; a report path
@@ -78,7 +79,7 @@ class RunReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":

@@ -46,7 +46,8 @@ of r, the one place that bounds a time.  No module of the package loads
 numpy or scipy.  This module is the engine only, and both sides of
 transport read a spec and r alone: :func:`evolve`, by H̃ as
 ``CpiSpec.operator`` builds it once per spec, and :func:`pull_back`,
-ψ∘flow(−τ) with the ghosts as Jacobi fields.  ``suite.check_transport``
+ψ∘flow(−τ) with the ghosts as Jacobi fields, by the flow that
+``CpiSpec.flow`` builds once per spec and clock.  ``suite.check_transport``
 compares the two, for the CLI, the suite and the benchmark alike.
 """
 
@@ -57,7 +58,7 @@ import functools
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -85,16 +86,9 @@ _MAX_NORM = Fraction(sys.float_info.max) ** 4
 
 
 def cpi_kinetic(case) -> GradedPolynomial:
-    """Σ_a aux_a·(d base_a/dt) + i·Σ_a antighost_a·(d ghost_a/dt)."""
-    case = get_case(case)
-    ctx = case.context
-    out = ctx.zero()
-    i = ctx.imaginary()
-    for f in case.families:
-        out = out + ctx.sym(f.aux) * ctx.sym(f.base, dot=1)
-    for f in case.families:
-        out = out + i * ctx.sym(f.antighost) * ctx.sym(f.ghost, dot=1)
-    return out
+    """Σ_a aux_a·(d base_a/dt) + i·Σ_a antighost_a·(d ghost_a/dt), which the
+    case keeps (``DequantizationCase.cpi_kinetic_term``)."""
+    return get_case(case).cpi_kinetic_term
 
 
 def cpi_hamiltonian(case, hamiltonian: GradedPolynomial) -> GradedPolynomial:
@@ -150,18 +144,23 @@ class CpiSpec:
     Without ``hamiltonian`` a case takes its default stock one: the harmonic
     oscillator, −(w/2)(1 − 2ξξ̄), or −μB·η.  ``truncation`` T bounds the
     random bosonic and coadjoint wavefunctions that transport draws: their
-    exponents of the two base fields stay below max(T − 1, 1).
+    exponents of the two base fields stay below max(T − 1, 1); it must be an
+    int, not a bool.  A spec keeps what transport derives from it: H̃
+    (``operator``), the classical field (``vector_field``) and the flow of
+    each exact clock that :func:`pull_back` meets (:meth:`flow`).
     """
 
     case: str
     hamiltonian: GradedPolynomial | None = None
     coefficients: Mapping | None = None
     truncation: int = DEFAULT_EVEN_TRUNCATION
+    _flows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         get_case(self.case)
-        if self.truncation < 1:
-            raise ValueError("truncation must be at least 1")
+        t = self.truncation
+        if isinstance(t, bool) or not isinstance(t, int) or t < 1:
+            raise ValueError(f"truncation must be an integer of at least 1, got {t!r}")
 
     def bound_hamiltonian(self) -> GradedPolynomial:
         case = get_case(self.case)
@@ -204,6 +203,15 @@ class CpiSpec:
     def operator(self) -> LiouvilleOperator:
         """H̃ of this spec, by :func:`build_cpi_hamiltonian`, built once per spec."""
         return build_cpi_hamiltonian(self)
+
+    def flow(self, r) -> dict:
+        """The bindings by which :func:`pull_back` moves a wavefunction at the
+        exact Cayley clock r, built the first time this spec meets r."""
+        r = crational(r)
+        bindings = self._flows.get(r)
+        if bindings is None:
+            bindings = self._flows[r] = _flow_bindings(self, r)
+        return bindings
 
 
 class LiouvilleOperator(GrassmannOperator):
@@ -486,7 +494,14 @@ def pull_back(psi, spec: CpiSpec, r) -> GradedPolynomial:
     """ψ∘flow(−τ) at the time τ whose Cayley clock is r: the case's (first,
     second) base fields and its ghosts, as Jacobi fields, move by
     exp(−τM) = ``expm(M, −r)``, and a drift v₀ ≠ 0, which needs det M = 0,
-    moves the fields by −τ·v₀ + (τ²/2)·M·v₀ as well, τ = 2r."""
+    moves the fields by −τ·v₀ + (τ²/2)·M·v₀ as well, τ = 2r.  The bindings
+    are ``spec.flow(r)``, built once per spec and clock."""
+    return psi.substitute(spec.flow(r))
+
+
+def _flow_bindings(spec: CpiSpec, r) -> dict:
+    """The bindings of :func:`pull_back` at the exact clock r: each field and
+    ghost to its image under the flow, those it leaves in place left out."""
     v0, m = spec.vector_field
     drift = (0, 0)
     if any(v0):
@@ -503,7 +518,7 @@ def pull_back(psi, spec: CpiSpec, r) -> GradedPolynomial:
     for row, shift, f in zip(expm(m, -r), drift, case.families):
         bindings[f.base] = GradedPolynomial(ctx, {(): shift, **dict(zip(fields, row))})
         bindings[f.ghost] = GradedPolynomial(ctx, dict(zip(ghosts, row)))
-    return psi.substitute(bindings)
+    return {name: image for name, image in bindings.items() if image != ctx.sym(name)}
 
 
 def characteristics_check(spec: CpiSpec, t: float = 0.7, seed: int = 0) -> dict:

@@ -9,7 +9,8 @@ dropped.  This module adds Berezin integration (``berezin_integral(a, [g1,
 g2])`` integrates the *rightmost* measure first, i.e. it equals the
 iterated left derivative ``d_g1 d_g2 a``) and operators given by their
 symbols, each factor lifted by :func:`~spindeq.exact.crational`; an
-operator tabulates the image of each monomial it meets, once per instance.
+operator tabulates the image of each monomial it meets, once per instance,
+by monomial steps that multiply each symbol coefficient once.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from . import _graded
 from .errors import ParityError, TableMismatchError
 from .exact import crational
 from .symbols import ODD, GradedPolynomial, SymbolContext, partial_derivative
-
-_ONE = crational(1)
 
 # The element class under its former name: the benchmark's per-layer tracer
 # (bench/layers.py) reads it, and it goes when that tracer's hooks are renamed.
@@ -109,14 +108,26 @@ class GrassmannOperator:
 
     def _image(self, mono: tuple) -> dict:
         """The image of one monomial: each symbol term's steps run on it, and
-        the results summed in the symbol's monomial order."""
-        odd = self.context.is_odd
+        the results summed in the symbol's monomial order.  A step sends one
+        monomial to at most one, times an int, so a term carries ``(int,
+        monomial)`` through its steps and multiplies its coefficient once: a
+        multiplication is the kernel's merge with the generator on the left,
+        a derivative :func:`_graded.monomial_derivative`."""
+        odd, multiply, merge = self.context.is_odd, _graded.left_multiply, _graded.merge
+        derivative = _graded.monomial_derivative
         out: dict = {}
         for coeff, steps in self._terms:
-            cur = {mono: _ONE}
+            k, cur = 1, mono
             for step, slot in steps:
-                cur = step(cur, slot, odd)
-            _graded.add_into(out, cur, coeff)
+                if step is multiply:
+                    sign, cur = merge(((slot, 1),), cur, odd)
+                else:
+                    sign, cur = derivative(cur, slot, odd)
+                if not sign:
+                    break
+                k *= sign
+            else:
+                _graded.add_into(out, {cur: coeff}, k)
         return out
 
     def commutator_apply(self, other: "GrassmannOperator", psi: GradedPolynomial):

@@ -68,8 +68,8 @@ class DequantizationCase:
     term of the quantum Lagrangian and ``shift`` the optional one-form shift
     added to it; ``hamiltonians`` lists the stock Hamiltonians as
     ``(name, text)`` pairs, the case's default first.  The context, the
-    superfields with their bindings, and the parsed kinetic term, shift and
-    stock Hamiltonians are derived from these once.
+    superfields with their bindings, the parsed kinetic term, shift and
+    stock Hamiltonians, and the CPI kinetic term are derived from these once.
     """
 
     name: str
@@ -169,6 +169,18 @@ class DequantizationCase:
     @cached_property
     def kinetic_term(self) -> GradedPolynomial:
         return self.context.parse(self.kinetic)
+
+    @cached_property
+    def cpi_kinetic_term(self) -> GradedPolynomial:
+        """The CPI kinetic term Σ_a aux_a·(d base_a/dt) + i·Σ_a
+        antighost_a·(d ghost_a/dt), built once."""
+        ctx = self.context
+        out, i = ctx.zero(), ctx.imaginary()
+        for f in self.families:
+            out = out + ctx.sym(f.aux) * ctx.sym(f.base, dot=1)
+        for f in self.families:
+            out = out + i * ctx.sym(f.antighost) * ctx.sym(f.ghost, dot=1)
+        return out
 
     @cached_property
     def shift_term(self) -> GradedPolynomial | None:

@@ -14,7 +14,8 @@ Monomials take the one form of the graded-algebra kernel
 the slot of a symbol is its (declaration index, dot order) pair; sums,
 products, left derivatives and substitutions are the kernel's, with its
 transposition signs.  This module adds names with dots, the formal time
-derivative, the printer and the parser.  The parser works on kernel term
+derivative, the printer, which reads each factor's text from its
+context's table, and the parser.  The parser works on kernel term
 maps throughout and wraps its result once, so text never passes through the
 checked constructor or through ``GradedPolynomial`` arithmetic.
 
@@ -85,15 +86,35 @@ class _OddSlots(dict):
         return odd
 
 
+class _FactorTexts(dict):
+    """The printer's text of each factor ``(slot, exponent)``, ``q^2`` or
+    ``dot(q)``, filled on first use; it holds only the factors printed."""
+
+    __slots__ = ("decls",)
+
+    def __init__(self, decls: list):
+        super().__init__()
+        self.decls = decls
+
+    def __missing__(self, factor) -> str:
+        (index, dot), exp = factor
+        core = self.decls[index].name
+        for _ in range(dot):
+            core = f"dot({core})"
+        text = self[factor] = core if exp == 1 else f"{core}^{exp}"
+        return text
+
+
 class SymbolContext:
     """Registry fixing the symbols of one problem and their order."""
 
-    __slots__ = ("_decls", "_index", "is_odd")
+    __slots__ = ("_decls", "_index", "is_odd", "factor_texts")
 
     def __init__(self, decls: Iterable[tuple] = ()):
         self._decls: list[SymbolDecl] = []
         self._index: dict[str, int] = {}
         self.is_odd = _OddSlots(self._decls)
+        self.factor_texts = _FactorTexts(self._decls)
         for entry in decls:
             self.declare(*entry)
 
@@ -424,25 +445,18 @@ def _coeff_parts(c, has_mono: bool) -> tuple[str, str]:
     return "+", f"({_frac_str(a, p)}{'+' if b > 0 else '-'}{im_body})"
 
 
-def _factor_str(key: SymKey, exp: int) -> str:
-    name, dot = key
-    core = name
-    for _ in range(dot):
-        core = f"dot({core})"
-    return core if exp == 1 else f"{core}^{exp}"
-
-
 def format_poly(p: GradedPolynomial) -> str:
-    """Deterministic text form; ``parse`` inverts it exactly."""
+    """Deterministic text form; ``parse`` inverts it exactly.  Factor text
+    comes from the context's table (``SymbolContext.factor_texts``)."""
     if not p.terms:
         return "0"
-    ctx = p.context
+    texts = p.context.factor_texts
 
     pieces = []
     for mono in sorted(p.terms, key=lambda m: (sum(e for _, e in m), m)):
         coeff = p.terms[mono]
         sign, body = _coeff_parts(coeff, has_mono=bool(mono))
-        factors = "*".join(_factor_str(ctx.key(slot), e) for slot, e in mono)
+        factors = "*".join([texts[factor] for factor in mono])
         if body and factors:
             text = f"{body}*{factors}"
         else:

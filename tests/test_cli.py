@@ -394,6 +394,19 @@ def test_report_round_trip(tmp_path, capsys):
     assert json.loads(report.to_json()) == json.loads(path.read_text())
 
 
+def test_a_written_report_is_one_line_of_json(tmp_path, capsys):
+    # The report goes through the C encoder: one line and a newline, which
+    # parses back to the report's dict.
+    path = tmp_path / "report.json"
+    assert main(["all", "--seed", "3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    text = path.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    report = RunReport.from_json(text)
+    assert json.loads(text) == report.to_dict()
+    assert report.to_json() + "\n" == text
+
+
 def test_a_report_read_back_gives_the_verdicts_of_the_run(tmp_path, capsys):
     # from_json rebuilds each row from its residual and tolerance, so the
     # verdicts it derives are the ones the run wrote, failing rows included.

@@ -120,6 +120,12 @@ def test_lagrangian_is_kinetic_minus_hamiltonian():
 def test_spec_validation():
     with pytest.raises(ValueError):
         CpiSpec("bosonic", truncation=0)
+    # A truncation that is not an int, a bool included, is refused by name,
+    # not taken as a number or left to fail deep inside the wavefunction draw.
+    for bad in (2.5, "4", True, False, 3.0, None, 0, -2):
+        with pytest.raises(ValueError, match="truncation must be an integer of at least 1"):
+            CpiSpec("bosonic", truncation=bad)
+    assert CpiSpec("coadjoint", truncation=1).truncation == 1
     ctx = get_case("bosonic").context
     with pytest.raises(UnsupportedCaseError):
         build_cpi_hamiltonian(CpiSpec("bosonic", hamiltonian=ctx.parse("q^5"), truncation=4))
@@ -830,3 +836,94 @@ def test_each_spec_builds_its_cpi_hamiltonian_once(monkeypatch):
     calls.clear()
     assert evolve(q, spec, Fraction(1, 2)) == q.context.parse("3/5*q - 4/5*p")
     assert calls == []
+
+
+# -- one flow per spec and clock ----------------------------------------------------
+
+
+def test_a_spec_builds_one_flow_per_clock(monkeypatch):
+    # Five bosonic samples pull back through one flow; a second clock adds a
+    # second flow, and the first stays.
+    calls, original = [], cpi.expm
+    monkeypatch.setattr(cpi, "expm", lambda m, r: calls.append(r) or original(m, r))
+    spec = CpiSpec("bosonic")
+    rows = suite.check_transport(spec, Fraction(1, 2), 0)
+    assert len(rows) == suite.SAMPLES and all(row.passed for row in rows)
+    assert calls == [Fraction(-1, 2)]
+    suite.check_transport(spec, Fraction(1, 2), 1)
+    assert len(calls) == 1
+    suite.check_transport(spec, Fraction(1, 3), 0)
+    q = gen("bosonic", "q")
+    assert cpi.pull_back(q, spec, CRational(Fraction(1, 2))) == cpi.pull_back(q, spec, 0.5)
+    assert calls == [Fraction(-1, 2), Fraction(-1, 3)]
+    # Another spec of the same case builds its own.
+    suite.check_transport(CpiSpec("bosonic"), Fraction(1, 2), 0)
+    assert len(calls) == 3
+
+
+def test_a_flow_binds_only_what_moves():
+    # At M = 0 the coadjoint flow moves φ alone; the harmonic one moves all four.
+    coadjoint = CpiSpec("coadjoint", coefficients={"muB": Fraction(4, 5)})
+    assert set(coadjoint.flow(Fraction(3, 8))) == {"phi"}
+    assert set(CpiSpec("bosonic").flow(Fraction(1, 2))) == {"q", "p", "c_q", "c_p"}
+    assert CpiSpec("bosonic", hamiltonian=get_case("bosonic").context.zero()).flow(1) == {}
+
+
+def test_a_spec_built_after_expm_is_patched_reads_the_patch(monkeypatch):
+    # Flows live on their spec, so a patch reaches every spec built after it
+    # and leaves the flows of an earlier spec as they were.
+    psi, r = gen("bosonic", "q") * gen("bosonic", "c_p"), Fraction(1, 3)
+    earlier = CpiSpec("bosonic")
+    back = cpi.pull_back(psi, earlier, r)
+    forward = cpi.pull_back(psi, CpiSpec("bosonic"), -r)
+    original = cpi.expm
+    monkeypatch.setattr(cpi, "expm", lambda m, r: original(m, -r))
+    assert cpi.pull_back(psi, CpiSpec("bosonic"), r) == forward != back
+    assert cpi.pull_back(psi, earlier, r) == back
+
+
+def _bound_pull_back(psi, spec, r):
+    """ψ∘flow(−τ), τ = 2r, with every field and ghost bound: fields to
+    exp(−τM)·φ − τ·v₀ + (τ²/2)·M·v₀, ghosts to exp(−τM)·c.  The reference
+    of ``cpi.pull_back``."""
+    v0, m = spec.vector_field
+    tau = 2 * r
+    case = get_case(spec.case)
+    ctx = case.context
+    bindings = {}
+    for row, m_row, v, f in zip(cpi.expm(m, -r), m, v0, case.families):
+        shift = -tau * v + tau * tau / 2 * (m_row[0] * v0[0] + m_row[1] * v0[1])
+        bindings[f.base] = shift + sum(
+            (x * ctx.sym(g.base) for x, g in zip(row, case.families)), ctx.zero())
+        bindings[f.ghost] = sum(
+            (x * ctx.sym(g.ghost) for x, g in zip(row, case.families)), ctx.zero())
+    return psi.substitute(bindings)
+
+
+@given(
+    hessian=st.tuples(entries, entries, entries),
+    linear=st.tuples(entries, entries),
+    mu_b=rationals,
+    r=clocks,
+    seed=st.integers(0, 2**16),
+)
+def test_pull_back_is_the_substitution_with_every_field_and_ghost_bound(
+    hessian, linear, mu_b, r, seed
+):
+    # A quadratic H of every sign of det M, a nilpotent one with a drift, and
+    # the coadjoint H, whose flow moves φ alone.
+    a, b, c = hessian
+    assume(1 + (a * c - b * b) * r * r)
+    ctx = get_case("bosonic").context
+    q, p = ctx.sym("q"), ctx.sym("p")
+    specs = (
+        CpiSpec("bosonic", hamiltonian=(a / 2) * q**2 + b * q * p + (c / 2) * p**2),
+        CpiSpec("bosonic",
+                hamiltonian=Fraction(1, 2) * (a * q + b * p) ** 2 + linear[0] * q + linear[1] * p),
+        CpiSpec("coadjoint", coefficients={"muB": mu_b}),
+    )
+    rng = random.Random(seed)
+    for spec in specs:
+        for _ in range(2):
+            psi = cpi.random_wavefunction(spec, rng)
+            assert cpi.pull_back(psi, spec, r) == _bound_pull_back(psi, spec, r)

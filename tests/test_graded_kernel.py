@@ -93,6 +93,27 @@ def test_the_sign_rule_matches_the_bubble_sort_reference(a, b, slot):
     assert out == {a: 1 + terms.pop(a, 0), **terms}
 
 
+@settings(max_examples=500)
+@example(mono=(((0, 0), 3), ((1, 0), 1)), slot=(0, 0), c=CRational(2, 1))  # even, exponent 3
+@example(mono=(((1, 0), 1), ((3, 1), 1)), slot=(3, 1), c=CRational(1))  # odd, past an odd factor
+@example(mono=(((0, 1), 2), ((3, 0), 1)), slot=(3, 0), c=CRational(-1))  # odd, past an even one
+@example(mono=(((0, 0), 1),), slot=(2, 0), c=CRational(1))  # absent slot
+@example(mono=(), slot=(1, 0), c=CRational(1))  # the constant monomial
+@given(
+    mono=monomials_st,
+    slot=st.sampled_from(sorted(KERNEL_ODD)),
+    c=st.builds(CRational, st.integers(-3, 3), st.integers(-3, 3)).filter(bool),
+)
+def test_the_monomial_derivative_is_the_left_derivative_of_one_term(mono, slot, c):
+    # The operator table's derivative step: one monomial to at most one,
+    # times an int, equal to the left derivative of the one-term map.
+    factor, image = _graded.monomial_derivative(mono, slot, KERNEL_ODD)
+    assert type(factor) is int
+    expected = _graded.left_derivative({mono: c}, slot, KERNEL_ODD)
+    assert ({image: c * factor} if factor else {}) == expected
+    assert factor == 0 or abs(factor) == (1 if KERNEL_ODD[slot] else dict(mono)[slot])
+
+
 # Few monomials and small coefficients, so that sums often cancel.
 SUM_MONOMIALS = [(), (((0, 0), 1),), (((1, 0), 1),), (((0, 0), 2), ((1, 0), 1))]
 sum_coeff_st = st.builds(CRational, st.integers(-2, 2), st.integers(-1, 1)).filter(bool)

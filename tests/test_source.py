@@ -3,10 +3,10 @@
 public function or class has a caller outside the tests, no module reads
 another module's underscore names, ``GradedPolynomial`` stays the one
 element class, term maps are summed by hand only in the kernel, no module
-imports numpy or scipy, no ``CheckResult`` call passes a verdict, every
-Python example and every ``spindeq`` command in the README runs, and every
-polynomial that the suite and those commands build has ``CRational``
-coefficients only.
+imports numpy or scipy, no ``CheckResult`` call passes a verdict, no module
+indents its JSON, every Python example and every ``spindeq`` command in the
+README runs, and every polynomial that the suite and those commands build
+has ``CRational`` coefficients only.
 """
 
 import ast
@@ -166,6 +166,25 @@ def test_no_module_imports_a_numeric_library():
     found = {path.name: _numeric_imports(ast.parse(path.read_text()))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: libraries for name, libraries in found.items() if libraries} == {}
+
+
+def _indented_dumps(tree: ast.Module) -> list[int]:
+    """The lines of ``json.dumps`` or ``json.dump`` calls that pass ``indent=``."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("dumps", "dump") and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json" and any(k.arg == "indent" for k in node.keywords)
+    ]
+
+
+def test_no_module_indents_its_json():
+    # An indent forces the pure-Python encoder; reports are one line of JSON
+    # from the C encoder.
+    assert _indented_dumps(ast.parse("json.dumps(x, indent=2)\njson.dumps(x)")) == [1]
+    found = {path.name: _indented_dumps(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 README = Path(__file__).parents[1] / "README.md"

@@ -131,6 +131,51 @@ def test_coefficient_text_matches_the_fraction_printer(re, im, has_mono):
     assert CTX.parse(format_poly(poly)) == poly
 
 
+def _reference_format(p: GradedPolynomial) -> str:
+    """``format_poly`` with no table: each factor's text built from its
+    symbol's name, dot order and exponent."""
+    if not p.terms:
+        return "0"
+    pieces = []
+    for mono in sorted(p.terms, key=lambda m: (sum(e for _, e in m), m)):
+        sign, body = spindeq.symbols._coeff_parts(p.terms[mono], has_mono=bool(mono))
+        factors = []
+        for slot, exp in mono:
+            name, dot = p.context.key(slot)
+            text = "dot(" * dot + name + ")" * dot
+            factors.append(text if exp == 1 else f"{text}^{exp}")
+        factors = "*".join(factors)
+        pieces.append((sign, f"{body}*{factors}" if body and factors else factors or body or "1"))
+    out = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
+    return out + "".join(f" {sign} {text}" for sign, text in pieces[1:])
+
+
+# q, p, u and ubar with up to three dots, and w undotted: d/dt annihilates
+# the constant w, so dot(w) parses to 0.
+_PRINT_SLOTS = [(index, dot) for index in range(4) for dot in range(4)] + [(4, 0)]
+_print_monomials = st.dictionaries(
+    st.sampled_from(_PRINT_SLOTS),
+    st.one_of(st.integers(1, 3), st.integers(4, 10**12)),
+    max_size=4,
+).map(lambda powers: tuple(sorted((s, 1 if CTX.is_odd[s] else e) for s, e in powers.items())))
+_print_coefficients = st.builds(
+    CRational, st.fractions(max_denominator=50), st.fractions(max_denominator=50)
+).filter(bool)
+
+
+@given(terms=st.dictionaries(_print_monomials, _print_coefficients, max_size=5))
+def test_format_matches_the_table_free_printer(terms):
+    # A fresh context per example, so its table holds exactly the factors
+    # printed: (slot, exponent) keys, and nothing for the coefficients.
+    ctx = make_context()
+    p = GradedPolynomial(ctx, terms)
+    text = format_poly(p)
+    assert text == _reference_format(p)
+    assert set(ctx.factor_texts) == {factor for mono in p.terms for factor in mono}
+    assert format_poly(p) == text  # read back from the table
+    assert ctx.parse(text) == p
+
+
 def test_sym_takes_a_non_negative_int_dot_order():
     # A bool or float dot order is no dot order: each is rejected by name,
     # not by the kernel's check of the monomial it would make.
