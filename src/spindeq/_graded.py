@@ -28,6 +28,11 @@ Sign conventions, fixed here and relied on everywhere above:
 
 from __future__ import annotations
 
+from .exact import CRational, turn
+
+# The exact units i^k by their normal forms (a, b, d), with k.
+_TURNS = {(1, 0, 1): 0, (0, 1, 1): 1, (-1, 0, 1): 2, (0, -1, 1): 3}
+
 
 def merge(a: tuple, b: tuple, odd) -> tuple[int, tuple]:
     """The product a·b of two monomials as ``(sign, monomial)``; the sign
@@ -107,15 +112,22 @@ def add_into(out: dict, x: dict, k=1) -> dict:
 
 def add_product(out: dict, x: dict, y: dict, odd) -> dict:
     """Add x·y into the term map ``out`` in place and return it; the sums
-    that cancel stay in ``out`` as zeros."""
+    that cancel stay in ``out`` as zeros.  A left coefficient that is the
+    exact unit i^k (1, i, −1 or −i) multiplies by :func:`~spindeq.exact.turn`,
+    a quarter turn k, or k + 2 where the merge's sign is −1, which takes no
+    gcd; any other coefficient takes its product."""
     for ma, ca in x.items():
+        k = _TURNS.get(ca.normal_form) if type(ca) is CRational else None
         for mb, cb in y.items():
             sign, mono = merge(ma, mb, odd)
             if not sign:
                 continue
-            c = ca * cb
-            if sign < 0:
-                c = -c
+            if k is not None:
+                c = turn(cb, k if sign > 0 else k + 2)
+            else:
+                c = ca * cb
+                if sign < 0:
+                    c = -c
             out[mono] = out[mono] + c if mono in out else c
     return out
 

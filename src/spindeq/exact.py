@@ -5,8 +5,9 @@ coefficients are Gaussian rationals.  A :class:`CRational` stores the value
 (a + b·i)/d as three plain ints in normal form: d > 0 and gcd(a, b, d) = 1,
 so zero is (0, 0, 1) and equal values have equal triples.  A sum, difference
 or product takes one three-way gcd; a sum over a shared denominator
-multiplies nothing, a product with an ``int`` k takes only gcd(k, d), and a
-quotient by a real value needs no norm (Knuth, *TAOCP* vol. 2, §4.5.1).
+multiplies nothing, a product with an ``int`` k takes only gcd(k, d), a
+product with a unit ±1 or ±i (:func:`turn`) takes none, and a quotient by a
+real value needs no norm (Knuth, *TAOCP* vol. 2, §4.5.1).
 Results already in normal form are built by the trusted constructor
 :func:`_make`, which checks nothing.  ``re`` and ``im`` read the parts as
 :class:`fractions.Fraction`, and ``normal_form`` the three ints.
@@ -220,6 +221,22 @@ def _quotient(x: CRational, y: CRational) -> CRational:
 
 
 I = _make(0, 1, 1)
+
+
+def turn(z, k: int) -> CRational:
+    """z·i^k for an int k, the product with the unit 1, i, −1 or −i: a
+    quarter turn swaps the parts and negates one, and a half turn negates
+    both.  Neither changes gcd(a, b, d), so the result is in normal form
+    with no gcd taken.  Any other number z is lifted first, as by ``*``."""
+    if type(z) is not CRational:
+        z = crational(z)
+    k &= 3
+    if not k:
+        return z
+    a, b, d = z._a, z._b, z._d
+    if k == 2:
+        return _make(-a, -b, d)
+    return _make(-b, a, d) if k == 1 else _make(b, -a, d)
 
 
 def crational(value) -> CRational:

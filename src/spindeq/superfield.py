@@ -144,7 +144,8 @@ class DequantizationCase:
         b and the slots listed after it, each unordered pair once.  Since
         ∂_b∂_a L = s·∂_a∂_b L, with s = −1 when both slots are odd, the pair's
         part is T(½Δ_bΔ_a) + s·T(½Δ_aΔ_b) (T(½Δ_bΔ_b) when a = b), listed
-        only where nonzero.  Each part has one or two monomials.
+        only where nonzero.  Each part has one or two monomials, each with a
+        unit coefficient, ±1 or ±i.
         """
         ctx = self.context
         odd = ctx.is_odd
@@ -287,18 +288,22 @@ def top_component(l: GradedPolynomial, case) -> GradedPolynomial:
 
     with left derivatives, ∂_b taken first, and the parts T(·) from
     :attr:`DequantizationCase.top_parts`, which sum the pairs (a, b) and
-    (b, a) into one: one derivative pass per bound slot and per nonzero
-    unordered pair, and one kernel product per nonzero derivative, added
-    into one term map.  A
-    Lagrangian that mentions θ or θ̄, at any dot order, or a base field at
-    dot order 2 or more, which no superfield binding covers, raises
-    :class:`UnsupportedCaseError` before any work.
+    (b, a) into one: one derivative pass per bound slot that L uses and per
+    nonzero unordered pair of such slots, and one kernel product per nonzero
+    derivative, added into one term map.  A slot that L lacks has a zero
+    derivative, so it takes no pass.  Every coefficient of every part is a
+    unit, ±1 or ±i, which the kernel's product applies as a sign or a
+    quarter turn (:func:`~spindeq.exact.turn`), with no gcd.  A Lagrangian that mentions θ or θ̄,
+    at any dot order, or a base field at dot order 2 or more, which no
+    superfield binding covers, raises :class:`UnsupportedCaseError` before
+    any work.
     """
     case = get_case(case)
     ctx = case.context
     if l.context is not ctx:
         raise TableMismatchError(f"the Lagrangian is not over the {case.name} case's symbols")
-    used = l.symbols_used()
+    slots = {slot for mono in l.terms for slot, _ in mono}
+    used = {ctx.key(slot) for slot in slots}
     if any(name in (case.theta, case.thetabar) for name, _dot in used):
         raise UnsupportedCaseError(
             f"dequantization needs a Lagrangian free of the supertime pair "
@@ -313,13 +318,13 @@ def top_component(l: GradedPolynomial, case) -> GradedPolynomial:
     odd = ctx.is_odd
     out: dict = {}
     for b, first, pairs in case.top_parts:
-        d_b = _graded.left_derivative(l.terms, b, odd)
-        if not d_b:
+        if b not in slots:
             continue
+        d_b = _graded.left_derivative(l.terms, b, odd)
         if first:
             _graded.add_product(out, first, d_b, odd)
         for a, part in pairs:
-            if d_ab := _graded.left_derivative(d_b, a, odd):
+            if a in slots and (d_ab := _graded.left_derivative(d_b, a, odd)):
                 _graded.add_product(out, part, d_ab, odd)
     return GradedPolynomial._wrap(ctx, {mono: c for mono, c in out.items() if c})
 
@@ -343,25 +348,27 @@ def dequantize(l: GradedPolynomial, case) -> DequantizationResult:
 
 
 def _recognize_surface(raw: GradedPolynomial, case: DequantizationCase) -> DequantizationResult:
-    """Split ``raw`` into ``(raw − surface, surface)``.  Each forbidden
-    monomial, in sorted order, names a bilinear by undotting its first dotted
-    auxiliary or antighost; the first that appears in its bilinear's time
-    derivative fixes the bilinear's β, and the others are skipped, as are
-    those whose undotting collides with an odd factor.  Every rejection is
-    the leftover scan's: only a forbidden monomial of ``raw`` or a monomial
-    of the surface can be forbidden in ``raw − surface``, so it looks at
-    those alone."""
+    """Split ``raw`` into ``(raw − surface, surface)``.  A forbidden
+    monomial holds a dotted auxiliary or antighost; one scan over the
+    factors of ``raw`` finds each, with the place of its first such factor.
+    Each, in sorted order, names a bilinear by undotting that factor; the
+    first that appears in its bilinear's time derivative fixes the
+    bilinear's β, and the others are skipped, as are those whose undotting
+    collides with an odd factor.  Every rejection is the leftover scan's:
+    only a forbidden monomial of ``raw`` or a monomial of the surface can be
+    forbidden in ``raw − surface``, so it looks at those alone."""
     ctx = case.context
     absorbable = {ctx.slot(n)[0] for f in case.families for n in (f.aux, f.antighost)}
-
-    def first_forbidden(mono):
-        for idx, ((base, dot), _exp) in enumerate(mono):
-            if dot >= 1 and base in absorbable:
-                return idx
-        return None
-
+    forbidden = []
+    for mono in raw.terms:
+        idx = 0
+        for (base, dot), _exp in mono:
+            if dot and base in absorbable:
+                forbidden.append((mono, idx))
+                break
+            idx += 1
+    forbidden.sort()
     found: dict = {}  # bilinear monomial -> (β, its time derivative)
-    forbidden = sorted((m, i) for m in raw.terms if (i := first_forbidden(m)) is not None)
     for mono, idx in forbidden:
         (base, dot), exp = mono[idx]
         # Undotting keeps the factor in place, so the merge adds no sign.
@@ -380,7 +387,10 @@ def _recognize_surface(raw: GradedPolynomial, case: DequantizationCase) -> Dequa
     remainder = raw - surface
     left = remainder.terms
     leftovers = {m for m, _ in forbidden if m in left}
-    leftovers.update(m for m in surface.terms if m in left and first_forbidden(m) is not None)
+    leftovers.update(
+        m for m in surface.terms
+        if m in left and any(dot and base in absorbable for (base, dot), _ in m)
+    )
     if leftovers:
         bad = GradedPolynomial(ctx, {m: left[m] for m in leftovers})
         raise IdentityViolationError(

@@ -15,9 +15,13 @@ the slot of a symbol is its (declaration index, dot order) pair; sums,
 products, left derivatives and substitutions are the kernel's, with its
 transposition signs.  This module adds names with dots, the formal time
 derivative, the printer, which reads each factor's text from its
-context's table, and the parser.  The parser works on kernel term
-maps throughout and wraps its result once, so text never passes through the
-checked constructor or through ``GradedPolynomial`` arithmetic.
+context's table, and the parser.  The parser carries one term as a
+(coefficient, monomial) pair, builds a kernel term map only for a sum or at
+``dot(...)``, and wraps its result once, so text never passes through the
+checked constructor or through ``GradedPolynomial`` arithmetic.  A constant
+has no time derivative, so no slot of a constant at dot order 1 or more is
+ever built: ``dot(w)`` of a constant w parses to 0, and every constructor
+that names that slot raises ``ValueError``.
 
 Every coefficient is an exact Gaussian rational, a
 :class:`~spindeq.exact.CRational`, so that identities that hold, hold with
@@ -105,6 +109,13 @@ class _FactorTexts(dict):
         return text
 
 
+def _dotted_constant(name: str, dot) -> ValueError:
+    return ValueError(
+        f"{name!r} is a constant, which has no time derivative; its dot order must be 0, "
+        f"got {dot}"
+    )
+
+
 class SymbolContext:
     """Registry fixing the symbols of one problem and their order."""
 
@@ -138,22 +149,30 @@ class SymbolContext:
             raise UnknownSymbolError(f"undeclared symbol {name!r}") from None
 
     def slot(self, key) -> tuple[int, int]:
-        """Slot of a symbol name or ``(name, dot)`` key."""
+        """Slot of a symbol name or ``(name, dot)`` key.  A constant has no
+        time derivative, so a constant at dot order 1 or more raises
+        ``ValueError``."""
         name, dot = (key, 0) if isinstance(key, str) else key
-        self.decl(name)  # rejects an undeclared name
+        if self.decl(name).constant and dot:  # decl rejects an undeclared name
+            raise _dotted_constant(name, dot)
         return (self._index[name], dot)
 
     def key(self, slot: tuple[int, int]) -> SymKey:
         return (self._decls[slot[0]].name, slot[1])
 
     def has_slot(self, slot) -> bool:
-        return (
+        """Whether ``slot`` is the slot of a symbol; the slot of a constant at
+        dot order 1 or more raises ``ValueError``, as in :meth:`slot`."""
+        valid = (
             isinstance(slot, tuple)
             and len(slot) == 2
             and 0 <= slot[0] < len(self._decls)
             and isinstance(slot[1], int)
             and slot[1] >= 0
         )
+        if valid and slot[1] and self._decls[slot[0]].constant:
+            raise _dotted_constant(self._decls[slot[0]].name, slot[1])
+        return valid
 
     def monomial(self, powers: Mapping) -> tuple:
         """The monomial with the given exponent on each symbol name or
@@ -486,13 +505,17 @@ class _Parser:
     power  := atom ('^' NUMBER)*
     atom   := NUMBER | 'i' | IDENT | 'dot' '(' expr ')' | '(' expr ')'
 
-    Every rule returns a kernel term map, which :meth:`parse` wraps once.
-    The text is tokenized by one ``findall``; a token's position is recovered
-    only when an error reports it.  Atoms are built unchecked from the
-    context's slots; a product of two one-term factors is one monomial
-    merge, a power of a one-term factor scales its exponents, and only
-    multi-term factors reach the kernel's products.  Each ``expr`` adds its
-    terms into one dict with the kernel's sum.
+    A value is one term or a kernel term map.  One term is the pair
+    ``(coefficient, monomial)``, its coefficient nonzero: numbers, ``i`` and
+    symbols are built as pairs, unchecked from the context's slots, and
+    signs, products, quotients and powers of pairs stay pairs.  Two pairs
+    multiply by one monomial merge, and a power of a pair scales its
+    exponents.  A term map is built only for a sum of two or more terms,
+    whose terms are added into one dict by the kernel's sum, and at
+    ``dot(...)``; zero is the empty map, and a product with a map is the
+    kernel's.  :meth:`parse` wraps the value once.  The text is tokenized
+    by one ``findall``; a token's position is recovered only when an error
+    reports it.
 
     Division is allowed only by nonzero constant subexpressions, which keeps
     everything inside the polynomial ring.  A product or power of nonzero
@@ -523,20 +546,23 @@ class _Parser:
         return len(self.text)
 
     def parse(self) -> GradedPolynomial:
-        terms = self.expr()
+        value = self.expr()
         tok = self.tokens[self.k]
         if tok:
             raise ParseError(f"unexpected token {tok!r}", self.position(self.k))
-        return GradedPolynomial._wrap(self.ctx, terms)
+        return GradedPolynomial._wrap(self.ctx, _terms(value))
 
-    def expr(self) -> dict:
-        out = self.term()
+    def expr(self):
+        value = self.term()
+        if self.tokens[self.k] not in ("+", "-"):
+            return value
+        out = _terms(value)
         while (op := self.tokens[self.k]) in ("+", "-"):
             self.k += 1
-            _graded.add_into(out, self.term(), 1 if op == "+" else -1)
+            _graded.add_into(out, _terms(self.term()), 1 if op == "+" else -1)
         return out
 
-    def term(self) -> dict:
+    def term(self):
         value = self.unary()
         while (op := self.tokens[self.k]) in ("*", "/"):
             at = self.k
@@ -545,50 +571,52 @@ class _Parser:
             value = self.product(value, rhs, at) if op == "*" else self.quotient(value, rhs, at)
         return value
 
-    def unary(self) -> dict:
-        """The rules unary and power in one: signs, an atom, then its powers."""
+    def unary(self):
+        """The rules unary, power and atom in one: signs, an atom, then its powers."""
+        tokens = self.tokens
+        k = self.k
         negate = False
-        while (sign := self.tokens[self.k]) in ("-", "+"):
-            negate ^= sign == "-"
-            self.k += 1
-        value = self.atom()
-        while self.tokens[self.k] == "^":
+        while (tok := tokens[k]) in ("-", "+"):
+            negate ^= tok == "-"
+            k += 1
+        self.k = k + 1
+        index = self.ctx._index.get(tok)
+        if index is not None:
+            value = (_ONE, (((index, 0), 1),))
+        elif tok.isdecimal():
+            n = self.integer(k)
+            value = (crational(n), ()) if n else {}
+        elif tok == "i":
+            value = (I, ())
+        elif tok == "dot":
+            if tokens[k + 1] != "(":
+                raise ParseError("expected '(' after dot", self.position(k + 1))
+            self.k = k + 2
+            value = _time_derivative(self.ctx, _terms(self.nested(k + 1)))
+        elif tok.isidentifier():
+            raise UnknownSymbolError(f"unknown symbol {tok!r}", self.position(k))
+        elif tok == "(":
+            value = self.nested(k)
+        else:
+            message = f"expected a value, got {tok!r}" if tok else "unexpected end of input"
+            raise ParseError(message, self.position(k))
+        while tokens[self.k] == "^":
             at = self.k
             self.k += 2
-            if not self.tokens[at + 1].isdecimal():
+            if not tokens[at + 1].isdecimal():
                 raise ParseError("exponent must be an integer literal", self.position(at + 1))
             n = self.integer(at + 1)
             result = self.raised(value, n)
             if not result and value and n >= 2:
                 raise OddPowerError("odd symbol raised to a power above one", self.position(at))
             value = result
-        return {mono: -c for mono, c in value.items()} if negate else value
+        if not negate:
+            return value
+        if type(value) is tuple:
+            return -value[0], value[1]
+        return {mono: -c for mono, c in value.items()}
 
-    def atom(self) -> dict:
-        k = self.k
-        tok = self.tokens[k]
-        self.k = k + 1
-        index = self.ctx._index.get(tok)
-        if index is not None:
-            return {(((index, 0), 1),): _ONE}
-        if tok.isdecimal():
-            n = self.integer(k)
-            return {(): crational(n)} if n else {}
-        if tok == "i":
-            return {(): I}
-        if tok == "dot":
-            if self.tokens[k + 1] != "(":
-                raise ParseError("expected '(' after dot", self.position(k + 1))
-            self.k = k + 2
-            return _time_derivative(self.ctx, self.nested(k + 1))
-        if tok.isidentifier():
-            raise UnknownSymbolError(f"unknown symbol {tok!r}", self.position(k))
-        if tok == "(":
-            return self.nested(k)
-        message = f"expected a value, got {tok!r}" if tok else "unexpected end of input"
-        raise ParseError(message, self.position(k))
-
-    def nested(self, opener: int) -> dict:
+    def nested(self, opener: int):
         """The expression after token ``opener``, an opening parenthesis, up to its ')'."""
         if self.depth == MAX_NESTING:
             raise ParseError(
@@ -614,39 +642,55 @@ class _Parser:
                 self.position(k),
             ) from None
 
-    def raised(self, value: dict, n: int) -> dict:
+    def raised(self, value, n: int):
         if not n:
-            return {(): _ONE}
+            return _ONE, ()
         if n == 1:
             return value
-        if len(value) != 1:
+        if type(value) is dict:
             return _graded.power(value, n, self.odd)
-        ((mono, c),) = value.items()
-        if any(self.odd[slot] for slot, _ in mono):
-            return {}
+        c, mono = value
+        for slot, _ in mono:
+            if self.odd[slot]:
+                return {}
         if c is not _ONE:
             (c,) = _graded.power({(): c}, n, self.odd).values()
-        return {tuple((slot, e * n) for slot, e in mono): c}
+        return c, tuple((slot, e * n) for slot, e in mono)
 
-    def product(self, a: dict, b: dict, at: int) -> dict:
-        if len(a) == 1 and len(b) == 1:
-            ((ma, ca),), ((mb, cb),) = a.items(), b.items()
+    def product(self, a, b, at: int):
+        if type(a) is tuple and type(b) is tuple:
+            (ca, ma), (cb, mb) = a, b
             sign, mono = _graded.merge(ma, mb, self.odd)
-            c = cb if ca is _ONE else ca if cb is _ONE else ca * cb
-            result = {mono: c if sign > 0 else -c} if sign else {}
+            if sign:
+                c = cb if ca is _ONE else ca if cb is _ONE else ca * cb
+                return (c if sign > 0 else -c), mono
+            result = {}
         else:
-            result = _graded.mul(a, b, self.odd)
+            result = _graded.mul(_terms(a), _terms(b), self.odd)
         if not result and a and b:
             raise OddPowerError("product vanishes: odd symbol squared", self.position(at))
         return result
 
-    def quotient(self, a: dict, b: dict, at: int) -> dict:
-        if any(b):
+    def quotient(self, a, b, at: int):
+        if type(b) is tuple:
+            value, constant = b[0], not b[1]
+        else:
+            value, constant = b.get(()), not any(b)
+        if not constant:
             raise ParseError("division only by numeric constants", self.position(at))
-        value = b.get(())
         if not value:
             raise ParseError("division by zero", self.position(at))
+        if type(a) is tuple:
+            return a[0] / value, a[1]
         return {mono: c / value for mono, c in a.items()}
+
+
+def _terms(value) -> dict:
+    """The term map of a parser value: a pair becomes a one-term map."""
+    if type(value) is tuple:
+        c, mono = value
+        return {mono: c}
+    return value
 
 
 def parse(ctx: SymbolContext, text: str) -> GradedPolynomial:

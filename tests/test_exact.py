@@ -92,6 +92,22 @@ def test_int_products_and_real_quotients_match_the_reference(z, m, f):
                 assert pair(out) == reference(operator.truediv, x, divisor)
 
 
+@given(z=crationals, k=st.integers(-5, 8))
+def test_a_turn_is_the_product_with_a_unit(z, k):
+    # turn(z, k) is z·i^k by swapping and negating parts, with no gcd.
+    turned = exact.turn(z, k)
+    assert turned == z * _unit(k)
+    assert_normal(turned)
+    assert exact.turn(3, 1) == CRational(0, 3) and exact.turn(0.5, 2) == CRational(-0.5)
+
+
+def _unit(k: int) -> CRational:
+    out = CRational(1)
+    for _ in range(k % 4):
+        out = out * exact.I
+    return out
+
+
 def test_int_products_skip_the_lift_and_bools_do_not(monkeypatch):
     lifted = []
     monkeypatch.setattr(exact, "_lift", lambda value: lifted.append(value) or CRational(value))

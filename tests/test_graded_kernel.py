@@ -11,6 +11,7 @@ remainder.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -112,6 +113,37 @@ def test_the_monomial_derivative_is_the_left_derivative_of_one_term(mono, slot, 
     expected = _graded.left_derivative({mono: c}, slot, KERNEL_ODD)
     assert ({image: c * factor} if factor else {}) == expected
     assert factor == 0 or abs(factor) == (1 if KERNEL_ODD[slot] else dict(mono)[slot])
+
+
+UNITS = [CRational(1), CRational(0, 1), CRational(-1), CRational(0, -1)]
+product_coeff_st = st.builds(CRational, st.fractions(max_denominator=6), st.integers(-2, 2))
+
+
+@settings(max_examples=300)
+@given(
+    x=st.dictionaries(monomials_st, st.sampled_from(UNITS) | product_coeff_st, max_size=4),
+    y=st.dictionaries(
+        monomials_st,
+        product_coeff_st | product_coeff_st.map(complex) | st.integers(-3, 3),
+        max_size=4,
+    ),
+)
+def test_a_unit_left_coefficient_gives_the_plain_product(x, y):
+    # A left coefficient 1, i, -1 or -i turns each right coefficient
+    # (exact.turn) instead of multiplying it: every term, the zeros of sums
+    # that cancel included, must be the CRational product's, in normal form.
+    expected = {}
+    for ma, ca in x.items():
+        for mb, cb in y.items():
+            sign, mono = reference_product(ma, mb)
+            if sign:
+                c = ca * cb * sign
+                expected[mono] = expected[mono] + c if mono in expected else c
+    out = _graded.add_product({}, x, y, KERNEL_ODD)
+    assert out == expected
+    for c in out.values():
+        a, b, d = c.normal_form
+        assert type(c) is CRational and d > 0 and gcd(a, b, d) == 1
 
 
 # Few monomials and small coefficients, so that sums often cancel.

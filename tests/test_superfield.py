@@ -7,7 +7,10 @@ must land on the matching classical-path-integral Lagrangian up to a total
 time derivative.
 """
 
+import os
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,6 +38,8 @@ from spindeq import (
 )
 from spindeq import _graded, exact, suite, superfield, symbols
 from spindeq.symbols import format_poly
+
+SOURCE = os.path.dirname(symbols.__file__)
 
 
 def test_case_registry():
@@ -193,9 +198,15 @@ def test_dequantization_work_stays_at_the_taylor_figure(monkeypatch):
     # slots, and takes 7 over 214 with one per unordered pair, each added
     # into one term map.  It never substitutes, and the surface takes one
     # time derivative per bilinear (two here, against four when each β took
-    # its own).  It builds 386 CRationals, against 622 before int products
-    # skipped the lift, exponents of 1 the product and the split its second
-    # subtraction.
+    # its own).  The top component takes a derivative pass only for a bound
+    # slot that L uses, and for a pair of them: 9 here, against 13 when
+    # dot(p), which L lacks, took its own four.  Every part is a unit, so it
+    # multiplies by a sign or a quarter turn: no product of two CRationals
+    # inside top_component, where each of the 214 pairs took one; its 152
+    # int products are the exponents that the derivatives bring down.
+    # Dequantize builds 337 CRationals, against 380 with the products, and
+    # 622 before int products skipped the lift, exponents of 1 the product
+    # and the split its second subtraction.
     case = get_case("bosonic")
     h, lagrangian = _degree_twelve_lagrangian(case)
     case.top_parts  # the parts are built once per case, outside the count
@@ -215,6 +226,25 @@ def test_dequantization_work_stays_at_the_taylor_figure(monkeypatch):
         made[0] += 1
         return make(a, b, d)
 
+    passes = [0]
+    left_derivative = _graded.left_derivative
+
+    def counted_pass(*args):
+        passes[0] += 1
+        return left_derivative(*args)
+
+    products = Counter()
+    multiply = exact.CRational.__mul__
+
+    def counted_product(z, other):
+        products[type(other).__name__] += 1
+        return multiply(z, other)
+
+    monkeypatch.setattr(_graded, "left_derivative", counted_pass)
+    monkeypatch.setattr(exact.CRational, "__mul__", counted_product)
+    raw = top_component(lagrangian, case)
+    assert passes == [9] and products == {"int": 152}, (passes, products)
+    monkeypatch.undo()
     counts = _count_products(monkeypatch, "add_product")
     monkeypatch.setattr(exact, "_make", counted_make)
     monkeypatch.setattr(symbols.GradedPolynomial, "substitute", never)
@@ -222,13 +252,63 @@ def test_dequantization_work_stays_at_the_taylor_figure(monkeypatch):
     result = dequantize(lagrangian, case)
     monkeypatch.undo()
     assert counts[0] <= 7 and counts[1] <= 214, counts
-    assert made[0] <= 386, made
+    assert made[0] <= 337, made
     assert len(derivatives) == len({format_poly(p) for p in derivatives}) == 2
-    raw = supertime_integral(
+    substituted = supertime_integral(
         substitute(lagrangian, superfield_bindings(case)), case.theta, case.thetabar
     )
-    assert result.cpi_lagrangian + result.surface_term == raw
+    assert raw == substituted
+    assert result.cpi_lagrangian + result.surface_term == substituted
     assert result.cpi_lagrangian == cpi_lagrangian(case, h)
+
+
+def _sweep_text(h) -> str:
+    """H as the dequantization benchmark writes it: one ``(a/b)*q^i*p^j``
+    per term, joined by `` + ``."""
+    pieces = []
+    for mono, c in h.terms.items():
+        powers = dict((h.context.key(slot)[0], e) for slot, e in mono)
+        a, _, d = c.normal_form
+        pieces.append(f"({a}/{d})*q^{powers.get('q', 0)}*p^{powers.get('p', 0)}")
+    return " + ".join(pieces)
+
+
+def test_parse_work_stays_at_the_one_term_figure():
+    # Parsing the 48-term H of the Lagrangian above, in the benchmark's text
+    # form.  With a term map for every atom, power, product, quotient and
+    # parenthesis the parser made 2,116 calls of Python functions in
+    # spindeq; carrying one term as a (coefficient, monomial) pair, with
+    # atoms read inside the unary rule, it makes 1,733, and builds a term
+    # map only for the sum.  Calls are counted, not timed, so the figure
+    # repeats exactly.
+    case = get_case("bosonic")
+    h, _ = _degree_twelve_lagrangian(case)
+    text = _sweep_text(h)
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(SOURCE):
+            calls[frame.f_code.co_name] += 1
+
+    made = [0]
+    make = exact._make
+
+    def counted_make(a, b, d):
+        made[0] += 1
+        return make(a, b, d)
+
+    exact._make = counted_make
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        parsed = case.context.parse(text)
+    finally:
+        sys.setprofile(previous)
+        exact._make = make
+    assert parsed == h
+    assert calls["_terms"] == 49 and calls["add_into"] == 47, calls  # one map, one sum
+    assert sum(calls.values()) <= 1733, sum(calls.values())
+    assert made[0] <= 144, made
 
 
 def test_negation_and_int_factors_take_no_generic_product(monkeypatch):
@@ -254,23 +334,25 @@ def test_negation_and_int_factors_take_no_generic_product(monkeypatch):
     assert results == [p * minus_one, 1 + p * minus_one, p * two]
 
 
-def _case_symbols(case):
-    """Every symbol of a case but its supertime pair: constants, then each
-    family's base field, ghost, auxiliary and antighost."""
-    names = list(case.constants)
-    for f in case.families:
-        names += [f.base, f.ghost, f.aux, f.antighost]
-    return names
+def _case_factors(case):
+    """``(name, dot)`` of every symbol of a case but its supertime pair: a
+    constant at dot order 0, the only one it takes, and each family's base
+    field, ghost, auxiliary and antighost at dot order 0 to 2."""
+    fields = [name for f in case.families for name in (f.base, f.ghost, f.aux, f.antighost)]
+    return st.one_of(
+        st.tuples(st.sampled_from(case.constants), st.just(0)),
+        st.tuples(st.sampled_from(fields), st.integers(0, 2)),
+    )
 
 
 @st.composite
 def _lagrangians(draw):
     """A random exact Lagrangian over one case's symbols, free of θ and θ̄,
-    every symbol at dot order 0 to 2, with the case's kinetic term or
-    without."""
+    every field at dot order 0 to 2 and every constant undotted, with the
+    case's kinetic term or without."""
     case = get_case(draw(st.sampled_from(CASES)))
     ctx = case.context
-    factor = st.tuples(st.sampled_from(_case_symbols(case)), st.integers(0, 2))
+    factor = _case_factors(case)
     out = case.kinetic_term if draw(st.booleans()) else ctx.zero()
     for _ in range(draw(st.integers(1, 5))):
         term = ctx.const(Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 5))))
@@ -310,12 +392,15 @@ def test_dequantize_rejects_the_supertime_pair_before_any_work(monkeypatch):
         ctx = case.context
         ghost = ctx.sym(case.families[0].ghost)
         for odd_time in (case.theta, case.thetabar):
-            for dot in (0, 1, 2):
-                lagrangian = case.kinetic_term + ctx.sym(odd_time, dot) * ghost
-                with pytest.raises(UnsupportedCaseError) as err:
-                    dequantize(lagrangian, case)
-                assert f"({case.theta}, {case.thetabar})" in str(err.value)
-                assert "--lagrangian" in str(err.value)
+            lagrangian = case.kinetic_term + ctx.sym(odd_time) * ghost
+            with pytest.raises(UnsupportedCaseError) as err:
+                dequantize(lagrangian, case)
+            assert f"({case.theta}, {case.thetabar})" in str(err.value)
+            assert "--lagrangian" in str(err.value)
+            # The pair is constant, so a dotted one is refused where it is built.
+            for dot in (1, 2):
+                with pytest.raises(ValueError, match=f"^'{odd_time}' is a constant"):
+                    ctx.sym(odd_time, dot)
 
 
 def test_case_polynomials_are_derived_once():
@@ -425,3 +510,30 @@ def test_top_parts_without_the_half_fail_every_dequantization_group(monkeypatch)
                   suite.check_coadjoint_dequantization):
         rows = group()
         assert all(not row.passed for row in rows if row.name.endswith("-cpi")), group.__name__
+
+
+@pytest.mark.parametrize("unit", [
+    lambda c: -c,  # every part negated
+    lambda c: exact.CRational(c.re, -c.im),  # i and -i swapped
+], ids=["negated", "conjugated"])
+def test_top_parts_with_other_units_fail_every_dequantization_group(unit, monkeypatch):
+    # Every part's coefficients are units, so the kernel turns by them
+    # instead of multiplying.  Changed units stay units: a wrong sign or a
+    # wrong quarter turn must still reach the rows, at every seed.
+    units = {(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)}
+    for name in CASES:
+        case = get_case(name)
+        for _b, first, pairs in case.top_parts:
+            for part in (first, *(part for _a, part in pairs)):
+                assert {c.normal_form for c in part.values()} <= units
+        turned = tuple(
+            (b, {mono: unit(c) for mono, c in first.items()},
+             tuple((a, {mono: unit(c) for mono, c in part.items()}) for a, part in pairs))
+            for b, first, pairs in case.top_parts
+        )
+        monkeypatch.setitem(case.__dict__, "top_parts", turned)
+    for group in (suite.check_bosonic_dequantization, suite.check_grassmann_dequantization,
+                  suite.check_coadjoint_dequantization):
+        for seed in range(3):
+            rows = group(seed)
+            assert all(not row.passed for row in rows if row.name.endswith("-cpi")), group.__name__

@@ -189,6 +189,27 @@ def test_sym_takes_a_non_negative_int_dot_order():
         CTX.sym("x")
 
 
+def test_a_dotted_constant_is_rejected_at_every_entry_point():
+    # d/dt annihilates a constant, so dot(w) parses to 0: a polynomial that
+    # held w at dot order 1 would print as dot(w) and read back without it.
+    # So no entry point builds that slot, and each names the constant.
+    message = r"^'w' is a constant, which has no time derivative; its dot order must be 0, got "
+    index, _ = CTX.slot("w")
+    for dot in (1, 2):
+        for build in (
+            lambda: CTX.sym("w", dot),
+            lambda: CTX.slot(("w", dot)),
+            lambda: CTX.has_slot((index, dot)),
+            lambda: CTX.monomial({("w", dot): 1}),
+            lambda: partial_derivative(CTX.parse("w*q"), "w", dot),
+            lambda: GradedPolynomial(CTX, {(((index, dot), 1),): 1}),
+        ):
+            with pytest.raises(ValueError, match=message + str(dot)):
+                build()
+    assert CTX.has_slot((index, 0)) and CTX.sym("w") == CTX.parse("w")
+    assert CTX.parse("dot(w)*q + q") == CTX.sym("q")
+
+
 def test_imaginary_unit_squares_to_minus_one():
     assert CTX.parse("i^2") == CTX.parse("-1")
     assert CTX.parse("i*i*q") == CTX.parse("-q")
